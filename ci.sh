@@ -8,6 +8,12 @@ cargo build --workspace --release
 cargo test --workspace -q
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
+# The end-to-end benchmark (E17) is a Cargo workspace of its own, so the
+# steps above skip it; an API change in the crates it drives must not
+# break it unnoticed.
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+cargo fmt --manifest-path e2ebench/Cargo.toml --check
+cargo clippy --manifest-path e2ebench/Cargo.toml --all-targets -- -D warnings
 # Docs, warnings-as-errors, product crates only (the vendored offline
 # subsets under vendor/ are out of scope for the doc gate).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \

@@ -132,8 +132,8 @@ mod tests {
             )
             .unwrap();
         assert!(cred.verify_signature().is_ok());
-        assert_eq!(cred.header.issuer, "INFN");
-        assert_eq!(cred.header.issuer_key, ca.public_key());
+        assert_eq!(cred.header().issuer, "INFN");
+        assert_eq!(cred.header().issuer_key, ca.public_key());
     }
 
     #[test]

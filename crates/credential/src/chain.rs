@@ -12,7 +12,7 @@
 //! next issuer). Every link must also pass the ordinary per-credential
 //! checks (signature, validity, revocation).
 
-use crate::credential::{signing_bytes, Credential};
+use crate::credential::Credential;
 use crate::error::CredentialError;
 use crate::revocation::RevocationList;
 use crate::time::Timestamp;
@@ -49,17 +49,17 @@ pub fn verify_chain(
     let first = chain
         .first()
         .ok_or_else(|| CredentialError::BrokenChain("empty chain".into()))?;
-    if !trusted_roots.contains(&first.header.issuer_key) {
+    if !trusted_roots.contains(&first.header().issuer_key) {
         return Err(CredentialError::BrokenChain(format!(
             "chain root issuer '{}' is not trusted",
-            first.header.issuer
+            first.header().issuer
         )));
     }
     for (i, cred) in chain.iter().enumerate() {
         cred.verify_nonsig(at, crl)?;
         if i > 0 {
             let prev = &chain[i - 1];
-            if cred.header.issuer_key != prev.header.subject_key {
+            if cred.header().issuer_key != prev.header().subject_key {
                 return Err(CredentialError::BrokenChain(format!(
                     "link {i}: issuer of '{}' is not certified by '{}'",
                     cred.id(),
@@ -69,30 +69,36 @@ pub fn verify_chain(
         }
     }
     // Signature pass: cache hits are free, the misses share one batch.
+    // Each link is looked up once; the misses are verified from their
+    // stored bytes without a second lookup.
     let cache = VerifiedCache::global();
-    let mut pending: Vec<(&Credential, Vec<u8>)> = Vec::new();
-    for cred in chain {
-        if !cache.check(&cred.verified_key()) {
-            pending.push((cred, signing_bytes(&cred.header, &cred.content)));
-        }
-    }
-    if pending.len() == 1 {
-        return pending[0].0.verify_signature();
+    let pending: Vec<&Credential> = chain
+        .iter()
+        .filter(|cred| !cache.check(&cred.verified_key()))
+        .collect();
+    if let [only] = pending.as_slice() {
+        return only.verify_uncached(cache);
     }
     let items: Vec<(PublicKey, &[u8], Signature)> = pending
         .iter()
-        .map(|(cred, bytes)| (cred.header.issuer_key, bytes.as_slice(), cred.signature))
+        .map(|cred| {
+            (
+                cred.header().issuer_key,
+                cred.signed_bytes(),
+                cred.signature(),
+            )
+        })
         .collect();
     if verify_batch(&items) {
-        for (cred, _) in &pending {
+        for cred in &pending {
             cache.insert(cred.verified_key());
         }
         return Ok(());
     }
     // At least one signature is bad; re-verify individually for a
     // precise error naming the first failing link.
-    for (cred, _) in &pending {
-        cred.verify_signature()?;
+    for cred in &pending {
+        cred.verify_uncached(cache)?;
     }
     // Unreachable in practice (the batch rejects iff some individual
     // check rejects), but fail closed rather than trust the batch alone.
@@ -144,14 +150,14 @@ impl ChainDirectory {
         trusted_roots: &[PublicKey],
     ) -> Option<Vec<Credential>> {
         // Trivial case: the target's issuer is directly trusted.
-        if trusted_roots.contains(&target.header.issuer_key) {
+        if trusted_roots.contains(&target.header().issuer_key) {
             return Some(vec![target.clone()]);
         }
         // Index once: subject key → directory entries certifying it.
         let mut by_subject: HashMap<u64, Vec<usize>> = HashMap::new();
         for (idx, cred) in self.creds.iter().enumerate() {
             by_subject
-                .entry(cred.header.subject_key.0)
+                .entry(cred.header().subject_key.0)
                 .or_default()
                 .push(idx);
         }
@@ -165,12 +171,12 @@ impl ChainDirectory {
         }
         let mut queue = VecDeque::new();
         queue.push_back(State {
-            need: target.header.issuer_key,
+            need: target.header().issuer_key,
             suffix: Vec::new(),
             suffix_members: HashSet::new(),
         });
         let mut seen: HashSet<u64> = HashSet::new();
-        seen.insert(target.header.issuer_key.0);
+        seen.insert(target.header().issuer_key.0);
         while let Some(state) = queue.pop_front() {
             let Some(candidates) = by_subject.get(&state.need.0) else {
                 continue;
@@ -182,7 +188,7 @@ impl ChainDirectory {
                 }
                 let mut suffix = state.suffix.clone();
                 suffix.push(idx);
-                if roots.contains(&cred.header.issuer_key.0) {
+                if roots.contains(&cred.header().issuer_key.0) {
                     // Found a root-issued link; assemble root → … → target.
                     let mut chain: Vec<Credential> = suffix
                         .iter()
@@ -192,11 +198,11 @@ impl ChainDirectory {
                     chain.push(target.clone());
                     return Some(chain);
                 }
-                if seen.insert(cred.header.issuer_key.0) {
+                if seen.insert(cred.header().issuer_key.0) {
                     let mut suffix_members = state.suffix_members.clone();
                     suffix_members.insert(idx);
                     queue.push_back(State {
-                        need: cred.header.issuer_key,
+                        need: cred.header().issuer_key,
                         suffix,
                         suffix_members,
                     });

@@ -5,13 +5,16 @@
 //! attributes; the signature is the issuer's signature "on the whole
 //! credential encoded in base64". Signing is performed over the canonical
 //! compact XML of the credential *without* its `<signature>` element, so
-//! any mutation of header or content invalidates the credential.
+//! any mutation of header or content invalidates the credential. A
+//! credential is immutable and encoded once: it keeps those bytes for
+//! every later signature check, cache key and transcript entry.
 
 use crate::attribute::{AttrValue, Attribute};
 use crate::error::CredentialError;
 use crate::revocation::RevocationList;
 use crate::time::{TimeRange, Timestamp};
 use crate::verified::{VerifiedCache, VerifiedKey};
+use std::sync::{Arc, OnceLock};
 use trust_vo_crypto::sha256::Sha256;
 use trust_vo_crypto::{base64, hex, Digest, KeyPair, PublicKey, Signature};
 use trust_vo_xmldoc::{Element, Node};
@@ -52,33 +55,99 @@ pub struct Header {
 }
 
 /// A signed X-TNL credential.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Credential {
-    /// The header.
-    pub header: Header,
-    /// The typed attributes (`<content>`).
-    pub content: Vec<Attribute>,
-    /// Issuer signature over the canonical unsigned encoding.
-    pub signature: Signature,
+///
+/// Immutable: the only constructors are [`Credential::issue_signed`],
+/// which keeps the bytes it just signed, and [`Credential::from_xml`],
+/// which encodes the parsed fields once. That one canonical encoding is
+/// what the signature check verifies, what the [`VerifiedCache`] key
+/// digests (lazily, at most once), and what the transcript and wire text
+/// are spliced from. Clones share it, and the fields, through an `Arc`.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Credential(Arc<Signed>);
+
+/// The shared body of a [`Credential`].
+struct Signed {
+    header: Header,
+    content: Vec<Attribute>,
+    signature: Signature,
+    /// The canonical unsigned encoding: exactly the bytes the issuer
+    /// signed, `signing_bytes(header, content)`.
+    encoding: Box<str>,
+    /// [`Credential::fingerprint`], computed on first use.
+    fingerprint: OnceLock<Digest>,
+}
+
+impl PartialEq for Signed {
+    // The encoding and fingerprint are functions of the fields.
+    fn eq(&self, other: &Self) -> bool {
+        self.header == other.header
+            && self.content == other.content
+            && self.signature == other.signature
+    }
+}
+
+impl Eq for Signed {}
+
+impl std::fmt::Debug for Credential {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Credential")
+            .field("header", &self.0.header)
+            .field("content", &self.0.content)
+            .field("signature", &self.0.signature)
+            .finish()
+    }
 }
 
 impl Credential {
-    /// Sign `header` + `content` with the issuer key pair, producing a
-    /// complete credential. (Authorities call this; see
-    /// [`crate::authority::CredentialAuthority::issue`].)
-    pub fn issue_signed(header: Header, content: Vec<Attribute>, issuer: &KeyPair) -> Self {
-        let bytes = signing_bytes(&header, &content);
-        let signature = issuer.sign(&bytes);
-        Credential {
+    fn from_parts(
+        header: Header,
+        content: Vec<Attribute>,
+        signature: Signature,
+        encoding: String,
+    ) -> Self {
+        Credential(Arc::new(Signed {
             header,
             content,
             signature,
-        }
+            encoding: encoding.into_boxed_str(),
+            fingerprint: OnceLock::new(),
+        }))
+    }
+
+    /// Sign `header` + `content` with the issuer key pair, producing a
+    /// complete credential that keeps the signed bytes. (Authorities call
+    /// this; see [`crate::authority::CredentialAuthority::issue`].)
+    pub fn issue_signed(header: Header, content: Vec<Attribute>, issuer: &KeyPair) -> Self {
+        let encoding = canonical_text(&header, &content);
+        let signature = issuer.sign(encoding.as_bytes());
+        Self::from_parts(header, content, signature, encoding)
+    }
+
+    /// The header.
+    pub fn header(&self) -> &Header {
+        &self.0.header
+    }
+
+    /// The typed attributes (`<content>`).
+    pub fn content(&self) -> &[Attribute] {
+        &self.0.content
+    }
+
+    /// The issuer signature over [`Credential::signed_bytes`].
+    pub fn signature(&self) -> Signature {
+        self.0.signature
+    }
+
+    /// The canonical unsigned encoding the issuer signed: equal to
+    /// [`signing_bytes`] of the header and content, built once.
+    pub fn signed_bytes(&self) -> &[u8] {
+        self.0.encoding.as_bytes()
     }
 
     /// Look up an attribute value by name.
     pub fn attr(&self, name: &str) -> Option<&AttrValue> {
-        self.content
+        self.0
+            .content
             .iter()
             .find(|a| a.name == name)
             .map(|a| &a.value)
@@ -86,90 +155,75 @@ impl Credential {
 
     /// The credential id.
     pub fn id(&self) -> &CredentialId {
-        &self.header.cred_id
+        &self.0.header.cred_id
     }
 
     /// The credential type name.
     pub fn cred_type(&self) -> &str {
-        &self.header.cred_type
+        &self.0.header.cred_type
     }
 
-    /// Feed every signed field — the full header, every content
-    /// attribute, and the issuer signature — into `h`. This is the byte
-    /// stream both the negotiation sequence cache's party fingerprint and
-    /// [`Credential::fingerprint`] are built from: it covers exactly the
-    /// content of the canonical XML encoding without materializing an
-    /// element tree.
+    /// A collision-resistant fingerprint of the whole credential: a
+    /// domain-tagged SHA-256 of [`Credential::signed_bytes`] followed by
+    /// the signature. Computed at most once per credential (clones share
+    /// it). Keys the [`VerifiedCache`] and feeds the negotiation sequence
+    /// cache's party fingerprint.
     ///
-    /// The encoding is **injective**: every variable-length field (the
-    /// strings are unconstrained) carries a length prefix, the attribute
-    /// list carries a count prefix, and typed values hash their type tag
-    /// alongside the canonical form, so no two distinct credentials
-    /// produce the same stream. Separator-joined encodings are not enough
-    /// here — `[("a", "b=c")]` vs `[("a=b", "c")]`, or `Str("42")` vs
-    /// `Int(42)`, must not collide, or a signature copied onto the
-    /// colliding variant would hit the [`VerifiedCache`] for bytes that
-    /// were never signed.
-    pub fn hash_into(&self, h: &mut Sha256) {
-        let field = |h: &mut Sha256, bytes: &[u8]| {
-            h.update(&(bytes.len() as u64).to_be_bytes());
-            h.update(bytes);
-        };
-        field(h, self.header.cred_id.0.as_bytes());
-        field(h, self.header.cred_type.as_bytes());
-        field(h, self.header.issuer.as_bytes());
-        h.update(&self.header.issuer_key.0.to_be_bytes());
-        field(h, self.header.subject.as_bytes());
-        h.update(&self.header.subject_key.0.to_be_bytes());
-        h.update(&self.header.validity.not_before.0.to_be_bytes());
-        h.update(&self.header.validity.not_after.0.to_be_bytes());
-        h.update(&(self.content.len() as u64).to_be_bytes());
-        for attr in &self.content {
-            field(h, attr.name.as_bytes());
-            field(h, attr.value.type_tag().as_bytes());
-            field(h, attr.value.canonical().as_bytes());
-        }
-        h.update(&self.signature.r.to_be_bytes());
-        h.update(&self.signature.s.to_be_bytes());
-    }
-
-    /// A collision-resistant fingerprint of the whole credential (all
-    /// signed fields plus the signature), domain-separated from the other
-    /// credential formats. Keys the [`VerifiedCache`].
+    /// The digest input is exactly the input of the signature check (the
+    /// issuer key is inside the signed bytes and in the cache key), so two
+    /// credentials share a fingerprint only if a full check would give
+    /// them the same answer. The tag and the fixed-width signature make
+    /// the stream injective without length prefixes.
     pub fn fingerprint(&self) -> Digest {
-        let mut h = Sha256::new();
-        h.update(&[0x01]); // domain tag: X-TNL credential
-        self.hash_into(&mut h);
-        h.finalize()
+        *self.0.fingerprint.get_or_init(|| {
+            let mut h = Sha256::new();
+            h.update(&[0x01]); // domain tag: X-TNL credential
+            h.update(self.signed_bytes());
+            h.update(&self.0.signature.r.to_be_bytes());
+            h.update(&self.0.signature.s.to_be_bytes());
+            h.finalize()
+        })
     }
 
     /// The [`VerifiedCache`] key for this credential's signature check.
     pub(crate) fn verified_key(&self) -> VerifiedKey {
-        VerifiedKey::new(self.fingerprint(), self.header.issuer_key, self.signature)
+        VerifiedKey::new(
+            self.fingerprint(),
+            self.0.header.issuer_key,
+            self.0.signature,
+        )
+    }
+
+    /// Verify the stored bytes against the issuer key without consulting
+    /// the cache; a success is inserted into `cache`.
+    pub(crate) fn verify_uncached(&self, cache: &VerifiedCache) -> Result<(), CredentialError> {
+        if self
+            .0
+            .header
+            .issuer_key
+            .verify(self.signed_bytes(), &self.0.signature)
+        {
+            cache.insert(self.verified_key());
+            Ok(())
+        } else {
+            Err(CredentialError::BadSignature {
+                cred_id: self.0.header.cred_id.0.clone(),
+            })
+        }
     }
 
     /// Verify the issuer signature only.
     ///
-    /// Consults the process-wide [`VerifiedCache`] first: a hit skips
-    /// both the canonical re-serialization and the signature
-    /// exponentiations. The cache key fingerprints every signed field, so
-    /// any mutation of header or content forces a real re-verification;
-    /// failures are never cached.
+    /// Consults the process-wide [`VerifiedCache`] first: a hit skips the
+    /// signature exponentiations. The cache key digests the signed bytes
+    /// and the signature, so any credential whose signed content differs
+    /// forces a real verification; failures are never cached.
     pub fn verify_signature(&self) -> Result<(), CredentialError> {
         let cache = VerifiedCache::global();
-        let key = self.verified_key();
-        if cache.check(&key) {
+        if cache.check(&self.verified_key()) {
             return Ok(());
         }
-        let bytes = signing_bytes(&self.header, &self.content);
-        if self.header.issuer_key.verify(&bytes, &self.signature) {
-            cache.insert(key);
-            Ok(())
-        } else {
-            Err(CredentialError::BadSignature {
-                cred_id: self.header.cred_id.0.clone(),
-            })
-        }
+        self.verify_uncached(cache)
     }
 
     /// The time- and state-dependent checks: validity window and
@@ -181,16 +235,17 @@ impl Credential {
         at: Timestamp,
         crl: Option<&RevocationList>,
     ) -> Result<(), CredentialError> {
-        if !self.header.validity.contains(at) {
+        let header = &self.0.header;
+        if !header.validity.contains(at) {
             return Err(CredentialError::Expired {
-                cred_id: self.header.cred_id.0.clone(),
+                cred_id: header.cred_id.0.clone(),
                 at,
             });
         }
         if let Some(crl) = crl {
-            if crl.is_revoked(&self.header.cred_id) {
+            if crl.is_revoked(&header.cred_id) {
                 return Err(CredentialError::Revoked {
-                    cred_id: self.header.cred_id.0.clone(),
+                    cred_id: header.cred_id.0.clone(),
                 });
             }
         }
@@ -223,22 +278,44 @@ impl Credential {
         nonce: &[u8],
         proof: &Signature,
     ) -> Result<(), CredentialError> {
-        if self.header.subject_key.verify(nonce, proof) {
+        if self.0.header.subject_key.verify(nonce, proof) {
             Ok(())
         } else {
             Err(CredentialError::NotOwner {
-                cred_id: self.header.cred_id.0.clone(),
+                cred_id: self.0.header.cred_id.0.clone(),
             })
         }
     }
 
     /// Canonical XML encoding (includes the signature).
     pub fn to_xml(&self) -> Element {
-        let mut root = unsigned_xml(&self.header, &self.content);
-        let sig_text = encode_signature(&self.signature);
+        let mut root = unsigned_xml(&self.0.header, &self.0.content);
+        let sig_text = encode_signature(&self.0.signature);
         root.children
             .push(Node::Element(Element::new("signature").text(sig_text)));
         root
+    }
+
+    /// The canonical compact XML text (includes the signature), spliced
+    /// from the stored encoding instead of rebuilding an element tree:
+    /// equal to `trust_vo_xmldoc::to_string(&self.to_xml())`.
+    pub fn xml_text(&self) -> String {
+        const CLOSE: &str = "</credential>";
+        // The root always has <header> and <content> children, so the
+        // compact form never self-closes and ends with the close tag.
+        let body = self
+            .0
+            .encoding
+            .strip_suffix(CLOSE)
+            .expect("canonical encoding ends with </credential>");
+        let sig = encode_signature(&self.0.signature);
+        let mut out = String::with_capacity(body.len() + sig.len() + 36);
+        out.push_str(body);
+        out.push_str("<signature>");
+        out.push_str(&sig);
+        out.push_str("</signature>");
+        out.push_str(CLOSE);
+        out
     }
 
     /// Parse a credential from its XML encoding. Verifies structure only —
@@ -329,11 +406,10 @@ impl Credential {
             .ok_or_else(|| CredentialError::Malformed("missing <signature>".into()))?;
         let signature = decode_signature(&sig_text)
             .ok_or_else(|| CredentialError::Malformed("undecodable signature".into()))?;
-        Ok(Credential {
-            header,
-            content,
-            signature,
-        })
+        // Re-encode from the parsed fields, never keep the received text:
+        // non-canonical input cannot change what gets verified.
+        let encoding = canonical_text(&header, &content);
+        Ok(Self::from_parts(header, content, signature, encoding))
     }
 }
 
@@ -370,9 +446,15 @@ fn unsigned_xml(header: &Header, content: &[Attribute]) -> Element {
         .child(content_el)
 }
 
-/// The byte string issuers sign.
+/// The canonical compact text of the unsigned encoding.
+fn canonical_text(header: &Header, content: &[Attribute]) -> String {
+    trust_vo_xmldoc::to_string(&unsigned_xml(header, content))
+}
+
+/// The byte string issuers sign. A credential keeps these bytes as
+/// [`Credential::signed_bytes`]; this rebuilds them from the fields.
 pub fn signing_bytes(header: &Header, content: &[Attribute]) -> Vec<u8> {
-    trust_vo_xmldoc::to_string(&unsigned_xml(header, content)).into_bytes()
+    canonical_text(header, content).into_bytes()
 }
 
 fn encode_signature(sig: &Signature) -> String {
@@ -463,21 +545,55 @@ mod tests {
         ));
     }
 
+    /// The attacker's path: edit the XML of a genuine credential (its
+    /// signature kept), serialize, and parse it back. `None` when the
+    /// edited text no longer parses as a credential.
+    fn try_tamper(cred: &Credential, edit: impl FnOnce(&mut Element)) -> Option<Credential> {
+        let mut doc = cred.to_xml();
+        edit(&mut doc);
+        let text = trust_vo_xmldoc::to_string(&doc);
+        Credential::from_xml(&trust_vo_xmldoc::parse(&text).ok()?).ok()
+    }
+
+    fn tamper(cred: &Credential, edit: impl FnOnce(&mut Element)) -> Credential {
+        try_tamper(cred, edit).expect("tampered credential parses")
+    }
+
+    fn child_mut<'a>(el: &'a mut Element, name: &str) -> &'a mut Element {
+        el.children
+            .iter_mut()
+            .find_map(|n| match n {
+                Node::Element(e) if e.name == name => Some(e),
+                _ => None,
+            })
+            .unwrap()
+    }
+
     #[test]
     fn tampered_content_rejected() {
-        let mut cred = sample(&issuer_keys(), &subject_keys());
-        cred.content[0].value = AttrValue::Str("FORGED".into());
+        let cred = sample(&issuer_keys(), &subject_keys());
+        assert!(cred.verify_signature().is_ok()); // the genuine one is cached
+        let forged = tamper(&cred, |doc| {
+            let attr = child_mut(child_mut(doc, "content"), "QualityRegulation");
+            attr.children = vec![Node::Text("FORGED".into())];
+        });
+        assert_eq!(forged.attr("QualityRegulation"), Some(&"FORGED".into()));
         assert!(matches!(
-            cred.verify_signature(),
+            forged.verify_signature(),
             Err(CredentialError::BadSignature { .. })
         ));
     }
 
     #[test]
     fn tampered_header_rejected() {
-        let mut cred = sample(&issuer_keys(), &subject_keys());
-        cred.header.cred_type = "PlatinumCertified".into();
-        assert!(cred.verify_signature().is_err());
+        let cred = sample(&issuer_keys(), &subject_keys());
+        assert!(cred.verify_signature().is_ok());
+        let forged = tamper(&cred, |doc| {
+            let ty = child_mut(child_mut(doc, "header"), "credType");
+            ty.children = vec![Node::Text("PlatinumCertified".into())];
+        });
+        assert_eq!(forged.cred_type(), "PlatinumCertified");
+        assert!(forged.verify_signature().is_err());
     }
 
     #[test]
@@ -506,6 +622,8 @@ mod tests {
         let parsed = trust_vo_xmldoc::parse(&text).unwrap();
         let back = Credential::from_xml(&parsed).unwrap();
         assert_eq!(back, cred);
+        assert_eq!(back.signed_bytes(), cred.signed_bytes());
+        assert_eq!(back.fingerprint(), cred.fingerprint());
         // And it still verifies after the round trip.
         assert!(back.verify_signature().is_ok());
     }
@@ -541,20 +659,26 @@ mod tests {
         assert!(text.contains("<signature>"));
     }
 
-    /// The collision families that break separator-joined encodings:
-    /// each pair of distinct credentials below hashed identically under a
-    /// `0x1f`/`=`-separated stream and must fingerprint differently now.
+    /// The collision families that broke separator-joined fingerprints:
+    /// each pair below hashed identically under a `0x1f`/`=`-separated
+    /// stream. Their signed bytes, and so their cache keys, must differ,
+    /// and the variant carrying the genuine signature must not ride the
+    /// verified cache once the genuine credential has been checked.
     #[test]
-    fn fingerprint_is_injective_over_field_boundaries() {
+    fn collision_families_have_distinct_bytes_and_keys() {
         let issuer = issuer_keys();
         let subject = subject_keys();
         let with = |content: Vec<Attribute>| {
-            let mut cred = sample(&issuer, &subject);
-            cred.content = content;
-            cred
+            Credential::issue_signed(sample(&issuer, &subject).header().clone(), content, &issuer)
         };
-        // Separator char inside a value vs. a real field boundary.
+        let with_ids = |cred_id: &str, cred_type: &str| {
+            let mut header = sample(&issuer, &subject).header().clone();
+            header.cred_id = CredentialId(cred_id.into());
+            header.cred_type = cred_type.into();
+            Credential::issue_signed(header, vec![], &issuer)
+        };
         let pairs = [
+            // Separator char inside a value vs. a real field boundary.
             (
                 with(vec![Attribute::new("a", "b=c")]),
                 with(vec![Attribute::new("a=b", "c")]),
@@ -569,38 +693,54 @@ mod tests {
                 with(vec![Attribute::new("a", "x\u{1f}b=c")]),
                 with(vec![Attribute::new("a", "x"), Attribute::new("b", "c")]),
             ),
+            // Header fields across their boundary.
+            (with_ids("a\u{1f}b", "c"), with_ids("a", "b\u{1f}c")),
         ];
-        for (lhs, rhs) in &pairs {
-            assert_ne!(lhs.fingerprint(), rhs.fingerprint(), "{lhs:?} vs {rhs:?}");
+        let mut forgeries = 0;
+        for (legit, other) in &pairs {
+            assert_ne!(legit.signed_bytes(), other.signed_bytes());
+            assert_ne!(legit.fingerprint(), other.fingerprint());
+            // The forgery: `other`'s fields under `legit`'s signature. An
+            // element named `a=b` does not parse, so that variant cannot
+            // even be delivered.
+            let Some(forged) = try_tamper(legit, |doc| {
+                let theirs = other.to_xml();
+                doc.set_attr("credID", theirs.get_attr("credID").unwrap());
+                for part in ["header", "content"] {
+                    *child_mut(doc, part) = theirs.first(part).unwrap().clone();
+                }
+            }) else {
+                continue;
+            };
+            forgeries += 1;
+            assert_eq!(forged.signed_bytes(), other.signed_bytes());
+            assert_eq!(forged.signature(), legit.signature());
+            assert_ne!(forged.fingerprint(), legit.fingerprint());
+            assert!(legit.verify_signature().is_ok()); // populates the cache
+            assert!(matches!(
+                forged.verify_signature(),
+                Err(CredentialError::BadSignature { .. })
+            ));
         }
-        // Header fields collide across their boundary too.
-        let mut lhs = sample(&issuer, &subject);
-        lhs.header.cred_id = CredentialId("a\u{1f}b".into());
-        lhs.header.cred_type = "c".into();
-        let mut rhs = sample(&issuer, &subject);
-        rhs.header.cred_id = CredentialId("a".into());
-        rhs.header.cred_type = "b\u{1f}c".into();
-        assert_ne!(lhs.fingerprint(), rhs.fingerprint());
+        assert_eq!(forgeries, 3);
     }
 
-    /// The attack the fingerprint exists to prevent: copying a
-    /// legitimately-signed credential's issuer key and signature onto a
-    /// variant whose signed bytes differ must not produce a cache hit in
-    /// `verify_signature` — the forgery has to fail even though the
-    /// original was verified (and cached) first.
+    /// `from_xml` re-encodes the parsed fields: insignificant differences
+    /// in the received text (whitespace, attribute quoting) cannot change
+    /// the bytes that are verified.
     #[test]
-    fn colliding_variant_cannot_ride_the_verified_cache() {
-        let issuer = issuer_keys();
-        let mut legit = sample(&issuer, &subject_keys());
-        legit.content = vec![Attribute::new("a", "b=c")];
-        legit.signature = issuer.sign(&signing_bytes(&legit.header, &legit.content));
-        assert!(legit.verify_signature().is_ok()); // populates the cache
-        let mut forged = legit.clone();
-        forged.content = vec![Attribute::new("a=b", "c")];
-        assert!(matches!(
-            forged.verify_signature(),
-            Err(CredentialError::BadSignature { .. })
-        ));
+    fn from_xml_reencodes_non_canonical_input() {
+        let cred = sample(&issuer_keys(), &subject_keys());
+        let pretty = trust_vo_xmldoc::to_string_pretty(&cred.to_xml());
+        let quoted = cred
+            .xml_text()
+            .replace("credID=\"cred-0001\"", "credID='cred-0001'");
+        for text in [pretty, quoted] {
+            assert_ne!(text, cred.xml_text());
+            let back = Credential::from_xml(&trust_vo_xmldoc::parse(&text).unwrap()).unwrap();
+            assert_eq!(back.signed_bytes(), cred.signed_bytes());
+            assert!(back.verify_signature().is_ok());
+        }
     }
 
     #[test]

@@ -254,7 +254,7 @@ impl XProfile {
     pub fn add_auto(&mut self, cred: crate::credential::Credential) {
         let label = crate::sensitivity::auto_label(
             cred.cred_type(),
-            cred.content.iter().map(|a| a.name.as_str()),
+            cred.content().iter().map(|a| a.name.as_str()),
         );
         self.add_with_sensitivity(cred, label);
     }

@@ -10,16 +10,20 @@
 //!
 //! # Soundness
 //!
-//! Only **signature validity** is cached, keyed by a collision-resistant
-//! fingerprint of the full signed content plus the issuer key and the
-//! signature bits. Everything time- or state-dependent — the validity
-//! window and the revocation check — is *never* cached; callers
-//! ([`crate::credential::Credential::verify`], chains, the negotiation
-//! engine's `verify_disclosure`) still evaluate those on every call. A
-//! revocation that lands after a cache hit is therefore still caught, and
-//! a hit can never change a verification *result*, only its cost. Failed
-//! checks are never inserted: a forged credential pays full price every
-//! time and can never poison the cache.
+//! Only **signature validity** is cached, keyed by a domain-tagged digest
+//! of the exact bytes the signature covers plus the issuer key and the
+//! signature bits — the full input of the verification predicate, so a
+//! hit can only answer "yes" where a full check would. An X-TNL
+//! credential is immutable and computes this digest at most once, over
+//! the same stored encoding its signature check verifies (see
+//! [`crate::credential::Credential::fingerprint`]). Everything time- or
+//! state-dependent — the validity window and the revocation check — is
+//! *never* cached; callers ([`crate::credential::Credential::verify`],
+//! chains, the negotiation engine's `verify_disclosure`) still evaluate
+//! those on every call. A revocation that lands after a cache hit is
+//! therefore still caught, and a hit can never change a verification
+//! *result*, only its cost. Failed checks are never inserted: a forged
+//! credential pays full price every time and can never poison the cache.
 //!
 //! One probabilistic caveat: chain verification inserts links whose
 //! signatures were accepted *as a batch* (see
@@ -53,9 +57,9 @@ pub struct VerifiedKey {
 
 impl VerifiedKey {
     /// Build a key from a content fingerprint, the issuer key, and the
-    /// signature. The fingerprint must cover *every* signed field (the
-    /// credential formats each prepend a domain-separation tag so keys
-    /// never collide across formats).
+    /// signature. The fingerprint must digest the exact bytes the
+    /// signature covers (the credential formats each prepend a
+    /// domain-separation tag so keys never collide across formats).
     pub fn new(fingerprint: Digest, issuer: PublicKey, sig: Signature) -> Self {
         VerifiedKey {
             fingerprint,

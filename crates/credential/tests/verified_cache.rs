@@ -8,10 +8,10 @@
 
 use trust_vo_credential::x509::AttributeCertificate;
 use trust_vo_credential::{
-    Attribute, CredentialAuthority, CredentialError, RevocationList, TimeRange, Timestamp,
-    VerifiedCache,
+    Attribute, Credential, CredentialAuthority, CredentialError, RevocationList, TimeRange,
+    Timestamp, VerifiedCache,
 };
-use trust_vo_crypto::KeyPair;
+use trust_vo_crypto::{base64, KeyPair, Signature};
 
 fn window() -> TimeRange {
     TimeRange::one_year_from(Timestamp::from_ymd_hms(2009, 1, 1, 0, 0, 0))
@@ -19,6 +19,28 @@ fn window() -> TimeRange {
 
 fn at() -> Timestamp {
     Timestamp::from_ymd_hms(2009, 6, 1, 0, 0, 0)
+}
+
+/// The attacker's path: a credential is immutable, so a tampered one is
+/// built by editing the XML text and parsing it back.
+fn reparse(text: &str) -> Credential {
+    Credential::from_xml(&trust_vo_xmldoc::parse(text).unwrap()).unwrap()
+}
+
+fn signature_text(sig: Signature) -> String {
+    let mut raw = sig.r.to_be_bytes().to_vec();
+    raw.extend_from_slice(&sig.s.to_be_bytes());
+    base64::encode(&raw)
+}
+
+/// `cred` with its `<signature>` replaced by `sig`.
+fn resigned(cred: &Credential, sig: Signature) -> Credential {
+    let text = cred
+        .xml_text()
+        .replace(&signature_text(cred.signature()), &signature_text(sig));
+    let forged = reparse(&text);
+    assert_eq!(forged.signature(), sig);
+    forged
 }
 
 #[test]
@@ -73,7 +95,7 @@ fn revocation_after_cached_hit_is_still_caught() {
 fn tampering_after_a_cached_success_is_still_rejected() {
     let mut ca = CredentialAuthority::new("CA-cache-3");
     let subject = KeyPair::from_seed(b"cache-subject-3");
-    let mut cred = ca
+    let cred = ca
         .issue(
             "Quality",
             "S",
@@ -84,12 +106,14 @@ fn tampering_after_a_cached_success_is_still_rejected() {
         .unwrap();
     // Cache the genuine credential first...
     assert!(cred.verify_signature().is_ok());
-    // ...then tamper. The fingerprint covers the mutated field, so the
+    // ...then tamper. The cache key digests the signed bytes, so the
     // cached success for the genuine bytes cannot be replayed.
-    cred.content[0].value = trust_vo_credential::AttrValue::from("FORGED");
+    let forged = reparse(&cred.xml_text().replace(">v</k>", ">FORGED</k>"));
+    assert_eq!(forged.attr("k"), Some(&"FORGED".into()));
+    assert_eq!(forged.signature(), cred.signature());
     for _ in 0..2 {
         assert!(matches!(
-            cred.verify_signature(),
+            forged.verify_signature(),
             Err(CredentialError::BadSignature { .. })
         ));
     }
@@ -99,7 +123,7 @@ fn tampering_after_a_cached_success_is_still_rejected() {
 fn failures_are_never_cached() {
     let mut ca = CredentialAuthority::new("CA-cache-4");
     let subject = KeyPair::from_seed(b"cache-subject-4");
-    let mut cred = ca
+    let cred = ca
         .issue(
             "Quality",
             "S",
@@ -108,14 +132,22 @@ fn failures_are_never_cached() {
             window(),
         )
         .unwrap();
-    cred.signature.s ^= 1;
+    let genuine = cred.signature();
+    let forged = resigned(
+        &cred,
+        Signature {
+            r: genuine.r,
+            s: genuine.s ^ 1,
+        },
+    );
     // Verify the forgery twice: both must fail (a cached failure turning
     // into a hit would be reported as success by the fast path).
-    assert!(cred.verify_signature().is_err());
-    assert!(cred.verify_signature().is_err());
-    // Restoring the genuine signature verifies fine afterwards.
-    cred.signature.s ^= 1;
-    assert!(cred.verify_signature().is_ok());
+    assert!(forged.verify_signature().is_err());
+    assert!(forged.verify_signature().is_err());
+    // Restoring the genuine signature verifies fine afterwards, and the
+    // forgery still fails once the genuine credential is cached.
+    assert!(resigned(&forged, genuine).verify_signature().is_ok());
+    assert!(forged.verify_signature().is_err());
 }
 
 #[test]

@@ -27,24 +27,23 @@ use trust_vo_obs::{Counter, Registry};
 
 /// A fingerprint of everything phase 1 depends on for one party.
 ///
-/// Each credential contributes its *full canonical XML encoding*
-/// (header incl. issuer/subject keys and both validity bounds, every
-/// content attribute, and the issuer signature), not just a projection
-/// of selected header fields. A credential reissued under the same id —
-/// new subject key, changed attributes, shifted `not_before` — therefore
-/// changes the fingerprint and invalidates cached sequences instead of
-/// serving a stale hit.
+/// Each credential contributes its [`Credential::fingerprint`]: a digest
+/// of its *full canonical encoding* (header incl. issuer/subject keys and
+/// both validity bounds, every content attribute) plus the issuer
+/// signature, not just a projection of selected header fields. A
+/// credential reissued under the same id — new subject key, changed
+/// attributes, shifted `not_before` — therefore changes the fingerprint
+/// and invalidates cached sequences instead of serving a stale hit. The
+/// per-credential digest is computed once and shared by clones, so
+/// fingerprints stay cheap on every cache access.
+///
+/// [`Credential::fingerprint`]: trust_vo_credential::Credential::fingerprint
 fn party_fingerprint(party: &Party) -> Digest {
     let mut h = Sha256::new();
     h.update(party.name.as_bytes());
     h.update(&[0]);
     for cred in party.profile.credentials() {
-        // Field-by-field hashing covers the same content as the canonical
-        // XML encoding (it is built from exactly these fields) without
-        // materializing an element tree per negotiation — fingerprints run
-        // on every cache access, and the parallel formation path is
-        // sensitive to their cost.
-        cred.hash_into(&mut h);
+        h.update(&cred.fingerprint());
         h.update(&[1]);
         // Sensitivity lives in the profile, not the credential encoding.
         h.update(party.profile.sensitivity_of(cred.id()).label().as_bytes());
@@ -537,14 +536,14 @@ mod tests {
         // stale hit; the full-encoding fingerprint must invalidate.
         let old = requester.profile.credentials()[0].clone();
         let rogue_keys = KeyPair::from_seed(b"rogue-subject");
-        let mut header = old.header.clone();
+        let mut header = old.header().clone();
         header.subject_key = rogue_keys.public;
         let ca_keys = KeyPair::from_seed(b"authority:CA");
-        let reissued = Credential::issue_signed(header, old.content.clone(), &ca_keys);
+        let reissued = Credential::issue_signed(header, old.content().to_vec(), &ca_keys);
         assert_eq!(reissued.id(), old.id());
         assert_eq!(
-            reissued.header.validity.not_after,
-            old.header.validity.not_after
+            reissued.header().validity.not_after,
+            old.header().validity.not_after
         );
         requester.profile.remove(old.id());
         requester.profile.add(reissued);

@@ -237,7 +237,7 @@ impl<'a> Engine<'a> {
                 .party(counterpart)
                 .satisfying(term)
                 .into_iter()
-                .filter(|c| c.header.validity.contains(self.cfg.at))
+                .filter(|c| c.header().validity.contains(self.cfg.at))
                 .map(|c| (c.id().clone(), c.cred_type().to_owned()))
                 .collect();
             if candidates.is_empty() {
@@ -517,10 +517,24 @@ pub fn exchange_credentials(
             Side::Requester => controller,
             Side::Controller => requester,
         };
-        let cred = sender
-            .profile
-            .get(&disclosure.cred_id)
-            .expect("planned credential is in the sender profile");
+        let Some(cred) = sender.profile.get(&disclosure.cred_id) else {
+            // A stale sequence: the sender's profile changed after the
+            // policy phase (e.g. the credential was renewed under a new
+            // id). Nothing was disclosed, so this is an interruption.
+            let reason = format!(
+                "trust sequence names credential '{}' that {} no longer holds",
+                disclosure.cred_id, sender.name
+            );
+            transcript.log(
+                disclosure.by,
+                Message::Failure {
+                    reason: reason.clone(),
+                },
+            );
+            tree.set_status(tree.root(), NodeStatus::Failed);
+            record_exchange_phase(cfg, &mut span, &transcript, &entry, "interrupted");
+            return Err(NegotiationError::Interrupted { reason });
+        };
         let ownership = if cfg.strategy.requires_ownership_proof() {
             Some(Credential::prove_ownership(&sender.keys, &nonce))
         } else {
@@ -529,8 +543,7 @@ pub fn exchange_credentials(
         transcript.log(
             disclosure.by,
             Message::CredentialDisclosure {
-                cred_id: disclosure.cred_id.0.clone(),
-                xml: trust_vo_xmldoc::to_string(&cred.to_xml()),
+                credential: cred.clone(),
                 ownership,
             },
         );
@@ -589,7 +602,7 @@ pub fn verify_disclosure(
 ) -> Result<(), CredentialError> {
     cred.verify(cfg.at, Some(&receiver.crl))?;
     if !receiver.trusted_roots.is_empty()
-        && !receiver.trusted_roots.contains(&cred.header.issuer_key)
+        && !receiver.trusted_roots.contains(&cred.header().issuer_key)
     {
         // The issuer is not directly trusted: try to reach a trusted root
         // through the receiver's known intermediate credentials ("…
@@ -598,7 +611,7 @@ pub fn verify_disclosure(
         let chain = receiver
             .chains
             .resolve(cred, &receiver.trusted_roots)
-            .ok_or_else(|| CredentialError::UnknownIssuer(cred.header.issuer.clone()))?;
+            .ok_or_else(|| CredentialError::UnknownIssuer(cred.header().issuer.clone()))?;
         trust_vo_credential::chain::verify_chain(
             &chain,
             &receiver.trusted_roots,
@@ -686,7 +699,7 @@ pub fn count_views(
                 for cred in counterpart_party.satisfying(term) {
                     // Same validity filter as planning and enumeration:
                     // parties never offer credentials expired at cfg.at.
-                    if !cred.header.validity.contains(cfg.at) {
+                    if !cred.header().validity.contains(cfg.at) {
                         continue;
                     }
                     term_ways += views(
@@ -912,6 +925,61 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    /// The profile changes between the phases: a renewal re-issues the
+    /// sequenced credential under a new id. Phase 2 must fail with a
+    /// typed error, not panic.
+    #[test]
+    fn stale_sequence_interrupts_the_exchange() {
+        let (mut aerospace, aircraft, mut ca) = fig2_parties();
+        let cfg = NegotiationConfig::new(Strategy::Standard, at());
+        let phase = evaluate_policies(&aerospace, &aircraft, "VoMembership", &cfg).unwrap();
+        let old = aerospace.profile.credentials()[0].clone();
+        let renewed = ca
+            .issue(
+                old.cred_type(),
+                &aerospace.name,
+                aerospace.keys.public,
+                old.content().to_vec(),
+                window(),
+            )
+            .unwrap();
+        aerospace.profile.remove(old.id());
+        aerospace.profile.add(renewed);
+        let err = exchange_credentials(&aerospace, &aircraft, phase, &cfg).unwrap_err();
+        assert!(
+            matches!(&err, NegotiationError::Interrupted { reason } if reason.contains(&old.id().0)),
+            "{err:?}"
+        );
+    }
+
+    /// Disclosure entries share the sender's credential and its encoding
+    /// instead of re-serializing it; the entry's text is the canonical
+    /// XML.
+    #[test]
+    fn disclosure_entries_share_the_credential_encoding() {
+        let (aerospace, aircraft, _) = fig2_parties();
+        let cfg = NegotiationConfig::new(Strategy::Standard, at());
+        let outcome = negotiate(&aerospace, &aircraft, "VoMembership", &cfg).unwrap();
+        let disclosed: Vec<&Credential> = outcome
+            .transcript
+            .entries()
+            .iter()
+            .filter_map(|e| match &e.message {
+                Message::CredentialDisclosure { credential, .. } => Some(credential),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(disclosed.len(), 2);
+        for cred in disclosed {
+            let held = [&aerospace, &aircraft]
+                .iter()
+                .find_map(|p| p.profile.get(cred.id()))
+                .unwrap();
+            assert!(std::ptr::eq(cred.signed_bytes(), held.signed_bytes()));
+            assert_eq!(cred.xml_text(), trust_vo_xmldoc::to_string(&held.to_xml()));
+        }
     }
 
     #[test]

@@ -100,7 +100,7 @@ fn release_options(
         for term in policy.terms() {
             let mut term_options: Vec<Vec<Disclosure>> = Vec::new();
             for cred in counterpart_party.satisfying(term) {
-                if !cred.header.validity.contains(cfg.at) {
+                if !cred.header().validity.contains(cfg.at) {
                     continue;
                 }
                 let sub = release_options(

@@ -7,6 +7,7 @@
 //! credential exchange phase.
 
 use crate::strategy::Strategy;
+use trust_vo_credential::Credential;
 use trust_vo_crypto::Signature;
 use trust_vo_policy::DisclosurePolicy;
 
@@ -67,13 +68,13 @@ pub enum Message {
     /// Decline to continue on a branch without giving a reason (the
     /// suspicious-strategy counterpart of [`Message::NotPossessed`]).
     Decline,
-    /// Disclose a credential (canonical XML text), optionally with an
-    /// ownership proof over the session nonce.
+    /// Disclose a credential, optionally with an ownership proof over the
+    /// session nonce. The entry shares the credential's canonical
+    /// encoding with the sender's profile; its text is
+    /// [`Credential::xml_text`].
     CredentialDisclosure {
-        /// The credential id.
-        cred_id: String,
-        /// Canonical XML of the credential.
-        xml: String,
+        /// The disclosed credential.
+        credential: Credential,
         /// Ownership proof (suspicious strategies).
         ownership: Option<Signature>,
     },
@@ -132,8 +133,17 @@ mod tests {
             },
             Message::Decline,
             Message::CredentialDisclosure {
-                cred_id: "c".into(),
-                xml: "<x/>".into(),
+                credential: trust_vo_credential::CredentialAuthority::new("CA")
+                    .issue(
+                        "T",
+                        "holder",
+                        trust_vo_crypto::KeyPair::from_seed(b"holder").public,
+                        vec![],
+                        trust_vo_credential::TimeRange::one_year_from(
+                            trust_vo_credential::Timestamp(0),
+                        ),
+                    )
+                    .unwrap(),
                 ownership: None,
             },
             Message::Ack,

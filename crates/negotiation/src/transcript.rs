@@ -151,8 +151,8 @@ impl Transcript {
                         el.children.push(Node::Text(format!("{p}; ")));
                     }
                 }
-                Message::CredentialDisclosure { cred_id, .. } => {
-                    el.set_attr("credId", cred_id);
+                Message::CredentialDisclosure { credential, .. } => {
+                    el.set_attr("credId", &credential.id().0);
                 }
                 Message::Failure { reason } => {
                     el.set_attr("reason", reason);
@@ -187,8 +187,17 @@ mod xml_tests {
         t.log(
             Side::Requester,
             Message::CredentialDisclosure {
-                cred_id: "c1".into(),
-                xml: "<credential/>".into(),
+                credential: trust_vo_credential::CredentialAuthority::new("CA")
+                    .issue(
+                        "T",
+                        "holder",
+                        trust_vo_crypto::KeyPair::from_seed(b"holder").public,
+                        vec![],
+                        trust_vo_credential::TimeRange::one_year_from(
+                            trust_vo_credential::Timestamp(0),
+                        ),
+                    )
+                    .unwrap(),
                 ownership: None,
             },
         );
@@ -201,6 +210,8 @@ mod xml_tests {
         let start = xml.all("message").next().unwrap();
         assert_eq!(start.get_attr("kind"), Some("start"));
         assert_eq!(start.get_attr("strategy"), Some("standard"));
+        let disclosure = xml.all("message").nth(2).unwrap();
+        assert_eq!(disclosure.get_attr("credId"), Some("ca-000001"));
         // It parses back as well-formed XML.
         let text = trust_vo_xmldoc::to_string(&xml);
         assert!(trust_vo_xmldoc::parse(&text).is_ok());

@@ -396,11 +396,21 @@ impl TnService {
             Side::Requester => (requester, controller),
             Side::Controller => (controller, requester),
         };
-        let cred: Credential = sender
-            .profile
-            .get(&disclosure.cred_id)
-            .expect("sequence credentials exist")
-            .clone();
+        let Some(cred) = sender.profile.get(&disclosure.cred_id).cloned() else {
+            // A stale sequence: the sender's profile changed since
+            // PolicyExchange (e.g. a renewal re-issued the credential
+            // under a new id). Terminal, like a trust failure.
+            let reason = format!(
+                "trust sequence names credential '{}' that {} no longer holds",
+                disclosure.cred_id, sender.name
+            );
+            drop(parties);
+            session.state = SessionState::Failed(reason.clone());
+            if session.resumable {
+                self.drop_checkpoint(session.ck_id);
+            }
+            return Err(Fault::new("StaleSequence", reason));
+        };
         // Fetch + transmit + verify.
         self.clock.charge(CostKind::DbQuery);
         self.clock.charge(CostKind::SignatureVerify);
@@ -670,6 +680,12 @@ mod tests {
     }
 
     fn service_with_fig2() -> TnService {
+        service_with_fig2_and_ca().0
+    }
+
+    /// The Fig. 2 service plus the CA that issued both parties'
+    /// credentials (for renewals).
+    fn service_with_fig2_and_ca() -> (TnService, CredentialAuthority) {
         let mut ca = CredentialAuthority::new("AAA");
         let window = TimeRange::one_year_from(Timestamp::from_ymd_hms(2009, 1, 1, 0, 0, 0));
         let mut aircraft = Party::new("Aircraft");
@@ -713,7 +729,7 @@ mod tests {
         let svc = TnService::new(clock(), Database::new());
         svc.register_party(aerospace);
         svc.register_party(aircraft);
-        svc
+        (svc, ca)
     }
 
     fn start(svc: &TnService, strategy: &str) -> u64 {
@@ -943,6 +959,53 @@ mod tests {
         assert_eq!(resp.body.get_attr("status"), Some("completed"));
         assert!(svc.is_completed(new_id));
         assert_eq!(svc.resumed_count(), 1);
+    }
+
+    /// A renewal between PolicyExchange and CredentialExchange re-issues
+    /// the sequenced credentials under new ids. The stale sequence must
+    /// fault like a trust failure: typed, session failed, checkpoint
+    /// retired.
+    #[test]
+    fn stale_sequence_faults_and_retires_the_checkpoint() {
+        let (svc, mut ca) = service_with_fig2_and_ca();
+        let id = start_resumable(&svc);
+        svc.handle(&Envelope::request("PolicyExchange", Element::new("x")).with_negotiation(id))
+            .unwrap();
+        assert_eq!(
+            svc.database().with_collection("checkpoints", |c| c.len()),
+            1
+        );
+        for name in ["Aircraft", "Aerospace"] {
+            let mut party = svc.party(name).unwrap();
+            for old in party.profile.credentials().to_vec() {
+                let header = old.header();
+                let renewed = ca
+                    .issue(
+                        old.cred_type(),
+                        &header.subject,
+                        header.subject_key,
+                        old.content().to_vec(),
+                        header.validity,
+                    )
+                    .unwrap();
+                assert_ne!(renewed.id(), old.id());
+                party.profile.remove(old.id());
+                party.profile.add(renewed);
+            }
+            svc.update_party(party);
+        }
+        let err = exchange(&svc, id).unwrap_err();
+        assert_eq!(err.code, "StaleSequence");
+        assert_eq!(err.kind, crate::envelope::FaultKind::Application);
+        assert!(svc
+            .failure_reason(id)
+            .is_some_and(|r| r.contains("no longer holds")));
+        assert_eq!(
+            svc.database().with_collection("checkpoints", |c| c.len()),
+            0,
+            "a stale sequence is terminal: its checkpoint must be retired"
+        );
+        assert_eq!(exchange(&svc, id).unwrap_err().code, "BadState");
     }
 
     #[test]
