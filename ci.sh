@@ -44,11 +44,15 @@ cmp target/e13-trace-a.json target/e13-trace-b.json
 cargo run --release --bin trustvo -- trace target/e11-chaos-a.jsonl --top 5 > /dev/null
 # Crypto fast-path gate (E12): speedup floors vs the seed pow_mod path
 # and the verified-credential cache hit rate are asserted in-binary.
-# target-cpu=native is scoped to this one bench run (with its own target
-# dir so the portable artifacts above are untouched): the batch floors
-# assume the multi-buffer SHA-256 lanes vectorize, and bench numbers are
-# only meaningful for the host that ran them anyway. Everything that
-# ships or gets cached is built portable.
+# target-cpu=native is scoped to this build (its own target dir, so the
+# portable artifacts above are untouched): bench numbers are only
+# meaningful for the host that ran them anyway. SHA-256 picks its kernel
+# at runtime whatever the flags, and the batch floors assume the SHA-NI
+# kernel (DESIGN.md §4a). The crypto tests run here too, so the
+# kernel ≡ portable differential tests cover both codegens. Everything
+# that ships or gets cached is built portable.
+RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
+  cargo test --release -q -p trust-vo-crypto
 RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
   cargo run --release -p trust-vo-bench --bin crypto_bench -- --smoke
 # Cache-correctness gate: Fig. 9 must be byte-identical with the

@@ -1,29 +1,30 @@
 //! E12 — crypto fast-path microbenchmarks.
 //!
 //! Measures ops-per-second for the crypto substrate's hot operations —
-//! fixed-base exponentiation, signing, single verification (fast vs the
-//! seed's `pow_mod` reference path), batch verification — plus the
-//! verified-credential cache hit rate on a repeated-verification
-//! workload, and writes the machine-readable record to
-//! `BENCH_crypto.json`.
+//! fixed-base exponentiation, credential-sized SHA-256, signing, single
+//! verification (fast vs the seed's `pow_mod` reference path), batch
+//! verification — plus the verified-credential cache hit rate on a
+//! repeated-verification workload, and writes the machine-readable record
+//! to `BENCH_crypto.json`. The report names the SHA-256 compression kernel
+//! the run used (`sha256::kernel`).
 //!
 //! Flags: `--smoke` shrinks every loop for CI (the speedup and hit-rate
 //! assertions still run; the JSON artifact is not rewritten), and
 //! `--emit-obs <path>` dumps the process-wide `crypto.*` / `credcache.*`
 //! counters as an observability JSONL file.
 //!
-//! Run with `RUSTFLAGS="-C target-cpu=native"` as `ci.sh` does: the
-//! batch-verification floors assume the multi-buffer SHA-256 lanes
-//! vectorize, which the portable baseline build does not deliver. The
-//! flag is deliberately *not* checked in workspace-wide — only this
-//! host-local bench run wants host-specific codegen.
+//! Run with `RUSTFLAGS="-C target-cpu=native"` as `ci.sh` does; the flag
+//! is deliberately *not* checked in workspace-wide — only this host-local
+//! bench run wants host-specific codegen. The batch-verification floors
+//! assume the SHA-NI kernel, which is picked at runtime whatever the
+//! flags (DESIGN.md §4a).
 
 use std::hint::black_box;
 use std::time::Instant;
 use trust_vo_bench::obsutil::{publish_crypto_metrics, ObsArgs};
 use trust_vo_bench::report::Report;
 use trust_vo_credential::{Attribute, CredentialAuthority, TimeRange, Timestamp, VerifiedCache};
-use trust_vo_crypto::{group, verify_batch, KeyPair, PublicKey, Signature};
+use trust_vo_crypto::{group, sha256, verify_batch, KeyPair, PublicKey, Signature};
 use trust_vo_obs::Collector;
 
 /// Deterministic exponent stream (splitmix64 over a fixed seed).
@@ -109,7 +110,22 @@ fn main() {
         ],
     );
 
-    // (b) Sign / verify on short messages (small hashing share, so the
+    // (b) SHA-256 of a credential-sized message: a credential's canonical
+    // encoding is about half a kilobyte, hashed for its cache fingerprint.
+    let credential_bytes = vec![0x5au8; 512];
+    let sha_ops = measure(2_000 * scale, |_| {
+        black_box(sha256::sha256(black_box(&credential_bytes)));
+    });
+    report.row(
+        "sha256 (512 B)",
+        &[
+            fmt_ops(sha_ops),
+            "-".into(),
+            "credential-sized input, 9 blocks".into(),
+        ],
+    );
+
+    // (c) Sign / verify on short messages (small hashing share, so the
     // exponentiation difference dominates, as in credential exchange).
     let keys: Vec<KeyPair> = (0..8)
         .map(|i| KeyPair::from_seed(format!("bench-key-{i}").as_bytes()))
@@ -156,7 +172,7 @@ fn main() {
         ],
     );
 
-    // (c) Batch verification at growing batch sizes; per-signature
+    // (d) Batch verification at growing batch sizes; per-signature
     // throughput vs the reference path. The per-call fixed costs (the
     // coefficient-transcript root, the final three exponentiations, the
     // structural pass) amortize from n≈32–48 onward: n=16 sits around
@@ -184,7 +200,7 @@ fn main() {
         );
     }
 
-    // (d) Verified-credential cache hit rate: every credential verified
+    // (e) Verified-credential cache hit rate: every credential verified
     // twice (fresh process ⇒ the deltas below are this workload's own).
     let before = VerifiedCache::global().stats();
     let mut ca = CredentialAuthority::new("E12-CA");
@@ -224,6 +240,7 @@ fn main() {
         "reference = the seed's pow_mod verification (two pow_mod subgroup checks + \
          two exponentiations); batch rows count signatures/s",
     );
+    report.note(&format!("sha256 kernel: {}", sha256::kernel()));
     report.print();
 
     if let Some(path) = &args.emit_obs {

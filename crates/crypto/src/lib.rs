@@ -10,7 +10,8 @@
 //! Because no cryptography crates are available in this reproduction, the
 //! primitives are implemented from scratch:
 //!
-//! * [`mod@sha256`] — FIPS 180-4 SHA-256 (test-vector checked).
+//! * [`mod@sha256`] — FIPS 180-4 SHA-256 (test-vector checked), on a
+//!   SHA-NI kernel where the CPU has one.
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104).
 //! * [`base64`] — the standard alphabet with padding, used for the
 //!   `<signature>` element of X-TNL credentials.
@@ -31,8 +32,17 @@
 //! security level** — this module simulates the *behaviour* of a PKI for a
 //! systems-research reproduction; it must never be used to protect real
 //! data. See `DESIGN.md` §4 for the substitution rationale.
+//!
+//! # Unsafe code
+//!
+//! The crate's only `unsafe` block is the call into the SHA-NI kernel,
+//! made after the CPU reported every feature the kernel enables (see
+//! [`mod@sha256`]). Every digest equals the portable kernel's, whichever
+//! kernel computed it. Every other crate in the workspace forbids
+//! `unsafe`.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod base64;

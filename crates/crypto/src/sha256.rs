@@ -3,14 +3,17 @@
 //! Used to hash canonical credential encodings before signing, to derive
 //! selective-disclosure commitments, and as the PRF core of [`crate::hmac`].
 //!
-//! Besides the incremental [`Sha256`] hasher there are two fast paths for
-//! the signature hot loop, where almost every input fits in one block:
+//! Every digest goes through one compression function. It runs a SHA-NI
+//! kernel on x86_64 CPUs that report the SHA extensions, SSSE3 and
+//! SSE4.1, and the portable kernel everywhere else; [`kernel`] names the
+//! one in use. The two kernels compute the same function (property-tested
+//! against each other), so the choice never changes a digest. Calling the
+//! SHA-NI kernel is the crate's only `unsafe`: a runtime-detected
+//! `#[target_feature]` function cannot be called from safe code.
 //!
-//! * [`single_block`] + [`digest_block`] — hash a ≤55-byte message without
-//!   the incremental hasher's buffering;
-//! * [`digest_blocks4`] — four independent single-block digests computed in
-//!   lockstep, so the compiler can vectorize the round function across
-//!   lanes (multi-buffer hashing; no lane ever mixes with another).
+//! Besides the incremental [`Sha256`] hasher, [`single_block`] +
+//! [`digest_block`] hash a ≤55-byte message without the hasher's
+//! buffering: the signature hot loop's inputs almost all fit one block.
 
 /// A 32-byte SHA-256 digest.
 pub type Digest = [u8; 32];
@@ -127,7 +130,112 @@ impl Sha256 {
     }
 }
 
+/// Whether this CPU runs `compress_block_sha_ni`: the SHA extensions,
+/// plus SSSE3 and SSE4.1 for the shuffles around them (SSE2 is part of
+/// the x86_64 baseline).
+#[inline]
+fn sha_ni_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The compression kernel every digest runs on this CPU: `"sha-ni"` or
+/// `"portable"`. Both compute the same function, so the answer changes
+/// speed, never a digest.
+pub fn kernel() -> &'static str {
+    if sha_ni_detected() {
+        "sha-ni"
+    } else {
+        "portable"
+    }
+}
+
+/// Fold one 64-byte block into `state`: the SHA-NI kernel where the CPU
+/// has it, the portable one everywhere else. [`Sha256`], [`sha256`],
+/// [`digest_block`] and through them every signature, verification, HMAC
+/// and digest in the workspace come through here.
+#[allow(unsafe_code)]
+#[inline]
 fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni_detected() {
+        // SAFETY: the kernel's only precondition is that the CPU supports
+        // the features it enables: `sha_ni_detected` has just detected
+        // sha, ssse3 and sse4.1 at runtime, and sse2 is baseline x86_64.
+        unsafe { compress_block_sha_ni(state, block) };
+        return;
+    }
+    compress_block_portable(state, block);
+}
+
+/// [`compress_block_portable`] on the x86 SHA extensions. The working
+/// variables live in two vectors, `abef` and `cdgh` (lane 3 down to lane
+/// 0); `sha256rnds2` runs two rounds and returns the new `abef`, and the
+/// old `abef` becomes the next `cdgh`. `sha256msg1`/`msg2` extend the
+/// message schedule four words at a time. The body is safe code: inside
+/// a function that enables their features, the intrinsics are safe calls.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+fn compress_block_sha_ni(state: &mut [u32; 8], block: &[u8; 64]) {
+    use std::arch::x86_64::*;
+    let word = |i: usize| u32::from_be_bytes([block[i], block[i + 1], block[i + 2], block[i + 3]]);
+    let words = |i: usize| {
+        _mm_set_epi32(
+            word(i + 12) as i32,
+            word(i + 8) as i32,
+            word(i + 4) as i32,
+            word(i) as i32,
+        )
+    };
+    let [a, b, c, d, e, f, g, h] = state.map(|v| v as i32);
+    let abef0 = _mm_set_epi32(a, b, e, f);
+    let cdgh0 = _mm_set_epi32(c, d, g, h);
+    let (mut abef, mut cdgh) = (abef0, cdgh0);
+    // w0..w3 hold message words 4i..4i+16 as round group i starts.
+    let (mut w0, mut w1, mut w2, mut w3) = (words(0), words(16), words(32), words(48));
+    for i in 0..16 {
+        let k = _mm_set_epi32(
+            K[4 * i + 3] as i32,
+            K[4 * i + 2] as i32,
+            K[4 * i + 1] as i32,
+            K[4 * i] as i32,
+        );
+        let wk = _mm_add_epi32(w0, k);
+        // Rounds 4i and 4i+1 leave the new abef in `cdgh`, and the old abef
+        // is now cdgh; rounds 4i+2 and 4i+3 put both back in place.
+        cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+        abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+        // W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16] for the next
+        // four t (the last four groups' words past W[63] go unused);
+        // `alignr` supplies the W[t-7] column.
+        let partial = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2));
+        (w0, w1, w2, w3) = (w1, w2, w3, _mm_sha256msg2_epu32(partial, w3));
+    }
+    let abef = _mm_add_epi32(abef, abef0);
+    let cdgh = _mm_add_epi32(cdgh, cdgh0);
+    *state = [
+        _mm_extract_epi32::<3>(abef),
+        _mm_extract_epi32::<2>(abef),
+        _mm_extract_epi32::<3>(cdgh),
+        _mm_extract_epi32::<2>(cdgh),
+        _mm_extract_epi32::<1>(abef),
+        _mm_extract_epi32::<0>(abef),
+        _mm_extract_epi32::<1>(cdgh),
+        _mm_extract_epi32::<0>(cdgh),
+    ]
+    .map(|v| v as u32);
+}
+
+/// The FIPS 180-4 compression function in portable Rust.
+fn compress_block_portable(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -209,128 +317,6 @@ pub fn digest_block(block: &[u8; 64]) -> Digest {
     out
 }
 
-/// `L` independent single-block SHA-256 digests computed in lockstep
-/// (multi-buffer hashing). Lane `l` of the result is exactly
-/// `digest_block(blocks[l])` — the lanes never mix.
-///
-/// The working variables live in a circular array indexed modulo 8 with a
-/// per-round offset instead of eight named locals. That keeps the state in
-/// memory, so every round is a small load→compute→store tree over
-/// `[u32; L]` values that the compiler's SLP vectorizer turns into vector
-/// loads, rotates, and adds across the lanes — eight scalar chains would
-/// defeat it (the full 64-round dependency tree is too large to match).
-fn digest_blocks_multi<const L: usize>(blocks: [&[u8; 64]; L]) -> [Digest; L] {
-    type V<const L: usize> = [u32; L];
-    #[inline(always)]
-    fn vadd<const L: usize>(a: V<L>, b: V<L>) -> V<L> {
-        let mut o = [0u32; L];
-        for i in 0..L {
-            o[i] = a[i].wrapping_add(b[i]);
-        }
-        o
-    }
-    #[inline(always)]
-    fn vxor<const L: usize>(a: V<L>, b: V<L>) -> V<L> {
-        let mut o = [0u32; L];
-        for i in 0..L {
-            o[i] = a[i] ^ b[i];
-        }
-        o
-    }
-    #[inline(always)]
-    fn vand<const L: usize>(a: V<L>, b: V<L>) -> V<L> {
-        let mut o = [0u32; L];
-        for i in 0..L {
-            o[i] = a[i] & b[i];
-        }
-        o
-    }
-    #[inline(always)]
-    fn vandnot<const L: usize>(a: V<L>, b: V<L>) -> V<L> {
-        let mut o = [0u32; L];
-        for i in 0..L {
-            o[i] = !a[i] & b[i];
-        }
-        o
-    }
-    #[inline(always)]
-    fn vrot<const L: usize>(a: V<L>, n: u32) -> V<L> {
-        let mut o = [0u32; L];
-        for i in 0..L {
-            o[i] = a[i].rotate_right(n);
-        }
-        o
-    }
-    #[inline(always)]
-    fn vshr<const L: usize>(a: V<L>, n: u32) -> V<L> {
-        let mut o = [0u32; L];
-        for i in 0..L {
-            o[i] = a[i] >> n;
-        }
-        o
-    }
-
-    // Transposed message schedule: w[i] holds word i of every block.
-    let mut w = [[0u32; L]; 64];
-    for (l, block) in blocks.iter().enumerate() {
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i][l] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-    }
-    for i in 16..64 {
-        let s0 = vxor(
-            vxor(vrot(w[i - 15], 7), vrot(w[i - 15], 18)),
-            vshr(w[i - 15], 3),
-        );
-        let s1 = vxor(
-            vxor(vrot(w[i - 2], 17), vrot(w[i - 2], 19)),
-            vshr(w[i - 2], 10),
-        );
-        w[i] = vadd(vadd(w[i - 16], s0), vadd(w[i - 7], s1));
-    }
-
-    // s[(j + 8 - r) & 7] is working variable j (a=0 … h=7) in round r.
-    let mut s: [[u32; L]; 8] = std::array::from_fn(|j| [H0[j]; L]);
-    for r in 0..64 {
-        let at = |j: usize| (j + 8 - (r & 7)) & 7;
-        let (a, b, c) = (s[at(0)], s[at(1)], s[at(2)]);
-        let (e, f, g) = (s[at(4)], s[at(5)], s[at(6)]);
-        let h = s[at(7)];
-        let s1 = vxor(vxor(vrot(e, 6), vrot(e, 11)), vrot(e, 25));
-        let ch = vxor(vand(e, f), vandnot(e, g));
-        let t1 = vadd(vadd(h, s1), vadd(vadd(ch, [K[r]; L]), w[r]));
-        let s0 = vxor(vxor(vrot(a, 2), vrot(a, 13)), vrot(a, 22));
-        let maj = vxor(vxor(vand(a, b), vand(a, c)), vand(b, c));
-        s[at(3)] = vadd(s[at(3)], t1);
-        s[at(7)] = vadd(t1, vadd(s0, maj));
-    }
-    std::array::from_fn(|l| {
-        let mut out = [0u8; 32];
-        for j in 0..8 {
-            // After 64 rounds the offset is back at zero: s[j] is variable j.
-            let v = H0[j].wrapping_add(s[j][l]);
-            out[j * 4..j * 4 + 4].copy_from_slice(&v.to_be_bytes());
-        }
-        out
-    })
-}
-
-/// Four-lane `digest_blocks_multi`.
-pub fn digest_blocks4(blocks: [&[u8; 64]; 4]) -> [Digest; 4] {
-    digest_blocks_multi(blocks)
-}
-
-/// Eight-lane `digest_blocks_multi`.
-pub fn digest_blocks8(blocks: [&[u8; 64]; 8]) -> [Digest; 8] {
-    digest_blocks_multi(blocks)
-}
-
-/// Sixteen-lane `digest_blocks_multi` — fills a full 512-bit vector of
-/// 32-bit lanes on AVX-512 targets.
-pub fn digest_blocks16(blocks: [&[u8; 64]; 16]) -> [Digest; 16] {
-    digest_blocks_multi(blocks)
-}
-
 /// One-shot SHA-256 of `data`.
 pub fn sha256(data: &[u8]) -> Digest {
     let mut h = Sha256::new();
@@ -343,52 +329,91 @@ mod tests {
     use super::*;
     use crate::hex;
 
-    fn hx(data: &[u8]) -> String {
-        hex::encode(&sha256(data))
+    /// SHA-256 with its own padding over `compress_block_portable` only:
+    /// the reference the dispatched paths are compared with, which the
+    /// dispatch would otherwise hide on SHA-NI hosts.
+    fn portable_sha256(data: &[u8]) -> Digest {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in padded.chunks_exact(64) {
+            compress_block_portable(&mut state, block.try_into().unwrap());
+        }
+        let mut out = [0u8; 32];
+        for (i, word) in state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// Check a FIPS 180-4 vector through the dispatched and portable paths.
+    fn assert_vector(data: &[u8], expected: &str) {
+        assert_eq!(hex::encode(&sha256(data)), expected, "dispatched");
+        assert_eq!(hex::encode(&portable_sha256(data)), expected, "portable");
     }
 
     #[test]
     fn empty_string() {
-        assert_eq!(
-            hx(b""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        assert_vector(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn abc() {
-        assert_eq!(
-            hx(b"abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        assert_vector(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn two_block_message() {
-        assert_eq!(
-            hx(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_vector(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hx(&data),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        assert_vector(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
     }
 
     #[test]
-    fn incremental_equals_oneshot_at_every_split() {
-        let data: Vec<u8> = (0u32..300).map(|i| (i * 7 % 251) as u8).collect();
-        let whole = sha256(&data);
-        for split in 0..data.len() {
-            let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), whole, "split at {split}");
+    fn kernel_is_sha_ni_exactly_when_the_cpu_reports_its_features() {
+        #[cfg(target_arch = "x86_64")]
+        let expected = is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1");
+        #[cfg(not(target_arch = "x86_64"))]
+        let expected = false;
+        assert_eq!(kernel(), if expected { "sha-ni" } else { "portable" });
+    }
+
+    #[test]
+    fn dispatched_paths_match_the_portable_reference_at_every_split() {
+        for len in 0..=300usize {
+            let data: Vec<u8> = (0..len).map(|i| (i * 131 + len * 7) as u8).collect();
+            let expected = portable_sha256(&data);
+            assert_eq!(sha256(&data), expected, "len {len}");
+            if let Some(block) = single_block(&data) {
+                assert_eq!(digest_block(&block), expected, "single block, len {len}");
+            }
+            for split in 0..=len {
+                let mut h = Sha256::new();
+                h.update(&data[..split]);
+                h.update(&data[split..]);
+                assert_eq!(h.finalize(), expected, "len {len}, split {split}");
+            }
         }
     }
 
@@ -421,45 +446,18 @@ mod tests {
         assert!(single_block(&[0u8; 56]).is_none());
     }
 
-    #[test]
-    fn four_lane_digests_match_serial() {
-        let msgs: Vec<Vec<u8>> = (0..4)
-            .map(|l| (0..(7 + l * 11)).map(|i| (i * 31 + l) as u8).collect())
-            .collect();
-        let blocks: Vec<[u8; 64]> = msgs.iter().map(|m| single_block(m).unwrap()).collect();
-        let out = digest_blocks4([&blocks[0], &blocks[1], &blocks[2], &blocks[3]]);
-        for l in 0..4 {
-            assert_eq!(out[l], sha256(&msgs[l]), "lane {l}");
-        }
-    }
-
-    #[test]
-    fn wide_lane_digests_match_serial() {
-        let msgs: Vec<Vec<u8>> = (0..16)
-            .map(|l| (0..(3 + l * 3)).map(|i| (i * 29 + l) as u8).collect())
-            .collect();
-        let blocks: Vec<[u8; 64]> = msgs.iter().map(|m| single_block(m).unwrap()).collect();
-        let out8 = digest_blocks8(std::array::from_fn(|l| &blocks[l]));
-        let out16 = digest_blocks16(std::array::from_fn(|l| &blocks[l]));
-        for l in 0..16 {
-            assert_eq!(out16[l], sha256(&msgs[l]), "lane {l}");
-            if l < 8 {
-                assert_eq!(out8[l], out16[l], "lane {l}");
-            }
-        }
-    }
-
     proptest::proptest! {
         #[test]
-        fn four_lane_digests_match_serial_prop(
-            lanes in proptest::collection::vec(proptest::collection::vec(proptest::prelude::any::<u8>(), 0..=55), 4)
+        fn compress_block_matches_portable(
+            state in proptest::collection::vec(proptest::prelude::any::<u32>(), 8),
+            block in proptest::collection::vec(proptest::prelude::any::<u8>(), 64)
         ) {
-            let blocks: Vec<[u8; 64]> =
-                lanes.iter().map(|m| single_block(m).unwrap()).collect();
-            let out = digest_blocks4([&blocks[0], &blocks[1], &blocks[2], &blocks[3]]);
-            for l in 0..4 {
-                proptest::prop_assert_eq!(out[l], sha256(&lanes[l]));
-            }
+            let block: [u8; 64] = block.try_into().unwrap();
+            let mut dispatched: [u32; 8] = state.try_into().unwrap();
+            let mut portable = dispatched;
+            compress_block(&mut dispatched, &block);
+            compress_block_portable(&mut portable, &block);
+            proptest::prop_assert_eq!(dispatched, portable);
         }
     }
 }

@@ -29,9 +29,10 @@ const TAG_ELEMENT: u8 = 0x01;
 /// Tag byte opening a text node.
 const TAG_TEXT: u8 = 0x02;
 
-/// Nesting deeper than this fails to decode instead of risking the
-/// decoder's stack. The writer never enforces a depth (documents are
-/// built by us), but the decoder must survive adversarial bytes.
+/// Nesting deeper than this fails to decode (and fails to parse as XML,
+/// see [`crate::parser`]) instead of risking the stack. The writers never
+/// enforce a depth (documents are built by us), but the decoders must
+/// survive adversarial bytes.
 pub const MAX_DEPTH: usize = 1024;
 
 /// Append the canonical binary encoding of `e` to `out`.

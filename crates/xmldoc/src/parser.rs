@@ -7,6 +7,7 @@
 //! DTDs, namespaces-as-semantics (prefixes are kept verbatim in names), and
 //! CDATA sections.
 
+use crate::binary::MAX_DEPTH;
 use crate::error::XmlError;
 use crate::node::{Element, Node};
 
@@ -17,7 +18,7 @@ pub fn parse(input: &str) -> Result<Element, XmlError> {
         pos: 0,
     };
     p.skip_prolog()?;
-    let root = p.parse_element()?;
+    let root = p.parse_element(0)?;
     p.skip_misc()?;
     if p.pos != p.input.len() {
         return Err(p.err("trailing content after the root element"));
@@ -118,7 +119,41 @@ impl<'a> Parser<'a> {
         Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
     }
 
-    fn parse_element(&mut self) -> Result<Element, XmlError> {
+    /// Parse the element starting at `pos`, which sits `depth` elements
+    /// below the root. Nesting deeper than [`MAX_DEPTH`] is an error, so a
+    /// counterpart's document cannot exhaust the stack. Tags, text and
+    /// error formatting live in helpers to keep this recursive frame small.
+    fn parse_element(&mut self, depth: usize) -> Result<Element, XmlError> {
+        if depth >= MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        let (mut element, self_closing) = self.parse_start_tag()?;
+        if self_closing {
+            return Ok(element);
+        }
+        // Children until the matching end tag.
+        loop {
+            if self.starts_with(b"<!--") {
+                self.skip_until(b"-->")?;
+            } else if self.starts_with(b"</") {
+                self.parse_end_tag(&element.name)?;
+                return Ok(element);
+            } else if self.peek() == Some(b'<') {
+                let child = self.parse_element(depth + 1)?;
+                element.children.push(Node::Element(child));
+            } else {
+                self.parse_text_into(&mut element)?;
+            }
+        }
+    }
+
+    fn too_deep(&self) -> XmlError {
+        self.err(format!("elements nested deeper than {MAX_DEPTH}"))
+    }
+
+    /// Parse `<name attr="v" …>` or `<name … />` into a childless element,
+    /// and say whether the tag closed itself.
+    fn parse_start_tag(&mut self) -> Result<(Element, bool), XmlError> {
         self.expect(b'<')?;
         let name = self.parse_name()?;
         let mut element = Element::new(name);
@@ -128,11 +163,11 @@ impl<'a> Parser<'a> {
                 Some(b'/') => {
                     self.pos += 1;
                     self.expect(b'>')?;
-                    return Ok(element);
+                    return Ok((element, true));
                 }
                 Some(b'>') => {
                     self.pos += 1;
-                    break;
+                    return Ok((element, false));
                 }
                 Some(_) => {
                     let attr_name = self.parse_name()?;
@@ -150,44 +185,36 @@ impl<'a> Parser<'a> {
                 None => return Err(self.err("eof inside a start tag")),
             }
         }
-        // Children until the matching end tag.
-        loop {
-            if self.starts_with(b"<!--") {
-                self.skip_until(b"-->")?;
-                continue;
-            }
-            if self.starts_with(b"</") {
-                self.pos += 2;
-                let end_name = self.parse_name()?;
-                if end_name != element.name {
-                    return Err(self.err(format!(
-                        "mismatched end tag: expected </{}>, found </{end_name}>",
-                        element.name
-                    )));
-                }
-                self.skip_ws();
-                self.expect(b'>')?;
-                return Ok(element);
-            }
-            match self.peek() {
-                Some(b'<') => {
-                    let child = self.parse_element()?;
-                    element.children.push(Node::Element(child));
-                }
-                Some(_) => {
-                    let text = self.parse_text()?;
-                    if !text.is_empty() {
-                        // Merge adjacent text runs for a canonical tree.
-                        if let Some(Node::Text(prev)) = element.children.last_mut() {
-                            prev.push_str(&text);
-                        } else {
-                            element.children.push(Node::Text(text));
-                        }
-                    }
-                }
-                None => return Err(self.err(format!("eof inside <{}>", element.name))),
+    }
+
+    /// Parse `</name>`, which must close the element called `name`.
+    fn parse_end_tag(&mut self, name: &str) -> Result<(), XmlError> {
+        self.pos += 2;
+        let end_name = self.parse_name()?;
+        if end_name != name {
+            return Err(self.err(format!(
+                "mismatched end tag: expected </{name}>, found </{end_name}>"
+            )));
+        }
+        self.skip_ws();
+        self.expect(b'>')
+    }
+
+    /// Parse a text run into `element`, merging it with a preceding text
+    /// child for a canonical tree.
+    fn parse_text_into(&mut self, element: &mut Element) -> Result<(), XmlError> {
+        if self.peek().is_none() {
+            return Err(self.err(format!("eof inside <{}>", element.name)));
+        }
+        let text = self.parse_text()?;
+        if !text.is_empty() {
+            if let Some(Node::Text(prev)) = element.children.last_mut() {
+                prev.push_str(&text);
+            } else {
+                element.children.push(Node::Text(text));
             }
         }
+        Ok(())
     }
 
     fn parse_until_quote(&mut self, quote: u8) -> Result<String, XmlError> {
@@ -330,6 +357,25 @@ mod tests {
         for doc in ["<a", "<a>", "<a attr", "<a k=\"v", "<a>&amp", "<a><b></b>"] {
             assert!(parse(doc).is_err(), "should reject {doc:?}");
         }
+    }
+
+    #[test]
+    fn nesting_deeper_than_max_depth_is_an_error() {
+        // On a 2 MiB stack, as a spawned thread gets by default: without the
+        // bound, recursion overflowed it on this input and aborted the process.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let err = parse(&"<a>".repeat(100_000)).unwrap_err();
+                assert_eq!(err.offset, 3 * MAX_DEPTH, "{err}");
+                assert!(err.message.contains("nested deeper than 1024"), "{err}");
+                let nested = |n: usize| format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
+                assert!(parse(&nested(MAX_DEPTH)).is_ok());
+                assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]
