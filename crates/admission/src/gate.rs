@@ -17,7 +17,6 @@
 //! fault decision stream, and a seeded chaos run replays bit-for-bit with
 //! or without budgets enabled.
 
-use crate::admission_enabled;
 use crate::mana::ManaLedger;
 use std::sync::Arc;
 use trust_vo_soa::envelope::{Envelope, Fault};
@@ -55,11 +54,6 @@ impl AdmissionGate {
 
 impl CallGate for AdmissionGate {
     fn admit(&self, service: &str, request: &Envelope) -> Result<(), Fault> {
-        // Kill-switch: disabled, the gate vanishes — no charge, no
-        // counters, no spans, byte-identical behavior to an ungated bus.
-        if !admission_enabled() {
-            return Ok(());
-        }
         if !GATED_OPERATIONS.contains(&request.operation.as_str()) {
             return Ok(());
         }

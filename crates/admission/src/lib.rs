@@ -23,13 +23,9 @@
 //! kill-at-any-byte-prefix recovery contract; `admission.*` / `mana.*`
 //! counters and `admission.gate` spans land in the causal trace tree.
 //!
-//! # Kill-switch
-//!
-//! Set `TRUST_VO_ADMISSION=0` (or `off`/`false`/`no`) to disable the whole
-//! subsystem at first use: the gate admits everything silently, and the
-//! admission-aware formation drivers in `vo` fall back to their fixed
-//! strategy — behavior, obs output, and Perfetto exports are byte-identical
-//! to a build without admission (ci.sh pins this).
+//! Admission is opt-in per formation: a `vo::Formation` with
+//! `admission: None` on a bus without a gate runs exactly as it did
+//! before this crate existed — no charges, no counters, no spans.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,20 +39,3 @@ pub use band::{BandConfig, QueueKey, TrustBand, REPLACEMENT_THRESHOLD};
 pub use gate::{AdmissionGate, GATED_OPERATIONS, REQUESTER_ELEMENT};
 pub use mana::{ManaConfig, ManaLedger};
 pub use score::{Outcome, ScoringConfig, ScoringEngine};
-
-use std::sync::LazyLock;
-
-/// Is the admission subsystem enabled? Reads `TRUST_VO_ADMISSION` once at
-/// first use; `0`/`off`/`false`/`no` disables (same contract as
-/// `TRUST_VO_CRED_CACHE` and `TRUST_VO_MAP_CACHE`). Disabled, the gate,
-/// banding, and scoring hooks all become inert no-ops.
-pub fn admission_enabled() -> bool {
-    static ENABLED: LazyLock<bool> = LazyLock::new(|| match std::env::var("TRUST_VO_ADMISSION") {
-        Ok(v) => !matches!(
-            v.to_ascii_lowercase().as_str(),
-            "0" | "off" | "false" | "no"
-        ),
-        Err(_) => true,
-    });
-    *ENABLED
-}

@@ -1,8 +1,8 @@
 //! E11 — formation over a faulty transport: loss sweep + crash/resume.
 //!
-//! Drives the transport-backed formation (`form_vo_resilient`, serial and
-//! parallel) through the `trust-vo-netsim` fault injector at 0 / 1 / 5 /
-//! 20 % per-direction message loss, and once more at 20 % loss with a
+//! Drives a `Formation` through the TN service (serial and parallel)
+//! behind the `trust-vo-netsim` fault injector at 0 / 1 / 5 / 20 %
+//! per-direction message loss, and once more at 20 % loss with a
 //! crash outage dropped mid-run so at least one negotiation must resume
 //! from its durable checkpoint. Everything is simulated time on a
 //! paper-calibrated clock; the whole sweep is a pure function of
@@ -31,15 +31,14 @@ use std::sync::Arc;
 use trust_vo_bench::obsutil::ObsArgs;
 use trust_vo_bench::report::Report;
 use trust_vo_bench::workloads::{self, ParallelJoinWorld};
-use trust_vo_negotiation::Strategy;
 use trust_vo_netsim::{FaultPlan, NetSim};
 use trust_vo_soa::simclock::{CostModel, SimClock, SimDuration};
-use trust_vo_soa::{ResumePolicy, RetryPolicy, ServiceBus, TnService, Transport};
+use trust_vo_soa::{ServiceBus, TnService, Transport};
 use trust_vo_store::Database;
 use trust_vo_vo::mailbox::MailboxSystem;
 use trust_vo_vo::{
-    form_vo_resilient, form_vo_resilient_parallel, register_formation_parties, FormedVo,
-    ReputationLedger,
+    register_formation_parties, Formation, FormedVo, NegotiationSource, ReputationLedger,
+    ServiceSource,
 };
 
 const DEFAULT_SEED: u64 = 9;
@@ -77,14 +76,14 @@ fn paper_clock_at_epoch() -> SimClock {
 }
 
 /// Run one formation through a fresh TN service behind the given fault
-/// plan. `workers = None` drives the serial engine, `Some(n)` the
-/// parallel one. When `obs` is given, a collector rides the case's clock
-/// and is dumped (deterministically) after the run.
+/// plan on `workers` workers (1 = serial). When `obs` is given, a
+/// collector rides the case's clock and is dumped (deterministically)
+/// after the run.
 fn run_case(
     world: &ParallelJoinWorld,
     plan: FaultPlan,
     seed: u64,
-    workers: Option<usize>,
+    workers: usize,
     obs: Option<&ObsArgs>,
 ) -> Outcome {
     let clock = paper_clock_at_epoch();
@@ -95,41 +94,18 @@ fn run_case(
     bus.register("tn", svc.clone());
     let net = NetSim::new(bus, plan);
 
-    let mut mailboxes = MailboxSystem::new();
-    let mut reputation = ReputationLedger::new();
-    let retry = RetryPolicy::standard();
-    let resume = ResumePolicy::standard();
-    let formed = match workers {
-        None => form_vo_resilient(
-            world.contract.clone(),
-            &world.initiator,
-            &world.providers,
-            &world.registry,
-            &mut mailboxes,
-            &mut reputation,
-            &net,
-            "tn",
-            Strategy::Standard,
-            &retry,
-            &resume,
-            seed,
-        ),
-        Some(n) => form_vo_resilient_parallel(
-            world.contract.clone(),
-            &world.initiator,
-            &world.providers,
-            &world.registry,
-            &mut mailboxes,
-            &mut reputation,
-            &net,
-            "tn",
-            Strategy::Standard,
-            &retry,
-            &resume,
-            seed,
-            n,
-        ),
-    };
+    let formed = Formation::new(
+        &world.initiator,
+        &world.providers,
+        &world.registry,
+        NegotiationSource::Service(ServiceSource::standard(&net, "tn", seed)),
+    )
+    .with_workers(workers)
+    .run(
+        world.contract.clone(),
+        &mut MailboxSystem::new(),
+        &mut ReputationLedger::new(),
+    );
     let (vo, stats) = formed.expect("E11 formation completes under the fault plan");
     assert_eq!(
         vo.members().len(),
@@ -197,19 +173,16 @@ fn run_bare(world: &ParallelJoinWorld, seed: u64) -> Outcome {
     let svc = Arc::new(TnService::new(clock.clone(), Database::new()));
     register_formation_parties(&svc, &world.contract, &world.initiator, &world.providers);
     bus.register("tn", svc.clone());
-    let (vo, stats) = form_vo_resilient(
-        world.contract.clone(),
+    let (vo, stats) = Formation::new(
         &world.initiator,
         &world.providers,
         &world.registry,
+        NegotiationSource::Service(ServiceSource::standard(&bus, "tn", seed)),
+    )
+    .run(
+        world.contract.clone(),
         &mut MailboxSystem::new(),
         &mut ReputationLedger::new(),
-        &bus,
-        "tn",
-        Strategy::Standard,
-        &RetryPolicy::standard(),
-        &ResumePolicy::standard(),
-        seed,
     )
     .expect("bare-bus formation completes");
     Outcome {
@@ -263,14 +236,14 @@ fn main() {
         } else {
             FaultPlan::lossy(seed, loss)
         };
-        let serial = run_case(&world, plan.clone(), seed, None, None);
-        let parallel = run_case(&world, plan.clone(), seed, Some(WORKERS), None);
+        let serial = run_case(&world, plan.clone(), seed, 1, None);
+        let parallel = run_case(&world, plan.clone(), seed, WORKERS, None);
         // Loss/duplication decisions are a pure function of each call's
-        // idempotency-key stream, so the thread pool must change nothing.
+        // idempotency-key stream, so the fan-out must change nothing.
         assert_eq!(serial, parallel, "parallel must replay serial at {loss}");
 
         // Replaying the same seed must reproduce the run bit-for-bit.
-        let replay = run_case(&world, plan, seed, None, None);
+        let replay = run_case(&world, plan, seed, 1, None);
         assert_eq!(serial, replay, "same seed must replay identically");
 
         if loss == 0.0 {
@@ -316,8 +289,8 @@ fn main() {
     let outage_start = SimDuration((elapsed_at_heaviest.0 as f64 * 0.45) as u64);
     let outage_end = outage_start + SimDuration::from_millis(1_200);
     let crash_plan = FaultPlan::lossy(seed, 0.20).outage("tn", outage_start, outage_end, true);
-    let crashed = run_case(&world, crash_plan.clone(), seed, None, Some(&args));
-    let crash_replay = run_case(&world, crash_plan, seed, None, None);
+    let crashed = run_case(&world, crash_plan.clone(), seed, 1, Some(&args));
+    let crash_replay = run_case(&world, crash_plan, seed, 1, None);
     assert_eq!(
         crashed, crash_replay,
         "crash schedule must replay identically"

@@ -29,26 +29,26 @@
 //!
 //! `--smoke --seed 42 --emit-obs/--emit-trace <path>` is the CI gate: the
 //! flood round's dump is scrubbed of wall-clock fields so two same-seed
-//! runs are byte-identical. `--plain` drives the same workload through
-//! the pre-admission path (ungated bus, plain `form_vo_resilient`);
-//! running *without* `--plain` but with `TRUST_VO_ADMISSION=off` must
-//! produce byte-identical dumps — the kill-switch contract CI diffs.
+//! runs are byte-identical. `--plain` drives the same workload without
+//! admission (ungated bus, a formation with `admission: None`) — E14's
+//! ungated baseline, asserted in-binary to replay identically and to
+//! refuse nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use trust_vo_admission::{admission_enabled, AdmissionGate, ManaConfig, ManaLedger};
+use trust_vo_admission::{AdmissionGate, ManaConfig, ManaLedger};
 use trust_vo_bench::obsutil::ObsArgs;
 use trust_vo_bench::report::Report;
 use trust_vo_bench::workloads::{self, ParallelJoinWorld};
 use trust_vo_negotiation::Strategy;
 use trust_vo_netsim::{FaultPlan, NetSim};
 use trust_vo_soa::simclock::{CostModel, SimClock, SimDuration};
-use trust_vo_soa::{Envelope, Fault, ResumePolicy, RetryPolicy, ServiceBus, TnService, Transport};
+use trust_vo_soa::{Envelope, Fault, ServiceBus, TnService, Transport};
 use trust_vo_store::Database;
 use trust_vo_vo::mailbox::MailboxSystem;
 use trust_vo_vo::{
-    form_vo_resilient, form_vo_resilient_admitted, form_vo_resilient_parallel_admitted,
-    register_formation_parties, AdmissionControl, FormedVo, ReputationLedger,
+    register_formation_parties, AdmissionControl, Formation, FormedVo, NegotiationSource,
+    ReputationLedger, ServiceSource,
 };
 use trust_vo_xmldoc::Element;
 
@@ -76,9 +76,9 @@ const UNTHROTTLED_SLOWDOWN_FLOOR: f64 = 1.25;
 /// Which bus/driver stack a case runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Path {
-    /// Mana-gated bus + admission-aware drivers (the E14 subject).
+    /// Mana-gated bus + admission-controlled formation (the E14 subject).
     Admitted,
-    /// Pre-admission path: ungated bus, plain `form_vo_resilient`.
+    /// Pre-admission path: ungated bus, no admission control.
     Plain,
 }
 
@@ -196,11 +196,10 @@ impl Transport for FloodingNet<'_> {
     }
 }
 
-/// Run one flooded (or flood-free, `per_call = 0`) formation round.
-/// `workers = None` drives the serial engine, `Some(n)` the parallel
-/// one. When `obs` is given a collector rides the round's clock;
-/// `dump` writes the deterministic artifacts, `verify_attr` gates on the
-/// critical-path analyzer.
+/// Run one flooded (or flood-free, `per_call = 0`) formation round on
+/// `workers` workers (1 = serial). When `obs` is given a collector rides
+/// the round's clock; `dump` writes the deterministic artifacts,
+/// `verify_attr` gates on the critical-path analyzer.
 #[allow(clippy::too_many_arguments)]
 fn run_case(
     world: &ParallelJoinWorld,
@@ -208,7 +207,7 @@ fn run_case(
     seed: u64,
     per_call: usize,
     path: Path,
-    workers: Option<usize>,
+    workers: usize,
     obs: Option<&ObsArgs>,
     dump: bool,
     verify_attr: bool,
@@ -219,78 +218,31 @@ fn run_case(
     let svc = Arc::new(TnService::new(clock.clone(), Database::new()));
     register_formation_parties(&svc, &world.contract, &world.initiator, &world.providers);
     bus.register("tn", svc.clone());
-    let mana = Arc::new(ManaLedger::new(flood_mana_config()));
+    let admission = AdmissionControl::default();
     if path == Path::Admitted {
-        if admission_enabled() {
-            if let Some(c) = collector.as_ref().filter(|c| c.is_enabled()) {
-                mana.attach_obs(c);
-            }
+        let mana = Arc::new(ManaLedger::new(flood_mana_config()));
+        if let Some(c) = collector.as_ref().filter(|c| c.is_enabled()) {
+            mana.attach_obs(c);
+            admission.engine().attach_obs(c);
         }
-        bus.set_gate(Arc::new(AdmissionGate::new(
-            mana.clone(),
-            bus.clock().clone(),
-        )));
+        bus.set_gate(Arc::new(AdmissionGate::new(mana, bus.clock().clone())));
     }
     let net = NetSim::new(bus, plan);
     let flood = FloodingNet::new(&net, per_call);
 
-    let admission = AdmissionControl::default();
-    if path == Path::Admitted && admission_enabled() {
-        if let Some(c) = collector.as_ref().filter(|c| c.is_enabled()) {
-            admission.engine().attach_obs(c);
-        }
-    }
-    let mut mailboxes = MailboxSystem::new();
-    let mut reputation = ReputationLedger::new();
-    let retry = RetryPolicy::standard();
-    let resume = ResumePolicy::standard();
-    let formed = match (path, workers) {
-        (Path::Admitted, None) => form_vo_resilient_admitted(
-            world.contract.clone(),
-            &world.initiator,
-            &world.providers,
-            &world.registry,
-            &mut mailboxes,
-            &mut reputation,
-            &flood,
-            "tn",
-            Strategy::Standard,
-            &retry,
-            &resume,
-            seed,
-            &admission,
-        ),
-        (Path::Admitted, Some(n)) => form_vo_resilient_parallel_admitted(
-            world.contract.clone(),
-            &world.initiator,
-            &world.providers,
-            &world.registry,
-            &mut mailboxes,
-            &mut reputation,
-            &flood,
-            "tn",
-            Strategy::Standard,
-            &retry,
-            &resume,
-            seed,
-            n,
-            &admission,
-        ),
-        (Path::Plain, _) => form_vo_resilient(
-            world.contract.clone(),
-            &world.initiator,
-            &world.providers,
-            &world.registry,
-            &mut mailboxes,
-            &mut reputation,
-            &flood,
-            "tn",
-            Strategy::Standard,
-            &retry,
-            &resume,
-            seed,
-        ),
-    };
+    let formed = Formation::new(
+        &world.initiator,
+        &world.providers,
+        &world.registry,
+        NegotiationSource::Service(ServiceSource::standard(&flood, "tn", seed)),
+    )
+    .with_workers(workers)
+    .with_admission((path == Path::Admitted).then_some(&admission))
+    .run(
+        world.contract.clone(),
+        &mut MailboxSystem::new(),
+        &mut ReputationLedger::new(),
+    );
     let (vo, stats) = formed.expect("E14 formation completes under adversarial load");
     assert_eq!(
         vo.members().len(),
@@ -395,19 +347,18 @@ const COLUMNS: [&str; 8] = [
     "roles",
 ];
 
-/// Kill-switch / pre-admission pass-through: one flood round (everything
-/// rides free), replayed for determinism, dumped for the CI byte-identity
-/// gate. `--plain` and `TRUST_VO_ADMISSION=off` must land here on
-/// identical artifacts.
-fn run_passthrough(world: &ParallelJoinWorld, seed: u64, path: Path, args: &ObsArgs) {
+/// Pre-admission pass-through (`--plain`): one flood round on an ungated
+/// bus with no admission control (everything rides free), replayed for
+/// determinism and dumped.
+fn run_passthrough(world: &ParallelJoinWorld, seed: u64, args: &ObsArgs) {
     let plan = FaultPlan::lossy(seed, LOSS);
     let run = run_case(
         world,
         plan.clone(),
         seed,
         FLOOD_PER_CALL,
-        path,
-        None,
+        Path::Plain,
+        1,
         Some(args),
         true,
         false,
@@ -417,8 +368,8 @@ fn run_passthrough(world: &ParallelJoinWorld, seed: u64, path: Path, args: &ObsA
         plan,
         seed,
         FLOOD_PER_CALL,
-        path,
-        None,
+        Path::Plain,
+        1,
         None,
         false,
         false,
@@ -453,9 +404,8 @@ fn main() {
     };
     let world = workloads::parallel_join_world(applicants, depth, alternatives);
 
-    if plain || !admission_enabled() {
-        let path = if plain { Path::Plain } else { Path::Admitted };
-        run_passthrough(&world, seed, path, &args);
+    if plain {
+        run_passthrough(&world, seed, &args);
         return;
     }
 
@@ -478,7 +428,7 @@ fn main() {
             s,
             0,
             Path::Admitted,
-            None,
+            1,
             None,
             false,
             false,
@@ -489,7 +439,7 @@ fn main() {
             s,
             FLOOD_PER_CALL,
             Path::Admitted,
-            None,
+            1,
             None,
             false,
             false,
@@ -533,7 +483,7 @@ fn main() {
         seed,
         0,
         Path::Admitted,
-        Some(WORKERS),
+        WORKERS,
         None,
         false,
         false,
@@ -551,7 +501,7 @@ fn main() {
         seed,
         FLOOD_PER_CALL,
         Path::Plain,
-        None,
+        1,
         None,
         false,
         false,
@@ -580,7 +530,7 @@ fn main() {
         seed,
         FLOOD_PER_CALL,
         Path::Admitted,
-        None,
+        1,
         Some(&args),
         true,
         false,
@@ -595,7 +545,7 @@ fn main() {
         seed,
         0,
         Path::Admitted,
-        None,
+        1,
         Some(&args),
         false,
         true,

@@ -51,8 +51,8 @@ use trust_vo_soa::{
 use trust_vo_store::Database;
 use trust_vo_vo::mailbox::MailboxSystem;
 use trust_vo_vo::{
-    form_vo_resilient, form_vo_resilient_parallel, register_formation_parties, FormedVo,
-    ReputationLedger,
+    register_formation_parties, Formation, FormedVo, NegotiationSource, ReputationLedger,
+    ServiceSource,
 };
 use trust_vo_xmldoc::Element;
 
@@ -427,15 +427,15 @@ fn membership(vo: &FormedVo) -> Vec<(String, String, u64)> {
 
 /// Run one netsim formation over the wire path. `wire = Some(false)`
 /// pins the in-process reference path (`--plain`); `None` leaves the
-/// `TRUST_VO_WIRE` environment decision in force. `workers = Some(n)`
-/// drives the sharded parallel engine. When `obs` is given the round is
-/// driven serially and its deterministic dumps written.
+/// `TRUST_VO_WIRE` environment decision in force. `workers > 1` drives
+/// the sharded parallel engine. When `obs` is given the round is driven
+/// serially and its deterministic dumps written.
 fn run_formation(
     world: &ParallelJoinWorld,
     plan: FaultPlan,
     seed: u64,
     wire: Option<bool>,
-    workers: Option<usize>,
+    workers: usize,
     obs: Option<&ObsArgs>,
 ) -> Outcome {
     let clock = SimClock::new(CostModel::paper_testbed(), workloads::at());
@@ -449,41 +449,18 @@ fn run_formation(
     bus.register("tn", svc.clone());
     let net = NetSim::new(bus, plan);
 
-    let mut mailboxes = MailboxSystem::new();
-    let mut reputation = ReputationLedger::new();
-    let retry = RetryPolicy::standard();
-    let resume = ResumePolicy::standard();
-    let formed = match workers {
-        None => form_vo_resilient(
-            world.contract.clone(),
-            &world.initiator,
-            &world.providers,
-            &world.registry,
-            &mut mailboxes,
-            &mut reputation,
-            &net,
-            "tn",
-            Strategy::Standard,
-            &retry,
-            &resume,
-            seed,
-        ),
-        Some(n) => form_vo_resilient_parallel(
-            world.contract.clone(),
-            &world.initiator,
-            &world.providers,
-            &world.registry,
-            &mut mailboxes,
-            &mut reputation,
-            &net,
-            "tn",
-            Strategy::Standard,
-            &retry,
-            &resume,
-            seed,
-            n,
-        ),
-    };
+    let formed = Formation::new(
+        &world.initiator,
+        &world.providers,
+        &world.registry,
+        NegotiationSource::Service(ServiceSource::standard(&net, "tn", seed)),
+    )
+    .with_workers(workers)
+    .run(
+        world.contract.clone(),
+        &mut MailboxSystem::new(),
+        &mut ReputationLedger::new(),
+    );
     let (vo, stats) = formed.expect("E15 formation completes over the wire");
     assert_eq!(vo.members().len(), world.contract.roles.len());
 
@@ -650,12 +627,12 @@ fn main() {
     // lossy plan; a crash round resumes and replays; wire-on ≡ wire-off.
     let world = workloads::parallel_join_world(applicants, depth, alternatives);
     let lossy = FaultPlan::lossy(seed, 0.05);
-    let serial = run_formation(&world, lossy.clone(), seed, None, None, None);
-    let parallel = run_formation(&world, lossy.clone(), seed, None, Some(WORKERS), None);
-    let replay = run_formation(&world, lossy.clone(), seed, None, None, None);
+    let serial = run_formation(&world, lossy.clone(), seed, None, 1, None);
+    let parallel = run_formation(&world, lossy.clone(), seed, None, WORKERS, None);
+    let replay = run_formation(&world, lossy.clone(), seed, None, 1, None);
     assert_eq!(serial, parallel, "sharded formation must replay serial");
     assert_eq!(serial, replay, "same seed must replay bit-for-bit");
-    let in_process = run_formation(&world, lossy, seed, Some(false), None, None);
+    let in_process = run_formation(&world, lossy, seed, Some(false), 1, None);
     assert_eq!(
         serial, in_process,
         "the wire boundary must be invisible to outcomes"
@@ -665,7 +642,7 @@ fn main() {
     // serially): at least one checkpointed resume, replayed exactly. The
     // outage is anchored at ~45 % of a measured heavy-loss run so it
     // lands while sessions are mid-flight with checkpoints behind them.
-    let heavy = run_formation(&world, FaultPlan::lossy(seed, 0.20), seed, None, None, None);
+    let heavy = run_formation(&world, FaultPlan::lossy(seed, 0.20), seed, None, 1, None);
     let outage_start = SimDuration((heavy.elapsed.0 as f64 * 0.45) as u64);
     let crash_plan = FaultPlan::lossy(seed, 0.20).outage(
         "tn",
@@ -673,8 +650,8 @@ fn main() {
         outage_start + SimDuration::from_millis(1_200),
         true,
     );
-    let crashed = run_formation(&world, crash_plan.clone(), seed, None, None, None);
-    let crash_replay = run_formation(&world, crash_plan, seed, None, None, None);
+    let crashed = run_formation(&world, crash_plan.clone(), seed, None, 1, None);
+    let crash_replay = run_formation(&world, crash_plan, seed, None, 1, None);
     assert_eq!(crashed, crash_replay, "crash schedule must replay exactly");
     assert!(
         crashed.resumes > 0 && crashed.service_resumed > 0,
@@ -689,7 +666,7 @@ fn main() {
         FaultPlan::lossy(seed, 0.05),
         seed,
         if plain { Some(false) } else { None },
-        None,
+        1,
         Some(&args),
     );
     if !plain && wire::wire_enabled() {

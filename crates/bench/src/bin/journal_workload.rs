@@ -17,12 +17,13 @@ use std::sync::Arc;
 use trust_vo_bench::obsutil::ObsArgs;
 use trust_vo_bench::workloads::{self, ParallelJoinWorld};
 use trust_vo_journal::Journal;
-use trust_vo_negotiation::Strategy;
 use trust_vo_soa::simclock::{CostModel, SimClock};
-use trust_vo_soa::{ResumePolicy, RetryPolicy, ServiceBus, TnService};
+use trust_vo_soa::{ServiceBus, TnService};
 use trust_vo_store::Database;
 use trust_vo_vo::mailbox::MailboxSystem;
-use trust_vo_vo::{form_vo_resilient, register_formation_parties, ReputationLedger};
+use trust_vo_vo::{
+    register_formation_parties, Formation, NegotiationSource, ReputationLedger, ServiceSource,
+};
 
 const DEFAULT_SEED: u64 = 9;
 
@@ -37,19 +38,16 @@ fn journaled_formation(world: &ParallelJoinWorld, seed: u64) -> (Vec<u8>, u64) {
     let svc = Arc::new(TnService::new(clock.clone(), db));
     register_formation_parties(&svc, &world.contract, &world.initiator, &world.providers);
     bus.register("tn", svc.clone());
-    let (vo, _) = form_vo_resilient(
-        world.contract.clone(),
+    let (vo, _) = Formation::new(
         &world.initiator,
         &world.providers,
         &world.registry,
+        NegotiationSource::Service(ServiceSource::standard(&bus, "tn", seed)),
+    )
+    .run(
+        world.contract.clone(),
         &mut MailboxSystem::new(),
         &mut ReputationLedger::new(),
-        &bus,
-        "tn",
-        Strategy::Standard,
-        &RetryPolicy::standard(),
-        &ResumePolicy::standard(),
-        seed,
     )
     .expect("journaled formation completes");
     assert_eq!(vo.members().len(), world.contract.roles.len());

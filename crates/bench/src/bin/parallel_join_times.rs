@@ -2,17 +2,18 @@
 //!
 //! Forms a VO whose contract has one role per applicant (4 / 16 / 64),
 //! each admission guarded by a deep chain of interlocking disclosure
-//! policies, and compares the serial engine against `form_vo_parallel` on
-//! real CPU time. Both engines must produce identical membership —
-//! members, roles, certificate serials — which this harness also checks.
+//! policies, and compares a serial `Formation` against the same formation
+//! on every core, on real CPU time. Both must produce identical
+//! membership — members, roles, certificate serials — which this harness
+//! also checks.
 
 use std::time::Instant;
 use trust_vo_bench::obsutil::ObsArgs;
 use trust_vo_bench::report::Report;
 use trust_vo_bench::workloads;
-use trust_vo_negotiation::{ConcurrentSequenceCache, Strategy};
+use trust_vo_negotiation::ConcurrentSequenceCache;
 use trust_vo_vo::mailbox::MailboxSystem;
-use trust_vo_vo::{form_vo, form_vo_parallel, FormedVo, ReputationLedger};
+use trust_vo_vo::{Formation, FormedVo, NegotiationSource, ReputationLedger};
 
 const DEPTH: usize = 20;
 const ALTERNATIVES: usize = 10;
@@ -54,15 +55,16 @@ fn main() {
 
         let serial_clock = workloads::free_clock();
         let start = Instant::now();
-        let serial = form_vo(
-            world.contract.clone(),
+        let (serial, _) = Formation::new(
             &world.initiator,
             &world.providers,
             &world.registry,
+            NegotiationSource::in_process(&serial_clock),
+        )
+        .run(
+            world.contract.clone(),
             &mut MailboxSystem::new(),
             &mut ReputationLedger::new(),
-            &serial_clock,
-            Strategy::Standard,
         )
         .expect("serial formation succeeds");
         let serial_cpu = start.elapsed();
@@ -71,19 +73,16 @@ fn main() {
         let collector = args.collector_for(&parallel_clock);
         let cache = ConcurrentSequenceCache::new();
         let start = Instant::now();
-        let parallel = form_vo_parallel(
-            world.contract.clone(),
-            &world.initiator,
-            &world.providers,
-            &world.registry,
-            &mut MailboxSystem::new(),
-            &mut ReputationLedger::new(),
-            &parallel_clock,
-            Strategy::Standard,
-            &cache,
-            workers,
-        )
-        .expect("parallel formation succeeds");
+        let source = NegotiationSource::cached(&parallel_clock, &cache);
+        let (parallel, _) =
+            Formation::new(&world.initiator, &world.providers, &world.registry, source)
+                .with_workers(workers)
+                .run(
+                    world.contract.clone(),
+                    &mut MailboxSystem::new(),
+                    &mut ReputationLedger::new(),
+                )
+                .expect("parallel formation succeeds");
         let parallel_cpu = start.elapsed();
 
         assert_eq!(
@@ -125,7 +124,7 @@ fn main() {
 
     report.note(&format!(
         "workers = {workers}; parallel speculates every (role, accepting-candidate) \
-         negotiation on a scoped thread pool, then replays the serial decision procedure"
+         negotiation on the sharded executor, then replays the serial decision procedure"
     ));
     report.print();
 

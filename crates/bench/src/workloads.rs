@@ -419,15 +419,16 @@ mod tests {
     fn parallel_join_world_admits_every_applicant() {
         let w = parallel_join_world(3, 4, 2);
         let clock = free_clock();
-        let vo = trust_vo_vo::form_vo(
-            w.contract,
+        let (vo, _) = trust_vo_vo::Formation::new(
             &w.initiator,
             &w.providers,
             &w.registry,
+            trust_vo_vo::NegotiationSource::in_process(&clock),
+        )
+        .run(
+            w.contract,
             &mut trust_vo_vo::mailbox::MailboxSystem::new(),
             &mut trust_vo_vo::ReputationLedger::new(),
-            &clock,
-            Strategy::Standard,
         )
         .expect("all applicants admitted");
         assert_eq!(vo.members().len(), 3);

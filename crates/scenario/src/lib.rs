@@ -6,8 +6,8 @@
 //! gap with generated ones: a declarative [`Scenario`] —
 //! parties, policy-chain shape, ontology drift, revocation storms,
 //! churn, partitions, crash windows, flow budgets — compiled into a
-//! `netsim` fault plan plus a lifecycle script driven through the
-//! transport-backed `form_vo_resilient[_parallel]_admitted` drivers.
+//! `netsim` fault plan plus a lifecycle script whose formation is a
+//! `vo::Formation` through the TN service, under admission control.
 //!
 //! Three layers:
 //!

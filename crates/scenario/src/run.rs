@@ -1,6 +1,6 @@
 //! Executing one scenario: compile it to a fault plan, drive the full VO
-//! lifecycle through the transport-backed formation drivers, and check
-//! the four lifecycle properties on the result.
+//! lifecycle through a TN-service-sourced, admission-gated `Formation`,
+//! and check the four lifecycle properties on the result.
 //!
 //! The properties (DESIGN §8):
 //!
@@ -32,14 +32,14 @@ use trust_vo_netsim::rng::{hash_str, mix, SplitMix64};
 use trust_vo_netsim::{FaultPlan, NetSim};
 use trust_vo_obs::Collector;
 use trust_vo_soa::simclock::{CostModel, SimClock, SimDuration};
-use trust_vo_soa::{Envelope, Fault, ResumePolicy, RetryPolicy, ServiceBus, TnService, Transport};
+use trust_vo_soa::{Envelope, Fault, ServiceBus, TnService, Transport};
 use trust_vo_store::Database;
 use trust_vo_vo::dissolution::dissolve;
 use trust_vo_vo::mailbox::MailboxSystem;
 use trust_vo_vo::operation::{renew_membership, replace_member, verify_membership};
 use trust_vo_vo::{
-    form_vo_resilient_admitted, form_vo_resilient_parallel_admitted, register_formation_parties,
-    AdmissionControl, ReputationLedger,
+    register_formation_parties, AdmissionControl, Formation, NegotiationSource, ReputationLedger,
+    ServiceSource,
 };
 
 use crate::dsl::{Churn, Scenario};
@@ -51,9 +51,9 @@ pub const WORKERS: usize = 4;
 /// How the formation is driven.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// The serial resilient driver — sound under every fault clause.
+    /// A serial formation — sound under every fault clause.
     Serial,
-    /// The parallel resilient driver with [`WORKERS`] workers.
+    /// A parallel formation with [`WORKERS`] workers.
     Parallel,
 }
 
@@ -294,41 +294,19 @@ pub fn run_scenario(
     let mut mailboxes = MailboxSystem::new();
     let mut reputation = ReputationLedger::new();
     let admission = AdmissionControl::default();
-    let retry = RetryPolicy::standard();
-    let resume = ResumePolicy::standard();
-    let formed = match mode {
-        Mode::Serial => form_vo_resilient_admitted(
-            world.contract.clone(),
-            &world.initiator,
-            &world.providers,
-            &world.registry,
-            &mut mailboxes,
-            &mut reputation,
-            &probe,
-            "tn",
-            Strategy::Standard,
-            &retry,
-            &resume,
-            s.seed,
-            &admission,
-        ),
-        Mode::Parallel => form_vo_resilient_parallel_admitted(
-            world.contract.clone(),
-            &world.initiator,
-            &world.providers,
-            &world.registry,
-            &mut mailboxes,
-            &mut reputation,
-            &probe,
-            "tn",
-            Strategy::Standard,
-            &retry,
-            &resume,
-            s.seed,
-            WORKERS,
-            &admission,
-        ),
+    let workers = match mode {
+        Mode::Serial => 1,
+        Mode::Parallel => WORKERS,
     };
+    let formed = Formation::new(
+        &world.initiator,
+        &world.providers,
+        &world.registry,
+        NegotiationSource::Service(ServiceSource::standard(&probe, "tn", s.seed)),
+    )
+    .with_workers(workers)
+    .with_admission(Some(&admission))
+    .run(world.contract.clone(), &mut mailboxes, &mut reputation);
 
     let formed = match formed {
         Err(e) => Err(e.to_string()),

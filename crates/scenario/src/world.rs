@@ -226,7 +226,6 @@ pub fn run_drift(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trust_vo_negotiation::Strategy;
 
     #[test]
     fn world_forms_and_spares_stay_on_the_bench() {
@@ -241,15 +240,16 @@ mod tests {
             trust_vo_soa::simclock::CostModel::free(),
             epoch(),
         );
-        let vo = trust_vo_vo::form_vo(
-            w.contract,
+        let (vo, _) = trust_vo_vo::Formation::new(
             &w.initiator,
             &w.providers,
             &w.registry,
+            trust_vo_vo::NegotiationSource::in_process(&clock),
+        )
+        .run(
+            w.contract,
             &mut trust_vo_vo::mailbox::MailboxSystem::new(),
             &mut trust_vo_vo::ReputationLedger::new(),
-            &clock,
-            Strategy::Standard,
         )
         .expect("scenario world forms");
         assert_eq!(vo.members().len(), 2);

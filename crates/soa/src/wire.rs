@@ -52,9 +52,9 @@ const KIND_ENVELOPE: u8 = 0x00;
 const KIND_FAULT: u8 = 0x01;
 
 /// Is the wire path enabled? Reads `TRUST_VO_WIRE` once at first use;
-/// `0`/`off`/`false`/`no` disables (same contract as
-/// `TRUST_VO_ADMISSION` and the cache switches). Disabled, bus calls
-/// stay in-process function calls — the pre-wire shape.
+/// `0`/`off`/`false`/`no` disables (same contract as the cache
+/// switches). Disabled, bus calls stay in-process function calls — the
+/// pre-wire shape.
 pub fn wire_enabled() -> bool {
     static ENABLED: LazyLock<bool> = LazyLock::new(|| match std::env::var("TRUST_VO_WIRE") {
         Ok(v) => !matches!(

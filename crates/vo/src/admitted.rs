@@ -1,9 +1,11 @@
-//! Admission-aware formation drivers: reputation-gated strategy selection
+//! Admission control for formation: reputation-gated strategy selection
 //! and queue priority over the standard Formation decision procedure.
 //!
 //! The paper's reputation is write-only — scores move during formation and
-//! operation but influence nothing at admission time. These drivers close
-//! the loop with the `trust-vo-admission` crate:
+//! operation but influence nothing at admission time. A
+//! [`Formation`](crate::Formation) whose `admission` field holds an
+//! [`AdmissionControl`] closes the loop with the `trust-vo-admission`
+//! crate:
 //!
 //! * the coordinator snapshots every candidate's score from a shared
 //!   [`ScoringEngine`] at formation start, maps it through [`BandConfig`]
@@ -14,40 +16,26 @@
 //!   then score-weighted advertised quality — instead of the plain
 //!   quality × reputation ranking;
 //! * every attempt outcome feeds back into the engine: TN success,
-//!   failed TN, declined invitation (abandonment), and — on the
-//!   transport-driven paths — netsim-injected fault timeouts.
+//!   failed TN, declined invitation (abandonment), and — through the TN
+//!   service — netsim-injected fault timeouts.
 //!
-//! The snapshot is taken once, before any attempt: the parallel drivers
-//! speculate negotiations *before* the serial replay runs, so per-candidate
-//! strategies must not depend on outcomes recorded mid-formation. This is
-//! what keeps serial, parallel, and journal-resumed runs byte-identical.
-//!
-//! # Kill-switch
-//!
-//! When `TRUST_VO_ADMISSION` is off, every `*_admitted` driver collapses to
-//! its plain counterpart with the caller's fallback strategy: no scoring
-//! reads, no engine writes, no extra obs — byte-identical behavior.
+//! The snapshot is taken once, before any attempt: a parallel formation
+//! speculates negotiations *before* the serial replay runs, so
+//! per-candidate strategies must not depend on outcomes recorded
+//! mid-formation. This is what keeps serial, parallel, and
+//! journal-resumed runs byte-identical. Without admission control
+//! (`admission: None`) none of this runs: no scoring reads, no engine
+//! writes, no extra obs.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use trust_vo_admission::{
-    admission_enabled, BandConfig, Outcome, QueueKey, ScoringConfig, ScoringEngine, TrustBand,
-};
-use trust_vo_negotiation::{ConcurrentSequenceCache, Strategy};
+use trust_vo_admission::{BandConfig, Outcome, QueueKey, ScoringConfig, ScoringEngine, TrustBand};
+use trust_vo_negotiation::Strategy;
 use trust_vo_soa::simclock::{SimClock, SimDuration};
-use trust_vo_soa::{ResumePolicy, RetryPolicy, Transport};
 
-use crate::contract::Contract;
-use crate::error::VoError;
-use crate::formation::{form_vo_impl, form_vo_parallel_impl, FormedVo, TnSource};
-use crate::mailbox::MailboxSystem;
 use crate::member::ServiceProvider;
-use crate::registry::ServiceRegistry;
 use crate::reputation::ReputationLedger;
-use crate::resilient::{
-    form_vo_resilient_impl, form_vo_resilient_parallel_impl, FormationResilience,
-};
 
 /// The coordinator-side admission state: a shared scoring engine plus the
 /// band thresholds mapping scores to strategies and queue priorities.
@@ -87,8 +75,6 @@ impl AdmissionControl {
     }
 
     /// The banded negotiation strategy for `party` as of sim-time `now`.
-    /// This is the raw banding read; the `*_admitted` drivers apply the
-    /// kill-switch (falling back to the caller's fixed strategy) on top.
     pub fn strategy_for(&self, party: &str, now: SimDuration) -> Strategy {
         self.band_for(party, now).strategy()
     }
@@ -110,7 +96,7 @@ impl Default for AdmissionControl {
 /// feedback.
 ///
 /// Snapshotting (rather than reading the engine per attempt) is what makes
-/// the parallel drivers deterministic: speculation picks each candidate's
+/// parallel formation deterministic: speculation picks each candidate's
 /// strategy before the serial replay records any outcome, so both phases
 /// must read the same pre-formation scores.
 pub(crate) struct AdmissionHooks<'a> {
@@ -163,295 +149,23 @@ impl<'a> AdmissionHooks<'a> {
         QueueKey::new(self.bands.band_for(score), quality * score, party)
     }
 
-    /// Feed a TN success into the engine at the clock's current sim-time.
-    pub(crate) fn record_success(&self, party: &str, clock: &SimClock) {
-        self.engine.record(party, Outcome::Success, clock.elapsed());
+    /// Feed an attempt's outcome — TN success, failed TN, declined
+    /// invitation (abandonment), transport fault-timeout — into the
+    /// engine at the clock's current sim-time.
+    pub(crate) fn record(&self, party: &str, outcome: Outcome, clock: &SimClock) {
+        self.engine.record(party, outcome, clock.elapsed());
     }
-
-    /// Feed a failed trust negotiation into the engine.
-    pub(crate) fn record_failed_negotiation(&self, party: &str, clock: &SimClock) {
-        self.engine
-            .record(party, Outcome::FailedNegotiation, clock.elapsed());
-    }
-
-    /// Feed a declined invitation (abandonment) into the engine.
-    pub(crate) fn record_abandonment(&self, party: &str, clock: &SimClock) {
-        self.engine
-            .record(party, Outcome::Abandonment, clock.elapsed());
-    }
-
-    /// Feed a transport fault-timeout (e.g. netsim-injected) into the
-    /// engine.
-    pub(crate) fn record_fault_timeout(&self, party: &str, clock: &SimClock) {
-        self.engine
-            .record(party, Outcome::FaultTimeout, clock.elapsed());
-    }
-}
-
-/// [`form_vo`](crate::form_vo) with reputation-gated admission: candidates
-/// are queued by trust band and negotiated with their banded strategy;
-/// outcomes feed the scoring engine. With the `TRUST_VO_ADMISSION`
-/// kill-switch off, identical to `form_vo` with `fallback`.
-#[allow(clippy::too_many_arguments)]
-pub fn form_vo_admitted(
-    contract: Contract,
-    initiator: &ServiceProvider,
-    providers: &BTreeMap<String, ServiceProvider>,
-    registry: &ServiceRegistry,
-    mailboxes: &mut MailboxSystem,
-    reputation: &mut ReputationLedger,
-    clock: &SimClock,
-    fallback: Strategy,
-    admission: &AdmissionControl,
-) -> Result<FormedVo, VoError> {
-    if !admission_enabled() {
-        return crate::formation::form_vo(
-            contract, initiator, providers, registry, mailboxes, reputation, clock, fallback,
-        );
-    }
-    let hooks = AdmissionHooks::snapshot(admission, providers, fallback, clock.elapsed());
-    form_vo_impl(
-        contract,
-        initiator,
-        providers,
-        registry,
-        mailboxes,
-        reputation,
-        clock,
-        fallback,
-        TnSource::Live(None),
-        Some(&hooks),
-    )
-}
-
-/// [`form_vo_parallel`](crate::form_vo_parallel) with reputation-gated
-/// admission. Speculation and replay share one formation-start score
-/// snapshot, so the result is identical to [`form_vo_admitted`] with the
-/// same inputs.
-#[allow(clippy::too_many_arguments)]
-pub fn form_vo_admitted_parallel(
-    contract: Contract,
-    initiator: &ServiceProvider,
-    providers: &BTreeMap<String, ServiceProvider>,
-    registry: &ServiceRegistry,
-    mailboxes: &mut MailboxSystem,
-    reputation: &mut ReputationLedger,
-    clock: &SimClock,
-    fallback: Strategy,
-    admission: &AdmissionControl,
-    cache: &ConcurrentSequenceCache,
-    workers: usize,
-) -> Result<FormedVo, VoError> {
-    if !admission_enabled() {
-        return crate::formation::form_vo_parallel(
-            contract, initiator, providers, registry, mailboxes, reputation, clock, fallback,
-            cache, workers,
-        );
-    }
-    let hooks = AdmissionHooks::snapshot(admission, providers, fallback, clock.elapsed());
-    form_vo_parallel_impl(
-        contract,
-        initiator,
-        providers,
-        registry,
-        mailboxes,
-        reputation,
-        clock,
-        fallback,
-        cache,
-        workers,
-        Some(&hooks),
-    )
-}
-
-/// [`form_vo_resilient`](crate::form_vo_resilient) with reputation-gated
-/// admission. On top of the in-process drivers' outcome feed, transport
-/// exhaustion — the netsim-injected timeout path — is recorded as a
-/// fault-timeout before the formation aborts.
-#[allow(clippy::too_many_arguments)]
-pub fn form_vo_resilient_admitted<T: Transport + ?Sized>(
-    contract: Contract,
-    initiator: &ServiceProvider,
-    providers: &BTreeMap<String, ServiceProvider>,
-    registry: &ServiceRegistry,
-    mailboxes: &mut MailboxSystem,
-    reputation: &mut ReputationLedger,
-    transport: &T,
-    service_name: &str,
-    fallback: Strategy,
-    retry: &RetryPolicy,
-    resume: &ResumePolicy,
-    seed: u64,
-    admission: &AdmissionControl,
-) -> Result<(FormedVo, FormationResilience), VoError> {
-    if !admission_enabled() {
-        return crate::resilient::form_vo_resilient(
-            contract,
-            initiator,
-            providers,
-            registry,
-            mailboxes,
-            reputation,
-            transport,
-            service_name,
-            fallback,
-            retry,
-            resume,
-            seed,
-        );
-    }
-    let hooks =
-        AdmissionHooks::snapshot(admission, providers, fallback, transport.clock().elapsed());
-    form_vo_resilient_impl(
-        contract,
-        initiator,
-        providers,
-        registry,
-        mailboxes,
-        reputation,
-        transport,
-        service_name,
-        fallback,
-        retry,
-        resume,
-        seed,
-        Some(&hooks),
-    )
-}
-
-/// [`form_vo_resilient_parallel`](crate::form_vo_resilient_parallel) with
-/// reputation-gated admission; fan-out and replay share one
-/// formation-start score snapshot.
-#[allow(clippy::too_many_arguments)]
-pub fn form_vo_resilient_parallel_admitted<T: Transport + Sync + ?Sized>(
-    contract: Contract,
-    initiator: &ServiceProvider,
-    providers: &BTreeMap<String, ServiceProvider>,
-    registry: &ServiceRegistry,
-    mailboxes: &mut MailboxSystem,
-    reputation: &mut ReputationLedger,
-    transport: &T,
-    service_name: &str,
-    fallback: Strategy,
-    retry: &RetryPolicy,
-    resume: &ResumePolicy,
-    seed: u64,
-    workers: usize,
-    admission: &AdmissionControl,
-) -> Result<(FormedVo, FormationResilience), VoError> {
-    if !admission_enabled() {
-        return crate::resilient::form_vo_resilient_parallel(
-            contract,
-            initiator,
-            providers,
-            registry,
-            mailboxes,
-            reputation,
-            transport,
-            service_name,
-            fallback,
-            retry,
-            resume,
-            seed,
-            workers,
-        );
-    }
-    let hooks =
-        AdmissionHooks::snapshot(admission, providers, fallback, transport.clock().elapsed());
-    form_vo_resilient_parallel_impl(
-        contract,
-        initiator,
-        providers,
-        registry,
-        mailboxes,
-        reputation,
-        transport,
-        service_name,
-        fallback,
-        retry,
-        resume,
-        seed,
-        workers,
-        Some(&hooks),
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contract::Role;
-    use crate::registry::ResourceDescription;
-    use trust_vo_credential::{CredentialAuthority, TimeRange, Timestamp};
+    use crate::error::VoError;
+    use crate::form_vo_resilient_admitted;
+    use crate::formation::testworld::{clock, member_summary, world, DeadNet};
+    use crate::mailbox::MailboxSystem;
     use trust_vo_journal::Journal;
-    use trust_vo_negotiation::Party;
-    use trust_vo_policy::{DisclosurePolicy, PolicySet, Resource, Term};
-    use trust_vo_soa::simclock::CostModel;
-
-    fn clock() -> SimClock {
-        SimClock::new(
-            CostModel::paper_testbed(),
-            Timestamp::from_ymd_hms(2009, 6, 1, 0, 0, 0),
-        )
-    }
-
-    /// The formation test world: Shady Co advertises higher quality but
-    /// fails the trust negotiation; Aerospace passes.
-    fn world() -> (
-        Contract,
-        ServiceProvider,
-        BTreeMap<String, ServiceProvider>,
-        ServiceRegistry,
-    ) {
-        let mut ca = CredentialAuthority::new("AAA");
-        let window = TimeRange::one_year_from(Timestamp::from_ymd_hms(2009, 1, 1, 0, 0, 0));
-
-        let mut initiator_party = Party::new("Aircraft");
-        let mut good = Party::new("Aerospace");
-        let quality = ca
-            .issue(
-                "WebDesignerQuality",
-                "Aerospace",
-                good.keys.public,
-                vec![],
-                window,
-            )
-            .unwrap();
-        good.profile.add(quality);
-        good.trust_root(ca.public_key());
-        initiator_party.trust_root(ca.public_key());
-        let bad = Party::new("Shady Co");
-
-        let mut contract = Contract::new("AircraftOptimization", "low emissions")
-            .with_role(Role::new("DesignPortal", "design-db", "ISO 9000"));
-        let mut policies = PolicySet::new();
-        policies.add(DisclosurePolicy::rule(
-            "vo-p1",
-            Resource::service("VoMembership"),
-            vec![Term::of_type("WebDesignerQuality")],
-        ));
-        contract.set_role_policies("DesignPortal", policies);
-
-        let mut registry = ServiceRegistry::new();
-        registry.publish(ResourceDescription::new("Shady Co", "design-db", "x", 0.99));
-        registry.publish(ResourceDescription::new("Aerospace", "design-db", "x", 0.9));
-
-        let mut providers = BTreeMap::new();
-        providers.insert("Aerospace".to_owned(), ServiceProvider::new(good));
-        providers.insert("Shady Co".to_owned(), ServiceProvider::new(bad));
-        (
-            contract,
-            ServiceProvider::new(initiator_party),
-            providers,
-            registry,
-        )
-    }
-
-    fn member_summary(vo: &FormedVo) -> Vec<(String, String, u64)> {
-        vo.members()
-            .iter()
-            .map(|m| (m.provider.clone(), m.role.clone(), m.certificate.serial))
-            .collect()
-    }
+    use trust_vo_soa::{ResumePolicy, RetryPolicy, Transport};
 
     #[test]
     fn control_maps_scores_to_bands_and_strategies() {
@@ -492,36 +206,31 @@ mod tests {
     fn admitted_formation_with_fresh_engine_matches_plain() {
         // Every candidate sits at the prior (Standard band ⇒ the same
         // Standard strategy; equal scores ⇒ the same quality ordering), so
-        // the admitted driver must reproduce the plain one exactly.
-        let (contract, initiator, providers, registry) = world();
+        // the admitted formation must reproduce the plain one exactly.
+        let w = world();
 
         let plain_clock = clock();
-        let plain = crate::formation::form_vo(
-            contract.clone(),
-            &initiator,
-            &providers,
-            &registry,
-            &mut MailboxSystem::new(),
-            &mut ReputationLedger::new(),
-            &plain_clock,
-            Strategy::Standard,
-        )
-        .unwrap();
+        let (plain, _) = w
+            .in_process(&plain_clock)
+            .run(
+                w.contract.clone(),
+                &mut MailboxSystem::new(),
+                &mut ReputationLedger::new(),
+            )
+            .unwrap();
 
+        // Differs from plain in the admission field alone.
         let admitted_clock = clock();
         let control = AdmissionControl::default();
-        let admitted = form_vo_admitted(
-            contract,
-            &initiator,
-            &providers,
-            &registry,
-            &mut MailboxSystem::new(),
-            &mut ReputationLedger::new(),
-            &admitted_clock,
-            Strategy::Standard,
-            &control,
-        )
-        .unwrap();
+        let (admitted, _) = w
+            .in_process(&admitted_clock)
+            .with_admission(Some(&control))
+            .run(
+                w.contract.clone(),
+                &mut MailboxSystem::new(),
+                &mut ReputationLedger::new(),
+            )
+            .unwrap();
 
         assert_eq!(member_summary(&plain), member_summary(&admitted));
         assert_eq!(plain_clock.elapsed(), admitted_clock.elapsed());
@@ -542,25 +251,22 @@ mod tests {
         // Shady Co advertises the higher quality, but its near-floor score
         // drops it to the StrongSuspicious band — so Aerospace is tried
         // (and admitted) first and Shady Co is never negotiated at all.
-        let (contract, initiator, providers, registry) = world();
+        let w = world();
         let control = AdmissionControl::default();
         control
             .engine()
             .seed([("Shady Co", 0.05)], SimDuration::ZERO);
         let clock = clock();
         let mut reputation = ReputationLedger::new();
-        let vo = form_vo_admitted(
-            contract,
-            &initiator,
-            &providers,
-            &registry,
-            &mut MailboxSystem::new(),
-            &mut reputation,
-            &clock,
-            Strategy::Standard,
-            &control,
-        )
-        .unwrap();
+        let (vo, _) = w
+            .in_process(&clock)
+            .with_admission(Some(&control))
+            .run(
+                w.contract.clone(),
+                &mut MailboxSystem::new(),
+                &mut reputation,
+            )
+            .unwrap();
         assert!(vo.is_member("Aerospace"));
         // Never attempted: no ledger movement, no engine events.
         assert_eq!(reputation.get("Shady Co"), 0.5);
@@ -569,7 +275,7 @@ mod tests {
 
     #[test]
     fn serial_parallel_and_resumed_scores_agree_after_faulty_join() {
-        let (contract, initiator, providers, registry) = world();
+        let w = world();
 
         // Serial, with a journal capturing every score mutation.
         let journal = Arc::new(Journal::in_memory());
@@ -577,38 +283,30 @@ mod tests {
         serial_control.engine().attach_journal(journal.clone());
         let serial_clock = clock();
         let mut serial_rep = ReputationLedger::new();
-        let serial = form_vo_admitted(
-            contract.clone(),
-            &initiator,
-            &providers,
-            &registry,
-            &mut MailboxSystem::new(),
-            &mut serial_rep,
-            &serial_clock,
-            Strategy::Standard,
-            &serial_control,
-        )
-        .unwrap();
+        let (serial, _) = w
+            .in_process(&serial_clock)
+            .with_admission(Some(&serial_control))
+            .run(
+                w.contract.clone(),
+                &mut MailboxSystem::new(),
+                &mut serial_rep,
+            )
+            .unwrap();
 
-        // Parallel, fresh engine.
+        // Parallel, fresh engine: differs from serial in the worker count.
         let parallel_control = AdmissionControl::default();
         let parallel_clock = clock();
         let mut parallel_rep = ReputationLedger::new();
-        let cache = ConcurrentSequenceCache::new();
-        let parallel = form_vo_admitted_parallel(
-            contract,
-            &initiator,
-            &providers,
-            &registry,
-            &mut MailboxSystem::new(),
-            &mut parallel_rep,
-            &parallel_clock,
-            Strategy::Standard,
-            &parallel_control,
-            &cache,
-            4,
-        )
-        .unwrap();
+        let (parallel, _) = w
+            .in_process(&parallel_clock)
+            .with_admission(Some(&parallel_control))
+            .with_workers(4)
+            .run(
+                w.contract.clone(),
+                &mut MailboxSystem::new(),
+                &mut parallel_rep,
+            )
+            .unwrap();
 
         assert_eq!(member_summary(&serial), member_summary(&parallel));
         assert_eq!(serial_clock.elapsed(), parallel_clock.elapsed());
@@ -640,25 +338,19 @@ mod tests {
 
     #[test]
     fn declined_invitation_is_scored_as_abandonment() {
-        let (contract, initiator, mut providers, registry) = world();
-        providers.insert(
-            "Aerospace".to_owned(),
-            ServiceProvider::new(providers.get("Aerospace").unwrap().party.clone()).declining(),
-        );
+        let mut w = world();
+        w.aerospace_declines();
         let control = AdmissionControl::default();
         let clock = clock();
-        let err = form_vo_admitted(
-            contract,
-            &initiator,
-            &providers,
-            &registry,
-            &mut MailboxSystem::new(),
-            &mut ReputationLedger::new(),
-            &clock,
-            Strategy::Standard,
-            &control,
-        )
-        .unwrap_err();
+        let err = w
+            .in_process(&clock)
+            .with_admission(Some(&control))
+            .run(
+                w.contract.clone(),
+                &mut MailboxSystem::new(),
+                &mut ReputationLedger::new(),
+            )
+            .unwrap_err();
         assert!(matches!(err, VoError::RoleUnfilled { .. }));
         // The decliner was scored down by the abandonment delta; the
         // paper's ledger (which has no such outcome) never saw it.
@@ -671,39 +363,23 @@ mod tests {
         );
     }
 
-    /// A transport that refuses every call: every negotiation dies to
-    /// transport exhaustion.
-    struct DeadNet(SimClock);
-    impl Transport for DeadNet {
-        fn call(
-            &self,
-            _service: &str,
-            _request: &trust_vo_soa::Envelope,
-        ) -> Result<trust_vo_soa::Envelope, trust_vo_soa::Fault> {
-            Err(trust_vo_soa::Fault::transport("Timeout", "black hole"))
-        }
-        fn clock(&self) -> &SimClock {
-            &self.0
-        }
-    }
-
     #[test]
     fn transport_exhaustion_is_scored_as_fault_timeout() {
-        let (contract, initiator, providers, registry) = world();
+        let w = world();
         let control = AdmissionControl::default();
         let net = DeadNet(clock());
         let err = form_vo_resilient_admitted(
-            contract,
-            &initiator,
-            &providers,
-            &registry,
+            w.contract.clone(),
+            &w.initiator,
+            &w.providers,
+            &w.registry,
             &mut MailboxSystem::new(),
             &mut ReputationLedger::new(),
             &net,
             "tn",
             Strategy::Standard,
-            &trust_vo_soa::RetryPolicy::none(),
-            &trust_vo_soa::ResumePolicy::none(),
+            &RetryPolicy::none(),
+            &ResumePolicy::none(),
             1,
             &control,
         )

@@ -50,14 +50,14 @@ pub fn dissolve(
 mod tests {
     use super::*;
     use crate::contract::{Contract, Role};
-    use crate::formation::{create_vo, form_vo};
+    use crate::formation::{create_vo, Formation, NegotiationSource};
     use crate::mailbox::MailboxSystem;
     use crate::member::ServiceProvider;
     use crate::registry::{ResourceDescription, ServiceRegistry};
     use crate::reputation::ReputationLedger;
     use std::collections::BTreeMap;
     use trust_vo_credential::{CredentialAuthority, TimeRange, Timestamp};
-    use trust_vo_negotiation::{Party, Strategy};
+    use trust_vo_negotiation::Party;
     use trust_vo_policy::{DisclosurePolicy, PolicySet, Resource, Term};
     use trust_vo_soa::simclock::CostModel;
 
@@ -97,15 +97,16 @@ mod tests {
         let mut providers = BTreeMap::new();
         providers.insert("StoreCo".to_owned(), ServiceProvider::new(member_party));
         let initiator = ServiceProvider::new(initiator_party);
-        let vo = form_vo(
-            contract,
+        let (vo, _) = Formation::new(
             &initiator,
             &providers,
             &registry,
+            NegotiationSource::in_process(&clock),
+        )
+        .run(
+            contract,
             &mut MailboxSystem::new(),
             &mut ReputationLedger::new(),
-            &clock,
-            Strategy::Standard,
         )
         .unwrap();
         (vo, RevocationList::new(), clock)

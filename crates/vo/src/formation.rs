@@ -10,21 +10,27 @@
 //! potential members."
 //!
 //! [`join_member`] reproduces the §6.3.1 measured *join process* for one
-//! member (with or without TN — the two Fig. 9 bars); [`form_vo`] runs the
-//! whole Formation phase over every contract role, and
-//! [`form_vo_parallel`] runs the same phase with the per-candidate trust
-//! negotiations fanned out over a scoped thread pool.
+//! member (with or without TN — the two Fig. 9 bars). A [`Formation`] runs
+//! the whole phase over every contract role through one decision loop;
+//! its fields say where the negotiations run ([`NegotiationSource`]:
+//! in-process, or the TN web service behind a transport), how many
+//! `workers` fan them out, and whether reputation-gated
+//! [`AdmissionControl`] orders the candidates and picks their strategies.
+//! [`form_vo`] is the plain in-process, serial formation.
 //!
 //! # Parallel admission
 //!
 //! The serial admission loop is inherently ordered: candidate ranking
-//! depends on the reputation ledger, which earlier joins mutate. The
-//! parallel engine therefore splits formation into two steps:
+//! depends on the reputation ledger, which earlier joins mutate. With
+//! `workers > 1` a formation therefore runs in two steps:
 //!
 //! 1. **Speculate** — every (role, accepting-candidate) trust negotiation
 //!    is independent of reputation and of the other negotiations, so all
-//!    of them run concurrently on a scoped thread pool, through the shared
-//!    [`ConcurrentSequenceCache`], at the formation-start timestamp.
+//!    of them run concurrently on the sharded executor
+//!    ([`run_sharded`]), each under a `formation.speculate` span below the
+//!    formation root. In-process negotiations run at the formation-start
+//!    timestamp through the source's sequence cache and charge nothing;
+//!    service negotiations charge the transport's clock as they go.
 //! 2. **Replay** — the exact serial decision procedure (ranking, attempt
 //!    order, reputation updates, sim-clock charges, serial allocation)
 //!    runs with negotiation results looked up from the speculation table
@@ -35,17 +41,17 @@
 //! identical to the serial one; negotiations speculated past the first
 //! success per role are the (bounded) price of the parallel fan-out.
 
-use crate::admitted::AdmissionHooks;
+use crate::admitted::{AdmissionControl, AdmissionHooks};
 use crate::contract::Contract;
 use crate::error::VoError;
 use crate::lifecycle::{Phase, VoLifecycle};
 use crate::mailbox::{Invitation, MailboxSystem};
 use crate::member::{MemberRecord, ServiceProvider};
-use crate::registry::ServiceRegistry;
+use crate::registry::{ResourceDescription, ServiceRegistry};
 use crate::reputation::ReputationLedger;
-use parking_lot::Mutex;
+use crate::resilient::{service_verdict, FormationResilience, ServiceSource};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use trust_vo_admission::Outcome;
 use trust_vo_credential::x509::AttributeCertificate;
 use trust_vo_credential::{TimeRange, Timestamp};
 use trust_vo_crypto::{hex, verify_batch, KeyPair, PublicKey, Signature};
@@ -54,7 +60,9 @@ use trust_vo_negotiation::{
     Party, Strategy, Transcript,
 };
 use trust_vo_obs::{ObsContext, SpanLink};
+use trust_vo_soa::shard::{run_sharded, Backpressure, ShardConfig};
 use trust_vo_soa::simclock::{CostKind, SimClock};
+use trust_vo_soa::{Fault, ResilientRun, Transport};
 
 /// A formed VO: the output of the Formation phase.
 #[derive(Debug, Clone)]
@@ -102,9 +110,8 @@ impl FormedVo {
 /// single Schnorr batch verification (one shared multi-exponentiation
 /// instead of one pair of exponentiations per member).
 ///
-/// Every formation path — serial, cached, parallel, and the
-/// transport-driven resilient loop — runs this before handing the VO to
-/// the Operation phase. A failing batch is re-checked individually so the
+/// Every [`Formation`] runs this before handing the VO to the Operation
+/// phase. A failing batch is re-checked individually so the
 /// error names the offending member.
 pub fn audit_members(vo: &FormedVo) -> Result<(), VoError> {
     let tbs: Vec<Vec<u8>> = vo.members.iter().map(|m| m.certificate.tbs()).collect();
@@ -213,20 +220,31 @@ fn issue_membership(
 pub(crate) enum TnAction<'a> {
     /// No TN (the paper's plain join bar).
     Skip,
-    /// Negotiate now, at a fixed virtual instant, optionally through a
-    /// shared sequence cache.
+    /// Negotiate now, under the attempt's span, at a fixed virtual instant,
+    /// optionally through a shared sequence cache.
     Negotiate {
         strategy: Strategy,
         at: Timestamp,
         cache: Option<&'a ConcurrentSequenceCache>,
     },
-    /// Apply a speculatively precomputed outcome (parallel replay).
-    /// `None` means the speculation pass skipped this pair; reaching it is
-    /// a bug because speculation covers every accepting candidate.
-    Precomputed(Option<Result<NegotiationOutcome, NegotiationError>>),
-    /// A verdict already reached — and charged to the sim clock — by the
-    /// TN web service (the resilient, transport-driven formation path).
-    External(Result<(), NegotiationError>),
+    /// A verdict reached before the attempt: a speculated in-process
+    /// outcome, still to be charged to the sim clock, or `Ok(None)` when
+    /// the TN web service already reached (and charged) it.
+    Decided(Result<Option<NegotiationOutcome>, NegotiationError>),
+}
+
+/// The membership negotiation between a candidate and the initiator's
+/// per-role identity, through `cache` when one is shared.
+fn negotiate_membership(
+    candidate: &Party,
+    initiator: &Party,
+    cache: Option<&ConcurrentSequenceCache>,
+    cfg: &NegotiationConfig,
+) -> Result<NegotiationOutcome, NegotiationError> {
+    match cache {
+        Some(shared) => shared.negotiate(candidate, initiator, "VoMembership", cfg),
+        None => negotiate(candidate, initiator, "VoMembership", cfg),
+    }
 }
 
 /// The §6.3.1 join process for one member, with or without TN.
@@ -268,13 +286,13 @@ pub fn join_member(
     )
 }
 
-/// One join attempt: invitation flow, optional TN (live or precomputed),
-/// role assignment, membership certificate. `link` is the enclosing
-/// formation span's trace position, if any — the attempt's own span (and
-/// the negotiation spans under it) hang off it and inherit its trace id.
-/// When `admission` hooks are present, the attempt's outcome (success,
-/// failed TN, declined invitation) is also recorded into the admission
-/// scoring engine alongside the paper's reputation ledger.
+/// One join attempt: invitation flow, optional TN (live or already
+/// decided), role assignment, membership certificate. `link` is the
+/// enclosing formation span's trace position, if any — the attempt's own
+/// span (and the negotiation spans under it) hang off it and inherit its
+/// trace id. When `admission` hooks are present, the attempt's outcome
+/// (success, failed TN, declined invitation) is also recorded into the
+/// admission scoring engine alongside the paper's reputation ledger.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn join_attempt(
     vo: &mut FormedVo,
@@ -322,7 +340,7 @@ pub(crate) fn join_attempt(
         // The counterpart walked away before negotiating: admission
         // scoring treats that as an abandonment.
         if let Some(hooks) = admission {
-            hooks.record_abandonment(candidate.name(), clock);
+            hooks.record(candidate.name(), Outcome::Abandonment, clock);
         }
         span.field("result", "declined");
         return Err(VoError::RoleUnfilled {
@@ -335,8 +353,8 @@ pub(crate) fn join_attempt(
 
     // The interleaved trust negotiation (Fig. 3, arrow 0 / Fig. 4). The
     // inner `Option<NegotiationOutcome>` is `None` when the verdict was
-    // reached (and charged) elsewhere — the TN-web-service-driven path.
-    let outcome: Option<Result<Option<NegotiationOutcome>, NegotiationError>> = match tn {
+    // reached (and charged) by the TN web service.
+    let verdict = match tn {
         TnAction::Skip => None,
         TnAction::Negotiate {
             strategy,
@@ -346,25 +364,11 @@ pub(crate) fn join_attempt(
             let initiator_party = initiator_party_for_role(initiator, &vo.contract, role);
             let cfg = NegotiationConfig::new(strategy, at)
                 .with_obs(ObsContext::new(obs.clone()).at_link(span.link()));
-            let result = match cache {
-                Some(shared) => {
-                    shared.negotiate(&candidate.party, &initiator_party, "VoMembership", &cfg)
-                }
-                None => negotiate(&candidate.party, &initiator_party, "VoMembership", &cfg),
-            };
-            Some(result.map(Some))
+            Some(negotiate_membership(&candidate.party, &initiator_party, cache, &cfg).map(Some))
         }
-        TnAction::Precomputed(outcome) => {
-            obs.counter_add("formation.replayed", 1);
-            Some(
-                outcome
-                    .expect("speculation covered every accepting candidate")
-                    .map(Some),
-            )
-        }
-        TnAction::External(verdict) => Some(verdict.map(|()| None)),
+        TnAction::Decided(verdict) => Some(verdict),
     };
-    if let Some(result) = outcome {
+    if let Some(result) = verdict {
         match result {
             Ok(outcome) => {
                 if let Some(outcome) = outcome {
@@ -372,14 +376,14 @@ pub(crate) fn join_attempt(
                 }
                 reputation.record_success(candidate.name());
                 if let Some(hooks) = admission {
-                    hooks.record_success(candidate.name(), clock);
+                    hooks.record(candidate.name(), Outcome::Success, clock);
                 }
             }
             Err(e) => {
                 // "the failed TN may affect the parties' reputation" (§5.1).
                 reputation.record_failed_negotiation(candidate.name());
                 if let Some(hooks) = admission {
-                    hooks.record_failed_negotiation(candidate.name(), clock);
+                    hooks.record(candidate.name(), Outcome::FailedNegotiation, clock);
                 }
                 span.field("result", "tn-failed");
                 return Err(VoError::Negotiation(e));
@@ -429,160 +433,382 @@ pub fn create_vo(contract: Contract, initiator: &ServiceProvider, clock: &SimClo
     }
 }
 
-/// A speculation-table key: (role name, provider name).
-type SpeculationKey = (String, String);
-
-/// Where the per-attempt trust negotiations come from during formation.
-pub(crate) enum TnSource<'a> {
-    /// Negotiate live as each attempt is made, optionally through a shared
-    /// sequence cache.
-    Live(Option<&'a ConcurrentSequenceCache>),
-    /// Look results up in a precomputed speculation table.
-    Table(HashMap<SpeculationKey, Result<NegotiationOutcome, NegotiationError>>),
+/// Where a formation's trust negotiations run.
+pub enum NegotiationSource<'a, T: Transport + ?Sized = dyn Transport> {
+    /// In-process, charged to `clock`, every negotiation configured at
+    /// the formation-start instant so the same contract and registry
+    /// yield the same outcomes serially and in parallel.
+    InProcess {
+        /// The clock every formation step charges.
+        clock: &'a SimClock,
+        /// A shared phase-1 sequence cache: repeated negotiations against
+        /// the same party reuse their trust sequence.
+        cache: Option<&'a ConcurrentSequenceCache>,
+    },
+    /// Through the TN web service behind a transport; the transport's
+    /// clock is the formation's clock.
+    Service(ServiceSource<'a, T>),
 }
 
-/// The serial Formation decision procedure, parameterized over where each
-/// attempt's negotiation result comes from. Every negotiation — live or
-/// speculated — is configured at the formation-start instant, so the same
-/// contract and registry yield the same outcomes in every mode.
-///
-/// When `admission` hooks are present (the admission-aware drivers in
-/// [`crate::admitted`]), candidates are ordered by the admission queue key
-/// (trust band first, then score-weighted quality), each candidate is
-/// negotiated with the strategy its formation-start trust band selects,
-/// and every attempt outcome feeds the scoring engine.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn form_vo_impl(
-    contract: Contract,
-    initiator: &ServiceProvider,
-    providers: &BTreeMap<String, ServiceProvider>,
-    registry: &ServiceRegistry,
-    mailboxes: &mut MailboxSystem,
-    reputation: &mut ReputationLedger,
-    clock: &SimClock,
-    strategy: Strategy,
-    mut tn: TnSource<'_>,
-    admission: Option<&AdmissionHooks<'_>>,
-) -> Result<FormedVo, VoError> {
-    let mut vo = create_vo(contract, initiator, clock);
-    let obs = clock.collector();
-    // Each formation is its own trace: every span below — attempts, live
-    // negotiations — carries this root's trace id.
-    let mut root_span = obs.span_linked(
-        "formation.form_vo",
-        SpanLink {
-            trace_id: obs.new_trace_id(),
-            parent: None,
-        },
-    );
-    if root_span.id().is_some() {
-        root_span.field("vo", vo.name.as_str());
-        root_span.field("roles", vo.contract.roles.len());
-        if admission.is_some() {
-            root_span.field("admission", true);
+impl<'a> NegotiationSource<'a> {
+    /// In-process negotiation on `clock`, without a sequence cache.
+    pub fn in_process(clock: &'a SimClock) -> Self {
+        NegotiationSource::InProcess { clock, cache: None }
+    }
+
+    /// In-process negotiation on `clock` through the shared `cache`.
+    pub fn cached(clock: &'a SimClock, cache: &'a ConcurrentSequenceCache) -> Self {
+        NegotiationSource::InProcess {
+            clock,
+            cache: Some(cache),
         }
     }
-    let root_link = root_span.link();
-    let formation_at = clock.timestamp();
-    let roles: Vec<_> = vo.contract.roles.clone();
-    for role in &roles {
-        // Formation: "The VO Initiator queries public repositories to
-        // retrieve the information published during the Preparation phase."
-        clock.charge(CostKind::DbQuery);
-        let mut candidates: Vec<&crate::registry::ResourceDescription> =
-            registry.find_by_capability(&role.capability);
-        if candidates.is_empty() {
-            root_span.field("outcome", "no-candidates");
-            return Err(VoError::NoCandidates {
-                role: role.name.clone(),
-            });
+}
+
+/// One Formation-phase run: who forms the VO, from which registry, how the
+/// candidates' trust negotiations are sourced and fanned out, and whether
+/// admission control gates them. [`Formation::run`] is the only formation
+/// driver; every field is orthogonal to the others.
+pub struct Formation<'a, T: Transport + ?Sized = dyn Transport> {
+    /// The VO initiator.
+    pub initiator: &'a ServiceProvider,
+    /// Every registered provider, by name.
+    pub providers: &'a BTreeMap<String, ServiceProvider>,
+    /// The Preparation-phase registry the candidates come from.
+    pub registry: &'a ServiceRegistry,
+    /// The negotiation strategy; under admission control, the fallback
+    /// for parties outside the score snapshot.
+    pub strategy: Strategy,
+    /// 1 negotiates serially; more speculates every negotiation on that
+    /// many shard workers, then replays the serial decisions.
+    pub workers: usize,
+    /// Reputation-gated admission: candidates are queued by trust band
+    /// and negotiated with their banded strategy; outcomes feed the
+    /// scoring engine.
+    pub admission: Option<&'a AdmissionControl>,
+    /// Where the negotiations run.
+    pub source: NegotiationSource<'a, T>,
+}
+
+/// A speculated negotiation result, keyed by (role name, provider name).
+enum Speculated {
+    InProcess(Result<NegotiationOutcome, NegotiationError>),
+    Service(Result<ResilientRun, Fault>),
+}
+
+type SpeculationTable = HashMap<(String, String), Speculated>;
+
+/// Per-shard queue bound for the speculation fan-out: deep enough that
+/// the submitter rarely stalls, small enough that `bus.queue_depth` stays
+/// an honest load signal.
+const FAN_OUT_QUEUE_DEPTH: usize = 8;
+
+impl<'a, T: Transport + ?Sized> Formation<'a, T> {
+    /// A serial formation with the [`Strategy::Standard`] strategy and no
+    /// admission control.
+    pub fn new(
+        initiator: &'a ServiceProvider,
+        providers: &'a BTreeMap<String, ServiceProvider>,
+        registry: &'a ServiceRegistry,
+        source: NegotiationSource<'a, T>,
+    ) -> Self {
+        Formation {
+            initiator,
+            providers,
+            registry,
+            strategy: Strategy::Standard,
+            workers: 1,
+            admission: None,
+            source,
         }
-        match admission {
-            // Order by advertised quality weighted by reputation.
-            None => candidates.sort_by(|a, b| {
-                let score = |d: &crate::registry::ResourceDescription| {
-                    d.quality * reputation.get(&d.provider)
-                };
-                score(b)
-                    .partial_cmp(&score(a))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.provider.cmp(&b.provider))
-            }),
-            // Admission queue: trust band first, then score-weighted
-            // quality, from the formation-start snapshot.
-            Some(hooks) => {
-                candidates.sort_by_cached_key(|d| hooks.queue_key(&d.provider, d.quality))
+    }
+
+    /// Negotiate with `strategy`.
+    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
+        self.strategy = strategy;
+        self
+    }
+
+    /// Fan the negotiations out over `workers` shard workers.
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.workers = workers;
+        self
+    }
+
+    /// Gate the formation with `admission`, or not.
+    pub fn with_admission(mut self, admission: Option<&'a AdmissionControl>) -> Self {
+        self.admission = admission;
+        self
+    }
+
+    fn clock(&self) -> &'a SimClock {
+        match self.source {
+            NegotiationSource::InProcess { clock, .. } => clock,
+            NegotiationSource::Service(ServiceSource { transport, .. }) => transport.clock(),
+        }
+    }
+
+    /// Run the whole Formation phase: for every contract role, query the
+    /// registry, invite candidates best-first (registry quality ×
+    /// reputation, or the admission queue), negotiate, and assign the
+    /// first success. Ends with the lifecycle in Operation. The
+    /// [`FormationResilience`] tallies the service's recovery work (all
+    /// zero in-process).
+    ///
+    /// A service transport fault that survives the retry and resume
+    /// budgets aborts the formation with [`VoError::Transport`].
+    pub fn run(
+        &self,
+        contract: Contract,
+        mailboxes: &mut MailboxSystem,
+        reputation: &mut ReputationLedger,
+    ) -> Result<(FormedVo, FormationResilience), VoError> {
+        let clock = self.clock();
+        let obs = clock.collector();
+        // The score snapshot precedes any negotiation: speculation picks
+        // each candidate's strategy before the replay records an outcome.
+        let hooks = self.admission.map(|control| {
+            AdmissionHooks::snapshot(control, self.providers, self.strategy, clock.elapsed())
+        });
+        let hooks = hooks.as_ref();
+        // Each formation is its own trace: every span below — attempts,
+        // speculations, negotiations, bus hops — carries this root's id.
+        let root_name = match self.source {
+            NegotiationSource::InProcess { .. } => "formation.form_vo",
+            NegotiationSource::Service(_) => "formation.form_vo_resilient",
+        };
+        let mut root_span = obs.span_linked(
+            root_name,
+            SpanLink {
+                trace_id: obs.new_trace_id(),
+                parent: None,
+            },
+        );
+        if root_span.id().is_some() {
+            root_span.field("vo", contract.vo_name.as_str());
+            root_span.field("roles", contract.roles.len());
+            if hooks.is_some() {
+                root_span.field("admission", true);
             }
         }
-        let mut tried = Vec::new();
-        let mut assigned = false;
-        for description in candidates {
-            let Some(candidate) = providers.get(&description.provider) else {
-                continue;
-            };
-            tried.push(candidate.name().to_owned());
-            let action = match &mut tn {
-                TnSource::Live(cache) => TnAction::Negotiate {
-                    strategy: admission
-                        .map_or(strategy, |hooks| hooks.strategy_for(candidate.name())),
-                    at: formation_at,
-                    cache: *cache,
-                },
-                // Successes are moved out (an outcome carries the whole
-                // explored negotiation tree — cloning it would cost as much
-                // as replaying); they are consumed at most once because a
-                // success ends the role's candidate loop. Failures are
-                // re-inserted (errors are small) so a provider listed under
-                // several matching registry entries sees the same
-                // deterministic outcome on every attempt.
-                TnSource::Table(table) => {
-                    let key = (role.name.clone(), candidate.name().to_owned());
-                    let entry = match table.remove(&key) {
-                        Some(Err(e)) => {
-                            table.insert(key, Err(e.clone()));
-                            Some(Err(e))
-                        }
-                        other => other,
-                    };
-                    TnAction::Precomputed(entry)
+        let root_link = root_span.link();
+        let formation_at = clock.timestamp();
+        let mut speculated =
+            (self.workers > 1).then(|| self.speculate(&contract, hooks, root_link, formation_at));
+
+        let mut vo = create_vo(contract, self.initiator, clock);
+        let mut stats = FormationResilience::default();
+        let roles = vo.contract.roles.clone();
+        for role in &roles {
+            // Formation: "The VO Initiator queries public repositories to
+            // retrieve the information published during the Preparation
+            // phase."
+            clock.charge(CostKind::DbQuery);
+            let mut candidates = self.registry.find_by_capability(&role.capability);
+            if candidates.is_empty() {
+                root_span.field("outcome", "no-candidates");
+                return Err(VoError::NoCandidates {
+                    role: role.name.clone(),
+                });
+            }
+            match hooks {
+                // Order by advertised quality weighted by reputation.
+                None => candidates.sort_by(|a, b| {
+                    let score = |d: &ResourceDescription| d.quality * reputation.get(&d.provider);
+                    score(b)
+                        .partial_cmp(&score(a))
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then_with(|| a.provider.cmp(&b.provider))
+                }),
+                // Admission queue: trust band first, then score-weighted
+                // quality, from the formation-start snapshot.
+                Some(hooks) => {
+                    candidates.sort_by_cached_key(|d| hooks.queue_key(&d.provider, d.quality))
                 }
-            };
-            match join_attempt(
-                &mut vo, initiator, candidate, &role.name, mailboxes, reputation, clock, action,
-                root_link, admission,
-            ) {
-                Ok(_) => {
+            }
+            let mut tried = Vec::new();
+            let mut assigned = false;
+            for description in candidates {
+                let Some(candidate) = self.providers.get(&description.provider) else {
+                    continue;
+                };
+                tried.push(candidate.name().to_owned());
+                let tn = if !candidate.accepts_invitations {
+                    // A decliner turns back before the TN step: no verdict.
+                    TnAction::Skip
+                } else if let Some(table) = speculated.as_mut() {
+                    obs.counter_add("formation.replayed", 1);
+                    let key = (role.name.clone(), candidate.name().to_owned());
+                    // Successes are moved out (an in-process outcome
+                    // carries the whole explored tree); they are consumed
+                    // at most once because a success ends the role's
+                    // loop. Failures are copied, so a provider listed
+                    // under several matching entries sees the same verdict.
+                    let entry = match table.get(&key) {
+                        Some(Speculated::InProcess(Err(e))) => {
+                            Speculated::InProcess(Err(e.clone()))
+                        }
+                        Some(Speculated::Service(Err(f))) => Speculated::Service(Err(f.clone())),
+                        _ => table
+                            .remove(&key)
+                            .expect("speculation covered every accepting candidate"),
+                    };
+                    match entry {
+                        Speculated::InProcess(result) => TnAction::Decided(result.map(Some)),
+                        Speculated::Service(run) => {
+                            service_verdict(run, candidate.name(), clock, hooks, &mut stats)?
+                        }
+                    }
+                } else {
+                    let strategy =
+                        hooks.map_or(self.strategy, |h| h.strategy_for(candidate.name()));
+                    match &self.source {
+                        NegotiationSource::InProcess { cache, .. } => TnAction::Negotiate {
+                            strategy,
+                            at: formation_at,
+                            cache: *cache,
+                        },
+                        NegotiationSource::Service(service) => {
+                            let run = service.negotiate(
+                                self.initiator.name(),
+                                &role.name,
+                                candidate.name(),
+                                strategy,
+                                root_link,
+                            );
+                            service_verdict(run, candidate.name(), clock, hooks, &mut stats)?
+                        }
+                    }
+                };
+                if join_attempt(
+                    &mut vo,
+                    self.initiator,
+                    candidate,
+                    &role.name,
+                    mailboxes,
+                    reputation,
+                    clock,
+                    tn,
+                    root_link,
+                    hooks,
+                )
+                .is_ok()
+                {
                     assigned = true;
                     break;
                 }
-                Err(_) => continue, // "looks for other potential members"
+                // Otherwise the initiator "looks for other potential members".
+            }
+            if !assigned {
+                root_span.field("outcome", "role-unfilled");
+                return Err(VoError::RoleUnfilled {
+                    role: role.name.clone(),
+                    tried,
+                });
             }
         }
-        if !assigned {
-            root_span.field("outcome", "role-unfilled");
-            return Err(VoError::RoleUnfilled {
-                role: role.name.clone(),
-                tried,
-            });
+        audit_members(&vo)?;
+        obs.counter_add("formation.audits", 1);
+        {
+            let _lifecycle = obs.span_linked("formation.lifecycle", root_link);
+            vo.lifecycle
+                .advance_to(Phase::Operation, clock.timestamp())
+                .expect("formation advances to operation");
         }
+        root_span.field("outcome", "ok");
+        root_span.field("members", vo.members.len());
+        Ok((vo, stats))
     }
-    audit_members(&vo)?;
-    obs.counter_add("formation.audits", 1);
-    {
-        let _lifecycle = obs.span_linked("formation.lifecycle", root_link);
-        vo.lifecycle
-            .advance_to(Phase::Operation, clock.timestamp())
-            .expect("formation advances to operation");
+
+    /// The speculation fan-out: one job per (role, accepting candidate) —
+    /// exactly the pairs the decision loop can ask about — on the sharded
+    /// executor. `Block` backpressure means every job runs.
+    fn speculate(
+        &self,
+        contract: &Contract,
+        hooks: Option<&AdmissionHooks<'_>>,
+        root: SpanLink,
+        at: Timestamp,
+    ) -> SpeculationTable {
+        let mut seen = HashSet::new();
+        let mut pairs = Vec::new();
+        for role in &contract.roles {
+            for description in self.registry.find_by_capability(&role.capability) {
+                let Some(candidate) = self.providers.get(&description.provider) else {
+                    continue;
+                };
+                if candidate.accepts_invitations
+                    && seen.insert((role.name.as_str(), candidate.name()))
+                {
+                    pairs.push((role.name.as_str(), candidate));
+                }
+            }
+        }
+        let clock = self.clock();
+        let obs = clock.collector();
+        let jobs: Vec<_> = pairs
+            .iter()
+            .map(|&(role, candidate)| {
+                let obs = &obs;
+                move || {
+                    let mut span = obs.span_linked("formation.speculate", root);
+                    if span.id().is_some() {
+                        span.field("role", role);
+                        span.field("provider", candidate.name());
+                        obs.counter_add("formation.speculated", 1);
+                    }
+                    let strategy =
+                        hooks.map_or(self.strategy, |h| h.strategy_for(candidate.name()));
+                    let result = match &self.source {
+                        NegotiationSource::InProcess { cache, .. } => {
+                            let initiator =
+                                initiator_party_for_role(self.initiator, contract, role);
+                            let cfg = NegotiationConfig::new(strategy, at)
+                                .with_obs(ObsContext::new(obs.clone()).at_link(span.link()));
+                            Speculated::InProcess(negotiate_membership(
+                                &candidate.party,
+                                &initiator,
+                                *cache,
+                                &cfg,
+                            ))
+                        }
+                        NegotiationSource::Service(service) => {
+                            Speculated::Service(service.negotiate(
+                                self.initiator.name(),
+                                role,
+                                candidate.name(),
+                                strategy,
+                                span.link(),
+                            ))
+                        }
+                    };
+                    if span.id().is_some() {
+                        let ok = matches!(
+                            result,
+                            Speculated::InProcess(Ok(_)) | Speculated::Service(Ok(_))
+                        );
+                        span.field("ok", ok);
+                    }
+                    ((role.to_owned(), candidate.name().to_owned()), result)
+                }
+            })
+            .collect();
+        let workers = self.workers.min(pairs.len().max(1));
+        run_sharded(
+            ShardConfig::new(workers, FAN_OUT_QUEUE_DEPTH),
+            clock,
+            jobs,
+            Backpressure::Block,
+        )
+        .results
+        .into_iter()
+        .flatten()
+        .collect()
     }
-    root_span.field("outcome", "ok");
-    root_span.field("members", vo.members.len());
-    Ok(vo)
 }
 
-/// Run the whole Formation phase: for every contract role, query the
-/// registry, invite candidates best-first (registry quality × reputation),
-/// negotiate, and assign the first success. Ends with the lifecycle in
-/// Operation.
+/// Run the in-process, serial Formation phase with `strategy` — a
+/// [`Formation`] with every other field at its default.
 #[allow(clippy::too_many_arguments)]
 pub fn form_vo(
     contract: Contract,
@@ -594,185 +820,31 @@ pub fn form_vo(
     clock: &SimClock,
     strategy: Strategy,
 ) -> Result<FormedVo, VoError> {
-    form_vo_impl(
-        contract,
+    Formation::new(
         initiator,
         providers,
         registry,
-        mailboxes,
-        reputation,
-        clock,
-        strategy,
-        TnSource::Live(None),
-        None,
+        NegotiationSource::in_process(clock),
     )
+    .with_strategy(strategy)
+    .run(contract, mailboxes, reputation)
+    .map(|(vo, _)| vo)
 }
 
-/// [`form_vo`], with every trust negotiation routed through a shared
-/// [`ConcurrentSequenceCache`]. Semantically identical to the uncached
-/// serial path; repeated negotiations against the same party reuse their
-/// phase-1 trust sequence.
-#[allow(clippy::too_many_arguments)]
-pub fn form_vo_cached(
-    contract: Contract,
-    initiator: &ServiceProvider,
-    providers: &BTreeMap<String, ServiceProvider>,
-    registry: &ServiceRegistry,
-    mailboxes: &mut MailboxSystem,
-    reputation: &mut ReputationLedger,
-    clock: &SimClock,
-    strategy: Strategy,
-    cache: &ConcurrentSequenceCache,
-) -> Result<FormedVo, VoError> {
-    form_vo_impl(
-        contract,
-        initiator,
-        providers,
-        registry,
-        mailboxes,
-        reputation,
-        clock,
-        strategy,
-        TnSource::Live(Some(cache)),
-        None,
-    )
-}
-
-/// Run the Formation phase with the trust negotiations fanned out over a
-/// scoped thread pool (see the module docs' *Parallel admission* section).
-///
-/// Speculation covers every (role, accepting-candidate) pair, runs through
-/// the shared `cache`, and charges nothing to the sim-clock; the replay
-/// step then re-runs the exact serial decision procedure against the
-/// speculation table, so the returned [`FormedVo`] — member set, role
-/// assignment, certificate serials — is identical to [`form_vo_cached`]
-/// with the same inputs, as are the sim-clock charges.
-///
-/// `workers` bounds the pool (clamped to at least 1 and at most the number
-/// of speculation jobs).
-#[allow(clippy::too_many_arguments)]
-pub fn form_vo_parallel(
-    contract: Contract,
-    initiator: &ServiceProvider,
-    providers: &BTreeMap<String, ServiceProvider>,
-    registry: &ServiceRegistry,
-    mailboxes: &mut MailboxSystem,
-    reputation: &mut ReputationLedger,
-    clock: &SimClock,
-    strategy: Strategy,
-    cache: &ConcurrentSequenceCache,
-    workers: usize,
-) -> Result<FormedVo, VoError> {
-    form_vo_parallel_impl(
-        contract, initiator, providers, registry, mailboxes, reputation, clock, strategy, cache,
-        workers, None,
-    )
-}
-
-/// [`form_vo_parallel`] with optional admission hooks: speculation
-/// negotiates each candidate with its banded strategy (from the same
-/// formation-start snapshot the serial replay uses, so the two stay in
-/// lock-step), and the replay feeds outcomes to the scoring engine.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn form_vo_parallel_impl(
-    contract: Contract,
-    initiator: &ServiceProvider,
-    providers: &BTreeMap<String, ServiceProvider>,
-    registry: &ServiceRegistry,
-    mailboxes: &mut MailboxSystem,
-    reputation: &mut ReputationLedger,
-    clock: &SimClock,
-    strategy: Strategy,
-    cache: &ConcurrentSequenceCache,
-    workers: usize,
-    admission: Option<&AdmissionHooks<'_>>,
-) -> Result<FormedVo, VoError> {
-    let formation_at = clock.timestamp();
-
-    // Speculate: one job per (role, accepting candidate). Declining
-    // candidates never reach the negotiation step, so they need no entry.
-    let mut jobs: Vec<(String, &ServiceProvider, Party)> = Vec::new();
-    let mut seen: HashSet<SpeculationKey> = HashSet::new();
-    for role in &contract.roles {
-        for description in registry.find_by_capability(&role.capability) {
-            let Some(candidate) = providers.get(&description.provider) else {
-                continue;
-            };
-            if !candidate.accepts_invitations {
-                continue;
-            }
-            if seen.insert((role.name.clone(), candidate.name().to_owned())) {
-                jobs.push((
-                    role.name.clone(),
-                    candidate,
-                    initiator_party_for_role(initiator, &contract, &role.name),
-                ));
-            }
-        }
-    }
-
-    let obs = clock.collector();
-    let table: Mutex<HashMap<SpeculationKey, Result<NegotiationOutcome, NegotiationError>>> =
-        Mutex::new(HashMap::with_capacity(jobs.len()));
-    let next = AtomicUsize::new(0);
-    let workers = workers.max(1).min(jobs.len().max(1));
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((role, candidate, initiator_party)) = jobs.get(i) else {
-                    break;
-                };
-                let mut span = obs.span("formation.speculate");
-                let candidate_strategy =
-                    admission.map_or(strategy, |hooks| hooks.strategy_for(candidate.name()));
-                let cfg = if span.id().is_some() {
-                    span.field("role", role.as_str());
-                    span.field("provider", candidate.name());
-                    obs.counter_add("formation.speculated", 1);
-                    NegotiationConfig::new(candidate_strategy, formation_at)
-                        .with_obs(ObsContext::new(obs.clone()).with_parent(span.id()))
-                } else {
-                    NegotiationConfig::new(candidate_strategy, formation_at)
-                };
-                let result =
-                    cache.negotiate(&candidate.party, initiator_party, "VoMembership", &cfg);
-                if span.id().is_some() {
-                    span.field("ok", result.is_ok());
-                }
-                table
-                    .lock()
-                    .insert((role.clone(), candidate.name().to_owned()), result);
-            });
-        }
-    })
-    .expect("speculation workers do not panic");
-
-    // Replay the serial decision procedure against the speculation table.
-    form_vo_impl(
-        contract,
-        initiator,
-        providers,
-        registry,
-        mailboxes,
-        reputation,
-        clock,
-        strategy,
-        TnSource::Table(table.into_inner()),
-        admission,
-    )
-}
-
+/// The formation test world shared by the `formation`, `admitted` and
+/// `resilient` tests.
 #[cfg(test)]
-mod tests {
+pub(crate) mod testworld {
     use super::*;
     use crate::contract::Role;
-    use crate::registry::ResourceDescription;
-    use trust_vo_credential::{CredentialAuthority, TimeRange, Timestamp};
+    use std::sync::Arc;
+    use trust_vo_credential::CredentialAuthority;
     use trust_vo_policy::{DisclosurePolicy, PolicySet, Resource, Term};
     use trust_vo_soa::simclock::CostModel;
+    use trust_vo_soa::{Envelope, ServiceBus, TnService};
+    use trust_vo_store::Database;
 
-    fn clock() -> SimClock {
+    pub(crate) fn clock() -> SimClock {
         SimClock::new(
             CostModel::paper_testbed(),
             Timestamp::from_ymd_hms(2009, 6, 1, 0, 0, 0),
@@ -780,14 +852,17 @@ mod tests {
     }
 
     /// A minimal one-role world: the initiator requires WebDesignerQuality
-    /// for the DesignPortal role; two candidate providers exist, one with
-    /// the credential and one without.
-    fn world() -> (
-        Contract,
-        ServiceProvider,
-        BTreeMap<String, ServiceProvider>,
-        ServiceRegistry,
-    ) {
+    /// for the DesignPortal role. Shady Co advertises the higher quality
+    /// but lacks the credential, so its negotiation fails; Aerospace holds
+    /// it and passes.
+    pub(crate) struct World {
+        pub(crate) contract: Contract,
+        pub(crate) initiator: ServiceProvider,
+        pub(crate) providers: BTreeMap<String, ServiceProvider>,
+        pub(crate) registry: ServiceRegistry,
+    }
+
+    pub(crate) fn world() -> World {
         let mut ca = CredentialAuthority::new("AAA");
         let window = TimeRange::one_year_from(Timestamp::from_ymd_hms(2009, 1, 1, 0, 0, 0));
 
@@ -824,31 +899,92 @@ mod tests {
         let mut providers = BTreeMap::new();
         providers.insert("Aerospace".to_owned(), ServiceProvider::new(good));
         providers.insert("Shady Co".to_owned(), ServiceProvider::new(bad));
-        (
+        World {
             contract,
-            ServiceProvider::new(initiator_party),
+            initiator: ServiceProvider::new(initiator_party),
             providers,
             registry,
-        )
+        }
     }
+
+    impl World {
+        /// A serial formation over this world negotiating through `source`.
+        pub(crate) fn formation<'a, T: Transport + ?Sized>(
+            &'a self,
+            source: NegotiationSource<'a, T>,
+        ) -> Formation<'a, T> {
+            Formation::new(&self.initiator, &self.providers, &self.registry, source)
+        }
+
+        /// A serial in-process formation on `clock`.
+        pub(crate) fn in_process<'a>(&'a self, clock: &'a SimClock) -> Formation<'a> {
+            self.formation(NegotiationSource::in_process(clock))
+        }
+
+        /// Aerospace, the only qualified candidate, declines invitations.
+        pub(crate) fn aerospace_declines(&mut self) {
+            let party = self.providers["Aerospace"].party.clone();
+            self.providers.insert(
+                "Aerospace".to_owned(),
+                ServiceProvider::new(party).declining(),
+            );
+        }
+
+        /// A fresh bus with this world's TN service registered as `"tn"`.
+        pub(crate) fn service_bus(&self) -> ServiceBus {
+            let clock = clock();
+            let bus = ServiceBus::new(clock.clone());
+            let svc = TnService::new(clock, Database::new());
+            crate::register_formation_parties(
+                &svc,
+                &self.contract,
+                &self.initiator,
+                &self.providers,
+            );
+            bus.register("tn", Arc::new(svc));
+            bus
+        }
+    }
+
+    pub(crate) fn member_summary(vo: &FormedVo) -> Vec<(String, String, u64)> {
+        vo.members()
+            .iter()
+            .map(|m| (m.provider.clone(), m.role.clone(), m.certificate.serial))
+            .collect()
+    }
+
+    /// A transport that refuses every call: every negotiation dies to
+    /// transport exhaustion.
+    pub(crate) struct DeadNet(pub(crate) SimClock);
+
+    impl Transport for DeadNet {
+        fn call(&self, _service: &str, _request: &Envelope) -> Result<Envelope, Fault> {
+            Err(Fault::transport("Timeout", "black hole"))
+        }
+        fn clock(&self) -> &SimClock {
+            &self.0
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testworld::{clock, member_summary, world};
+    use super::*;
 
     #[test]
     fn formation_fills_role_skipping_failed_candidate() {
-        let (contract, initiator, providers, registry) = world();
+        let w = world();
         let clock = clock();
-        let mut mailboxes = MailboxSystem::new();
         let mut reputation = ReputationLedger::new();
-        let vo = form_vo(
-            contract,
-            &initiator,
-            &providers,
-            &registry,
-            &mut mailboxes,
-            &mut reputation,
-            &clock,
-            Strategy::Standard,
-        )
-        .unwrap();
+        let (vo, stats) = w
+            .in_process(&clock)
+            .run(
+                w.contract.clone(),
+                &mut MailboxSystem::new(),
+                &mut reputation,
+            )
+            .unwrap();
         // Shady Co (higher quality) was tried first but failed TN;
         // Aerospace got the role.
         assert!(vo.is_member("Aerospace"));
@@ -856,6 +992,8 @@ mod tests {
         assert!(reputation.get("Shady Co") < 0.5);
         assert!(reputation.get("Aerospace") > 0.5);
         assert_eq!(vo.lifecycle.phase(), Phase::Operation);
+        // In-process negotiation needs no recovery.
+        assert_eq!(stats, FormationResilience::default());
         // The membership token carries the VO public key and the role.
         let record = vo.member_for_role("DesignPortal").unwrap();
         assert_eq!(record.certificate.attr("role"), Some("DesignPortal"));
@@ -868,16 +1006,16 @@ mod tests {
 
     #[test]
     fn join_without_tn_is_cheaper_than_with() {
-        let (contract, initiator, providers, _registry) = world();
-        let candidate = providers.get("Aerospace").unwrap();
+        let w = world();
+        let candidate = &w.providers["Aerospace"];
 
         let c1 = clock();
-        let mut vo1 = create_vo(contract.clone(), &initiator, &c1);
+        let mut vo1 = create_vo(w.contract.clone(), &w.initiator, &c1);
         let mut mail = MailboxSystem::new();
         let mut rep = ReputationLedger::new();
         join_member(
             &mut vo1,
-            &initiator,
+            &w.initiator,
             candidate,
             "DesignPortal",
             &mut mail,
@@ -889,10 +1027,10 @@ mod tests {
         let without = c1.elapsed();
 
         let c2 = clock();
-        let mut vo2 = create_vo(contract, &initiator, &c2);
+        let mut vo2 = create_vo(w.contract.clone(), &w.initiator, &c2);
         join_member(
             &mut vo2,
-            &initiator,
+            &w.initiator,
             candidate,
             "DesignPortal",
             &mut mail,
@@ -912,39 +1050,37 @@ mod tests {
     }
 
     #[test]
-    fn declining_candidate_is_skipped() {
-        let (contract, initiator, mut providers, registry) = world();
-        providers.insert(
-            "Aerospace".to_owned(),
-            ServiceProvider::new(providers.get("Aerospace").unwrap().party.clone()).declining(),
-        );
-        let clock = clock();
-        let err = form_vo(
-            contract,
-            &initiator,
-            &providers,
-            &registry,
-            &mut MailboxSystem::new(),
-            &mut ReputationLedger::new(),
-            &clock,
-            Strategy::Standard,
-        )
-        .unwrap_err();
-        assert!(matches!(err, VoError::RoleUnfilled { .. }));
+    fn declining_candidate_is_skipped_serially_and_in_parallel() {
+        let mut w = world();
+        w.aerospace_declines();
+        for workers in [1, 4] {
+            let clock = clock();
+            let err = w
+                .in_process(&clock)
+                .with_workers(workers)
+                .run(
+                    w.contract.clone(),
+                    &mut MailboxSystem::new(),
+                    &mut ReputationLedger::new(),
+                )
+                .unwrap_err();
+            assert!(matches!(err, VoError::RoleUnfilled { .. }), "{workers}");
+        }
     }
 
     #[test]
     fn empty_registry_reports_no_candidates() {
-        let (contract, initiator, providers, _) = world();
-        let err = form_vo(
-            contract,
-            &initiator,
-            &providers,
-            &ServiceRegistry::new(),
+        let w = world();
+        let clock = clock();
+        let empty = ServiceRegistry::new();
+        let err = Formation {
+            registry: &empty,
+            ..w.in_process(&clock)
+        }
+        .run(
+            w.contract.clone(),
             &mut MailboxSystem::new(),
             &mut ReputationLedger::new(),
-            &clock(),
-            Strategy::Standard,
         )
         .unwrap_err();
         assert!(matches!(err, VoError::NoCandidates { .. }));
@@ -952,13 +1088,13 @@ mod tests {
 
     #[test]
     fn unknown_role_rejected() {
-        let (contract, initiator, providers, _) = world();
+        let w = world();
         let clock = clock();
-        let mut vo = create_vo(contract, &initiator, &clock);
+        let mut vo = create_vo(w.contract.clone(), &w.initiator, &clock);
         let err = join_member(
             &mut vo,
-            &initiator,
-            providers.get("Aerospace").unwrap(),
+            &w.initiator,
+            &w.providers["Aerospace"],
             "Ghost",
             &mut MailboxSystem::new(),
             &mut ReputationLedger::new(),
@@ -970,52 +1106,48 @@ mod tests {
     }
 
     #[test]
-    fn parallel_formation_matches_serial() {
-        let (contract, initiator, providers, registry) = world();
+    fn serial_cached_and_parallel_formations_agree() {
+        let w = world();
+        let run = |formation: Formation<'_>, clock: &SimClock| {
+            let mut reputation = ReputationLedger::new();
+            let (vo, _) = formation
+                .run(
+                    w.contract.clone(),
+                    &mut MailboxSystem::new(),
+                    &mut reputation,
+                )
+                .unwrap();
+            (member_summary(&vo), clock.elapsed(), reputation)
+        };
 
         let serial_clock = clock();
-        let mut serial_rep = ReputationLedger::new();
-        let serial = form_vo(
-            contract.clone(),
-            &initiator,
-            &providers,
-            &registry,
-            &mut MailboxSystem::new(),
-            &mut serial_rep,
-            &serial_clock,
-            Strategy::Standard,
-        )
-        .unwrap();
+        let serial = run(w.in_process(&serial_clock), &serial_clock);
 
-        let parallel_clock = clock();
-        let mut parallel_rep = ReputationLedger::new();
+        // Differs from serial in the cache alone.
+        let cached_clock = clock();
         let cache = ConcurrentSequenceCache::new();
-        let parallel = form_vo_parallel(
-            contract,
-            &initiator,
-            &providers,
-            &registry,
-            &mut MailboxSystem::new(),
-            &mut parallel_rep,
-            &parallel_clock,
-            Strategy::Standard,
-            &cache,
-            4,
-        )
-        .unwrap();
+        let cached = run(
+            w.formation(NegotiationSource::cached(&cached_clock, &cache)),
+            &cached_clock,
+        );
 
-        let summary = |vo: &FormedVo| {
-            vo.members()
-                .iter()
-                .map(|m| (m.provider.clone(), m.role.clone(), m.certificate.serial))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(summary(&serial), summary(&parallel));
-        assert_eq!(serial_clock.elapsed(), parallel_clock.elapsed());
-        assert_eq!(serial_rep.get("Aerospace"), parallel_rep.get("Aerospace"));
-        assert_eq!(serial_rep.get("Shady Co"), parallel_rep.get("Shady Co"));
+        // Differs from cached in the worker count alone.
+        let parallel_clock = clock();
+        let parallel_cache = ConcurrentSequenceCache::new();
+        let parallel = run(
+            w.formation(NegotiationSource::cached(&parallel_clock, &parallel_cache))
+                .with_workers(4),
+            &parallel_clock,
+        );
+
+        assert_eq!(serial.0, cached.0);
+        assert_eq!(serial.1, cached.1);
+        assert_eq!(serial.0, parallel.0);
+        assert_eq!(serial.1, parallel.1);
+        assert_eq!(serial.2.get("Aerospace"), parallel.2.get("Aerospace"));
+        assert_eq!(serial.2.get("Shady Co"), parallel.2.get("Shady Co"));
         // Speculation ran both candidates through the shared cache.
-        let stats = cache.stats();
+        let stats = parallel_cache.stats();
         assert!(
             stats.misses >= 1,
             "speculation populates the cache: {stats:?}"
@@ -1023,80 +1155,44 @@ mod tests {
     }
 
     #[test]
-    fn parallel_formation_with_declining_candidate_matches_serial_error() {
-        let (contract, initiator, mut providers, registry) = world();
-        providers.insert(
-            "Aerospace".to_owned(),
-            ServiceProvider::new(providers.get("Aerospace").unwrap().party.clone()).declining(),
-        );
-        let cache = ConcurrentSequenceCache::new();
-        let err = form_vo_parallel(
-            contract,
-            &initiator,
-            &providers,
-            &registry,
+    fn form_vo_is_the_default_formation() {
+        let w = world();
+        let formation_clock = clock();
+        let (formed, _) = w
+            .in_process(&formation_clock)
+            .run(
+                w.contract.clone(),
+                &mut MailboxSystem::new(),
+                &mut ReputationLedger::new(),
+            )
+            .unwrap();
+        let form_vo_clock = clock();
+        let vo = form_vo(
+            w.contract.clone(),
+            &w.initiator,
+            &w.providers,
+            &w.registry,
             &mut MailboxSystem::new(),
             &mut ReputationLedger::new(),
-            &clock(),
-            Strategy::Standard,
-            &cache,
-            4,
-        )
-        .unwrap_err();
-        assert!(matches!(err, VoError::RoleUnfilled { .. }));
-    }
-
-    #[test]
-    fn cached_formation_matches_uncached() {
-        let (contract, initiator, providers, registry) = world();
-        let uncached_clock = clock();
-        let uncached = form_vo(
-            contract.clone(),
-            &initiator,
-            &providers,
-            &registry,
-            &mut MailboxSystem::new(),
-            &mut ReputationLedger::new(),
-            &uncached_clock,
+            &form_vo_clock,
             Strategy::Standard,
         )
         .unwrap();
-
-        let cached_clock = clock();
-        let cache = ConcurrentSequenceCache::new();
-        let cached = form_vo_cached(
-            contract,
-            &initiator,
-            &providers,
-            &registry,
-            &mut MailboxSystem::new(),
-            &mut ReputationLedger::new(),
-            &cached_clock,
-            Strategy::Standard,
-            &cache,
-        )
-        .unwrap();
-        let summary = |vo: &FormedVo| {
-            vo.members()
-                .iter()
-                .map(|m| (m.provider.clone(), m.role.clone(), m.certificate.serial))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(summary(&uncached), summary(&cached));
-        assert_eq!(uncached_clock.elapsed(), cached_clock.elapsed());
+        assert_eq!(member_summary(&formed), member_summary(&vo));
+        assert_eq!(formation_clock.elapsed(), form_vo_clock.elapsed());
     }
 
     #[test]
     fn serials_are_unique() {
-        let (contract, initiator, providers, _) = world();
+        let w = world();
         let clock = clock();
-        let mut vo = create_vo(contract, &initiator, &clock);
+        let mut vo = create_vo(w.contract.clone(), &w.initiator, &clock);
         let mut mail = MailboxSystem::new();
         let mut rep = ReputationLedger::new();
         let a = join_member(
             &mut vo,
-            &initiator,
-            providers.get("Aerospace").unwrap(),
+            &w.initiator,
+            &w.providers["Aerospace"],
             "DesignPortal",
             &mut mail,
             &mut rep,
@@ -1106,8 +1202,8 @@ mod tests {
         .unwrap();
         let b = join_member(
             &mut vo,
-            &initiator,
-            providers.get("Shady Co").unwrap(),
+            &w.initiator,
+            &w.providers["Shady Co"],
             "DesignPortal",
             &mut mail,
             &mut rep,

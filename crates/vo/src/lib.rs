@@ -19,9 +19,11 @@
 //! Modules: [`contract`] (roles, requirements, collaboration rules),
 //! [`registry`] (the Preparation-phase public repository), [`member`]
 //! (service providers and their editions), [`mailbox`] (invitations),
-//! [`reputation`], [`lifecycle`] (the phase state machine), [`formation`],
-//! [`operation`], [`dissolution`], [`toolkit`] (Host/Initiator/Member
-//! edition facade), and [`scenario`] (the Aircraft Optimization VO of §3).
+//! [`reputation`], [`lifecycle`] (the phase state machine), [`formation`]
+//! (the one formation driver, [`Formation`], with [`admitted`] admission
+//! control and the [`resilient`] TN-service source), [`operation`],
+//! [`dissolution`], [`toolkit`] (Host/Initiator/Member edition facade),
+//! and [`scenario`] (the Aircraft Optimization VO of §3).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,22 +46,19 @@ pub mod service;
 pub mod toolkit;
 pub mod workflow;
 
-pub use admitted::{
-    form_vo_admitted, form_vo_admitted_parallel, form_vo_resilient_admitted,
-    form_vo_resilient_parallel_admitted, AdmissionControl,
-};
+pub use admitted::AdmissionControl;
 pub use contract::{CollaborationRule, Contract, Role};
 pub use error::VoError;
 pub use formation::{
-    audit_members, create_vo, form_vo, form_vo_cached, form_vo_parallel, join_member, FormedVo,
+    audit_members, create_vo, form_vo, join_member, Formation, FormedVo, NegotiationSource,
 };
 pub use lifecycle::{Phase, VoLifecycle};
 pub use member::{MemberRecord, ServiceProvider};
 pub use registry::{ResourceDescription, ServiceRegistry};
 pub use reputation::ReputationLedger;
 pub use resilient::{
-    controller_name, form_vo_resilient, form_vo_resilient_parallel, register_formation_parties,
-    FormationResilience,
+    controller_name, form_vo_resilient_admitted, register_formation_parties, FormationResilience,
+    ServiceSource,
 };
 pub use scenario::AircraftScenario;
 pub use toolkit::VoToolkit;

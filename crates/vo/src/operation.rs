@@ -291,7 +291,7 @@ pub fn renew_membership(
 mod tests {
     use super::*;
     use crate::contract::{Contract, Role};
-    use crate::formation::{create_vo, form_vo};
+    use crate::formation::{create_vo, Formation, NegotiationSource};
     use crate::registry::ResourceDescription;
     use trust_vo_credential::{CredentialAuthority, TimeRange};
     use trust_vo_negotiation::Party;
@@ -359,16 +359,13 @@ mod tests {
         let clock = clock();
         let mut mailboxes = MailboxSystem::new();
         let mut reputation = ReputationLedger::new();
-        let vo = form_vo(
-            contract,
+        let (vo, _) = Formation::new(
             &initiator,
             &providers,
             &registry,
-            &mut mailboxes,
-            &mut reputation,
-            &clock,
-            Strategy::Standard,
+            NegotiationSource::in_process(&clock),
         )
+        .run(contract, &mut mailboxes, &mut reputation)
         .unwrap();
         World {
             vo,

@@ -367,15 +367,16 @@ mod tests {
         let mut providers = BTreeMap::new();
         providers.insert("StoreCo".to_owned(), ServiceProvider::new(member));
         let initiator = ServiceProvider::new(initiator_party);
-        let vo = crate::formation::form_vo(
-            contract,
+        let (vo, _) = crate::Formation::new(
             &initiator,
             &providers,
             &registry,
+            crate::NegotiationSource::in_process(&clock),
+        )
+        .run(
+            contract,
             &mut MailboxSystem::new(),
             &mut ReputationLedger::new(),
-            &clock,
-            Strategy::Standard,
         )
         .unwrap();
         World {

@@ -1,45 +1,38 @@
-//! Formation driven through the TN *web service* over an unreliable
-//! transport (paper §6: the toolkit invokes trust negotiation "as a web
-//! service when needed").
+//! Formation through the TN *web service* over an unreliable transport
+//! (paper §6: the toolkit invokes trust negotiation "as a web service
+//! when needed").
 //!
-//! [`form_vo`](crate::form_vo) negotiates in-process; the functions here
-//! instead route every trust negotiation through a
-//! [`TnService`] behind any [`Transport`] — the bare
+//! A [`Formation`] sourced from a [`ServiceSource`] routes every trust
+//! negotiation through a [`TnService`] behind any [`Transport`] — the bare
 //! [`ServiceBus`](trust_vo_soa::ServiceBus) or the fault-injecting
 //! `trust-vo-netsim` wrapper — using the resilient client driver
 //! (per-call retry with capped backoff, plus checkpointed negotiation
 //! resume when an endpoint crashes mid-exchange).
 //!
-//! The admission *decision procedure* — candidate ranking, attempt order,
-//! reputation updates, GUI charges, certificate issue — is the same
-//! `join_attempt` the in-process path uses; only the verdict source
-//! differs. Per-role disclosure policies live in a dedicated controller
-//! identity per role (see [`register_formation_parties`]), mirroring how
-//! the paper's initiator authors "policies … for the specific VO and in
-//! particular for the roles" (§5.1).
+//! The decision procedure — candidate ranking, attempt order, reputation
+//! updates, GUI charges, certificate issue — is the one loop every
+//! formation runs; only the verdict source differs. Per-role disclosure
+//! policies live in a dedicated controller identity per role (see
+//! [`register_formation_parties`]), mirroring how the paper's initiator
+//! authors "policies … for the specific VO and in particular for the
+//! roles" (§5.1).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
+use trust_vo_admission::Outcome;
 use trust_vo_negotiation::{NegotiationError, Strategy};
-use trust_vo_obs::{Collector, SpanGuard, SpanLink};
-use trust_vo_soa::shard::{run_sharded, Backpressure, ShardConfig};
-use trust_vo_soa::simclock::CostKind;
+use trust_vo_obs::SpanLink;
+use trust_vo_soa::simclock::SimClock;
 use trust_vo_soa::{
     run_negotiation_resilient, Fault, ResilientRun, ResumePolicy, RetryPolicy, TnService, Transport,
 };
 
-/// Per-shard queue bound for the formation fan-out: deep enough that the
-/// submitter rarely stalls, small enough that `bus.queue_depth` stays an
-/// honest load signal.
-const FAN_OUT_QUEUE_DEPTH: usize = 8;
-
-use crate::admitted::AdmissionHooks;
+use crate::admitted::{AdmissionControl, AdmissionHooks};
 use crate::contract::Contract;
 use crate::error::VoError;
 use crate::formation::{
-    audit_members, create_vo, initiator_party_for_role, join_attempt, FormedVo, TnAction,
+    initiator_party_for_role, Formation, FormedVo, NegotiationSource, TnAction,
 };
-use crate::lifecycle::Phase;
 use crate::mailbox::MailboxSystem;
 use crate::member::ServiceProvider;
 use crate::registry::ServiceRegistry;
@@ -110,525 +103,168 @@ fn pair_seed(seed: u64, role: &str, candidate: &str) -> u64 {
     h
 }
 
-/// Classify a service fault: transport exhaustion aborts the formation,
-/// anything else is that candidate's negative verdict.
-fn verdict_from_fault(fault: Fault) -> Result<TnAction<'static>, VoError> {
-    if fault.is_transport() {
-        return Err(VoError::Transport(fault));
-    }
-    Ok(TnAction::External(Err(NegotiationError::Interrupted {
-        reason: format!("[{}] {}", fault.code, fault.reason),
-    })))
-}
-
-/// A verdict-table key: (role name, provider name).
-type PairKey = (String, String);
-
-/// Opens the per-formation root span for a resilient drive: a fresh
-/// trace is minted so every negotiation, attempt, and bus-side span of
-/// this formation hangs off one causal tree.
-fn formation_root(obs: &Collector, contract: &Contract) -> SpanGuard {
-    let mut span = obs.span_linked(
-        "formation.form_vo_resilient",
-        SpanLink {
-            trace_id: obs.new_trace_id(),
-            parent: None,
-        },
-    );
-    if span.id().is_some() {
-        span.field("vo", contract.vo_name.as_str());
-        span.field("roles", contract.roles.len());
-    }
-    span
-}
-
-/// The shared decision procedure: the serial Formation loop with each
-/// accepting candidate's trust-negotiation verdict supplied by `verdict`
-/// (which receives the formation root's trace link, so externally-driven
-/// negotiations can parent under it). The caller owns the root span —
-/// the parallel driver must open it before its fan-out.
-#[allow(clippy::too_many_arguments)]
-fn admit_with<'a>(
-    contract: Contract,
-    initiator: &ServiceProvider,
-    providers: &BTreeMap<String, ServiceProvider>,
-    registry: &ServiceRegistry,
-    mailboxes: &mut MailboxSystem,
-    reputation: &mut ReputationLedger,
-    clock: &trust_vo_soa::SimClock,
-    root_span: &mut SpanGuard,
-    admission: Option<&AdmissionHooks<'_>>,
-    mut verdict: impl FnMut(&str, &ServiceProvider, SpanLink) -> Result<TnAction<'a>, VoError>,
-) -> Result<FormedVo, VoError> {
-    let mut vo = create_vo(contract, initiator, clock);
-    let obs = clock.collector();
-    if admission.is_some() && root_span.id().is_some() {
-        root_span.field("admission", true);
-    }
-    let root_link = root_span.link();
-    let roles: Vec<_> = vo.contract.roles.clone();
-    for role in &roles {
-        clock.charge(CostKind::DbQuery);
-        let mut candidates: Vec<&crate::registry::ResourceDescription> =
-            registry.find_by_capability(&role.capability);
-        if candidates.is_empty() {
-            root_span.field("outcome", "no-candidates");
-            return Err(VoError::NoCandidates {
-                role: role.name.clone(),
-            });
-        }
-        match admission {
-            None => candidates.sort_by(|a, b| {
-                let score = |d: &crate::registry::ResourceDescription| {
-                    d.quality * reputation.get(&d.provider)
-                };
-                score(b)
-                    .partial_cmp(&score(a))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.provider.cmp(&b.provider))
-            }),
-            Some(hooks) => {
-                candidates.sort_by_cached_key(|d| hooks.queue_key(&d.provider, d.quality))
-            }
-        }
-        let mut tried = Vec::new();
-        let mut assigned = false;
-        for description in candidates {
-            let Some(candidate) = providers.get(&description.provider) else {
-                continue;
-            };
-            tried.push(candidate.name().to_owned());
-            // Declining candidates turn back inside join_attempt before
-            // the verdict is consumed, so don't negotiate for them.
-            let action = if candidate.accepts_invitations {
-                verdict(&role.name, candidate, root_link)?
-            } else {
-                TnAction::External(Ok(()))
-            };
-            match join_attempt(
-                &mut vo, initiator, candidate, &role.name, mailboxes, reputation, clock, action,
-                root_link, admission,
-            ) {
-                Ok(_) => {
-                    assigned = true;
-                    break;
-                }
-                Err(_) => continue, // "looks for other potential members"
-            }
-        }
-        if !assigned {
-            root_span.field("outcome", "role-unfilled");
-            return Err(VoError::RoleUnfilled {
-                role: role.name.clone(),
-                tried,
-            });
-        }
-    }
-    audit_members(&vo)?;
-    {
-        let _lifecycle = obs.span_linked("formation.lifecycle", root_link);
-        vo.lifecycle
-            .advance_to(Phase::Operation, clock.timestamp())
-            .expect("formation advances to operation");
-    }
-    root_span.field("outcome", "ok");
-    root_span.field("members", vo.members.len());
-    Ok(vo)
-}
-
-/// Run the Formation phase with every trust negotiation driven through
-/// the TN service registered as `service_name` on `transport`.
+/// The TN web service a formation negotiates through: the service
+/// registered as `service` on `transport`, driven by the resilient client.
 ///
-/// Negotiations use the resilient client driver: each SOAP call carries
-/// an idempotency key and is retried under `retry`; exhausted budgets and
-/// endpoint crashes fall back to checkpointed resume under `resume`. A
-/// transport fault that survives both budgets aborts the formation with
-/// [`VoError::Transport`]. `seed` parameterizes the per-negotiation
+/// Each SOAP call carries an idempotency key and is retried under `retry`;
+/// exhausted budgets and endpoint crashes fall back to checkpointed resume
+/// under `resume`. `seed` parameterizes the per-negotiation
 /// idempotency-key streams, so a fixed `(seed, FaultPlan)` pair replays
 /// the identical formation.
-#[allow(clippy::too_many_arguments)]
-pub fn form_vo_resilient<T: Transport + ?Sized>(
-    contract: Contract,
-    initiator: &ServiceProvider,
-    providers: &BTreeMap<String, ServiceProvider>,
-    registry: &ServiceRegistry,
-    mailboxes: &mut MailboxSystem,
-    reputation: &mut ReputationLedger,
-    transport: &T,
-    service_name: &str,
-    strategy: Strategy,
-    retry: &RetryPolicy,
-    resume: &ResumePolicy,
-    seed: u64,
-) -> Result<(FormedVo, FormationResilience), VoError> {
-    form_vo_resilient_impl(
-        contract,
-        initiator,
-        providers,
-        registry,
-        mailboxes,
-        reputation,
-        transport,
-        service_name,
-        strategy,
-        retry,
-        resume,
-        seed,
-        None,
-    )
+pub struct ServiceSource<'a, T: Transport + ?Sized = dyn Transport> {
+    /// The transport the service is reached through.
+    pub transport: &'a T,
+    /// The service's registered name.
+    pub service: &'a str,
+    /// Per-call retry budget.
+    pub retry: RetryPolicy,
+    /// Session resume budget.
+    pub resume: ResumePolicy,
+    /// Idempotency-key seed.
+    pub seed: u64,
 }
 
-/// [`form_vo_resilient`] with optional admission hooks: each candidate is
-/// negotiated with its banded strategy, and transport exhaustion — the
-/// netsim-injected fault-timeout path — is recorded into the scoring
-/// engine before the formation aborts.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn form_vo_resilient_impl<T: Transport + ?Sized>(
-    contract: Contract,
-    initiator: &ServiceProvider,
-    providers: &BTreeMap<String, ServiceProvider>,
-    registry: &ServiceRegistry,
-    mailboxes: &mut MailboxSystem,
-    reputation: &mut ReputationLedger,
-    transport: &T,
-    service_name: &str,
-    strategy: Strategy,
-    retry: &RetryPolicy,
-    resume: &ResumePolicy,
-    seed: u64,
-    admission: Option<&AdmissionHooks<'_>>,
-) -> Result<(FormedVo, FormationResilience), VoError> {
-    let initiator_name = initiator.name().to_owned();
-    let mut stats = FormationResilience::default();
-    let mut root_span = formation_root(&transport.clock().collector(), &contract);
-    let vo = admit_with(
-        contract,
-        initiator,
-        providers,
-        registry,
-        mailboxes,
-        reputation,
-        transport.clock(),
-        &mut root_span,
-        admission,
-        |role, candidate, link| {
-            let run = run_negotiation_resilient(
-                transport,
-                service_name,
-                candidate.name(),
-                &controller_name(&initiator_name, role),
-                "VoMembership",
-                admission.map_or(strategy, |hooks| hooks.strategy_for(candidate.name())),
-                retry,
-                resume,
-                pair_seed(seed, role, candidate.name()),
-                link,
-            );
-            match run {
-                Ok(run) => {
-                    stats.absorb(&run);
-                    Ok(TnAction::External(Ok(())))
-                }
-                Err(fault) => {
-                    if fault.is_transport() {
-                        // The negotiation died to the network, not to a
-                        // verdict: weak negative evidence for the scorer.
-                        if let Some(hooks) = admission {
-                            hooks.record_fault_timeout(candidate.name(), transport.clock());
-                        }
-                    } else {
-                        // A negative verdict is still a completed
-                        // negotiation; only transport exhaustion is not.
-                        stats.negotiations += 1;
-                    }
-                    verdict_from_fault(fault)
-                }
-            }
-        },
-    )?;
-    Ok((vo, stats))
-}
-
-/// [`form_vo_resilient`], with the per-candidate negotiations fanned out
-/// over a scoped thread pool before the serial admission replay —
-/// the transport-driven analogue of
-/// [`form_vo_parallel`](crate::form_vo_parallel).
-///
-/// Loss/duplication decisions depend only on each call's idempotency-key
-/// stream, so with no outage windows in play the parallel run admits the
-/// same members and burns the same simulated time as the serial one.
-/// (Crash windows fire on whichever call reaches them first and are only
-/// deterministic under a serial drive.)
-#[allow(clippy::too_many_arguments)]
-pub fn form_vo_resilient_parallel<T: Transport + Sync + ?Sized>(
-    contract: Contract,
-    initiator: &ServiceProvider,
-    providers: &BTreeMap<String, ServiceProvider>,
-    registry: &ServiceRegistry,
-    mailboxes: &mut MailboxSystem,
-    reputation: &mut ReputationLedger,
-    transport: &T,
-    service_name: &str,
-    strategy: Strategy,
-    retry: &RetryPolicy,
-    resume: &ResumePolicy,
-    seed: u64,
-    workers: usize,
-) -> Result<(FormedVo, FormationResilience), VoError> {
-    form_vo_resilient_parallel_impl(
-        contract,
-        initiator,
-        providers,
-        registry,
-        mailboxes,
-        reputation,
-        transport,
-        service_name,
-        strategy,
-        retry,
-        resume,
-        seed,
-        workers,
-        None,
-    )
-}
-
-/// [`form_vo_resilient_parallel`] with optional admission hooks: the
-/// fan-out negotiates each candidate with its banded strategy (from the
-/// same formation-start snapshot the replay uses) and the replay feeds
-/// outcomes — including transport fault-timeouts — to the scoring engine.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn form_vo_resilient_parallel_impl<T: Transport + Sync + ?Sized>(
-    contract: Contract,
-    initiator: &ServiceProvider,
-    providers: &BTreeMap<String, ServiceProvider>,
-    registry: &ServiceRegistry,
-    mailboxes: &mut MailboxSystem,
-    reputation: &mut ReputationLedger,
-    transport: &T,
-    service_name: &str,
-    strategy: Strategy,
-    retry: &RetryPolicy,
-    resume: &ResumePolicy,
-    seed: u64,
-    workers: usize,
-    admission: Option<&AdmissionHooks<'_>>,
-) -> Result<(FormedVo, FormationResilience), VoError> {
-    // One job per (role, accepting candidate), exactly the pairs the
-    // admission loop could ever ask about.
-    let mut jobs: Vec<(String, String)> = Vec::new();
-    let mut seen: HashSet<PairKey> = HashSet::new();
-    for role in &contract.roles {
-        for description in registry.find_by_capability(&role.capability) {
-            let Some(candidate) = providers.get(&description.provider) else {
-                continue;
-            };
-            if !candidate.accepts_invitations {
-                continue;
-            }
-            if seen.insert((role.name.clone(), candidate.name().to_owned())) {
-                jobs.push((role.name.clone(), candidate.name().to_owned()));
-            }
+impl<'a, T: Transport + ?Sized> ServiceSource<'a, T> {
+    /// `service` on `transport` under the standard retry and resume
+    /// policies.
+    pub fn standard(transport: &'a T, service: &'a str, seed: u64) -> Self {
+        ServiceSource {
+            transport,
+            service,
+            retry: RetryPolicy::standard(),
+            resume: ResumePolicy::standard(),
+            seed,
         }
     }
 
-    let initiator_name = initiator.name().to_owned();
-    // The root span must exist before the fan-out so every concurrent
-    // negotiation parents under the same formation trace.
-    let mut root_span = formation_root(&transport.clock().collector(), &contract);
-    let root_link = root_span.link();
-    // Fan out over the sharded work-stealing executor: one job per
-    // (role, candidate) pair, each dispatching its bus calls inline on
-    // its shard worker. `Block` backpressure means every pair runs —
-    // flow control, never a shed.
-    let workers = workers.max(1).min(jobs.len().max(1));
-    let shard_jobs: Vec<_> = jobs
-        .iter()
-        .map(|(role, candidate)| {
-            let initiator_name = &initiator_name;
-            move || {
-                let run = run_negotiation_resilient(
-                    transport,
-                    service_name,
-                    candidate,
-                    &controller_name(initiator_name, role),
-                    "VoMembership",
-                    admission.map_or(strategy, |hooks| hooks.strategy_for(candidate)),
-                    retry,
-                    resume,
-                    pair_seed(seed, role, candidate),
-                    root_link,
-                );
-                ((role.clone(), candidate.clone()), run)
-            }
-        })
-        .collect();
-    let fan_out = run_sharded(
-        ShardConfig::new(workers, FAN_OUT_QUEUE_DEPTH),
-        transport.clock(),
-        shard_jobs,
-        Backpressure::Block,
-    );
+    /// One membership negotiation between `candidate` and the initiator's
+    /// controller identity for `role`, its spans under `link`.
+    pub(crate) fn negotiate(
+        &self,
+        initiator: &str,
+        role: &str,
+        candidate: &str,
+        strategy: Strategy,
+        link: SpanLink,
+    ) -> Result<ResilientRun, Fault> {
+        run_negotiation_resilient(
+            self.transport,
+            self.service,
+            candidate,
+            &controller_name(initiator, role),
+            "VoMembership",
+            strategy,
+            &self.retry,
+            &self.resume,
+            pair_seed(self.seed, role, candidate),
+            link,
+        )
+    }
+}
 
-    let mut stats = FormationResilience::default();
-    let mut table: HashMap<PairKey, Result<ResilientRun, Fault>> =
-        fan_out.results.into_iter().flatten().collect();
-    let vo = admit_with(
-        contract,
+/// Turn one service negotiation into a join verdict, tallying its
+/// recovery work. Transport exhaustion aborts the formation — the
+/// negotiation died to the network, not to a verdict, which admission
+/// scoring records as a fault-timeout; any other fault is the
+/// candidate's negative verdict, and still a completed negotiation.
+pub(crate) fn service_verdict(
+    run: Result<ResilientRun, Fault>,
+    candidate: &str,
+    clock: &SimClock,
+    admission: Option<&AdmissionHooks<'_>>,
+    stats: &mut FormationResilience,
+) -> Result<TnAction<'static>, VoError> {
+    match run {
+        Ok(run) => {
+            stats.absorb(&run);
+            Ok(TnAction::Decided(Ok(None)))
+        }
+        Err(fault) if fault.is_transport() => {
+            if let Some(hooks) = admission {
+                hooks.record(candidate, Outcome::FaultTimeout, clock);
+            }
+            Err(VoError::Transport(fault))
+        }
+        Err(fault) => {
+            stats.negotiations += 1;
+            Ok(TnAction::Decided(Err(NegotiationError::Interrupted {
+                reason: format!("[{}] {}", fault.code, fault.reason),
+            })))
+        }
+    }
+}
+
+/// The serial, admission-gated formation through the TN service
+/// registered as `service_name` on `transport`: a [`Formation`] with
+/// exactly these fields.
+#[allow(clippy::too_many_arguments)]
+pub fn form_vo_resilient_admitted<T: Transport + ?Sized>(
+    contract: Contract,
+    initiator: &ServiceProvider,
+    providers: &BTreeMap<String, ServiceProvider>,
+    registry: &ServiceRegistry,
+    mailboxes: &mut MailboxSystem,
+    reputation: &mut ReputationLedger,
+    transport: &T,
+    service_name: &str,
+    fallback: Strategy,
+    retry: &RetryPolicy,
+    resume: &ResumePolicy,
+    seed: u64,
+    admission: &AdmissionControl,
+) -> Result<(FormedVo, FormationResilience), VoError> {
+    let source = ServiceSource {
+        transport,
+        service: service_name,
+        retry: *retry,
+        resume: *resume,
+        seed,
+    };
+    Formation::new(
         initiator,
         providers,
         registry,
-        mailboxes,
-        reputation,
-        transport.clock(),
-        &mut root_span,
-        admission,
-        |role, candidate, _link| {
-            let key = (role.to_owned(), candidate.name().to_owned());
-            match table
-                .remove(&key)
-                .expect("fan-out covered every accepting candidate")
-            {
-                Ok(run) => {
-                    stats.absorb(&run);
-                    Ok(TnAction::External(Ok(())))
-                }
-                Err(fault) => {
-                    if fault.is_transport() {
-                        // Recorded at the serial replay position, so the
-                        // parallel drive scores exactly like the serial
-                        // one.
-                        if let Some(hooks) = admission {
-                            hooks.record_fault_timeout(candidate.name(), transport.clock());
-                        }
-                    } else {
-                        // A negative verdict is still a completed
-                        // negotiation; only transport exhaustion is not.
-                        stats.negotiations += 1;
-                    }
-                    verdict_from_fault(fault)
-                }
-            }
-        },
-    )?;
-    Ok((vo, stats))
+        NegotiationSource::Service(source),
+    )
+    .with_strategy(fallback)
+    .with_admission(Some(admission))
+    .run(contract, mailboxes, reputation)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contract::Role;
-    use crate::form_vo;
-    use crate::registry::ResourceDescription;
-    use std::sync::Arc;
-    use trust_vo_credential::{CredentialAuthority, TimeRange, Timestamp};
-    use trust_vo_negotiation::Party;
-    use trust_vo_policy::{DisclosurePolicy, PolicySet, Resource, Term};
-    use trust_vo_soa::simclock::{CostModel, SimClock};
+    use crate::formation::testworld::{clock, member_summary, world, DeadNet};
     use trust_vo_soa::ServiceBus;
-    use trust_vo_store::Database;
 
-    fn clock() -> SimClock {
-        SimClock::new(
-            CostModel::paper_testbed(),
-            Timestamp::from_ymd_hms(2009, 6, 1, 0, 0, 0),
-        )
-    }
-
-    fn world() -> (
-        Contract,
-        ServiceProvider,
-        BTreeMap<String, ServiceProvider>,
-        ServiceRegistry,
-    ) {
-        let mut ca = CredentialAuthority::new("AAA");
-        let window = TimeRange::one_year_from(Timestamp::from_ymd_hms(2009, 1, 1, 0, 0, 0));
-
-        let mut initiator_party = Party::new("Aircraft");
-        let mut good = Party::new("Aerospace");
-        let quality = ca
-            .issue(
-                "WebDesignerQuality",
-                "Aerospace",
-                good.keys.public,
-                vec![],
-                window,
-            )
-            .unwrap();
-        good.profile.add(quality);
-        good.trust_root(ca.public_key());
-        initiator_party.trust_root(ca.public_key());
-        let bad = Party::new("Shady Co");
-
-        let mut contract = Contract::new("AircraftOptimization", "low emissions")
-            .with_role(Role::new("DesignPortal", "design-db", "ISO 9000"));
-        let mut policies = PolicySet::new();
-        policies.add(DisclosurePolicy::rule(
-            "vo-p1",
-            Resource::service("VoMembership"),
-            vec![Term::of_type("WebDesignerQuality")],
-        ));
-        contract.set_role_policies("DesignPortal", policies);
-
-        let mut registry = ServiceRegistry::new();
-        registry.publish(ResourceDescription::new("Shady Co", "design-db", "x", 0.99));
-        registry.publish(ResourceDescription::new("Aerospace", "design-db", "x", 0.9));
-
-        let mut providers = BTreeMap::new();
-        providers.insert("Aerospace".to_owned(), ServiceProvider::new(good));
-        providers.insert("Shady Co".to_owned(), ServiceProvider::new(bad));
-        (
-            contract,
-            ServiceProvider::new(initiator_party),
-            providers,
-            registry,
-        )
-    }
-
-    fn service_bus(
+    fn run<T: Transport + ?Sized>(
+        formation: Formation<'_, T>,
         contract: &Contract,
-        initiator: &ServiceProvider,
-        providers: &BTreeMap<String, ServiceProvider>,
-    ) -> ServiceBus {
-        let clock = clock();
-        let bus = ServiceBus::new(clock.clone());
-        let svc = TnService::new(clock, Database::new());
-        register_formation_parties(&svc, contract, initiator, providers);
-        bus.register("tn", Arc::new(svc));
-        bus
+        reputation: &mut ReputationLedger,
+    ) -> Result<(FormedVo, FormationResilience), VoError> {
+        formation.run(contract.clone(), &mut MailboxSystem::new(), reputation)
     }
 
     #[test]
     fn resilient_formation_admits_the_same_members_as_in_process() {
-        let (contract, initiator, providers, registry) = world();
+        let w = world();
 
         let in_process_clock = clock();
-        let in_process = form_vo(
-            contract.clone(),
-            &initiator,
-            &providers,
-            &registry,
-            &mut MailboxSystem::new(),
+        let (in_process, _) = run(
+            w.in_process(&in_process_clock),
+            &w.contract,
             &mut ReputationLedger::new(),
-            &in_process_clock,
-            Strategy::Standard,
         )
         .unwrap();
 
-        let bus = service_bus(&contract, &initiator, &providers);
-        let (vo, stats) = form_vo_resilient(
-            contract,
-            &initiator,
-            &providers,
-            &registry,
-            &mut MailboxSystem::new(),
+        // Differs from in-process in the negotiation source alone.
+        let bus = w.service_bus();
+        let (vo, stats) = run(
+            w.formation(NegotiationSource::Service(ServiceSource::standard(
+                &bus, "tn", 42,
+            ))),
+            &w.contract,
             &mut ReputationLedger::new(),
-            &bus,
-            "tn",
-            Strategy::Standard,
-            &RetryPolicy::standard(),
-            &ResumePolicy::standard(),
-            42,
         )
         .unwrap();
 
@@ -647,52 +283,37 @@ mod tests {
 
     #[test]
     fn parallel_resilient_formation_matches_serial() {
-        let (contract, initiator, providers, registry) = world();
+        let w = world();
 
-        let serial_bus = service_bus(&contract, &initiator, &providers);
+        let serial_bus = w.service_bus();
         let mut serial_rep = ReputationLedger::new();
-        let (serial_vo, serial_stats) = form_vo_resilient(
-            contract.clone(),
-            &initiator,
-            &providers,
-            &registry,
-            &mut MailboxSystem::new(),
+        let (serial_vo, serial_stats) = run(
+            w.formation(NegotiationSource::Service(ServiceSource::standard(
+                &serial_bus,
+                "tn",
+                42,
+            ))),
+            &w.contract,
             &mut serial_rep,
-            &serial_bus,
-            "tn",
-            Strategy::Standard,
-            &RetryPolicy::standard(),
-            &ResumePolicy::standard(),
-            42,
         )
         .unwrap();
 
-        let parallel_bus = service_bus(&contract, &initiator, &providers);
+        // Differs from serial in the worker count alone.
+        let parallel_bus = w.service_bus();
         let mut parallel_rep = ReputationLedger::new();
-        let (parallel_vo, parallel_stats) = form_vo_resilient_parallel(
-            contract,
-            &initiator,
-            &providers,
-            &registry,
-            &mut MailboxSystem::new(),
+        let (parallel_vo, parallel_stats) = run(
+            w.formation(NegotiationSource::Service(ServiceSource::standard(
+                &parallel_bus,
+                "tn",
+                42,
+            )))
+            .with_workers(4),
+            &w.contract,
             &mut parallel_rep,
-            &parallel_bus,
-            "tn",
-            Strategy::Standard,
-            &RetryPolicy::standard(),
-            &ResumePolicy::standard(),
-            42,
-            4,
         )
         .unwrap();
 
-        let summary = |vo: &FormedVo| {
-            vo.members()
-                .iter()
-                .map(|m| (m.provider.clone(), m.role.clone(), m.certificate.serial))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(summary(&serial_vo), summary(&parallel_vo));
+        assert_eq!(member_summary(&serial_vo), member_summary(&parallel_vo));
         assert_eq!(serial_stats, parallel_stats);
         assert_eq!(serial_bus.clock().elapsed(), parallel_bus.clock().elapsed());
         assert_eq!(serial_rep.get("Aerospace"), parallel_rep.get("Aerospace"));
@@ -700,59 +321,38 @@ mod tests {
 
     #[test]
     fn unregistered_service_fails_every_candidate() {
-        let (contract, initiator, providers, registry) = world();
+        let w = world();
         // Nothing registered under "tn": every call gets a NoSuchService
         // fault — terminal, surfaced as a failed verdict per candidate.
         let bus = ServiceBus::new(clock());
-        let err = form_vo_resilient(
-            contract,
-            &initiator,
-            &providers,
-            &registry,
-            &mut MailboxSystem::new(),
+        let source = ServiceSource {
+            resume: ResumePolicy::none(),
+            ..ServiceSource::standard(&bus, "tn", 1)
+        };
+        let err = run(
+            w.formation(NegotiationSource::Service(source)),
+            &w.contract,
             &mut ReputationLedger::new(),
-            &bus,
-            "tn",
-            Strategy::Standard,
-            &RetryPolicy::standard(),
-            &ResumePolicy::none(),
-            1,
         )
         .unwrap_err();
         assert!(matches!(err, VoError::RoleUnfilled { .. }), "got {err:?}");
     }
 
-    /// A transport that refuses every call, to exercise the abort path.
-    struct DeadNet(SimClock);
-    impl Transport for DeadNet {
-        fn call(
-            &self,
-            _service: &str,
-            _request: &trust_vo_soa::Envelope,
-        ) -> Result<trust_vo_soa::Envelope, Fault> {
-            Err(Fault::transport("Timeout", "black hole"))
-        }
-        fn clock(&self) -> &SimClock {
-            &self.0
-        }
-    }
-
     #[test]
     fn dead_transport_aborts_formation() {
-        let (contract, initiator, providers, registry) = world();
-        let err = form_vo_resilient(
-            contract,
-            &initiator,
-            &providers,
-            &registry,
-            &mut MailboxSystem::new(),
+        let w = world();
+        let net = DeadNet(clock());
+        let source = ServiceSource {
+            transport: &net,
+            service: "tn",
+            retry: RetryPolicy::none(),
+            resume: ResumePolicy::none(),
+            seed: 1,
+        };
+        let err = run(
+            w.formation(NegotiationSource::Service(source)),
+            &w.contract,
             &mut ReputationLedger::new(),
-            &DeadNet(clock()),
-            "tn",
-            Strategy::Standard,
-            &RetryPolicy::none(),
-            &ResumePolicy::none(),
-            1,
         )
         .unwrap_err();
         assert!(matches!(err, VoError::Transport(_)), "got {err:?}");

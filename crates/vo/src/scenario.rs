@@ -485,7 +485,7 @@ impl AircraftScenario {
     /// Run the Formation phase for the whole contract.
     pub fn form_vo(&mut self, strategy: Strategy) -> Result<FormedVo, VoError> {
         self.toolkit
-            .initiator_form_vo(self.contract.clone(), names::AIRCRAFT, strategy)
+            .initiator_form_vo(self.contract.clone(), names::AIRCRAFT, strategy, None)
     }
 
     /// A provider's current negotiation identity.

@@ -189,7 +189,7 @@ impl VoManagementService {
         let mut state = self.state.lock();
         match state
             .toolkit
-            .initiator_form_vo(contract, &initiator, strategy)
+            .initiator_form_vo(contract, &initiator, strategy, None)
         {
             Ok(vo) => {
                 let mut resp = Element::new("CreateVoResponse")

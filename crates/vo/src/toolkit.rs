@@ -8,10 +8,10 @@
 //! holds the shared state; the edition structs expose each component's
 //! operations over it.
 
-use crate::admitted::{form_vo_admitted, AdmissionControl};
+use crate::admitted::AdmissionControl;
 use crate::contract::Contract;
 use crate::error::VoError;
-use crate::formation::{form_vo, FormedVo};
+use crate::formation::{Formation, FormedVo, NegotiationSource};
 use crate::mailbox::MailboxSystem;
 use crate::member::ServiceProvider;
 use crate::registry::{ResourceDescription, ServiceRegistry};
@@ -88,64 +88,38 @@ impl VoToolkit {
     /// Initiator Edition: create and form a VO from a contract. Runs the
     /// Identification and Formation phases (with trust negotiation) and
     /// registers the VO as active.
+    ///
+    /// Under reputation-gated `admission` control the engine is seeded
+    /// from the toolkit's own [`ReputationLedger`] first, so admission
+    /// banding starts from the reputation the paper's write-side has
+    /// accumulated — the ledger keeps working exactly as before
+    /// underneath — and `strategy` becomes the fallback.
     pub fn initiator_form_vo(
         &mut self,
         contract: Contract,
         initiator_name: &str,
         strategy: Strategy,
+        admission: Option<&AdmissionControl>,
     ) -> Result<FormedVo, VoError> {
         let initiator = self
             .providers
             .get(initiator_name)
             .ok_or_else(|| VoError::UnknownMember(initiator_name.to_owned()))?
             .clone();
+        if let Some(control) = admission {
+            control.seed_from_ledger(&self.reputation, self.clock.elapsed());
+        }
         // Authoring the contract + policies on the Initiator GUI.
         self.clock.charge(CostKind::GuiStep);
-        let vo = form_vo(
-            contract,
+        let (vo, _) = Formation::new(
             &initiator,
             &self.providers,
             &self.registry,
-            &mut self.mailboxes,
-            &mut self.reputation,
-            &self.clock,
-            strategy,
-        )?;
-        self.active_vos.push(vo.name.clone());
-        Ok(vo)
-    }
-
-    /// Initiator Edition: [`VoToolkit::initiator_form_vo`] under
-    /// reputation-gated admission control. The engine is seeded from the
-    /// toolkit's own [`ReputationLedger`] first, so admission banding
-    /// starts from the reputation the paper's write-side has accumulated —
-    /// the ledger keeps working exactly as before underneath.
-    pub fn initiator_form_vo_admitted(
-        &mut self,
-        contract: Contract,
-        initiator_name: &str,
-        fallback: Strategy,
-        admission: &AdmissionControl,
-    ) -> Result<FormedVo, VoError> {
-        let initiator = self
-            .providers
-            .get(initiator_name)
-            .ok_or_else(|| VoError::UnknownMember(initiator_name.to_owned()))?
-            .clone();
-        admission.seed_from_ledger(&self.reputation, self.clock.elapsed());
-        // Authoring the contract + policies on the Initiator GUI.
-        self.clock.charge(CostKind::GuiStep);
-        let vo = form_vo_admitted(
-            contract,
-            &initiator,
-            &self.providers,
-            &self.registry,
-            &mut self.mailboxes,
-            &mut self.reputation,
-            &self.clock,
-            fallback,
-            admission,
-        )?;
+            NegotiationSource::in_process(&self.clock),
+        )
+        .with_strategy(strategy)
+        .with_admission(admission)
+        .run(contract, &mut self.mailboxes, &mut self.reputation)?;
         self.active_vos.push(vo.name.clone());
         Ok(vo)
     }
@@ -234,7 +208,7 @@ mod tests {
     fn initiator_forms_vo_end_to_end() {
         let mut tk = toolkit();
         let vo = tk
-            .initiator_form_vo(contract(), "Aircraft", Strategy::Standard)
+            .initiator_form_vo(contract(), "Aircraft", Strategy::Standard, None)
             .unwrap();
         assert!(vo.is_member("StoreCo"));
         assert_eq!(tk.host_active_vos(), ["VO-1"]);
@@ -249,7 +223,7 @@ mod tests {
         tk.reputation.record_violation("StoreCo");
         let admission = crate::admitted::AdmissionControl::default();
         let vo = tk
-            .initiator_form_vo_admitted(contract(), "Aircraft", Strategy::Standard, &admission)
+            .initiator_form_vo(contract(), "Aircraft", Strategy::Standard, Some(&admission))
             .unwrap();
         assert!(vo.is_member("StoreCo"));
         // The engine saw the ledger's 0.1 seed, then the join success.
@@ -263,7 +237,7 @@ mod tests {
     fn unknown_initiator_rejected() {
         let mut tk = toolkit();
         let err = tk
-            .initiator_form_vo(contract(), "Ghost", Strategy::Standard)
+            .initiator_form_vo(contract(), "Ghost", Strategy::Standard, None)
             .unwrap_err();
         assert!(matches!(err, VoError::UnknownMember(_)));
     }
@@ -273,7 +247,7 @@ mod tests {
         let mut tk = toolkit();
         tk.member_set_accepting("StoreCo", false).unwrap();
         let err = tk
-            .initiator_form_vo(contract(), "Aircraft", Strategy::Standard)
+            .initiator_form_vo(contract(), "Aircraft", Strategy::Standard, None)
             .unwrap_err();
         assert!(matches!(err, VoError::RoleUnfilled { .. }));
         assert!(tk.member_set_accepting("Ghost", true).is_err());
@@ -283,7 +257,7 @@ mod tests {
     fn mailbox_visibility() {
         let mut tk = toolkit();
         assert_eq!(tk.member_inbox("StoreCo"), 0);
-        tk.initiator_form_vo(contract(), "Aircraft", Strategy::Standard)
+        tk.initiator_form_vo(contract(), "Aircraft", Strategy::Standard, None)
             .unwrap();
         // Invitation was consumed during the join.
         assert_eq!(tk.member_inbox("StoreCo"), 0);
@@ -384,6 +358,7 @@ mod monitoring_tests {
                 contract,
                 "Aircraft",
                 trust_vo_negotiation::Strategy::Standard,
+                None,
             )
             .unwrap();
         (tk, vo)

@@ -194,7 +194,12 @@ fn main() {
 
     // --- Formation under the suspicious strategy -----------------------
     let vo = toolkit
-        .initiator_form_vo(contract, "Grid Coordination Office", Strategy::Suspicious)
+        .initiator_form_vo(
+            contract,
+            "Grid Coordination Office",
+            Strategy::Suspicious,
+            None,
+        )
         .expect("the grid VO forms");
     println!("VO '{}' formed under the suspicious strategy:", vo.name);
     for m in vo.members() {

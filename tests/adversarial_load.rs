@@ -7,19 +7,23 @@
 //! must refuse the flood with typed `budget_exhausted` faults (free of
 //! simulated cost), the honest formation must fill every role, and its
 //! sim time must stay within the E14 bound of the flood-free baseline —
-//! whereas the same flood on an ungated bus visibly delays it.
+//! whereas the same flood on an ungated bus visibly delays it. Without
+//! admission control and gate, a formation is the pre-admission baseline:
+//! silent, and identical to one under a fresh, neutral engine.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use trust_vo::admission::{AdmissionGate, ManaConfig, ManaLedger};
 use trust_vo::negotiation::Strategy;
 use trust_vo::netsim::{FaultPlan, NetSim};
+use trust_vo::obs::{Collector, Record};
 use trust_vo::soa::simclock::{CostModel, SimClock, SimDuration};
-use trust_vo::soa::{Envelope, Fault, ResumePolicy, RetryPolicy, ServiceBus, TnService, Transport};
+use trust_vo::soa::{Envelope, Fault, ServiceBus, TnService, Transport};
 use trust_vo::store::Database;
 use trust_vo::vo::mailbox::MailboxSystem;
 use trust_vo::vo::{
-    form_vo_resilient_admitted, register_formation_parties, AdmissionControl, ReputationLedger,
+    register_formation_parties, AdmissionControl, Formation, FormationResilience,
+    NegotiationSource, ReputationLedger, ServiceSource,
 };
 use trust_vo::xmldoc::Element;
 
@@ -97,20 +101,17 @@ fn run(gated: bool, per_call: usize) -> (SimDuration, u64, u64) {
     };
 
     let admission = AdmissionControl::default();
-    let (vo, _stats) = form_vo_resilient_admitted(
-        world.contract.clone(),
+    let (vo, _stats) = Formation::new(
         &world.initiator,
         &world.providers,
         &world.registry,
+        NegotiationSource::Service(ServiceSource::standard(&flood, "tn", SEED)),
+    )
+    .with_admission(Some(&admission))
+    .run(
+        world.contract.clone(),
         &mut MailboxSystem::new(),
         &mut ReputationLedger::new(),
-        &flood,
-        "tn",
-        Strategy::Standard,
-        &RetryPolicy::standard(),
-        &ResumePolicy::standard(),
-        SEED,
-        &admission,
     )
     .expect("honest formation completes under flood");
     assert_eq!(
@@ -151,4 +152,92 @@ fn flooding_identity_cannot_starve_honest_parties() {
         "the gate must beat the open bus under the same flood \
          ({unthrottled:?} vs {flooded:?})"
     );
+}
+
+/// What a formation over a lossy, ungated bus leaves behind.
+struct Ungated {
+    members: Vec<(String, String, u64)>,
+    elapsed: SimDuration,
+    stats: FormationResilience,
+    collector: Collector,
+}
+
+/// Form the E10 batch world through the TN service behind a 20%-lossy
+/// netsim on an ungated bus, observed, under `admission` (whose engine
+/// reports to the same collector).
+fn ungated(admission: Option<&AdmissionControl>) -> Ungated {
+    let world = trust_vo_bench::workloads::parallel_join_world(3, 3, 2);
+    let clock = SimClock::new(CostModel::paper_testbed(), trust_vo_bench::workloads::at());
+    let collector = Collector::new();
+    clock.attach_obs(&collector);
+    if let Some(control) = admission {
+        control.engine().attach_obs(&collector);
+    }
+    let bus = ServiceBus::new(clock.clone());
+    let svc = Arc::new(TnService::new(clock, Database::new()));
+    register_formation_parties(&svc, &world.contract, &world.initiator, &world.providers);
+    bus.register("tn", svc);
+    let net = NetSim::new(bus, FaultPlan::lossy(SEED, 0.2));
+    let (vo, stats) = Formation::new(
+        &world.initiator,
+        &world.providers,
+        &world.registry,
+        NegotiationSource::Service(ServiceSource::standard(&net, "tn", SEED)),
+    )
+    .with_admission(admission)
+    .run(
+        world.contract.clone(),
+        &mut MailboxSystem::new(),
+        &mut ReputationLedger::new(),
+    )
+    .expect("formation survives 20% loss");
+    Ungated {
+        members: vo
+            .members()
+            .iter()
+            .map(|m| (m.provider.clone(), m.role.clone(), m.certificate.serial))
+            .collect(),
+        elapsed: net.clock().elapsed(),
+        stats,
+        collector,
+    }
+}
+
+/// Every span, event and metric record the admission layer owns.
+fn admission_records(collector: &Collector) -> Vec<String> {
+    collector
+        .export_records(true)
+        .into_iter()
+        .map(|record| match record {
+            Record::Span(s) => s.name,
+            Record::Event(e) => e.name,
+            Record::Counter { name, .. } | Record::Gauge { name, .. } => name,
+            Record::Histogram(h) => h.name,
+        })
+        .filter(|name| name.starts_with("admission.") || name.starts_with("mana."))
+        .collect()
+}
+
+#[test]
+fn no_admission_is_the_silent_ungated_baseline() {
+    let plain = ungated(None);
+    assert!(
+        plain.stats.retries > 0,
+        "20% loss should force at least one retry"
+    );
+    assert_eq!(
+        admission_records(&plain.collector),
+        Vec::<String>::new(),
+        "a formation without admission control must not touch the admission layer"
+    );
+
+    // A fresh engine scores everyone at the prior: one Standard band, the
+    // plain quality order, the plain strategy — so the same formation.
+    let control = AdmissionControl::default();
+    let admitted = ungated(Some(&control));
+    assert_eq!(plain.members, admitted.members);
+    assert_eq!(plain.elapsed, admitted.elapsed);
+    assert_eq!(plain.stats, admitted.stats);
+    // The probe is live: the admitted run's engine reported its outcomes.
+    assert!(!admission_records(&admitted.collector).is_empty());
 }

@@ -11,12 +11,11 @@ use trust_vo::negotiation::{
 use trust_vo::netsim::{FaultPlan, LinkProfile, NetSim};
 use trust_vo::obs::{Collector, MetricsSnapshot, Record, SpanLink, TraceContext};
 use trust_vo::soa::simclock::SimClock;
-use trust_vo::soa::{Envelope, ResumePolicy, RetryPolicy, ServiceBus, TnService, Transport};
+use trust_vo::soa::{Envelope, ServiceBus, TnService, Transport};
 use trust_vo::store::Database;
 use trust_vo::vo::mailbox::MailboxSystem;
 use trust_vo::vo::{
-    form_vo, form_vo_cached, form_vo_parallel, form_vo_resilient, register_formation_parties,
-    ReputationLedger,
+    register_formation_parties, Formation, NegotiationSource, ReputationLedger, ServiceSource,
 };
 use trust_vo::xmldoc::Element;
 use trust_vo_bench::workloads::{self, ParallelJoinWorld};
@@ -32,7 +31,7 @@ fn observed_clock() -> (SimClock, Collector) {
 /// standalone — the same pairs, parties, and config the formation path
 /// uses — and return the transcripts. Each role has exactly one
 /// accepting candidate in this workload, so this is precisely the set of
-/// negotiations `form_vo` performs.
+/// negotiations a formation performs.
 fn independent_transcripts(world: &ParallelJoinWorld, clock: &SimClock) -> Vec<Transcript> {
     let mut transcripts = Vec::new();
     for role in &world.contract.roles {
@@ -58,6 +57,22 @@ fn independent_transcripts(world: &ParallelJoinWorld, clock: &SimClock) -> Vec<T
     transcripts
 }
 
+/// An in-process formation of `world` through `source` on `workers`
+/// workers (1 = serial).
+fn in_process(
+    world: &ParallelJoinWorld,
+    source: NegotiationSource<'_>,
+    workers: usize,
+) -> Result<(trust_vo::vo::FormedVo, trust_vo::vo::FormationResilience), trust_vo::vo::VoError> {
+    Formation::new(&world.initiator, &world.providers, &world.registry, source)
+        .with_workers(workers)
+        .run(
+            world.contract.clone(),
+            &mut MailboxSystem::new(),
+            &mut ReputationLedger::new(),
+        )
+}
+
 fn span_records(collector: &Collector) -> Vec<trust_vo::obs::SpanRecord> {
     collector
         .records()
@@ -73,17 +88,8 @@ fn span_records(collector: &Collector) -> Vec<trust_vo::obs::SpanRecord> {
 fn serial_formation_emits_phase_spans_and_transcript_exact_counters() {
     let world = workloads::parallel_join_world(3, 4, 2);
     let (clock, collector) = observed_clock();
-    let vo = form_vo(
-        world.contract.clone(),
-        &world.initiator,
-        &world.providers,
-        &world.registry,
-        &mut MailboxSystem::new(),
-        &mut ReputationLedger::new(),
-        &clock,
-        Strategy::Standard,
-    )
-    .expect("formation succeeds");
+    let (vo, _) =
+        in_process(&world, NegotiationSource::in_process(&clock), 1).expect("formation succeeds");
     assert_eq!(vo.members().len(), 3);
 
     // Span structure: one root, one join attempt per member, and under
@@ -153,6 +159,7 @@ fn serial_formation_emits_phase_spans_and_transcript_exact_counters() {
     assert_eq!(snap.counter("negotiation.failures"), 0);
     assert_eq!(snap.counter("formation.attempts"), 3);
     assert_eq!(snap.counter("formation.admissions"), 3);
+    assert_eq!(snap.counter("formation.audits"), 1);
 }
 
 #[test]
@@ -161,18 +168,8 @@ fn observed_cache_counters_equal_cache_stats() {
     let (clock, collector) = observed_clock();
     let cache = ConcurrentSequenceCache::observed(collector.registry().expect("collector enabled"));
     for round in 0..2 {
-        let vo = form_vo_cached(
-            world.contract.clone(),
-            &world.initiator,
-            &world.providers,
-            &world.registry,
-            &mut MailboxSystem::new(),
-            &mut ReputationLedger::new(),
-            &clock,
-            Strategy::Standard,
-            &cache,
-        )
-        .expect("cached formation succeeds");
+        let (vo, _) = in_process(&world, NegotiationSource::cached(&clock, &cache), 1)
+            .expect("cached formation succeeds");
         assert_eq!(vo.members().len(), 3, "round {round}");
     }
     let stats = cache.stats();
@@ -204,16 +201,10 @@ fn parallel_formation_matches_serial_counter_totals() {
         let serial_cache = ConcurrentSequenceCache::observed(
             serial_collector.registry().expect("collector enabled"),
         );
-        let serial = form_vo_cached(
-            world.contract.clone(),
-            &world.initiator,
-            &world.providers,
-            &world.registry,
-            &mut MailboxSystem::new(),
-            &mut ReputationLedger::new(),
-            &serial_clock,
-            Strategy::Standard,
-            &serial_cache,
+        let (serial, _) = in_process(
+            &world,
+            NegotiationSource::cached(&serial_clock, &serial_cache),
+            1,
         )
         .expect("serial formation succeeds");
 
@@ -221,16 +212,10 @@ fn parallel_formation_matches_serial_counter_totals() {
         let parallel_cache = ConcurrentSequenceCache::observed(
             parallel_collector.registry().expect("collector enabled"),
         );
-        let parallel = form_vo_parallel(
-            world.contract.clone(),
-            &world.initiator,
-            &world.providers,
-            &world.registry,
-            &mut MailboxSystem::new(),
-            &mut ReputationLedger::new(),
-            &parallel_clock,
-            Strategy::Standard,
-            &parallel_cache,
+        // Differs from the serial formation in the worker count alone.
+        let (parallel, _) = in_process(
+            &world,
+            NegotiationSource::cached(&parallel_clock, &parallel_cache),
             4,
         )
         .expect("parallel formation succeeds");
@@ -252,6 +237,58 @@ fn parallel_formation_matches_serial_counter_totals() {
 }
 
 #[test]
+fn parallel_service_formation_counts_speculation_replay_and_audit() {
+    // The service source fans out on the same executor and replays
+    // through the same loop as the in-process one, so it reports the same
+    // formation counters, and every negotiation sits under its
+    // speculation span below the formation root.
+    let world = workloads::parallel_join_world(3, 4, 2);
+    let (clock, collector) = observed_clock();
+    let bus = ServiceBus::new(clock.clone());
+    let svc = Arc::new(TnService::new(clock, Database::new()));
+    register_formation_parties(&svc, &world.contract, &world.initiator, &world.providers);
+    bus.register("tn", svc);
+    let (vo, _) = Formation::new(
+        &world.initiator,
+        &world.providers,
+        &world.registry,
+        NegotiationSource::Service(ServiceSource::standard(&bus, "tn", 7)),
+    )
+    .with_workers(4)
+    .run(
+        world.contract.clone(),
+        &mut MailboxSystem::new(),
+        &mut ReputationLedger::new(),
+    )
+    .expect("parallel service formation succeeds");
+    assert_eq!(vo.members().len(), 3);
+
+    let snap = collector.metrics();
+    assert_eq!(snap.counter("formation.speculated"), 3);
+    assert_eq!(snap.counter("formation.replayed"), 3);
+    assert_eq!(snap.counter("formation.audits"), 1);
+
+    let spans = span_records(&collector);
+    let root = spans
+        .iter()
+        .find(|s| s.name == "formation.form_vo_resilient")
+        .expect("formation root span");
+    let speculations: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == "formation.speculate")
+        .collect();
+    assert_eq!(speculations.len(), 3);
+    for speculation in &speculations {
+        assert_eq!(speculation.parent, Some(root.id));
+        let negotiations = spans
+            .iter()
+            .filter(|s| s.name == "client.negotiation" && s.parent == Some(speculation.id))
+            .count();
+        assert_eq!(negotiations, 1, "one negotiation per speculation");
+    }
+}
+
+#[test]
 fn lossy_netsim_formation_leaves_no_orphan_bus_spans() {
     // A full resilient formation at 20% per-direction loss: every span
     // the bus side emits — negotiations, per-attempt deliveries, backoff
@@ -266,19 +303,16 @@ fn lossy_netsim_formation_leaves_no_orphan_bus_spans() {
     bus.register("tn", svc);
     let net = NetSim::new(bus, FaultPlan::lossy(1234, 0.2));
 
-    let (vo, stats) = form_vo_resilient(
-        world.contract.clone(),
+    let (vo, stats) = Formation::new(
         &world.initiator,
         &world.providers,
         &world.registry,
+        NegotiationSource::Service(ServiceSource::standard(&net, "tn", 7)),
+    )
+    .run(
+        world.contract.clone(),
         &mut MailboxSystem::new(),
         &mut ReputationLedger::new(),
-        &net,
-        "tn",
-        Strategy::Standard,
-        &RetryPolicy::standard(),
-        &ResumePolicy::standard(),
-        7,
     )
     .expect("formation survives 20% loss");
     assert_eq!(vo.members().len(), 3);
@@ -290,6 +324,8 @@ fn lossy_netsim_formation_leaves_no_orphan_bus_spans() {
         net.metrics().drops.get() > 0,
         "0.2 loss plan dropped nothing"
     );
+    // The service formation audits its members like every other one.
+    assert_eq!(collector.metrics().counter("formation.audits"), 1);
 
     let spans = span_records(&collector);
     let by_id: HashMap<u64, &trust_vo::obs::SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();

@@ -1,21 +1,22 @@
 //! Parallel vs. serial formation equivalence.
 //!
-//! The parallel admission engine speculates every (role, accepting
-//! candidate) negotiation on a thread pool and then replays the serial
-//! decision procedure, so it must be *observationally identical* to serial
-//! formation: same member set, same role assignment, same membership
-//! certificate serials, same sim-clock charges — and, against the shared
-//! [`ConcurrentSequenceCache`], the same aggregate [`CacheStats`] totals.
+//! A formation with `workers > 1` speculates every (role, accepting
+//! candidate) negotiation on the sharded executor and then replays the
+//! serial decision procedure, so it must be *observationally identical*
+//! to serial formation: same member set, same role assignment, same
+//! membership certificate serials, same sim-clock charges — and, against
+//! the shared [`ConcurrentSequenceCache`], the same aggregate
+//! [`CacheStats`] totals.
 
 use std::collections::BTreeMap;
 use trust_vo_credential::{CredentialAuthority, TimeRange, Timestamp};
-use trust_vo_negotiation::{CacheStats, ConcurrentSequenceCache, Party, Strategy};
+use trust_vo_negotiation::{CacheStats, ConcurrentSequenceCache, Party};
 use trust_vo_policy::{DisclosurePolicy, PolicySet, Resource, Term};
 use trust_vo_soa::simclock::{CostModel, SimClock};
 use trust_vo_vo::mailbox::MailboxSystem;
 use trust_vo_vo::{
-    form_vo, form_vo_cached, form_vo_parallel, Contract, FormedVo, ReputationLedger,
-    ResourceDescription, Role, ServiceProvider, ServiceRegistry,
+    Contract, Formation, FormedVo, NegotiationSource, ReputationLedger, ResourceDescription, Role,
+    ServiceProvider, ServiceRegistry,
 };
 
 fn clock() -> SimClock {
@@ -37,12 +38,7 @@ fn clock() -> SimClock {
 /// speculation pass negotiates with exactly the two accepting candidates
 /// per role, so serial-through-cache and parallel perform the same
 /// negotiations and the aggregate cache stats must match.
-fn world() -> (
-    Contract,
-    ServiceProvider,
-    BTreeMap<String, ServiceProvider>,
-    ServiceRegistry,
-) {
+fn world() -> World {
     let mut ca = CredentialAuthority::new("EquivCA");
     let window = TimeRange::one_year_from(Timestamp::from_ymd_hms(2009, 1, 1, 0, 0, 0));
     let mut initiator = Party::new("Initiator");
@@ -115,64 +111,29 @@ struct Formed {
     reputation: ReputationLedger,
 }
 
-fn run_serial_cached(
-    world: &(
-        Contract,
-        ServiceProvider,
-        BTreeMap<String, ServiceProvider>,
-        ServiceRegistry,
-    ),
-) -> Formed {
-    let (contract, initiator, providers, registry) = world;
-    let clock = clock();
-    let cache = ConcurrentSequenceCache::new();
-    let mut reputation = ReputationLedger::new();
-    let vo = form_vo_cached(
-        contract.clone(),
-        initiator,
-        providers,
-        registry,
-        &mut MailboxSystem::new(),
-        &mut reputation,
-        &clock,
-        Strategy::Standard,
-        &cache,
-    )
-    .expect("serial cached formation succeeds");
-    Formed {
-        vo,
-        stats: cache.stats(),
-        elapsed: clock.elapsed(),
-        reputation,
-    }
-}
+type World = (
+    Contract,
+    ServiceProvider,
+    BTreeMap<String, ServiceProvider>,
+    ServiceRegistry,
+);
 
-fn run_parallel(
-    world: &(
-        Contract,
-        ServiceProvider,
-        BTreeMap<String, ServiceProvider>,
-        ServiceRegistry,
-    ),
-    workers: usize,
-) -> Formed {
+/// Form `world` through a fresh shared sequence cache on `workers`
+/// workers (1 = serial).
+fn run_cached(world: &World, workers: usize) -> Formed {
     let (contract, initiator, providers, registry) = world;
     let clock = clock();
     let cache = ConcurrentSequenceCache::new();
     let mut reputation = ReputationLedger::new();
-    let vo = form_vo_parallel(
-        contract.clone(),
+    let (vo, _) = Formation::new(
         initiator,
         providers,
         registry,
-        &mut MailboxSystem::new(),
-        &mut reputation,
-        &clock,
-        Strategy::Standard,
-        &cache,
-        workers,
+        NegotiationSource::cached(&clock, &cache),
     )
-    .expect("parallel formation succeeds");
+    .with_workers(workers)
+    .run(contract.clone(), &mut MailboxSystem::new(), &mut reputation)
+    .expect("cached formation succeeds");
     Formed {
         vo,
         stats: cache.stats(),
@@ -184,10 +145,10 @@ fn run_parallel(
 #[test]
 fn parallel_formation_is_observationally_identical_to_serial() {
     let world = world();
-    let serial = run_serial_cached(&world);
+    let serial = run_cached(&world, 1);
 
     for workers in [1, 2, 8] {
-        let parallel = run_parallel(&world, workers);
+        let parallel = run_cached(&world, workers);
 
         // Identical member sets, role assignment, and certificate serials.
         assert_eq!(
@@ -219,21 +180,23 @@ fn parallel_formation_is_observationally_identical_to_serial() {
 
 #[test]
 fn parallel_formation_matches_plain_serial_membership() {
-    let (contract, initiator, providers, registry) = world();
+    let world = world();
+    let (contract, initiator, providers, registry) = &world;
     let serial_clock = clock();
-    let serial = form_vo(
+    let (serial, _) = Formation::new(
+        initiator,
+        providers,
+        registry,
+        NegotiationSource::in_process(&serial_clock),
+    )
+    .run(
         contract.clone(),
-        &initiator,
-        &providers,
-        &registry,
         &mut MailboxSystem::new(),
         &mut ReputationLedger::new(),
-        &serial_clock,
-        Strategy::Standard,
     )
     .expect("plain serial formation succeeds");
 
-    let parallel = run_parallel(&(contract, initiator, providers, registry), 4);
+    let parallel = run_cached(&world, 4);
     assert_eq!(membership(&serial), membership(&parallel.vo));
     assert_eq!(serial_clock.elapsed(), parallel.elapsed);
 }
@@ -241,7 +204,7 @@ fn parallel_formation_matches_plain_serial_membership() {
 #[test]
 fn parallel_formation_fills_expected_roles() {
     let world = world();
-    let formed = run_parallel(&world, 8);
+    let formed = run_cached(&world, 8);
     assert_eq!(formed.vo.members().len(), 3);
     for i in 0..3 {
         let record = formed
