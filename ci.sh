@@ -60,6 +60,14 @@ RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
 cargo run --release -p trust-vo-bench --bin fig9_join_times -- --smoke > target/e12-cache-on.txt
 TRUST_VO_CRED_CACHE=0 cargo run --release -p trust-vo-bench --bin fig9_join_times -- --smoke > target/e12-cache-off.txt
 cmp target/e12-cache-on.txt target/e12-cache-off.txt
+# Trust-X exchange gates (E4, E4b, E6): the negotiation tables are
+# deterministic, so each bin's stdout must match its committed golden
+# file byte for byte. E6's trusting row covers the batched-alternatives
+# branch of the policy phase.
+cargo run --release -p trust-vo-bench --bin negotiation_messages > target/e4-negotiation-messages.txt
+cmp target/e4-negotiation-messages.txt tests/golden/negotiation_messages.txt
+cargo run --release -p trust-vo-bench --bin strategy_table > target/e6-strategy-table.txt
+cmp target/e6-strategy-table.txt tests/golden/strategy_table.txt
 # Journal determinism gate: the same seed must journal the same facts in
 # the same frames — two formation runs, byte-identical replay/state
 # digests — plus a truncated-journal recovery smoke (every cut in a

@@ -8,6 +8,7 @@ use std::hint::black_box;
 use trust_vo_bench::workloads;
 use trust_vo_negotiation::baseline::negotiate_eager;
 use trust_vo_negotiation::Strategy;
+use trust_vo_vo::initiator_party_for_role;
 use trust_vo_vo::scenario::{names, roles};
 
 fn bench_strategies(c: &mut Criterion) {
@@ -25,12 +26,11 @@ fn bench_strategies(c: &mut Criterion) {
 
 fn bench_eager_baseline(c: &mut Criterion) {
     let s = workloads::scenario(workloads::free_clock());
-    let mut initiator = s.provider(names::AIRCRAFT).party.clone();
-    if let Some(set) = s.contract.policies_for(roles::DESIGN_PORTAL) {
-        for policy in set.iter() {
-            initiator.policies.add(policy.clone());
-        }
-    }
+    let initiator = initiator_party_for_role(
+        s.provider(names::AIRCRAFT),
+        &s.contract,
+        roles::DESIGN_PORTAL,
+    );
     let aerospace = s.provider(names::AEROSPACE).party.clone();
     c.bench_function("eager_baseline", |b| {
         b.iter(|| {

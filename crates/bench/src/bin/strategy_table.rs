@@ -6,6 +6,7 @@ use trust_vo_bench::report::Report;
 use trust_vo_bench::workloads;
 use trust_vo_negotiation::baseline::negotiate_eager;
 use trust_vo_negotiation::Strategy;
+use trust_vo_vo::initiator_party_for_role;
 use trust_vo_vo::scenario::{names, roles};
 
 fn main() {
@@ -38,12 +39,11 @@ fn main() {
 
     // The eager baseline over-discloses: every releasable credential is
     // pushed, not just the ones a trust sequence needs.
-    let mut initiator = s.provider(names::AIRCRAFT).party.clone();
-    if let Some(set) = s.contract.policies_for(roles::DESIGN_PORTAL) {
-        for policy in set.iter() {
-            initiator.policies.add(policy.clone());
-        }
-    }
+    let initiator = initiator_party_for_role(
+        s.provider(names::AIRCRAFT),
+        &s.contract,
+        roles::DESIGN_PORTAL,
+    );
     let aerospace = s.provider(names::AEROSPACE).party.clone();
     let eager = negotiate_eager(&aerospace, &initiator, "VoMembership", workloads::at())
         .expect("satisfiable");

@@ -27,9 +27,10 @@ use crate::message::{Message, Side};
 use crate::party::Party;
 use crate::strategy::{CredentialFormat, Strategy};
 use crate::transcript::Transcript;
-use crate::tree::{NegotiationTree, NodeId, NodeStatus};
+use crate::tree::{EdgeId, NegotiationTree, NodeId, NodeStatus};
 use crate::view::{Disclosure, TrustSequence};
-use trust_vo_credential::{Credential, CredentialError, CredentialId, Timestamp};
+use std::sync::Arc;
+use trust_vo_credential::{Credential, CredentialError, Timestamp};
 use trust_vo_obs::{ObsContext, SpanGuard};
 use trust_vo_policy::DisclosurePolicy;
 
@@ -88,31 +89,31 @@ pub struct NegotiationOutcome {
     pub tree: NegotiationTree,
 }
 
-/// The satisfied view found by phase 1.
-#[derive(Debug, Clone)]
-enum Plan {
-    /// The resource flows freely (DELIV rule or ungoverned resource).
+/// How phase 1 released a resource.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Released {
+    /// Freely (DELIV rule or ungoverned resource).
     Deliv,
-    /// A satisfied policy rule.
-    Rule { terms: Vec<TermPlan> },
+    /// By satisfying a policy rule.
+    Rule,
 }
 
-#[derive(Debug, Clone)]
-struct TermPlan {
-    /// The side disclosing the satisfying credential.
-    by: Side,
-    credential: CredentialId,
-    cred_type: String,
-    /// How that credential's own protection is satisfied.
-    release: Box<Plan>,
-}
-
+/// Phase 1's search state. Everything it reads — policies, candidate
+/// credentials, resource names — is borrowed from the two parties for
+/// `'a`; a disclosed policy is shared, never copied.
 struct Engine<'a> {
     requester: &'a Party,
     controller: &'a Party,
     cfg: &'a NegotiationConfig,
     transcript: Transcript,
     tree: NegotiationTree,
+    /// The releases in progress, by (owner, resource): meeting one again
+    /// means interlocked policies.
+    stack: Vec<(Side, &'a str)>,
+    /// The trust sequence of the view found so far, in disclosure order
+    /// (each credential after the disclosures its release needs). A
+    /// branch that fails leaves it as the branch found it.
+    sequence: Vec<(Side, &'a Credential)>,
 }
 
 impl<'a> Engine<'a> {
@@ -124,29 +125,22 @@ impl<'a> Engine<'a> {
     }
 
     /// Phase 1 for one resource owned by `owner`, expanding `node`.
-    fn plan_release(
-        &mut self,
-        owner: Side,
-        resource: &str,
-        node: NodeId,
-        stack: &mut Vec<(Side, String)>,
-    ) -> Option<Plan> {
-        if stack.len() >= self.cfg.max_depth {
+    fn plan_release(&mut self, owner: Side, resource: &'a str, node: NodeId) -> Option<Released> {
+        if self.stack.len() >= self.cfg.max_depth {
             return None;
         }
-        let key = (owner, resource.to_owned());
-        if stack.contains(&key) {
+        let key = (owner, resource);
+        if self.stack.contains(&key) {
             // Interlocked policies: this branch deadlocks.
             return None;
         }
-        stack.push(key);
-        let result = self.plan_release_inner(owner, resource, node, stack);
-        stack.pop();
-        if let Some(Plan::Deliv) = &result {
-            self.tree.set_status(node, NodeStatus::Deliv)
-        }
-        if result.is_none() {
-            self.tree.set_status(node, NodeStatus::Failed);
+        self.stack.push(key);
+        let result = self.plan_release_inner(owner, resource, node);
+        self.stack.pop();
+        match result {
+            Some(Released::Deliv) => self.tree.set_status(node, NodeStatus::Deliv),
+            None => self.tree.set_status(node, NodeStatus::Failed),
+            Some(Released::Rule) => {}
         }
         result
     }
@@ -154,16 +148,10 @@ impl<'a> Engine<'a> {
     fn plan_release_inner(
         &mut self,
         owner: Side,
-        resource: &str,
+        resource: &'a str,
         node: NodeId,
-        stack: &mut Vec<(Side, String)>,
-    ) -> Option<Plan> {
-        let owner_party = self.party(owner);
-        let alternatives: Vec<DisclosurePolicy> = owner_party
-            .alternatives_for(resource)
-            .into_iter()
-            .cloned()
-            .collect();
+    ) -> Option<Released> {
+        let policies = &self.party(owner).policies;
         // The counterpart asks for the resource's policies.
         self.transcript.log(
             owner.other(),
@@ -171,23 +159,21 @@ impl<'a> Engine<'a> {
                 resource: resource.to_owned(),
             },
         );
-        if alternatives.is_empty() {
+        if !policies.governs(resource) {
             // Ungoverned resources are freely released.
-            return Some(Plan::Deliv);
+            return Some(Released::Deliv);
         }
-        if self.cfg.strategy.batches_alternatives() {
+        let batched = self.cfg.strategy.batches_alternatives();
+        if batched {
             // Trusting: every alternative is disclosed in one message.
-            self.transcript.policies_disclosed += alternatives.len();
+            let all: Vec<_> = policies.alternatives_for(resource).cloned().collect();
+            self.transcript.policies_disclosed += all.len();
             self.transcript.policy_rounds += 1;
-            self.transcript.log(
-                owner,
-                Message::PolicyDisclosure {
-                    policies: alternatives.clone(),
-                },
-            );
+            self.transcript
+                .log(owner, Message::PolicyDisclosure { policies: all });
         }
-        for policy in &alternatives {
-            if !self.cfg.strategy.batches_alternatives() {
+        for policy in policies.alternatives_for(resource) {
+            if !batched {
                 self.transcript.policies_disclosed += 1;
                 let terms = policy.terms().len().max(1);
                 let per_message = self.cfg.strategy.terms_per_message();
@@ -197,49 +183,46 @@ impl<'a> Engine<'a> {
                     self.transcript.log(
                         owner,
                         Message::PolicyDisclosure {
-                            policies: vec![policy.clone()],
+                            policies: vec![Arc::clone(policy)],
                         },
                     );
                 }
             }
             if policy.is_deliv() {
-                self.tree.choose_edge(node, &policy.id);
-                return Some(Plan::Deliv);
+                return Some(Released::Deliv);
             }
-            if let Some(plan) = self.try_policy(owner, policy, node, stack) {
-                self.tree.choose_edge(node, &policy.id);
-                return Some(plan);
+            if let Some(edge) = self.try_policy(owner, policy, node) {
+                self.tree.choose(edge);
+                return Some(Released::Rule);
             }
             self.transcript.failed_alternatives += 1;
         }
         None
     }
 
-    /// Try to satisfy all terms of one policy alternative.
+    /// Try to satisfy all terms of one policy alternative, appending the
+    /// disclosures it needs to the sequence. Returns the alternative's
+    /// tree edge when every term is satisfied.
     fn try_policy(
         &mut self,
         owner: Side,
-        policy: &DisclosurePolicy,
+        policy: &Arc<DisclosurePolicy>,
         node: NodeId,
-        stack: &mut Vec<(Side, String)>,
-    ) -> Option<Plan> {
-        let labels: Vec<String> = policy.terms().iter().map(|t| t.key()).collect();
-        let children = self.tree.expand(node, policy.id.clone(), &labels);
+    ) -> Option<EdgeId> {
+        let edge = self.tree.expand(node, policy);
         let counterpart = owner.other();
-        let mut term_plans = Vec::with_capacity(policy.terms().len());
-        for (term, &child) in policy.terms().iter().zip(&children) {
+        let counterpart_party = self.party(counterpart);
+        let start = self.sequence.len();
+        for (i, term) in policy.terms().iter().enumerate() {
+            let child = self.tree.edge(edge).to[i];
             // Which of the counterpart's credentials satisfy the term?
             // Each party knows the validity windows of its own credentials
             // and never offers one that is expired at negotiation time
             // (revocation, by contrast, is only detected by the receiver
             // during the exchange phase — the §4.2 failure mode).
-            let candidates: Vec<(CredentialId, String)> = self
-                .party(counterpart)
-                .satisfying(term)
-                .into_iter()
-                .filter(|c| c.header().validity.contains(self.cfg.at))
-                .map(|c| (c.id().clone(), c.cred_type().to_owned()))
-                .collect();
+            let mut candidates = counterpart_party.satisfying(term);
+            let at = self.cfg.at;
+            candidates.retain(|c| c.header().validity.contains(at));
             if candidates.is_empty() {
                 if self.cfg.strategy.reveals_missing() {
                     self.transcript.log(
@@ -252,40 +235,22 @@ impl<'a> Engine<'a> {
                     self.transcript.log(counterpart, Message::Decline);
                 }
                 self.tree.set_status(child, NodeStatus::Failed);
+                self.sequence.truncate(start);
                 return None;
             }
-            let mut satisfied = None;
-            for (cred_id, cred_type) in candidates {
-                if let Some(release) = self.plan_release(counterpart, &cred_type, child, stack) {
-                    self.tree
-                        .set_status(child, NodeStatus::SatisfiedBy(cred_id.clone()));
-                    satisfied = Some(TermPlan {
-                        by: counterpart,
-                        credential: cred_id,
-                        cred_type,
-                        release: Box::new(release),
-                    });
-                    break;
-                }
-            }
-            term_plans.push(satisfied?);
-        }
-        Some(Plan::Rule { terms: term_plans })
-    }
-}
-
-fn sequence_of(plan: &Plan, out: &mut TrustSequence) {
-    if let Plan::Rule { terms } = plan {
-        for term in terms {
-            // Prerequisites of the credential first …
-            sequence_of(&term.release, out);
-            // … then the credential itself.
-            out.push(Disclosure {
-                by: term.by,
-                cred_id: term.credential.clone(),
-                cred_type: term.cred_type.clone(),
+            let satisfied = candidates.into_iter().find(|&cred| {
+                self.plan_release(counterpart, cred.cred_type(), child)
+                    .is_some()
             });
+            let Some(cred) = satisfied else {
+                self.sequence.truncate(start);
+                return None;
+            };
+            self.tree
+                .set_status(child, NodeStatus::SatisfiedBy(cred.id().clone()));
+            self.sequence.push((counterpart, cred));
         }
+        Some(edge)
     }
 }
 
@@ -369,6 +334,8 @@ pub fn evaluate_policies(
         cfg,
         transcript: Transcript::new(),
         tree: NegotiationTree::new(resource, Side::Controller),
+        stack: Vec::new(),
+        sequence: Vec::new(),
     };
     engine.transcript.log(
         Side::Requester,
@@ -377,9 +344,8 @@ pub fn evaluate_policies(
             strategy: cfg.strategy,
         },
     );
-    let mut stack = Vec::new();
     let root = engine.tree.root();
-    let plan = engine.plan_release(Side::Controller, resource, root, &mut stack);
+    let released = engine.plan_release(Side::Controller, resource, root);
     if engine.transcript.message_count() > cfg.max_messages {
         engine.transcript.log(
             Side::Controller,
@@ -395,7 +361,7 @@ pub fn evaluate_policies(
             ),
         });
     }
-    let Some(plan) = plan else {
+    if released.is_none() {
         engine.transcript.log(
             Side::Controller,
             Message::Failure {
@@ -406,9 +372,15 @@ pub fn evaluate_policies(
         return Err(NegotiationError::NoTrustSequence {
             resource: resource.to_owned(),
         });
-    };
+    }
     let mut sequence = TrustSequence::new();
-    sequence_of(&plan, &mut sequence);
+    for &(by, cred) in &engine.sequence {
+        sequence.push(Disclosure {
+            by,
+            cred_id: cred.id().clone(),
+            cred_type: cred.cred_type().to_owned(),
+        });
+    }
     record_policy_phase(cfg, &mut span, &engine.transcript, "ok");
     Ok(PolicyPhase {
         resource: resource.to_owned(),
@@ -650,19 +622,19 @@ pub fn count_views(
     cfg: &NegotiationConfig,
     cap: usize,
 ) -> usize {
-    fn views(
-        requester: &Party,
-        controller: &Party,
+    fn views<'a>(
+        requester: &'a Party,
+        controller: &'a Party,
         cfg: &NegotiationConfig,
         owner: Side,
-        resource: &str,
-        stack: &mut Vec<(Side, String)>,
+        resource: &'a str,
+        stack: &mut Vec<(Side, &'a str)>,
         cap: usize,
     ) -> usize {
         if stack.len() >= cfg.max_depth {
             return 0;
         }
-        let key = (owner, resource.to_owned());
+        let key = (owner, resource);
         if stack.contains(&key) {
             return 0;
         }
@@ -671,16 +643,10 @@ pub fn count_views(
             Side::Requester => requester,
             Side::Controller => controller,
         };
-        let alternatives: Vec<DisclosurePolicy> = owner_party
-            .alternatives_for(resource)
-            .into_iter()
-            .cloned()
-            .collect();
-        let mut total = 0usize;
-        if alternatives.is_empty() {
-            total = 1;
-        }
-        for policy in &alternatives {
+        let policies = &owner_party.policies;
+        // Ungoverned resources are freely released: one view.
+        let mut total = usize::from(!policies.governs(resource));
+        for policy in policies.alternatives_for(resource) {
             if total >= cap {
                 break;
             }
@@ -736,11 +702,6 @@ pub fn count_views(
         cap,
     )
 }
-
-// The `PolicyId` import is used in tree interactions; re-exported here for
-// integration tests that inspect chosen edges.
-#[doc(hidden)]
-pub use trust_vo_policy::PolicyId as _PolicyIdForTests;
 
 #[cfg(test)]
 mod tests {
@@ -979,6 +940,42 @@ mod tests {
                 .unwrap();
             assert!(std::ptr::eq(cred.signed_bytes(), held.signed_bytes()));
             assert_eq!(cred.xml_text(), trust_vo_xmldoc::to_string(&held.to_xml()));
+        }
+    }
+
+    /// Disclosed policies and tree edges share the owner's policy (the
+    /// same allocation, not a copy), under one-per-message disclosure and
+    /// under the trusting strategy's batched alternatives alike.
+    #[test]
+    fn disclosed_policies_share_the_owners_policy() {
+        let (aerospace, aircraft, _) = fig2_parties();
+        for strategy in [Strategy::Standard, Strategy::Trusting] {
+            let cfg = NegotiationConfig::new(strategy, at());
+            let outcome = negotiate(&aerospace, &aircraft, "VoMembership", &cfg).unwrap();
+            let owns = |side: Side, policy: &Arc<DisclosurePolicy>| {
+                let owner = match side {
+                    Side::Requester => &aerospace,
+                    Side::Controller => &aircraft,
+                };
+                owner
+                    .policies
+                    .iter()
+                    .any(|held| std::ptr::eq(held, &**policy))
+            };
+            let mut disclosed = 0;
+            for entry in outcome.transcript.entries() {
+                if let Message::PolicyDisclosure { policies } = &entry.message {
+                    for policy in policies {
+                        assert!(owns(entry.from, policy), "{strategy}: {policy}");
+                        disclosed += 1;
+                    }
+                }
+            }
+            assert_eq!(disclosed, outcome.transcript.policies_disclosed);
+            let tree = &outcome.tree;
+            for edge in tree.edges() {
+                assert!(owns(tree.node(edge.from).owner, &edge.policy), "{strategy}");
+            }
         }
     }
 

@@ -51,19 +51,19 @@ pub fn enumerate_sequences(
 
 /// All ways `owner` can release `resource`, each as the ordered disclosure
 /// list that must precede (and include) the release.
-fn release_options(
-    requester: &Party,
-    controller: &Party,
+fn release_options<'a>(
+    requester: &'a Party,
+    controller: &'a Party,
     cfg: &NegotiationConfig,
     owner: Side,
-    resource: &str,
-    stack: &mut Vec<(Side, String)>,
+    resource: &'a str,
+    stack: &mut Vec<(Side, &'a str)>,
     cap: usize,
 ) -> Vec<Vec<Disclosure>> {
     if cap == 0 || stack.len() >= cfg.max_depth {
         return Vec::new();
     }
-    let key = (owner, resource.to_owned());
+    let key = (owner, resource);
     if stack.contains(&key) {
         return Vec::new();
     }
@@ -72,16 +72,12 @@ fn release_options(
         Side::Requester => requester,
         Side::Controller => controller,
     };
-    let alternatives: Vec<_> = owner_party
-        .alternatives_for(resource)
-        .into_iter()
-        .cloned()
-        .collect();
+    let policies = &owner_party.policies;
     let mut out: Vec<Vec<Disclosure>> = Vec::new();
-    if alternatives.is_empty() {
+    if !policies.governs(resource) {
         out.push(Vec::new()); // ungoverned ⇒ freely released
     }
-    for policy in &alternatives {
+    for policy in policies.alternatives_for(resource) {
         if out.len() >= cap {
             break;
         }

@@ -7,6 +7,7 @@
 //! credential exchange phase.
 
 use crate::strategy::Strategy;
+use std::sync::Arc;
 use trust_vo_credential::Credential;
 use trust_vo_crypto::Signature;
 use trust_vo_policy::DisclosurePolicy;
@@ -56,8 +57,8 @@ pub enum Message {
     },
     /// Disclose one or more policies protecting a resource.
     PolicyDisclosure {
-        /// The disclosed policies.
-        policies: Vec<DisclosurePolicy>,
+        /// The disclosed policies, shared with the sender's policy set.
+        policies: Vec<Arc<DisclosurePolicy>>,
     },
     /// Inform the counterpart that a requested credential is not possessed
     /// (sent only by strategies that reveal missing credentials).

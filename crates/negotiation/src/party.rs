@@ -65,14 +65,17 @@ impl Party {
 
     /// The policy alternatives protecting `resource`, in preference order.
     pub fn alternatives_for<'a>(&'a self, resource: &'a str) -> Vec<&'a DisclosurePolicy> {
-        self.policies.alternatives_for(resource).collect()
+        self.policies
+            .alternatives_for(resource)
+            .map(|p| &**p)
+            .collect()
     }
 
     /// Credentials in this party's profile that satisfy `term` (concept
     /// terms resolved through the local ontology), least sensitive first.
     pub fn satisfying(&self, term: &Term) -> Vec<&Credential> {
         let mut found = satisfying_credentials(term, &self.profile, self.ontology.as_ref());
-        found.sort_by_key(|c| (self.profile.sensitivity_of(c.id()), c.id().clone()));
+        found.sort_by_key(|&c| (self.profile.sensitivity_of(c.id()), c.id()));
         found
     }
 

@@ -12,12 +12,17 @@
 //! thus considered as a whole during the negotiation." (§4.2)
 
 use crate::message::Side;
+use std::sync::Arc;
 use trust_vo_credential::CredentialId;
-use trust_vo_policy::PolicyId;
+use trust_vo_policy::DisclosurePolicy;
 
 /// Index of a node in a [`NegotiationTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeId(pub usize);
+
+/// Index of an edge in a [`NegotiationTree`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct EdgeId(pub usize);
 
 /// Satisfaction state of a node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,8 +58,9 @@ pub struct TreeEdge {
     pub from: NodeId,
     /// The term nodes of the policy body (as a whole, for multiedges).
     pub to: Vec<NodeId>,
-    /// The policy rule this edge represents.
-    pub policy: PolicyId,
+    /// The policy rule this edge represents, shared with the policy set
+    /// of the party that disclosed it.
+    pub policy: Arc<DisclosurePolicy>,
     /// Whether this edge is part of the chosen (successful) view.
     pub chosen: bool,
 }
@@ -92,30 +98,26 @@ impl NegotiationTree {
         NodeId(0)
     }
 
-    /// Add a policy edge expanding `from` into child term nodes labelled
-    /// `labels`, each owned by the side opposite to `from`'s owner (terms
-    /// of my policy are satisfied by *your* credentials).
-    pub fn expand(&mut self, from: NodeId, policy: PolicyId, labels: &[String]) -> Vec<NodeId> {
+    /// Add a policy edge expanding `from` into one child node per term of
+    /// `policy`, labelled with the term's key and owned by the side
+    /// opposite to `from`'s owner (terms of my policy are satisfied by
+    /// *your* credentials). Returns the new edge.
+    pub fn expand(&mut self, from: NodeId, policy: &Arc<DisclosurePolicy>) -> EdgeId {
         let child_owner = self.nodes[from.0].owner.other();
-        let ids: Vec<NodeId> = labels
-            .iter()
-            .map(|label| {
-                let id = NodeId(self.nodes.len());
-                self.nodes.push(TreeNode {
-                    label: label.clone(),
-                    owner: child_owner,
-                    status: NodeStatus::Open,
-                });
-                id
-            })
-            .collect();
+        let first = self.nodes.len();
+        self.nodes
+            .extend(policy.terms().iter().map(|term| TreeNode {
+                label: term.key(),
+                owner: child_owner,
+                status: NodeStatus::Open,
+            }));
         self.edges.push(TreeEdge {
             from,
-            to: ids.clone(),
-            policy,
+            to: (first..self.nodes.len()).map(NodeId).collect(),
+            policy: Arc::clone(policy),
             chosen: false,
         });
-        ids
+        EdgeId(self.edges.len() - 1)
     }
 
     /// Set a node's status.
@@ -123,15 +125,14 @@ impl NegotiationTree {
         self.nodes[node.0].status = status;
     }
 
-    /// Mark the edge from `from` with `policy` as part of the chosen view.
-    pub fn choose_edge(&mut self, from: NodeId, policy: &PolicyId) {
-        if let Some(edge) = self
-            .edges
-            .iter_mut()
-            .find(|e| e.from == from && &e.policy == policy)
-        {
-            edge.chosen = true;
-        }
+    /// Mark an edge as part of the chosen view.
+    pub fn choose(&mut self, edge: EdgeId) {
+        self.edges[edge.0].chosen = true;
+    }
+
+    /// Edge accessor.
+    pub fn edge(&self, id: EdgeId) -> &TreeEdge {
+        &self.edges[id.0]
     }
 
     /// Node accessor.
@@ -215,7 +216,7 @@ impl NegotiationTree {
             "edge"
         };
         let chosen = if edge.chosen { " *" } else { "" };
-        out.push_str(&format!("[{kind} {}{}]\n", edge.policy, chosen));
+        out.push_str(&format!("[{kind} {}{}]\n", edge.policy.id, chosen));
         for &child in &edge.to {
             self.render_node(child, depth + 1, out);
         }
@@ -225,20 +226,34 @@ impl NegotiationTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trust_vo_policy::{Resource, Term};
+
+    fn rule(id: &str, target: &str, terms: &[&str]) -> Arc<DisclosurePolicy> {
+        Arc::new(DisclosurePolicy::rule(
+            id,
+            Resource::credential(target),
+            terms.iter().map(|t| Term::of_type(*t)).collect(),
+        ))
+    }
 
     /// Build the Fig. 2 tree: the Aerospace company requests VOMembership;
     /// the Aircraft company requires WebDesignerQuality; the Aerospace
     /// company counter-requires AAACreditation OR a BalanceSheet.
     fn fig2() -> NegotiationTree {
         let mut t = NegotiationTree::new("VoMembership", Side::Controller);
-        let kids = t.expand(
+        let edge = t.expand(
             t.root(),
-            PolicyId("p1".into()),
-            &["WebDesignerQuality".into()],
+            &rule("p1", "VoMembership", &["WebDesignerQuality"]),
         );
-        let quality = kids[0];
-        t.expand(quality, PolicyId("p2".into()), &["AAACreditation".into()]);
-        t.expand(quality, PolicyId("p3".into()), &["BalanceSheet".into()]);
+        let quality = t.edge(edge).to[0];
+        t.expand(
+            quality,
+            &rule("p2", "WebDesignerQuality", &["AAACreditation"]),
+        );
+        t.expand(
+            quality,
+            &rule("p3", "WebDesignerQuality", &["BalanceSheet"]),
+        );
         t
     }
 
@@ -254,23 +269,29 @@ mod tests {
         assert_eq!(t.node(NodeId(0)).owner, Side::Controller);
         assert_eq!(t.node(NodeId(1)).owner, Side::Requester);
         assert_eq!(t.node(NodeId(2)).owner, Side::Controller);
+        assert_eq!(t.node(NodeId(2)).label, "AAACreditation");
     }
 
     #[test]
     fn multiedge_detection() {
         let mut t = NegotiationTree::new("R", Side::Controller);
-        let kids = t.expand(t.root(), PolicyId("p".into()), &["A".into(), "B".into()]);
-        assert_eq!(kids.len(), 2);
+        let edge = t.expand(t.root(), &rule("p", "R", &["A", "B"]));
+        assert_eq!(t.edge(edge).to, [NodeId(1), NodeId(2)]);
         assert!(t.edges()[0].is_multiedge());
     }
 
     #[test]
-    fn choose_edge_marks_only_matching() {
+    fn choose_marks_only_the_given_edge() {
         let mut t = fig2();
-        t.choose_edge(NodeId(1), &PolicyId("p3".into()));
+        // Two alternatives with the same id: the handle, not the id,
+        // decides which one is chosen.
+        let quality = NodeId(1);
+        let twin = t.expand(quality, &rule("p3", "WebDesignerQuality", &["Other"]));
+        t.choose(twin);
         let chosen: Vec<_> = t.edges().iter().filter(|e| e.chosen).collect();
         assert_eq!(chosen.len(), 1);
-        assert_eq!(chosen[0].policy.0, "p3");
+        assert!(std::ptr::eq(chosen[0], t.edge(twin)));
+        assert_eq!(chosen[0].policy.id.0, "p3");
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub fn satisfying_credentials<'a>(
                 .filter(|c| types.contains(c.cred_type()))
                 .filter(|c| term.conditions.iter().all(|cond| cond.holds_for(c)))
                 .collect();
-            candidates.sort_by_key(|c| (profile.sensitivity_of(c.id()), c.id().clone()));
+            candidates.sort_by_key(|&c| (profile.sensitivity_of(c.id()), c.id()));
             candidates
         }
     }

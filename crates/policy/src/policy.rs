@@ -15,8 +15,10 @@
 
 use crate::rterm::Resource;
 use crate::term::Term;
+use std::sync::Arc;
 
-/// A policy identifier, unique within a party's policy set.
+/// A policy identifier. [`PolicySet::add`] keeps ids unique within a set;
+/// only [`PolicySet::layer`] lets two policies share one.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PolicyId(pub String);
 
@@ -106,9 +108,13 @@ impl std::fmt::Display for DisclosurePolicy {
 }
 
 /// A party's set of disclosure policies.
+///
+/// Each policy is allocated once and shared: a negotiation transcript,
+/// its tree and a role identity built over this set hold clones of the
+/// same [`Arc`], never copies of the rule.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PolicySet {
-    policies: Vec<DisclosurePolicy>,
+    policies: Vec<Arc<DisclosurePolicy>>,
 }
 
 impl PolicySet {
@@ -117,8 +123,9 @@ impl PolicySet {
         Self::default()
     }
 
-    /// Add a policy. Ids must be unique; duplicates replace.
+    /// Add a policy, replacing the one with the same id if present.
     pub fn add(&mut self, policy: DisclosurePolicy) {
+        let policy = Arc::new(policy);
         if let Some(slot) = self.policies.iter_mut().find(|p| p.id == policy.id) {
             *slot = policy;
         } else {
@@ -126,12 +133,20 @@ impl PolicySet {
         }
     }
 
+    /// Append every policy of `over` after this set's own, sharing each
+    /// one. Unlike [`PolicySet::add`] nothing is replaced: a policy of
+    /// `over` whose id this set already uses is kept after the one here,
+    /// so no protection of this set is lost.
+    pub fn layer(&mut self, over: &PolicySet) {
+        self.policies.extend(over.policies.iter().cloned());
+    }
+
     /// All policies protecting a resource name, in insertion order — the
     /// *alternatives* for that resource.
     pub fn alternatives_for<'a>(
         &'a self,
         resource: &'a str,
-    ) -> impl Iterator<Item = &'a DisclosurePolicy> + 'a {
+    ) -> impl Iterator<Item = &'a Arc<DisclosurePolicy>> + 'a {
         self.policies
             .iter()
             .filter(move |p| p.target.name == resource)
@@ -144,18 +159,17 @@ impl PolicySet {
 
     /// Is the resource freely deliverable (has a DELIV rule)?
     pub fn is_deliverable(&self, resource: &str) -> bool {
-        self.alternatives_for(resource)
-            .any(DisclosurePolicy::is_deliv)
+        self.alternatives_for(resource).any(|p| p.is_deliv())
     }
 
     /// Look up a policy by id.
     pub fn get(&self, id: &PolicyId) -> Option<&DisclosurePolicy> {
-        self.policies.iter().find(|p| &p.id == id)
+        self.iter().find(|p| &p.id == id)
     }
 
     /// Iterate over all policies.
     pub fn iter(&self) -> impl Iterator<Item = &DisclosurePolicy> {
-        self.policies.iter()
+        self.policies.iter().map(|p| &**p)
     }
 
     /// Number of policies.
@@ -239,6 +253,23 @@ mod tests {
             Resource::service("VoMembership"),
         ));
         assert!(set.is_deliverable("VoMembership"));
+    }
+
+    #[test]
+    fn layer_shares_and_keeps_colliding_ids() {
+        let mut base = example_1();
+        let mut over = PolicySet::new();
+        over.add(DisclosurePolicy::deliv(
+            "p1",
+            Resource::service("VoMembership"),
+        ));
+        base.layer(&over);
+        assert_eq!(base.len(), 3);
+        let alts: Vec<_> = base.alternatives_for("VoMembership").collect();
+        assert_eq!(alts.len(), 2);
+        assert!(!alts[0].is_deliv(), "the base policy comes first");
+        // Shared, not copied: the same allocation as in `over`.
+        assert!(std::ptr::eq(&**alts[1], over.iter().next().unwrap()));
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! success per role are the (bounded) price of the parallel fan-out.
 
 use crate::admitted::{AdmissionControl, AdmissionHooks};
-use crate::contract::Contract;
+use crate::contract::{Contract, Role};
 use crate::error::VoError;
 use crate::lifecycle::{Phase, VoLifecycle};
 use crate::mailbox::{Invitation, MailboxSystem};
@@ -170,19 +170,24 @@ pub fn charge_negotiation(clock: &SimClock, transcript: &Transcript) {
 }
 
 /// The initiator's negotiation identity for one role: its own party data
-/// with the contract's Identification-phase policies for that role merged
-/// in ("policies are created for the specific VO and in particular for the
-/// roles", §5.1).
-pub(crate) fn initiator_party_for_role(
+/// with the contract's Identification-phase policies for that role layered
+/// after its own ("policies are created for the specific VO and in
+/// particular for the roles", §5.1). Both negotiation sources build the
+/// identity here.
+///
+/// Every policy is shared with the initiator or the contract, not copied.
+/// A role policy never replaces one of the initiator's: when a contract
+/// reuses an id the initiator already uses, the identity holds both
+/// policies, the initiator's first, so none of the initiator's resources
+/// loses its protection.
+pub fn initiator_party_for_role(
     initiator: &ServiceProvider,
     contract: &Contract,
     role: &str,
 ) -> Party {
     let mut party = initiator.party.clone();
     if let Some(set) = contract.policies_for(role) {
-        for policy in set.iter() {
-            party.policies.add(policy.clone());
-        }
+        party.policies.layer(set);
     }
     party
 }
@@ -264,6 +269,11 @@ pub fn join_member(
     clock: &SimClock,
     with_tn: Option<Strategy>,
 ) -> Result<MemberRecord, VoError> {
+    let role = vo
+        .contract
+        .role(role)
+        .cloned()
+        .ok_or_else(|| VoError::UnknownRole(role.to_owned()))?;
     let action = match with_tn {
         Some(strategy) => TnAction::Negotiate {
             strategy,
@@ -276,7 +286,7 @@ pub fn join_member(
         vo,
         initiator,
         candidate,
-        role,
+        &role,
         mailboxes,
         reputation,
         clock,
@@ -286,8 +296,8 @@ pub fn join_member(
     )
 }
 
-/// One join attempt: invitation flow, optional TN (live or already
-/// decided), role assignment, membership certificate. `link` is the
+/// One join attempt for `role`: invitation flow, optional TN (live or
+/// already decided), role assignment, membership certificate. `link` is the
 /// enclosing formation span's trace position, if any — the attempt's own
 /// span (and the negotiation spans under it) hang off it and inherit its
 /// trace id. When `admission` hooks are present, the attempt's outcome
@@ -298,7 +308,7 @@ pub(crate) fn join_attempt(
     vo: &mut FormedVo,
     initiator: &ServiceProvider,
     candidate: &ServiceProvider,
-    role: &str,
+    role: &Role,
     mailboxes: &mut MailboxSystem,
     reputation: &mut ReputationLedger,
     clock: &SimClock,
@@ -309,17 +319,10 @@ pub(crate) fn join_attempt(
     let obs = clock.collector();
     let mut span = obs.span_linked("formation.join_attempt", link);
     if span.id().is_some() {
-        span.field("role", role);
+        span.field("role", role.name.as_str());
         span.field("provider", candidate.name());
         obs.counter_add("formation.attempts", 1);
     }
-    let role_def = match vo.contract.role(role) {
-        Some(def) => def.clone(),
-        None => {
-            span.field("result", "unknown-role");
-            return Err(VoError::UnknownRole(role.to_owned()));
-        }
-    };
 
     // Invitation screen + delivery into the member's mailbox.
     clock.charge(CostKind::GuiStep);
@@ -328,9 +331,9 @@ pub(crate) fn join_attempt(
         candidate.name(),
         Invitation {
             vo_name: vo.name.clone(),
-            role: role.to_owned(),
+            role: role.name.clone(),
             from: initiator.name().to_owned(),
-            text: format!("Join '{}': {}", vo.name, role_def.requirements),
+            text: format!("Join '{}': {}", vo.name, role.requirements),
         },
     );
     // Member reads the mailbox and decides.
@@ -344,7 +347,7 @@ pub(crate) fn join_attempt(
         }
         span.field("result", "declined");
         return Err(VoError::RoleUnfilled {
-            role: role.to_owned(),
+            role: role.name.clone(),
             tried: vec![candidate.name().to_owned()],
         });
     }
@@ -361,7 +364,7 @@ pub(crate) fn join_attempt(
             at,
             cache,
         } => {
-            let initiator_party = initiator_party_for_role(initiator, &vo.contract, role);
+            let initiator_party = initiator_party_for_role(initiator, &vo.contract, &role.name);
             let cfg = NegotiationConfig::new(strategy, at)
                 .with_obs(ObsContext::new(obs.clone()).at_link(span.link()));
             Some(negotiate_membership(&candidate.party, &initiator_party, cache, &cfg).map(Some))
@@ -395,14 +398,20 @@ pub(crate) fn join_attempt(
     clock.charge(CostKind::GuiStep);
     clock.charge(CostKind::GuiStep);
     clock.charge_n(CostKind::DbQuery, 2);
-    let certificate = issue_membership(vo, &initiator.party.keys, clock, &candidate.party, role);
+    let certificate = issue_membership(
+        vo,
+        &initiator.party.keys,
+        clock,
+        &candidate.party,
+        &role.name,
+    );
     // Confirmation screen.
     clock.charge(CostKind::GuiStep);
     clock.charge(CostKind::DbQuery);
 
     let record = MemberRecord {
         provider: candidate.name().to_owned(),
-        role: role.to_owned(),
+        role: role.name.clone(),
         certificate,
     };
     vo.members.push(record.clone());
@@ -598,7 +607,11 @@ impl<'a, T: Transport + ?Sized> Formation<'a, T> {
 
         let mut vo = create_vo(contract, self.initiator, clock);
         let mut stats = FormationResilience::default();
-        let roles = vo.contract.roles.clone();
+        // The roles are lent out of the contract while the loop admits
+        // members into `vo` (an attempt reads only the role it is given),
+        // and are back before the VO is audited; a formation that fails
+        // drops `vo`.
+        let roles = std::mem::take(&mut vo.contract.roles);
         for role in &roles {
             // Formation: "The VO Initiator queries public repositories to
             // retrieve the information published during the Preparation
@@ -684,7 +697,7 @@ impl<'a, T: Transport + ?Sized> Formation<'a, T> {
                     &mut vo,
                     self.initiator,
                     candidate,
-                    &role.name,
+                    role,
                     mailboxes,
                     reputation,
                     clock,
@@ -707,6 +720,7 @@ impl<'a, T: Transport + ?Sized> Formation<'a, T> {
                 });
             }
         }
+        vo.contract.roles = roles;
         audit_members(&vo)?;
         obs.counter_add("formation.audits", 1);
         {
@@ -969,8 +983,10 @@ pub(crate) mod testworld {
 
 #[cfg(test)]
 mod tests {
-    use super::testworld::{clock, member_summary, world};
+    use super::testworld::{clock, member_summary, world, World};
     use super::*;
+    use trust_vo_credential::CredentialAuthority;
+    use trust_vo_policy::{DisclosurePolicy, PolicySet, Resource, Term};
 
     #[test]
     fn formation_fills_role_skipping_failed_candidate() {
@@ -1212,5 +1228,117 @@ mod tests {
         )
         .unwrap();
         assert_ne!(a.certificate.serial, b.certificate.serial);
+    }
+
+    /// The initiator guards its BalanceSheet with `p1` <- AuditReport,
+    /// which nobody holds. Aerospace releases its Quality credential only
+    /// against that BalanceSheet, and the one role requires Quality under
+    /// the role policy id `role_policy_id`.
+    fn colliding_world(role_policy_id: &str) -> World {
+        let mut ca = CredentialAuthority::new("AAA");
+        let window = TimeRange::one_year_from(Timestamp::from_ymd_hms(2009, 1, 1, 0, 0, 0));
+        let mut initiator = Party::new("Aircraft");
+        let sheet = ca
+            .issue(
+                "BalanceSheet",
+                "Aircraft",
+                initiator.keys.public,
+                vec![],
+                window,
+            )
+            .unwrap();
+        initiator.profile.add(sheet);
+        initiator.policies.add(DisclosurePolicy::rule(
+            "p1",
+            Resource::credential("BalanceSheet"),
+            vec![Term::of_type("AuditReport")],
+        ));
+        let mut aerospace = Party::new("Aerospace");
+        let quality = ca
+            .issue(
+                "Quality",
+                "Aerospace",
+                aerospace.keys.public,
+                vec![],
+                window,
+            )
+            .unwrap();
+        aerospace.profile.add(quality);
+        aerospace.policies.add(DisclosurePolicy::rule(
+            "a1",
+            Resource::credential("Quality"),
+            vec![Term::of_type("BalanceSheet")],
+        ));
+        initiator.trust_root(ca.public_key());
+        aerospace.trust_root(ca.public_key());
+
+        let mut contract = Contract::new("AuditedVo", "audited design")
+            .with_role(Role::new("Portal", "portal", "quality"));
+        let mut policies = PolicySet::new();
+        policies.add(DisclosurePolicy::rule(
+            role_policy_id,
+            Resource::service("VoMembership"),
+            vec![Term::of_type("Quality")],
+        ));
+        contract.set_role_policies("Portal", policies);
+        let mut registry = ServiceRegistry::new();
+        registry.publish(ResourceDescription::new("Aerospace", "portal", "x", 0.9));
+        World {
+            contract,
+            initiator: ServiceProvider::new(initiator),
+            providers: BTreeMap::from([("Aerospace".to_owned(), ServiceProvider::new(aerospace))]),
+            registry,
+        }
+    }
+
+    /// A role identity shares its policies: the initiator's own first,
+    /// then the role's, each the same allocation as in its owner — also
+    /// when the two reuse an id.
+    #[test]
+    fn role_identity_shares_the_initiator_and_role_policies() {
+        let w = colliding_world("p1");
+        let identity = initiator_party_for_role(&w.initiator, &w.contract, "Portal");
+        let owners: Vec<_> = w
+            .initiator
+            .party
+            .policies
+            .iter()
+            .chain(w.contract.policies_for("Portal").unwrap().iter())
+            .collect();
+        let held: Vec<_> = identity.policies.iter().collect();
+        assert_eq!(held.len(), 2);
+        assert_eq!(held.len(), owners.len());
+        assert!(held.iter().zip(&owners).all(|(a, b)| std::ptr::eq(*a, *b)));
+    }
+
+    /// A role policy whose id the initiator already uses must not lift
+    /// the initiator's own protection: Aerospace stays refused, in
+    /// process and through the TN service alike.
+    #[test]
+    fn role_policy_never_replaces_an_initiator_policy() {
+        for role_policy_id in ["vo-r", "p1"] {
+            let w = colliding_world(role_policy_id);
+            let clock = clock();
+            let bus = w.service_bus();
+            let formations = [
+                w.in_process(&clock),
+                w.formation(NegotiationSource::Service(ServiceSource::standard(
+                    &bus, "tn", 42,
+                ))),
+            ];
+            for formation in formations {
+                let err = formation
+                    .run(
+                        w.contract.clone(),
+                        &mut MailboxSystem::new(),
+                        &mut ReputationLedger::new(),
+                    )
+                    .unwrap_err();
+                assert!(
+                    matches!(err, VoError::RoleUnfilled { .. }),
+                    "role policy {role_policy_id}: {err:?}"
+                );
+            }
+        }
     }
 }

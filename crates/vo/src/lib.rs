@@ -50,7 +50,8 @@ pub use admitted::AdmissionControl;
 pub use contract::{CollaborationRule, Contract, Role};
 pub use error::VoError;
 pub use formation::{
-    audit_members, create_vo, form_vo, join_member, Formation, FormedVo, NegotiationSource,
+    audit_members, create_vo, form_vo, initiator_party_for_role, join_member, Formation, FormedVo,
+    NegotiationSource,
 };
 pub use lifecycle::{Phase, VoLifecycle};
 pub use member::{MemberRecord, ServiceProvider};

@@ -22,7 +22,7 @@
 
 use crate::contract::{CollaborationRule, Contract, Role};
 use crate::error::VoError;
-use crate::formation::FormedVo;
+use crate::formation::{initiator_party_for_role, FormedVo};
 use crate::member::ServiceProvider;
 use crate::registry::ResourceDescription;
 use crate::toolkit::VoToolkit;
@@ -503,12 +503,11 @@ impl AircraftScenario {
         &self,
         strategy: Strategy,
     ) -> Result<NegotiationOutcome, NegotiationError> {
-        let mut initiator = self.provider(names::AIRCRAFT).party.clone();
-        if let Some(set) = self.contract.policies_for(roles::DESIGN_PORTAL) {
-            for policy in set.iter() {
-                initiator.policies.add(policy.clone());
-            }
-        }
+        let initiator = initiator_party_for_role(
+            self.provider(names::AIRCRAFT),
+            &self.contract,
+            roles::DESIGN_PORTAL,
+        );
         let aerospace = &self.provider(names::AEROSPACE).party;
         let cfg = NegotiationConfig::new(strategy, scenario_time());
         negotiate(aerospace, &initiator, "VoMembership", &cfg)

@@ -13,16 +13,16 @@ use trust_vo::negotiation::ticket::negotiate_with_ticket;
 use trust_vo::negotiation::{
     choose_minimal, enumerate_sequences, NegotiationConfig, SequenceCache, Strategy,
 };
+use trust_vo::vo::initiator_party_for_role;
 use trust_vo::vo::scenario::{names, roles, AircraftScenario};
 
 fn main() {
     let scenario = AircraftScenario::build();
-    let mut initiator = scenario.provider(names::AIRCRAFT).party.clone();
-    if let Some(set) = scenario.contract.policies_for(roles::DESIGN_PORTAL) {
-        for policy in set.iter() {
-            initiator.policies.add(policy.clone());
-        }
-    }
+    let initiator = initiator_party_for_role(
+        scenario.provider(names::AIRCRAFT),
+        &scenario.contract,
+        roles::DESIGN_PORTAL,
+    );
     let aerospace = scenario.provider(names::AEROSPACE).party.clone();
     let cfg = NegotiationConfig::new(Strategy::Standard, trust_vo::vo::scenario::scenario_time());
 

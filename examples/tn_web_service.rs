@@ -10,6 +10,7 @@ use trust_vo::negotiation::Strategy;
 use trust_vo::soa::client::run_negotiation;
 use trust_vo::soa::{ServiceBus, TnService};
 use trust_vo::store::Database;
+use trust_vo::vo::initiator_party_for_role;
 use trust_vo::vo::scenario::{names, roles, AircraftScenario};
 
 fn main() {
@@ -20,12 +21,11 @@ fn main() {
     // Stand up the service: register the two §5 negotiation parties. The
     // initiator's identity carries the Design-Portal role policies.
     let service = TnService::new(clock.clone(), Database::new());
-    let mut initiator = scenario.provider(names::AIRCRAFT).party.clone();
-    if let Some(set) = scenario.contract.policies_for(roles::DESIGN_PORTAL) {
-        for policy in set.iter() {
-            initiator.policies.add(policy.clone());
-        }
-    }
+    let initiator = initiator_party_for_role(
+        scenario.provider(names::AIRCRAFT),
+        &scenario.contract,
+        roles::DESIGN_PORTAL,
+    );
     service.register_party(initiator);
     service.register_party(scenario.provider(names::AEROSPACE).party.clone());
     println!(

@@ -26,6 +26,7 @@ use trust_vo::credential::RevocationList;
 use trust_vo::negotiation::message::Side;
 use trust_vo::negotiation::{choose_minimal, enumerate_sequences, NegotiationConfig, Strategy};
 use trust_vo::obs::{critical, parse_jsonl, Record, SpanRecord, Value};
+use trust_vo::vo::initiator_party_for_role;
 use trust_vo::vo::operation::{authorize_operation, OperationLog};
 use trust_vo::vo::scenario::{names, roles, scenario_time, AircraftScenario};
 
@@ -296,12 +297,11 @@ fn cmd_negotiate(strategy: Strategy) {
 
 fn cmd_views() {
     let scenario = AircraftScenario::build();
-    let mut initiator = scenario.provider(names::AIRCRAFT).party.clone();
-    if let Some(set) = scenario.contract.policies_for(roles::DESIGN_PORTAL) {
-        for policy in set.iter() {
-            initiator.policies.add(policy.clone());
-        }
-    }
+    let initiator = initiator_party_for_role(
+        scenario.provider(names::AIRCRAFT),
+        &scenario.contract,
+        roles::DESIGN_PORTAL,
+    );
     let aerospace = scenario.provider(names::AEROSPACE).party.clone();
     let cfg = NegotiationConfig::new(Strategy::Standard, scenario_time());
     let sequences = enumerate_sequences(&aerospace, &initiator, "VoMembership", &cfg, 100);

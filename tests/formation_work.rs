@@ -1,6 +1,8 @@
 //! Deterministic work gate for the formation paths: the exact number of
 //! signatures, verifications, bus calls, journal appends, store
-//! operations and join attempts a fixed set of serial formations costs.
+//! operations, join attempts and phase-1 negotiation work (messages,
+//! policy evaluations, failed alternatives) a fixed set of serial
+//! formations costs.
 //!
 //! The crypto counters and the verified-credential cache are
 //! process-wide, so this file holds a single test and runs its shapes in
@@ -39,12 +41,16 @@ struct Work {
     store_ops: u64,
     attempts: u64,
     admissions: u64,
+    messages: u64,
+    policy_evaluations: u64,
+    failed_alternatives: u64,
 }
 
 impl Work {
     /// Read a shape's work: crypto deltas since `before`, everything
     /// else from the shape's own collector. Store operations are the
-    /// samples in the per-collection `store.*.op_us` histograms.
+    /// samples in the per-collection `store.*.op_us` histograms; the
+    /// phase-1 counts are the `negotiation.*` counters.
     fn measure(before: CryptoStats, collector: &Collector, journal_appends: u64) -> Self {
         let after = crypto_stats::snapshot();
         let snap = collector.metrics();
@@ -63,13 +69,17 @@ impl Work {
             store_ops,
             attempts: snap.counter("formation.attempts"),
             admissions: snap.counter("formation.admissions"),
+            messages: snap.counter("negotiation.messages"),
+            policy_evaluations: snap.counter("negotiation.policy_evaluations"),
+            failed_alternatives: snap.counter("negotiation.failed_alternatives"),
         }
     }
 }
 
-/// In-process formation of the E10 batch world.
-fn in_process() -> Work {
-    let world = workloads::parallel_join_world(4, 4, 2);
+/// In-process formation of an E10 batch world: `applicants` roles, a
+/// chain of `depth` levels with `alternatives` policies per level.
+fn in_process(applicants: usize, depth: usize, alternatives: usize) -> Work {
+    let world = workloads::parallel_join_world(applicants, depth, alternatives);
     let clock = workloads::free_clock();
     let collector = Collector::new();
     clock.attach_obs(&collector);
@@ -85,7 +95,7 @@ fn in_process() -> Work {
         Strategy::Standard,
     )
     .expect("in-process formation succeeds");
-    assert_eq!(vo.members().len(), 4);
+    assert_eq!(vo.members().len(), applicants);
     Work::measure(before, &collector, 0)
 }
 
@@ -161,7 +171,7 @@ fn lifecycle() -> Work {
 #[test]
 fn formation_work_is_pinned() {
     assert_eq!(
-        in_process(),
+        in_process(4, 4, 2),
         Work {
             sign: 4,
             verify: 10,
@@ -171,6 +181,9 @@ fn formation_work_is_pinned() {
             store_ops: 0,
             attempts: 4,
             admissions: 4,
+            messages: 104,
+            policy_evaluations: 32,
+            failed_alternatives: 12,
         },
         "in-process formation"
     );
@@ -185,6 +198,9 @@ fn formation_work_is_pinned() {
             store_ops: 29,
             attempts: 4,
             admissions: 4,
+            messages: 0,
+            policy_evaluations: 0,
+            failed_alternatives: 0,
         },
         "service formation"
     );
@@ -199,7 +215,29 @@ fn formation_work_is_pinned() {
             store_ops: 27,
             attempts: 5,
             admissions: 5,
+            messages: 28,
+            policy_evaluations: 8,
+            failed_alternatives: 2,
         },
         "lifecycle scenario"
+    );
+    // The E17 `formation_cold` shape (8 roles, depth 8, 3 alternatives
+    // per level, all but the last failing), after the shapes above.
+    assert_eq!(
+        in_process(8, 8, 3),
+        Work {
+            sign: 8,
+            verify: 34,
+            verify_batch_sigs: 8,
+            bus_calls: 0,
+            journal_appends: 0,
+            store_ops: 0,
+            attempts: 8,
+            admissions: 8,
+            messages: 512,
+            policy_evaluations: 184,
+            failed_alternatives: 112,
+        },
+        "formation_cold shape"
     );
 }
