@@ -72,9 +72,13 @@ cmp target/e6-strategy-table.txt tests/golden/strategy_table.txt
 # the same frames — two formation runs, byte-identical replay/state
 # digests — plus a truncated-journal recovery smoke (every cut in a
 # 97-step sweep must restore a clean-prefix state, asserted in-binary).
+# The run must also match its committed golden file (record count, byte
+# length, replay and state digests), so an unintended change to the
+# journal record layout or the document encoding fails here.
 cargo run --release -p trust-vo-bench --bin journal_workload -- --seed 42 > target/journal-digest-a.txt
 cargo run --release -p trust-vo-bench --bin journal_workload -- --seed 42 > target/journal-digest-b.txt
 cmp target/journal-digest-a.txt target/journal-digest-b.txt
+cmp target/journal-digest-a.txt tests/golden/journal_workload.txt
 cargo run --release -p trust-vo-bench --bin journal_workload -- --smoke --seed 42
 # Indexed mapping-engine gate (E5b): the similarity-fallback speedup
 # floor at n=800 and the n=10000 completeness check are asserted

@@ -1,9 +1,12 @@
 //! Journal facts: the logical operations the journal makes durable.
 //!
 //! Facts are deliberately domain-light — collections and documents are
-//! named by strings and documents travel as serialized XML — so the
-//! journal crate sits below `store`, `ontology`, and `soa` without
-//! depending on any of them.
+//! named by strings and a document travels as the opaque bytes of its
+//! canonical binary encoding (`xmldoc::binary`), the same bytes the
+//! store keeps — so the journal crate sits below `store`, `ontology`,
+//! and `soa` without depending on any of them.
+
+use std::sync::Arc;
 
 /// One durable operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -15,8 +18,9 @@ pub enum Fact {
         collection: String,
         /// The document id within the collection.
         id: String,
-        /// The document, serialized XML.
-        xml: String,
+        /// The document's canonical binary encoding, shared with the
+        /// store revision it records. The journal never decodes it.
+        doc: Arc<[u8]>,
     },
     /// A document tombstone (history retained, as in the live store).
     Delete {
@@ -66,15 +70,22 @@ pub enum Fact {
     },
 }
 
-const TAG_PUT: u8 = 1;
+// Tag 1 was a `Put` carrying XML text. It is retired, never reused: a
+// log written before the binary `Put` replays up to its first `Put`
+// and stops there, as at any undecodable record.
 const TAG_DELETE: u8 = 2;
 const TAG_MAPPING: u8 = 3;
 const TAG_REPUTATION: u8 = 4;
 const TAG_MANA: u8 = 5;
+const TAG_PUT: u8 = 6;
+
+fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
+    out.extend_from_slice(b);
+}
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+    put_bytes(out, s.as_bytes());
 }
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
@@ -88,13 +99,17 @@ fn get_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     Some(v)
 }
 
-fn get_str(bytes: &[u8], pos: &mut usize) -> Option<String> {
+fn get_bytes<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
     let len_end = pos.checked_add(4)?;
     let len = u32::from_le_bytes(bytes.get(*pos..len_end)?.try_into().ok()?) as usize;
     let end = len_end.checked_add(len)?;
-    let s = std::str::from_utf8(bytes.get(len_end..end)?).ok()?;
+    let b = bytes.get(len_end..end)?;
     *pos = end;
-    Some(s.to_owned())
+    Some(b)
+}
+
+fn get_str(bytes: &[u8], pos: &mut usize) -> Option<String> {
+    Some(std::str::from_utf8(get_bytes(bytes, pos)?).ok()?.to_owned())
 }
 
 impl Fact {
@@ -104,12 +119,12 @@ impl Fact {
             Fact::Put {
                 collection,
                 id,
-                xml,
+                doc,
             } => {
                 out.push(TAG_PUT);
                 put_str(out, collection);
                 put_str(out, id);
-                put_str(out, xml);
+                put_bytes(out, doc);
             }
             Fact::Delete { collection, id } => {
                 out.push(TAG_DELETE);
@@ -163,7 +178,7 @@ impl Fact {
             TAG_PUT => Some(Fact::Put {
                 collection: get_str(bytes, pos)?,
                 id: get_str(bytes, pos)?,
-                xml: get_str(bytes, pos)?,
+                doc: Arc::from(get_bytes(bytes, pos)?),
             }),
             TAG_DELETE => Some(Fact::Delete {
                 collection: get_str(bytes, pos)?,
@@ -207,7 +222,7 @@ mod tests {
         roundtrip(&Fact::Put {
             collection: "profiles".into(),
             id: "Aerospace".into(),
-            xml: "<profile owner=\"Aerospace\"/>".into(),
+            doc: Arc::from(&[1, 7, 0, 0, 0][..]),
         });
         roundtrip(&Fact::Delete {
             collection: "checkpoints".into(),
@@ -220,7 +235,7 @@ mod tests {
         roundtrip(&Fact::Put {
             collection: String::new(),
             id: String::new(),
-            xml: String::new(),
+            doc: Arc::from(&[][..]),
         });
         roundtrip(&Fact::Reputation {
             party: "Flooder Inc".into(),
@@ -277,12 +292,26 @@ mod tests {
         assert!(Fact::decode(&trunc, &mut 0).is_none());
         // Mana fact with only the party string.
         assert!(Fact::decode(&[5, 1, 0, 0, 0, b'p'], &mut 0).is_none());
+        // A `Put` document length past the end.
+        assert!(Fact::decode(&[6, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0], &mut 0).is_none());
+    }
+
+    #[test]
+    fn retired_xml_put_tag_is_unknown() {
+        // Tag 1 carried a `Put` as XML text; its records no longer decode.
+        let mut old = vec![1];
+        for s in ["c", "d", "<d/>"] {
+            put_str(&mut old, s);
+        }
+        assert!(Fact::decode(&old, &mut 0).is_none());
     }
 
     proptest! {
         #[test]
-        fn roundtrip_arbitrary_strings(c in ".{0,40}", i in ".{0,40}", x in ".{0,80}") {
-            roundtrip(&Fact::Put { collection: c.clone(), id: i.clone(), xml: x });
+        fn roundtrip_arbitrary_strings(
+            c in ".{0,40}", i in ".{0,40}", d in proptest::collection::vec(any::<u8>(), 0..80)
+        ) {
+            roundtrip(&Fact::Put { collection: c.clone(), id: i.clone(), doc: d.into() });
             roundtrip(&Fact::Delete { collection: c.clone(), id: i.clone() });
             roundtrip(&Fact::Mapping { alias: c, canonical: i });
         }

@@ -140,20 +140,30 @@ impl Journal {
         }
     }
 
-    fn write_frame(&self, payload: &[u8]) -> u64 {
-        let framed_len = (frame::HEADER_LEN + payload.len()) as u64;
-        let end = match &self.backend {
+    /// Append one record whose payload `encode` writes. In memory the
+    /// payload is encoded straight into the log, with no staging buffer.
+    fn write_record(&self, encode: impl FnOnce(&mut Vec<u8>)) -> u64 {
+        let record = |buf: &mut Vec<u8>| {
+            let start = frame::begin_record(buf);
+            encode(buf);
+            frame::end_record(buf, start);
+            (buf.len() - start) as u64
+        };
+        let (end, framed_len) = match &self.backend {
             Backend::Mem(buf) => {
                 let mut buf = buf.lock().expect("journal lock");
-                frame::push_record(&mut buf, payload);
-                buf.len() as u64
+                let framed_len = record(&mut buf);
+                (buf.len() as u64, framed_len)
             }
             Backend::File { file, .. } => {
-                let mut buf = Vec::with_capacity(frame::HEADER_LEN + payload.len());
-                frame::push_record(&mut buf, payload);
+                let mut buf = Vec::new();
+                let framed_len = record(&mut buf);
                 let mut file = file.lock().expect("journal lock");
                 file.write_all(&buf).expect("journal append");
-                file.stream_position().expect("journal position")
+                (
+                    file.stream_position().expect("journal position"),
+                    framed_len,
+                )
             }
         };
         self.bytes_written.add(framed_len);
@@ -164,9 +174,10 @@ impl Journal {
     /// Append one fact; returns the byte offset of the record boundary
     /// just written (useful as a truncation point in recovery tests).
     pub fn append(&self, fact: &Fact) -> u64 {
-        let mut payload = vec![KIND_FACT];
-        fact.encode_into(&mut payload);
-        let end = self.write_frame(&payload);
+        let end = self.write_record(|out| {
+            out.push(KIND_FACT);
+            fact.encode_into(out);
+        });
         self.appends.inc();
         self.obs_add("journal.appends", 1);
         end
@@ -308,7 +319,7 @@ mod tests {
         Fact::Put {
             collection: "c".into(),
             id: format!("d{n}"),
-            xml: format!("<doc n=\"{n}\"/>"),
+            doc: n.to_le_bytes().into(),
         }
     }
 

@@ -11,8 +11,11 @@
 //! Three producers spill into one journal:
 //!
 //! * the multi-versioned document [`Database`](../trust_vo_store) — every
-//!   `put`/`delete` becomes a [`Fact::Put`]/[`Fact::Delete`]; replay
-//!   reconstructs revision histories exactly,
+//!   `put`/`delete` becomes a [`Fact::Put`]/[`Fact::Delete`]. A `Put`
+//!   carries the document's canonical binary encoding, the very bytes
+//!   the store keeps for that revision, so neither journaling nor replay
+//!   writes or parses XML; replay reconstructs revision histories
+//!   exactly,
 //! * the `MapMemo` — resolved concept pairs become [`Fact::Mapping`]
 //!   entries, recoverable as the paper's §4.3 *dictionary*,
 //! * phase-2 negotiation checkpoints — the TN service persists them

@@ -118,16 +118,17 @@ impl TnService {
         self.clock
             .charge_n(CostKind::DbQuery, policy_docs.len() as u64);
         let fresh_count = policy_docs.len();
+        let prefix = format!("{}#", party.name);
         self.db.with_collection("policies", |c| {
             for (i, doc) in policy_docs.into_iter().enumerate() {
-                c.put(format!("{}#{}", party.name, i).as_str(), doc);
+                c.put(format!("{prefix}{i}").as_str(), doc);
             }
             // Retire rows beyond the new policy count so a re-registration
             // with fewer policies leaves no stale documents live.
             let stale: Vec<_> = c
                 .ids()
                 .filter(|id| {
-                    id.0.strip_prefix(&format!("{}#", party.name))
+                    id.0.strip_prefix(&prefix)
                         .and_then(|suffix| suffix.parse::<usize>().ok())
                         .is_some_and(|i| i >= fresh_count)
                 })
@@ -521,7 +522,6 @@ impl TnService {
         self.clock.charge(CostKind::DbQuery);
         let stored = self.db.with_collection("checkpoints", |c| {
             c.get(&trust_vo_store::DocId(token.token_id.to_string()))
-                .cloned()
         });
         let stored = stored.ok_or_else(|| {
             Fault::new(

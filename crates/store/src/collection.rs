@@ -1,10 +1,10 @@
-//! A versioned collection of XML documents.
+//! A versioned collection of XML documents, each revision kept as its
+//! canonical binary encoding.
 
-#[cfg(feature = "journal")]
 use std::sync::Arc;
 #[cfg(feature = "journal")]
 use trust_vo_journal::{Fact, Fnv64, Journal};
-use trust_vo_xmldoc::{Element, Selector, XPathExpr};
+use trust_vo_xmldoc::{binary, Element, Selector, XPathExpr};
 
 /// A document identifier within a collection.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -22,19 +22,39 @@ impl std::fmt::Display for DocId {
     }
 }
 
-/// One stored revision of a document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Revision {
-    /// Monotonic revision number, starting at 1.
-    pub number: u64,
-    /// The document at this revision.
-    pub doc: Element,
-}
-
+/// One document's history. Revision `n` is `revisions[n - 1]`: numbering
+/// is dense from 1 and nothing is ever removed. Each revision is the
+/// document's `binary::encode_element` bytes and nothing else — no tree
+/// is kept beside it — shared with the journal's `Fact::Put` for it.
 #[derive(Debug, Clone, Default)]
 struct Entry {
-    revisions: Vec<Revision>,
+    revisions: Vec<Arc<[u8]>>,
     deleted: bool,
+}
+
+impl Entry {
+    /// Append a revision (resurrecting a deleted document); returns its
+    /// number.
+    fn push(&mut self, bytes: Arc<[u8]>) -> u64 {
+        self.deleted = false;
+        self.revisions.push(bytes);
+        self.revisions.len() as u64
+    }
+
+    /// The latest revision, unless the document is deleted.
+    fn live(&self) -> Option<&[u8]> {
+        if self.deleted {
+            return None;
+        }
+        self.revisions.last().map(|b| &b[..])
+    }
+}
+
+/// Decode a stored revision. Only [`Collection::put`], which encoded the
+/// bytes, and restore, which checked that they decode, install a
+/// revision, so decoding cannot fail.
+fn decode(bytes: &[u8]) -> Element {
+    binary::decode_element(bytes).expect("a stored revision is a canonical encoding")
 }
 
 /// A named collection of versioned XML documents with XPath-subset queries.
@@ -42,6 +62,7 @@ struct Entry {
 /// Reads take `&self`: the operation counter is atomic, so concurrent
 /// readers (e.g. parallel admission negotiations holding a shared read
 /// lock on the database) account their queries without write access.
+/// Every read decodes the revisions it returns or queries.
 #[derive(Debug, Default)]
 pub struct Collection {
     entries: std::collections::BTreeMap<DocId, Entry>,
@@ -86,33 +107,42 @@ impl Collection {
     }
 
     /// Insert or update a document; returns the new revision number.
+    ///
+    /// The document is encoded once, with `binary::encode_element`. That
+    /// one encoding is the stored revision, the journaled `Fact::Put`
+    /// and the state-digest input.
+    ///
+    /// # Panics
+    ///
+    /// If `doc` nests deeper than `binary::MAX_DEPTH` elements: no decoder
+    /// accepts such a document, so it could be neither read back nor
+    /// recovered, and its journal record would end every later restore.
     pub fn put(&mut self, id: impl Into<DocId>, doc: Element) -> u64 {
+        assert!(
+            doc.depth() <= binary::MAX_DEPTH,
+            "a stored document nests at most binary::MAX_DEPTH elements deep"
+        );
         self.count_op();
         let id = id.into();
+        let bytes: Arc<[u8]> = binary::encode_element(&doc).into();
         #[cfg(feature = "journal")]
         if let Some((journal, name)) = &self.journal {
             journal.append(&Fact::Put {
                 collection: name.clone(),
                 id: id.0.clone(),
-                xml: trust_vo_xmldoc::to_string(&doc),
+                doc: Arc::clone(&bytes),
             });
         }
-        let entry = self.entries.entry(id).or_default();
-        entry.deleted = false;
-        let number = entry.revisions.last().map(|r| r.number + 1).unwrap_or(1);
-        entry.revisions.push(Revision { number, doc });
-        number
+        self.entries.entry(id).or_default().push(bytes)
     }
 
     /// Replay-path put: identical revision bookkeeping to [`Collection::put`]
     /// but bypasses both the journal hook (replay must not re-journal) and
-    /// the op counter (recovery is not a workload).
+    /// the op counter (recovery is not a workload). The caller has checked
+    /// that `bytes` decode.
     #[cfg(feature = "journal")]
-    pub(crate) fn apply_put(&mut self, id: DocId, doc: Element) {
-        let entry = self.entries.entry(id).or_default();
-        entry.deleted = false;
-        let number = entry.revisions.last().map(|r| r.number + 1).unwrap_or(1);
-        entry.revisions.push(Revision { number, doc });
+    pub(crate) fn apply_put(&mut self, id: DocId, bytes: Arc<[u8]>) {
+        self.entries.entry(id).or_default().push(bytes);
     }
 
     /// Replay-path delete; see [`Collection::apply_put`].
@@ -126,7 +156,7 @@ impl Collection {
     /// Emit facts that rebuild this collection exactly — every revision in
     /// order (replay's dense numbering reproduces the originals) plus a
     /// tombstone for currently-deleted documents. Used for snapshot
-    /// compaction.
+    /// compaction; each `Put` shares the stored bytes.
     #[cfg(feature = "journal")]
     pub(crate) fn snapshot_facts(&self, name: &str, out: &mut Vec<Fact>) {
         for (id, entry) in &self.entries {
@@ -134,7 +164,7 @@ impl Collection {
                 out.push(Fact::Put {
                     collection: name.to_owned(),
                     id: id.0.clone(),
-                    xml: trust_vo_xmldoc::to_string(&rev.doc),
+                    doc: Arc::clone(rev),
                 });
             }
             if entry.deleted {
@@ -146,8 +176,9 @@ impl Collection {
         }
     }
 
-    /// Fold this collection's logical content (names, revision histories,
-    /// tombstones — *not* the op counter) into a state digest.
+    /// Fold this collection's logical content (names, revision histories
+    /// as their stored bytes, tombstones — *not* the op counter) into a
+    /// state digest.
     #[cfg(feature = "journal")]
     pub(crate) fn digest_into(&self, name: &str, h: &mut Fnv64) {
         h.write_framed(name.as_bytes());
@@ -155,30 +186,27 @@ impl Collection {
             h.write_framed(id.0.as_bytes());
             h.write(&[u8::from(entry.deleted)]);
             h.write(&(entry.revisions.len() as u64).to_le_bytes());
-            for rev in &entry.revisions {
-                h.write(&rev.number.to_le_bytes());
-                h.write_framed(trust_vo_xmldoc::to_string(&rev.doc).as_bytes());
+            for (number, rev) in (1u64..).zip(&entry.revisions) {
+                h.write(&number.to_le_bytes());
+                h.write_framed(rev);
             }
         }
     }
 
     /// The latest revision of a live document.
-    pub fn get(&self, id: &DocId) -> Option<&Element> {
+    pub fn get(&self, id: &DocId) -> Option<Element> {
         self.count_op();
-        self.entries
-            .get(id)
-            .filter(|e| !e.deleted)
-            .and_then(|e| e.revisions.last())
-            .map(|r| &r.doc)
+        self.entries.get(id).and_then(Entry::live).map(decode)
     }
 
     /// A specific revision (even of a deleted document).
-    pub fn get_revision(&self, id: &DocId, number: u64) -> Option<&Element> {
+    pub fn get_revision(&self, id: &DocId, number: u64) -> Option<Element> {
         self.count_op();
+        let index = usize::try_from(number.checked_sub(1)?).ok()?;
         self.entries
             .get(id)
-            .and_then(|e| e.revisions.iter().find(|r| r.number == number))
-            .map(|r| &r.doc)
+            .and_then(|e| e.revisions.get(index))
+            .map(|b| decode(b))
     }
 
     /// Mark a document deleted (history retained). Returns whether it was live.
@@ -223,42 +251,36 @@ impl Collection {
         self.len() == 0
     }
 
+    /// The latest revision of every live document, decoded, in id order.
+    fn live_docs(&self) -> impl Iterator<Item = (&DocId, Element)> {
+        self.entries
+            .iter()
+            .filter_map(|(id, e)| Some((id, decode(e.live()?))))
+    }
+
     /// All live documents matching an XPath condition.
     pub fn find_all(&self, condition: &XPathExpr) -> Vec<(DocId, Element)> {
         self.count_op();
-        self.entries
-            .iter()
-            .filter(|(_, e)| !e.deleted)
-            .filter_map(|(id, e)| {
-                let doc = &e.revisions.last()?.doc;
-                condition.evaluate(doc).then(|| (id.clone(), doc.clone()))
-            })
+        self.live_docs()
+            .filter(|(_, doc)| condition.evaluate(doc))
+            .map(|(id, doc)| (id.clone(), doc))
             .collect()
     }
 
     /// First live document matching a condition. Short-circuits on the
-    /// first match — only the yielded document is cloned, unlike
-    /// `find_all(..).into_iter().next()` which clones every match just to
-    /// drop all but the first.
+    /// first match: documents after it are not decoded.
     pub fn find(&self, condition: &XPathExpr) -> Option<(DocId, Element)> {
         self.count_op();
-        self.entries
-            .iter()
-            .filter(|(_, e)| !e.deleted)
-            .find_map(|(id, e)| {
-                let doc = &e.revisions.last()?.doc;
-                condition.evaluate(doc).then(|| (id.clone(), doc.clone()))
-            })
+        self.live_docs()
+            .find(|(_, doc)| condition.evaluate(doc))
+            .map(|(id, doc)| (id.clone(), doc))
     }
 
     /// Extract values from every live document via a selector.
     pub fn select_values(&self, selector: &Selector) -> Vec<String> {
         self.count_op();
-        self.entries
-            .values()
-            .filter(|e| !e.deleted)
-            .filter_map(|e| e.revisions.last())
-            .flat_map(|r| selector.values(&r.doc))
+        self.live_docs()
+            .flat_map(|(_, doc)| selector.values(&doc))
             .collect()
     }
 
@@ -360,6 +382,25 @@ mod tests {
             .find(&XPathExpr::parse("/item[@name='absent']").unwrap())
             .is_none());
         assert_eq!(c.ops(), before + 2);
+    }
+
+    /// A chain of `n` nested elements.
+    fn nested(n: usize) -> Element {
+        (1..n).fold(Element::new("d"), |inner, _| Element::new("d").child(inner))
+    }
+
+    #[test]
+    fn the_deepest_decodable_document_round_trips() {
+        let mut c = Collection::new();
+        let doc = nested(binary::MAX_DEPTH);
+        c.put("deep", doc.clone());
+        assert_eq!(c.get(&"deep".into()), Some(doc));
+    }
+
+    #[test]
+    #[should_panic(expected = "nests at most binary::MAX_DEPTH")]
+    fn a_document_no_decoder_accepts_is_refused_at_put() {
+        Collection::new().put("deep", nested(binary::MAX_DEPTH + 1));
     }
 
     #[test]

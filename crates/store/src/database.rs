@@ -108,26 +108,34 @@ impl Database {
 
     /// Rebuild state from replayed facts (e.g. after a crash). Facts apply
     /// through the replay path, which neither re-journals nor counts ops —
-    /// so a restored database digests identically to the original.
-    /// [`Fact::Mapping`] facts belong to the ontology layer and
-    /// [`Fact::Reputation`]/[`Fact::Mana`] to the admission layer; all
-    /// three are skipped here.
+    /// so a restored database digests identically to the original. A
+    /// `Put` installs the document bytes it carries, after checking that
+    /// they decode; no XML is parsed. [`Fact::Mapping`] facts belong to
+    /// the ontology layer and [`Fact::Reputation`]/[`Fact::Mana`] to the
+    /// admission layer; all three are skipped here.
+    ///
+    /// Returns how many facts were applied (skipped ones included). That
+    /// is all of them unless a `Put` whose document does not decode came
+    /// first: the restore stops there, like replay at an undecodable
+    /// record, so the state is always that of a clean prefix of `facts`.
     #[cfg(feature = "journal")]
-    pub fn restore_from_facts<'a>(&self, facts: impl IntoIterator<Item = &'a Fact>) {
+    pub fn restore_from_facts<'a>(&self, facts: impl IntoIterator<Item = &'a Fact>) -> usize {
         let mut guard = self.inner.write();
+        let mut applied = 0;
         for fact in facts {
             match fact {
                 Fact::Put {
                     collection,
                     id,
-                    xml,
+                    doc,
                 } => {
-                    if let Ok(doc) = trust_vo_xmldoc::parse(xml) {
-                        guard
-                            .entry(collection.clone())
-                            .or_default()
-                            .apply_put(id.as_str().into(), doc);
+                    if trust_vo_xmldoc::decode_element(doc).is_none() {
+                        break;
                     }
+                    guard
+                        .entry(collection.clone())
+                        .or_default()
+                        .apply_put(id.as_str().into(), Arc::clone(doc));
                 }
                 Fact::Delete { collection, id } => {
                     if let Some(c) = guard.get_mut(collection) {
@@ -136,15 +144,24 @@ impl Database {
                 }
                 Fact::Mapping { .. } | Fact::Reputation { .. } | Fact::Mana { .. } => {}
             }
+            applied += 1;
         }
+        applied
     }
 
     /// Replay a journal into this database; returns the replay (digest,
-    /// truncation flag) for the caller to inspect.
+    /// truncation flag) for the caller to inspect. A `Put` whose document
+    /// does not decode ends the restore like a torn tail: `truncated` is
+    /// set and `facts` keeps only the facts applied before it (`records`
+    /// and `clean_len` still describe the frame scan).
     #[cfg(feature = "journal")]
     pub fn restore_from_journal(&self, journal: &Journal) -> Replay {
-        let replay = journal.replay();
-        self.restore_from_facts(&replay.facts);
+        let mut replay = journal.replay();
+        let applied = self.restore_from_facts(&replay.facts);
+        if applied < replay.facts.len() {
+            replay.facts.truncate(applied);
+            replay.truncated = true;
+        }
         replay
     }
 
@@ -168,8 +185,9 @@ impl Database {
     }
 
     /// Deterministic digest of the logical state: collection names, ids,
-    /// revision histories, tombstones. Op counters are excluded so a
-    /// replayed database digests equal to the original.
+    /// revision histories (their stored bytes, folded as they are),
+    /// tombstones. Op counters are excluded so a replayed database
+    /// digests equal to the original.
     #[cfg(feature = "journal")]
     pub fn state_digest(&self) -> u64 {
         let guard = self.inner.read();
@@ -214,7 +232,7 @@ mod tests {
             c.put("p1", Element::new("policy"));
         });
         assert!(db.has_collection("policies"));
-        let found = db.with_collection("policies", |c| c.get(&"p1".into()).cloned());
+        let found = db.with_collection("policies", |c| c.get(&"p1".into()));
         assert!(found.is_some());
     }
 
@@ -263,7 +281,7 @@ mod tests {
         db.with_collection("docs", |c| {
             c.put("1", Element::new("x"));
         });
-        let got = db.read_collection("docs", |c| c.get(&"1".into()).cloned());
+        let got = db.read_collection("docs", |c| c.get(&"1".into()));
         assert!(got.expect("collection exists").is_some());
         // Reads are counted even through the shared path.
         let ops = db.stats().operations;
@@ -372,13 +390,55 @@ mod tests {
         assert_eq!(restored.stats().operations, 0);
         // Revision history is reconstructed exactly.
         let v1 = restored
-            .read_collection("profiles", |c| c.get_revision(&"p1".into(), 1).cloned())
+            .read_collection("profiles", |c| c.get_revision(&"p1".into(), 1))
             .flatten()
             .expect("revision 1 restored");
         assert_eq!(v1.get_attr("v"), Some("1"));
         assert!(restored
             .read_collection("checkpoints", |c| c.get(&"ck".into()).is_none())
             .unwrap());
+    }
+
+    #[cfg(feature = "journal")]
+    #[test]
+    fn restore_stops_at_an_undecodable_put() {
+        use std::sync::Arc;
+        use trust_vo_journal::Journal;
+
+        let db = Database::new();
+        let journal = Arc::new(Journal::in_memory());
+        db.attach_journal(journal.clone());
+        db.with_collection("docs", |c| {
+            c.put("before", Element::new("a"));
+        });
+        let prefix_digest = db.state_digest();
+        // A checksum-valid record whose document bytes do not decode, then
+        // a valid one: applying the later fact would restore a state no
+        // clean prefix of the log ever had.
+        journal.append(&Fact::Put {
+            collection: "docs".into(),
+            id: "hole".into(),
+            doc: Arc::from(&b"not an encoding"[..]),
+        });
+        journal.append(&Fact::Put {
+            collection: "docs".into(),
+            id: "after".into(),
+            doc: trust_vo_xmldoc::encode_element(&Element::new("b")).into(),
+        });
+        assert!(
+            !journal.replay().truncated,
+            "every record is checksum-valid"
+        );
+
+        let restored = Database::new();
+        let replay = restored.restore_from_journal(&journal);
+        assert!(replay.truncated);
+        assert_eq!(replay.facts.len(), 1, "only the fact before the hole");
+        assert_eq!(restored.state_digest(), prefix_digest);
+        assert!(restored
+            .read_collection("docs", |c| c.get(&"after".into()))
+            .flatten()
+            .is_none());
     }
 
     #[cfg(feature = "journal")]

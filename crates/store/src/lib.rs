@@ -9,6 +9,9 @@
 //! * **XPath-subset queries** over a collection (`find` / `find_all`),
 //! * **versioning** — updates keep prior revisions, supporting the
 //!   re-negotiation flows of the VO operation phase,
+//! * **encode-once storage** — each revision is kept as its one
+//!   canonical `xmldoc::binary` encoding, which is also the journaled
+//!   fact and the state-digest input; reads decode it,
 //! * thread-safe handles (`parking_lot::RwLock`) so the SOA layer can share
 //!   one store across service endpoints, as the prototype shared one DB
 //!   connection pool.
@@ -22,5 +25,5 @@
 pub mod collection;
 pub mod database;
 
-pub use collection::{Collection, DocId, Revision};
+pub use collection::{Collection, DocId};
 pub use database::{Database, StoreStats};

@@ -310,7 +310,7 @@ pub fn load_vo(db: &Database, name: &str) -> Result<FormedVo, PersistError> {
     // serializes concurrent loaders) nor create an empty `vos` collection
     // as a side effect of a miss.
     let doc = db
-        .read_collection("vos", |c| c.get(&name.into()).cloned())
+        .read_collection("vos", |c| c.get(&name.into()))
         .flatten()
         .ok_or_else(|| PersistError(format!("no persisted VO named '{name}'")))?;
     vo_from_xml(&doc)

@@ -128,6 +128,13 @@ impl Element {
         self.first(name).map(Element::text_content)
     }
 
+    /// Elements on the longest path from this element to a leaf, this
+    /// element included (1 for an element with no element children).
+    /// The decoders accept at most [`crate::binary::MAX_DEPTH`].
+    pub fn depth(&self) -> usize {
+        1 + self.elements().map(Element::depth).max().unwrap_or(0)
+    }
+
     /// Total number of nodes in this subtree (the element itself included).
     pub fn size(&self) -> usize {
         1 + self
@@ -204,5 +211,11 @@ mod tests {
         assert_eq!(Element::new("a").size(), 1);
         assert_eq!(Element::new("a").text("t").size(), 2);
         assert_eq!(sample().size(), 9);
+    }
+
+    #[test]
+    fn depth_counts_elements_on_the_longest_path() {
+        assert_eq!(Element::new("a").text("t").depth(), 1);
+        assert_eq!(sample().depth(), 3);
     }
 }

@@ -1,5 +1,5 @@
 //! Deterministic work gate for the formation paths: the exact number of
-//! signatures, verifications, bus calls, journal appends, store
+//! signatures, verifications, bus calls, journal appends and bytes, store
 //! operations, join attempts and phase-1 negotiation work (messages,
 //! policy evaluations, failed alternatives) a fixed set of serial
 //! formations costs.
@@ -38,6 +38,9 @@ struct Work {
     verify_batch_sigs: u64,
     bus_calls: u64,
     journal_appends: u64,
+    /// Journal bytes written, frames included: pins the record layout
+    /// and the document encoding a `Fact::Put` carries.
+    journal_bytes: u64,
     store_ops: u64,
     attempts: u64,
     admissions: u64,
@@ -51,7 +54,12 @@ impl Work {
     /// else from the shape's own collector. Store operations are the
     /// samples in the per-collection `store.*.op_us` histograms; the
     /// phase-1 counts are the `negotiation.*` counters.
-    fn measure(before: CryptoStats, collector: &Collector, journal_appends: u64) -> Self {
+    fn measure(
+        before: CryptoStats,
+        collector: &Collector,
+        journal_appends: u64,
+        journal_bytes: u64,
+    ) -> Self {
         let after = crypto_stats::snapshot();
         let snap = collector.metrics();
         let store_ops = snap
@@ -66,6 +74,7 @@ impl Work {
             verify_batch_sigs: after.verify_batch_sigs - before.verify_batch_sigs,
             bus_calls: snap.counter("bus.calls"),
             journal_appends,
+            journal_bytes,
             store_ops,
             attempts: snap.counter("formation.attempts"),
             admissions: snap.counter("formation.admissions"),
@@ -96,7 +105,7 @@ fn in_process(applicants: usize, depth: usize, alternatives: usize) -> Work {
     )
     .expect("in-process formation succeeds");
     assert_eq!(vo.members().len(), applicants);
-    Work::measure(before, &collector, 0)
+    Work::measure(before, &collector, 0, 0)
 }
 
 /// The Aircraft VO through a journal-backed TN service on the gated
@@ -120,7 +129,7 @@ fn tn_service() -> Work {
         clock.clone(),
     );
     bus.set_gate(Arc::new(gate));
-    let appends_before = journal.stats().appends;
+    let journal_before = journal.stats();
     let before = crypto_stats::snapshot();
     let (vo, stats) = form_vo_resilient_admitted(
         scenario.contract.clone(),
@@ -140,7 +149,13 @@ fn tn_service() -> Work {
     .expect("service formation succeeds");
     assert_eq!(vo.members().len(), scenario.contract.roles.len());
     assert_eq!(stats.negotiations, vo.members().len() as u64);
-    Work::measure(before, &collector, journal.stats().appends - appends_before)
+    let journal_after = journal.stats();
+    Work::measure(
+        before,
+        &collector,
+        journal_after.appends - journal_before.appends,
+        journal_after.bytes_written - journal_before.bytes_written,
+    )
 }
 
 /// One seeded E16 lifecycle scenario, serially driven: lossy transport,
@@ -164,8 +179,9 @@ fn lifecycle() -> Work {
     let before = crypto_stats::snapshot();
     let run = run_scenario(&scenario, Mode::Serial, SimDuration::ZERO, Some(&collector));
     assert!(run.outcome.formed.is_ok(), "{:?}", run.outcome.formed);
+    let bytes = run.journal.len() as u64;
     let appends = Journal::from_bytes(run.journal).replay().facts.len() as u64;
-    Work::measure(before, &collector, appends)
+    Work::measure(before, &collector, appends, bytes)
 }
 
 #[test]
@@ -178,6 +194,7 @@ fn formation_work_is_pinned() {
             verify_batch_sigs: 4,
             bus_calls: 0,
             journal_appends: 0,
+            journal_bytes: 0,
             store_ops: 0,
             attempts: 4,
             admissions: 4,
@@ -195,6 +212,7 @@ fn formation_work_is_pinned() {
             verify_batch_sigs: 4,
             bus_calls: 13,
             journal_appends: 9,
+            journal_bytes: 2027,
             store_ops: 29,
             attempts: 4,
             admissions: 4,
@@ -212,6 +230,7 @@ fn formation_work_is_pinned() {
             verify_batch_sigs: 3,
             bus_calls: 12,
             journal_appends: 36,
+            journal_bytes: 11235,
             store_ops: 27,
             attempts: 5,
             admissions: 5,
@@ -231,6 +250,7 @@ fn formation_work_is_pinned() {
             verify_batch_sigs: 8,
             bus_calls: 0,
             journal_appends: 0,
+            journal_bytes: 0,
             store_ops: 0,
             attempts: 8,
             admissions: 8,

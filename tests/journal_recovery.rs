@@ -326,7 +326,7 @@ fn journal_obs_counters_track_activity() {
     let fact = |n: u32| Fact::Put {
         collection: "c".into(),
         id: format!("d{n}"),
-        xml: "<d/>".into(),
+        doc: trust_vo::xmldoc::encode_element(&Element::new("d")).into(),
     };
     journal.append(&fact(1));
     journal.append(&fact(2));

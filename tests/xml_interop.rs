@@ -67,7 +67,7 @@ fn policy_survives_store_roundtrip() {
         c.put("vo-portal", policy_to_xml(&policy));
     });
     let doc = db
-        .with_collection("policies", |c| c.get(&"vo-portal".into()).cloned())
+        .with_collection("policies", |c| c.get(&"vo-portal".into()))
         .unwrap();
     let text = trust_vo::xmldoc::to_string(&doc);
     let back = policy_from_xml(&trust_vo::xmldoc::parse(&text).unwrap()).unwrap();
@@ -134,8 +134,8 @@ fn store_versioning_keeps_policy_history() {
     });
     let (r1, r2) = db.with_collection("policies", |c| {
         (
-            c.get_revision(&"p".into(), 1).cloned(),
-            c.get_revision(&"p".into(), 2).cloned(),
+            c.get_revision(&"p".into(), 1),
+            c.get_revision(&"p".into(), 2),
         )
     });
     assert_eq!(policy_from_xml(&r1.unwrap()).unwrap(), v1);
