@@ -183,7 +183,6 @@ mod tests {
             refill_per_sec: 0.0,
             cost_per_call: 1.0,
         });
-        bus.set_wire(true);
         let admitted = start_request("A");
         bus.call("tn", &admitted).unwrap();
         assert!(admitted.wire_cached(), "admitted call crossed the codec");

@@ -2,10 +2,10 @@
 //!
 //! Measures ops-per-second for the crypto substrate's hot operations —
 //! fixed-base exponentiation, credential-sized SHA-256, signing, single
-//! verification (fast vs the seed's `pow_mod` reference path), batch
-//! verification — plus the verified-credential cache hit rate on a
-//! repeated-verification workload, and writes the machine-readable record
-//! to `BENCH_crypto.json`. The report names the SHA-256 compression kernel
+//! verification (fast vs the seed's `pow_mod` reference path) — plus the
+//! verified-credential cache hit rate on a repeated-verification
+//! workload, and writes the machine-readable record to
+//! `BENCH_crypto.json`. The report names the SHA-256 compression kernel
 //! the run used (`sha256::kernel`).
 //!
 //! Flags: `--smoke` shrinks every loop for CI (the speedup and hit-rate
@@ -15,16 +15,15 @@
 //!
 //! Run with `RUSTFLAGS="-C target-cpu=native"` as `ci.sh` does; the flag
 //! is deliberately *not* checked in workspace-wide — only this host-local
-//! bench run wants host-specific codegen. The batch-verification floors
-//! assume the SHA-NI kernel, which is picked at runtime whatever the
-//! flags (DESIGN.md §4a).
+//! bench run wants host-specific codegen. The SHA-256 kernel is picked at
+//! runtime whatever the flags (DESIGN.md §4a).
 
 use std::hint::black_box;
 use std::time::Instant;
 use trust_vo_bench::obsutil::{publish_crypto_metrics, ObsArgs};
 use trust_vo_bench::report::Report;
 use trust_vo_credential::{Attribute, CredentialAuthority, TimeRange, Timestamp, VerifiedCache};
-use trust_vo_crypto::{group, sha256, verify_batch, KeyPair, PublicKey, Signature};
+use trust_vo_crypto::{group, sha256, KeyPair, Signature};
 use trust_vo_obs::Collector;
 
 /// Deterministic exponent stream (splitmix64 over a fixed seed).
@@ -172,35 +171,7 @@ fn main() {
         ],
     );
 
-    // (d) Batch verification at growing batch sizes; per-signature
-    // throughput vs the reference path. The per-call fixed costs (the
-    // coefficient-transcript root, the final three exponentiations, the
-    // structural pass) amortize from n≈32–48 onward: n=16 sits around
-    // 6–8x depending on machine noise, n≥64 holds ≥8x with headroom —
-    // which is also the regime resilient batch admission actually runs
-    // in (every member's full chain in one call).
-    let mut batch_speedups: Vec<(usize, f64)> = Vec::new();
-    for &batch in &[16usize, 64, 256] {
-        let items: Vec<(PublicKey, &[u8], Signature)> = (0..batch)
-            .map(|i| (keys[i % 8].public, messages[i].as_slice(), sigs[i]))
-            .collect();
-        let batch_calls = (200 * scale).max(1);
-        let batch_ops = measure(batch_calls, |_| {
-            assert!(verify_batch(black_box(&items)));
-        }) * batch as f64; // signatures per second
-        let speedup = batch_ops / reference_ops;
-        batch_speedups.push((batch, speedup));
-        report.row(
-            &format!("verify_batch (n={batch})"),
-            &[
-                fmt_ops(batch_ops),
-                format!("{speedup:.1}x"),
-                "random-linear-combination multi-exp".into(),
-            ],
-        );
-    }
-
-    // (e) Verified-credential cache hit rate: every credential verified
+    // (d) Verified-credential cache hit rate: every credential verified
     // twice (fresh process ⇒ the deltas below are this workload's own).
     let before = VerifiedCache::global().stats();
     let mut ca = CredentialAuthority::new("E12-CA");
@@ -238,7 +209,7 @@ fn main() {
 
     report.note(
         "reference = the seed's pow_mod verification (two pow_mod subgroup checks + \
-         two exponentiations); batch rows count signatures/s",
+         two exponentiations)",
     );
     report.note(&format!("sha256 kernel: {}", sha256::kernel()));
     report.print();
@@ -263,15 +234,6 @@ fn main() {
         verify_speedup >= 4.0,
         "single-verify speedup {verify_speedup:.2}x below the 4x floor"
     );
-    for (batch, speedup) in &batch_speedups {
-        // 8x once per-call fixed costs amortize (n≥64); the n=16 point is
-        // reported for the small-batch regime and floored at 6x.
-        let floor = if *batch >= 64 { 8.0 } else { 6.0 };
-        assert!(
-            *speedup >= floor,
-            "batch={batch} speedup {speedup:.2}x below the {floor}x floor"
-        );
-    }
     assert!(
         hit_rate >= 0.45,
         "credcache hit rate {hit_rate:.2} below the 0.45 floor"

@@ -19,8 +19,8 @@ fn main() {
         &["case", "sim wall-clock (s)", "paper (s)", "cpu (ms)"],
     );
     // Under --smoke the cpu column is suppressed so stdout is a pure
-    // function of the sim-clock: ci.sh diffs two smoke runs (verified-
-    // credential cache on vs off) byte-for-byte.
+    // function of the sim-clock; the smoke run's purpose is the shape
+    // assertions at the end.
     let cpu_cell = |d: std::time::Duration| {
         if args.smoke {
             "-".to_string()

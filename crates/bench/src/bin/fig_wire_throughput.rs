@@ -1,7 +1,7 @@
 //! E15 — wire throughput: binary codec vs. XML, sharded dispatch vs. a
 //! single-queue bus, and backpressure under flood.
 //!
-//! Three measurements over the new wire path (every `ServiceBus::call`
+//! Three measurements over the wire path (every `ServiceBus::call`
 //! crosses a length-framed `[len][crc32][payload]` binary envelope
 //! boundary; XML stays on as the differential oracle):
 //!
@@ -12,26 +12,21 @@
 //! 2. **Dispatch** — 64+ concurrent negotiations driven (a) through the
 //!    single-queue dispatcher bus, every message paying two thread
 //!    handoffs, and (b) over the sharded work-stealing executor, every
-//!    message dispatching inline on its shard worker. Floor: sharded
-//!    ≥ 4× the single-queue drive (asserted non-smoke). Outcomes must be
-//!    identical across serial, queued, and sharded drives.
+//!    message framed and dispatched inline on its shard worker. Floor:
+//!    sharded ≥ 4× the single-queue drive (asserted non-smoke). Outcomes
+//!    must be identical across serial, queued, and sharded drives.
 //! 3. **Backpressure** — a flood against a 2-slot dispatch queue: sheds
 //!    must surface as typed `Overloaded` faults carrying a drain
 //!    estimate, and hint-respecting retries must land every call.
 //!
 //! Determinism checks built into the run: serial ≡ parallel ≡ replay for
-//! a seeded netsim formation over the wire; a crash-window round resumes
-//! from checkpoints and replays bit-for-bit; wire-on ≡ wire-off outcome
-//! equality (the codec round-trips exactly, so the byte boundary is
-//! invisible to results).
+//! a seeded netsim formation over the wire, and a crash-window round
+//! resumes from checkpoints and replays bit-for-bit.
 //!
 //! `--smoke --seed 42 --emit-obs/--emit-trace <path>` is the CI gate: the
 //! observed round is driven serially (executor queue counters are
 //! scheduling-dependent and never dumped) and scrubbed, so two same-seed
-//! runs are byte-identical. `--plain` drives the observed round with the
-//! wire path disabled on the bus; running *without* `--plain` but with
-//! `TRUST_VO_WIRE=off` must produce byte-identical dumps — the
-//! kill-switch contract CI diffs.
+//! runs are byte-identical.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -281,10 +276,9 @@ impl ServiceEndpoint for Echo {
     }
 }
 
-fn echo_bus(wire: bool) -> ServiceBus {
+fn echo_bus() -> ServiceBus {
     let clock = SimClock::new(CostModel::paper_testbed(), workloads::at());
     let bus = ServiceBus::new(clock);
-    bus.set_wire(wire);
     bus.register("svc", Arc::new(Echo));
     bus
 }
@@ -294,7 +288,7 @@ fn echo_bus(wire: bool) -> ServiceBus {
 /// encode) through the single-queue dispatcher bus from `WORKERS` caller
 /// threads — two thread handoffs per message. Returns wall seconds.
 fn queued_messages(shapes: &[Envelope], jobs: usize, msgs: usize) -> f64 {
-    let queued = QueuedBus::new(echo_bus(true), jobs.max(16));
+    let queued = QueuedBus::new(echo_bus(), jobs.max(16));
     let next = AtomicUsize::new(0);
     let t = Instant::now();
     std::thread::scope(|s| {
@@ -320,13 +314,10 @@ fn queued_messages(shapes: &[Envelope], jobs: usize, msgs: usize) -> f64 {
 }
 
 /// The same conversations as jobs on the sharded work-stealing executor
-/// — every message dispatches inline on its shard worker, no handoff.
-/// With `wire` off, in-shard dispatch also skips framing: nothing
-/// crosses a thread boundary, so no bytes need to — the structural
-/// advantage the floor prices. With `wire` on, each message still pays
-/// the full codec, isolating what framing alone costs the inline path.
-fn sharded_messages(shapes: &[Envelope], jobs: usize, msgs: usize, wire: bool) -> f64 {
-    let bus = echo_bus(wire);
+/// — every message is framed and dispatched inline on its shard worker,
+/// with no thread handoff.
+fn sharded_messages(shapes: &[Envelope], jobs: usize, msgs: usize) -> f64 {
+    let bus = echo_bus();
     let clock = bus.clock().clone();
     let shard_jobs: Vec<_> = (0..jobs)
         .map(|job| {
@@ -359,10 +350,7 @@ fn sharded_messages(shapes: &[Envelope], jobs: usize, msgs: usize, wire: bool) -
 /// hint-respecting retries must complete every call. Returns (calls,
 /// sheds observed).
 fn backpressure_case() -> (usize, u64) {
-    let clock = SimClock::new(CostModel::paper_testbed(), workloads::at());
-    let bus = ServiceBus::new(clock);
-    bus.register("svc", Arc::new(Echo));
-    let queued = QueuedBus::new(bus, 2);
+    let queued = QueuedBus::new(echo_bus(), 2);
     let callers = 8usize;
     let per_caller = 16usize;
     let sheds = AtomicUsize::new(0);
@@ -425,25 +413,19 @@ fn membership(vo: &FormedVo) -> Vec<(String, String, u64)> {
         .collect()
 }
 
-/// Run one netsim formation over the wire path. `wire = Some(false)`
-/// pins the in-process reference path (`--plain`); `None` leaves the
-/// `TRUST_VO_WIRE` environment decision in force. `workers > 1` drives
+/// Run one netsim formation over the wire path. `workers > 1` drives
 /// the sharded parallel engine. When `obs` is given the round is driven
 /// serially and its deterministic dumps written.
 fn run_formation(
     world: &ParallelJoinWorld,
     plan: FaultPlan,
     seed: u64,
-    wire: Option<bool>,
     workers: usize,
     obs: Option<&ObsArgs>,
 ) -> Outcome {
     let clock = SimClock::new(CostModel::paper_testbed(), workloads::at());
     let collector = obs.map(|a| a.collector_for(&clock));
     let bus = ServiceBus::new(clock.clone());
-    if let Some(enabled) = wire {
-        bus.set_wire(enabled);
-    }
     let svc = Arc::new(TnService::new(clock.clone(), Database::new()));
     register_formation_parties(&svc, &world.contract, &world.initiator, &world.providers);
     bus.register("tn", svc.clone());
@@ -487,7 +469,6 @@ fn run_formation(
 fn main() {
     let args = ObsArgs::from_env();
     let seed = args.seed.unwrap_or(DEFAULT_SEED);
-    let plain = std::env::args().any(|a| a == "--plain");
     let (sweep, jobs, applicants, depth, alternatives): (&[usize], usize, usize, usize, usize) =
         if args.smoke {
             (&[10_000], 64, 3, 4, 2)
@@ -533,13 +514,10 @@ fn main() {
     }
 
     // 2. Dispatch throughput: the control-plane message stream of `jobs`
-    // concurrent formation conversations. The single-queue bus must
-    // frame every message — bytes are what cross its thread boundary —
-    // and pays two handoffs on top; a sharded job runs *on* the worker
-    // that owns dispatch, so in-shard calls cross no thread boundary and
-    // need no framing. That structural gap is the floored row. The
-    // wire-framing row keeps the codec on the sharded path too (what
-    // framing alone costs inline dispatch), and the corpus row shows
+    // concurrent formation conversations. Both drives frame every
+    // message; the single-queue bus pays two thread handoffs on top,
+    // while a sharded job runs *on* the worker that owns dispatch. That
+    // structural gap is the floored row; the corpus row shows
     // payload-heavy traffic. Interleaved rounds absorb scheduler noise.
     const MSGS_PER_JOB: usize = 16;
     const DISPATCH_ROUNDS: usize = 3;
@@ -548,11 +526,10 @@ fn main() {
         "StartNegotiation",
         Element::new("StartNegotiationRequest"),
     )];
-    let (mut queued_secs, mut sharded_secs, mut sharded_wire_secs) = (0.0, 0.0, 0.0);
+    let (mut queued_secs, mut sharded_secs) = (0.0, 0.0);
     for _ in 0..DISPATCH_ROUNDS {
         queued_secs += queued_messages(&control, jobs, MSGS_PER_JOB);
-        sharded_secs += sharded_messages(&control, jobs, MSGS_PER_JOB, false);
-        sharded_wire_secs += sharded_messages(&control, jobs, MSGS_PER_JOB, true);
+        sharded_secs += sharded_messages(&control, jobs, MSGS_PER_JOB);
     }
     let dispatch_speedup = queued_secs / sharded_secs.max(f64::MIN_POSITIVE);
     report.row(
@@ -572,20 +549,8 @@ fn main() {
              concurrent formation conversations (got {dispatch_speedup:.2}x)"
         );
     }
-    report.row(
-        "dispatch (wire framing)",
-        &[
-            (jobs * MSGS_PER_JOB * DISPATCH_ROUNDS).to_string(),
-            format!("{queued_secs:.3}"),
-            format!("{sharded_wire_secs:.3}"),
-            format!(
-                "{:.2}x",
-                queued_secs / sharded_wire_secs.max(f64::MIN_POSITIVE)
-            ),
-        ],
-    );
     let q_corpus = queued_messages(&envelopes, jobs, MSGS_PER_JOB);
-    let s_corpus = sharded_messages(&envelopes, jobs, MSGS_PER_JOB, true);
+    let s_corpus = sharded_messages(&envelopes, jobs, MSGS_PER_JOB);
     report.row(
         "dispatch (full corpus)",
         &[
@@ -624,25 +589,20 @@ fn main() {
     );
 
     // 5. Determinism over the wire: serial ≡ parallel ≡ replay on a
-    // lossy plan; a crash round resumes and replays; wire-on ≡ wire-off.
+    // lossy plan; a crash round resumes and replays.
     let world = workloads::parallel_join_world(applicants, depth, alternatives);
     let lossy = FaultPlan::lossy(seed, 0.05);
-    let serial = run_formation(&world, lossy.clone(), seed, None, 1, None);
-    let parallel = run_formation(&world, lossy.clone(), seed, None, WORKERS, None);
-    let replay = run_formation(&world, lossy.clone(), seed, None, 1, None);
+    let serial = run_formation(&world, lossy.clone(), seed, 1, None);
+    let parallel = run_formation(&world, lossy.clone(), seed, WORKERS, None);
+    let replay = run_formation(&world, lossy, seed, 1, None);
     assert_eq!(serial, parallel, "sharded formation must replay serial");
     assert_eq!(serial, replay, "same seed must replay bit-for-bit");
-    let in_process = run_formation(&world, lossy, seed, Some(false), 1, None);
-    assert_eq!(
-        serial, in_process,
-        "the wire boundary must be invisible to outcomes"
-    );
 
     // Crash/resume round, serial (crash windows are only deterministic
     // serially): at least one checkpointed resume, replayed exactly. The
     // outage is anchored at ~45 % of a measured heavy-loss run so it
     // lands while sessions are mid-flight with checkpoints behind them.
-    let heavy = run_formation(&world, FaultPlan::lossy(seed, 0.20), seed, None, 1, None);
+    let heavy = run_formation(&world, FaultPlan::lossy(seed, 0.20), seed, 1, None);
     let outage_start = SimDuration((heavy.elapsed.0 as f64 * 0.45) as u64);
     let crash_plan = FaultPlan::lossy(seed, 0.20).outage(
         "tn",
@@ -650,8 +610,8 @@ fn main() {
         outage_start + SimDuration::from_millis(1_200),
         true,
     );
-    let crashed = run_formation(&world, crash_plan.clone(), seed, None, 1, None);
-    let crash_replay = run_formation(&world, crash_plan, seed, None, 1, None);
+    let crashed = run_formation(&world, crash_plan.clone(), seed, 1, None);
+    let crash_replay = run_formation(&world, crash_plan, seed, 1, None);
     assert_eq!(crashed, crash_replay, "crash schedule must replay exactly");
     assert!(
         crashed.resumes > 0 && crashed.service_resumed > 0,
@@ -659,19 +619,9 @@ fn main() {
     );
 
     // Observed round for the CI byte-identity gates: serial drive,
-    // deterministic dumps. `--plain` pins the in-process path — the
-    // TRUST_VO_WIRE=off kill-switch must land on identical artifacts.
-    let observed = run_formation(
-        &world,
-        FaultPlan::lossy(seed, 0.05),
-        seed,
-        if plain { Some(false) } else { None },
-        1,
-        Some(&args),
-    );
-    if !plain && wire::wire_enabled() {
-        assert_eq!(observed, serial, "observation must not perturb the run");
-    }
+    // deterministic dumps.
+    let observed = run_formation(&world, FaultPlan::lossy(seed, 0.05), seed, 1, Some(&args));
+    assert_eq!(observed, serial, "observation must not perturb the run");
 
     report.note(&format!(
         "seed = {seed}; corpus of {} envelope shapes; {WORKERS} shard \
@@ -681,8 +631,8 @@ fn main() {
     ));
     report.note(
         "serial == queued == sharded outcomes; serial == parallel == replay \
-         == wire-off formation; crash round resumed and replayed; sheds \
-         typed Overloaded with drain hints and survived by retry",
+         formation; crash round resumed and replayed; sheds typed \
+         Overloaded with drain hints and survived by retry",
     );
     report.print();
 

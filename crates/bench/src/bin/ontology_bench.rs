@@ -9,16 +9,11 @@
 //!   disabled (inverted-index scan + closure-backed credential lookup);
 //! * **memoized** — the full engine with the memo hot.
 //!
-//! Writes `BENCH_ontology.json` (not in `--smoke`/`--digest`) and
-//! asserts the E5b floors in-binary: indexed ≥ 10x reference at n=800,
-//! the n=10000 workload completes with every request mapped, and memo
-//! hits are far cheaper than cold maps.
-//!
-//! `--digest` replaces measurement with a deterministic outcome-digest
-//! dump (two passes per size, FNV-1a over the debug rendering of every
-//! outcome, no timings): ci.sh runs it twice — `TRUST_VO_MAP_CACHE=0`
-//! vs default — and requires byte-identical stdout, proving the memo
-//! changes mapping cost, never mapping results.
+//! Writes `BENCH_ontology.json` (not in `--smoke`) and asserts the E5b
+//! floors in-binary: indexed ≥ 10x reference at n=800, the n=10000
+//! workload completes with every request mapped, and memo hits are far
+//! cheaper than cold maps. The workspace test `tests/memo_off.rs` proves
+//! that the memo changes mapping cost, never mapping results.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -53,41 +48,8 @@ fn fmt_ops(ops: f64) -> String {
     }
 }
 
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-/// `--digest`: map every request of each workload twice and print one
-/// deterministic digest line per size. No timings, no floors — stdout
-/// must be byte-identical across runs regardless of the memo state.
-fn run_digest() {
-    for (n, paraphrased) in [(50usize, 25usize), (200, 100), (800, 400)] {
-        let w = workloads::ontology_workload(n, paraphrased);
-        let mut digests = [0xcbf2_9ce4_8422_2325u64; 2];
-        for digest in &mut digests {
-            for request in &w.requests {
-                let outcome = map_concept(&w.ontology, &w.profile, request, SIMILARITY_THRESHOLD);
-                fnv1a(digest, format!("{outcome:?}").as_bytes());
-            }
-        }
-        assert_eq!(
-            digests[0], digests[1],
-            "n={n}: second pass (memo-hot when enabled) diverged from the first"
-        );
-        println!("digest n={n} outcomes={:016x}", digests[0]);
-    }
-}
-
 fn main() {
     let args = ObsArgs::from_env();
-    if std::env::args().any(|a| a == "--digest") {
-        run_digest();
-        return;
-    }
-
     let scale: u64 = if args.smoke { 1 } else { 8 };
     let memo = MapMemo::global();
     let mut report = Report::new(

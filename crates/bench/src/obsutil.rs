@@ -166,8 +166,6 @@ pub fn publish_crypto_metrics(collector: &Collector) {
     set_total("crypto.sign", crypto.sign);
     set_total("crypto.verify", crypto.verify);
     set_total("crypto.verify_reference", crypto.verify_reference);
-    set_total("crypto.verify_batch", crypto.verify_batch);
-    set_total("crypto.verify_batch_sigs", crypto.verify_batch_sigs);
     set_total("crypto.table_builds", crypto.table_builds);
     set_total("crypto.table_hits", crypto.table_hits);
     let cache = trust_vo_credential::VerifiedCache::global().stats();

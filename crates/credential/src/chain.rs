@@ -18,7 +18,7 @@ use crate::revocation::RevocationList;
 use crate::time::Timestamp;
 use crate::verified::VerifiedCache;
 use std::collections::{HashMap, HashSet, VecDeque};
-use trust_vo_crypto::{verify_batch, PublicKey, Signature};
+use trust_vo_crypto::PublicKey;
 
 /// Verify a chain ending at the target credential (`chain.last()`).
 ///
@@ -26,20 +26,10 @@ use trust_vo_crypto::{verify_batch, PublicKey, Signature};
 /// authorities' lists.
 ///
 /// Structural, validity, and revocation checks run per link first (these
-/// are cheap and never cached); the remaining signature checks are then
-/// answered from the [`VerifiedCache`] where possible and batch-verified
-/// in a single multi-exponentiation otherwise. A failing batch falls back
-/// to individual verification so the error still names the bad link.
-///
-/// Batch-accepted links are inserted into the [`VerifiedCache`], so the
-/// batch test's per-item false-accept bound (~2⁻³² coefficient
-/// cancellation, see [`verify_batch`]) is extended from one call to the
-/// process lifetime: a signature the batch wrongly accepted would keep
-/// hitting the cache instead of being re-tested. This is a deliberate
-/// trade — the attacker cannot influence the Fiat–Shamir coefficients,
-/// so 2⁻³² bounds the *attack's* success probability whether the accept
-/// is remembered or not; re-verifying every link individually before
-/// caching would erase the batch speedup entirely.
+/// are cheap and never cached); the signature checks are then answered
+/// from the [`VerifiedCache`] where possible, and every miss is verified
+/// on its own, so the error names the first bad link. A verified link is
+/// inserted into the cache; a failed one never is.
 pub fn verify_chain(
     chain: &[Credential],
     trusted_roots: &[PublicKey],
@@ -68,43 +58,16 @@ pub fn verify_chain(
             }
         }
     }
-    // Signature pass: cache hits are free, the misses share one batch.
-    // Each link is looked up once; the misses are verified from their
-    // stored bytes without a second lookup.
+    // Signature pass: each link is looked up once; the misses are
+    // verified from their stored bytes without a second lookup.
     let cache = VerifiedCache::global();
     let pending: Vec<&Credential> = chain
         .iter()
         .filter(|cred| !cache.check(&cred.verified_key()))
         .collect();
-    if let [only] = pending.as_slice() {
-        return only.verify_uncached(cache);
-    }
-    let items: Vec<(PublicKey, &[u8], Signature)> = pending
+    pending
         .iter()
-        .map(|cred| {
-            (
-                cred.header().issuer_key,
-                cred.signed_bytes(),
-                cred.signature(),
-            )
-        })
-        .collect();
-    if verify_batch(&items) {
-        for cred in &pending {
-            cache.insert(cred.verified_key());
-        }
-        return Ok(());
-    }
-    // At least one signature is bad; re-verify individually for a
-    // precise error naming the first failing link.
-    for cred in &pending {
-        cred.verify_uncached(cache)?;
-    }
-    // Unreachable in practice (the batch rejects iff some individual
-    // check rejects), but fail closed rather than trust the batch alone.
-    Err(CredentialError::BrokenChain(
-        "batch signature verification failed".into(),
-    ))
+        .try_for_each(|cred| cred.verify_uncached(cache))
 }
 
 /// A directory of credentials known to a party, used to build chains for

@@ -228,8 +228,8 @@ impl Credential {
 
     /// The time- and state-dependent checks: validity window and
     /// revocation. Split out of [`Credential::verify`] so chain
-    /// verification can batch the signature work while still running
-    /// these **uncached, on every call**.
+    /// verification can answer the signature work from the cache while
+    /// still running these **uncached, on every call**.
     pub fn verify_nonsig(
         &self,
         at: Timestamp,

@@ -24,22 +24,15 @@
 //! therefore still caught, and a hit can never change a verification
 //! *result*, only its cost. Failed checks are never inserted: a forged
 //! credential pays full price every time and can never poison the cache.
-//!
-//! One probabilistic caveat: chain verification inserts links whose
-//! signatures were accepted *as a batch* (see
-//! [`crate::chain::verify_chain`]), so the batch test's ~2⁻³² per-item
-//! false-accept bound persists for the process lifetime instead of one
-//! call. Since the Fiat–Shamir coefficients are outside the attacker's
-//! control, 2⁻³² already bounds the attack end-to-end; the cache changes
-//! how long a freak acceptance would live, not how likely it is.
+//! Every inserted key passed a full single-signature check.
 //!
 //! The cache is sharded (16 ways) and capacity-bounded with per-shard
 //! FIFO eviction; `credcache.*` counters (hits / misses / insertions /
 //! evictions) are always-on [`trust_vo_obs::Counter`]s that bench
-//! binaries export at dump time. The process-wide instance
-//! ([`VerifiedCache::global`]) honours the `TRUST_VO_CRED_CACHE`
-//! environment variable (`0` / `off` / `false` / `no` disables it) so CI
-//! can prove results are bit-identical with the cache on and off.
+//! binaries export at dump time. [`VerifiedCache::set_enabled`] turns
+//! the process-wide instance ([`VerifiedCache::global`]) off and on; the
+//! workspace test `tests/verified_cache_off.rs` proves Fig. 9 results
+//! identical either way.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -126,18 +119,8 @@ const GLOBAL_SHARDS: usize = 16;
 /// enough to never matter.
 const GLOBAL_PER_SHARD: usize = 2048;
 
-static GLOBAL: LazyLock<VerifiedCache> = LazyLock::new(|| {
-    let cache = VerifiedCache::new(GLOBAL_SHARDS, GLOBAL_PER_SHARD);
-    if let Ok(v) = std::env::var("TRUST_VO_CRED_CACHE") {
-        if matches!(
-            v.to_ascii_lowercase().as_str(),
-            "0" | "off" | "false" | "no"
-        ) {
-            cache.set_enabled(false);
-        }
-    }
-    cache
-});
+static GLOBAL: LazyLock<VerifiedCache> =
+    LazyLock::new(|| VerifiedCache::new(GLOBAL_SHARDS, GLOBAL_PER_SHARD));
 
 impl VerifiedCache {
     /// A new enabled cache with `shards` shards of `per_shard_capacity`
@@ -156,8 +139,6 @@ impl VerifiedCache {
     }
 
     /// The process-wide cache every credential format verifies through.
-    /// Disabled at first use when `TRUST_VO_CRED_CACHE` is `0`/`off`/
-    /// `false`/`no`.
     pub fn global() -> &'static VerifiedCache {
         &GLOBAL
     }

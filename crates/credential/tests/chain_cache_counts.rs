@@ -35,8 +35,6 @@ fn delta(f: impl FnOnce()) -> (u64, u64, u64) {
 
 #[test]
 fn chain_links_are_looked_up_once() {
-    // Counting needs the cache on, whatever the environment says.
-    VerifiedCache::global().set_enabled(true);
     let mut root = CredentialAuthority::new("Chain Root");
     let roots = [root.public_key()];
     let mid = KeyPair::from_seed(b"chain-mid");
@@ -67,10 +65,10 @@ fn chain_links_are_looked_up_once() {
     });
     assert_eq!(counts, (1, 1, 1), "(hits, misses, insertions)");
 
-    // Batch failure: both links miss, the batch rejects, and the
-    // individual fallback re-verifies without looking either up again.
-    // The good root link is inserted; the forged target is not.
-    let (link, target) = chain("batch", &mut root);
+    // Two misses: both links are looked up before either is verified,
+    // and neither is looked up again. The good root link is inserted;
+    // the forged target is not.
+    let (link, target) = chain("pair", &mut root);
     let text = target.xml_text().replace(">v</k>", ">forged</k>");
     let forged = Credential::from_xml(&trust_vo_xmldoc::parse(&text).unwrap()).unwrap();
     let counts = delta(|| {

@@ -1,4 +1,4 @@
-//! Precomputed fixed-base exponentiation and multi-exponentiation.
+//! Precomputed fixed-base exponentiation.
 //!
 //! The workspace's hot loop is credential signature checking (the paper's
 //! Fig. 9 join-with-TN overhead is dominated by it), and every check costs
@@ -16,10 +16,6 @@
 //! * **A bounded per-key table cache** ([`key_table`]): verifiers see the
 //!   same issuer keys repeatedly, so the `y^e` term of Schnorr
 //!   verification is served from a sharded map of precomputed tables.
-//! * **Straus/Shamir multi-exponentiation** ([`multiexp`]): evaluate
-//!   `Π baseᵢ^expᵢ mod P` sharing one squaring chain across all terms —
-//!   the engine under Schnorr batch verification
-//!   ([`crate::schnorr::verify_batch`]).
 //!
 //! All arithmetic is modulo the fixed group prime [`crate::group::P`].
 
@@ -187,144 +183,6 @@ fn shared_key_table(key: u64) -> Arc<FixedBaseTable> {
     Arc::clone(guard.entry(key).or_insert(table))
 }
 
-/// `Π baseᵢ^expᵢ mod P` by Straus's interleaved window method: one shared
-/// squaring chain over the longest exponent, a 16-entry odd-powers-free
-/// digit table per term.
-pub fn multiexp(terms: &[(u64, u64)]) -> u64 {
-    if terms.is_empty() {
-        return 1;
-    }
-    // One digit table per term. The window loop below runs only over the
-    // significant windows of the *longest* exponent, and within a window
-    // every term is multiplied unconditionally: `t[0] == 1`, so a term
-    // whose exponent has no digit there multiplies by one. A per-term
-    // skip branch is mispredicted often enough (terms with 32-bit batch
-    // coefficients interleave with full-width ones) that the spare
-    // multiplications are cheaper.
-    let tables: Vec<[u64; RADIX]> = terms
-        .iter()
-        .map(|&(base, _)| {
-            let base = base % P;
-            let mut t = [1u64; RADIX];
-            for d in 1..RADIX {
-                t[d] = mul_mod(t[d - 1], base, P);
-            }
-            t
-        })
-        .collect();
-    let windows = terms
-        .iter()
-        .map(|&(_, e)| (u64::BITS - e.leading_zeros()).div_ceil(WINDOW_BITS))
-        .max()
-        .unwrap_or(0);
-    let mut acc: u64 = 1;
-    for w in (0..windows).rev() {
-        if acc != 1 {
-            for _ in 0..WINDOW_BITS {
-                acc = mul_mod(acc, acc, P);
-            }
-        }
-        let shift = w * WINDOW_BITS;
-        for (t, &(_, e)) in tables.iter().zip(terms) {
-            let d = ((e >> shift) & (RADIX as u64 - 1)) as usize;
-            acc = mul_mod(acc, t[d], P);
-        }
-    }
-    acc
-}
-
-/// `Π baseᵢ^expᵢ mod P` for **32-bit** exponents: the workhorse under the
-/// commitment side of Schnorr batch verification, whose random-linear-
-/// combination coefficients are 32 bits wide.
-///
-/// Three structural differences from [`multiexp`] make it markedly faster:
-/// 3-bit windows (for 32-bit exponents the total work `n·(2³−1)` table
-/// mults + `n·⌈32/3⌉` digit mults beats any other width), a squaring chain
-/// that covers only those eleven windows, and within a window the per-term
-/// multiplications land in four independent partial accumulators. The
-/// single-accumulator form is a pure latency chain — one dependent modular
-/// multiplication per term per window — which is what dominated profiles;
-/// four lanes let the out-of-order core overlap them, leaving only the
-/// short squaring chain serial.
-pub fn multiexp_short(terms: &[(u64, u32)]) -> u64 {
-    const SHORT_WINDOW_BITS: u32 = 3;
-    const SHORT_RADIX: usize = 1 << SHORT_WINDOW_BITS;
-    const SHORT_WINDOWS: u32 = u32::BITS.div_ceil(SHORT_WINDOW_BITS);
-    thread_local! {
-        /// Reusable digit-table scratch: a fresh ~1 KiB allocation per
-        /// batch call is measurable at small batch sizes.
-        static SHORT_TABLES: std::cell::RefCell<Vec<[u64; SHORT_RADIX]>> =
-            const { std::cell::RefCell::new(Vec::new()) };
-    }
-    if terms.is_empty() {
-        return 1;
-    }
-    SHORT_TABLES.with(|scratch| {
-        let tables = &mut *scratch.borrow_mut();
-        tables.clear();
-        tables.extend(terms.iter().map(|&(base, _)| {
-            let base = base % P;
-            let mut t = [1u64; SHORT_RADIX];
-            for d in 1..SHORT_RADIX {
-                t[d] = mul_mod(t[d - 1], base, P);
-            }
-            t
-        }));
-        // Four full accumulator chains, each carrying its own squarings: a
-        // single shared accumulator would serialize every squaring *and*
-        // every per-window combine on one dependency chain. Four chains
-        // cost three extra squaring streams but run at multiplier
-        // throughput; they are only folded together once, at the very end.
-        let mut accs = [1u64; 4];
-        for (step, w) in (0..SHORT_WINDOWS).rev().enumerate() {
-            if step > 0 {
-                for a in &mut accs {
-                    for _ in 0..SHORT_WINDOW_BITS {
-                        *a = mul_mod(*a, *a, P);
-                    }
-                }
-            }
-            let shift = w * SHORT_WINDOW_BITS;
-            for (j, (t, &(_, e))) in tables.iter().zip(terms).enumerate() {
-                let d = ((e >> shift) & (SHORT_RADIX as u32 - 1)) as usize;
-                accs[j & 3] = mul_mod(accs[j & 3], t[d], P);
-            }
-        }
-        mul_mod(
-            mul_mod(accs[0], accs[1], P),
-            mul_mod(accs[2], accs[3], P),
-            P,
-        )
-    })
-}
-
-/// `Π tableᵢ.base^expᵢ mod P` over precomputed fixed-base tables, with the
-/// per-table window loops interleaved: the k accumulator chains are
-/// mutually independent, so the out-of-order core runs them at multiplier
-/// throughput, where k sequential [`FixedBaseTable::pow`] calls would each
-/// serialize on their own accumulator. Used for the merged per-key terms
-/// of Schnorr batch verification.
-pub fn pow_interleaved(pairs: &[(&FixedBaseTable, u64)]) -> u64 {
-    // Small pair counts (distinct issuer keys in a batch) stay on the
-    // stack; the heap path only exists for generality.
-    let mut accs_buf = [1u64; 16];
-    let mut accs_vec = Vec::new();
-    let accs: &mut [u64] = if pairs.len() <= accs_buf.len() {
-        &mut accs_buf[..pairs.len()]
-    } else {
-        accs_vec.resize(pairs.len(), 1u64);
-        &mut accs_vec
-    };
-    for w in 0..NUM_WINDOWS {
-        let shift = w as u32 * WINDOW_BITS;
-        for (acc, (t, e)) in accs.iter_mut().zip(pairs) {
-            let d = ((e >> shift) & (RADIX as u64 - 1)) as usize;
-            *acc = mul_mod(*acc, t.table[w][d], P);
-        }
-    }
-    accs.iter().fold(1, |a, &x| mul_mod(a, x, P))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,11 +215,6 @@ mod tests {
         assert_eq!(a.pow(77), pow_mod(123_456, 77, P));
     }
 
-    #[test]
-    fn multiexp_empty_is_one() {
-        assert_eq!(multiexp(&[]), 1);
-    }
-
     proptest! {
         #[test]
         fn windowed_pow_matches_pow_mod_full_range(base in any::<u64>(), exp in any::<u64>()) {
@@ -372,40 +225,6 @@ mod tests {
         #[test]
         fn generator_table_matches_pow_mod(exp in any::<u64>()) {
             prop_assert_eq!(g_pow_windowed(exp), pow_mod(G, exp, P));
-        }
-
-        #[test]
-        fn multiexp_matches_product_of_pow_mod(
-            terms in proptest::collection::vec((1u64..P, any::<u64>()), 0..6)
-        ) {
-            let expect = terms
-                .iter()
-                .fold(1u64, |acc, &(b, e)| mul_mod(acc, pow_mod(b, e, P), P));
-            prop_assert_eq!(multiexp(&terms), expect);
-        }
-
-        #[test]
-        fn multiexp_short_matches_product_of_pow_mod(
-            terms in proptest::collection::vec((1u64..P, any::<u32>()), 0..9)
-        ) {
-            let expect = terms
-                .iter()
-                .fold(1u64, |acc, &(b, e)| mul_mod(acc, pow_mod(b, e as u64, P), P));
-            prop_assert_eq!(multiexp_short(&terms), expect);
-        }
-
-        #[test]
-        fn pow_interleaved_matches_product_of_pow_mod(
-            pairs in proptest::collection::vec((1u64..P, any::<u64>()), 0..5)
-        ) {
-            let tables: Vec<FixedBaseTable> =
-                pairs.iter().map(|&(b, _)| FixedBaseTable::new(b)).collect();
-            let refs: Vec<(&FixedBaseTable, u64)> =
-                tables.iter().zip(&pairs).map(|(t, &(_, e))| (t, e)).collect();
-            let expect = pairs
-                .iter()
-                .fold(1u64, |acc, &(b, e)| mul_mod(acc, pow_mod(b, e, P), P));
-            prop_assert_eq!(pow_interleaved(&refs), expect);
         }
     }
 }

@@ -19,10 +19,9 @@
 //! * [`group`] — modular arithmetic in a 62-bit safe-prime group, with
 //!   subgroup membership via the exponentiation-free Jacobi symbol.
 //! * [`fastexp`] — precomputed fixed-base window tables (generator +
-//!   cached issuer keys) and Straus multi-exponentiation.
-//! * [`schnorr`] — Schnorr signatures over the order-`q` subgroup, with
-//!   fast single verification and random-linear-combination batch
-//!   verification ([`verify_batch`]).
+//!   cached issuer keys).
+//! * [`schnorr`] — Schnorr signatures over the order-`q` subgroup, each
+//!   verified on its own through the fast path.
 //! * [`stats`] — process-wide `crypto.*` operation counters.
 //!
 //! # Security disclaimer
@@ -54,7 +53,7 @@ pub mod schnorr;
 pub mod sha256;
 pub mod stats;
 
-pub use schnorr::{verify_batch, KeyPair, PrecomputedKey, PublicKey, SecretKey, Signature};
+pub use schnorr::{KeyPair, PrecomputedKey, PublicKey, SecretKey, Signature};
 pub use sha256::{sha256, Digest};
 
 /// Convenience: digest arbitrary bytes and return the lowercase hex form.

@@ -19,8 +19,6 @@
 //! `y^e` through a cached per-key window table (verifiers see the same
 //! issuer keys over and over). [`PublicKey::verify_reference`] keeps the
 //! seed square-and-multiply path for differential tests and benches.
-//! [`verify_batch`] checks many signatures at once with a random linear
-//! combination evaluated by one shared multi-exponentiation.
 
 use crate::fastexp::{self, FixedBaseTable};
 use crate::group::{self, P, Q};
@@ -103,25 +101,18 @@ impl KeyPair {
 /// bytes) still fits in a single padded SHA-256 block.
 const ONE_BLOCK_MSG: usize = 55 - 16;
 
-/// Build the padded single challenge block for a short message.
-#[inline]
-fn challenge_block(r: u64, public: PublicKey, message: &[u8]) -> [u8; 64] {
-    debug_assert!(message.len() <= ONE_BLOCK_MSG);
-    let mut block = [0u8; 64];
-    block[..8].copy_from_slice(&r.to_be_bytes());
-    block[8..16].copy_from_slice(&public.0.to_be_bytes());
-    block[16..16 + message.len()].copy_from_slice(message);
-    block[16 + message.len()] = 0x80;
-    let bit_len = ((16 + message.len()) as u64) * 8;
-    block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-    block
-}
-
 fn challenge(r: u64, public: PublicKey, message: &[u8]) -> u64 {
     // Identical digest either way; the single-block path skips the
-    // incremental hasher's buffering for the common short input.
+    // incremental hasher's buffering for the common short input by
+    // padding `r ‖ y ‖ m` into one block itself.
     if message.len() <= ONE_BLOCK_MSG {
-        let block = challenge_block(r, public, message);
+        let mut block = [0u8; 64];
+        block[..8].copy_from_slice(&r.to_be_bytes());
+        block[8..16].copy_from_slice(&public.0.to_be_bytes());
+        block[16..16 + message.len()].copy_from_slice(message);
+        block[16 + message.len()] = 0x80;
+        let bit_len = ((16 + message.len()) as u64) * 8;
+        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
         return group::scalar_from_digest(&crate::sha256::digest_block(&block));
     }
     let mut h = Sha256::new();
@@ -129,131 +120,6 @@ fn challenge(r: u64, public: PublicKey, message: &[u8]) -> u64 {
     h.update(&public.0.to_be_bytes());
     h.update(message);
     group::scalar_from_digest(&h.finalize())
-}
-
-/// Reusable per-thread scratch for [`verify_batch`]: at small batch sizes
-/// the temporary vectors (challenges, padded hash blocks, commitment terms)
-/// cost as much as a signature's worth of arithmetic to allocate and free,
-/// so each thread recycles one set across calls.
-struct BatchScratch {
-    es: Vec<u64>,
-    blocks: Vec<[u8; 64]>,
-    idxs: Vec<u32>,
-    transcript: Vec<[u8; 64]>,
-    r_terms: Vec<(u64, u32)>,
-}
-
-thread_local! {
-    static BATCH_SCRATCH: std::cell::RefCell<BatchScratch> =
-        const {
-            std::cell::RefCell::new(BatchScratch {
-                es: Vec::new(),
-                blocks: Vec::new(),
-                idxs: Vec::new(),
-                transcript: Vec::new(),
-                r_terms: Vec::new(),
-            })
-        };
-}
-
-/// Per-item challenges for a batch. Bit-identical to calling [`challenge`]
-/// on every item. `blocks`/`idxs` are caller-provided scratch (padded
-/// blocks for the short items, and each one's index in `items`); `es`
-/// receives the challenge for every item in order. Every block is built
-/// before any is hashed: hashing each block as it was built, here and in
-/// [`transcript_seed`], measured a fifth slower on E12's batch rows.
-fn challenges_into(
-    items: &[(PublicKey, &[u8], Signature)],
-    es: &mut Vec<u64>,
-    blocks: &mut Vec<[u8; 64]>,
-    idxs: &mut Vec<u32>,
-) {
-    es.clear();
-    es.resize(items.len(), 0);
-    blocks.clear();
-    idxs.clear();
-    for (i, (key, message, sig)) in items.iter().enumerate() {
-        if message.len() <= ONE_BLOCK_MSG {
-            blocks.push(challenge_block(sig.r, *key, message));
-            idxs.push(i as u32);
-        } else {
-            es[i] = challenge(sig.r, *key, message);
-        }
-    }
-    for (block, &i) in blocks.iter().zip(idxs.iter()) {
-        es[i as usize] = group::scalar_from_digest(&crate::sha256::digest_block(block));
-    }
-}
-
-/// Domain-separation tag for the batch-verification coefficient
-/// transcript. Short enough that a two-item transcript block (tag + 2×20
-/// bytes) still fits a single padded SHA-256 block.
-const BATCH_TAG: &[u8; 10] = b"tv.batch.2";
-
-/// The coefficient seed for [`verify_batch`]: a parallel-friendly
-/// transcript hash over every `(index, eᵢ, sᵢ)` triple.
-///
-/// Items are packed two per single-block SHA-256 message
-/// (`tag ‖ i ‖ eᵢ ‖ sᵢ ‖ i+1 ‖ eᵢ₊₁ ‖ sᵢ₊₁`, an odd trailing item gets a
-/// shorter, distinctly-padded block), the 256-bit block digests are
-/// XOR-folded, and the seed is the first eight bytes of one final
-/// compression over `tag ‖ n ‖ fold`. The block compressions are
-/// independent of one another, where a flat serial hash of the same data
-/// would chain one dependent compression per four items.
-///
-/// Binding: each block digest commits to its items *and their positions*
-/// (the explicit indices — the XOR fold itself is order-blind), so any
-/// change to any `(e, s, position)` rerandomizes the fold. Attacking the
-/// fold means finding block contents whose digests XOR to a chosen 256-bit
-/// value — a generalized-birthday problem costing ≳2^(256/(1+log₂ k)) hash
-/// evaluations for k blocks (Wagner), ≥2⁴² even at k = 32 blocks (64
-/// items): comfortably above the ~2⁻³² coefficient-cancellation bound that
-/// batch verification accepts by construction. The final compression is
-/// what makes the *whole* fold the attack target: extracting the seed
-/// straight from the fold would let an attacker aim at just those 64 bits,
-/// and 64-bit generalized birthday is cheap at high block counts.
-fn transcript_seed(
-    items: &[(PublicKey, &[u8], Signature)],
-    es: &[u64],
-    blocks: &mut Vec<[u8; 64]>,
-) -> u64 {
-    blocks.clear();
-    blocks.reserve(items.len().div_ceil(2));
-    let mut pairs = items.iter().zip(es).enumerate();
-    while let Some((i, ((_, _, sig), e))) = pairs.next() {
-        let mut block = [0u8; 64];
-        block[..10].copy_from_slice(BATCH_TAG);
-        block[10..14].copy_from_slice(&(i as u32).to_be_bytes());
-        block[14..22].copy_from_slice(&e.to_be_bytes());
-        block[22..30].copy_from_slice(&sig.s.to_be_bytes());
-        let len = if let Some((j, ((_, _, sig2), e2))) = pairs.next() {
-            block[30..34].copy_from_slice(&(j as u32).to_be_bytes());
-            block[34..42].copy_from_slice(&e2.to_be_bytes());
-            block[42..50].copy_from_slice(&sig2.s.to_be_bytes());
-            50
-        } else {
-            30
-        };
-        block[len] = 0x80;
-        block[56..64].copy_from_slice(&((len as u64) * 8).to_be_bytes());
-        blocks.push(block);
-    }
-    let mut fold = [0u8; 32];
-    for block in blocks.iter() {
-        for (f, b) in fold.iter_mut().zip(&crate::sha256::digest_block(block)) {
-            *f ^= b;
-        }
-    }
-    // Final compression over the whole fold (plus the batch length) — see
-    // the binding note above.
-    let mut root = [0u8; 64];
-    root[..10].copy_from_slice(BATCH_TAG);
-    root[10..18].copy_from_slice(&(items.len() as u64).to_be_bytes());
-    root[18..50].copy_from_slice(&fold);
-    root[50] = 0x80;
-    root[56..64].copy_from_slice(&(50u64 * 8).to_be_bytes());
-    let seed_digest = crate::sha256::digest_block(&root);
-    u64::from_be_bytes(seed_digest[..8].try_into().expect("8-byte seed"))
 }
 
 /// The cheap structural checks on the signature itself, run **before** the
@@ -366,122 +232,6 @@ impl PrecomputedKey {
     }
 }
 
-/// SplitMix64: the coefficient stream for batch verification. Mirrors the
-/// netsim decision streams — a tiny, well-mixed, dependency-free PRF.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Verify a batch of `(key, message, signature)` triples at once.
-///
-/// Uses the standard random-linear-combination test: with per-item
-/// coefficients `zᵢ`, every signature is valid iff (up to a ~2⁻³² chance
-/// per forged item of coefficient cancellation)
-///
-/// ```text
-/// g^(Σ zᵢ·sᵢ)  ==  Π rᵢ^zᵢ · Π yₖ^(Σ zᵢ·eᵢ)   (mod P)
-/// ```
-///
-/// where the `y` exponents are merged per distinct key (issuer keys repeat
-/// heavily in credential chains) and the right-hand side is one Straus
-/// multi-exponentiation sharing a single squaring chain. The coefficients
-/// are derived deterministically from a hash of the whole batch
-/// (Fiat–Shamir style), so the result is reproducible bit-for-bit — a
-/// forger cannot choose signatures after seeing the coefficients, because
-/// changing any signature changes every coefficient.
-///
-/// Returns `true` for the empty batch. A `true` result means every
-/// signature in the batch verifies individually; `false` means at least
-/// one does not (callers wanting the culprit re-check individually).
-pub fn verify_batch(items: &[(PublicKey, &[u8], Signature)]) -> bool {
-    stats::VERIFY_BATCH.inc();
-    stats::VERIFY_BATCH_SIGS.add(items.len() as u64);
-    match items {
-        [] => return true,
-        [(key, message, sig)] => return key.verify(message, sig),
-        _ => {}
-    }
-    // Per-item structural checks, with the subgroup test deduplicated per
-    // distinct key (issuer keys repeat heavily in credential chains) and
-    // served from the memoized per-key table. As in single verification,
-    // commitments need no subgroup test of their own: an out-of-subgroup
-    // `rᵢ` contributes a non-residue factor the subgroup-valued right-hand
-    // side cannot absorb except with the same ~2⁻³² coefficient luck any
-    // forgery needs.
-    // Each distinct key's cached table is fetched once here and reused for
-    // its merged exponent below.
-    let mut key_exps: Vec<(u64, Arc<FixedBaseTable>, u64)> = Vec::with_capacity(4);
-    for (key, _message, sig) in items {
-        if sig.r == 0 || sig.r >= P || sig.s >= Q {
-            return false;
-        }
-        if !key_exps.iter().any(|(y, _, _)| *y == key.0) {
-            if key.0 >= P {
-                return false;
-            }
-            let table = fastexp::key_table(key.0);
-            if !table.in_group() {
-                return false;
-            }
-            key_exps.push((key.0, table, 0));
-        }
-    }
-    BATCH_SCRATCH.with(|scratch| {
-        let BatchScratch {
-            es,
-            blocks,
-            idxs,
-            transcript,
-            r_terms,
-        } = &mut *scratch.borrow_mut();
-        // All challenges at once.
-        challenges_into(items, es, blocks, idxs);
-        // The coefficient transcript binds `eᵢ` (which itself commits to
-        // `rᵢ`, `yᵢ`, and the message) and `sᵢ` — the one signature component
-        // the challenge does not cover. Without `sᵢ` in the transcript a
-        // forger knowing the coefficients could spread an error over several
-        // responses so the linear combination cancels. `sᵢ` must enter a hash
-        // whole: any invertible compression (say XOR-mixing `eᵢ` into `sᵢ`)
-        // dies to the free choice of `s` — a forger picks `r` at will and
-        // solves for the `s` that keeps the compressed word fixed.
-        let seed = transcript_seed(items, es, transcript);
-
-        // Accumulate Σ zᵢ·sᵢ, the per-commitment terms, and the per-key
-        // merged exponents (all mod Q — every base is in the order-Q
-        // subgroup, checked above). Distinct keys are few, so a linear scan
-        // beats a hash map here.
-        let mut s_acc: u64 = 0;
-        r_terms.clear();
-        r_terms.reserve(items.len());
-        for (i, ((key, _message, sig), e)) in items.iter().zip(es.iter()).enumerate() {
-            // 32-bit nonzero coefficient for item i.
-            let z = (splitmix64(seed ^ (i as u64)) & 0xffff_ffff) | 1;
-            s_acc = group::add_mod(s_acc, group::mul_mod(z, sig.s, Q), Q);
-            r_terms.push((sig.r, z as u32));
-            let ze = group::mul_mod(z, *e, Q);
-            let slot = key_exps
-                .iter_mut()
-                .find(|(y, _, _)| *y == key.0)
-                .expect("every key was registered in the structural pass");
-            slot.2 = group::add_mod(slot.2, ze, Q);
-        }
-        // The commitment side runs through the short-exponent Straus engine
-        // (the coefficients are 32-bit); each key's merged term comes from its
-        // cached fixed-base window table — no squarings, and the table builds
-        // amortize across every batch and single verification the key sees.
-        let rhs = fastexp::multiexp_short(r_terms);
-        let key_pairs: Vec<(&FixedBaseTable, u64)> = key_exps
-            .iter()
-            .map(|(_, table, ze)| (table.as_ref(), *ze))
-            .collect();
-        let rhs = group::mul_mod(rhs, fastexp::pow_interleaved(&key_pairs), P);
-        group::g_pow(s_acc) == rhs
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,7 +331,6 @@ mod tests {
         ] {
             assert!(!kp.public.verify(b"m", &bad));
             assert!(!kp.public.verify_reference(b"m", &bad));
-            assert!(!verify_batch(&[(kp.public, b"m".as_slice(), bad)]));
         }
     }
 
@@ -593,57 +342,6 @@ mod tests {
         let sig = kp.sign(b"msg");
         assert!(pre.verify(b"msg", &sig));
         assert!(!pre.verify(b"other", &sig));
-    }
-
-    fn batch_of(n: usize, issuers: usize) -> Vec<(PublicKey, Vec<u8>, Signature)> {
-        (0..n)
-            .map(|i| {
-                let kp = KeyPair::from_seed(format!("issuer-{}", i % issuers).as_bytes());
-                let mut msg = format!("credential payload {i}").into_bytes();
-                // Every third message is too long for a one-block challenge,
-                // so batches mix both challenge paths.
-                if i % 3 == 2 {
-                    msg.resize(100, b'.');
-                }
-                let sig = kp.sign(&msg);
-                (kp.public, msg, sig)
-            })
-            .collect()
-    }
-
-    fn as_refs(batch: &[(PublicKey, Vec<u8>, Signature)]) -> Vec<(PublicKey, &[u8], Signature)> {
-        batch
-            .iter()
-            .map(|(k, m, s)| (*k, m.as_slice(), *s))
-            .collect()
-    }
-
-    #[test]
-    fn batch_accepts_all_valid() {
-        for (n, issuers) in [(0, 1), (1, 1), (2, 1), (16, 4), (33, 7)] {
-            let batch = batch_of(n, issuers);
-            assert!(verify_batch(&as_refs(&batch)), "n={n} issuers={issuers}");
-        }
-    }
-
-    #[test]
-    fn forged_signature_hidden_in_batch_is_caught() {
-        let mut batch = batch_of(16, 4);
-        // A forgery that passes every structural check: a valid signature
-        // by the right key, but over a different message.
-        let kp = KeyPair::from_seed(b"issuer-2");
-        batch[9] = (
-            kp.public,
-            b"claimed message".to_vec(),
-            kp.sign(b"actually signed message"),
-        );
-        assert!(!verify_batch(&as_refs(&batch)));
-        // Swapped signatures between two entries also fail.
-        let mut batch = batch_of(8, 8);
-        let tmp = batch[1].2;
-        batch[1].2 = batch[5].2;
-        batch[5].2 = tmp;
-        assert!(!verify_batch(&as_refs(&batch)));
     }
 
     proptest! {
@@ -670,24 +368,6 @@ mod tests {
                 kp.public.precompute().verify(&msg, &sig),
                 kp.public.verify_reference(&msg, &sig)
             );
-        }
-
-        /// Batch accepts iff every member verifies individually.
-        #[test]
-        fn batch_accepts_iff_all_individuals_accept(
-            n in 1usize..12,
-            issuers in 1usize..5,
-            corrupt in proptest::collection::vec(any::<bool>(), 12),
-        ) {
-            let mut batch = batch_of(n, issuers);
-            for (i, item) in batch.iter_mut().enumerate() {
-                if corrupt[i] {
-                    item.2.s = (item.2.s + 1) % Q;
-                }
-            }
-            let refs = as_refs(&batch);
-            let all_ok = refs.iter().all(|(k, m, s)| k.verify_reference(m, s));
-            prop_assert_eq!(verify_batch(&refs), all_ok);
         }
     }
 

@@ -14,10 +14,6 @@ use trust_vo_obs::Counter;
 pub(crate) static VERIFY: LazyLock<Counter> = LazyLock::new(Counter::new);
 /// Single-signature verifications through the reference path.
 pub(crate) static VERIFY_REFERENCE: LazyLock<Counter> = LazyLock::new(Counter::new);
-/// Batch verification calls.
-pub(crate) static VERIFY_BATCH: LazyLock<Counter> = LazyLock::new(Counter::new);
-/// Signatures covered by batch verification calls.
-pub(crate) static VERIFY_BATCH_SIGS: LazyLock<Counter> = LazyLock::new(Counter::new);
 /// Signing operations.
 pub(crate) static SIGN: LazyLock<Counter> = LazyLock::new(Counter::new);
 /// Fixed-base window tables built (generator + issuer keys).
@@ -32,9 +28,8 @@ pub struct CryptoStats {
     pub verify: u64,
     /// Reference-path single verifications.
     pub verify_reference: u64,
-    /// Batch verification calls.
-    pub verify_batch: u64,
-    /// Signatures covered by batch calls.
+    /// Always 0: signatures are verified one at a time and count under
+    /// `verify`. Kept because the end-to-end benchmark still reads it.
     pub verify_batch_sigs: u64,
     /// Signing operations.
     pub sign: u64,
@@ -49,8 +44,7 @@ pub fn snapshot() -> CryptoStats {
     CryptoStats {
         verify: VERIFY.get(),
         verify_reference: VERIFY_REFERENCE.get(),
-        verify_batch: VERIFY_BATCH.get(),
-        verify_batch_sigs: VERIFY_BATCH_SIGS.get(),
+        verify_batch_sigs: 0,
         sign: SIGN.get(),
         table_builds: TABLE_BUILDS.get(),
         table_hits: TABLE_HITS.get(),

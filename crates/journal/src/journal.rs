@@ -299,9 +299,11 @@ fn decode_payload(payload: &[u8]) -> Option<Vec<Fact>> {
             (pos == body.len()).then(|| vec![fact])
         }
         KIND_SNAPSHOT => {
-            let count = u32::from_le_bytes(body.get(..4)?.try_into().ok()?) as usize;
+            // The count is untrusted: grow per decoded fact, never
+            // allocate for the claim up front.
+            let count = u32::from_le_bytes(body.get(..4)?.try_into().ok()?);
             let mut pos = 4;
-            let mut facts = Vec::with_capacity(count);
+            let mut facts = Vec::new();
             for _ in 0..count {
                 facts.push(Fact::decode(body, &mut pos)?);
             }
@@ -444,6 +446,21 @@ mod tests {
         let replay = Journal::replay_bytes(&bytes);
         assert!(replay.truncated);
         assert!(replay.facts.is_empty());
+    }
+
+    #[test]
+    fn bogus_snapshot_count_does_not_overallocate() {
+        // A checksum-valid 13-byte log: one snapshot record claiming
+        // u32::MAX facts with none behind the claim. The decoder grows per
+        // decoded fact, so the claim costs nothing and the record replays
+        // as a corrupt tail.
+        let mut log = Vec::new();
+        frame::push_record(&mut log, &[KIND_SNAPSHOT, 0xff, 0xff, 0xff, 0xff]);
+        assert_eq!(log.len(), 13);
+        let replay = Journal::replay_bytes(&log);
+        assert!(replay.truncated);
+        assert!(replay.facts.is_empty());
+        assert_eq!((replay.records, replay.clean_len), (0, 0));
     }
 
     #[test]

@@ -316,39 +316,11 @@ mod tests {
     }
 
     #[test]
-    fn wire_boundary_is_outcome_invariant_under_faults() {
-        // Same seed and lossy plan with the wire path on and off: the
-        // binary codec round-trips envelopes exactly, and fault decisions
-        // key on (service, op, idempotency-key, attempt), so the chaos
-        // run replays bit-for-bit whether or not every call crosses the
-        // framed byte boundary.
-        let fingerprint = |wire: bool| {
-            let bare = bus();
-            bare.set_wire(wire);
-            let net = NetSim::new(bare, FaultPlan::lossy(42, 0.2));
-            let run = drive(&net, 7);
-            (
-                run.retries,
-                run.resumes,
-                run.restarts,
-                run.run.credential_calls,
-                run.run.sequence_len,
-                run.run.sim_elapsed,
-                net.metrics().drops.get(),
-                net.metrics().dups.get(),
-                net.bus().clock().counts(),
-            )
-        };
-        assert_eq!(fingerprint(true), fingerprint(false));
-    }
-
-    #[test]
     fn netsim_traffic_rides_the_wire_boundary() {
         // NetSim delivers through ServiceBus::call, so every delivered
         // request is framed/unframed on the way through — visible as
         // bus.wire frame and byte counters once obs is attached.
         let bare = bus();
-        bare.set_wire(true);
         let collector = trust_vo_obs::Collector::new();
         bare.clock().attach_obs(&collector);
         let net = NetSim::new(bare, FaultPlan::reliable(42));

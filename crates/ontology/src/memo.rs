@@ -21,10 +21,10 @@
 //!
 //! The memo is sharded (16 ways) and capacity-bounded with per-shard
 //! FIFO eviction; hit/miss/insertion/eviction counters are always-on
-//! [`trust_vo_obs::Counter`]s. The process-wide instance
-//! ([`MapMemo::global`]) honours the `TRUST_VO_MAP_CACHE` environment
-//! variable (`0` / `off` / `false` / `no` disables it) so CI can prove
-//! mapping results are bit-identical with the memo on and off.
+//! [`trust_vo_obs::Counter`]s. [`MapMemo::set_enabled`] turns the
+//! process-wide instance ([`MapMemo::global`]) off and on; the workspace
+//! test `tests/memo_off.rs` proves E5b's mapping outcomes identical with
+//! the memo off, cold and hot.
 
 use crate::mapping::MappingOutcome;
 use std::collections::{HashMap, VecDeque};
@@ -124,18 +124,7 @@ const GLOBAL_SHARDS: usize = 16;
 /// never matter even with per-clone key churn.
 const GLOBAL_PER_SHARD: usize = 1024;
 
-static GLOBAL: LazyLock<MapMemo> = LazyLock::new(|| {
-    let memo = MapMemo::new(GLOBAL_SHARDS, GLOBAL_PER_SHARD);
-    if let Ok(v) = std::env::var("TRUST_VO_MAP_CACHE") {
-        if matches!(
-            v.to_ascii_lowercase().as_str(),
-            "0" | "off" | "false" | "no"
-        ) {
-            memo.set_enabled(false);
-        }
-    }
-    memo
-});
+static GLOBAL: LazyLock<MapMemo> = LazyLock::new(|| MapMemo::new(GLOBAL_SHARDS, GLOBAL_PER_SHARD));
 
 impl MapMemo {
     /// A new enabled memo with `shards` shards of `per_shard_capacity`
@@ -167,8 +156,6 @@ impl MapMemo {
     }
 
     /// The process-wide memo every `map_concept` call goes through.
-    /// Disabled at first use when `TRUST_VO_MAP_CACHE` is `0`/`off`/
-    /// `false`/`no`.
     pub fn global() -> &'static MapMemo {
         &GLOBAL
     }

@@ -1,10 +1,12 @@
-//! The in-process service bus.
+//! The service bus.
 //!
 //! The prototype combined "several Web services for managing VOs" over a
 //! SOA (§6.1); the bus plays the role of the SOAP transport + service
 //! registry: endpoints register under a URL-like name, callers dispatch
 //! envelopes, and every call is charged one SOAP round trip on the shared
-//! [`SimClock`].
+//! [`SimClock`]. Like the prototype's one SOAP path, every call crosses
+//! the framed byte boundary of [`crate::wire`]; there is no in-process
+//! shortcut around it.
 
 use crate::envelope::{Envelope, Fault};
 use crate::simclock::{CostKind, SimClock};
@@ -61,9 +63,6 @@ pub trait CallGate: Send + Sync {
 pub struct ServiceBus {
     endpoints: Arc<RwLock<BTreeMap<String, Arc<dyn ServiceEndpoint>>>>,
     gate: Arc<RwLock<Option<Arc<dyn CallGate>>>>,
-    /// Per-bus wire-path override; `None` follows the `TRUST_VO_WIRE`
-    /// environment switch. Shared across clones like the registry.
-    wire: Arc<RwLock<Option<bool>>>,
     clock: SimClock,
 }
 
@@ -73,7 +72,6 @@ impl ServiceBus {
         ServiceBus {
             endpoints: Arc::new(RwLock::new(BTreeMap::new())),
             gate: Arc::new(RwLock::new(None)),
-            wire: Arc::new(RwLock::new(None)),
             clock,
         }
     }
@@ -105,20 +103,6 @@ impl ServiceBus {
         self.endpoints.read().get(name).cloned()
     }
 
-    /// Force the wire path on or off for this bus (and its clones),
-    /// overriding the `TRUST_VO_WIRE` environment switch. Benches use
-    /// `set_wire(false)` to build the explicit in-process reference bus
-    /// the kill-switch is byte-compared against.
-    pub fn set_wire(&self, enabled: bool) {
-        *self.wire.write() = Some(enabled);
-    }
-
-    /// Whether calls on this bus cross the byte boundary: the per-bus
-    /// override if set, else the `TRUST_VO_WIRE` environment switch.
-    pub fn wire_active(&self) -> bool {
-        self.wire.read().unwrap_or_else(wire::wire_enabled)
-    }
-
     /// Consult the admission gate for one call, without dispatching.
     /// `Err` is the gate's refusal, returned before any encoding or
     /// simulated latency: a refused message never occupies the wire.
@@ -137,17 +121,16 @@ impl ServiceBus {
     /// without charging the round trip *or encoding a single byte* — the
     /// message never reached the wire.
     ///
-    /// With the wire path active (see [`ServiceBus::wire_active`] and
-    /// [`crate::wire`]) the admitted request then crosses a real byte
-    /// boundary: its cached canonical encoding is length-framed with a
-    /// CRC, unframed and decoded on the service side, dispatched, and
-    /// the reply — response or fault — crosses back the same way.
+    /// The admitted request then crosses a real byte boundary (see
+    /// [`crate::wire`]): its cached canonical encoding is length-framed
+    /// with a CRC, unframed and decoded on the service side, dispatched,
+    /// and the reply — response or fault — crosses back the same way.
     /// `bus.wire.frames` / `bus.wire.tx_bytes` / `bus.wire.rx_bytes`
     /// counters account the traffic. A frame that fails its checksum or
     /// decode surfaces as a typed transport fault. The boundary charges
     /// no simulated latency of its own (the SOAP round-trip cost already
-    /// models the hop), so sim-time, spans, and outcomes are identical
-    /// with the wire on or off — ci.sh pins the byte-identity.
+    /// models the hop), and the codec round-trips every envelope and
+    /// reply exactly, so the endpoint and the caller see what was sent.
     ///
     /// On a traced request (see [`Envelope::trace`]) the dispatch is
     /// wrapped in a `bus.dispatch` span parented under the sending hop's
@@ -155,9 +138,6 @@ impl ServiceBus {
     /// under the dispatch.
     pub fn call(&self, service: &str, request: &Envelope) -> Result<Envelope, Fault> {
         self.admit(service, request)?;
-        if !self.wire_active() {
-            return self.dispatch(service, request);
-        }
         // Client side: one framed record around the cached canonical
         // payload. Encoding happens only after admission.
         let request_frame = wire::frame_envelope(request);
@@ -183,10 +163,10 @@ impl ServiceBus {
         })
     }
 
-    /// The in-process dispatch behind [`ServiceBus::call`]: charge,
-    /// span, endpoint. The admission gate has already been consulted and
-    /// the wire boundary (if any) already crossed — the `shard` module's
-    /// dispatcher calls this after unframing on its own thread.
+    /// The dispatch behind [`ServiceBus::call`]: charge, span, endpoint.
+    /// The admission gate has already been consulted and the request
+    /// already unframed — the `shard` module's dispatcher calls this
+    /// after unframing on its own thread.
     pub(crate) fn dispatch(&self, service: &str, request: &Envelope) -> Result<Envelope, Fault> {
         self.clock.charge(CostKind::SoapRoundTrip);
         let obs = self.clock.collector();

@@ -12,7 +12,7 @@
 //! * [`envelope`] — SOAP-style request/response envelopes carrying XML
 //!   bodies,
 //! * [`bus`] — a service registry + dispatcher with per-call latency
-//!   accounting,
+//!   accounting; every call crosses [`wire`],
 //! * [`simclock`] — the simulated wall-clock. Every SOAP round-trip, DB
 //!   query, signature operation, and JSP/GUI step is charged a latency
 //!   calibrated to the paper's 2006-era testbed so that Fig. 9's *shape*
@@ -28,7 +28,7 @@
 //! * [`wire`] — the real byte boundary every bus call crosses: a
 //!   length-framed (`[len][crc32][payload]`) canonical binary codec for
 //!   envelopes and replies, with the XML path kept as a differential
-//!   oracle and a `TRUST_VO_WIRE` kill-switch,
+//!   oracle,
 //! * [`shard`] — the sharded work-stealing executor (per-shard bounded
 //!   queues, `bus.queue_depth`/`bus.shed` backpressure, typed
 //!   `Overloaded` sheds) and the single-queue dispatcher bus it is
@@ -55,4 +55,3 @@ pub use retry::{call_with_retry, Attempted, RetryPolicy};
 pub use shard::{QueuedBus, ShardConfig, ShardRun};
 pub use simclock::{CostModel, SimClock, SimDuration};
 pub use tn_service::TnService;
-pub use wire::wire_enabled;

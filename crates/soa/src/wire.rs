@@ -30,15 +30,11 @@
 //! codecs agree on it. Decoding is total: torn frames, checksum
 //! failures, and malformed payloads yield `None`, never a panic.
 //!
-//! # Kill-switch
-//!
-//! Set `TRUST_VO_WIRE=0` (or `off`/`false`/`no`) to keep calls
-//! in-process: the bus skips the byte boundary entirely — no encode, no
-//! counters — byte-identical behavior and obs output to a bus built
-//! with the wire explicitly disabled (ci.sh pins this).
+//! The boundary is transparent: an endpoint receives exactly the envelope
+//! that was sent, and the caller exactly the endpoint's reply or fault
+//! (pinned by `tests/wire_transparency.rs`).
 
 use crate::envelope::{Envelope, Fault, FaultKind};
-use std::sync::LazyLock;
 use trust_vo_journal::frame;
 use trust_vo_obs::TraceContext;
 use trust_vo_xmldoc::binary as xbin;
@@ -50,21 +46,6 @@ pub const VERSION: u8 = 1;
 const KIND_ENVELOPE: u8 = 0x00;
 /// Payload kind byte: a fault reply.
 const KIND_FAULT: u8 = 0x01;
-
-/// Is the wire path enabled? Reads `TRUST_VO_WIRE` once at first use;
-/// `0`/`off`/`false`/`no` disables (same contract as the cache
-/// switches). Disabled, bus calls stay in-process function calls — the
-/// pre-wire shape.
-pub fn wire_enabled() -> bool {
-    static ENABLED: LazyLock<bool> = LazyLock::new(|| match std::env::var("TRUST_VO_WIRE") {
-        Ok(v) => !matches!(
-            v.to_ascii_lowercase().as_str(),
-            "0" | "off" | "false" | "no"
-        ),
-        Err(_) => true,
-    });
-    *ENABLED
-}
 
 /// Encode `env` to its canonical binary payload (unframed).
 pub fn encode_envelope(env: &Envelope) -> Vec<u8> {

@@ -443,6 +443,23 @@ mod tests {
 
     #[cfg(feature = "journal")]
     #[test]
+    fn restore_survives_a_bogus_snapshot_count() {
+        use trust_vo_journal::{frame, Journal};
+
+        // One checksum-valid snapshot record (kind 1) claiming u32::MAX
+        // facts with none behind the claim: 13 bytes in all.
+        let mut log = Vec::new();
+        frame::push_record(&mut log, &[1, 0xff, 0xff, 0xff, 0xff]);
+        assert_eq!(log.len(), 13);
+        let restored = Database::new();
+        let replay = restored.restore_from_journal(&Journal::from_bytes(log));
+        assert!(replay.truncated);
+        assert!(replay.facts.is_empty());
+        assert_eq!(restored.state_digest(), Database::new().state_digest());
+    }
+
+    #[cfg(feature = "journal")]
+    #[test]
     fn compaction_preserves_state_and_shrinks_log() {
         use std::sync::Arc;
         use trust_vo_journal::Journal;

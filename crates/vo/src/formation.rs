@@ -53,8 +53,8 @@ use crate::resilient::{service_verdict, FormationResilience, ServiceSource};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use trust_vo_admission::Outcome;
 use trust_vo_credential::x509::AttributeCertificate;
-use trust_vo_credential::{TimeRange, Timestamp};
-use trust_vo_crypto::{hex, verify_batch, KeyPair, PublicKey, Signature};
+use trust_vo_credential::{CredentialError, TimeRange, Timestamp};
+use trust_vo_crypto::{hex, KeyPair};
 use trust_vo_negotiation::{
     negotiate, ConcurrentSequenceCache, NegotiationConfig, NegotiationError, NegotiationOutcome,
     Party, Strategy, Transcript,
@@ -106,44 +106,27 @@ impl FormedVo {
     }
 }
 
-/// Batch-audit every member's membership-certificate signature in a
-/// single Schnorr batch verification (one shared multi-exponentiation
-/// instead of one pair of exponentiations per member).
+/// Audit every member's membership-certificate signature, one member at
+/// a time; the error names the first member whose certificate fails.
 ///
 /// Every [`Formation`] runs this before handing the VO to the Operation
-/// phase. A failing batch is re-checked individually so the
-/// error names the offending member.
+/// phase. The checks bypass the verified-credential cache and move none
+/// of its counters: each certificate is audited once, right after it was
+/// issued, so remembering the result would buy nothing.
 pub fn audit_members(vo: &FormedVo) -> Result<(), VoError> {
-    let tbs: Vec<Vec<u8>> = vo.members.iter().map(|m| m.certificate.tbs()).collect();
-    let items: Vec<(PublicKey, &[u8], Signature)> = vo
-        .members
-        .iter()
-        .zip(&tbs)
-        .map(|(m, bytes)| {
-            (
-                m.certificate.issuer_key,
-                bytes.as_slice(),
-                m.certificate.signature,
-            )
-        })
-        .collect();
-    if verify_batch(&items) {
-        return Ok(());
-    }
-    for member in &vo.members {
-        member
-            .certificate
-            .verify_signature()
-            .map_err(|e| VoError::InvalidMembership {
+    vo.members.iter().try_for_each(|member| {
+        let cert = &member.certificate;
+        if cert.issuer_key.verify(&cert.tbs(), &cert.signature) {
+            Ok(())
+        } else {
+            Err(VoError::InvalidMembership {
                 member: member.provider.clone(),
-                detail: e.to_string(),
-            })?;
-    }
-    // Unreachable in practice (the batch rejects iff some individual
-    // check rejects), but fail closed rather than trust the batch alone.
-    Err(VoError::InvalidMembership {
-        member: vo.name.clone(),
-        detail: "batch membership audit failed".into(),
+                detail: CredentialError::BadSignature {
+                    cred_id: cert.revocation_id().0,
+                }
+                .to_string(),
+            })
+        }
     })
 }
 

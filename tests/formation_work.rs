@@ -35,7 +35,6 @@ use trust_vo_bench::workloads;
 struct Work {
     sign: u64,
     verify: u64,
-    verify_batch_sigs: u64,
     bus_calls: u64,
     journal_appends: u64,
     /// Journal bytes written, frames included: pins the record layout
@@ -71,7 +70,6 @@ impl Work {
         Work {
             sign: after.sign - before.sign,
             verify: after.verify - before.verify,
-            verify_batch_sigs: after.verify_batch_sigs - before.verify_batch_sigs,
             bus_calls: snap.counter("bus.calls"),
             journal_appends,
             journal_bytes,
@@ -190,8 +188,7 @@ fn formation_work_is_pinned() {
         in_process(4, 4, 2),
         Work {
             sign: 4,
-            verify: 10,
-            verify_batch_sigs: 4,
+            verify: 14,
             bus_calls: 0,
             journal_appends: 0,
             journal_bytes: 0,
@@ -208,8 +205,7 @@ fn formation_work_is_pinned() {
         tn_service(),
         Work {
             sign: 9,
-            verify: 5,
-            verify_batch_sigs: 4,
+            verify: 9,
             bus_calls: 13,
             journal_appends: 9,
             journal_bytes: 2027,
@@ -226,8 +222,7 @@ fn formation_work_is_pinned() {
         lifecycle(),
         Work {
             sign: 20,
-            verify: 8,
-            verify_batch_sigs: 3,
+            verify: 11,
             bus_calls: 12,
             journal_appends: 36,
             journal_bytes: 11235,
@@ -246,8 +241,7 @@ fn formation_work_is_pinned() {
         in_process(8, 8, 3),
         Work {
             sign: 8,
-            verify: 34,
-            verify_batch_sigs: 8,
+            verify: 42,
             bus_calls: 0,
             journal_appends: 0,
             journal_bytes: 0,
