@@ -7,8 +7,9 @@
 //!
 //! 1. **Codec sweep** — frame + round-trip a corpus of representative
 //!    envelopes (start / policy / credential-bearing bodies) through the
-//!    binary codec and through the XML writer/parser, 10k → 1M messages.
-//!    Floor: binary ≥ 3× the XML round-trip rate (asserted non-smoke).
+//!    binary codec and through the XML writer/parser, 10k → 1M messages,
+//!    timed in alternating chunks of the two. Floor: binary ≥ 3× the XML
+//!    round-trip rate on every row (asserted non-smoke).
 //! 2. **Dispatch** — 64+ concurrent negotiations driven (a) through the
 //!    single-queue dispatcher bus, every message paying two thread
 //!    handoffs, and (b) over the sharded work-stealing executor, every
@@ -113,34 +114,43 @@ fn corpus() -> Vec<Envelope> {
     vec![start, policy, credential]
 }
 
+/// Messages per timed chunk of a codec-sweep row. A row alternates an
+/// XML chunk and a binary chunk until it has round-tripped its count on
+/// both sides, so a host slow spell longer than one chunk pair slows
+/// both sides alike instead of whichever side it happened to fall on.
+const CODEC_CHUNK: usize = 250;
+
 /// One codec-sweep row: round-trip `count` messages through each path,
 /// returning (xml seconds, binary seconds, speedup).
 fn codec_round(envelopes: &[Envelope], count: usize) -> (f64, f64, f64) {
-    // XML path: write + parse + header extraction, per message.
-    let t = Instant::now();
-    let mut xml_checksum = 0usize;
-    for i in 0..count {
-        let env = &envelopes[i % envelopes.len()];
-        let text = trust_vo_xmldoc::to_string(&env.to_xml());
-        let back = Envelope::from_xml(&trust_vo_xmldoc::parse(&text).expect("canonical"))
-            .expect("envelope");
-        xml_checksum += back.operation.len();
-    }
-    let xml_secs = t.elapsed().as_secs_f64();
+    let (mut xml_secs, mut bin_secs) = (0.0, 0.0);
+    let (mut xml_checksum, mut bin_checksum) = (0usize, 0usize);
+    for start in (0..count).step_by(CODEC_CHUNK) {
+        let chunk = start..count.min(start + CODEC_CHUNK);
+        // XML path: write + parse + header extraction, per message.
+        let t = Instant::now();
+        for i in chunk.clone() {
+            let env = &envelopes[i % envelopes.len()];
+            let text = trust_vo_xmldoc::to_string(&env.to_xml());
+            let back = Envelope::from_xml(&trust_vo_xmldoc::parse(&text).expect("canonical"))
+                .expect("envelope");
+            xml_checksum += back.operation.len();
+        }
+        xml_secs += t.elapsed().as_secs_f64();
 
-    // Binary path: encode + frame (crc32) + unframe + decode, per
-    // message. `encode_envelope` (not the cached `wire_bytes`) so every
-    // iteration pays the full encode, same as the XML side.
-    let t = Instant::now();
-    let mut bin_checksum = 0usize;
-    for i in 0..count {
-        let env = &envelopes[i % envelopes.len()];
-        let mut frame = Vec::new();
-        trust_vo_journal::frame::push_record(&mut frame, &wire::encode_envelope(env));
-        let back = wire::unframe_envelope(&frame).expect("clean frame");
-        bin_checksum += back.operation.len();
+        // Binary path: encode + frame (crc32) + unframe + decode, per
+        // message. `encode_envelope` (not the cached `wire_bytes`) so
+        // every iteration pays the full encode, same as the XML side.
+        let t = Instant::now();
+        for i in chunk {
+            let env = &envelopes[i % envelopes.len()];
+            let mut frame = Vec::new();
+            trust_vo_journal::frame::push_record(&mut frame, &wire::encode_envelope(env));
+            let back = wire::unframe_envelope(&frame).expect("clean frame");
+            bin_checksum += back.operation.len();
+        }
+        bin_secs += t.elapsed().as_secs_f64();
     }
-    let bin_secs = t.elapsed().as_secs_f64();
 
     assert_eq!(xml_checksum, bin_checksum, "codecs must agree on content");
     (

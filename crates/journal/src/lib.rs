@@ -11,16 +11,22 @@
 //! Three producers spill into one journal:
 //!
 //! * the multi-versioned document [`Database`](../trust_vo_store) — every
-//!   `put`/`delete` becomes a [`Fact::Put`]/[`Fact::Delete`]. A `Put`
-//!   carries the document's canonical binary encoding, the very bytes
-//!   the store keeps for that revision, so neither journaling nor replay
-//!   writes or parses XML; replay reconstructs revision histories
-//!   exactly,
+//!   `put`/`delete`/`purge` becomes a [`Fact::Put`]/[`Fact::Delete`]/
+//!   [`Fact::Purge`]. A `Put` carries the document's canonical binary
+//!   encoding, the very bytes the store keeps for that revision, so
+//!   neither journaling nor replay writes or parses XML; replay
+//!   reconstructs revision histories exactly,
 //! * the `MapMemo` — resolved concept pairs become [`Fact::Mapping`]
 //!   entries, recoverable as the paper's §4.3 *dictionary*,
 //! * phase-2 negotiation checkpoints — the TN service persists them
 //!   through the journaled database, so a restarted process resumes live
 //!   negotiations through the signed resume-token path.
+//!
+//! The admission layer's mana ledger and scoring engine can spill
+//! [`Fact::Mana`] and [`Fact::Reputation`] into the same journal.
+//! [`Journal::compact`] replaces only the store's facts and carries every
+//! other producer's forward, so compacting a shared journal loses no
+//! consumer's state.
 //!
 //! # Torn-tail semantics
 //!

@@ -16,7 +16,9 @@ use trust_vo_xmldoc::{Element, Node};
 /// and netsim layers) share the payload instead of deep-cloning the XML
 /// tree. The canonical wire encoding is cached on first use (see
 /// [`Envelope::wire_bytes`]) so one logical call is encoded once, not
-/// once per delivery attempt.
+/// once per delivery attempt. The cache cannot outlive a change to a
+/// field, builder or direct write alike: it is served only while it
+/// still matches them.
 #[derive(Debug)]
 pub struct Envelope {
     /// The operation name, e.g. `StartNegotiation`.
@@ -36,9 +38,14 @@ pub struct Envelope {
     /// The XML body, shared between header-only copies of this envelope.
     pub body: Arc<Element>,
     /// Lazily computed canonical wire encoding (`crate::wire` payload
-    /// bytes). Cleared by every builder mutation; carried across clones
-    /// (identical fields ⇒ identical encoding). Excluded from equality.
-    wire: OnceLock<Arc<[u8]>>,
+    /// bytes) with the body it encoded. Cleared by every builder
+    /// mutation; carried across clones (identical fields ⇒ identical
+    /// encoding). Excluded from equality. Served only while the header
+    /// fields still encode to its header bytes and `body` is still the
+    /// allocation it holds; holding that allocation is what makes the
+    /// pointer test sufficient, since the body cannot then change in
+    /// place (`Arc::make_mut` copies it, `Arc::get_mut` refuses).
+    wire: OnceLock<(Arc<[u8]>, Arc<Element>)>,
 }
 
 impl Clone for Envelope {
@@ -46,8 +53,8 @@ impl Clone for Envelope {
         let wire = OnceLock::new();
         // An exact copy encodes to the exact same bytes, so the cache
         // rides along; builder mutations on the copy clear it.
-        if let Some(bytes) = self.wire.get() {
-            let _ = wire.set(Arc::clone(bytes));
+        if let Some((bytes, body)) = self.wire.get() {
+            let _ = wire.set((Arc::clone(bytes), Arc::clone(body)));
         }
         Envelope {
             operation: self.operation.clone(),
@@ -130,16 +137,28 @@ impl Envelope {
     /// [`crate::wire`]), computed once and cached: retries and duplicate
     /// deliveries of the same logical call reuse one encoding, as do
     /// frame checksumming and transcript digests over the same bytes.
-    pub fn wire_bytes(&self) -> &Arc<[u8]> {
-        self.wire
-            .get_or_init(|| crate::wire::encode_envelope(self).into())
+    /// After a direct write to a field the cache no longer matches and
+    /// the envelope is encoded afresh.
+    pub fn wire_bytes(&self) -> Arc<[u8]> {
+        if let Some(bytes) = self.cached_wire() {
+            return Arc::clone(bytes);
+        }
+        let bytes: Arc<[u8]> = crate::wire::encode_envelope(self).into();
+        let _ = self.wire.set((Arc::clone(&bytes), Arc::clone(&self.body)));
+        bytes
     }
 
-    /// Whether the wire encoding has been computed yet. A call refused by
-    /// the admission gate must never have been encoded — pinned by the
-    /// admission crate's tests.
+    /// Whether a wire encoding of the envelope as it now is has been
+    /// computed. A call refused by the admission gate must never have
+    /// been encoded — pinned by the admission crate's tests.
     pub fn wire_cached(&self) -> bool {
-        self.wire.get().is_some()
+        self.cached_wire().is_some()
+    }
+
+    /// The cached encoding, if it still encodes this envelope's fields.
+    fn cached_wire(&self) -> Option<&Arc<[u8]>> {
+        let (bytes, body) = self.wire.get()?;
+        (Arc::ptr_eq(body, &self.body) && crate::wire::header_matches(self, bytes)).then_some(bytes)
     }
 
     /// Serialize as a SOAP-shaped XML document.

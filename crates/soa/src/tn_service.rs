@@ -21,26 +21,37 @@ use crate::bus::ServiceEndpoint;
 use crate::envelope::{Envelope, Fault};
 use crate::simclock::{CostKind, SimClock};
 use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use trust_vo_credential::{Credential, TimeRange};
+use trust_vo_crypto::{KeyPair, PublicKey};
 use trust_vo_negotiation::{
     evaluate_policies, message::Side, strategy::CredentialFormat, view::TrustSequence,
     NegotiationConfig, Party, PolicyPhase, ResumeCheckpoint, ResumeToken, Strategy,
 };
 use trust_vo_obs::SpanLink;
-use trust_vo_store::Database;
+use trust_vo_store::{Database, DocId};
 use trust_vo_xmldoc::{Element, Node};
 
 /// Default lifetime of a resume token, in simulated seconds.
 pub const DEFAULT_RESUME_TTL_SECS: u64 = 3_600;
 
+/// How many finished negotiations keep a tombstone once their session
+/// retires. A late call on a retired id — typically a retry whose first
+/// reply was lost — gets the fault it got while the finished session was
+/// still kept, and [`TnService::is_completed`] and
+/// [`TnService::failure_reason`] still answer; an id older than the
+/// ring gets `NoSuchNegotiation`. Such a retry follows its lost reply
+/// within the caller's retry budget, so the ring only has to span the
+/// negotiations that finish meanwhile, across all concurrent callers;
+/// 1,024 tombstones cover that many times over and cost a few tens of
+/// KiB.
+pub const RETIRED_SESSIONS: usize = 1_024;
+
 #[derive(Debug)]
 enum SessionState {
     Started,
     Sequenced { phase: PolicyPhase, next: usize },
-    Completed,
-    Failed(String),
 }
 
 #[derive(Debug)]
@@ -57,15 +68,102 @@ struct Session {
     ck_id: u64,
 }
 
+/// How a finished negotiation ended: all its tombstone keeps.
+#[derive(Debug)]
+enum Outcome {
+    Completed,
+    Failed(String),
+}
+
+/// The service's volatile negotiation state.
+#[derive(Debug, Default)]
+struct Sessions {
+    /// Negotiations still in progress.
+    open: BTreeMap<u64, Session>,
+    /// Outcomes of the last [`RETIRED_SESSIONS`] finished negotiations,
+    /// oldest first.
+    retired: VecDeque<(u64, Outcome)>,
+}
+
+impl Sessions {
+    /// Move session `id` out of the open map into a tombstone, evicting
+    /// the oldest tombstone once the ring is full.
+    fn retire(&mut self, id: u64, outcome: Outcome) {
+        self.open.remove(&id);
+        if self.retired.len() == RETIRED_SESSIONS {
+            self.retired.pop_front();
+        }
+        self.retired.push_back((id, outcome));
+    }
+
+    fn outcome(&self, id: u64) -> Option<&Outcome> {
+        self.retired
+            .iter()
+            .rev()
+            .find(|(retired, _)| *retired == id)
+            .map(|(_, outcome)| outcome)
+    }
+
+    /// The fault for an operation on `id`, which has no open session:
+    /// `BadState` with `late` (what the finished session answered) for a
+    /// tombstoned id, `NoSuchNegotiation` otherwise.
+    fn missing(&self, id: u64, late: &str) -> Fault {
+        if self.outcome(id).is_some() {
+            Fault::new("BadState", late)
+        } else {
+            Fault::new("NoSuchNegotiation", format!("id {id} unknown"))
+        }
+    }
+}
+
+/// What a checkpoint's resume token is issued with, read from the party
+/// registry while the calling operation holds it.
+struct TokenKeys {
+    holder: PublicKey,
+    issuer: KeyPair,
+}
+
+impl TokenKeys {
+    fn of(requester: &Party, controller: &Party) -> Self {
+        TokenKeys {
+            holder: requester.keys.public,
+            issuer: controller.keys.clone(),
+        }
+    }
+}
+
+/// A session's two parties, or the typed fault that ends a session which
+/// outlived either's registration.
+fn parties_of<'p>(
+    parties: &'p BTreeMap<String, Party>,
+    requester: &str,
+    controller: &str,
+) -> Result<(&'p Party, &'p Party), Fault> {
+    let get = |name: &str| {
+        parties.get(name).ok_or_else(|| {
+            Fault::new(
+                "UnknownParty",
+                format!("party '{name}' is no longer registered"),
+            )
+        })
+    };
+    Ok((get(requester)?, get(controller)?))
+}
+
 /// The TN web service endpoint.
+///
+/// The service keeps only what its open negotiations need. A negotiation
+/// that completes or fails leaves the session map as soon as its reply
+/// is built, keeping a tombstone (see [`RETIRED_SESSIONS`]), and its
+/// checkpoint slot is purged from the database with its whole history.
 pub struct TnService {
     clock: SimClock,
     db: Database,
     parties: RwLock<BTreeMap<String, Party>>,
     /// Volatile: a simulated crash (see [`ServiceEndpoint::on_crash`])
-    /// wipes in-flight sessions. Profiles, policies, and checkpoints live
-    /// in the durable [`Database`] and survive.
-    sessions: Mutex<BTreeMap<u64, Session>>,
+    /// wipes in-flight sessions and tombstones. Profiles, policies, and
+    /// checkpoints live in the durable [`Database`] and survive.
+    sessions: Mutex<Sessions>,
     next_id: AtomicU64,
     resumed: AtomicU64,
     resume_ttl_secs: AtomicU64,
@@ -84,7 +182,7 @@ impl TnService {
             clock,
             db,
             parties: RwLock::new(BTreeMap::new()),
-            sessions: Mutex::new(BTreeMap::new()),
+            sessions: Mutex::new(Sessions::default()),
             next_id: AtomicU64::new(1),
             resumed: AtomicU64::new(0),
             resume_ttl_secs: AtomicU64::new(DEFAULT_RESUME_TTL_SECS),
@@ -94,6 +192,13 @@ impl TnService {
     /// How many negotiations were resumed from a checkpoint so far.
     pub fn resumed_count(&self) -> u64 {
         self.resumed.load(Ordering::Relaxed)
+    }
+
+    /// How many negotiations are open, and how many finished ones keep a
+    /// tombstone (at most [`RETIRED_SESSIONS`]).
+    pub fn session_counts(&self) -> (usize, usize) {
+        let sessions = self.sessions.lock();
+        (sessions.open.len(), sessions.retired.len())
     }
 
     /// Change the resume-token lifetime (simulated seconds). Tokens issued
@@ -169,65 +274,59 @@ impl TnService {
     /// embed in the response. Charges one DB write plus one signature,
     /// both under a `tn.checkpoint` span linked at `link` so checkpoint
     /// I/O is separable from the rest of the operation in attribution.
-    #[allow(clippy::too_many_arguments)]
     fn checkpoint(
         &self,
         link: SpanLink,
-        ck_id: u64,
-        requester: &str,
-        controller: &str,
-        resource: &str,
-        strategy: Strategy,
-        sequence: &TrustSequence,
+        session: &Session,
+        keys: &TokenKeys,
+        sequence: TrustSequence,
         next: usize,
     ) -> Element {
         let obs = self.clock.collector();
         let mut span = obs.span_linked("tn.checkpoint", link);
-        span.field("slot", ck_id as i64);
+        span.field("slot", session.ck_id as i64);
         span.field("next", next);
         let ck = ResumeCheckpoint::new(
-            requester,
-            controller,
-            resource,
-            strategy,
-            sequence.clone(),
+            &session.requester,
+            &session.controller,
+            &session.resource,
+            session.strategy,
+            sequence,
             next,
         );
         let digest = ck.digest();
         self.db.with_collection("checkpoints", |c| {
-            c.put(ck_id.to_string().as_str(), ck.to_xml());
+            c.put(session.ck_id.to_string().as_str(), ck.to_xml());
         });
         self.clock.charge(CostKind::DbQuery);
-        let (holder_key, issuer_keys) = {
-            let parties = self.parties.read();
-            (
-                parties.get(requester).expect("validated").keys.public,
-                parties.get(controller).expect("validated").keys.clone(),
-            )
-        };
         let now = self.clock.timestamp();
         let ttl = self.resume_ttl_secs.load(Ordering::Relaxed);
         let validity = TimeRange::new(now, now.plus_seconds(ttl as i64));
         self.clock.charge(CostKind::SignatureSign);
         ResumeToken::issue(
-            ck_id,
-            requester,
-            holder_key,
-            controller,
-            &issuer_keys,
-            resource,
+            session.ck_id,
+            &session.requester,
+            keys.holder,
+            &session.controller,
+            &keys.issuer,
+            &session.resource,
             digest,
             validity,
         )
         .to_xml()
     }
 
-    /// Retire the checkpoint slot of a finished negotiation.
-    fn drop_checkpoint(&self, ck_id: u64) {
-        self.db.with_collection("checkpoints", |c| {
-            c.delete(&trust_vo_store::DocId(ck_id.to_string()));
-        });
-        self.clock.charge(CostKind::DbQuery);
+    /// End open session `id` with `outcome`: purge its checkpoint `slot`,
+    /// if it has one, with the slot's whole history, then retire the
+    /// session to a tombstone.
+    fn finish(&self, sessions: &mut Sessions, id: u64, slot: Option<u64>, outcome: Outcome) {
+        if let Some(slot) = slot {
+            self.db.with_collection("checkpoints", |c| {
+                c.purge(&DocId(slot.to_string()));
+            });
+            self.clock.charge(CostKind::DbQuery);
+        }
+        sessions.retire(id, outcome);
     }
 
     fn start_negotiation(&self, request: &Envelope) -> Result<Envelope, Fault> {
@@ -258,7 +357,7 @@ impl TnService {
         self.clock.charge(CostKind::DbQuery);
         let resumable = body.get_attr("resumable") == Some("true");
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.sessions.lock().insert(
+        self.sessions.lock().open.insert(
             id,
             Session {
                 requester,
@@ -279,24 +378,37 @@ impl TnService {
     }
 
     fn policy_exchange(&self, request: &Envelope) -> Result<Envelope, Fault> {
+        const LATE: &str = "policy exchange already performed";
         let id = request
             .negotiation_id
             .ok_or_else(|| Fault::new("BadRequest", "missing negotiation id"))?;
         let mut sessions = self.sessions.lock();
-        let session = sessions
-            .get_mut(&id)
-            .ok_or_else(|| Fault::new("NoSuchNegotiation", format!("id {id} unknown")))?;
+        let Some(session) = sessions.open.get_mut(&id) else {
+            return Err(sessions.missing(id, LATE));
+        };
         if !matches!(session.state, SessionState::Started) {
-            return Err(Fault::new("BadState", "policy exchange already performed"));
+            return Err(Fault::new("BadState", LATE));
         }
         let parties = self.parties.read();
-        let requester = parties.get(&session.requester).expect("validated at start");
-        let controller = parties
-            .get(&session.controller)
-            .expect("validated at start");
-        let cfg = self.config(session.strategy);
-        let phase = evaluate_policies(requester, controller, &session.resource, &cfg);
+        let evaluated = parties_of(&parties, &session.requester, &session.controller).map(
+            |(requester, controller)| {
+                let cfg = self.config(session.strategy);
+                let phase = evaluate_policies(requester, controller, &session.resource, &cfg);
+                let keys = session
+                    .resumable
+                    .then(|| TokenKeys::of(requester, controller));
+                (phase, keys)
+            },
+        );
         drop(parties);
+        let (phase, keys) = match evaluated {
+            Ok(evaluated) => evaluated,
+            Err(fault) => {
+                // No checkpoint exists before phase 1 completes.
+                sessions.retire(id, Outcome::Failed(fault.reason.clone()));
+                return Err(fault);
+            }
+        };
         match phase {
             Ok(phase) => {
                 // Charge the work phase 1 performed: one DB fetch plus one
@@ -330,17 +442,14 @@ impl TnService {
                     )
                     .attr("rounds", phase.transcript.policy_rounds.to_string())
                     .child(seq_el);
-                if session.resumable {
+                if let Some(keys) = &keys {
                     // Phase 1 is the expensive part: checkpoint it now so a
                     // mid-phase-2 interruption never repeats it.
                     let token = self.checkpoint(
                         request.trace.as_ref().map(|t| t.link()).unwrap_or_default(),
-                        session.ck_id,
-                        &session.requester,
-                        &session.controller,
-                        &session.resource,
-                        session.strategy,
-                        &phase.sequence,
+                        session,
+                        keys,
+                        phase.sequence.clone(),
                         0,
                     );
                     response.children.push(Node::Element(token));
@@ -349,8 +458,9 @@ impl TnService {
                 Ok(Envelope::request("PolicyExchangeResponse", response).with_negotiation(id))
             }
             Err(e) => {
-                session.state = SessionState::Failed(e.to_string());
-                Err(Fault::new("NoTrustSequence", e.to_string()))
+                let reason = e.to_string();
+                sessions.retire(id, Outcome::Failed(reason.clone()));
+                Err(Fault::new("NoTrustSequence", reason))
             }
         }
     }
@@ -367,22 +477,21 @@ impl TnService {
     }
 
     fn credential_exchange(&self, request: &Envelope) -> Result<Envelope, Fault> {
+        const LATE: &str = "run PolicyExchange first";
         let id = request
             .negotiation_id
             .ok_or_else(|| Fault::new("BadRequest", "missing negotiation id"))?;
         let mut sessions = self.sessions.lock();
-        let session = sessions
-            .get_mut(&id)
-            .ok_or_else(|| Fault::new("NoSuchNegotiation", format!("id {id} unknown")))?;
+        let Some(session) = sessions.open.get_mut(&id) else {
+            return Err(sessions.missing(id, LATE));
+        };
+        let slot = session.resumable.then_some(session.ck_id);
         let SessionState::Sequenced { phase, next } = &mut session.state else {
-            return Err(Fault::new("BadState", "run PolicyExchange first"));
+            return Err(Fault::new("BadState", LATE));
         };
         let disclosures = phase.sequence.disclosures();
         if *next >= disclosures.len() {
-            session.state = SessionState::Completed;
-            if session.resumable {
-                self.drop_checkpoint(session.ck_id);
-            }
+            self.finish(&mut sessions, id, slot, Outcome::Completed);
             return Ok(Envelope::request(
                 "CredentialExchangeResponse",
                 Element::new("CredentialExchangeResponse").attr("status", "completed"),
@@ -391,8 +500,20 @@ impl TnService {
         }
         let disclosure = disclosures[*next].clone();
         let parties = self.parties.read();
-        let requester = parties.get(&session.requester).expect("validated");
-        let controller = parties.get(&session.controller).expect("validated");
+        let (requester, controller) =
+            match parties_of(&parties, &session.requester, &session.controller) {
+                Ok(pair) => pair,
+                Err(fault) => {
+                    drop(parties);
+                    self.finish(
+                        &mut sessions,
+                        id,
+                        slot,
+                        Outcome::Failed(fault.reason.clone()),
+                    );
+                    return Err(fault);
+                }
+            };
         let (sender, receiver) = match disclosure.by {
             Side::Requester => (requester, controller),
             Side::Controller => (controller, requester),
@@ -406,10 +527,7 @@ impl TnService {
                 disclosure.cred_id, sender.name
             );
             drop(parties);
-            session.state = SessionState::Failed(reason.clone());
-            if session.resumable {
-                self.drop_checkpoint(session.ck_id);
-            }
+            self.finish(&mut sessions, id, slot, Outcome::Failed(reason.clone()));
             return Err(Fault::new("StaleSequence", reason));
         };
         // Fetch + transmit + verify.
@@ -432,25 +550,22 @@ impl TnService {
             &nonce,
             ownership.as_ref(),
         );
+        // A disclosure that leaves more to do re-checkpoints a resumable
+        // session below.
+        let keys = (slot.is_some() && *next + 1 < disclosures.len())
+            .then(|| TokenKeys::of(requester, controller));
         drop(parties);
         if let Err(cause) = check {
+            // A trust failure is terminal — resuming cannot fix it.
             let reason = cause.to_string();
-            session.state = SessionState::Failed(reason.clone());
-            if session.resumable {
-                // A trust failure is terminal — resuming cannot fix it.
-                self.drop_checkpoint(session.ck_id);
-            }
+            self.finish(&mut sessions, id, slot, Outcome::Failed(reason.clone()));
             return Err(Fault::new("TrustFailure", reason));
         }
         *next += 1;
         let progressed = *next;
         let remaining = disclosures.len() - progressed;
-        let sequence = (remaining > 0 && session.resumable).then(|| phase.sequence.clone());
+        let checkpoint = keys.map(|keys| (keys, phase.sequence.clone()));
         let status = if remaining == 0 {
-            session.state = SessionState::Completed;
-            if session.resumable {
-                self.drop_checkpoint(session.ck_id);
-            }
             "completed"
         } else {
             "in-progress"
@@ -459,20 +574,20 @@ impl TnService {
             .attr("status", status)
             .attr("remaining", remaining.to_string())
             .child(cred.to_xml());
-        if let Some(sequence) = sequence {
+        if let Some((keys, sequence)) = checkpoint {
             // Re-checkpoint after every verified disclosure: a resumed
             // session replays from here, not from the start of phase 2.
             let token = self.checkpoint(
                 request.trace.as_ref().map(|t| t.link()).unwrap_or_default(),
-                session.ck_id,
-                &session.requester,
-                &session.controller,
-                &session.resource,
-                session.strategy,
-                &sequence,
+                session,
+                &keys,
+                sequence,
                 progressed,
             );
             response.children.push(Node::Element(token));
+        }
+        if remaining == 0 {
+            self.finish(&mut sessions, id, slot, Outcome::Completed);
         }
         Ok(Envelope::request("CredentialExchangeResponse", response).with_negotiation(id))
     }
@@ -520,9 +635,9 @@ impl TnService {
             .verify(self.clock.timestamp())
             .map_err(|e| Fault::new("InvalidToken", e.to_string()))?;
         self.clock.charge(CostKind::DbQuery);
-        let stored = self.db.with_collection("checkpoints", |c| {
-            c.get(&trust_vo_store::DocId(token.token_id.to_string()))
-        });
+        let stored = self
+            .db
+            .with_collection("checkpoints", |c| c.get(&DocId(token.token_id.to_string())));
         let stored = stored.ok_or_else(|| {
             Fault::new(
                 "NoSuchCheckpoint",
@@ -548,7 +663,7 @@ impl TnService {
             ck.resource.clone(),
         );
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.sessions.lock().insert(
+        self.sessions.lock().open.insert(
             id,
             Session {
                 requester,
@@ -578,18 +693,18 @@ impl TnService {
         .with_negotiation(id))
     }
 
-    /// Is the negotiation completed successfully?
+    /// Is the negotiation completed successfully? Answered from the
+    /// tombstones: `false` once the id is older than [`RETIRED_SESSIONS`]
+    /// finished negotiations.
     pub fn is_completed(&self, id: u64) -> bool {
-        matches!(
-            self.sessions.lock().get(&id).map(|s| &s.state),
-            Some(SessionState::Completed)
-        )
+        matches!(self.sessions.lock().outcome(id), Some(Outcome::Completed))
     }
 
-    /// The failure reason, if the negotiation failed.
+    /// The failure reason, if the negotiation failed (and is among the
+    /// last [`RETIRED_SESSIONS`] finished).
     pub fn failure_reason(&self, id: u64) -> Option<String> {
-        match self.sessions.lock().get(&id).map(|s| &s.state) {
-            Some(SessionState::Failed(reason)) => Some(reason.clone()),
+        match self.sessions.lock().outcome(id) {
+            Some(Outcome::Failed(reason)) => Some(reason.clone()),
             _ => None,
         }
     }
@@ -651,12 +766,12 @@ impl ServiceEndpoint for TnService {
         ]
     }
 
-    /// A simulated crash/restart: in-flight sessions (volatile memory) are
-    /// lost; the party registry, profiles, policies, and negotiation
-    /// checkpoints (durable database) survive. Clients holding a resume
-    /// token re-attach via `ResumeNegotiation`.
+    /// A simulated crash/restart: in-flight sessions and tombstones
+    /// (volatile memory) are lost; the party registry, profiles, policies,
+    /// and negotiation checkpoints (durable database) survive. Clients
+    /// holding a resume token re-attach via `ResumeNegotiation`.
     fn on_crash(&self) {
-        self.sessions.lock().clear();
+        *self.sessions.lock() = Sessions::default();
         let obs = self.clock.collector();
         if obs.is_enabled() {
             obs.counter_add("tn.crashes", 1);
@@ -1030,6 +1145,108 @@ mod tests {
             ))
             .unwrap_err();
         assert_eq!(err.code, "NoSuchCheckpoint");
+    }
+
+    fn policy(svc: &TnService, id: u64) -> Result<Envelope, Fault> {
+        svc.handle(&Envelope::request("PolicyExchange", Element::new("x")).with_negotiation(id))
+    }
+
+    /// A session that outlives a party's registration ends with a typed
+    /// `UnknownParty` fault, never a panic. Nothing unregisters a party
+    /// today, so the tests remove it from the registry directly.
+    fn unregister(svc: &TnService, name: &str) {
+        assert!(svc.parties.write().remove(name).is_some());
+    }
+
+    #[test]
+    fn policy_exchange_on_an_unregistered_party_ends_the_session() {
+        let svc = service_with_fig2();
+        let id = start_resumable(&svc);
+        unregister(&svc, "Aircraft");
+        let err = policy(&svc, id).unwrap_err();
+        assert_eq!(err.code, "UnknownParty");
+        assert!(err.reason.contains("'Aircraft'"));
+        assert_eq!(svc.failure_reason(id), Some(err.reason));
+        assert_eq!(svc.session_counts(), (0, 1));
+        assert_eq!(policy(&svc, id).unwrap_err().code, "BadState");
+    }
+
+    #[test]
+    fn credential_exchange_on_an_unregistered_party_ends_the_session() {
+        let svc = service_with_fig2();
+        let id = start(&svc, "standard");
+        policy(&svc, id).unwrap();
+        unregister(&svc, "Aerospace");
+        let err = exchange(&svc, id).unwrap_err();
+        assert_eq!(err.code, "UnknownParty");
+        assert!(svc.failure_reason(id).is_some());
+        assert_eq!(svc.session_counts(), (0, 1));
+        assert_eq!(exchange(&svc, id).unwrap_err().code, "BadState");
+    }
+
+    /// The checkpointing path: a resumable session that loses a party
+    /// mid-phase-2 ends, and its checkpoint slot is purged rather than
+    /// left for a token nobody can redeem.
+    #[test]
+    fn checkpointed_exchange_on_an_unregistered_party_purges_its_slot() {
+        let svc = service_with_fig2();
+        let id = start_resumable(&svc);
+        let token = policy(&svc, id)
+            .unwrap()
+            .body
+            .first("ResumeToken")
+            .unwrap()
+            .clone();
+        assert_eq!(
+            svc.database().with_collection("checkpoints", |c| c.len()),
+            1
+        );
+        unregister(&svc, "Aircraft");
+        assert_eq!(exchange(&svc, id).unwrap_err().code, "UnknownParty");
+        let slot = DocId(id.to_string());
+        assert!(svc
+            .database()
+            .with_collection("checkpoints", |c| c.get_revision(&slot, 1))
+            .is_none());
+        let err = svc
+            .handle(&Envelope::request(
+                "ResumeNegotiation",
+                Element::new("ResumeNegotiationRequest").child(token),
+            ))
+            .unwrap_err();
+        assert_eq!(err.code, "UnknownParty");
+    }
+
+    #[test]
+    fn finished_sessions_retire_into_a_bounded_ring_of_tombstones() {
+        let svc = service_with_fig2();
+        let run = |svc: &TnService| {
+            let id = start(svc, "standard");
+            policy(svc, id).unwrap();
+            while exchange(svc, id).unwrap().body.get_attr("status") != Some("completed") {}
+            id
+        };
+        let first = run(&svc);
+        assert_eq!(svc.session_counts(), (0, 1));
+        assert!(svc.is_completed(first));
+        // A late retry of a just-finished negotiation answers as the kept
+        // session did.
+        assert_eq!(exchange(&svc, first).unwrap_err().code, "BadState");
+        assert_eq!(policy(&svc, first).unwrap_err().code, "BadState");
+        let mut last = first;
+        for _ in 0..RETIRED_SESSIONS {
+            last = run(&svc);
+        }
+        assert_eq!(svc.session_counts(), (0, RETIRED_SESSIONS));
+        assert!(svc.is_completed(last));
+        // The first id fell off the ring.
+        assert!(!svc.is_completed(first));
+        assert_eq!(exchange(&svc, first).unwrap_err().code, "NoSuchNegotiation");
+        // Tombstones are volatile, like sessions.
+        svc.on_crash();
+        assert_eq!(svc.session_counts(), (0, 0));
+        assert!(!svc.is_completed(last));
+        assert_eq!(exchange(&svc, last).unwrap_err().code, "NoSuchNegotiation");
     }
 
     #[test]

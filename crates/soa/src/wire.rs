@@ -56,6 +56,21 @@ pub fn encode_envelope(env: &Envelope) -> Vec<u8> {
 
 /// Append the canonical binary payload of `env` to `out`.
 pub fn encode_envelope_into(out: &mut Vec<u8>, env: &Envelope) {
+    encode_header_into(out, env);
+    xbin::encode_element_into(out, &env.body);
+}
+
+/// Whether `payload`, an envelope encoding, starts with exactly the
+/// header `env` encodes to: its operation, ids and trace context. The
+/// encoding is injective, so equal header bytes mean equal fields.
+pub(crate) fn header_matches(env: &Envelope, payload: &[u8]) -> bool {
+    let mut header = Vec::with_capacity(64 + env.operation.len());
+    encode_header_into(&mut header, env);
+    payload.starts_with(&header)
+}
+
+/// Append everything of `env`'s payload but the body.
+fn encode_header_into(out: &mut Vec<u8>, env: &Envelope) {
     out.push(VERSION);
     out.push(KIND_ENVELOPE);
     let mut flags = 0u8;
@@ -86,7 +101,6 @@ pub fn encode_envelope_into(out: &mut Vec<u8>, env: &Envelope) {
             out.extend_from_slice(&parent.to_le_bytes());
         }
     }
-    xbin::encode_element_into(out, &env.body);
 }
 
 /// Decode a canonical binary payload back to an envelope. `None` on any
@@ -160,7 +174,7 @@ pub fn encode_reply_into(out: &mut Vec<u8>, reply: &Result<Envelope, Fault>) {
     match reply {
         // Reuse a cached request encoding when one exists; replies are
         // typically fresh envelopes, encoded straight into the frame.
-        Ok(env) if env.wire_cached() => out.extend_from_slice(env.wire_bytes()),
+        Ok(env) if env.wire_cached() => out.extend_from_slice(&env.wire_bytes()),
         Ok(env) => encode_envelope_into(out, env),
         Err(fault) => {
             out.reserve(12 + fault.code.len() + fault.reason.len());
@@ -218,7 +232,7 @@ pub fn decode_reply(bytes: &[u8]) -> Option<Result<Envelope, Fault>> {
 pub fn frame_envelope(env: &Envelope) -> Vec<u8> {
     let payload = env.wire_bytes();
     let mut out = Vec::with_capacity(frame::HEADER_LEN + payload.len());
-    frame::push_record(&mut out, payload);
+    frame::push_record(&mut out, &payload);
     out
 }
 
@@ -376,17 +390,43 @@ mod tests {
     fn encode_is_cached_once_per_envelope() {
         let env = traced();
         assert!(!env.wire_cached());
-        let first = env.wire_bytes().clone();
+        let first = env.wire_bytes();
         assert!(env.wire_cached());
         // Same Arc (pointer-equal), not a re-encoding.
-        assert!(std::sync::Arc::ptr_eq(&first, env.wire_bytes()));
+        assert!(std::sync::Arc::ptr_eq(&first, &env.wire_bytes()));
         // Clones carry the cache; builder mutations clear it.
         let copy = env.clone();
         assert!(copy.wire_cached());
-        assert!(std::sync::Arc::ptr_eq(&first, copy.wire_bytes()));
+        assert!(std::sync::Arc::ptr_eq(&first, &copy.wire_bytes()));
         let moved = copy.with_negotiation(99);
         assert!(!moved.wire_cached());
-        assert_ne!(moved.wire_bytes(), &first);
+        assert_ne!(moved.wire_bytes(), first);
+    }
+
+    /// The header fields are public, so they can change after encoding
+    /// without a builder: the cache must never serve the old bytes.
+    #[test]
+    fn a_field_written_after_encoding_is_encoded() {
+        let fresh = |env: &Envelope| decode_envelope(&env.wire_bytes()).unwrap();
+        let mut env = traced();
+        let _ = env.wire_bytes();
+        env.operation = "Second".into();
+        assert!(!env.wire_cached());
+        assert_eq!(fresh(&env), env);
+        env.negotiation_id = None;
+        env.idempotency_key = Some(1);
+        env.trace = None;
+        assert_eq!(fresh(&env), env);
+        // The body too: replaced, or changed in place. The cache holds
+        // the body it encoded, so `make_mut` must copy it first.
+        let mut env = traced();
+        let _ = env.wire_bytes();
+        assert!(env.wire_cached());
+        std::sync::Arc::make_mut(&mut env.body).name = "Other".into();
+        assert!(!env.wire_cached());
+        assert_eq!(fresh(&env), env);
+        env.body = std::sync::Arc::new(Element::new("Third"));
+        assert_eq!(fresh(&env), env);
     }
 
     #[test]

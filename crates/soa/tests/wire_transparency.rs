@@ -219,3 +219,21 @@ fn the_queued_bus_delivers_exactly_what_was_sent_and_replied() {
     let queued = QueuedBus::new(bus, 4);
     check(&queued, &recorder);
 }
+
+/// Header fields are public, so a caller can change one after the
+/// envelope was encoded. The endpoint must receive the envelope as it is
+/// when the call is made, not as it was first encoded.
+#[test]
+fn a_field_written_after_encoding_crosses_the_bus() {
+    let (bus, recorder) = bus();
+    let mut sent = Envelope::request("First", Element::new("FirstRequest")).with_negotiation(1);
+    let _ = sent.wire_bytes();
+    sent.operation = "Second".into();
+    sent.negotiation_id = Some(2);
+    sent.body = Arc::new(Element::new("SecondRequest"));
+    *recorder.reply.lock() = Some(Ok(Envelope::request("Ack", Element::new("Ack"))));
+    bus.call("svc", &sent).expect("scripted reply");
+    let received = recorder.received.lock().pop().expect("delivered");
+    assert_eq!(received.operation, "Second");
+    assert_eq!(received, sent);
+}

@@ -23,9 +23,10 @@ impl std::fmt::Display for DocId {
 }
 
 /// One document's history. Revision `n` is `revisions[n - 1]`: numbering
-/// is dense from 1 and nothing is ever removed. Each revision is the
-/// document's `binary::encode_element` bytes and nothing else — no tree
-/// is kept beside it — shared with the journal's `Fact::Put` for it.
+/// is dense from 1 and nothing is removed until the document is purged.
+/// Each revision is the document's `binary::encode_element` bytes and
+/// nothing else — no tree is kept beside it — shared with the journal's
+/// `Fact::Put` for it.
 #[derive(Debug, Clone, Default)]
 struct Entry {
     revisions: Vec<Arc<[u8]>>,
@@ -65,25 +66,48 @@ fn decode(bytes: &[u8]) -> Element {
 /// Every read decodes the revisions it returns or queries.
 #[derive(Debug, Default)]
 pub struct Collection {
+    /// The name the collection's journal facts carry (empty for a
+    /// collection made with [`Collection::new`]).
+    name: String,
     entries: std::collections::BTreeMap<DocId, Entry>,
     /// Operations performed (reads + writes), for latency accounting.
     ops: std::sync::atomic::AtomicU64,
     /// Armed by [`Database::attach_journal`](crate::Database::attach_journal):
-    /// every `put`/`delete` spills a [`Fact`] tagged with this collection's
-    /// name into the shared journal.
+    /// every `put`/`delete`/`purge` spills a [`Fact`] tagged with this
+    /// collection's name into the shared journal.
     #[cfg(feature = "journal")]
-    journal: Option<(Arc<Journal>, String)>,
+    journal: Option<Arc<Journal>>,
+    #[cfg(feature = "journal")]
+    pub(crate) weight: Weight,
+}
+
+/// What the collection weighs in the journal, in encoded fact bytes
+/// ([`trust_vo_journal::fact::store_fact_len`]): the database's
+/// compaction rule compares the two sums over its collections.
+#[cfg(feature = "journal")]
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Weight {
+    /// The facts a snapshot of this collection holds: every retained
+    /// revision, and a tombstone per deleted document.
+    pub(crate) live: u64,
+    /// The facts of documents purged since the log was last compacted
+    /// (their revisions and tombstones, plus the `Purge` itself): log
+    /// bytes the next compaction drops.
+    pub(crate) dead: u64,
 }
 
 impl Clone for Collection {
     fn clone(&self) -> Self {
         Collection {
+            name: self.name.clone(),
             entries: self.entries.clone(),
             ops: std::sync::atomic::AtomicU64::new(self.ops()),
             // A clone is a detached copy — its mutations are not part of
             // the database's durable history, so the hook does not travel.
             #[cfg(feature = "journal")]
             journal: None,
+            #[cfg(feature = "journal")]
+            weight: self.weight,
         }
     }
 }
@@ -94,16 +118,88 @@ impl Collection {
         Self::default()
     }
 
+    /// An empty collection whose journal facts carry `name`.
+    pub(crate) fn named(name: &str) -> Self {
+        Collection {
+            name: name.to_owned(),
+            ..Self::default()
+        }
+    }
+
     fn count_op(&self) {
         self.ops.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Arm the journal spill hook if not already armed.
     #[cfg(feature = "journal")]
-    pub(crate) fn ensure_journal(&mut self, journal: &Arc<Journal>, name: &str) {
+    pub(crate) fn ensure_journal(&mut self, journal: &Arc<Journal>) {
         if self.journal.is_none() {
-            self.journal = Some((journal.clone(), name.to_owned()));
+            self.journal = Some(journal.clone());
         }
+    }
+
+    /// Append `fact` to the journal, if armed.
+    #[cfg(feature = "journal")]
+    fn journal(&self, fact: impl FnOnce() -> Fact) {
+        if let Some(journal) = &self.journal {
+            journal.append(&fact());
+        }
+    }
+
+    /// Encoded length of this collection's fact about `id`: a `Put` of
+    /// `doc`, or a tombstone (`Delete`, `Purge`) for `None`.
+    #[cfg(feature = "journal")]
+    fn fact_len(&self, id: &DocId, doc: Option<&[u8]>) -> u64 {
+        trust_vo_journal::fact::store_fact_len(&self.name, &id.0, doc.map(<[u8]>::len))
+    }
+
+    /// Append a revision (the live and replay paths of `put`); returns
+    /// its number.
+    fn install(&mut self, id: DocId, bytes: Arc<[u8]>) -> u64 {
+        #[cfg(feature = "journal")]
+        let (put, tombstone) = (self.fact_len(&id, Some(&bytes)), self.fact_len(&id, None));
+        let entry = self.entries.entry(id).or_default();
+        #[cfg(feature = "journal")]
+        {
+            if entry.deleted {
+                self.weight.live -= tombstone;
+            }
+            self.weight.live += put;
+        }
+        entry.push(bytes)
+    }
+
+    /// Mark a live document deleted (the live and replay paths of
+    /// `delete`); returns whether it was live.
+    fn mark_deleted(&mut self, id: &DocId) -> bool {
+        match self.entries.get_mut(id) {
+            Some(e) if !e.deleted => {
+                e.deleted = true;
+                #[cfg(feature = "journal")]
+                {
+                    self.weight.live += self.fact_len(id, None);
+                }
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Remove a document with its history (the live and replay paths of
+    /// `purge`); returns whether there was one.
+    fn forget(&mut self, id: &DocId) -> bool {
+        let removed = self.entries.remove(id);
+        #[cfg(feature = "journal")]
+        if let Some(entry) = &removed {
+            let tombstone = self.fact_len(id, None);
+            let mut weight = if entry.deleted { tombstone } else { 0 };
+            for rev in &entry.revisions {
+                weight += self.fact_len(id, Some(rev));
+            }
+            self.weight.live -= weight;
+            self.weight.dead += weight + tombstone;
+        }
+        removed.is_some()
     }
 
     /// Insert or update a document; returns the new revision number.
@@ -126,14 +222,12 @@ impl Collection {
         let id = id.into();
         let bytes: Arc<[u8]> = binary::encode_element(&doc).into();
         #[cfg(feature = "journal")]
-        if let Some((journal, name)) = &self.journal {
-            journal.append(&Fact::Put {
-                collection: name.clone(),
-                id: id.0.clone(),
-                doc: Arc::clone(&bytes),
-            });
-        }
-        self.entries.entry(id).or_default().push(bytes)
+        self.journal(|| Fact::Put {
+            collection: self.name.clone(),
+            id: id.0.clone(),
+            doc: Arc::clone(&bytes),
+        });
+        self.install(id, bytes)
     }
 
     /// Replay-path put: identical revision bookkeeping to [`Collection::put`]
@@ -142,34 +236,39 @@ impl Collection {
     /// that `bytes` decode.
     #[cfg(feature = "journal")]
     pub(crate) fn apply_put(&mut self, id: DocId, bytes: Arc<[u8]>) {
-        self.entries.entry(id).or_default().push(bytes);
+        self.install(id, bytes);
     }
 
     /// Replay-path delete; see [`Collection::apply_put`].
     #[cfg(feature = "journal")]
     pub(crate) fn apply_delete(&mut self, id: &DocId) {
-        if let Some(e) = self.entries.get_mut(id) {
-            e.deleted = true;
-        }
+        self.mark_deleted(id);
+    }
+
+    /// Replay-path purge; see [`Collection::apply_put`].
+    #[cfg(feature = "journal")]
+    pub(crate) fn apply_purge(&mut self, id: &DocId) {
+        self.forget(id);
     }
 
     /// Emit facts that rebuild this collection exactly — every revision in
     /// order (replay's dense numbering reproduces the originals) plus a
     /// tombstone for currently-deleted documents. Used for snapshot
-    /// compaction; each `Put` shares the stored bytes.
+    /// compaction; each `Put` shares the stored bytes. Purged documents
+    /// are gone, so the snapshot forgets them too.
     #[cfg(feature = "journal")]
-    pub(crate) fn snapshot_facts(&self, name: &str, out: &mut Vec<Fact>) {
+    pub(crate) fn snapshot_facts(&self, out: &mut Vec<Fact>) {
         for (id, entry) in &self.entries {
             for rev in &entry.revisions {
                 out.push(Fact::Put {
-                    collection: name.to_owned(),
+                    collection: self.name.clone(),
                     id: id.0.clone(),
                     doc: Arc::clone(rev),
                 });
             }
             if entry.deleted {
                 out.push(Fact::Delete {
-                    collection: name.to_owned(),
+                    collection: self.name.clone(),
                     id: id.0.clone(),
                 });
             }
@@ -178,10 +277,15 @@ impl Collection {
 
     /// Fold this collection's logical content (names, revision histories
     /// as their stored bytes, tombstones — *not* the op counter) into a
-    /// state digest.
+    /// state digest. A collection holding no document folds nothing, so
+    /// it digests like an absent one: no fact recreates it, and once its
+    /// last document is purged a compacted log no longer names it.
     #[cfg(feature = "journal")]
-    pub(crate) fn digest_into(&self, name: &str, h: &mut Fnv64) {
-        h.write_framed(name.as_bytes());
+    pub(crate) fn digest_into(&self, h: &mut Fnv64) {
+        if self.entries.is_empty() {
+            return;
+        }
+        h.write_framed(self.name.as_bytes());
         for (id, entry) in &self.entries {
             h.write_framed(id.0.as_bytes());
             h.write(&[u8::from(entry.deleted)]);
@@ -209,28 +313,41 @@ impl Collection {
             .map(|b| decode(b))
     }
 
-    /// Mark a document deleted (history retained). Returns whether it was live.
+    /// Mark a document deleted (history retained until it is purged).
+    /// Returns whether it was live.
     pub fn delete(&mut self, id: &DocId) -> bool {
         self.count_op();
-        let deleted = match self.entries.get_mut(id) {
-            Some(e) if !e.deleted => {
-                e.deleted = true;
-                true
-            }
-            _ => false,
-        };
+        let deleted = self.mark_deleted(id);
         // No-op deletes are not facts: replaying them would be harmless but
         // would bloat the log and shift replay digests.
         #[cfg(feature = "journal")]
         if deleted {
-            if let Some((journal, name)) = &self.journal {
-                journal.append(&Fact::Delete {
-                    collection: name.clone(),
-                    id: id.0.clone(),
-                });
-            }
+            self.journal(|| Fact::Delete {
+                collection: self.name.clone(),
+                id: id.0.clone(),
+            });
         }
         deleted
+    }
+
+    /// Forget a document and its whole revision history, whether it is
+    /// live or deleted. Returns whether the collection held it. Unlike
+    /// [`Collection::delete`], nothing of it remains to read: a later
+    /// `put` of the same id starts again at revision 1. Journaled as a
+    /// `Fact::Purge`, which replay applies the same way, and which lets
+    /// the next compaction drop the document's records from the log.
+    pub fn purge(&mut self, id: &DocId) -> bool {
+        self.count_op();
+        let purged = self.forget(id);
+        // Like no-op deletes, no-op purges are not facts.
+        #[cfg(feature = "journal")]
+        if purged {
+            self.journal(|| Fact::Purge {
+                collection: self.name.clone(),
+                id: id.0.clone(),
+            });
+        }
+        purged
     }
 
     /// Ids of all live documents.
@@ -342,6 +459,26 @@ mod tests {
     }
 
     #[test]
+    fn purge_forgets_the_whole_history() {
+        let mut c = Collection::new();
+        c.put("a", doc("a", "1"));
+        c.put("a", doc("a", "2"));
+        c.put("b", doc("b", "1"));
+        c.delete(&"b".into());
+        assert!(c.purge(&"a".into()));
+        assert!(c.purge(&"b".into()), "a deleted document is purged too");
+        assert!(!c.purge(&"a".into()));
+        assert!(!c.purge(&"missing".into()));
+        for id in ["a", "b"] {
+            assert!(c.get(&id.into()).is_none());
+            assert!(c.get_revision(&id.into(), 1).is_none());
+        }
+        assert_eq!(c.len(), 0);
+        // A fresh put of a purged id starts over at revision 1.
+        assert_eq!(c.put("a", doc("a", "3")), 1);
+    }
+
+    #[test]
     fn find_by_xpath() {
         let mut c = Collection::new();
         c.put("a", doc("alpha", "1"));
@@ -420,6 +557,41 @@ mod property_tests {
     use trust_vo_xmldoc::Element;
 
     proptest! {
+        /// The compaction rule's byte counts are exact: `live` is the
+        /// encoded size of the snapshot, and `dead` grows by exactly what
+        /// a purge removes from it plus the `Purge` fact, whatever the
+        /// interleaving of puts, deletes and purges.
+        #[cfg(feature = "journal")]
+        #[test]
+        fn weights_match_the_snapshot(ops in proptest::collection::vec((0u8..4, 0u8..4), 1..60)) {
+            let mut c = Collection::named("checkpoints");
+            let snapshot_len = |c: &Collection| {
+                let mut facts = Vec::new();
+                c.snapshot_facts(&mut facts);
+                facts.iter().map(|f| f.encoded().len() as u64).sum::<u64>()
+            };
+            for (op, key) in ops {
+                let id: DocId = format!("doc{key}").as_str().into();
+                let (live, dead) = (c.weight.live, c.weight.dead);
+                match op {
+                    0 | 1 => {
+                        c.put(id.clone(), Element::new("d").attr("k", "x".repeat(usize::from(key))));
+                    }
+                    2 => {
+                        c.delete(&id);
+                    }
+                    _ => {
+                        if c.purge(&id) {
+                            let purge = Fact::Purge { collection: "checkpoints".into(), id: id.0.clone() };
+                            let forgotten = live - c.weight.live;
+                            prop_assert_eq!(c.weight.dead, dead + forgotten + purge.encoded().len() as u64);
+                        }
+                    }
+                }
+                prop_assert_eq!(c.weight.live, snapshot_len(&c));
+            }
+        }
+
         /// Revisions are dense and monotone per document, whatever the
         /// interleaving of puts and deletes.
         #[test]

@@ -26,6 +26,16 @@ pub struct StoreStats {
     pub operations: u64,
 }
 
+/// The least number of forgotten bytes that makes the attached journal
+/// compact itself (see [`Database::with_collection`]). Below it a rewrite
+/// reclaims too little to pay for itself: with a small live set, such as
+/// a TN service's registered parties, the rule would otherwise rewrite
+/// the log every few finished negotiations. A log therefore holds at
+/// most this many forgotten bytes, or its live snapshot's size if that
+/// is larger, plus one call's worth.
+#[cfg(feature = "journal")]
+pub const COMPACT_MIN_BYTES: u64 = 64 * 1024;
+
 /// A shareable database handle.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
@@ -65,24 +75,46 @@ impl Database {
     pub fn attach_journal(&self, journal: Arc<Journal>) {
         if self.journal.set(journal.clone()).is_ok() {
             let mut guard = self.inner.write();
-            for (name, collection) in guard.iter_mut() {
-                collection.ensure_journal(&journal, name);
+            for collection in guard.values_mut() {
+                collection.ensure_journal(&journal);
             }
         }
     }
 
     /// Run `f` with mutable access to the named collection (created on
     /// first use).
+    ///
+    /// With a journal attached, a call whose `f` purged documents may
+    /// then compact the journal in place, still under the database lock:
+    /// once the bytes of the log's facts about forgotten documents reach
+    /// both [`COMPACT_MIN_BYTES`] and the size of a live snapshot (the
+    /// store's snapshot facts plus the facts of other producers the log
+    /// holds). All three are counted as encoded fact bytes, so the rule
+    /// is deterministic, and a compaction writes no more bytes than it
+    /// drops (reading at most twice that), each dropped byte once, which
+    /// makes it amortised O(1) per journaled byte. A workload that never
+    /// purges never compacts.
     pub fn with_collection<R>(&self, name: &str, f: impl FnOnce(&mut Collection) -> R) -> R {
         let started = Instant::now();
         let result = {
             let mut guard = self.inner.write();
-            let collection = guard.entry(name.to_owned()).or_default();
+            let collection = guard
+                .entry(name.to_owned())
+                .or_insert_with(|| Collection::named(name));
+            #[cfg(feature = "journal")]
+            let dead_before = collection.weight.dead;
             #[cfg(feature = "journal")]
             if let Some(journal) = self.journal.get() {
-                collection.ensure_journal(journal, name);
+                collection.ensure_journal(journal);
             }
-            f(collection)
+            let result = f(collection);
+            #[cfg(feature = "journal")]
+            if collection.weight.dead > dead_before {
+                if let Some(journal) = self.journal.get() {
+                    compact_if_due(&mut guard, journal);
+                }
+            }
+            result
         };
         self.record_latency(name, started);
         result
@@ -134,12 +166,17 @@ impl Database {
                     }
                     guard
                         .entry(collection.clone())
-                        .or_default()
+                        .or_insert_with(|| Collection::named(collection))
                         .apply_put(id.as_str().into(), Arc::clone(doc));
                 }
                 Fact::Delete { collection, id } => {
                     if let Some(c) = guard.get_mut(collection) {
                         c.apply_delete(&id.as_str().into());
+                    }
+                }
+                Fact::Purge { collection, id } => {
+                    if let Some(c) = guard.get_mut(collection) {
+                        c.apply_purge(&id.as_str().into());
                     }
                 }
                 Fact::Mapping { .. } | Fact::Reputation { .. } | Fact::Mana { .. } => {}
@@ -166,22 +203,27 @@ impl Database {
     }
 
     /// Facts that rebuild the entire database — full revision histories
-    /// and tombstones included. The input to snapshot compaction.
+    /// and tombstones included; purged documents are gone. The input to
+    /// snapshot compaction.
     #[cfg(feature = "journal")]
     pub fn snapshot_facts(&self) -> Vec<Fact> {
-        let guard = self.inner.read();
-        let mut out = Vec::new();
-        for (name, c) in guard.iter() {
-            c.snapshot_facts(name, &mut out);
-        }
-        out
+        snapshot_facts(&self.inner.read())
     }
 
-    /// Compact `journal` down to a single snapshot of this database's
-    /// current state.
+    /// Compact `journal` in place to one snapshot record: this database's
+    /// current state, followed by the facts of the journal's other
+    /// producers (see [`Journal::compact`]), so every consumer of a
+    /// shared journal recovers what it did before. The database stays
+    /// locked throughout, so no write of its own falls between the
+    /// snapshot and the rewrite.
     #[cfg(feature = "journal")]
     pub fn compact_into(&self, journal: &Journal) {
-        journal.compact(&self.snapshot_facts());
+        let mut guard = self.inner.write();
+        let attached = self
+            .journal
+            .get()
+            .is_some_and(|j| std::ptr::eq(j.as_ref(), journal));
+        compact(&mut guard, journal, attached);
     }
 
     /// Deterministic digest of the logical state: collection names, ids,
@@ -192,8 +234,8 @@ impl Database {
     pub fn state_digest(&self) -> u64 {
         let guard = self.inner.read();
         let mut h = Fnv64::new();
-        for (name, c) in guard.iter() {
-            c.digest_into(name, &mut h);
+        for c in guard.values() {
+            c.digest_into(&mut h);
         }
         h.finish()
     }
@@ -216,6 +258,40 @@ impl Database {
             documents: guard.values().map(Collection::len).sum(),
             operations: guard.values().map(Collection::ops).sum(),
         }
+    }
+}
+
+#[cfg(feature = "journal")]
+fn snapshot_facts(collections: &BTreeMap<String, Collection>) -> Vec<Fact> {
+    let mut out = Vec::new();
+    for c in collections.values() {
+        c.snapshot_facts(&mut out);
+    }
+    out
+}
+
+/// Compact `journal` to a snapshot of `collections`; the caller holds
+/// the lock. Once the attached log holds the snapshot, no fact about a
+/// purged document is left in it, so the forgotten-byte counts restart
+/// from zero.
+#[cfg(feature = "journal")]
+fn compact(collections: &mut BTreeMap<String, Collection>, journal: &Journal, attached: bool) {
+    journal.compact(&snapshot_facts(collections));
+    if attached {
+        for c in collections.values_mut() {
+            c.weight.dead = 0;
+        }
+    }
+}
+
+/// The automatic compaction rule of [`Database::with_collection`].
+#[cfg(feature = "journal")]
+fn compact_if_due(collections: &mut BTreeMap<String, Collection>, journal: &Journal) {
+    let (live, dead) = collections.values().fold((0, 0), |(live, dead), c| {
+        (live + c.weight.live, dead + c.weight.dead)
+    });
+    if dead >= COMPACT_MIN_BYTES && dead >= live + journal.foreign_bytes() {
+        compact(collections, journal, true);
     }
 }
 
@@ -480,6 +556,117 @@ mod tests {
         let restored = Database::new();
         restored.restore_from_journal(&journal);
         assert_eq!(restored.state_digest(), db.state_digest());
+    }
+
+    #[cfg(feature = "journal")]
+    #[test]
+    fn purges_replay_to_identical_state() {
+        use std::sync::Arc;
+        use trust_vo_journal::Journal;
+
+        let db = Database::new();
+        let journal = Arc::new(Journal::in_memory());
+        db.attach_journal(journal.clone());
+        db.with_collection("checkpoints", |c| {
+            c.put("1", Element::new("ck").attr("next", "0"));
+            c.put("1", Element::new("ck").attr("next", "1"));
+            c.put("2", Element::new("ck"));
+            c.delete(&"2".into());
+            assert!(c.purge(&"1".into()));
+            assert!(c.purge(&"2".into()));
+            assert!(!c.purge(&"2".into()), "no-op purge: not journaled");
+            c.put("1", Element::new("ck").attr("next", "9"));
+        });
+        assert_eq!(journal.stats().appends, 7);
+        let restored = Database::new();
+        assert!(!restored.restore_from_journal(&journal).truncated);
+        assert_eq!(restored.state_digest(), db.state_digest());
+        let revision_one = |db: &Database| {
+            db.read_collection("checkpoints", |c| c.get_revision(&"1".into(), 1))
+                .flatten()
+                .and_then(|d| d.get_attr("next").map(str::to_owned))
+        };
+        assert_eq!(revision_one(&restored).as_deref(), Some("9"));
+        assert_eq!(revision_one(&db).as_deref(), Some("9"));
+        // A purged document leaves nothing in the snapshot.
+        assert_eq!(db.snapshot_facts().len(), 1);
+    }
+
+    /// Put, overwrite and purge `n` checkpoint-like slots of about 300
+    /// bytes each.
+    #[cfg(feature = "journal")]
+    fn churn_slots(db: &Database, slots: std::ops::Range<u32>) {
+        for slot in slots {
+            let id = slot.to_string();
+            db.with_collection("checkpoints", |c| {
+                for next in 0..4 {
+                    c.put(
+                        id.as_str(),
+                        Element::new("ck")
+                            .attr("next", next.to_string())
+                            .attr("pad", "x".repeat(256)),
+                    );
+                }
+            });
+            db.with_collection("checkpoints", |c| c.purge(&id.as_str().into()));
+        }
+    }
+
+    #[cfg(feature = "journal")]
+    #[test]
+    fn forgotten_bytes_compact_the_journal_in_place() {
+        use std::sync::Arc;
+        use trust_vo_journal::Journal;
+
+        let db = Database::new();
+        let journal = Arc::new(Journal::in_memory());
+        db.attach_journal(journal.clone());
+        db.with_collection("profiles", |c| {
+            c.put("p", Element::new("profile"));
+        });
+        // Each slot forgets about 1.3 KiB: 48 slots stay below the
+        // 64 KiB floor, so nothing compacts yet.
+        churn_slots(&db, 0..48);
+        assert_eq!(journal.stats().compactions, 0);
+        let mut peak = 0;
+        for round in 0..40 {
+            churn_slots(&db, 48 + round * 10..58 + round * 10);
+            peak = peak.max(journal.len_bytes());
+        }
+        let compactions = journal.stats().compactions;
+        assert!(compactions >= 4, "{compactions} compactions");
+        // The log stays within the floor plus one round's slack, however
+        // many slots went through it.
+        assert!(peak < COMPACT_MIN_BYTES + 16 * 1024, "peak {peak}");
+        let restored = Database::new();
+        assert!(!restored.restore_from_journal(&journal).truncated);
+        assert_eq!(restored.state_digest(), db.state_digest());
+        assert_eq!(
+            restored.read_collection("checkpoints", Collection::is_empty),
+            Some(true)
+        );
+    }
+
+    #[cfg(feature = "journal")]
+    #[test]
+    fn a_workload_that_forgets_nothing_never_compacts() {
+        use std::sync::Arc;
+        use trust_vo_journal::Journal;
+
+        let db = Database::new();
+        let journal = Arc::new(Journal::in_memory());
+        db.attach_journal(journal.clone());
+        for i in 0..400 {
+            db.with_collection("docs", |c| {
+                let id = (i % 7).to_string();
+                c.put(id.as_str(), Element::new("d").attr("pad", "y".repeat(300)));
+                if i % 3 == 0 {
+                    c.delete(&id.as_str().into());
+                }
+            });
+        }
+        assert!(journal.len_bytes() > 2 * COMPACT_MIN_BYTES);
+        assert_eq!(journal.stats().compactions, 0);
     }
 
     #[cfg(feature = "journal")]

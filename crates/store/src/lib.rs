@@ -8,7 +8,8 @@
 //! * named **collections** of XML documents keyed by id,
 //! * **XPath-subset queries** over a collection (`find` / `find_all`),
 //! * **versioning** — updates keep prior revisions, supporting the
-//!   re-negotiation flows of the VO operation phase,
+//!   re-negotiation flows of the VO operation phase, until the document
+//!   is purged (`Collection::purge` forgets it with its history),
 //! * **encode-once storage** — each revision is kept as its one
 //!   canonical `xmldoc::binary` encoding, which is also the journaled
 //!   fact and the state-digest input; reads decode it,
@@ -18,6 +19,11 @@
 //!
 //! Query latency accounting lives in the SOA sim-clock, not here; the store
 //! exposes an operation counter the clock reads.
+//!
+//! With a journal attached, the database compacts it in place once the
+//! log's bytes for purged documents reach the size of a live snapshot
+//! (and `COMPACT_MIN_BYTES`), so a workload that forgets as much as it
+//! writes keeps a bounded log.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,4 +32,6 @@ pub mod collection;
 pub mod database;
 
 pub use collection::{Collection, DocId};
+#[cfg(feature = "journal")]
+pub use database::COMPACT_MIN_BYTES;
 pub use database::{Database, StoreStats};
