@@ -76,6 +76,14 @@ cargo run --release -p trust-vo-bench --bin negotiation_messages > target/e4-neg
 cmp target/e4-negotiation-messages.txt tests/golden/negotiation_messages.txt
 cargo run --release -p trust-vo-bench --bin strategy_table > target/e6-strategy-table.txt
 cmp target/e6-strategy-table.txt tests/golden/strategy_table.txt
+# Examples: `cargo test` builds them but runs none. Each must run to
+# completion, and tn_web_service's stdout (the per-operation charges of the
+# non-resumable service path) must match its committed golden file.
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  cargo run --release --example "$name" > "target/example-$name.txt"
+done
+cmp target/example-tn_web_service.txt tests/golden/tn_web_service.txt
 # Journal determinism gate: the same seed must journal the same facts in
 # the same frames — two formation runs, byte-identical replay/state
 # digests — plus a truncated-journal recovery smoke (every cut in a

@@ -30,6 +30,7 @@
 use std::sync::Arc;
 use trust_vo_bench::obsutil::ObsArgs;
 use trust_vo_bench::report::Report;
+use trust_vo_bench::wire_formation::{outage_start, CheckpointProbe};
 use trust_vo_bench::workloads::{self, ParallelJoinWorld};
 use trust_vo_netsim::{FaultPlan, NetSim};
 use trust_vo_soa::simclock::{CostModel, SimClock, SimDuration};
@@ -76,22 +77,22 @@ fn paper_clock_at_epoch() -> SimClock {
 }
 
 /// Run one formation through a fresh TN service behind the given fault
-/// plan on `workers` workers (1 = serial). When `obs` is given, a
-/// collector rides the case's clock and is dumped (deterministically)
-/// after the run.
+/// plan on `workers` workers (1 = serial), and the instants of its
+/// mid-exchange checkpoints. When `obs` is given, a collector rides the
+/// case's clock and is dumped (deterministically) after the run.
 fn run_case(
     world: &ParallelJoinWorld,
     plan: FaultPlan,
     seed: u64,
     workers: usize,
     obs: Option<&ObsArgs>,
-) -> Outcome {
+) -> (Outcome, Vec<SimDuration>) {
     let clock = paper_clock_at_epoch();
     let collector = obs.map(|a| a.collector_for(&clock));
     let bus = ServiceBus::new(clock.clone());
     let svc = Arc::new(TnService::new(clock.clone(), Database::new()));
     register_formation_parties(&svc, &world.contract, &world.initiator, &world.providers);
-    bus.register("tn", svc.clone());
+    let probe = CheckpointProbe::register(&bus, "tn", svc.clone());
     let net = NetSim::new(bus, plan);
 
     let formed = Formation::new(
@@ -122,7 +123,7 @@ fn run_case(
     }
 
     let m = net.metrics();
-    Outcome {
+    let outcome = Outcome {
         members: membership(&vo),
         elapsed: net.clock().elapsed(),
         negotiations: stats.negotiations,
@@ -134,7 +135,8 @@ fn run_case(
         dups: m.dups.get(),
         dedup_replays: m.dedup_replays.get(),
         service_resumed: svc.resumed_count(),
-    }
+    };
+    (outcome, probe.instants())
 }
 
 /// E11 acceptance: the critical-path analyzer must account for at least
@@ -227,7 +229,9 @@ fn main() {
         ],
     );
 
-    let mut elapsed_at_heaviest = SimDuration::ZERO;
+    // The heaviest-loss serial run, which the crash row's outage is
+    // anchored on: its sim time and mid-exchange checkpoint instants.
+    let mut heaviest = (SimDuration::ZERO, Vec::new());
     for &loss in losses {
         // 0% means a perfect network (no loss AND no link latency), so the
         // bare-bus comparison below is apples-to-apples.
@@ -236,14 +240,14 @@ fn main() {
         } else {
             FaultPlan::lossy(seed, loss)
         };
-        let serial = run_case(&world, plan.clone(), seed, 1, None);
-        let parallel = run_case(&world, plan.clone(), seed, WORKERS, None);
+        let (serial, checkpoints) = run_case(&world, plan.clone(), seed, 1, None);
+        let (parallel, _) = run_case(&world, plan.clone(), seed, WORKERS, None);
         // Loss/duplication decisions are a pure function of each call's
         // idempotency-key stream, so the fan-out must change nothing.
         assert_eq!(serial, parallel, "parallel must replay serial at {loss}");
 
         // Replaying the same seed must reproduce the run bit-for-bit.
-        let replay = run_case(&world, plan, seed, 1, None);
+        let (replay, _) = run_case(&world, plan, seed, 1, None);
         assert_eq!(serial, replay, "same seed must replay identically");
 
         if loss == 0.0 {
@@ -263,7 +267,7 @@ fn main() {
             );
             assert_eq!(serial.drops + serial.dups + serial.dedup_replays, 0);
         }
-        elapsed_at_heaviest = serial.elapsed;
+        heaviest = (serial.elapsed, checkpoints);
 
         report.row(
             &format!("{:.0}%", loss * 100.0),
@@ -280,17 +284,19 @@ fn main() {
         );
     }
 
-    // Crash row: 20 % loss plus a crash outage dropped at ~45 % of the
-    // measured heavy-loss run, long enough that in-flight sessions are
-    // wiped and must resume from their checkpoints. Serial only — crash
-    // windows fire on whichever call reaches them first, which is only
+    // Crash row: 20 % loss plus a crash outage opening right after a
+    // mid-exchange checkpoint of the heavy-loss run (E15's anchoring,
+    // `wire_formation::outage_start`), so an in-flight session is wiped
+    // and must resume from its checkpoint. Serial only — crash windows
+    // fire on whichever call reaches them first, which is only
     // deterministic under a serial drive. This is also the scenario whose
     // obs stream the CI smoke diffs, so the collector rides this case.
-    let outage_start = SimDuration((elapsed_at_heaviest.0 as f64 * 0.45) as u64);
-    let outage_end = outage_start + SimDuration::from_millis(1_200);
-    let crash_plan = FaultPlan::lossy(seed, 0.20).outage("tn", outage_start, outage_end, true);
-    let crashed = run_case(&world, crash_plan.clone(), seed, 1, Some(&args));
-    let crash_replay = run_case(&world, crash_plan, seed, 1, None);
+    let (elapsed, checkpoints) = heaviest;
+    let start = outage_start(&checkpoints, elapsed);
+    let outage_end = start + SimDuration::from_millis(1_200);
+    let crash_plan = FaultPlan::lossy(seed, 0.20).outage("tn", start, outage_end, true);
+    let (crashed, _) = run_case(&world, crash_plan.clone(), seed, 1, Some(&args));
+    let (crash_replay, _) = run_case(&world, crash_plan, seed, 1, None);
     assert_eq!(
         crashed, crash_replay,
         "crash schedule must replay identically"

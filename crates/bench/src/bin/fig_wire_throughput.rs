@@ -34,22 +34,18 @@ use std::sync::Arc;
 use std::time::Instant;
 use trust_vo_bench::obsutil::ObsArgs;
 use trust_vo_bench::report::Report;
-use trust_vo_bench::workloads::{self, ParallelJoinWorld};
+use trust_vo_bench::wire_formation::{crash_round, run_formation};
+use trust_vo_bench::workloads;
 use trust_vo_credential::{CredentialAuthority, TimeRange, Timestamp};
 use trust_vo_negotiation::{Party, Strategy};
-use trust_vo_netsim::{FaultPlan, NetSim};
+use trust_vo_netsim::FaultPlan;
 use trust_vo_soa::shard::{run_sharded, Backpressure, QueuedBus, ShardConfig};
-use trust_vo_soa::simclock::{CostModel, SimClock, SimDuration};
+use trust_vo_soa::simclock::{CostModel, SimClock};
 use trust_vo_soa::{
     run_negotiation_resilient, wire, Envelope, Fault, ResumePolicy, RetryPolicy, ServiceBus,
     ServiceEndpoint, TnService, Transport,
 };
 use trust_vo_store::Database;
-use trust_vo_vo::mailbox::MailboxSystem;
-use trust_vo_vo::{
-    register_formation_parties, Formation, FormedVo, NegotiationSource, ReputationLedger,
-    ServiceSource,
-};
 use trust_vo_xmldoc::Element;
 
 const DEFAULT_SEED: u64 = 15;
@@ -177,7 +173,7 @@ fn negotiation_bus() -> ServiceBus {
 /// shared clock and are compared at the drive level instead.)
 type JobOutcome = (usize, usize, u64);
 
-fn negotiate<T: Transport + ?Sized>(transport: &T, seed: u64) -> JobOutcome {
+fn negotiate(transport: &dyn Transport, seed: u64) -> JobOutcome {
     let run = run_negotiation_resilient(
         transport,
         "tn",
@@ -401,81 +397,6 @@ fn backpressure_case() -> (usize, u64) {
     (callers * per_caller, sheds.load(Ordering::Relaxed) as u64)
 }
 
-/// Everything a formation case produces that determinism must preserve.
-#[derive(Debug, Clone, PartialEq)]
-struct Outcome {
-    members: Vec<(String, String, u64)>,
-    elapsed: SimDuration,
-    negotiations: u64,
-    retries: u64,
-    resumes: u64,
-    restarts: u64,
-    delivered: u64,
-    drops: u64,
-    dedup_replays: u64,
-    service_resumed: u64,
-}
-
-fn membership(vo: &FormedVo) -> Vec<(String, String, u64)> {
-    vo.members()
-        .iter()
-        .map(|m| (m.provider.clone(), m.role.clone(), m.certificate.serial))
-        .collect()
-}
-
-/// Run one netsim formation over the wire path. `workers > 1` drives
-/// the sharded parallel engine. When `obs` is given the round is driven
-/// serially and its deterministic dumps written.
-fn run_formation(
-    world: &ParallelJoinWorld,
-    plan: FaultPlan,
-    seed: u64,
-    workers: usize,
-    obs: Option<&ObsArgs>,
-) -> Outcome {
-    let clock = SimClock::new(CostModel::paper_testbed(), workloads::at());
-    let collector = obs.map(|a| a.collector_for(&clock));
-    let bus = ServiceBus::new(clock.clone());
-    let svc = Arc::new(TnService::new(clock.clone(), Database::new()));
-    register_formation_parties(&svc, &world.contract, &world.initiator, &world.providers);
-    bus.register("tn", svc.clone());
-    let net = NetSim::new(bus, plan);
-
-    let formed = Formation::new(
-        &world.initiator,
-        &world.providers,
-        &world.registry,
-        NegotiationSource::Service(ServiceSource::standard(&net, "tn", seed)),
-    )
-    .with_workers(workers)
-    .run(
-        world.contract.clone(),
-        &mut MailboxSystem::new(),
-        &mut ReputationLedger::new(),
-    );
-    let (vo, stats) = formed.expect("E15 formation completes over the wire");
-    assert_eq!(vo.members().len(), world.contract.roles.len());
-
-    if let (Some(args), Some(collector)) = (obs, collector.as_ref()) {
-        args.dump_deterministic(collector);
-        args.dump_trace_deterministic(collector);
-    }
-
-    let m = net.metrics();
-    Outcome {
-        members: membership(&vo),
-        elapsed: net.clock().elapsed(),
-        negotiations: stats.negotiations,
-        retries: stats.retries,
-        resumes: stats.resumes,
-        restarts: stats.restarts,
-        delivered: m.delivered.get(),
-        drops: m.drops.get(),
-        dedup_replays: m.dedup_replays.get(),
-        service_resumed: svc.resumed_count(),
-    }
-}
-
 fn main() {
     let args = ObsArgs::from_env();
     let seed = args.seed.unwrap_or(DEFAULT_SEED);
@@ -608,23 +529,16 @@ fn main() {
     assert_eq!(serial, parallel, "sharded formation must replay serial");
     assert_eq!(serial, replay, "same seed must replay bit-for-bit");
 
-    // Crash/resume round, serial (crash windows are only deterministic
-    // serially): at least one checkpointed resume, replayed exactly. The
-    // outage is anchored at ~45 % of a measured heavy-loss run so it
-    // lands while sessions are mid-flight with checkpoints behind them.
-    let heavy = run_formation(&world, FaultPlan::lossy(seed, 0.20), seed, 1, None);
-    let outage_start = SimDuration((heavy.elapsed.0 as f64 * 0.45) as u64);
-    let crash_plan = FaultPlan::lossy(seed, 0.20).outage(
-        "tn",
-        outage_start,
-        outage_start + SimDuration::from_millis(1_200),
-        true,
+    // Crash/resume round, serial: at least one checkpointed resume,
+    // replayed exactly. The outage opens right after a mid-exchange
+    // checkpoint of the same seed's heavy-loss run.
+    let crash = crash_round(&world, seed);
+    assert_eq!(
+        crash.crashed, crash.replay,
+        "crash schedule must replay exactly"
     );
-    let crashed = run_formation(&world, crash_plan.clone(), seed, 1, None);
-    let crash_replay = run_formation(&world, crash_plan, seed, 1, None);
-    assert_eq!(crashed, crash_replay, "crash schedule must replay exactly");
     assert!(
-        crashed.resumes > 0 && crashed.service_resumed > 0,
+        crash.crashed.resumes > 0 && crash.crashed.service_resumed > 0,
         "the crash window must force a checkpointed resume over the wire"
     );
 

@@ -9,4 +9,5 @@
 
 pub mod obsutil;
 pub mod report;
+pub mod wire_formation;
 pub mod workloads;

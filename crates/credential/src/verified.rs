@@ -19,7 +19,7 @@
 //! [`crate::credential::Credential::fingerprint`]). Everything time- or
 //! state-dependent — the validity window and the revocation check — is
 //! *never* cached; callers ([`crate::credential::Credential::verify`],
-//! chains, the negotiation engine's `verify_disclosure`) still evaluate
+//! chains, the negotiation's phase-2 step `verify_disclosure`) still evaluate
 //! those on every call. A revocation that lands after a cache hit is
 //! therefore still caught, and a hit can never change a verification
 //! *result*, only its cost. Failed checks are never inserted: a forged

@@ -306,33 +306,53 @@ impl SequenceCache {
         resource: &str,
         cfg: &NegotiationConfig,
     ) -> Result<NegotiationOutcome, NegotiationError> {
-        let key = Key {
-            requester: requester.name.clone(),
-            controller: controller.name.clone(),
-            resource: resource.to_owned(),
-            strategy: cfg.strategy,
-        };
-        let requester_fp = party_fingerprint(requester);
-        let controller_fp = party_fingerprint(controller);
-        if let Some(sequence) = self.lookup(&key, &requester_fp, &controller_fp) {
-            let phase = cached_phase(resource, sequence);
-            return exchange_credentials(requester, controller, phase, cfg);
-        }
-        let phase = evaluate_policies(requester, controller, resource, cfg)?;
-        self.store(key, requester_fp, controller_fp, phase.sequence.clone());
-        exchange_credentials(requester, controller, phase, cfg)
+        let (key, requester_fp, controller_fp) = memo_key(requester, controller, resource, cfg);
+        let cached = self.lookup(&key, &requester_fp, &controller_fp);
+        negotiate_memoized(requester, controller, resource, cfg, cached, |sequence| {
+            self.store(key, requester_fp, controller_fp, sequence)
+        })
     }
 }
 
-/// A [`PolicyPhase`] reconstructed from a cached sequence: an empty
-/// transcript (phase 1 was skipped) and a fresh tree.
-fn cached_phase(resource: &str, sequence: TrustSequence) -> PolicyPhase {
-    PolicyPhase {
+/// The memo key of one negotiation, with both parties' fingerprints.
+fn memo_key(
+    requester: &Party,
+    controller: &Party,
+    resource: &str,
+    cfg: &NegotiationConfig,
+) -> (Key, Digest, Digest) {
+    let key = Key {
+        requester: requester.name.clone(),
+        controller: controller.name.clone(),
         resource: resource.to_owned(),
-        sequence,
-        transcript: crate::transcript::Transcript::new(),
-        tree: crate::tree::NegotiationTree::new(resource, crate::message::Side::Controller),
-    }
+        strategy: cfg.strategy,
+    };
+    (
+        key,
+        party_fingerprint(requester),
+        party_fingerprint(controller),
+    )
+}
+
+/// The body both caches share: phase 2 over the `cached` sequence, or on a
+/// miss phase 1 first, its sequence handed to `store`.
+fn negotiate_memoized(
+    requester: &Party,
+    controller: &Party,
+    resource: &str,
+    cfg: &NegotiationConfig,
+    cached: Option<TrustSequence>,
+    store: impl FnOnce(TrustSequence),
+) -> Result<NegotiationOutcome, NegotiationError> {
+    let phase = match cached {
+        Some(sequence) => PolicyPhase::agreed(resource, sequence),
+        None => {
+            let phase = evaluate_policies(requester, controller, resource, cfg)?;
+            store(phase.sequence.clone());
+            phase
+        }
+    };
+    exchange_credentials(requester, controller, phase, cfg)
 }
 
 /// Default shard count for [`ConcurrentSequenceCache`].
@@ -418,30 +438,14 @@ impl ConcurrentSequenceCache {
         resource: &str,
         cfg: &NegotiationConfig,
     ) -> Result<NegotiationOutcome, NegotiationError> {
-        let key = Key {
-            requester: requester.name.clone(),
-            controller: controller.name.clone(),
-            resource: resource.to_owned(),
-            strategy: cfg.strategy,
-        };
-        let requester_fp = party_fingerprint(requester);
-        let controller_fp = party_fingerprint(controller);
-        let cached = self
-            .shard_for(&key)
-            .lock()
-            .lookup(&key, &requester_fp, &controller_fp);
-        if let Some(sequence) = cached {
-            let phase = cached_phase(resource, sequence);
-            return exchange_credentials(requester, controller, phase, cfg);
-        }
-        let phase = evaluate_policies(requester, controller, resource, cfg)?;
-        self.shard_for(&key).lock().store(
-            key.clone(),
-            requester_fp,
-            controller_fp,
-            phase.sequence.clone(),
-        );
-        exchange_credentials(requester, controller, phase, cfg)
+        let (key, requester_fp, controller_fp) = memo_key(requester, controller, resource, cfg);
+        let shard = self.shard_for(&key);
+        let cached = shard.lock().lookup(&key, &requester_fp, &controller_fp);
+        negotiate_memoized(requester, controller, resource, cfg, cached, |sequence| {
+            shard
+                .lock()
+                .store(key, requester_fp, controller_fp, sequence)
+        })
     }
 
     /// Aggregate statistics over all shards. Exact even under concurrent

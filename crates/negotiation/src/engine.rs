@@ -15,6 +15,9 @@
 //! associated policies, checks for revocation and validity dates, and
 //! authenticates the ownership", replying with an acknowledgment. A trust
 //! failure (revoked/expired/forged credential) aborts the negotiation.
+//! Each disclosure is one [`Negotiation::disclose`] step, the same step the
+//! TN web service runs per `CredentialExchange` call; this module's
+//! [`exchange_credentials`] drives it to the end of the sequence.
 //!
 //! Message accounting follows the selected [`Strategy`]: trusting batches
 //! all policy alternatives into one message; standard/suspicious disclose
@@ -25,12 +28,13 @@
 use crate::error::NegotiationError;
 use crate::message::{Message, Side};
 use crate::party::Party;
+use crate::state::{Negotiation, Step};
 use crate::strategy::{CredentialFormat, Strategy};
 use crate::transcript::Transcript;
 use crate::tree::{EdgeId, NegotiationTree, NodeId, NodeStatus};
 use crate::view::{Disclosure, TrustSequence};
 use std::sync::Arc;
-use trust_vo_credential::{Credential, CredentialError, Timestamp};
+use trust_vo_credential::{Credential, Timestamp};
 use trust_vo_obs::{ObsContext, SpanGuard};
 use trust_vo_policy::DisclosurePolicy;
 
@@ -268,6 +272,19 @@ pub struct PolicyPhase {
     pub tree: NegotiationTree,
 }
 
+impl PolicyPhase {
+    /// The record of a policy phase that ran earlier (a cached or selected
+    /// trust sequence): no phase-1 messages, and a bare tree.
+    pub(crate) fn agreed(resource: &str, sequence: TrustSequence) -> Self {
+        PolicyPhase {
+            resource: resource.to_owned(),
+            sequence,
+            transcript: Transcript::new(),
+            tree: NegotiationTree::new(resource, Side::Controller),
+        }
+    }
+}
+
 /// Reports phase-1 accounting into the config's observability context:
 /// one `negotiation.*` counter per transcript column, plus an `outcome`
 /// span field. Called on every return path so interrupted and failed
@@ -390,23 +407,16 @@ pub fn evaluate_policies(
     })
 }
 
-/// Phase-2 accounting deltas relative to the transcript handed in (phase
-/// 1 and phase 2 share one transcript, so only the growth is this
-/// phase's contribution).
-struct ExchangeEntry {
-    messages: usize,
-    credentials_disclosed: usize,
-    verifications: usize,
-    ownership_proofs: usize,
-}
-
-/// Reports phase-2 accounting (deltas vs. `entry`) into the config's
-/// observability context. Called on every return path.
+/// Reports phase-2 accounting into the config's observability context.
+/// Phase 1 and phase 2 share one transcript, and phase 1 discloses no
+/// credential, so this phase's messages are those beyond the
+/// `phase1_messages` the transcript held on entry. Called on every return
+/// path.
 fn record_exchange_phase(
     cfg: &NegotiationConfig,
     span: &mut SpanGuard,
     transcript: &Transcript,
-    entry: &ExchangeEntry,
+    phase1_messages: usize,
     outcome: &str,
 ) {
     if !cfg.obs.is_enabled() {
@@ -415,19 +425,16 @@ fn record_exchange_phase(
     let obs = &cfg.obs;
     obs.add(
         "negotiation.messages",
-        (transcript.message_count() - entry.messages) as u64,
+        (transcript.message_count() - phase1_messages) as u64,
     );
     obs.add(
         "negotiation.credentials_disclosed",
-        (transcript.credentials_disclosed - entry.credentials_disclosed) as u64,
+        transcript.credentials_disclosed as u64,
     );
-    obs.add(
-        "negotiation.verifications",
-        (transcript.verifications - entry.verifications) as u64,
-    );
+    obs.add("negotiation.verifications", transcript.verifications as u64);
     obs.add(
         "negotiation.ownership_proofs",
-        (transcript.ownership_proofs - entry.ownership_proofs) as u64,
+        transcript.ownership_proofs as u64,
     );
     if outcome != "ok" {
         obs.add("negotiation.failures", 1);
@@ -436,7 +443,8 @@ fn record_exchange_phase(
 }
 
 /// Run phase 2 (credential exchange) over an agreed trust sequence,
-/// consuming the phase-1 record and completing the outcome.
+/// consuming the phase-1 record and completing the outcome: a driver of
+/// [`Negotiation::disclose`] that logs each step in the transcript.
 pub fn exchange_credentials(
     requester: &Party,
     controller: &Party,
@@ -454,97 +462,76 @@ pub fn exchange_credentials(
         span.field("resource", resource.as_str());
         span.field("disclosures", sequence.disclosures().len());
     }
-    let entry = ExchangeEntry {
-        messages: transcript.message_count(),
-        credentials_disclosed: transcript.credentials_disclosed,
-        verifications: transcript.verifications,
-        ownership_proofs: transcript.ownership_proofs,
-    };
-    let nonce = session_nonce(requester, controller, &resource);
-    for disclosure in sequence.disclosures() {
+    let phase1_messages = transcript.message_count();
+    let mut negotiation = Negotiation::new(
+        requester.name.as_str(),
+        controller.name.as_str(),
+        resource,
+        cfg.strategy,
+    );
+    negotiation.agree(sequence);
+    // Each failure: who reports it, the message, the span outcome and the
+    // error.
+    let failure = loop {
         // The message budget covers the whole negotiation, not just the
         // policy phase: each disclosure adds two messages (credential +
         // ack), so stop before starting one that cannot fit.
-        if transcript.message_count() >= cfg.max_messages {
-            transcript.log(
-                Side::Controller,
-                Message::Failure {
-                    reason: "message budget exhausted".into(),
-                },
-            );
-            tree.set_status(tree.root(), NodeStatus::Failed);
-            record_exchange_phase(cfg, &mut span, &transcript, &entry, "interrupted");
-            return Err(NegotiationError::Interrupted {
-                reason: format!(
-                    "credential exchange exceeded the {}-message budget",
-                    cfg.max_messages
-                ),
-            });
-        }
-        let sender = match disclosure.by {
-            Side::Requester => requester,
-            Side::Controller => controller,
-        };
-        let receiver = match disclosure.by {
-            Side::Requester => controller,
-            Side::Controller => requester,
-        };
-        let Some(cred) = sender.profile.get(&disclosure.cred_id) else {
-            // A stale sequence: the sender's profile changed after the
-            // policy phase (e.g. the credential was renewed under a new
-            // id). Nothing was disclosed, so this is an interruption.
+        if negotiation.remaining() > 0 && transcript.message_count() >= cfg.max_messages {
             let reason = format!(
-                "trust sequence names credential '{}' that {} no longer holds",
-                disclosure.cred_id, sender.name
+                "credential exchange exceeded the {}-message budget",
+                cfg.max_messages
             );
-            transcript.log(
-                disclosure.by,
-                Message::Failure {
-                    reason: reason.clone(),
-                },
-            );
-            tree.set_status(tree.root(), NodeStatus::Failed);
-            record_exchange_phase(cfg, &mut span, &transcript, &entry, "interrupted");
-            return Err(NegotiationError::Interrupted { reason });
-        };
-        let ownership = if cfg.strategy.requires_ownership_proof() {
-            Some(Credential::prove_ownership(&sender.keys, &nonce))
-        } else {
-            None
+            let error = NegotiationError::Interrupted { reason };
+            let message = "message budget exhausted".to_owned();
+            break Some((Side::Controller, message, "interrupted", error));
+        }
+        let disclosed = match negotiation.disclose(requester, controller, |_| cfg.at) {
+            Step::Done => break None,
+            // Nothing was disclosed, so this is an interruption.
+            Step::Stale { by, reason } => {
+                let message = reason.clone();
+                break Some((
+                    by,
+                    message,
+                    "interrupted",
+                    NegotiationError::Interrupted { reason },
+                ));
+            }
+            Step::Disclosed(disclosed) => disclosed,
         };
         transcript.log(
-            disclosure.by,
+            disclosed.by,
             Message::CredentialDisclosure {
-                credential: cred.clone(),
-                ownership,
+                credential: disclosed.credential.clone(),
+                ownership: disclosed.ownership,
             },
         );
         transcript.credentials_disclosed += 1;
-
-        // Receiver-side verification.
         transcript.verifications += 1;
-        let check = verify_disclosure(cred, receiver, cfg, &nonce, ownership.as_ref());
-        if let Err(cause) = check {
-            transcript.log(
-                disclosure.by.other(),
-                Message::Failure {
-                    reason: cause.to_string(),
-                },
-            );
-            tree.set_status(tree.root(), NodeStatus::Failed);
-            record_exchange_phase(cfg, &mut span, &transcript, &entry, "trust-failure");
-            return Err(NegotiationError::TrustFailure { cause });
+        if let Err(cause) = disclosed.verdict {
+            let message = cause.to_string();
+            let error = NegotiationError::TrustFailure { cause };
+            break Some((disclosed.by.other(), message, "trust-failure", error));
         }
-        if cfg.strategy.requires_ownership_proof() {
+        if disclosed.ownership.is_some() {
             transcript.ownership_proofs += 1;
         }
-        transcript.log(disclosure.by.other(), Message::Ack);
+        transcript.log(disclosed.by.other(), Message::Ack);
+    };
+    if let Some((from, reason, outcome, error)) = failure {
+        transcript.log(from, Message::Failure { reason });
+        tree.set_status(tree.root(), NodeStatus::Failed);
+        record_exchange_phase(cfg, &mut span, &transcript, phase1_messages, outcome);
+        return Err(error);
     }
     transcript.log(Side::Controller, Message::Success);
-    record_exchange_phase(cfg, &mut span, &transcript, &entry, "ok");
+    record_exchange_phase(cfg, &mut span, &transcript, phase1_messages, "ok");
+    let Negotiation {
+        resource, sequence, ..
+    } = negotiation;
     Ok(NegotiationOutcome {
         resource,
-        sequence,
+        sequence: sequence.unwrap_or_default(),
         transcript,
         tree,
     })
@@ -560,44 +547,6 @@ pub fn negotiate(
 ) -> Result<NegotiationOutcome, NegotiationError> {
     let phase = evaluate_policies(requester, controller, resource, cfg)?;
     exchange_credentials(requester, controller, phase, cfg)
-}
-
-/// Receiver-side checks on one disclosed credential: signature, validity,
-/// revocation, trusted issuer, and (for suspicious strategies) ownership.
-/// Public so the TN web service can verify per `CredentialExchange` call.
-pub fn verify_disclosure(
-    cred: &Credential,
-    receiver: &Party,
-    cfg: &NegotiationConfig,
-    nonce: &[u8],
-    ownership: Option<&trust_vo_crypto::Signature>,
-) -> Result<(), CredentialError> {
-    cred.verify(cfg.at, Some(&receiver.crl))?;
-    if !receiver.trusted_roots.is_empty()
-        && !receiver.trusted_roots.contains(&cred.header().issuer_key)
-    {
-        // The issuer is not directly trusted: try to reach a trusted root
-        // through the receiver's known intermediate credentials ("…
-        // eventually retrieving those credentials that are not immediately
-        // available through credentials chains", §4.2).
-        let chain = receiver
-            .chains
-            .resolve(cred, &receiver.trusted_roots)
-            .ok_or_else(|| CredentialError::UnknownIssuer(cred.header().issuer.clone()))?;
-        trust_vo_credential::chain::verify_chain(
-            &chain,
-            &receiver.trusted_roots,
-            cfg.at,
-            Some(&receiver.crl),
-        )?;
-    }
-    if cfg.strategy.requires_ownership_proof() {
-        let proof = ownership.ok_or(CredentialError::NotOwner {
-            cred_id: cred.id().0.clone(),
-        })?;
-        cred.authenticate_ownership(nonce, proof)?;
-    }
-    Ok(())
 }
 
 /// The deterministic per-session nonce ownership proofs are bound to.
@@ -706,7 +655,9 @@ pub fn count_views(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trust_vo_credential::{Attribute, CredentialAuthority, Sensitivity, TimeRange};
+    use trust_vo_credential::{
+        Attribute, CredentialAuthority, CredentialError, Sensitivity, TimeRange,
+    };
     use trust_vo_policy::{Resource, Term};
 
     fn window() -> TimeRange {
@@ -992,20 +943,6 @@ mod tests {
     }
 
     #[test]
-    fn expired_credential_detected_in_exchange_when_sender_lies() {
-        // If a (buggy or malicious) sender bypasses the planning filter,
-        // the receiver's exchange-phase check still catches the expiry.
-        let (aerospace, _, _) = fig2_parties();
-        let cred = aerospace.profile.credentials()[0].clone();
-        let late = window().not_after.plus_days(30);
-        let cfg = NegotiationConfig::new(Strategy::Standard, late);
-        let receiver = Party::new("receiver");
-        let nonce = b"n";
-        let err = super::verify_disclosure(&cred, &receiver, &cfg, nonce, None).unwrap_err();
-        assert!(matches!(err, CredentialError::Expired { .. }));
-    }
-
-    #[test]
     fn untrusted_issuer_fails() {
         let (aerospace, mut aircraft, _) = fig2_parties();
         // Aircraft only trusts some other CA now.
@@ -1213,7 +1150,7 @@ mod tests {
 mod chain_tests {
     use super::*;
     use crate::strategy::Strategy;
-    use trust_vo_credential::{CredentialAuthority, TimeRange};
+    use trust_vo_credential::{CredentialAuthority, CredentialError, TimeRange};
     use trust_vo_policy::{DisclosurePolicy, Resource, Term};
 
     fn window() -> TimeRange {

@@ -333,12 +333,7 @@ pub fn negotiate_with_selection(
             resource: resource.to_owned(),
         });
     };
-    let phase = crate::engine::PolicyPhase {
-        resource: resource.to_owned(),
-        sequence: chosen.clone(),
-        transcript: crate::transcript::Transcript::new(),
-        tree: crate::tree::NegotiationTree::new(resource, Side::Controller),
-    };
+    let phase = crate::engine::PolicyPhase::agreed(resource, chosen.clone());
     crate::engine::exchange_credentials(requester, controller, phase, cfg)
 }
 

@@ -13,6 +13,10 @@
 //!    trust sequence; each one is verified (signature, revocation,
 //!    validity, ownership) before the next is requested.
 //!
+//! One value, [`Negotiation`], carries a negotiation between its steps,
+//! and phase 2 is one step on it that the engine, the TN web service and
+//! a resumed session all drive; its encoding is the durable checkpoint.
+//!
 //! Modules:
 //!
 //! * [`strategy`] — the four Trust-X strategies (standard, trusting,
@@ -22,6 +26,7 @@
 //! * [`party`] — a negotiating party: X-Profile, policy set, ontology,
 //! * [`message`] — the wire messages of both phases,
 //! * [`engine`] — the two-phase driver,
+//! * [`state`] — the negotiation value, its phase-2 step and checkpoint,
 //! * [`transcript`] — message/round/disclosure accounting for the benches,
 //! * [`baseline`] — a TrustBuilder-style *eager* baseline for comparison,
 //! * [`error`] — failure taxonomy (§4.2: trust failures vs. interruptions).
@@ -37,6 +42,7 @@ pub mod error;
 pub mod message;
 pub mod party;
 pub mod resume;
+pub mod state;
 pub mod strategy;
 pub mod ticket;
 pub mod transcript;
@@ -53,7 +59,8 @@ pub use enumerate::{
 };
 pub use error::NegotiationError;
 pub use party::Party;
-pub use resume::{ResumeCheckpoint, ResumeError, ResumeToken};
+pub use resume::{ResumeError, ResumeToken};
+pub use state::{Disclosed, Negotiation, Step};
 pub use strategy::Strategy;
 pub use ticket::{negotiate_with_ticket, session_window_contains, TrustTicket};
 pub use transcript::Transcript;

@@ -1,162 +1,26 @@
-//! Suspend/resume for interrupted negotiations.
+//! Resume tokens for interrupted negotiations.
 //!
 //! The paper motivates trust tickets so that repeated or *interrupted*
 //! negotiations between the same parties need not restart from scratch
-//! (§5.1). This module provides the controller-side machinery: when a
-//! phase-2 credential exchange dies mid-flight (transport loss, endpoint
-//! crash), the controller has already **checkpointed** the agreed trust
-//! sequence and its progress cursor to durable storage, and every progress
-//! response carries a signed, `TrustTicket`-style **resume token**. A
-//! re-connecting requester presents the token; the controller verifies it
-//! (signature, half-open validity window — see
-//! [`crate::ticket::session_window_contains`] — and party binding), reloads
-//! the checkpoint, and the exchange continues from the cursor instead of
-//! re-running phase 1.
+//! (§5.1). This module provides the token half of the controller-side
+//! machinery: when a phase-2 credential exchange dies mid-flight
+//! (transport loss, endpoint crash), the controller has already
+//! **checkpointed** the [`crate::Negotiation`] (trust sequence and
+//! progress cursor) to durable storage, and every progress response
+//! carries a signed, `TrustTicket`-style **resume token** bound to that
+//! checkpoint's digest. A re-connecting requester presents the token; the
+//! controller verifies it (signature, half-open validity window — see
+//! [`crate::ticket::session_window_contains`] — and party binding),
+//! decodes the checkpoint, and the exchange continues from the cursor
+//! instead of re-running phase 1.
 //!
-//! Wire format: both artifacts serialize to XML so they ride inside the
+//! Wire format: the token serializes to XML so it rides inside the
 //! SOAP-style envelopes of the `trust-vo-soa` crate.
 
-use crate::engine::PolicyPhase;
-use crate::message::Side;
-use crate::strategy::Strategy;
 use crate::ticket::session_window_contains;
-use crate::transcript::Transcript;
-use crate::tree::NegotiationTree;
-use crate::view::{Disclosure, TrustSequence};
-use trust_vo_credential::{CredentialError, CredentialId, TimeRange, Timestamp};
-use trust_vo_crypto::{hex, sha256, Digest, KeyPair, PublicKey, Signature};
+use trust_vo_credential::{TimeRange, Timestamp};
+use trust_vo_crypto::{hex, Digest, KeyPair, PublicKey, Signature};
 use trust_vo_xmldoc::Element;
-
-fn side_wire_name(side: Side) -> &'static str {
-    match side {
-        Side::Requester => "requester",
-        Side::Controller => "controller",
-    }
-}
-
-fn side_from_wire(text: &str) -> Option<Side> {
-    match text {
-        "requester" => Some(Side::Requester),
-        "controller" => Some(Side::Controller),
-        _ => None,
-    }
-}
-
-/// A durable snapshot of an in-flight negotiation, taken by the controller
-/// after phase 1 and after every verified phase-2 disclosure. The
-/// checkpoint is everything needed to rebuild the session: the agreed
-/// trust sequence and how far into it the exchange has progressed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResumeCheckpoint {
-    /// The requesting party.
-    pub requester: String,
-    /// The controlling party (checkpoint owner).
-    pub controller: String,
-    /// The negotiated resource.
-    pub resource: String,
-    /// The strategy the negotiation runs under.
-    pub strategy: Strategy,
-    /// The agreed trust sequence from phase 1.
-    pub sequence: TrustSequence,
-    /// Index of the next disclosure to execute (everything before it has
-    /// been disclosed *and verified*).
-    pub next: usize,
-}
-
-impl ResumeCheckpoint {
-    /// Snapshot a negotiation at cursor `next`.
-    pub fn new(
-        requester: impl Into<String>,
-        controller: impl Into<String>,
-        resource: impl Into<String>,
-        strategy: Strategy,
-        sequence: TrustSequence,
-        next: usize,
-    ) -> Self {
-        ResumeCheckpoint {
-            requester: requester.into(),
-            controller: controller.into(),
-            resource: resource.into(),
-            strategy,
-            sequence,
-            next,
-        }
-    }
-
-    /// Disclosures still to run.
-    pub fn remaining(&self) -> usize {
-        self.sequence.len().saturating_sub(self.next)
-    }
-
-    /// Serialize for durable storage.
-    pub fn to_xml(&self) -> Element {
-        let mut seq = Element::new("sequence");
-        for d in self.sequence.disclosures() {
-            seq = seq.child(
-                Element::new("disclosure")
-                    .attr("by", side_wire_name(d.by))
-                    .attr("id", &d.cred_id.0)
-                    .attr("type", &d.cred_type),
-            );
-        }
-        Element::new("ResumeCheckpoint")
-            .attr("requester", &self.requester)
-            .attr("controller", &self.controller)
-            .attr("resource", &self.resource)
-            .attr("strategy", self.strategy.wire_name())
-            .attr("next", self.next.to_string())
-            .child(seq)
-    }
-
-    /// Parse a stored checkpoint. Returns `None` on any malformation.
-    pub fn from_xml(root: &Element) -> Option<Self> {
-        if root.name != "ResumeCheckpoint" {
-            return None;
-        }
-        let strategy = Strategy::from_wire_name(root.get_attr("strategy")?)?;
-        let next = root.get_attr("next")?.parse().ok()?;
-        let mut sequence = TrustSequence::new();
-        for d in root.first("sequence")?.elements() {
-            if d.name != "disclosure" {
-                return None;
-            }
-            sequence.push(Disclosure {
-                by: side_from_wire(d.get_attr("by")?)?,
-                cred_id: CredentialId(d.get_attr("id")?.to_string()),
-                cred_type: d.get_attr("type")?.to_string(),
-            });
-        }
-        if next > sequence.len() {
-            return None;
-        }
-        Some(ResumeCheckpoint {
-            requester: root.get_attr("requester")?.to_string(),
-            controller: root.get_attr("controller")?.to_string(),
-            resource: root.get_attr("resource")?.to_string(),
-            strategy,
-            sequence,
-            next,
-        })
-    }
-
-    /// Content digest, bound into the [`ResumeToken`] signature so a token
-    /// cannot be replayed against a different negotiation's checkpoint.
-    pub fn digest(&self) -> Digest {
-        sha256(trust_vo_xmldoc::to_string(&self.to_xml()).as_bytes())
-    }
-
-    /// Rebuild the phase-1 result this checkpoint snapshotted, ready to be
-    /// handed back to the phase-2 executor.
-    pub fn into_phase(self) -> PolicyPhase {
-        let tree = NegotiationTree::new(self.resource.clone(), Side::Controller);
-        PolicyPhase {
-            resource: self.resource,
-            sequence: self.sequence,
-            transcript: Transcript::new(),
-            tree,
-        }
-    }
-}
 
 /// Why a presented [`ResumeToken`] was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,11 +33,6 @@ pub enum ResumeError {
         /// The instant the token was presented at.
         at: Timestamp,
     },
-    /// The token names different parties or a different resource than the
-    /// session being resumed.
-    WrongScope,
-    /// The token's checkpoint digest does not match the stored checkpoint.
-    CheckpointMismatch,
 }
 
 impl std::fmt::Display for ResumeError {
@@ -181,29 +40,11 @@ impl std::fmt::Display for ResumeError {
         match self {
             ResumeError::BadSignature => f.write_str("resume token signature invalid"),
             ResumeError::Expired { at } => write!(f, "resume token expired at {at:?}"),
-            ResumeError::WrongScope => f.write_str("resume token names a different session"),
-            ResumeError::CheckpointMismatch => {
-                f.write_str("resume token bound to a different checkpoint")
-            }
         }
     }
 }
 
 impl std::error::Error for ResumeError {}
-
-impl From<ResumeError> for CredentialError {
-    fn from(e: ResumeError) -> Self {
-        match e {
-            ResumeError::Expired { at } => CredentialError::Expired {
-                cred_id: "resume-token".into(),
-                at,
-            },
-            _ => CredentialError::BadSignature {
-                cred_id: "resume-token".into(),
-            },
-        }
-    }
-}
 
 /// A signed, short-lived session token — the [`crate::ticket::TrustTicket`]
 /// idea applied to an *unfinished* negotiation. It binds (holder, issuer,
@@ -231,33 +72,6 @@ pub struct ResumeToken {
     pub signature: Signature,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn token_bytes(
-    token_id: u64,
-    holder: &str,
-    holder_key: PublicKey,
-    issuer: &str,
-    issuer_key: PublicKey,
-    resource: &str,
-    checkpoint: &Digest,
-    validity: TimeRange,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(96 + holder.len() + issuer.len() + resource.len());
-    out.extend_from_slice(&token_id.to_be_bytes());
-    out.extend_from_slice(&(holder.len() as u32).to_be_bytes());
-    out.extend_from_slice(holder.as_bytes());
-    out.extend_from_slice(&holder_key.0.to_be_bytes());
-    out.extend_from_slice(&(issuer.len() as u32).to_be_bytes());
-    out.extend_from_slice(issuer.as_bytes());
-    out.extend_from_slice(&issuer_key.0.to_be_bytes());
-    out.extend_from_slice(&(resource.len() as u32).to_be_bytes());
-    out.extend_from_slice(resource.as_bytes());
-    out.extend_from_slice(checkpoint);
-    out.extend_from_slice(&validity.not_before.0.to_be_bytes());
-    out.extend_from_slice(&validity.not_after.0.to_be_bytes());
-    out
-}
-
 impl ResumeToken {
     /// Issue a token over a checkpoint digest; the controller signs with
     /// its own keys.
@@ -272,47 +86,48 @@ impl ResumeToken {
         checkpoint: Digest,
         validity: TimeRange,
     ) -> Self {
-        let holder = holder.into();
-        let issuer = issuer.into();
-        let resource = resource.into();
-        let bytes = token_bytes(
+        let mut token = ResumeToken {
             token_id,
-            &holder,
+            holder: holder.into(),
             holder_key,
-            &issuer,
-            issuer_keys.public,
-            &resource,
-            &checkpoint,
-            validity,
-        );
-        ResumeToken {
-            token_id,
-            holder,
-            holder_key,
-            issuer,
+            issuer: issuer.into(),
             issuer_key: issuer_keys.public,
-            resource,
+            resource: resource.into(),
             checkpoint,
             validity,
-            signature: issuer_keys.sign(&bytes),
-        }
+            signature: Signature { r: 0, s: 0 },
+        };
+        token.signature = issuer_keys.sign(&token.signed_bytes());
+        token
+    }
+
+    /// The bytes the issuer signs: every field but the signature.
+    fn signed_bytes(&self) -> Vec<u8> {
+        let (holder, issuer, resource) = (&self.holder, &self.issuer, &self.resource);
+        let mut out = Vec::with_capacity(96 + holder.len() + issuer.len() + resource.len());
+        out.extend_from_slice(&self.token_id.to_be_bytes());
+        out.extend_from_slice(&(holder.len() as u32).to_be_bytes());
+        out.extend_from_slice(holder.as_bytes());
+        out.extend_from_slice(&self.holder_key.0.to_be_bytes());
+        out.extend_from_slice(&(issuer.len() as u32).to_be_bytes());
+        out.extend_from_slice(issuer.as_bytes());
+        out.extend_from_slice(&self.issuer_key.0.to_be_bytes());
+        out.extend_from_slice(&(resource.len() as u32).to_be_bytes());
+        out.extend_from_slice(resource.as_bytes());
+        out.extend_from_slice(&self.checkpoint);
+        out.extend_from_slice(&self.validity.not_before.0.to_be_bytes());
+        out.extend_from_slice(&self.validity.not_after.0.to_be_bytes());
+        out
     }
 
     /// Verify signature and validity at instant `at`. The end boundary is
     /// exclusive: a token presented exactly at `validity.not_after` is
     /// rejected.
     pub fn verify(&self, at: Timestamp) -> Result<(), ResumeError> {
-        let bytes = token_bytes(
-            self.token_id,
-            &self.holder,
-            self.holder_key,
-            &self.issuer,
-            self.issuer_key,
-            &self.resource,
-            &self.checkpoint,
-            self.validity,
-        );
-        if !self.issuer_key.verify(&bytes, &self.signature) {
+        if !self
+            .issuer_key
+            .verify(&self.signed_bytes(), &self.signature)
+        {
             return Err(ResumeError::BadSignature);
         }
         if !session_window_contains(&self.validity, at) {
@@ -371,60 +186,6 @@ impl ResumeToken {
 mod tests {
     use super::*;
 
-    fn sample_sequence() -> TrustSequence {
-        let mut seq = TrustSequence::new();
-        for (i, by) in [Side::Requester, Side::Controller, Side::Requester]
-            .into_iter()
-            .enumerate()
-        {
-            seq.push(Disclosure {
-                by,
-                cred_id: CredentialId(format!("c{i}")),
-                cred_type: format!("T{i}"),
-            });
-        }
-        seq
-    }
-
-    fn checkpoint() -> ResumeCheckpoint {
-        ResumeCheckpoint::new("R", "C", "Svc", Strategy::Standard, sample_sequence(), 1)
-    }
-
-    #[test]
-    fn checkpoint_roundtrips_through_xml() {
-        let ck = checkpoint();
-        let text = trust_vo_xmldoc::to_string(&ck.to_xml());
-        let parsed = trust_vo_xmldoc::parse(&text).unwrap();
-        assert_eq!(ResumeCheckpoint::from_xml(&parsed), Some(ck.clone()));
-        assert_eq!(ck.remaining(), 2);
-    }
-
-    #[test]
-    fn checkpoint_digest_is_content_sensitive() {
-        let a = checkpoint();
-        let mut b = a.clone();
-        b.next = 2;
-        assert_ne!(a.digest(), b.digest());
-        assert_eq!(a.digest(), checkpoint().digest());
-    }
-
-    #[test]
-    fn checkpoint_rejects_cursor_past_sequence() {
-        let mut xml = checkpoint().to_xml();
-        xml.attrs.retain(|(n, _)| n != "next");
-        let xml = xml.attr("next", "9");
-        assert_eq!(ResumeCheckpoint::from_xml(&xml), None);
-    }
-
-    #[test]
-    fn into_phase_restores_sequence() {
-        let ck = checkpoint();
-        let seq = ck.sequence.clone();
-        let phase = ck.into_phase();
-        assert_eq!(phase.sequence, seq);
-        assert_eq!(phase.resource, "Svc");
-    }
-
     fn issue_token(validity: TimeRange) -> (ResumeToken, KeyPair) {
         let issuer_keys = KeyPair::from_seed(b"controller-C");
         let holder_keys = KeyPair::from_seed(b"requester-R");
@@ -435,7 +196,7 @@ mod tests {
             "C",
             &issuer_keys,
             "Svc",
-            checkpoint().digest(),
+            trust_vo_crypto::sha256(b"checkpoint"),
             validity,
         );
         (token, issuer_keys)
@@ -490,13 +251,5 @@ mod tests {
         xml.attrs.retain(|(n, _)| n != "checkpoint");
         let xml = xml.attr("checkpoint", "zz");
         assert!(ResumeToken::from_xml(&xml).is_none());
-    }
-
-    #[test]
-    fn resume_error_converts_to_credential_error() {
-        let e: CredentialError = ResumeError::Expired { at: Timestamp(5) }.into();
-        assert!(matches!(e, CredentialError::Expired { .. }));
-        let e: CredentialError = ResumeError::BadSignature.into();
-        assert!(matches!(e, CredentialError::BadSignature { .. }));
     }
 }

@@ -42,6 +42,18 @@ pub trait Transport: Send + Sync {
     fn clock(&self) -> &SimClock;
 }
 
+/// Lets a caller generic over `T: Transport + ?Sized` pass `&transport`
+/// where the drivers take `&dyn Transport`.
+impl<T: Transport + ?Sized> Transport for &T {
+    fn call(&self, service: &str, request: &Envelope) -> Result<Envelope, Fault> {
+        (**self).call(service, request)
+    }
+
+    fn clock(&self) -> &SimClock {
+        (**self).clock()
+    }
+}
+
 /// An admission gate consulted by [`ServiceBus::call`] *before* any
 /// dispatch work (including the SOAP round-trip charge): return `Err` to
 /// refuse the call without it ever reaching the wire. Implemented by the

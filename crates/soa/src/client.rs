@@ -205,7 +205,8 @@ pub struct ResilientRun {
     pub retries: u64,
     /// Sessions re-established via `ResumeNegotiation` with a token.
     pub resumes: u64,
-    /// Sessions restarted from scratch (no token held yet).
+    /// Sessions restarted from phase 1: no token was held yet, or the
+    /// token's checkpoint was gone.
     pub restarts: u64,
 }
 
@@ -228,8 +229,8 @@ fn session_lost(fault: &Fault) -> bool {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn call_attempt<T: Transport + ?Sized>(
-    transport: &T,
+fn call_attempt(
+    transport: &dyn Transport,
     obs: &Collector,
     parent: SpanLink,
     service: &str,
@@ -241,7 +242,7 @@ fn call_attempt<T: Transport + ?Sized>(
     let mut span = obs.span_linked("client.call", parent);
     span.field("operation", request.operation.as_str());
     let request = stamp(request, &span, parent);
-    let sim_now = |t: &T| t.clock().elapsed().0;
+    let sim_now = |t: &dyn Transport| t.clock().elapsed().0;
     flight.note(sim_now(transport), "call", request.operation.clone());
     let attempted = call_with_retry(transport, service, &request, retry);
     *retries += attempted.retries();
@@ -266,28 +267,16 @@ fn call_attempt<T: Transport + ?Sized>(
     attempted.outcome
 }
 
-/// Record a terminal failure: note it in the flight recorder, dump the
-/// recorder as a post-mortem artifact, and hand the fault back.
-fn give_up(
-    obs: &Collector,
-    flight: &mut FlightRecorder,
-    sim_us: u64,
-    reason: &str,
-    label: &str,
-    fault: Fault,
-) -> Fault {
-    flight.note(sim_us, "dead", format!("{reason}: {fault}"));
-    flight.dump(obs, reason, label);
-    fault
-}
-
 /// Drive a negotiation to completion over an unreliable [`Transport`].
 ///
 /// Every call carries an idempotency key derived from `key_seed` and is
 /// retried under `retry`; when a call's retry budget is exhausted — or the
 /// service forgot the session after a crash — the driver reconnects under
 /// `resume`: with the freshest `ResumeToken` it holds it replays from the
-/// service's durable checkpoint, otherwise it restarts from phase 1. The
+/// service's durable checkpoint, otherwise it restarts from phase 1. A
+/// token whose checkpoint is gone (`NoSuchCheckpoint`: the negotiation
+/// already ended, its final reply lost) is dropped, and the driver
+/// restarts from phase 1 within the same reconnect budget. The
 /// negotiation is requested with `resumable="true"`, so the service
 /// checkpoints after phase 1 and after every verified disclosure.
 ///
@@ -301,8 +290,8 @@ fn give_up(
 /// terminal fault, abandonment (reconnect budget exhausted), or failed
 /// resume.
 #[allow(clippy::too_many_arguments)]
-pub fn run_negotiation_resilient<T: Transport + ?Sized>(
-    transport: &T,
+pub fn run_negotiation_resilient(
+    transport: &dyn Transport,
     service: &str,
     requester: &str,
     controller: &str,
@@ -352,6 +341,26 @@ pub fn run_negotiation_resilient<T: Transport + ?Sized>(
         clock.advance(resume.reconnect_delay);
         true
     };
+    // Count a restart from phase 1 and note why.
+    let restart = |restarts: &mut u64, flight: &mut FlightRecorder, why: &str| {
+        *restarts += 1;
+        let detail = format!("{why}; restarting from phase 1");
+        flight.note(clock.elapsed().0, "restart", detail);
+    };
+    // Record a terminal failure — "abandoned" when the session was lost
+    // with the reconnect budget spent, `otherwise` for any other fault:
+    // note it in the flight recorder, dump the recorder as a post-mortem
+    // artifact, and hand the fault back.
+    let fatal = |flight: &mut FlightRecorder, fault: Fault, otherwise: &str| {
+        let reason = if session_lost(&fault) {
+            "abandoned"
+        } else {
+            otherwise
+        };
+        flight.note(clock.elapsed().0, "dead", format!("{reason}: {fault}"));
+        flight.dump(&obs, reason, &label);
+        fault
+    };
 
     'session: loop {
         // Establish a session: resume from the freshest token if one is
@@ -382,14 +391,8 @@ pub fn run_negotiation_resilient<T: Transport + ?Sized>(
                     negotiation_id = match resp.negotiation_id {
                         Some(id) => id,
                         None => {
-                            return Err(give_up(
-                                &obs,
-                                &mut flight,
-                                clock.elapsed().0,
-                                "failed-resume",
-                                &label,
-                                Fault::new("BadResponse", "resume lacks negotiation id"),
-                            ))
+                            let fault = Fault::new("BadResponse", "resume lacks negotiation id");
+                            return Err(fatal(&mut flight, fault, "failed-resume"));
                         }
                     };
                     flight.note(
@@ -406,21 +409,15 @@ pub fn run_negotiation_resilient<T: Transport + ?Sized>(
                 Err(f) if session_lost(&f) && reconnect(&mut cycles) => {
                     continue 'session;
                 }
-                Err(f) => {
-                    let reason = if session_lost(&f) {
-                        "abandoned"
-                    } else {
-                        "failed-resume"
-                    };
-                    return Err(give_up(
-                        &obs,
-                        &mut flight,
-                        clock.elapsed().0,
-                        reason,
-                        &label,
-                        f,
-                    ));
+                // The slot is gone: the service finished the negotiation
+                // (its reply was lost) or failed it. Either way phase 1
+                // runs again, and a trust failure fails again.
+                Err(f) if f.code == "NoSuchCheckpoint" && reconnect(&mut cycles) => {
+                    token = None;
+                    restart(&mut restarts, &mut flight, "checkpoint gone");
+                    continue 'session;
                 }
+                Err(f) => return Err(fatal(&mut flight, f, "failed-resume")),
             }
         } else {
             key_counter += 1;
@@ -446,29 +443,10 @@ pub fn run_negotiation_resilient<T: Transport + ?Sized>(
             ) {
                 Ok(resp) => resp,
                 Err(f) if f.is_transport() && reconnect(&mut cycles) => {
-                    restarts += 1;
-                    flight.note(
-                        clock.elapsed().0,
-                        "restart",
-                        "no token held; restarting from phase 1",
-                    );
+                    restart(&mut restarts, &mut flight, "no token held");
                     continue 'session;
                 }
-                Err(f) => {
-                    let reason = if f.is_transport() {
-                        "abandoned"
-                    } else {
-                        "terminal-fault"
-                    };
-                    return Err(give_up(
-                        &obs,
-                        &mut flight,
-                        clock.elapsed().0,
-                        reason,
-                        &label,
-                        f,
-                    ));
-                }
+                Err(f) => return Err(fatal(&mut flight, f, "terminal-fault")),
             };
             let id: u64 = match start
                 .body
@@ -477,14 +455,8 @@ pub fn run_negotiation_resilient<T: Transport + ?Sized>(
             {
                 Some(id) => id,
                 None => {
-                    return Err(give_up(
-                        &obs,
-                        &mut flight,
-                        clock.elapsed().0,
-                        "terminal-fault",
-                        &label,
-                        Fault::new("BadResponse", "missing negotiation id"),
-                    ))
+                    let fault = Fault::new("BadResponse", "missing negotiation id");
+                    return Err(fatal(&mut flight, fault, "terminal-fault"));
                 }
             };
 
@@ -514,30 +486,11 @@ pub fn run_negotiation_resilient<T: Transport + ?Sized>(
                 }
                 Err(f) if session_lost(&f) && reconnect(&mut cycles) => {
                     if token.is_none() {
-                        restarts += 1;
-                        flight.note(
-                            clock.elapsed().0,
-                            "restart",
-                            "no token held; restarting from phase 1",
-                        );
+                        restart(&mut restarts, &mut flight, "no token held");
                     }
                     continue 'session;
                 }
-                Err(f) => {
-                    let reason = if session_lost(&f) {
-                        "abandoned"
-                    } else {
-                        "terminal-fault"
-                    };
-                    return Err(give_up(
-                        &obs,
-                        &mut flight,
-                        clock.elapsed().0,
-                        reason,
-                        &label,
-                        f,
-                    ));
-                }
+                Err(f) => return Err(fatal(&mut flight, f, "terminal-fault")),
             }
         }
 
@@ -572,42 +525,18 @@ pub fn run_negotiation_resilient<T: Transport + ?Sized>(
                         break 'session;
                     }
                     if calls_this_session > remaining_bound + 1 {
-                        return Err(give_up(
-                            &obs,
-                            &mut flight,
-                            clock.elapsed().0,
-                            "terminal-fault",
-                            &label,
-                            Fault::new("ProtocolError", "service never reported completion"),
-                        ));
+                        let fault =
+                            Fault::new("ProtocolError", "service never reported completion");
+                        return Err(fatal(&mut flight, fault, "terminal-fault"));
                     }
                 }
                 Err(f) if session_lost(&f) && reconnect(&mut cycles) => {
                     if token.is_none() {
-                        restarts += 1;
-                        flight.note(
-                            clock.elapsed().0,
-                            "restart",
-                            "no token held; restarting from phase 1",
-                        );
+                        restart(&mut restarts, &mut flight, "no token held");
                     }
                     continue 'session;
                 }
-                Err(f) => {
-                    let reason = if session_lost(&f) {
-                        "abandoned"
-                    } else {
-                        "terminal-fault"
-                    };
-                    return Err(give_up(
-                        &obs,
-                        &mut flight,
-                        clock.elapsed().0,
-                        reason,
-                        &label,
-                        f,
-                    ));
-                }
+                Err(f) => return Err(fatal(&mut flight, f, "terminal-fault")),
             }
         }
     }
@@ -640,6 +569,13 @@ mod tests {
     use trust_vo_store::Database;
 
     fn setup() -> ServiceBus {
+        setup_with(false).0
+    }
+
+    /// The service world; with `counter_requirement`, Aerospace guards its
+    /// quality credential behind Aircraft's accreditation, so the trust
+    /// sequence has two disclosures instead of one.
+    fn setup_with(counter_requirement: bool) -> (ServiceBus, Arc<TnService>) {
         let clock = SimClock::new(
             CostModel::paper_testbed(),
             Timestamp::from_ymd_hms(2009, 6, 1, 0, 0, 0),
@@ -666,12 +602,34 @@ mod tests {
             Resource::service("VoMembership"),
             vec![Term::of_type("WebDesignerQuality")],
         ));
+        if counter_requirement {
+            let accr = ca
+                .issue(
+                    "AAACreditation",
+                    "Aircraft",
+                    aircraft.keys.public,
+                    vec![],
+                    window,
+                )
+                .unwrap();
+            aircraft.profile.add(accr);
+            aircraft.policies.add(DisclosurePolicy::deliv(
+                "d1",
+                Resource::credential("AAACreditation"),
+            ));
+            aerospace.policies.add(DisclosurePolicy::rule(
+                "p2",
+                Resource::credential("WebDesignerQuality"),
+                vec![Term::of_type("AAACreditation")],
+            ));
+        }
         aircraft.trust_root(ca.public_key());
         aerospace.trust_root(ca.public_key());
         svc.register_party(aerospace);
         svc.register_party(aircraft);
-        bus.register("tn", Arc::new(svc));
-        bus
+        let svc = Arc::new(svc);
+        bus.register("tn", svc.clone());
+        (bus, svc)
     }
 
     #[test]
@@ -709,11 +667,13 @@ mod tests {
     }
 
     /// A deterministic chaos wrapper: fails chosen call indices with a
-    /// transport fault and can crash the endpoint before a chosen call.
+    /// transport fault, loses the replies of others after the service
+    /// handled them, and can crash the endpoint before a chosen call.
     struct Chaos {
         bus: ServiceBus,
         calls: std::sync::atomic::AtomicU64,
         fail_calls: std::collections::HashSet<u64>,
+        lose_replies: std::collections::HashSet<u64>,
         fail_all: bool,
         crash_before: Option<u64>,
     }
@@ -724,6 +684,7 @@ mod tests {
                 bus,
                 calls: std::sync::atomic::AtomicU64::new(0),
                 fail_calls: Default::default(),
+                lose_replies: Default::default(),
                 fail_all: false,
                 crash_before: None,
             }
@@ -741,7 +702,11 @@ mod tests {
             if self.fail_all || self.fail_calls.contains(&n) {
                 return Err(Fault::transport("Timeout", "injected"));
             }
-            self.bus.call(service, request)
+            let reply = self.bus.call(service, request);
+            if self.lose_replies.contains(&n) {
+                return Err(Fault::transport("Timeout", "reply lost"));
+            }
+            reply
         }
 
         fn clock(&self) -> &crate::simclock::SimClock {
@@ -827,6 +792,45 @@ mod tests {
         let run = resilient(&chaos, &RetryPolicy::none(), &ResumePolicy::standard()).unwrap();
         assert_eq!(run.restarts, 1);
         assert_eq!(run.resumes, 0);
+    }
+
+    /// The completing `CredentialExchange` is delivered, so the service
+    /// finishes the negotiation and purges its checkpoint slot, but the
+    /// reply is lost. The held token then resumes nothing
+    /// (`NoSuchCheckpoint`): the driver drops it and restarts from phase 1
+    /// instead of reporting a failed negotiation.
+    #[test]
+    fn lost_completion_reply_restarts_from_phase_one() {
+        let bus = setup();
+        let mut chaos = Chaos::new(bus);
+        // Calls: 0 = Start, 1 = Policy, 2 = the completing exchange.
+        chaos.lose_replies.insert(2);
+        let run = resilient(&chaos, &RetryPolicy::none(), &ResumePolicy::standard()).unwrap();
+        assert_eq!(run.restarts, 1);
+        assert_eq!(run.resumes, 0);
+        assert_eq!(run.run.credential_calls, 1);
+        // 3 = the refused resume; 4, 5, 6 = the restarted negotiation.
+        assert_eq!(chaos.calls.load(std::sync::atomic::Ordering::SeqCst), 7);
+    }
+
+    /// Replies lost without a crash: the client resumes while the session
+    /// it lost track of is still open, and once more when the resume's own
+    /// reply is lost. Each resume supersedes the session on the slot, so
+    /// the completed negotiation leaves no session open.
+    #[test]
+    fn resumes_after_lost_replies_leave_no_open_session() {
+        let (bus, svc) = setup_with(true);
+        let mut chaos = Chaos::new(bus);
+        // 0 = Start, 1 = Policy, 2 = first exchange (reply lost), 3 = a
+        // resume (reply lost), 4 = a resume, 5 = the completing exchange.
+        chaos.lose_replies.extend([2, 3]);
+        let run = resilient(&chaos, &RetryPolicy::none(), &ResumePolicy::standard()).unwrap();
+        assert_eq!(run.run.sequence_len, 2);
+        assert_eq!(run.resumes, 1);
+        assert_eq!(run.restarts, 0);
+        assert_eq!(chaos.calls.load(std::sync::atomic::Ordering::SeqCst), 6);
+        assert_eq!(svc.resumed_count(), 2);
+        assert_eq!(svc.session_counts(), (0, 3));
     }
 
     #[test]

@@ -107,8 +107,8 @@ impl Attempted {
 /// span (the envelope is re-stamped per attempt, so transport- and
 /// bus-side spans parent under the attempt that carried them) and each
 /// backoff wait under a sibling `retry.backoff` span.
-pub fn call_with_retry<T: Transport + ?Sized>(
-    transport: &T,
+pub fn call_with_retry(
+    transport: &dyn Transport,
     service: &str,
     request: &Envelope,
     policy: &RetryPolicy,

@@ -16,6 +16,14 @@
 //! [`trust_vo_negotiation`] engine behind the three service operations —
 //! charging the [`SimClock`] for every SOAP, DB, and crypto step so the
 //! Fig. 9 bench can read realistic virtual latencies.
+//!
+//! A session *is* a [`Negotiation`]: `StartNegotiation` opens one,
+//! `PolicyExchange` agrees its trust sequence, and each
+//! `CredentialExchange` runs its one phase-2 step,
+//! [`Negotiation::disclose`], the step the in-process engine runs too. A
+//! resumable session checkpoints the value after phase 1 and after every
+//! verified disclosure; `ResumeNegotiation` decodes the checkpoint back
+//! into a session, which supersedes any session still open on that slot.
 
 use crate::bus::ServiceEndpoint;
 use crate::envelope::{Envelope, Fault};
@@ -23,11 +31,11 @@ use crate::simclock::{CostKind, SimClock};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use trust_vo_credential::{Credential, TimeRange};
+use trust_vo_credential::TimeRange;
 use trust_vo_crypto::{KeyPair, PublicKey};
 use trust_vo_negotiation::{
-    evaluate_policies, message::Side, strategy::CredentialFormat, view::TrustSequence,
-    NegotiationConfig, Party, PolicyPhase, ResumeCheckpoint, ResumeToken, Strategy,
+    evaluate_policies, strategy::CredentialFormat, Negotiation, NegotiationConfig, Party,
+    ResumeToken, Step, Strategy,
 };
 use trust_vo_obs::SpanLink;
 use trust_vo_store::{Database, DocId};
@@ -48,31 +56,26 @@ pub const DEFAULT_RESUME_TTL_SECS: u64 = 3_600;
 /// KiB.
 pub const RETIRED_SESSIONS: usize = 1_024;
 
-#[derive(Debug)]
-enum SessionState {
-    Started,
-    Sequenced { phase: PolicyPhase, next: usize },
-}
-
+/// An open negotiation: the session *is* its [`Negotiation`].
 #[derive(Debug)]
 struct Session {
-    requester: String,
-    controller: String,
-    resource: String,
-    strategy: Strategy,
-    state: SessionState,
-    /// Whether the client asked for checkpoint/resume support at start.
-    resumable: bool,
-    /// Durable checkpoint slot: stable across crash/resume cycles, so
-    /// every re-checkpoint of the same negotiation overwrites one row.
-    ck_id: u64,
+    negotiation: Negotiation,
+    /// The durable checkpoint slot, when the client asked for
+    /// checkpoint/resume support at start. It is stable across
+    /// crash/resume cycles, so every re-checkpoint of the same
+    /// negotiation overwrites one row, and at most one open session
+    /// holds it.
+    slot: Option<u64>,
 }
 
-/// How a finished negotiation ended: all its tombstone keeps.
+/// How a session ended: all its tombstone keeps.
 #[derive(Debug)]
 enum Outcome {
     Completed,
     Failed(String),
+    /// A resume on the session's checkpoint slot took the negotiation
+    /// over under a new id.
+    Superseded,
 }
 
 /// The service's volatile negotiation state.
@@ -156,6 +159,8 @@ fn parties_of<'p>(
 /// that completes or fails leaves the session map as soon as its reply
 /// is built, keeping a tombstone (see [`RETIRED_SESSIONS`]), and its
 /// checkpoint slot is purged from the database with its whole history.
+/// A session that a resume supersedes retires too, but keeps its slot
+/// for the session that took it over.
 pub struct TnService {
     clock: SimClock,
     db: Database,
@@ -268,35 +273,28 @@ impl TnService {
         cfg
     }
 
-    /// Persist a checkpoint for a resumable session into the durable
-    /// `checkpoints` collection (slot `ck_id`, overwritten on every
-    /// progress step) and return the signed [`ResumeToken`] as XML to
-    /// embed in the response. Charges one DB write plus one signature,
-    /// both under a `tn.checkpoint` span linked at `link` so checkpoint
-    /// I/O is separable from the rest of the operation in attribution.
+    /// Persist `negotiation` into the durable `checkpoints` collection
+    /// (row `slot`, overwritten on every progress step) and return the
+    /// signed [`ResumeToken`] as XML to embed in the response. The
+    /// checkpoint is encoded once: the stored document and the digest the
+    /// token binds come from the same encoding. Charges one DB write plus
+    /// one signature, both under a `tn.checkpoint` span linked at `link`
+    /// so checkpoint I/O is separable from the rest of the operation in
+    /// attribution.
     fn checkpoint(
         &self,
         link: SpanLink,
-        session: &Session,
+        slot: u64,
+        negotiation: &Negotiation,
         keys: &TokenKeys,
-        sequence: TrustSequence,
-        next: usize,
     ) -> Element {
         let obs = self.clock.collector();
         let mut span = obs.span_linked("tn.checkpoint", link);
-        span.field("slot", session.ck_id as i64);
-        span.field("next", next);
-        let ck = ResumeCheckpoint::new(
-            &session.requester,
-            &session.controller,
-            &session.resource,
-            session.strategy,
-            sequence,
-            next,
-        );
-        let digest = ck.digest();
+        span.field("slot", slot as i64);
+        span.field("next", negotiation.next);
+        let (doc, digest) = negotiation.checkpoint();
         self.db.with_collection("checkpoints", |c| {
-            c.put(session.ck_id.to_string().as_str(), ck.to_xml());
+            c.put(slot.to_string().as_str(), doc);
         });
         self.clock.charge(CostKind::DbQuery);
         let now = self.clock.timestamp();
@@ -304,12 +302,12 @@ impl TnService {
         let validity = TimeRange::new(now, now.plus_seconds(ttl as i64));
         self.clock.charge(CostKind::SignatureSign);
         ResumeToken::issue(
-            session.ck_id,
-            &session.requester,
+            slot,
+            &negotiation.requester,
             keys.holder,
-            &session.controller,
+            &negotiation.controller,
             &keys.issuer,
-            &session.resource,
+            &negotiation.resource,
             digest,
             validity,
         )
@@ -355,18 +353,13 @@ impl TnService {
         }
         // "opens the connection with \[the\] database".
         self.clock.charge(CostKind::DbQuery);
-        let resumable = body.get_attr("resumable") == Some("true");
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let slot = (body.get_attr("resumable") == Some("true")).then_some(id);
         self.sessions.lock().open.insert(
             id,
             Session {
-                requester,
-                controller,
-                resource,
-                strategy,
-                state: SessionState::Started,
-                resumable,
-                ck_id: id,
+                negotiation: Negotiation::new(requester, controller, resource, strategy),
+                slot,
             },
         );
         Ok(Envelope::request(
@@ -386,17 +379,18 @@ impl TnService {
         let Some(session) = sessions.open.get_mut(&id) else {
             return Err(sessions.missing(id, LATE));
         };
-        if !matches!(session.state, SessionState::Started) {
+        if session.negotiation.is_agreed() {
             return Err(Fault::new("BadState", LATE));
         }
+        let negotiation = &session.negotiation;
         let parties = self.parties.read();
-        let evaluated = parties_of(&parties, &session.requester, &session.controller).map(
+        let evaluated = parties_of(&parties, &negotiation.requester, &negotiation.controller).map(
             |(requester, controller)| {
-                let cfg = self.config(session.strategy);
-                let phase = evaluate_policies(requester, controller, &session.resource, &cfg);
+                let cfg = self.config(negotiation.strategy);
+                let phase = evaluate_policies(requester, controller, &negotiation.resource, &cfg);
                 let keys = session
-                    .resumable
-                    .then(|| TokenKeys::of(requester, controller));
+                    .slot
+                    .map(|slot| (slot, TokenKeys::of(requester, controller)));
                 (phase, keys)
             },
         );
@@ -423,7 +417,7 @@ impl TnService {
                     phase.transcript.policies_disclosed as u64,
                 );
                 let concept_terms =
-                    self.concept_term_count(&session.requester, &session.controller);
+                    self.concept_term_count(&negotiation.requester, &negotiation.controller);
                 self.clock
                     .charge_n(CostKind::OntologyMapping, concept_terms);
                 let mut seq_el = Element::new("trustSequence");
@@ -442,19 +436,20 @@ impl TnService {
                     )
                     .attr("rounds", phase.transcript.policy_rounds.to_string())
                     .child(seq_el);
-                if let Some(keys) = &keys {
+                // Phase 2 needs only the sequence: the tree and the
+                // transcript end here.
+                session.negotiation.agree(phase.sequence);
+                if let Some((slot, keys)) = &keys {
                     // Phase 1 is the expensive part: checkpoint it now so a
                     // mid-phase-2 interruption never repeats it.
                     let token = self.checkpoint(
                         request.trace.as_ref().map(|t| t.link()).unwrap_or_default(),
-                        session,
+                        *slot,
+                        &session.negotiation,
                         keys,
-                        phase.sequence.clone(),
-                        0,
                     );
                     response.children.push(Node::Element(token));
                 }
-                session.state = SessionState::Sequenced { phase, next: 0 };
                 Ok(Envelope::request("PolicyExchangeResponse", response).with_negotiation(id))
             }
             Err(e) => {
@@ -476,6 +471,10 @@ impl TnService {
             .count() as u64
     }
 
+    /// `CredentialExchange`: one [`Negotiation::disclose`] step on the
+    /// session, charged as a DB fetch plus a signature check (and an
+    /// ownership proof's signature and check when the strategy demands
+    /// one), verified at the instant after the fetch and check charges.
     fn credential_exchange(&self, request: &Envelope) -> Result<Envelope, Fault> {
         const LATE: &str = "run PolicyExchange first";
         let id = request
@@ -485,86 +484,59 @@ impl TnService {
         let Some(session) = sessions.open.get_mut(&id) else {
             return Err(sessions.missing(id, LATE));
         };
-        let slot = session.resumable.then_some(session.ck_id);
-        let SessionState::Sequenced { phase, next } = &mut session.state else {
+        if !session.negotiation.is_agreed() {
             return Err(Fault::new("BadState", LATE));
-        };
-        let disclosures = phase.sequence.disclosures();
-        if *next >= disclosures.len() {
-            self.finish(&mut sessions, id, slot, Outcome::Completed);
-            return Ok(Envelope::request(
-                "CredentialExchangeResponse",
-                Element::new("CredentialExchangeResponse").attr("status", "completed"),
-            )
-            .with_negotiation(id));
         }
-        let disclosure = disclosures[*next].clone();
+        let slot = session.slot;
+        let negotiation = &mut session.negotiation;
         let parties = self.parties.read();
-        let (requester, controller) =
-            match parties_of(&parties, &session.requester, &session.controller) {
-                Ok(pair) => pair,
-                Err(fault) => {
-                    drop(parties);
-                    self.finish(
-                        &mut sessions,
-                        id,
-                        slot,
-                        Outcome::Failed(fault.reason.clone()),
-                    );
-                    return Err(fault);
-                }
-            };
-        let (sender, receiver) = match disclosure.by {
-            Side::Requester => (requester, controller),
-            Side::Controller => (controller, requester),
-        };
-        let Some(cred) = sender.profile.get(&disclosure.cred_id).cloned() else {
-            // A stale sequence: the sender's profile changed since
-            // PolicyExchange (e.g. a renewal re-issued the credential
-            // under a new id). Terminal, like a trust failure.
-            let reason = format!(
-                "trust sequence names credential '{}' that {} no longer holds",
-                disclosure.cred_id, sender.name
-            );
-            drop(parties);
-            self.finish(&mut sessions, id, slot, Outcome::Failed(reason.clone()));
-            return Err(Fault::new("StaleSequence", reason));
-        };
-        // Fetch + transmit + verify.
-        self.clock.charge(CostKind::DbQuery);
-        self.clock.charge(CostKind::SignatureVerify);
-        let cfg = self.config(session.strategy);
-        let nonce =
-            trust_vo_negotiation::engine::session_nonce(requester, controller, &session.resource);
-        let ownership = if cfg.strategy.requires_ownership_proof() {
-            self.clock.charge(CostKind::SignatureSign);
-            self.clock.charge(CostKind::SignatureVerify);
-            Some(Credential::prove_ownership(&sender.keys, &nonce))
-        } else {
-            None
-        };
-        let check = trust_vo_negotiation::engine::verify_disclosure(
-            &cred,
-            receiver,
-            &cfg,
-            &nonce,
-            ownership.as_ref(),
-        );
-        // A disclosure that leaves more to do re-checkpoints a resumable
-        // session below.
-        let keys = (slot.is_some() && *next + 1 < disclosures.len())
-            .then(|| TokenKeys::of(requester, controller));
+        let stepped = parties_of(&parties, &negotiation.requester, &negotiation.controller)
+            .and_then(|(requester, controller)| {
+                let step = negotiation.disclose(requester, controller, |proves| {
+                    self.clock.charge(CostKind::DbQuery);
+                    self.clock.charge(CostKind::SignatureVerify);
+                    let at = self.clock.timestamp();
+                    if proves {
+                        self.clock.charge(CostKind::SignatureSign);
+                        self.clock.charge(CostKind::SignatureVerify);
+                    }
+                    at
+                });
+                let disclosed = match step {
+                    Step::Done => return Ok(None),
+                    // Terminal, like a trust failure.
+                    Step::Stale { reason, .. } => return Err(Fault::new("StaleSequence", reason)),
+                    Step::Disclosed(disclosed) => disclosed,
+                };
+                // A trust failure is terminal — resuming cannot fix it.
+                disclosed
+                    .verdict
+                    .map_err(|cause| Fault::new("TrustFailure", cause.to_string()))?;
+                // A disclosure that leaves more to do re-checkpoints a
+                // resumable session below.
+                let keys = slot
+                    .filter(|_| negotiation.remaining() > 0)
+                    .map(|slot| (slot, TokenKeys::of(requester, controller)));
+                Ok(Some((disclosed.credential.clone(), keys)))
+            });
         drop(parties);
-        if let Err(cause) = check {
-            // A trust failure is terminal — resuming cannot fix it.
-            let reason = cause.to_string();
-            self.finish(&mut sessions, id, slot, Outcome::Failed(reason.clone()));
-            return Err(Fault::new("TrustFailure", reason));
-        }
-        *next += 1;
-        let progressed = *next;
-        let remaining = disclosures.len() - progressed;
-        let checkpoint = keys.map(|keys| (keys, phase.sequence.clone()));
+        let (credential, keys) = match stepped {
+            Ok(Some(disclosed)) => disclosed,
+            Ok(None) => {
+                self.finish(&mut sessions, id, slot, Outcome::Completed);
+                return Ok(Envelope::request(
+                    "CredentialExchangeResponse",
+                    Element::new("CredentialExchangeResponse").attr("status", "completed"),
+                )
+                .with_negotiation(id));
+            }
+            Err(fault) => {
+                let reason = fault.reason.clone();
+                self.finish(&mut sessions, id, slot, Outcome::Failed(reason));
+                return Err(fault);
+            }
+        };
+        let remaining = negotiation.remaining();
         let status = if remaining == 0 {
             "completed"
         } else {
@@ -573,16 +545,15 @@ impl TnService {
         let mut response = Element::new("CredentialExchangeResponse")
             .attr("status", status)
             .attr("remaining", remaining.to_string())
-            .child(cred.to_xml());
-        if let Some((keys, sequence)) = checkpoint {
+            .child(credential.to_xml());
+        if let Some((slot, keys)) = keys {
             // Re-checkpoint after every verified disclosure: a resumed
             // session replays from here, not from the start of phase 2.
             let token = self.checkpoint(
                 request.trace.as_ref().map(|t| t.link()).unwrap_or_default(),
-                session,
+                slot,
+                negotiation,
                 &keys,
-                sequence,
-                progressed,
             );
             response.children.push(Node::Element(token));
         }
@@ -592,16 +563,19 @@ impl TnService {
         Ok(Envelope::request("CredentialExchangeResponse", response).with_negotiation(id))
     }
 
-    /// `ResumeNegotiation`: verify a presented [`ResumeToken`], reload the
-    /// durable checkpoint it names, and rebuild the session under a fresh
-    /// negotiation id with the credential-exchange cursor restored. The
-    /// token is checked for issuer signature, half-open validity at the
-    /// current sim instant, and binding to the *registered* keys of both
-    /// parties; the checkpoint row is cross-checked against the token's
-    /// party and resource names. The controller's durable checkpoint is
-    /// authoritative: if it is ahead of the checkpoint the client last saw
-    /// (its response was lost in flight), resuming skips the disclosures
-    /// the service already verified.
+    /// `ResumeNegotiation`: verify a presented [`ResumeToken`], decode the
+    /// durable checkpoint it names straight into a session under a fresh
+    /// negotiation id, cursor included. The token is checked for issuer
+    /// signature, half-open validity at the current sim instant, and
+    /// binding to the *registered* keys of both parties; the checkpoint
+    /// row is cross-checked against the token's party and resource names.
+    /// The controller's durable checkpoint is authoritative: if it is
+    /// ahead of the checkpoint the client last saw (its response was lost
+    /// in flight), resuming skips the disclosures the service already
+    /// verified. The new session supersedes any open session on the same
+    /// slot (a client that lost a reply without a crash resumes while its
+    /// old session is still open): that one retires into a tombstone, and
+    /// the slot, which the new session now uses, stays.
     fn resume_negotiation(&self, request: &Envelope) -> Result<Envelope, Fault> {
         let token_el = request
             .body
@@ -611,18 +585,7 @@ impl TnService {
             .ok_or_else(|| Fault::new("BadRequest", "malformed <ResumeToken>"))?;
         {
             let parties = self.parties.read();
-            let holder = parties.get(&token.holder).ok_or_else(|| {
-                Fault::new(
-                    "UnknownParty",
-                    format!("party '{}' not registered", token.holder),
-                )
-            })?;
-            let issuer = parties.get(&token.issuer).ok_or_else(|| {
-                Fault::new(
-                    "UnknownParty",
-                    format!("party '{}' not registered", token.issuer),
-                )
-            })?;
+            let (holder, issuer) = parties_of(&parties, &token.holder, &token.issuer)?;
             if token.holder_key != holder.keys.public || token.issuer_key != issuer.keys.public {
                 return Err(Fault::new(
                     "InvalidToken",
@@ -644,40 +607,29 @@ impl TnService {
                 format!("checkpoint slot {} is gone", token.token_id),
             )
         })?;
-        let ck = ResumeCheckpoint::from_xml(&stored)
+        let negotiation = Negotiation::from_xml(&stored)
             .ok_or_else(|| Fault::new("BadCheckpoint", "stored checkpoint is malformed"))?;
-        if ck.requester != token.holder
-            || ck.controller != token.issuer
-            || ck.resource != token.resource
+        if negotiation.requester != token.holder
+            || negotiation.controller != token.issuer
+            || negotiation.resource != token.resource
         {
             return Err(Fault::new(
                 "InvalidToken",
                 "token does not match the stored checkpoint's session",
             ));
         }
-        let (next, remaining) = (ck.next, ck.remaining());
-        let (strategy, requester, controller, resource) = (
-            ck.strategy,
-            ck.requester.clone(),
-            ck.controller.clone(),
-            ck.resource.clone(),
-        );
+        let (next, remaining) = (negotiation.next, negotiation.remaining());
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.sessions.lock().open.insert(
-            id,
-            Session {
-                requester,
-                controller,
-                resource,
-                strategy,
-                state: SessionState::Sequenced {
-                    phase: ck.into_phase(),
-                    next,
-                },
-                resumable: true,
-                ck_id: token.token_id,
-            },
-        );
+        let slot = Some(token.token_id);
+        let mut sessions = self.sessions.lock();
+        // At most one open session holds the slot: the one this resume
+        // supersedes.
+        let holder = sessions.open.iter().find(|(_, s)| s.slot == slot);
+        if let Some(old) = holder.map(|(&old, _)| old) {
+            sessions.retire(old, Outcome::Superseded);
+        }
+        sessions.open.insert(id, Session { negotiation, slot });
+        drop(sessions);
         self.resumed.fetch_add(1, Ordering::Relaxed);
         let obs = self.clock.collector();
         if obs.is_enabled() {

@@ -62,7 +62,7 @@ use trust_vo_negotiation::{
 use trust_vo_obs::{ObsContext, SpanLink};
 use trust_vo_soa::shard::{run_sharded, Backpressure, ShardConfig};
 use trust_vo_soa::simclock::{CostKind, SimClock};
-use trust_vo_soa::{Fault, ResilientRun, Transport};
+use trust_vo_soa::{Fault, ResilientRun};
 
 /// A formed VO: the output of the Formation phase.
 #[derive(Debug, Clone)]
@@ -426,7 +426,7 @@ pub fn create_vo(contract: Contract, initiator: &ServiceProvider, clock: &SimClo
 }
 
 /// Where a formation's trust negotiations run.
-pub enum NegotiationSource<'a, T: Transport + ?Sized = dyn Transport> {
+pub enum NegotiationSource<'a> {
     /// In-process, charged to `clock`, every negotiation configured at
     /// the formation-start instant so the same contract and registry
     /// yield the same outcomes serially and in parallel.
@@ -439,7 +439,7 @@ pub enum NegotiationSource<'a, T: Transport + ?Sized = dyn Transport> {
     },
     /// Through the TN web service behind a transport; the transport's
     /// clock is the formation's clock.
-    Service(ServiceSource<'a, T>),
+    Service(ServiceSource<'a>),
 }
 
 impl<'a> NegotiationSource<'a> {
@@ -461,7 +461,7 @@ impl<'a> NegotiationSource<'a> {
 /// candidates' trust negotiations are sourced and fanned out, and whether
 /// admission control gates them. [`Formation::run`] is the only formation
 /// driver; every field is orthogonal to the others.
-pub struct Formation<'a, T: Transport + ?Sized = dyn Transport> {
+pub struct Formation<'a> {
     /// The VO initiator.
     pub initiator: &'a ServiceProvider,
     /// Every registered provider, by name.
@@ -479,7 +479,7 @@ pub struct Formation<'a, T: Transport + ?Sized = dyn Transport> {
     /// scoring engine.
     pub admission: Option<&'a AdmissionControl>,
     /// Where the negotiations run.
-    pub source: NegotiationSource<'a, T>,
+    pub source: NegotiationSource<'a>,
 }
 
 /// A speculated negotiation result, keyed by (role name, provider name).
@@ -495,14 +495,14 @@ type SpeculationTable = HashMap<(String, String), Speculated>;
 /// an honest load signal.
 const FAN_OUT_QUEUE_DEPTH: usize = 8;
 
-impl<'a, T: Transport + ?Sized> Formation<'a, T> {
+impl<'a> Formation<'a> {
     /// A serial formation with the [`Strategy::Standard`] strategy and no
     /// admission control.
     pub fn new(
         initiator: &'a ServiceProvider,
         providers: &'a BTreeMap<String, ServiceProvider>,
         registry: &'a ServiceRegistry,
-        source: NegotiationSource<'a, T>,
+        source: NegotiationSource<'a>,
     ) -> Self {
         Formation {
             initiator,
@@ -838,7 +838,7 @@ pub(crate) mod testworld {
     use trust_vo_credential::CredentialAuthority;
     use trust_vo_policy::{DisclosurePolicy, PolicySet, Resource, Term};
     use trust_vo_soa::simclock::CostModel;
-    use trust_vo_soa::{Envelope, ServiceBus, TnService};
+    use trust_vo_soa::{Envelope, ServiceBus, TnService, Transport};
     use trust_vo_store::Database;
 
     pub(crate) fn clock() -> SimClock {
@@ -906,10 +906,7 @@ pub(crate) mod testworld {
 
     impl World {
         /// A serial formation over this world negotiating through `source`.
-        pub(crate) fn formation<'a, T: Transport + ?Sized>(
-            &'a self,
-            source: NegotiationSource<'a, T>,
-        ) -> Formation<'a, T> {
+        pub(crate) fn formation<'a>(&'a self, source: NegotiationSource<'a>) -> Formation<'a> {
             Formation::new(&self.initiator, &self.providers, &self.registry, source)
         }
 

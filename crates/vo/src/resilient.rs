@@ -111,9 +111,9 @@ fn pair_seed(seed: u64, role: &str, candidate: &str) -> u64 {
 /// under `resume`. `seed` parameterizes the per-negotiation
 /// idempotency-key streams, so a fixed `(seed, FaultPlan)` pair replays
 /// the identical formation.
-pub struct ServiceSource<'a, T: Transport + ?Sized = dyn Transport> {
+pub struct ServiceSource<'a> {
     /// The transport the service is reached through.
-    pub transport: &'a T,
+    pub transport: &'a dyn Transport,
     /// The service's registered name.
     pub service: &'a str,
     /// Per-call retry budget.
@@ -124,10 +124,10 @@ pub struct ServiceSource<'a, T: Transport + ?Sized = dyn Transport> {
     pub seed: u64,
 }
 
-impl<'a, T: Transport + ?Sized> ServiceSource<'a, T> {
+impl<'a> ServiceSource<'a> {
     /// `service` on `transport` under the standard retry and resume
     /// policies.
-    pub fn standard(transport: &'a T, service: &'a str, seed: u64) -> Self {
+    pub fn standard(transport: &'a dyn Transport, service: &'a str, seed: u64) -> Self {
         ServiceSource {
             transport,
             service,
@@ -196,7 +196,8 @@ pub(crate) fn service_verdict(
 
 /// The serial, admission-gated formation through the TN service
 /// registered as `service_name` on `transport`: a [`Formation`] with
-/// exactly these fields.
+/// exactly these fields. Generic so a caller generic over its transport
+/// can pass it on; the formation itself runs over `&dyn Transport`.
 #[allow(clippy::too_many_arguments)]
 pub fn form_vo_resilient_admitted<T: Transport + ?Sized>(
     contract: Contract,
@@ -214,7 +215,7 @@ pub fn form_vo_resilient_admitted<T: Transport + ?Sized>(
     admission: &AdmissionControl,
 ) -> Result<(FormedVo, FormationResilience), VoError> {
     let source = ServiceSource {
-        transport,
+        transport: &transport,
         service: service_name,
         retry: *retry,
         resume: *resume,
@@ -237,8 +238,8 @@ mod tests {
     use crate::formation::testworld::{clock, member_summary, world, DeadNet};
     use trust_vo_soa::ServiceBus;
 
-    fn run<T: Transport + ?Sized>(
-        formation: Formation<'_, T>,
+    fn run(
+        formation: Formation<'_>,
         contract: &Contract,
         reputation: &mut ReputationLedger,
     ) -> Result<(FormedVo, FormationResilience), VoError> {
