@@ -17,6 +17,14 @@ if grep -rnE 'env::(var|\{)|env!\(' src $(ls -d crates/*/src | grep -v '^crates/
   echo "product code reads an environment variable (see above)" >&2
   exit 1
 fi
+# One build: no manifest declares a Cargo feature or an optional
+# dependency, so every binary, test and benchmark compiles the same
+# program. Instrumentation and journaling are runtime values (an attached
+# collector, an attached journal), not build configurations.
+if grep -nE '^\[features\]|optional *= *true' Cargo.toml crates/*/Cargo.toml; then
+  echo "a manifest declares a Cargo feature or an optional dependency (see above)" >&2
+  exit 1
+fi
 # The end-to-end benchmark (E17) is a Cargo workspace of its own, so the
 # steps above skip it; an API change in the crates it drives must not
 # break it unnoticed.
@@ -32,10 +40,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p trust-vo-store -p trust-vo-vo -p trust-vo-xmldoc -p trust-vo-admission \
   -p trust-vo-scenario
 cargo bench --workspace --no-run
-# Disabled-instrumentation smoke: with the obs feature compiled out the
-# formation bench must still build and complete one shrunken iteration.
-cargo run --release -p trust-vo-bench --no-default-features --bin parallel_join_times -- --smoke
-cargo run --release -p trust-vo-bench --no-default-features --bin fig9_faulty_join -- --smoke --seed 42
+# Formation bench smoke (E10): one shrunken iteration, whose in-binary
+# asserts check that serial and parallel formation admit the same members.
+cargo run --release -p trust-vo-bench --bin parallel_join_times -- --smoke
+# E11 chaos smoke with no collector attached: the in-binary asserts must
+# hold when every span and event call is a no-op.
+cargo run --release -p trust-vo-bench --bin fig9_faulty_join -- --smoke --seed 42
 # Chaos determinism gate: the same seed must replay the whole fault
 # schedule bit-for-bit — two E11 smoke runs, byte-identical deterministic
 # obs dumps (wall-clock fields scrubbed, everything else compared).
@@ -78,7 +88,8 @@ cargo run --release -p trust-vo-bench --bin strategy_table > target/e6-strategy-
 cmp target/e6-strategy-table.txt tests/golden/strategy_table.txt
 # Examples: `cargo test` builds them but runs none. Each must run to
 # completion, and tn_web_service's stdout (the per-operation charges of the
-# non-resumable service path) must match its committed golden file.
+# client driver with no retries or reconnects, so no checkpoints) must
+# match its committed golden file.
 for example in examples/*.rs; do
   name=$(basename "$example" .rs)
   cargo run --release --example "$name" > "target/example-$name.txt"
@@ -104,9 +115,9 @@ cargo run --release -p trust-vo-bench --bin ontology_bench -- --smoke
 # Adversarial-load gates (E14). The smoke run asserts in-binary that the
 # flooding identity is rate-limited (budget_exhausted faults observed)
 # while honest success rate and sim time stay within the E14 bounds, and
-# that serial == parallel == flood-free admitted outcomes. With the obs
-# feature compiled out the bin must still build and pass the same asserts.
-cargo run --release -p trust-vo-bench --no-default-features --bin fig_adversarial_load -- --smoke --seed 42
+# that serial == parallel == flood-free admitted outcomes. This run
+# attaches no collector; the traced runs below pass the same asserts.
+cargo run --release -p trust-vo-bench --bin fig_adversarial_load -- --smoke --seed 42
 # Same-seed determinism: admission decisions must not perturb the netsim
 # fault decision stream — two flooded smoke runs, byte-identical
 # deterministic obs dumps and Perfetto exports.
@@ -125,11 +136,11 @@ cargo run --release -p trust-vo-bench --bin fig_adversarial_load -- --smoke --se
 # that a seeded netsim formation over the wire replays bit-for-bit
 # (serial == parallel == replay); that a crash window forces a
 # checkpointed resume; and that a flood of a tiny dispatch queue sheds
-# typed Overloaded faults with drain hints. With the obs feature
-# compiled out the bin must still build and pass the same asserts.
+# typed Overloaded faults with drain hints. This run attaches no
+# collector; the traced runs below pass the same asserts.
 # (crates/soa/tests/wire_transparency.rs proves the framed boundary
 # delivers exactly what was sent and replied.)
-cargo run --release -p trust-vo-bench --no-default-features --bin fig_wire_throughput -- --smoke --seed 42
+cargo run --release -p trust-vo-bench --bin fig_wire_throughput -- --smoke --seed 42
 # Same-seed determinism over the async bus: two smoke runs must dump
 # byte-identical deterministic obs streams and Perfetto exports.
 cargo run --release -p trust-vo-bench --bin fig_wire_throughput -- --smoke --seed 42 --emit-obs target/e15-a.jsonl --emit-trace target/e15-ta.json
@@ -141,9 +152,7 @@ cmp target/e15-ta.json target/e15-tb.json
 # (membership <=> completed TN, serial == replay (== parallel when
 # order-independent), kill-anywhere journal recovery, honored
 # retry_after_us hints); the fixed showcase scenario's obs/Perfetto
-# dumps must be byte-identical across two runs. The scenario crate must
-# also build with instrumentation compiled out.
-cargo build --release -p trust-vo-scenario --no-default-features
+# dumps must be byte-identical across two runs.
 cargo run --release -p trust-vo-bench --bin fig_scenario_sweep -- --smoke --seed 42 --emit-obs target/e16-a.jsonl --emit-trace target/e16-ta.json
 cargo run --release -p trust-vo-bench --bin fig_scenario_sweep -- --smoke --seed 42 --emit-obs target/e16-b.jsonl --emit-trace target/e16-tb.json
 cmp target/e16-a.jsonl target/e16-b.jsonl

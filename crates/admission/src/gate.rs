@@ -177,19 +177,30 @@ mod tests {
     fn refusal_precedes_encoding() {
         // The gate sits before the wire boundary: a refused request is
         // never framed (its canonical bytes are never produced), while an
-        // admitted one crosses the codec and caches its encoding.
+        // admitted one crosses the codec both ways.
         let (bus, _mana) = gated_bus(ManaConfig {
             capacity: 1.0,
             refill_per_sec: 0.0,
             cost_per_call: 1.0,
         });
-        let admitted = start_request("A");
-        bus.call("tn", &admitted).unwrap();
-        assert!(admitted.wire_cached(), "admitted call crossed the codec");
+        let collector = trust_vo_obs::Collector::new();
+        bus.clock().attach_obs(&collector);
+        let wire = || {
+            let metrics = collector.metrics();
+            (
+                metrics.counter("bus.wire.frames"),
+                metrics.counter("bus.wire.tx_bytes"),
+            )
+        };
+        bus.call("tn", &start_request("A")).unwrap();
+        let (frames, tx_bytes) = wire();
+        assert_eq!(frames, 2, "admitted call crossed the codec");
+        assert!(tx_bytes > 0);
         let refused = start_request("A");
         assert!(bus.call("tn", &refused).unwrap_err().is_budget_exhausted());
-        assert!(
-            !refused.wire_cached(),
+        assert_eq!(
+            wire(),
+            (frames, tx_bytes),
             "a refusal must cost zero encode work"
         );
     }

@@ -6,7 +6,7 @@ use std::hint::black_box;
 use trust_vo_bench::workloads;
 use trust_vo_credential::{TimeRange, Timestamp};
 use trust_vo_negotiation::ticket::negotiate_with_ticket;
-use trust_vo_negotiation::{negotiate, NegotiationConfig, SequenceCache, Strategy};
+use trust_vo_negotiation::{negotiate, ConcurrentSequenceCache, NegotiationConfig, Strategy};
 
 fn ticket_window() -> TimeRange {
     TimeRange::one_year_from(Timestamp::parse_iso("2009-10-26T21:32:52").unwrap())
@@ -22,7 +22,7 @@ fn bench_repeat_negotiations(c: &mut Criterion) {
     });
 
     group.bench_function("sequence_cache_hit", |b| {
-        let mut cache = SequenceCache::new();
+        let cache = ConcurrentSequenceCache::new();
         // Warm the cache once.
         cache
             .negotiate(&requester, &controller, "Target", &cfg)

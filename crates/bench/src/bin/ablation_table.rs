@@ -7,7 +7,7 @@ use trust_vo_bench::report::Report;
 use trust_vo_bench::workloads;
 use trust_vo_credential::{TimeRange, Timestamp};
 use trust_vo_negotiation::ticket::negotiate_with_ticket;
-use trust_vo_negotiation::{negotiate, NegotiationConfig, SequenceCache, Strategy};
+use trust_vo_negotiation::{negotiate, ConcurrentSequenceCache, NegotiationConfig, Strategy};
 
 fn main() {
     let (requester, controller) = workloads::chain_parties(6, 2);
@@ -27,14 +27,12 @@ fn main() {
         negotiate(&requester, &controller, "Target", &cfg).unwrap();
     });
 
-    let mut cache = SequenceCache::new();
+    let cache = ConcurrentSequenceCache::new();
     cache
         .negotiate(&requester, &controller, "Target", &cfg)
         .unwrap();
-    let cache_cell = std::cell::RefCell::new(cache);
     let cache_us = timed(&|| {
-        cache_cell
-            .borrow_mut()
+        cache
             .negotiate(&requester, &controller, "Target", &cfg)
             .unwrap();
     });
@@ -81,7 +79,7 @@ fn main() {
     report.note("cache hits skip the AND-OR policy search but rerun the whole credential exchange; tickets reduce a repeat negotiation to two signature operations");
     report.print();
 
-    let stats = cache_cell.borrow().stats();
+    let stats = cache.stats();
     assert_eq!(stats.misses, 1, "only the warm-up missed");
     assert!(
         ticket_us < full_us && cache_us < full_us,

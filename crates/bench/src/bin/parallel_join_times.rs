@@ -27,8 +27,8 @@ fn membership(vo: &FormedVo) -> Vec<(String, String, u64)> {
 
 fn main() {
     let args = ObsArgs::from_env();
-    // --smoke: one tiny workload so CI can exercise the binary (including
-    // with the obs feature compiled out) in well under a second.
+    // --smoke: one tiny workload so CI can exercise the binary in well
+    // under a second.
     let (sizes, depth, alternatives): (&[usize], usize, usize) = if args.smoke {
         (&[4], 4, 2)
     } else {

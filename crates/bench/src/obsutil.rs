@@ -14,9 +14,9 @@
 //!   seed for chaos binaries such as `fig9_faulty_join`, so a run can be
 //!   replayed exactly.
 //!
-//! With the `obs` feature disabled the collector handles are inert: the
-//! flags still parse, the dump file is written, but it only carries the
-//! always-on metric lines (no spans or events).
+//! Without `--emit-obs` or `--emit-trace` the clock keeps its disabled
+//! collector: every span and event call is an early-returning no-op, and
+//! the binary's in-binary asserts run all the same.
 
 use std::path::PathBuf;
 use trust_vo_obs::Collector;
@@ -215,7 +215,6 @@ mod tests {
         args.dump(&Collector::disabled()); // no path: must not write
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn emit_obs_attaches_and_dumps() {
         let dir = std::env::temp_dir().join("trust-vo-obsutil-test");

@@ -1,10 +1,10 @@
 //! Process-wide `crypto.*` operation counters.
 //!
-//! The counters are [`trust_vo_obs::Counter`]s (sharded atomics, always
-//! active regardless of the obs crate's `enabled` feature) held in
-//! statics: the crypto layer has no per-call context to thread a registry
-//! through, and the benches want one authoritative count of how much
-//! signature work a whole run performed. Bench binaries export a
+//! The counters are [`trust_vo_obs::Counter`]s (sharded atomics that
+//! count whether or not a collector is attached) held in statics: the
+//! crypto layer has no per-call context to thread a registry through,
+//! and the benches want one authoritative count of how much signature
+//! work a whole run performed. Bench binaries export a
 //! [`snapshot`] into their collector as `crypto.*` counters at dump time.
 
 use std::sync::LazyLock;

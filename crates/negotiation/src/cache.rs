@@ -5,9 +5,10 @@
 //! formation join (§5.1). The policy-evaluation phase is the expensive
 //! part (AND-OR search over both policy sets), and — as long as neither
 //! party's policies or profile changed — its result is deterministic. The
-//! [`SequenceCache`] memoizes the agreed trust sequence per
+//! [`ConcurrentSequenceCache`] memoizes the agreed trust sequence per
 //! `(requester, controller, resource, strategy)` and invalidates on a
-//! fingerprint of both parties' negotiation state.
+//! fingerprint of both parties' negotiation state. It is the one cache:
+//! a single-threaded caller uses it as is.
 //!
 //! Unlike [`crate::ticket`], caching is a *local* optimization: the
 //! credential exchange phase (and all its verification) still runs, so a
@@ -98,29 +99,15 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-impl CacheStats {
-    /// Element-wise sum (kept as a façade for external aggregation; the
-    /// caches themselves now share atomic [`CacheMetrics`] instead of
-    /// folding per-shard stats).
-    pub fn merge(self, other: CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            invalidations: self.invalidations + other.invalidations,
-            evictions: self.evictions + other.evictions,
-        }
-    }
-}
-
 /// Atomic counters backing [`CacheStats`].
 ///
 /// Cloning shares the underlying counters, which is how all shards of a
-/// [`ConcurrentSequenceCache`] report into one set of totals — the old
-/// per-shard `CacheStats` fold is gone. Counters work whether or not an
-/// observability [`Registry`] is attached; [`CacheMetrics::in_registry`]
-/// additionally publishes them under `cache.*` metric names.
+/// [`ConcurrentSequenceCache`] report into one set of totals. Counters
+/// work whether or not an observability [`Registry`] is attached;
+/// [`CacheMetrics::in_registry`] additionally publishes them under
+/// `cache.*` metric names.
 #[derive(Debug, Clone, Default)]
-pub struct CacheMetrics {
+struct CacheMetrics {
     hits: Counter,
     misses: Counter,
     invalidations: Counter,
@@ -128,15 +115,10 @@ pub struct CacheMetrics {
 }
 
 impl CacheMetrics {
-    /// Fresh counters not published to any registry.
-    pub fn detached() -> Self {
-        Self::default()
-    }
-
     /// Counters registered in `registry` as `cache.hits`, `cache.misses`,
     /// `cache.invalidations`, and `cache.evictions`. Calling this twice
     /// with the same registry yields handles to the same counters.
-    pub fn in_registry(registry: &Registry) -> Self {
+    fn in_registry(registry: &Registry) -> Self {
         CacheMetrics {
             hits: registry.counter("cache.hits"),
             misses: registry.counter("cache.misses"),
@@ -146,7 +128,7 @@ impl CacheMetrics {
     }
 
     /// Current totals as the plain [`CacheStats`] façade.
-    pub fn snapshot(&self) -> CacheStats {
+    fn snapshot(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.get(),
             misses: self.misses.get(),
@@ -156,13 +138,14 @@ impl CacheMetrics {
     }
 }
 
-/// Default number of cached sequences per [`SequenceCache`].
+/// Default number of cached sequences per shard of a
+/// [`ConcurrentSequenceCache`].
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
-/// A memo of agreed trust sequences, bounded by a least-recently-used
-/// eviction policy.
+/// One shard of a [`ConcurrentSequenceCache`]: a memo of agreed trust
+/// sequences, bounded by a least-recently-used eviction policy.
 #[derive(Debug)]
-pub struct SequenceCache {
+struct Shard {
     entries: HashMap<Key, Entry>,
     /// LRU side index: `last_used` tick → key. Ticks are unique, so this
     /// is a total order; the first entry is the eviction victim.
@@ -172,58 +155,18 @@ pub struct SequenceCache {
     metrics: CacheMetrics,
 }
 
-impl Default for SequenceCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SequenceCache {
-    /// An empty cache with [`DEFAULT_CACHE_CAPACITY`].
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// An empty cache holding at most `capacity` sequences (`>= 1`).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_metrics(capacity, CacheMetrics::detached())
-    }
-
-    /// An empty cache reporting into the given (possibly shared) metrics.
-    pub fn with_metrics(capacity: usize, metrics: CacheMetrics) -> Self {
+impl Shard {
+    /// An empty shard holding at most `capacity` sequences (`>= 1`),
+    /// reporting into the given (shared) metrics.
+    fn new(capacity: usize, metrics: CacheMetrics) -> Self {
         assert!(capacity >= 1, "cache capacity must be at least 1");
-        SequenceCache {
+        Shard {
             entries: HashMap::new(),
             lru: BTreeMap::new(),
             capacity,
             tick: 0,
             metrics,
         }
-    }
-
-    /// An empty cache publishing its metrics as `cache.*` in `registry`.
-    pub fn observed(registry: &Registry) -> Self {
-        Self::with_metrics(DEFAULT_CACHE_CAPACITY, CacheMetrics::in_registry(registry))
-    }
-
-    /// Cache statistics so far.
-    pub fn stats(&self) -> CacheStats {
-        self.metrics.snapshot()
-    }
-
-    /// The configured maximum number of cached sequences.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of cached sequences.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Mark `key` as most recently used.
@@ -294,80 +237,22 @@ impl SequenceCache {
             },
         );
     }
-
-    /// Negotiate with sequence reuse: on a fingerprint-valid hit, phase 1
-    /// is skipped and the cached sequence goes straight to the credential
-    /// exchange phase; otherwise the full protocol runs and the resulting
-    /// sequence is cached.
-    pub fn negotiate(
-        &mut self,
-        requester: &Party,
-        controller: &Party,
-        resource: &str,
-        cfg: &NegotiationConfig,
-    ) -> Result<NegotiationOutcome, NegotiationError> {
-        let (key, requester_fp, controller_fp) = memo_key(requester, controller, resource, cfg);
-        let cached = self.lookup(&key, &requester_fp, &controller_fp);
-        negotiate_memoized(requester, controller, resource, cfg, cached, |sequence| {
-            self.store(key, requester_fp, controller_fp, sequence)
-        })
-    }
-}
-
-/// The memo key of one negotiation, with both parties' fingerprints.
-fn memo_key(
-    requester: &Party,
-    controller: &Party,
-    resource: &str,
-    cfg: &NegotiationConfig,
-) -> (Key, Digest, Digest) {
-    let key = Key {
-        requester: requester.name.clone(),
-        controller: controller.name.clone(),
-        resource: resource.to_owned(),
-        strategy: cfg.strategy,
-    };
-    (
-        key,
-        party_fingerprint(requester),
-        party_fingerprint(controller),
-    )
-}
-
-/// The body both caches share: phase 2 over the `cached` sequence, or on a
-/// miss phase 1 first, its sequence handed to `store`.
-fn negotiate_memoized(
-    requester: &Party,
-    controller: &Party,
-    resource: &str,
-    cfg: &NegotiationConfig,
-    cached: Option<TrustSequence>,
-    store: impl FnOnce(TrustSequence),
-) -> Result<NegotiationOutcome, NegotiationError> {
-    let phase = match cached {
-        Some(sequence) => PolicyPhase::agreed(resource, sequence),
-        None => {
-            let phase = evaluate_policies(requester, controller, resource, cfg)?;
-            store(phase.sequence.clone());
-            phase
-        }
-    };
-    exchange_credentials(requester, controller, phase, cfg)
 }
 
 /// Default shard count for [`ConcurrentSequenceCache`].
 pub const DEFAULT_CACHE_SHARDS: usize = 16;
 
-/// A sharded, thread-safe sequence cache for parallel batch admission.
+/// A sharded, thread-safe sequence cache, for serial and parallel
+/// negotiations alike.
 ///
-/// Keys are distributed over N independently locked [`SequenceCache`]
-/// shards by hash, so concurrent negotiations over different pairs rarely
-/// contend. The expensive work — phase-1 policy evaluation and phase-2
-/// credential exchange — always runs *outside* the shard lock; a shard is
-/// only held for the memo lookup or insert itself.
+/// Keys are distributed over N independently locked LRU shards by hash,
+/// so concurrent negotiations over different pairs rarely contend. The
+/// expensive work — phase-1 policy evaluation and phase-2 credential
+/// exchange — always runs *outside* the shard lock; a shard is only held
+/// for the memo lookup or insert itself.
 #[derive(Debug)]
 pub struct ConcurrentSequenceCache {
-    shards: Vec<parking_lot::Mutex<SequenceCache>>,
+    shards: Vec<parking_lot::Mutex<Shard>>,
     /// Shared by every shard, so totals are exact under concurrency
     /// without ever folding per-shard snapshots.
     metrics: CacheMetrics,
@@ -382,55 +267,48 @@ impl Default for ConcurrentSequenceCache {
 impl ConcurrentSequenceCache {
     /// [`DEFAULT_CACHE_SHARDS`] shards of [`DEFAULT_CACHE_CAPACITY`] each.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_CACHE_SHARDS, DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// `shards` independently locked caches of `capacity_per_shard` each.
-    pub fn with_shards(shards: usize, capacity_per_shard: usize) -> Self {
-        Self::with_shards_and_metrics(shards, capacity_per_shard, CacheMetrics::detached())
+        Self::with_shards(
+            DEFAULT_CACHE_SHARDS,
+            DEFAULT_CACHE_CAPACITY,
+            CacheMetrics::default(),
+        )
     }
 
     /// Default-sized cache publishing `cache.*` metrics in `registry`.
     pub fn observed(registry: &Registry) -> Self {
-        Self::with_shards_and_metrics(
+        Self::with_shards(
             DEFAULT_CACHE_SHARDS,
             DEFAULT_CACHE_CAPACITY,
             CacheMetrics::in_registry(registry),
         )
     }
 
-    /// Full control: shard count, per-shard capacity, and the metrics all
-    /// shards report into.
-    pub fn with_shards_and_metrics(
-        shards: usize,
-        capacity_per_shard: usize,
-        metrics: CacheMetrics,
-    ) -> Self {
+    /// `shards` independently locked shards of `capacity_per_shard` each,
+    /// all reporting into `metrics`.
+    fn with_shards(shards: usize, capacity_per_shard: usize, metrics: CacheMetrics) -> Self {
         assert!(shards >= 1, "need at least one shard");
         ConcurrentSequenceCache {
             shards: (0..shards)
-                .map(|_| {
-                    parking_lot::Mutex::new(SequenceCache::with_metrics(
-                        capacity_per_shard,
-                        metrics.clone(),
-                    ))
-                })
+                .map(|_| parking_lot::Mutex::new(Shard::new(capacity_per_shard, metrics.clone())))
                 .collect(),
             metrics,
         }
     }
 
-    fn shard_for(&self, key: &Key) -> &parking_lot::Mutex<SequenceCache> {
+    fn shard_for(&self, key: &Key) -> &parking_lot::Mutex<Shard> {
         use std::hash::{Hash, Hasher};
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut hasher);
         &self.shards[(hasher.finish() % self.shards.len() as u64) as usize]
     }
 
-    /// Negotiate with sequence reuse, safe to call from many threads.
-    /// Semantics match [`SequenceCache::negotiate`]; two threads missing
-    /// on the same key may both run phase 1 (last insert wins), which is
-    /// wasteful but correct — the memo only ever holds computed results.
+    /// Negotiate with sequence reuse, safe to call from many threads: on
+    /// a fingerprint-valid hit, phase 1 is skipped and the cached sequence
+    /// goes straight to the credential exchange phase; otherwise the full
+    /// protocol runs and the resulting sequence is cached. Two threads
+    /// missing on the same key may both run phase 1 (last insert wins),
+    /// which is wasteful but correct — the memo only ever holds computed
+    /// results.
     pub fn negotiate(
         &self,
         requester: &Party,
@@ -438,26 +316,39 @@ impl ConcurrentSequenceCache {
         resource: &str,
         cfg: &NegotiationConfig,
     ) -> Result<NegotiationOutcome, NegotiationError> {
-        let (key, requester_fp, controller_fp) = memo_key(requester, controller, resource, cfg);
+        let key = Key {
+            requester: requester.name.clone(),
+            controller: controller.name.clone(),
+            resource: resource.to_owned(),
+            strategy: cfg.strategy,
+        };
+        let requester_fp = party_fingerprint(requester);
+        let controller_fp = party_fingerprint(controller);
         let shard = self.shard_for(&key);
         let cached = shard.lock().lookup(&key, &requester_fp, &controller_fp);
-        negotiate_memoized(requester, controller, resource, cfg, cached, |sequence| {
-            shard
-                .lock()
-                .store(key, requester_fp, controller_fp, sequence)
-        })
+        let phase = match cached {
+            Some(sequence) => PolicyPhase::agreed(resource, sequence),
+            None => {
+                let phase = evaluate_policies(requester, controller, resource, cfg)?;
+                shard
+                    .lock()
+                    .store(key, requester_fp, controller_fp, phase.sequence.clone());
+                phase
+            }
+        };
+        exchange_credentials(requester, controller, phase, cfg)
     }
 
     /// Aggregate statistics over all shards. Exact even under concurrent
-    /// access: shards share one [`CacheMetrics`], so nothing is lost to a
-    /// racy per-shard fold.
+    /// access: shards share one set of atomic counters, so nothing is
+    /// lost to a racy per-shard fold.
     pub fn stats(&self) -> CacheStats {
         self.metrics.snapshot()
     }
 
     /// Total cached sequences across shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| s.lock().entries.len()).sum()
     }
 
     /// True when nothing is cached.
@@ -502,7 +393,7 @@ mod tests {
     fn second_run_hits_and_produces_same_sequence() {
         let (requester, controller) = parties();
         let cfg = NegotiationConfig::new(Strategy::Standard, at());
-        let mut cache = SequenceCache::new();
+        let cache = ConcurrentSequenceCache::new();
         let first = cache
             .negotiate(&requester, &controller, "Svc", &cfg)
             .unwrap();
@@ -529,7 +420,7 @@ mod tests {
 
         let (mut requester, controller) = parties();
         let cfg = NegotiationConfig::new(Strategy::Standard, at());
-        let mut cache = SequenceCache::new();
+        let cache = ConcurrentSequenceCache::new();
         cache
             .negotiate(&requester, &controller, "Svc", &cfg)
             .unwrap();
@@ -564,7 +455,7 @@ mod tests {
     #[test]
     fn capacity_bound_evicts_least_recently_used() {
         let (requester, controller) = parties();
-        let mut cache = SequenceCache::with_capacity(2);
+        let cache = ConcurrentSequenceCache::with_shards(1, 2, CacheMetrics::default());
         let cfg_of = |s| NegotiationConfig::new(s, at());
         let [a, b, c, _] = Strategy::ALL;
 
@@ -605,50 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_cache_matches_serial_semantics() {
-        let (requester, controller) = parties();
-        let cfg = NegotiationConfig::new(Strategy::Standard, at());
-        let cache = ConcurrentSequenceCache::new();
-        let first = cache
-            .negotiate(&requester, &controller, "Svc", &cfg)
-            .unwrap();
-        let second = cache
-            .negotiate(&requester, &controller, "Svc", &cfg)
-            .unwrap();
-        assert_eq!(first.sequence, second.sequence);
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                hits: 1,
-                misses: 1,
-                invalidations: 0,
-                evictions: 0
-            }
-        );
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn concurrent_cache_invalidates_on_reissue() {
-        let (mut requester, controller) = parties();
-        let cfg = NegotiationConfig::new(Strategy::Standard, at());
-        let cache = ConcurrentSequenceCache::new();
-        cache
-            .negotiate(&requester, &controller, "Svc", &cfg)
-            .unwrap();
-        let mut ca = CredentialAuthority::new("CA2");
-        let extra = ca
-            .issue("Extra", "R", requester.keys.public, vec![], window())
-            .unwrap();
-        requester.profile.add(extra);
-        cache
-            .negotiate(&requester, &controller, "Svc", &cfg)
-            .unwrap();
-        assert_eq!(cache.stats().invalidations, 1);
-        assert_eq!(cache.stats().misses, 2);
-    }
-
-    #[test]
     fn concurrent_cache_shared_across_threads() {
         let (requester, controller) = parties();
         let cache = ConcurrentSequenceCache::new();
@@ -683,7 +530,7 @@ mod tests {
         // exactly one hit or one miss, and evictions are forced by giving
         // each shard a capacity of 1.
         let (requester, controller) = parties();
-        let cache = ConcurrentSequenceCache::with_shards(16, 1);
+        let cache = ConcurrentSequenceCache::with_shards(16, 1, CacheMetrics::default());
         const THREADS: usize = 8;
         const CALLS_PER_THREAD: usize = 24;
         crossbeam::thread::scope(|s| {
@@ -739,35 +586,10 @@ mod tests {
     }
 
     #[test]
-    fn stats_merge_sums_fields() {
-        let a = CacheStats {
-            hits: 1,
-            misses: 2,
-            invalidations: 3,
-            evictions: 4,
-        };
-        let b = CacheStats {
-            hits: 10,
-            misses: 20,
-            invalidations: 30,
-            evictions: 40,
-        };
-        assert_eq!(
-            a.merge(b),
-            CacheStats {
-                hits: 11,
-                misses: 22,
-                invalidations: 33,
-                evictions: 44
-            }
-        );
-    }
-
-    #[test]
     fn profile_change_invalidates() {
         let (mut requester, controller) = parties();
         let cfg = NegotiationConfig::new(Strategy::Standard, at());
-        let mut cache = SequenceCache::new();
+        let cache = ConcurrentSequenceCache::new();
         cache
             .negotiate(&requester, &controller, "Svc", &cfg)
             .unwrap();
@@ -789,7 +611,7 @@ mod tests {
     fn policy_change_invalidates() {
         let (requester, mut controller) = parties();
         let cfg = NegotiationConfig::new(Strategy::Standard, at());
-        let mut cache = SequenceCache::new();
+        let cache = ConcurrentSequenceCache::new();
         cache
             .negotiate(&requester, &controller, "Svc", &cfg)
             .unwrap();
@@ -807,7 +629,7 @@ mod tests {
     fn cached_exchange_still_detects_revocation() {
         let (requester, mut controller) = parties();
         let cfg = NegotiationConfig::new(Strategy::Standard, at());
-        let mut cache = SequenceCache::new();
+        let cache = ConcurrentSequenceCache::new();
         cache
             .negotiate(&requester, &controller, "Svc", &cfg)
             .unwrap();
@@ -836,7 +658,7 @@ mod tests {
         let (mut requester, controller) = parties();
         let id = requester.profile.credentials()[0].id().clone();
         requester.profile.remove(&id);
-        let cache = ConcurrentSequenceCache::with_shards(16, 1);
+        let cache = ConcurrentSequenceCache::with_shards(16, 1, CacheMetrics::default());
         let cfg = NegotiationConfig::new(Strategy::Standard, at());
         for _ in 0..5 {
             let err = cache
@@ -903,7 +725,11 @@ mod tests {
 
         const RESOURCES: usize = 10;
         const REPEATS: usize = 4;
-        let cache = ConcurrentSequenceCache::with_shards(16, DEFAULT_CACHE_CAPACITY);
+        let cache = ConcurrentSequenceCache::with_shards(
+            16,
+            DEFAULT_CACHE_CAPACITY,
+            CacheMetrics::default(),
+        );
         crossbeam::thread::scope(|s| {
             for r in 0..RESOURCES {
                 for _ in 0..REPEATS {
@@ -935,7 +761,7 @@ mod tests {
     #[test]
     fn different_strategies_cached_separately() {
         let (requester, controller) = parties();
-        let mut cache = SequenceCache::new();
+        let cache = ConcurrentSequenceCache::new();
         for strategy in Strategy::ALL {
             let cfg = NegotiationConfig::new(strategy, at());
             cache

@@ -1049,7 +1049,6 @@ mod tests {
         // ungoverned
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn obs_counters_match_transcript_accounting() {
         use trust_vo_obs::{Collector, ObsContext, Record};
@@ -1106,7 +1105,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn obs_counts_failed_negotiations() {
         use trust_vo_obs::{Collector, ObsContext};

@@ -49,7 +49,7 @@ pub mod transcript;
 pub mod tree;
 pub mod view;
 
-pub use cache::{CacheMetrics, CacheStats, ConcurrentSequenceCache, SequenceCache};
+pub use cache::{CacheStats, ConcurrentSequenceCache};
 pub use engine::{
     count_views, evaluate_policies, exchange_credentials, negotiate, NegotiationConfig,
     NegotiationOutcome, PolicyPhase,

@@ -39,8 +39,8 @@ mod tests {
     use trust_vo_policy::{DisclosurePolicy, Resource, Term};
     use trust_vo_soa::simclock::CostModel;
     use trust_vo_soa::{
-        run_negotiation, run_negotiation_resilient, Envelope, ResumePolicy, RetryPolicy,
-        ServiceBus, SimClock, SimDuration, TnService, Transport,
+        run_negotiation_resilient, Envelope, ResumePolicy, RetryPolicy, ServiceBus, SimClock,
+        SimDuration, TnService, Transport,
     };
     use trust_vo_store::Database;
     use trust_vo_xmldoc::Element;
@@ -130,18 +130,23 @@ mod tests {
         // Same charge profile as the bare bus: the wrapper added nothing.
         assert_eq!(net.bus().clock().counts(), baseline_counts);
 
-        // And the plain, non-resumable driver still agrees on the
-        // negotiation outcome itself.
+        // And the driver with no retries and no reconnects (so no
+        // checkpoints) still agrees on the negotiation outcome itself.
         let plain = bus();
-        let plain_run = run_negotiation(
+        let plain_run = run_negotiation_resilient(
             &plain,
             "tn",
             "Aerospace",
             "Aircraft",
             "VoMembership",
             Strategy::Standard,
+            &RetryPolicy::none(),
+            &ResumePolicy::none(),
+            7,
+            trust_vo_obs::SpanLink::default(),
         )
-        .unwrap();
+        .unwrap()
+        .run;
         assert_eq!(plain_run.sequence_len, run.run.sequence_len);
         assert_eq!(plain_run.credential_calls, run.run.credential_calls);
     }

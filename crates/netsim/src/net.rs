@@ -38,8 +38,8 @@ use crate::plan::FaultPlan;
 use crate::rng::{hash_str, mix, SplitMix64};
 
 /// Live counters for the injected faults. All handles are plain
-/// [`trust_vo_obs`] counters: they count even when span collection is
-/// compiled out, and clones observe the same totals.
+/// [`trust_vo_obs`] counters: they count whether or not a collector is
+/// attached, and clones observe the same totals.
 #[derive(Debug, Clone, Default)]
 pub struct NetMetrics {
     /// Messages lost (either direction), including outage hits.

@@ -3,10 +3,9 @@
 //!
 //! Cloning a collector clones the handle, not the data — every subsystem
 //! holds a clone of the same collector. A *disabled* collector (from
-//! [`Collector::disabled`], or any constructor when the crate's `enabled`
-//! feature is off) carries no inner state: every operation early-returns
-//! after one `Option` check, which is what makes it safe to leave the
-//! instrumentation calls in the parallel formation hot path.
+//! [`Collector::disabled`]) carries no inner state: every operation
+//! early-returns after one `Option` check, which is what makes it safe to
+//! leave the instrumentation calls in the parallel formation hot path.
 
 use crate::metrics::{MetricsSnapshot, Registry};
 use crate::record::{EventRecord, HistogramRecord, Record, SpanRecord, Value};
@@ -53,20 +52,14 @@ pub struct Collector {
 
 impl Collector {
     /// Creates an enabled collector with [`DEFAULT_RING_CAPACITY`].
-    ///
-    /// When the crate's `enabled` feature is off this returns a disabled
-    /// collector instead, so callers never need their own `cfg` gates.
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_RING_CAPACITY)
     }
 
     /// Creates an enabled collector whose ring buffer keeps at most
     /// `capacity` records (oldest evicted first; evictions are counted in
-    /// [`Collector::dropped`]). Disabled when the `enabled` feature is off.
+    /// [`Collector::dropped`]).
     pub fn with_capacity(capacity: usize) -> Self {
-        if !cfg!(feature = "enabled") {
-            return Self::disabled();
-        }
         Self {
             inner: Some(Arc::new(Inner {
                 epoch: Instant::now(),
@@ -460,7 +453,7 @@ impl ObsContext {
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

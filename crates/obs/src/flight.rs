@@ -160,7 +160,7 @@ impl FlightRecorder {
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::record::Record;

@@ -33,9 +33,10 @@
 //! categories and extracts critical paths; [`flight`] is the bounded
 //! per-negotiation flight recorder dumped on faults.
 //!
-//! A disabled collector ([`Collector::disabled`], or any collector when
-//! the `enabled` feature is off) makes every operation an early-returning
-//! no-op, cheap enough to leave in the parallel formation hot path.
+//! A disabled collector ([`Collector::disabled`], the one a `SimClock`
+//! holds until a collector is attached) makes every operation an
+//! early-returning no-op, cheap enough to leave in the parallel formation
+//! hot path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,10 +5,10 @@
 //! The registry itself is only locked when a handle is first created;
 //! callers clone the handle once and increment lock-free thereafter.
 //!
-//! Metric primitives always count, independent of the crate's `enabled`
-//! feature: subsystem stats facades (e.g. the negotiation cache's
-//! `CacheStats`) are built on top of them and must stay correct even when
-//! span/event collection is compiled out.
+//! Metric primitives always count, whether or not any collector records
+//! spans: subsystem stats facades (e.g. the negotiation cache's
+//! `CacheStats`) are built on top of them and must stay correct with no
+//! collector attached.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;

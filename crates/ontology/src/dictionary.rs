@@ -67,7 +67,6 @@ fn normalize(name: &str) -> String {
 /// facts (store puts/deletes) are skipped.
 ///
 /// [`Mapping`]: trust_vo_journal::Fact::Mapping
-#[cfg(feature = "journal")]
 pub fn dictionary_from_journal(journal: &trust_vo_journal::Journal) -> Dictionary {
     let mut dictionary = Dictionary::new();
     for fact in journal.replay().facts {
@@ -190,7 +189,6 @@ mod tests {
     /// A similarity resolution journaled through a private memo is
     /// recoverable as a dictionary entry: the restarted party resolves the
     /// foreign name by exact lookup, matching the original mapping.
-    #[cfg(feature = "journal")]
     #[test]
     fn journaled_resolutions_rebuild_the_dictionary() {
         use crate::concept::Concept;

@@ -39,7 +39,6 @@ pub mod similarity;
 pub mod stats;
 
 pub use concept::{Binding, Concept};
-#[cfg(feature = "journal")]
 pub use dictionary::dictionary_from_journal;
 pub use dictionary::{map_concept_with_dictionary, Dictionary};
 pub use graph::Ontology;

@@ -30,10 +30,8 @@ use crate::mapping::MappingOutcome;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
-#[cfg(feature = "journal")]
 use std::sync::{Arc, OnceLock};
 use std::sync::{LazyLock, Mutex};
-#[cfg(feature = "journal")]
 use trust_vo_journal::{Fact, Journal};
 use trust_vo_obs::Counter;
 
@@ -113,7 +111,6 @@ pub struct MapMemo {
     /// When armed, every genuinely-inserted similarity resolution
     /// (`alias → canonical`) spills a [`Fact::Mapping`] record — the
     /// durable form of the paper's §4.3 dictionary.
-    #[cfg(feature = "journal")]
     journal: OnceLock<Arc<Journal>>,
 }
 
@@ -139,7 +136,6 @@ impl MapMemo {
             misses: Counter::new(),
             insertions: Counter::new(),
             evictions: Counter::new(),
-            #[cfg(feature = "journal")]
             journal: OnceLock::new(),
         }
     }
@@ -150,7 +146,6 @@ impl MapMemo {
     /// resolved to). First attachment wins. On the process-wide
     /// [`MapMemo::global`] this is a startup-time call — tests use private
     /// memos via `MappingEngine::with_memo` instead.
-    #[cfg(feature = "journal")]
     pub fn attach_journal(&self, journal: Arc<Journal>) {
         let _ = self.journal.set(journal);
     }
@@ -200,7 +195,6 @@ impl MapMemo {
         // Only genuine first inserts spill, and only resolutions that went
         // through similarity matching carry dictionary information (a
         // direct hit's alias *is* its canonical name).
-        #[cfg(feature = "journal")]
         if let Some(journal) = self.journal.get() {
             if let MappingOutcome::Mapped { via: Some(m), .. } = outcome {
                 journal.append(&Fact::Mapping {

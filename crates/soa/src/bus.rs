@@ -94,11 +94,6 @@ impl ServiceBus {
         *self.gate.write() = Some(gate);
     }
 
-    /// Remove the admission gate: every call is admitted again.
-    pub fn clear_gate(&self) {
-        *self.gate.write() = None;
-    }
-
     /// Register an endpoint under a service name. Re-registering replaces.
     pub fn register(&self, name: impl Into<String>, endpoint: Arc<dyn ServiceEndpoint>) {
         self.endpoints.write().insert(name.into(), endpoint);
@@ -134,8 +129,8 @@ impl ServiceBus {
     /// message never reached the wire.
     ///
     /// The admitted request then crosses a real byte boundary (see
-    /// [`crate::wire`]): its cached canonical encoding is length-framed
-    /// with a CRC, unframed and decoded on the service side, dispatched,
+    /// [`crate::wire`]): its canonical encoding is length-framed with a
+    /// CRC, unframed and decoded on the service side, dispatched,
     /// and the reply — response or fault — crosses back the same way.
     /// `bus.wire.frames` / `bus.wire.tx_bytes` / `bus.wire.rx_bytes`
     /// counters account the traffic. A frame that fails its checksum or
@@ -150,8 +145,8 @@ impl ServiceBus {
     /// under the dispatch.
     pub fn call(&self, service: &str, request: &Envelope) -> Result<Envelope, Fault> {
         self.admit(service, request)?;
-        // Client side: one framed record around the cached canonical
-        // payload. Encoding happens only after admission.
+        // Client side: the canonical payload, encoded straight into one
+        // framed record. Encoding happens only after admission.
         let request_frame = wire::frame_envelope(request);
         let obs = self.clock.collector();
         if obs.is_enabled() {
@@ -361,11 +356,6 @@ mod tests {
             .call("echo-svc", &Envelope::request("other", Element::new("b")))
             .is_ok());
         assert!(bus.clock().elapsed() > before);
-        // Clearing the gate admits everything again.
-        bus.clear_gate();
-        assert!(clone
-            .call("echo-svc", &Envelope::request("echo", Element::new("b")))
-            .is_ok());
     }
 
     #[test]

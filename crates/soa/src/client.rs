@@ -7,16 +7,18 @@
 //! calls until the service reports completion, returning the accounting a
 //! GUI would display.
 //!
-//! Two drivers are provided: [`run_negotiation`] assumes a reliable bus
-//! (any transport fault is fatal), while [`run_negotiation_resilient`]
-//! survives a lossy one — every call carries an idempotency key and is
-//! retried under a [`RetryPolicy`], and when retries are exhausted the
-//! driver falls back to the checkpointed-resume protocol: it reconnects
-//! and presents the freshest `ResumeToken` the service handed out, so the
-//! negotiation continues from the last verified disclosure instead of
-//! restarting phase 1.
+//! One driver, [`run_negotiation_resilient`], serves every transport:
+//! every call carries an idempotency key and is retried under a
+//! [`RetryPolicy`], and when retries are exhausted the driver falls back
+//! to the checkpointed-resume protocol under a [`ResumePolicy`]: it
+//! reconnects and presents the freshest `ResumeToken` the service handed
+//! out, so the negotiation continues from the last verified disclosure
+//! instead of restarting phase 1. On a reliable bus a caller passes
+//! [`RetryPolicy::none`] and [`ResumePolicy::none`]: any fault is then
+//! fatal, and since the driver never reconnects it asks for no
+//! checkpoints.
 
-use crate::bus::{ServiceBus, Transport};
+use crate::bus::Transport;
 use crate::envelope::{Envelope, Fault};
 use crate::retry::{call_with_retry, RetryPolicy};
 use crate::simclock::SimDuration;
@@ -50,118 +52,6 @@ pub struct ClientRun {
     pub sequence_len: usize,
     /// Simulated time consumed by this run.
     pub sim_elapsed: SimDuration,
-}
-
-/// Issue one traced call over the bus: a `client.call` span under
-/// `parent` wrapping the dispatch of the stamped envelope.
-fn bus_call(
-    bus: &ServiceBus,
-    obs: &Collector,
-    parent: SpanLink,
-    service: &str,
-    env: Envelope,
-) -> Result<Envelope, Fault> {
-    let mut span = obs.span_linked("client.call", parent);
-    span.field("operation", env.operation.as_str());
-    let result = bus.call(service, &stamp(env, &span, parent));
-    span.field("ok", result.is_ok());
-    result
-}
-
-/// Drive a full negotiation over the bus against the TN service
-/// registered under `service`.
-///
-/// When obs is attached to the bus clock, the run mints a fresh trace:
-/// one `client.negotiation` root span with a `client.call` child per
-/// operation, and every envelope carries the call's [`TraceContext`].
-pub fn run_negotiation(
-    bus: &ServiceBus,
-    service: &str,
-    requester: &str,
-    controller: &str,
-    resource: &str,
-    strategy: Strategy,
-) -> Result<ClientRun, Fault> {
-    let started_at = bus.clock().elapsed();
-    let obs = bus.clock().collector();
-    let mut neg_span = obs.span_linked(
-        "client.negotiation",
-        SpanLink {
-            trace_id: obs.new_trace_id(),
-            parent: None,
-        },
-    );
-    neg_span.field("requester", requester);
-    neg_span.field("resource", resource);
-    let neg_link = neg_span.link();
-    // StartNegotiation.
-    let start = bus_call(
-        bus,
-        &obs,
-        neg_link,
-        service,
-        Envelope::request(
-            "StartNegotiation",
-            Element::new("StartNegotiationRequest")
-                .child(Element::new("strategy").text(strategy.wire_name()))
-                .child(Element::new("requester").text(requester))
-                .child(Element::new("counterpartUrl").text(controller))
-                .child(Element::new("resource").text(resource)),
-        ),
-    )?;
-    let negotiation_id: u64 = start
-        .body
-        .child_text("negotiationId")
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| Fault::new("BadResponse", "missing negotiation id"))?;
-
-    // PolicyExchange (one call resolves the whole policy evaluation phase).
-    let policy = bus_call(
-        bus,
-        &obs,
-        neg_link,
-        service,
-        Envelope::request("PolicyExchange", Element::new("PolicyExchangeRequest"))
-            .with_negotiation(negotiation_id),
-    )?;
-    let sequence_len = policy
-        .body
-        .first("trustSequence")
-        .map(|seq| seq.all("disclosure").count())
-        .unwrap_or(0);
-
-    // CredentialExchange until completed.
-    let mut credential_calls = 0;
-    loop {
-        let resp = bus_call(
-            bus,
-            &obs,
-            neg_link,
-            service,
-            Envelope::request(
-                "CredentialExchange",
-                Element::new("CredentialExchangeRequest"),
-            )
-            .with_negotiation(negotiation_id),
-        )?;
-        credential_calls += 1;
-        if resp.body.get_attr("status") == Some("completed") {
-            break;
-        }
-        if credential_calls > sequence_len + 1 {
-            return Err(Fault::new(
-                "ProtocolError",
-                "service never reported completion",
-            ));
-        }
-    }
-    let sim_elapsed = SimDuration(bus.clock().elapsed().0 - started_at.0);
-    Ok(ClientRun {
-        negotiation_id,
-        credential_calls,
-        sequence_len,
-        sim_elapsed,
-    })
 }
 
 /// Reconnect behaviour of the resilient driver, on top of the per-call
@@ -276,9 +166,11 @@ fn call_attempt(
 /// service's durable checkpoint, otherwise it restarts from phase 1. A
 /// token whose checkpoint is gone (`NoSuchCheckpoint`: the negotiation
 /// already ended, its final reply lost) is dropped, and the driver
-/// restarts from phase 1 within the same reconnect budget. The
-/// negotiation is requested with `resumable="true"`, so the service
-/// checkpoints after phase 1 and after every verified disclosure.
+/// restarts from phase 1 within the same reconnect budget. When `resume`
+/// allows a reconnect (`max_cycles > 0`) the negotiation is requested
+/// with `resumable="true"`, so the service checkpoints after phase 1 and
+/// after every verified disclosure; a driver that never reconnects would
+/// never present a token, so it asks for none.
 ///
 /// Tracing: the whole run — every session cycle, resume, and restart —
 /// lives under **one** `client.negotiation` span parented at `link`, so
@@ -421,10 +313,13 @@ pub fn run_negotiation_resilient(
             }
         } else {
             key_counter += 1;
+            let mut request = Element::new("StartNegotiationRequest");
+            if resume.max_cycles > 0 {
+                request = request.attr("resumable", "true");
+            }
             let env = Envelope::request(
                 "StartNegotiation",
-                Element::new("StartNegotiationRequest")
-                    .attr("resumable", "true")
+                request
                     .child(Element::new("strategy").text(strategy.wire_name()))
                     .child(Element::new("requester").text(requester))
                     .child(Element::new("counterpartUrl").text(controller))
@@ -560,6 +455,7 @@ pub fn run_negotiation_resilient(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bus::ServiceBus;
     use crate::simclock::{CostModel, SimClock};
     use crate::tn_service::TnService;
     use std::sync::Arc;
@@ -632,18 +528,32 @@ mod tests {
         (bus, svc)
     }
 
+    /// The driver on a reliable bus: no retries, no reconnects.
+    fn plain(
+        bus: &ServiceBus,
+        service: &str,
+        requester: &str,
+        strategy: Strategy,
+    ) -> Result<ClientRun, Fault> {
+        run_negotiation_resilient(
+            bus,
+            service,
+            requester,
+            "Aircraft",
+            "VoMembership",
+            strategy,
+            &RetryPolicy::none(),
+            &ResumePolicy::none(),
+            0xD00D,
+            SpanLink::default(),
+        )
+        .map(|resilient| resilient.run)
+    }
+
     #[test]
     fn client_drives_negotiation_to_completion() {
         let bus = setup();
-        let run = run_negotiation(
-            &bus,
-            "tn",
-            "Aerospace",
-            "Aircraft",
-            "VoMembership",
-            Strategy::Standard,
-        )
-        .unwrap();
+        let run = plain(&bus, "tn", "Aerospace", Strategy::Standard).unwrap();
         assert_eq!(run.sequence_len, 1);
         assert!(run.credential_calls >= 1);
         assert!(run.sim_elapsed > SimDuration::ZERO);
@@ -652,17 +562,9 @@ mod tests {
     #[test]
     fn client_surfaces_faults() {
         let bus = setup();
-        let err = run_negotiation(
-            &bus,
-            "tn",
-            "Ghost",
-            "Aircraft",
-            "VoMembership",
-            Strategy::Standard,
-        )
-        .unwrap_err();
+        let err = plain(&bus, "tn", "Ghost", Strategy::Standard).unwrap_err();
         assert_eq!(err.code, "UnknownParty");
-        let err = run_negotiation(&bus, "nope", "a", "b", "r", Strategy::Standard).unwrap_err();
+        let err = plain(&bus, "nope", "Aerospace", Strategy::Standard).unwrap_err();
         assert_eq!(err.code, "NoSuchService");
     }
 
@@ -736,15 +638,7 @@ mod tests {
     #[test]
     fn resilient_driver_matches_plain_on_reliable_transport() {
         let bus = setup();
-        let plain = run_negotiation(
-            &bus,
-            "tn",
-            "Aerospace",
-            "Aircraft",
-            "VoMembership",
-            Strategy::Standard,
-        )
-        .unwrap();
+        let plain = plain(&bus, "tn", "Aerospace", Strategy::Standard).unwrap();
         let bus2 = setup();
         let chaos = Chaos::new(bus2);
         let run = resilient(&chaos, &RetryPolicy::standard(), &ResumePolicy::standard()).unwrap();
@@ -856,26 +750,8 @@ mod tests {
     fn sim_elapsed_scales_with_strategy() {
         // Suspicious adds ownership-proof charges, so it must cost at
         // least as much virtual time as standard on the same workload.
-        let bus1 = setup();
-        let standard = run_negotiation(
-            &bus1,
-            "tn",
-            "Aerospace",
-            "Aircraft",
-            "VoMembership",
-            Strategy::Standard,
-        )
-        .unwrap();
-        let bus2 = setup();
-        let suspicious = run_negotiation(
-            &bus2,
-            "tn",
-            "Aerospace",
-            "Aircraft",
-            "VoMembership",
-            Strategy::Suspicious,
-        )
-        .unwrap();
+        let standard = plain(&setup(), "tn", "Aerospace", Strategy::Standard).unwrap();
+        let suspicious = plain(&setup(), "tn", "Aerospace", Strategy::Suspicious).unwrap();
         assert!(suspicious.sim_elapsed >= standard.sim_elapsed);
     }
 }

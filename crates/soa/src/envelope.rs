@@ -5,7 +5,6 @@
 //! transport of the prototype.
 
 use std::sync::Arc;
-use std::sync::OnceLock;
 use trust_vo_obs::TraceContext;
 use trust_vo_xmldoc::{Element, Node};
 
@@ -14,12 +13,11 @@ use trust_vo_xmldoc::{Element, Node};
 /// The body is held behind an [`Arc`]: hops that only rewrite trace
 /// headers ([`Envelope::restamped`], per-attempt re-stamps in the retry
 /// and netsim layers) share the payload instead of deep-cloning the XML
-/// tree. The canonical wire encoding is cached on first use (see
-/// [`Envelope::wire_bytes`]) so one logical call is encoded once, not
-/// once per delivery attempt. The cache cannot outlive a change to a
-/// field, builder or direct write alike: it is served only while it
-/// still matches them.
-#[derive(Debug)]
+/// tree. Each send encodes the envelope afresh (see [`crate::wire`]);
+/// a fault-injecting transport answers retries and duplicate deliveries
+/// from its reply cache, so a second encoding of the same request is
+/// rare.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
     /// The operation name, e.g. `StartNegotiation`.
     pub operation: String,
@@ -37,47 +35,7 @@ pub struct Envelope {
     pub trace: Option<TraceContext>,
     /// The XML body, shared between header-only copies of this envelope.
     pub body: Arc<Element>,
-    /// Lazily computed canonical wire encoding (`crate::wire` payload
-    /// bytes) with the body it encoded. Cleared by every builder
-    /// mutation; carried across clones (identical fields ⇒ identical
-    /// encoding). Excluded from equality. Served only while the header
-    /// fields still encode to its header bytes and `body` is still the
-    /// allocation it holds; holding that allocation is what makes the
-    /// pointer test sufficient, since the body cannot then change in
-    /// place (`Arc::make_mut` copies it, `Arc::get_mut` refuses).
-    wire: OnceLock<(Arc<[u8]>, Arc<Element>)>,
 }
-
-impl Clone for Envelope {
-    fn clone(&self) -> Self {
-        let wire = OnceLock::new();
-        // An exact copy encodes to the exact same bytes, so the cache
-        // rides along; builder mutations on the copy clear it.
-        if let Some((bytes, body)) = self.wire.get() {
-            let _ = wire.set((Arc::clone(bytes), Arc::clone(body)));
-        }
-        Envelope {
-            operation: self.operation.clone(),
-            negotiation_id: self.negotiation_id,
-            idempotency_key: self.idempotency_key,
-            trace: self.trace,
-            body: Arc::clone(&self.body),
-            wire,
-        }
-    }
-}
-
-impl PartialEq for Envelope {
-    fn eq(&self, other: &Self) -> bool {
-        self.operation == other.operation
-            && self.negotiation_id == other.negotiation_id
-            && self.idempotency_key == other.idempotency_key
-            && self.trace == other.trace
-            && self.body == other.body
-    }
-}
-
-impl Eq for Envelope {}
 
 impl Envelope {
     /// Build a request envelope. Accepts an owned [`Element`] or an
@@ -89,7 +47,6 @@ impl Envelope {
             idempotency_key: None,
             trace: None,
             body: body.into(),
-            wire: OnceLock::new(),
         }
     }
 
@@ -97,7 +54,6 @@ impl Envelope {
     #[must_use]
     pub fn with_negotiation(mut self, id: u64) -> Self {
         self.negotiation_id = Some(id);
-        self.wire = OnceLock::new();
         self
     }
 
@@ -105,7 +61,6 @@ impl Envelope {
     #[must_use]
     pub fn with_idempotency(mut self, key: u64) -> Self {
         self.idempotency_key = Some(key);
-        self.wire = OnceLock::new();
         self
     }
 
@@ -113,7 +68,6 @@ impl Envelope {
     #[must_use]
     pub fn with_trace(mut self, trace: TraceContext) -> Self {
         self.trace = Some(trace);
-        self.wire = OnceLock::new();
         self
     }
 
@@ -127,38 +81,9 @@ impl Envelope {
         if span_id != 0 {
             if let Some(trace) = &self.trace {
                 out.trace = Some(trace.child(span_id));
-                out.wire = OnceLock::new();
             }
         }
         out
-    }
-
-    /// The canonical wire encoding of this envelope (the frame payload of
-    /// [`crate::wire`]), computed once and cached: retries and duplicate
-    /// deliveries of the same logical call reuse one encoding, as do
-    /// frame checksumming and transcript digests over the same bytes.
-    /// After a direct write to a field the cache no longer matches and
-    /// the envelope is encoded afresh.
-    pub fn wire_bytes(&self) -> Arc<[u8]> {
-        if let Some(bytes) = self.cached_wire() {
-            return Arc::clone(bytes);
-        }
-        let bytes: Arc<[u8]> = crate::wire::encode_envelope(self).into();
-        let _ = self.wire.set((Arc::clone(&bytes), Arc::clone(&self.body)));
-        bytes
-    }
-
-    /// Whether a wire encoding of the envelope as it now is has been
-    /// computed. A call refused by the admission gate must never have
-    /// been encoded — pinned by the admission crate's tests.
-    pub fn wire_cached(&self) -> bool {
-        self.cached_wire().is_some()
-    }
-
-    /// The cached encoding, if it still encodes this envelope's fields.
-    fn cached_wire(&self) -> Option<&Arc<[u8]>> {
-        let (bytes, body) = self.wire.get()?;
-        (Arc::ptr_eq(body, &self.body) && crate::wire::header_matches(self, bytes)).then_some(bytes)
     }
 
     /// Serialize as a SOAP-shaped XML document.
@@ -229,7 +154,6 @@ impl Envelope {
             idempotency_key,
             trace,
             body: Arc::new(body),
-            wire: OnceLock::new(),
         })
     }
 }
@@ -469,11 +393,6 @@ mod tests {
         // Per-hop restamping is allocation-light: the (possibly large)
         // XML body is shared, never deep-cloned.
         assert!(Arc::ptr_eq(&env.body, &hop.body));
-        // An inert restamp (span id 0 — no trace change) also keeps the
-        // cached wire bytes; a real restamp must drop them.
-        let _ = env.wire_bytes();
-        assert!(env.restamped(0).wire_cached());
-        assert!(!env.restamped(6).wire_cached());
     }
 
     #[test]

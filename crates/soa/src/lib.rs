@@ -30,9 +30,9 @@
 //!   envelopes and replies, with the XML path kept as a differential
 //!   oracle,
 //! * [`shard`] — the sharded work-stealing executor (per-shard bounded
-//!   queues, `bus.queue_depth`/`bus.shed` backpressure, typed
-//!   `Overloaded` sheds) and the single-queue dispatcher bus it is
-//!   benchmarked against.
+//!   queues with flow control, counted on `bus.queue_depth`/`bus.shed`)
+//!   and the single-queue dispatcher bus it is benchmarked against,
+//!   which sheds a full queue's calls as typed `Overloaded` faults.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,9 +47,7 @@ pub mod tn_service;
 pub mod wire;
 
 pub use bus::{CallGate, ServiceBus, ServiceEndpoint, Transport};
-pub use client::{
-    run_negotiation, run_negotiation_resilient, ClientRun, ResilientRun, ResumePolicy,
-};
+pub use client::{run_negotiation_resilient, ClientRun, ResilientRun, ResumePolicy};
 pub use envelope::{Envelope, Fault, FaultKind};
 pub use retry::{call_with_retry, Attempted, RetryPolicy};
 pub use shard::{QueuedBus, ShardConfig, ShardRun};

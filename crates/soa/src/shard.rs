@@ -16,12 +16,14 @@
 //!   two thread handoffs; the E15 bench prices exactly that against the
 //!   sharded drive.
 //!
-//! Backpressure is the same in both: queues are bounded; a submission
-//! finding every queue full is *shed* before any bytes are enqueued —
-//! surfaced as the `bus.shed` counter, the `bus.queue_depth` high-water
-//! gauge, and a typed [`Fault::overloaded`] carrying a
-//! `retry_after_us` drain estimate (the same shape as PR 8's
-//! `budget_exhausted`: never blindly retried, never reply-cached).
+//! Both bound their queues, and both report a full one on the `bus.shed`
+//! counter and the `bus.queue_depth` high-water gauge. A sharded
+//! submitter that finds every shard full waits for a slot (flow
+//! control: every job runs). A [`QueuedBus`] caller that finds the queue
+//! full is *shed* before any bytes are enqueued, with a typed
+//! [`Fault::overloaded`] carrying a `retry_after_us` drain estimate (the
+//! same shape as PR 8's `budget_exhausted`: never blindly retried, never
+//! reply-cached).
 //!
 //! Determinism: shards change *where* a job runs, never what it
 //! observes — netsim fault decisions key on `(service, op,
@@ -47,7 +49,7 @@ use crate::wire;
 pub struct ShardConfig {
     /// Shard count — one queue and one owning worker per shard.
     pub shards: usize,
-    /// Per-shard queue bound; submissions beyond it back off or shed.
+    /// Per-shard queue bound; submissions beyond it wait for a slot.
     pub capacity: usize,
 }
 
@@ -62,29 +64,13 @@ impl ShardConfig {
     }
 }
 
-/// What a submitter does when every shard queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backpressure {
-    /// Wait for a slot: flow control, every job eventually runs.
-    Block,
-    /// Refuse the job with a typed [`Fault::overloaded`]; its result
-    /// slot stays `None` and the fault is reported in
-    /// [`ShardRun::sheds`]. The caller owns the retry (after the
-    /// fault's `retry_after_us` hint).
-    Shed,
-}
-
 /// Outcome of [`run_sharded`].
 #[derive(Debug)]
 pub struct ShardRun<R> {
-    /// Per-job results in submission order; `None` only for jobs shed
-    /// under [`Backpressure::Shed`].
-    pub results: Vec<Option<R>>,
-    /// Jobs refused with every queue full: `(job index, fault)`. Empty
-    /// under [`Backpressure::Block`].
-    pub sheds: Vec<(usize, Fault)>,
+    /// Per-job results in submission order.
+    pub results: Vec<R>,
     /// Submission rounds that found every shard full (each one is a
-    /// would-be `Overloaded`; under `Block` the submitter then waited).
+    /// would-be `Overloaded`; the submitter then waited for a slot).
     pub shed_rounds: u64,
     /// Jobs executed by a worker other than their home shard's.
     pub stolen: u64,
@@ -124,22 +110,18 @@ fn probe_order(home: usize, index: usize, shards: usize) -> impl Iterator<Item =
 }
 
 /// Run `jobs` over `config.shards` bounded queues with one stealing
-/// worker per shard, returning every job's result (and any sheds).
+/// worker per shard, returning every job's result.
 ///
 /// Job `i`'s home shard is `i % shards`; a full home queue overflows to
 /// the other shards — probed in an order rotated by the job index, so
 /// overflow from a hot shard spreads instead of herding onto `home + 1`
-/// — before the submission counts as refused. Workers
-/// drain their own queue front-first and steal from other queues
-/// back-first, so skewed job sizes rebalance instead of idling shards.
+/// — before the submitter counts a shed round and waits for a slot.
+/// Workers drain their own queue front-first and steal from other
+/// queues back-first, so skewed job sizes rebalance instead of idling
+/// shards.
 /// Emits `bus.queue_depth` (high-water), `bus.shed`, and `bus.steals`
 /// when obs is attached to `clock`.
-pub fn run_sharded<R, F>(
-    config: ShardConfig,
-    clock: &SimClock,
-    jobs: Vec<F>,
-    backpressure: Backpressure,
-) -> ShardRun<R>
+pub fn run_sharded<R, F>(config: ShardConfig, clock: &SimClock, jobs: Vec<F>) -> ShardRun<R>
 where
     R: Send,
     F: FnOnce() -> R + Send,
@@ -158,7 +140,6 @@ where
     let stolen = AtomicU64::new(0);
     let shed_rounds = AtomicU64::new(0);
     let peak_depth = AtomicUsize::new(0);
-    let mut sheds: Vec<(usize, Fault)> = Vec::new();
 
     let run_job = |index: usize, home: usize, worker: usize| {
         let job = slots[index].lock().take();
@@ -207,7 +188,7 @@ where
         }
 
         // Submitter: home shard first, overflow to the others in
-        // index-rotated order, then block or shed.
+        // index-rotated order, then wait for a slot.
         for i in 0..n {
             let home = i % config.shards;
             loop {
@@ -226,16 +207,7 @@ where
                     break;
                 }
                 shed_rounds.fetch_add(1, Ordering::Relaxed);
-                match backpressure {
-                    Backpressure::Block => std::thread::yield_now(),
-                    Backpressure::Shed => {
-                        sheds.push((
-                            i,
-                            Fault::overloaded("bus", overload_hint(clock, config.capacity)),
-                        ));
-                        break;
-                    }
-                }
+                std::thread::yield_now();
             }
         }
         feeding.store(false, Ordering::Release);
@@ -260,8 +232,10 @@ where
     }
 
     ShardRun {
-        results: results.into_iter().map(|m| m.into_inner()).collect(),
-        sheds,
+        results: results
+            .into_iter()
+            .map(|m| m.into_inner().expect("every submitted job runs"))
+            .collect(),
         shed_rounds: shed_rounds.load(Ordering::Relaxed),
         stolen: stolen.load(Ordering::Relaxed),
         peak_depth: peak_depth.load(Ordering::Relaxed),
@@ -426,7 +400,6 @@ impl Drop for QueuedBus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::envelope::FaultKind;
     use crate::simclock::CostModel;
     use crate::ServiceEndpoint;
     use trust_vo_credential::Timestamp;
@@ -449,13 +422,9 @@ mod tests {
                 }
             })
             .collect();
-        let run = run_sharded(ShardConfig::new(4, 8), &clock, jobs, Backpressure::Block);
+        let run = run_sharded(ShardConfig::new(4, 8), &clock, jobs);
         assert_eq!(counter.load(Ordering::Relaxed), 100);
-        assert!(run.sheds.is_empty());
-        assert_eq!(
-            run.results.into_iter().collect::<Option<Vec<_>>>(),
-            Some((0..100).map(|i| i * 2).collect::<Vec<_>>())
-        );
+        assert_eq!(run.results, (0..100).map(|i| i * 2).collect::<Vec<_>>());
         assert!(run.peak_depth <= 8);
     }
 
@@ -474,8 +443,8 @@ mod tests {
                 }) as _
             })
             .collect();
-        let run = run_sharded(ShardConfig::new(4, 2), &clock, jobs, Backpressure::Block);
-        assert_eq!(run.results.iter().flatten().count(), 64);
+        let run = run_sharded(ShardConfig::new(4, 2), &clock, jobs);
+        assert_eq!(run.results, (0..64).collect::<Vec<_>>());
         // Not asserted > 0 strictly (scheduling-dependent), but the
         // counter must at least be consistent with the run.
         assert!(run.stolen <= 64);
@@ -535,47 +504,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn shed_mode_refuses_with_typed_overload() {
-        let clock = clock();
-        // 1 shard × capacity 1, and the single worker is blocked until
-        // we let it go — so at most capacity+1 jobs are taken, the rest
-        // must shed.
-        let gate = Arc::new(AtomicBool::new(false));
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
-            .map(|i| {
-                let gate = Arc::clone(&gate);
-                Box::new(move || {
-                    while !gate.load(Ordering::Acquire) {
-                        std::thread::yield_now();
-                    }
-                    i
-                }) as _
-            })
-            .collect();
-        let gate_release = Arc::clone(&gate);
-        let releaser = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            gate_release.store(true, Ordering::Release);
-        });
-        let run = run_sharded(ShardConfig::new(1, 1), &clock, jobs, Backpressure::Shed);
-        releaser.join().unwrap();
-        assert!(!run.sheds.is_empty(), "flood over a 1-slot queue must shed");
-        for (i, fault) in &run.sheds {
-            assert!(fault.is_overloaded());
-            assert_eq!(fault.kind, FaultKind::Overloaded);
-            assert_eq!(
-                fault.retry_after_us,
-                Some(overload_hint(&clock, 1)),
-                "shed {i} carries the drain hint"
-            );
-            assert!(run.results[*i].is_none());
-        }
-        let completed = run.results.iter().flatten().count();
-        assert_eq!(completed + run.sheds.len(), 8);
-        assert!(run.shed_rounds >= run.sheds.len() as u64);
-    }
-
     struct Echo;
     impl ServiceEndpoint for Echo {
         fn handle(&self, request: &Envelope) -> Result<Envelope, Fault> {
@@ -627,6 +555,9 @@ mod tests {
     #[test]
     fn queued_bus_sheds_when_full_without_encoding() {
         let bus = ServiceBus::new(clock());
+        let collector = trust_vo_obs::Collector::new();
+        bus.clock().attach_obs(&collector);
+        let frames = || collector.metrics().counter("bus.wire.frames");
         let entered = Arc::new(AtomicBool::new(false));
         let release = Arc::new(AtomicBool::new(false));
         bus.register(
@@ -655,9 +586,11 @@ mod tests {
             std::thread::yield_now();
         }
 
-        // The dispatcher is blocked, so nothing charges between here and
-        // the shed.
+        // The dispatcher is blocked, so nothing charges or frames between
+        // here and the shed.
         let spent = bus.clock().elapsed();
+        let framed = frames();
+        assert_eq!(framed, 2, "both parked calls crossed the codec");
         let request = Envelope::request("hold", Element::new("c"));
         let err = queued.call("svc", &request).unwrap_err();
         assert!(err.is_overloaded());
@@ -668,7 +601,7 @@ mod tests {
         );
         // Shed before charging and before a single byte was encoded.
         assert_eq!(bus.clock().elapsed(), spent);
-        assert!(!request.wire_cached());
+        assert_eq!(frames(), framed);
 
         release.store(true, Ordering::Release);
         assert!(t1.join().unwrap().is_ok());

@@ -429,7 +429,6 @@ mod tests {
         assert_eq!(clock.counts()[&CostKind::DbQuery], 7);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn attached_collector_sees_charges_from_every_clone() {
         let clock = SimClock::paper_default();

@@ -41,7 +41,7 @@ use trust_vo_obs::SpanLink;
 use trust_vo_store::{Database, DocId};
 use trust_vo_xmldoc::{Element, Node};
 
-/// Default lifetime of a resume token, in simulated seconds.
+/// Lifetime of a resume token, in simulated seconds.
 pub const DEFAULT_RESUME_TTL_SECS: u64 = 3_600;
 
 /// How many finished negotiations keep a tombstone once their session
@@ -171,7 +171,6 @@ pub struct TnService {
     sessions: Mutex<Sessions>,
     next_id: AtomicU64,
     resumed: AtomicU64,
-    resume_ttl_secs: AtomicU64,
 }
 
 impl TnService {
@@ -190,7 +189,6 @@ impl TnService {
             sessions: Mutex::new(Sessions::default()),
             next_id: AtomicU64::new(1),
             resumed: AtomicU64::new(0),
-            resume_ttl_secs: AtomicU64::new(DEFAULT_RESUME_TTL_SECS),
         }
     }
 
@@ -204,12 +202,6 @@ impl TnService {
     pub fn session_counts(&self) -> (usize, usize) {
         let sessions = self.sessions.lock();
         (sessions.open.len(), sessions.retired.len())
-    }
-
-    /// Change the resume-token lifetime (simulated seconds). Tokens issued
-    /// after the call use the new value.
-    pub fn set_resume_ttl_secs(&self, secs: u64) {
-        self.resume_ttl_secs.store(secs, Ordering::Relaxed);
     }
 
     /// Register a party: its profile and policies are persisted into the
@@ -298,8 +290,7 @@ impl TnService {
         });
         self.clock.charge(CostKind::DbQuery);
         let now = self.clock.timestamp();
-        let ttl = self.resume_ttl_secs.load(Ordering::Relaxed);
-        let validity = TimeRange::new(now, now.plus_seconds(ttl as i64));
+        let validity = TimeRange::new(now, now.plus_seconds(DEFAULT_RESUME_TTL_SECS as i64));
         self.clock.charge(CostKind::SignatureSign);
         ResumeToken::issue(
             slot,
@@ -1204,17 +1195,17 @@ mod tests {
     #[test]
     fn expired_resume_token_is_rejected() {
         let svc = service_with_fig2();
-        svc.set_resume_ttl_secs(1);
         let id = start_resumable(&svc);
         let policy = svc
             .handle(&Envelope::request("PolicyExchange", Element::new("x")).with_negotiation(id))
             .unwrap();
         let token = policy.body.first("ResumeToken").unwrap().clone();
         svc.on_crash();
-        // Two virtual seconds later the 1 s token is past its (exclusive)
-        // end instant.
-        svc.clock
-            .advance(crate::simclock::SimDuration::from_millis(2_000));
+        // One virtual second after its lifetime the token is past its
+        // (exclusive) end instant.
+        svc.clock.advance(crate::simclock::SimDuration::from_millis(
+            (DEFAULT_RESUME_TTL_SECS + 1) * 1_000,
+        ));
         let err = svc
             .handle(&Envelope::request(
                 "ResumeNegotiation",

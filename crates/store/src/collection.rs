@@ -2,7 +2,6 @@
 //! canonical binary encoding.
 
 use std::sync::Arc;
-#[cfg(feature = "journal")]
 use trust_vo_journal::{Fact, Fnv64, Journal};
 use trust_vo_xmldoc::{binary, Element, Selector, XPathExpr};
 
@@ -75,16 +74,13 @@ pub struct Collection {
     /// Armed by [`Database::attach_journal`](crate::Database::attach_journal):
     /// every `put`/`delete`/`purge` spills a [`Fact`] tagged with this
     /// collection's name into the shared journal.
-    #[cfg(feature = "journal")]
     journal: Option<Arc<Journal>>,
-    #[cfg(feature = "journal")]
     pub(crate) weight: Weight,
 }
 
 /// What the collection weighs in the journal, in encoded fact bytes
 /// ([`trust_vo_journal::fact::store_fact_len`]): the database's
 /// compaction rule compares the two sums over its collections.
-#[cfg(feature = "journal")]
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Weight {
     /// The facts a snapshot of this collection holds: every retained
@@ -104,9 +100,7 @@ impl Clone for Collection {
             ops: std::sync::atomic::AtomicU64::new(self.ops()),
             // A clone is a detached copy — its mutations are not part of
             // the database's durable history, so the hook does not travel.
-            #[cfg(feature = "journal")]
             journal: None,
-            #[cfg(feature = "journal")]
             weight: self.weight,
         }
     }
@@ -131,7 +125,6 @@ impl Collection {
     }
 
     /// Arm the journal spill hook if not already armed.
-    #[cfg(feature = "journal")]
     pub(crate) fn ensure_journal(&mut self, journal: &Arc<Journal>) {
         if self.journal.is_none() {
             self.journal = Some(journal.clone());
@@ -139,7 +132,6 @@ impl Collection {
     }
 
     /// Append `fact` to the journal, if armed.
-    #[cfg(feature = "journal")]
     fn journal(&self, fact: impl FnOnce() -> Fact) {
         if let Some(journal) = &self.journal {
             journal.append(&fact());
@@ -148,7 +140,6 @@ impl Collection {
 
     /// Encoded length of this collection's fact about `id`: a `Put` of
     /// `doc`, or a tombstone (`Delete`, `Purge`) for `None`.
-    #[cfg(feature = "journal")]
     fn fact_len(&self, id: &DocId, doc: Option<&[u8]>) -> u64 {
         trust_vo_journal::fact::store_fact_len(&self.name, &id.0, doc.map(<[u8]>::len))
     }
@@ -156,16 +147,12 @@ impl Collection {
     /// Append a revision (the live and replay paths of `put`); returns
     /// its number.
     fn install(&mut self, id: DocId, bytes: Arc<[u8]>) -> u64 {
-        #[cfg(feature = "journal")]
         let (put, tombstone) = (self.fact_len(&id, Some(&bytes)), self.fact_len(&id, None));
         let entry = self.entries.entry(id).or_default();
-        #[cfg(feature = "journal")]
-        {
-            if entry.deleted {
-                self.weight.live -= tombstone;
-            }
-            self.weight.live += put;
+        if entry.deleted {
+            self.weight.live -= tombstone;
         }
+        self.weight.live += put;
         entry.push(bytes)
     }
 
@@ -175,10 +162,7 @@ impl Collection {
         match self.entries.get_mut(id) {
             Some(e) if !e.deleted => {
                 e.deleted = true;
-                #[cfg(feature = "journal")]
-                {
-                    self.weight.live += self.fact_len(id, None);
-                }
+                self.weight.live += self.fact_len(id, None);
                 true
             }
             _ => false,
@@ -189,7 +173,6 @@ impl Collection {
     /// `purge`); returns whether there was one.
     fn forget(&mut self, id: &DocId) -> bool {
         let removed = self.entries.remove(id);
-        #[cfg(feature = "journal")]
         if let Some(entry) = &removed {
             let tombstone = self.fact_len(id, None);
             let mut weight = if entry.deleted { tombstone } else { 0 };
@@ -221,7 +204,6 @@ impl Collection {
         self.count_op();
         let id = id.into();
         let bytes: Arc<[u8]> = binary::encode_element(&doc).into();
-        #[cfg(feature = "journal")]
         self.journal(|| Fact::Put {
             collection: self.name.clone(),
             id: id.0.clone(),
@@ -234,19 +216,16 @@ impl Collection {
     /// but bypasses both the journal hook (replay must not re-journal) and
     /// the op counter (recovery is not a workload). The caller has checked
     /// that `bytes` decode.
-    #[cfg(feature = "journal")]
     pub(crate) fn apply_put(&mut self, id: DocId, bytes: Arc<[u8]>) {
         self.install(id, bytes);
     }
 
     /// Replay-path delete; see [`Collection::apply_put`].
-    #[cfg(feature = "journal")]
     pub(crate) fn apply_delete(&mut self, id: &DocId) {
         self.mark_deleted(id);
     }
 
     /// Replay-path purge; see [`Collection::apply_put`].
-    #[cfg(feature = "journal")]
     pub(crate) fn apply_purge(&mut self, id: &DocId) {
         self.forget(id);
     }
@@ -256,7 +235,6 @@ impl Collection {
     /// tombstone for currently-deleted documents. Used for snapshot
     /// compaction; each `Put` shares the stored bytes. Purged documents
     /// are gone, so the snapshot forgets them too.
-    #[cfg(feature = "journal")]
     pub(crate) fn snapshot_facts(&self, out: &mut Vec<Fact>) {
         for (id, entry) in &self.entries {
             for rev in &entry.revisions {
@@ -280,7 +258,6 @@ impl Collection {
     /// state digest. A collection holding no document folds nothing, so
     /// it digests like an absent one: no fact recreates it, and once its
     /// last document is purged a compacted log no longer names it.
-    #[cfg(feature = "journal")]
     pub(crate) fn digest_into(&self, h: &mut Fnv64) {
         if self.entries.is_empty() {
             return;
@@ -320,7 +297,6 @@ impl Collection {
         let deleted = self.mark_deleted(id);
         // No-op deletes are not facts: replaying them would be harmless but
         // would bloat the log and shift replay digests.
-        #[cfg(feature = "journal")]
         if deleted {
             self.journal(|| Fact::Delete {
                 collection: self.name.clone(),
@@ -340,7 +316,6 @@ impl Collection {
         self.count_op();
         let purged = self.forget(id);
         // Like no-op deletes, no-op purges are not facts.
-        #[cfg(feature = "journal")]
         if purged {
             self.journal(|| Fact::Purge {
                 collection: self.name.clone(),
@@ -561,7 +536,6 @@ mod property_tests {
         /// encoded size of the snapshot, and `dead` grows by exactly what
         /// a purge removes from it plus the `Purge` fact, whatever the
         /// interleaving of puts, deletes and purges.
-        #[cfg(feature = "journal")]
         #[test]
         fn weights_match_the_snapshot(ops in proptest::collection::vec((0u8..4, 0u8..4), 1..60)) {
             let mut c = Collection::named("checkpoints");

@@ -11,7 +11,6 @@ use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-#[cfg(feature = "journal")]
 use trust_vo_journal::{Fact, Fnv64, Journal, Replay};
 use trust_vo_obs::Collector;
 
@@ -33,7 +32,6 @@ pub struct StoreStats {
 /// the log every few finished negotiations. A log therefore holds at
 /// most this many forgotten bytes, or its live snapshot's size if that
 /// is larger, plus one call's worth.
-#[cfg(feature = "journal")]
 pub const COMPACT_MIN_BYTES: u64 = 64 * 1024;
 
 /// A shareable database handle.
@@ -41,7 +39,6 @@ pub const COMPACT_MIN_BYTES: u64 = 64 * 1024;
 pub struct Database {
     inner: Arc<RwLock<BTreeMap<String, Collection>>>,
     obs: Arc<OnceLock<Collector>>,
-    #[cfg(feature = "journal")]
     journal: Arc<OnceLock<Arc<Journal>>>,
 }
 
@@ -71,7 +68,6 @@ impl Database {
     /// Attach a journal: every subsequent `put`/`delete` through any
     /// collection of this database (existing or created later) appends a
     /// replayable [`Fact`]. First attachment wins; shared by clones.
-    #[cfg(feature = "journal")]
     pub fn attach_journal(&self, journal: Arc<Journal>) {
         if self.journal.set(journal.clone()).is_ok() {
             let mut guard = self.inner.write();
@@ -101,14 +97,11 @@ impl Database {
             let collection = guard
                 .entry(name.to_owned())
                 .or_insert_with(|| Collection::named(name));
-            #[cfg(feature = "journal")]
             let dead_before = collection.weight.dead;
-            #[cfg(feature = "journal")]
             if let Some(journal) = self.journal.get() {
                 collection.ensure_journal(journal);
             }
             let result = f(collection);
-            #[cfg(feature = "journal")]
             if collection.weight.dead > dead_before {
                 if let Some(journal) = self.journal.get() {
                     compact_if_due(&mut guard, journal);
@@ -150,7 +143,6 @@ impl Database {
     /// is all of them unless a `Put` whose document does not decode came
     /// first: the restore stops there, like replay at an undecodable
     /// record, so the state is always that of a clean prefix of `facts`.
-    #[cfg(feature = "journal")]
     pub fn restore_from_facts<'a>(&self, facts: impl IntoIterator<Item = &'a Fact>) -> usize {
         let mut guard = self.inner.write();
         let mut applied = 0;
@@ -191,7 +183,6 @@ impl Database {
     /// does not decode ends the restore like a torn tail: `truncated` is
     /// set and `facts` keeps only the facts applied before it (`records`
     /// and `clean_len` still describe the frame scan).
-    #[cfg(feature = "journal")]
     pub fn restore_from_journal(&self, journal: &Journal) -> Replay {
         let mut replay = journal.replay();
         let applied = self.restore_from_facts(&replay.facts);
@@ -205,7 +196,6 @@ impl Database {
     /// Facts that rebuild the entire database — full revision histories
     /// and tombstones included; purged documents are gone. The input to
     /// snapshot compaction.
-    #[cfg(feature = "journal")]
     pub fn snapshot_facts(&self) -> Vec<Fact> {
         snapshot_facts(&self.inner.read())
     }
@@ -216,7 +206,6 @@ impl Database {
     /// shared journal recovers what it did before. The database stays
     /// locked throughout, so no write of its own falls between the
     /// snapshot and the rewrite.
-    #[cfg(feature = "journal")]
     pub fn compact_into(&self, journal: &Journal) {
         let mut guard = self.inner.write();
         let attached = self
@@ -230,7 +219,6 @@ impl Database {
     /// revision histories (their stored bytes, folded as they are),
     /// tombstones. Op counters are excluded so a replayed database
     /// digests equal to the original.
-    #[cfg(feature = "journal")]
     pub fn state_digest(&self) -> u64 {
         let guard = self.inner.read();
         let mut h = Fnv64::new();
@@ -261,7 +249,6 @@ impl Database {
     }
 }
 
-#[cfg(feature = "journal")]
 fn snapshot_facts(collections: &BTreeMap<String, Collection>) -> Vec<Fact> {
     let mut out = Vec::new();
     for c in collections.values() {
@@ -274,7 +261,6 @@ fn snapshot_facts(collections: &BTreeMap<String, Collection>) -> Vec<Fact> {
 /// the lock. Once the attached log holds the snapshot, no fact about a
 /// purged document is left in it, so the forgotten-byte counts restart
 /// from zero.
-#[cfg(feature = "journal")]
 fn compact(collections: &mut BTreeMap<String, Collection>, journal: &Journal, attached: bool) {
     journal.compact(&snapshot_facts(collections));
     if attached {
@@ -285,7 +271,6 @@ fn compact(collections: &mut BTreeMap<String, Collection>, journal: &Journal, at
 }
 
 /// The automatic compaction rule of [`Database::with_collection`].
-#[cfg(feature = "journal")]
 fn compact_if_due(collections: &mut BTreeMap<String, Collection>, journal: &Journal) {
     let (live, dead) = collections.values().fold((0, 0), |(live, dead), c| {
         (live + c.weight.live, dead + c.weight.dead)
@@ -389,7 +374,6 @@ mod tests {
         assert_eq!(db.stats().operations, ops_before + 8 * 50);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn attached_collector_records_op_latencies() {
         let db = Database::new();
@@ -415,7 +399,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn read_collection_miss_records_no_latency() {
         let db = Database::new();
@@ -437,7 +420,6 @@ mod tests {
         assert_eq!(collector.metrics().histograms["store.real.op_us"].count, 2);
     }
 
-    #[cfg(feature = "journal")]
     #[test]
     fn journaled_mutations_replay_to_identical_state() {
         use std::sync::Arc;
@@ -475,7 +457,6 @@ mod tests {
             .unwrap());
     }
 
-    #[cfg(feature = "journal")]
     #[test]
     fn restore_stops_at_an_undecodable_put() {
         use std::sync::Arc;
@@ -517,7 +498,6 @@ mod tests {
             .is_none());
     }
 
-    #[cfg(feature = "journal")]
     #[test]
     fn restore_survives_a_bogus_snapshot_count() {
         use trust_vo_journal::{frame, Journal};
@@ -534,7 +514,6 @@ mod tests {
         assert_eq!(restored.state_digest(), Database::new().state_digest());
     }
 
-    #[cfg(feature = "journal")]
     #[test]
     fn compaction_preserves_state_and_shrinks_log() {
         use std::sync::Arc;
@@ -558,7 +537,6 @@ mod tests {
         assert_eq!(restored.state_digest(), db.state_digest());
     }
 
-    #[cfg(feature = "journal")]
     #[test]
     fn purges_replay_to_identical_state() {
         use std::sync::Arc;
@@ -594,7 +572,6 @@ mod tests {
 
     /// Put, overwrite and purge `n` checkpoint-like slots of about 300
     /// bytes each.
-    #[cfg(feature = "journal")]
     fn churn_slots(db: &Database, slots: std::ops::Range<u32>) {
         for slot in slots {
             let id = slot.to_string();
@@ -612,7 +589,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "journal")]
     #[test]
     fn forgotten_bytes_compact_the_journal_in_place() {
         use std::sync::Arc;
@@ -647,7 +623,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "journal")]
     #[test]
     fn a_workload_that_forgets_nothing_never_compacts() {
         use std::sync::Arc;
@@ -669,7 +644,6 @@ mod tests {
         assert_eq!(journal.stats().compactions, 0);
     }
 
-    #[cfg(feature = "journal")]
     #[test]
     fn clones_share_the_journal_attachment() {
         use std::sync::Arc;

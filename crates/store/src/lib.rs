@@ -32,6 +32,5 @@ pub mod collection;
 pub mod database;
 
 pub use collection::{Collection, DocId};
-#[cfg(feature = "journal")]
 pub use database::COMPACT_MIN_BYTES;
 pub use database::{Database, StoreStats};

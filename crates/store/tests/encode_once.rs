@@ -10,8 +10,6 @@
 //!   arbitrary `Put` bodies, go through replay and restore without a
 //!   panic, and no revision whose bytes fail to decode is installed.
 
-#![cfg(feature = "journal")]
-
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;

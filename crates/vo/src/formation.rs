@@ -60,7 +60,7 @@ use trust_vo_negotiation::{
     Party, Strategy, Transcript,
 };
 use trust_vo_obs::{ObsContext, SpanLink};
-use trust_vo_soa::shard::{run_sharded, Backpressure, ShardConfig};
+use trust_vo_soa::shard::{run_sharded, ShardConfig};
 use trust_vo_soa::simclock::{CostKind, SimClock};
 use trust_vo_soa::{Fault, ResilientRun};
 
@@ -719,7 +719,7 @@ impl<'a> Formation<'a> {
 
     /// The speculation fan-out: one job per (role, accepting candidate) —
     /// exactly the pairs the decision loop can ask about — on the sharded
-    /// executor. `Block` backpressure means every job runs.
+    /// executor, which runs every job.
     fn speculate(
         &self,
         contract: &Contract,
@@ -791,16 +791,10 @@ impl<'a> Formation<'a> {
             })
             .collect();
         let workers = self.workers.min(pairs.len().max(1));
-        run_sharded(
-            ShardConfig::new(workers, FAN_OUT_QUEUE_DEPTH),
-            clock,
-            jobs,
-            Backpressure::Block,
-        )
-        .results
-        .into_iter()
-        .flatten()
-        .collect()
+        run_sharded(ShardConfig::new(workers, FAN_OUT_QUEUE_DEPTH), clock, jobs)
+            .results
+            .into_iter()
+            .collect()
     }
 }
 

@@ -11,7 +11,7 @@ use trust_vo::credential::{TimeRange, Timestamp};
 use trust_vo::negotiation::message::Side;
 use trust_vo::negotiation::ticket::negotiate_with_ticket;
 use trust_vo::negotiation::{
-    choose_minimal, enumerate_sequences, NegotiationConfig, SequenceCache, Strategy,
+    choose_minimal, enumerate_sequences, ConcurrentSequenceCache, NegotiationConfig, Strategy,
 };
 use trust_vo::vo::initiator_party_for_role;
 use trust_vo::vo::scenario::{names, roles, AircraftScenario};
@@ -44,7 +44,7 @@ fn main() {
 
     // --- 2. Sequence cache: phase 1 runs once, later negotiations reuse
     //        the agreed sequence but re-verify every credential.
-    let mut cache = SequenceCache::new();
+    let cache = ConcurrentSequenceCache::new();
     for _ in 0..3 {
         cache
             .negotiate(&aerospace, &initiator, "VoMembership", &cfg)

@@ -7,8 +7,9 @@
 
 use std::sync::Arc;
 use trust_vo::negotiation::Strategy;
-use trust_vo::soa::client::run_negotiation;
-use trust_vo::soa::{ServiceBus, TnService};
+use trust_vo::obs::SpanLink;
+use trust_vo::soa::client::{run_negotiation_resilient, ResumePolicy};
+use trust_vo::soa::{RetryPolicy, ServiceBus, TnService};
 use trust_vo::store::Database;
 use trust_vo::vo::initiator_party_for_role;
 use trust_vo::vo::scenario::{names, roles, AircraftScenario};
@@ -36,16 +37,23 @@ fn main() {
     let bus = ServiceBus::new(clock.clone());
     bus.register("tn-service", Arc::new(service));
 
-    // The client drives the whole protocol over the bus.
-    let run = run_negotiation(
+    // The client drives the whole protocol over the bus. The bus is
+    // reliable, so the client neither retries nor reconnects, and the
+    // service keeps no resume checkpoints.
+    let run = run_negotiation_resilient(
         &bus,
         "tn-service",
         names::AEROSPACE,
         names::AIRCRAFT,
         "VoMembership",
         Strategy::Standard,
+        &RetryPolicy::none(),
+        &ResumePolicy::none(),
+        1,
+        SpanLink::default(),
     )
-    .expect("the Fig. 2 negotiation succeeds over the service");
+    .expect("the Fig. 2 negotiation succeeds over the service")
+    .run;
 
     println!("negotiation #{} completed", run.negotiation_id);
     println!("  trust sequence length:     {}", run.sequence_len);

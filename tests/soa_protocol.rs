@@ -3,9 +3,10 @@
 
 use std::sync::Arc;
 use trust_vo::negotiation::Strategy;
-use trust_vo::soa::client::run_negotiation;
+use trust_vo::obs::SpanLink;
+use trust_vo::soa::client::{run_negotiation_resilient, ClientRun, ResumePolicy};
 use trust_vo::soa::simclock::{CostKind, SimDuration};
-use trust_vo::soa::{Envelope, ServiceBus, TnService};
+use trust_vo::soa::{Envelope, Fault, RetryPolicy, ServiceBus, TnService};
 use trust_vo::store::Database;
 use trust_vo::vo::scenario::{names, roles, AircraftScenario};
 use trust_vo::xmldoc::Element;
@@ -29,18 +30,28 @@ fn service_setup() -> (ServiceBus, Arc<TnService>) {
     (bus, service)
 }
 
-#[test]
-fn client_completes_the_scenario_negotiation() {
-    let (bus, service) = service_setup();
-    let run = run_negotiation(
-        &bus,
+/// Drive the scenario negotiation with the client on the reliable bus:
+/// no retries and no reconnects, so the service keeps no checkpoints.
+fn negotiate(bus: &ServiceBus, strategy: Strategy, key_seed: u64) -> Result<ClientRun, Fault> {
+    run_negotiation_resilient(
+        bus,
         "tn",
         names::AEROSPACE,
         names::AIRCRAFT,
         "VoMembership",
-        Strategy::Standard,
+        strategy,
+        &RetryPolicy::none(),
+        &ResumePolicy::none(),
+        key_seed,
+        SpanLink::default(),
     )
-    .unwrap();
+    .map(|resilient| resilient.run)
+}
+
+#[test]
+fn client_completes_the_scenario_negotiation() {
+    let (bus, service) = service_setup();
+    let run = negotiate(&bus, Strategy::Standard, 1).unwrap();
     assert_eq!(run.sequence_len, 2);
     assert!(service.is_completed(run.negotiation_id));
     assert!(run.sim_elapsed > SimDuration::ZERO);
@@ -50,15 +61,7 @@ fn client_completes_the_scenario_negotiation() {
 fn all_strategies_complete_over_the_service() {
     for strategy in Strategy::ALL {
         let (bus, service) = service_setup();
-        let run = run_negotiation(
-            &bus,
-            "tn",
-            names::AEROSPACE,
-            names::AIRCRAFT,
-            "VoMembership",
-            strategy,
-        )
-        .unwrap_or_else(|e| panic!("{strategy}: {e}"));
+        let run = negotiate(&bus, strategy, 1).unwrap_or_else(|e| panic!("{strategy}: {e}"));
         assert!(service.is_completed(run.negotiation_id), "{strategy}");
     }
 }
@@ -68,15 +71,7 @@ fn suspicious_strategy_costs_more_sim_time_than_trusting() {
     let mut elapsed = Vec::new();
     for strategy in [Strategy::Trusting, Strategy::StrongSuspicious] {
         let (bus, _service) = service_setup();
-        let run = run_negotiation(
-            &bus,
-            "tn",
-            names::AEROSPACE,
-            names::AIRCRAFT,
-            "VoMembership",
-            strategy,
-        )
-        .unwrap();
+        let run = negotiate(&bus, strategy, 1).unwrap();
         elapsed.push(run.sim_elapsed);
     }
     assert!(
@@ -90,15 +85,7 @@ fn suspicious_strategy_costs_more_sim_time_than_trusting() {
 #[test]
 fn service_charges_expected_cost_kinds() {
     let (bus, _service) = service_setup();
-    run_negotiation(
-        &bus,
-        "tn",
-        names::AEROSPACE,
-        names::AIRCRAFT,
-        "VoMembership",
-        Strategy::Standard,
-    )
-    .unwrap();
+    negotiate(&bus, Strategy::Standard, 1).unwrap();
     let counts = bus.clock().counts();
     // 4 SOAP calls minimum: start + policy + 2 credential exchanges.
     assert!(counts[&CostKind::SoapRoundTrip] >= 4);
@@ -111,16 +98,8 @@ fn service_charges_expected_cost_kinds() {
 fn concurrent_negotiations_get_distinct_ids() {
     let (bus, service) = service_setup();
     let mut ids = Vec::new();
-    for _ in 0..4 {
-        let run = run_negotiation(
-            &bus,
-            "tn",
-            names::AEROSPACE,
-            names::AIRCRAFT,
-            "VoMembership",
-            Strategy::Standard,
-        )
-        .unwrap();
+    for key_seed in 1..=4 {
+        let run = negotiate(&bus, Strategy::Standard, key_seed).unwrap();
         ids.push(run.negotiation_id);
     }
     ids.sort_unstable();
@@ -143,14 +122,6 @@ fn malformed_envelopes_fault_without_state_damage() {
         .unwrap_err();
     assert_eq!(err.code, "BadRequest");
     // A good run still works afterwards.
-    let run = run_negotiation(
-        &bus,
-        "tn",
-        names::AEROSPACE,
-        names::AIRCRAFT,
-        "VoMembership",
-        Strategy::Standard,
-    )
-    .unwrap();
+    let run = negotiate(&bus, Strategy::Standard, 1).unwrap();
     assert!(service.is_completed(run.negotiation_id));
 }
