@@ -17,6 +17,38 @@ if grep -rnE 'env::(var|\{)|env!\(' src $(ls -d crates/*/src | grep -v '^crates/
   echo "product code reads an environment variable (see above)" >&2
   exit 1
 fi
+# Process-wide state: product code declares no `static` or
+# `thread_local!` beyond this list, one `file:NAME` entry per line with its
+# reason. State that outlives a call makes counted work depend on process
+# history, so a new entry needs a reason that no caller-held value meets.
+allowed_statics=$(sed 's/ .*//' <<'LIST'
+crates/credential/src/verified.rs:GLOBAL the verified-credential cache; e2ebench reads VerifiedCache::global() (ROADMAP item 2)
+crates/crypto/src/stats.rs:VERIFY crypto counter; e2ebench reads crypto::stats::snapshot() (ROADMAP item 2)
+crates/crypto/src/stats.rs:VERIFY_REFERENCE crypto counter; e2ebench reads crypto::stats::snapshot() (ROADMAP item 2)
+crates/crypto/src/stats.rs:SIGN crypto counter; e2ebench reads crypto::stats::snapshot() (ROADMAP item 2)
+crates/crypto/src/stats.rs:TABLE_BUILDS crypto counter; e2ebench reads crypto::stats::snapshot() (ROADMAP item 2)
+crates/crypto/src/stats.rs:TABLE_HITS crypto counter; e2ebench reads crypto::stats::snapshot() (ROADMAP item 2)
+crates/ontology/src/stats.rs:DIRECT_HITS ontology counter; e2ebench reads ontology::stats::snapshot() (ROADMAP item 2)
+crates/ontology/src/stats.rs:SIMILARITY_SCANS ontology counter; e2ebench reads ontology::stats::snapshot() (ROADMAP item 2)
+crates/ontology/src/stats.rs:REFERENCE_SCANS ontology counter; e2ebench reads ontology::stats::snapshot() (ROADMAP item 2)
+crates/ontology/src/stats.rs:INDEX_CANDIDATES ontology counter; e2ebench reads ontology::stats::snapshot() (ROADMAP item 2)
+crates/ontology/src/stats.rs:INDEX_PRUNED ontology counter; e2ebench reads ontology::stats::snapshot() (ROADMAP item 2)
+crates/ontology/src/stats.rs:INDEX_BUILDS ontology counter; e2ebench reads ontology::stats::snapshot() (ROADMAP item 2)
+crates/crypto/src/fastexp.rs:G_TABLE fixed-base window table of the group generator, built once per process
+crates/crypto/src/fastexp.rs:KEY_TABLES bounded per-key window-table cache, counted as crypto.table_builds (ROADMAP item 2)
+crates/crypto/src/fastexp.rs:TLS_TABLES per-thread direct-mapped front of KEY_TABLES
+crates/journal/src/frame.rs:CRC_TABLES slicing-by-8 CRC-32 tables, computed at compile time
+crates/obs/src/metrics.rs:NEXT_SHARD round-robin source of each thread's metric shard index
+crates/obs/src/metrics.rs:THREAD_SHARD each thread's metric shard index
+LIST
+)
+if grep -rnE '^\s*(pub(\([a-z]+\))? )?static |thread_local!\s*[({]\s*(pub(\([a-z]+\))? )?static ' \
+  src $(ls -d crates/*/src | grep -v '^crates/bench/') \
+  | sed -E 's/^([^:]+):[0-9]+:.*static (mut )?([A-Za-z_][A-Za-z0-9_]*).*/\1:\3/' \
+  | grep -vxF "$allowed_statics"; then
+  echo "product code declares a static or thread_local! not on the list (see above)" >&2
+  exit 1
+fi
 # One build: no manifest declares a Cargo feature or an optional
 # dependency, so every binary, test and benchmark compiles the same
 # program. Instrumentation and journaling are runtime values (an attached
@@ -109,8 +141,8 @@ cmp target/journal-digest-a.txt tests/golden/journal_workload.txt
 cargo run --release -p trust-vo-bench --bin journal_workload -- --smoke --seed 42
 # Indexed mapping-engine gate (E5b): the similarity-fallback speedup
 # floor at n=800 and the n=10000 completeness check are asserted
-# in-binary. (tests/memo_off.rs proves mapping outcomes identical with
-# the memo off, cold and hot.)
+# in-binary. (crates/ontology/tests/differential.rs proves the indexed
+# Algorithm 1 outcome-identical to the naive reference scans.)
 cargo run --release -p trust-vo-bench --bin ontology_bench -- --smoke
 # Adversarial-load gates (E14). The smoke run asserts in-binary that the
 # flooding identity is rate-limited (budget_exhausted faults observed)

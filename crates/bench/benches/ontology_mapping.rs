@@ -1,17 +1,12 @@
 //! E5 — Algorithm 1 mapping cost: direct concept lookups vs. the Jaccard
-//! similarity fallback (lines 20–29), over growing ontologies.
-//!
-//! The mapping memo is disabled for the whole process: these benches
-//! measure the per-request engine cost (direct lookup / indexed scan),
-//! not the memo hit path — `ontology_bench` covers the memoized regime.
+//! similarity fallback (lines 20–29), over growing ontologies. Every
+//! iteration runs the per-request engine (direct lookup / indexed scan).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use trust_vo_bench::workloads::{self, map_concept, SIMILARITY_THRESHOLD};
-use trust_vo_ontology::MapMemo;
 
 fn bench_direct_lookup(c: &mut Criterion) {
-    MapMemo::global().set_enabled(false);
     let mut group = c.benchmark_group("ontology_direct");
     for n in [10usize, 50, 200, 800, 3200, 10_000] {
         let w = workloads::ontology_workload(n, 0);
@@ -31,7 +26,6 @@ fn bench_direct_lookup(c: &mut Criterion) {
 }
 
 fn bench_similarity_fallback(c: &mut Criterion) {
-    MapMemo::global().set_enabled(false);
     let mut group = c.benchmark_group("ontology_similarity");
     for n in [10usize, 50, 200, 800, 3200, 10_000] {
         let w = workloads::ontology_workload(n, n);

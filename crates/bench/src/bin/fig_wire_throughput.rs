@@ -134,14 +134,13 @@ fn codec_round(envelopes: &[Envelope], count: usize) -> (f64, f64, f64) {
         }
         xml_secs += t.elapsed().as_secs_f64();
 
-        // Binary path: encode + frame (crc32) + unframe + decode, per
-        // message, so every iteration pays the full encode, same as the
-        // XML side.
+        // Binary path: encode into the frame (crc32) + unframe + decode,
+        // per message — the encode every bus call makes — so every
+        // iteration pays the full encode, same as the XML side.
         let t = Instant::now();
         for i in chunk {
             let env = &envelopes[i % envelopes.len()];
-            let mut frame = Vec::new();
-            trust_vo_journal::frame::push_record(&mut frame, &wire::encode_envelope(env));
+            let frame = wire::frame_envelope(env);
             let back = wire::unframe_envelope(&frame).expect("clean frame");
             bin_checksum += back.operation.len();
         }

@@ -1,19 +1,16 @@
 //! E5b — the indexed Algorithm 1 engine at scale.
 //!
 //! Measures the similarity-fallback mapping rate on all-paraphrased
-//! workloads at n ∈ {800, 3200, 10000} concepts in three regimes:
+//! workloads at n ∈ {800, 3200, 10000} concepts in two regimes:
 //!
 //! * **reference** — the seed's naive `match_concept_reference` scan
 //!   (re-tokenizes every concept per request);
-//! * **indexed** — the full `MappingEngine` with the mapping memo
-//!   disabled (inverted-index scan + closure-backed credential lookup);
-//! * **memoized** — the full engine with the memo hot.
+//! * **indexed** — the full Algorithm 1, `map_concept` (inverted-index
+//!   scan + closure-backed credential lookup).
 //!
 //! Writes `BENCH_ontology.json` (not in `--smoke`) and asserts the E5b
-//! floors in-binary: indexed ≥ 10x reference at n=800, the n=10000
-//! workload completes with every request mapped, and memo hits are far
-//! cheaper than cold maps. The workspace test `tests/memo_off.rs` proves
-//! that the memo changes mapping cost, never mapping results.
+//! floors in-binary: indexed ≥ 10x reference at n=800, and the n=10000
+//! workload completes with every request mapped.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -21,7 +18,7 @@ use trust_vo_bench::obsutil::{publish_ontology_metrics, ObsArgs};
 use trust_vo_bench::report::Report;
 use trust_vo_bench::workloads::{self, map_concept, SIMILARITY_THRESHOLD};
 use trust_vo_obs::Collector;
-use trust_vo_ontology::{match_concept_reference, MapMemo, MappingEngine};
+use trust_vo_ontology::match_concept_reference;
 
 /// Time `iters` runs of `f`, three times, and return the best ops/s (the
 /// first repetition doubles as warmup; see `crypto_bench::measure`).
@@ -51,7 +48,6 @@ fn fmt_ops(ops: f64) -> String {
 fn main() {
     let args = ObsArgs::from_env();
     let scale: u64 = if args.smoke { 1 } else { 8 };
-    let memo = MapMemo::global();
     let mut report = Report::new(
         "E5b",
         "Indexed Algorithm 1 at scale: similarity-fallback mapping rates",
@@ -59,7 +55,6 @@ fn main() {
     );
 
     let mut speedup_800 = 0f64;
-    let mut memo_vs_cold_800 = 0f64;
     let mut completed_10k = false;
     // Smoke keeps the two floor-bearing sizes; the full run adds the
     // middle point for the E5b table.
@@ -84,27 +79,17 @@ fn main() {
             ));
         });
 
-        // Indexed engine, memo cold on every request (disabled).
-        memo.set_enabled(false);
-        let engine = MappingEngine::new(&w.ontology, &w.profile, SIMILARITY_THRESHOLD);
-        engine.map(pick(0)); // build the index outside the timed region
+        // Indexed engine: Algorithm 1 in full on every request.
+        let map =
+            |request: &str| map_concept(&w.ontology, &w.profile, request, SIMILARITY_THRESHOLD);
+        map(pick(0)); // build the index outside the timed region
         let indexed_ops = measure(400 * scale, |i| {
-            black_box(engine.map(pick(i)));
-        });
-
-        // Memo hot: same requests, answered from the memo.
-        memo.set_enabled(true);
-        for request in &sample {
-            engine.map(request);
-        }
-        let memo_ops = measure(4_000 * scale, |i| {
-            black_box(engine.map(pick(i)));
+            black_box(map(pick(i)));
         });
 
         let speedup = indexed_ops / reference_ops;
         if n == 800 {
             speedup_800 = speedup;
-            memo_vs_cold_800 = memo_ops / indexed_ops;
         }
         report.row(
             &format!("reference (n={n})"),
@@ -122,24 +107,12 @@ fn main() {
                 "inverted token index + closure bitsets".into(),
             ],
         );
-        report.row(
-            &format!("memoized (n={n})"),
-            &[
-                fmt_ops(memo_ops),
-                format!("{:.1}x", memo_ops / reference_ops),
-                "MapMemo hit".into(),
-            ],
-        );
 
         // Completeness: one full pass over every request must map all of
         // them (the paraphrase resolves to its concept at the shared
         // threshold).
         let started = Instant::now();
-        let mapped = w
-            .requests
-            .iter()
-            .filter(|r| map_concept(&w.ontology, &w.profile, r, SIMILARITY_THRESHOLD).is_mapped())
-            .count();
+        let mapped = w.requests.iter().filter(|r| map(r).is_mapped()).count();
         let us_per_request = started.elapsed().as_secs_f64() * 1e6 / n as f64;
         assert_eq!(mapped, n, "n={n}: {} requests failed to map", n - mapped);
         if n == 10_000 {
@@ -181,8 +154,4 @@ fn main() {
         "n=800 indexed similarity fallback {speedup_800:.1}x below the 10x floor"
     );
     assert!(completed_10k, "n=10000 workload did not complete");
-    assert!(
-        memo_vs_cold_800 >= 2.0,
-        "memo hits only {memo_vs_cold_800:.1}x over cold maps at n=800"
-    );
 }

@@ -57,7 +57,7 @@ fn main() {
     }
     report.note(
         "similarity fallback runs one inverted-index scan per request (O(candidates)); \
-         direct lookup is O(log concepts); repeats hit the mapping memo",
+         direct lookup is O(log concepts); every request runs Algorithm 1 in full",
     );
     report.print();
 }

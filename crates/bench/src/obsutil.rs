@@ -175,10 +175,10 @@ pub fn publish_crypto_metrics(collector: &Collector) {
     set_total("credcache.evictions", cache.evictions);
 }
 
-/// Publish the process-wide ontology-engine totals — `ontology.*`
-/// mapping/index counters and `mapmemo.*` mapping-memo counters — into
-/// `collector`'s metrics registry. Same idempotent bring-up-to-total
-/// contract as [`publish_crypto_metrics`].
+/// Publish the process-wide ontology-engine totals — the `ontology.*`
+/// mapping and index counters — into `collector`'s metrics registry.
+/// Same idempotent bring-up-to-total contract as
+/// [`publish_crypto_metrics`].
 pub fn publish_ontology_metrics(collector: &Collector) {
     let Some(registry) = collector.registry() else {
         return;
@@ -194,11 +194,6 @@ pub fn publish_ontology_metrics(collector: &Collector) {
     set_total("ontology.index_candidates", onto.index_candidates);
     set_total("ontology.index_pruned", onto.index_pruned);
     set_total("ontology.index_builds", onto.index_builds);
-    let memo = trust_vo_ontology::MapMemo::global().stats();
-    set_total("mapmemo.hits", memo.hits);
-    set_total("mapmemo.misses", memo.misses);
-    set_total("mapmemo.insertions", memo.insertions);
-    set_total("mapmemo.evictions", memo.evictions);
 }
 
 #[cfg(test)]

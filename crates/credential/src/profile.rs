@@ -8,49 +8,16 @@
 use crate::credential::{Credential, CredentialId};
 use crate::sensitivity::Sensitivity;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use trust_vo_xmldoc::{Element, Node};
 
-/// Process-unique profile identities (see [`XProfile::cache_id`]).
-static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(1);
-
-/// A party's X-Profile: its credentials plus sensitivity labels.
-#[derive(Debug)]
+/// A party's X-Profile: its credentials plus sensitivity labels. Plain
+/// data: a clone is an independent copy with no identity of its own.
+#[derive(Debug, Clone, Default)]
 pub struct XProfile {
     /// The owning party's display name.
     pub owner: String,
     credentials: Vec<Credential>,
     sensitivity: HashMap<CredentialId, Sensitivity>,
-    /// Process-unique identity for memo keying; fresh per clone.
-    cache_id: u64,
-    /// Mutation counter; bumped whenever the credential set changes.
-    generation: u64,
-}
-
-impl Default for XProfile {
-    fn default() -> Self {
-        XProfile {
-            owner: String::new(),
-            credentials: Vec::new(),
-            sensitivity: HashMap::new(),
-            cache_id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
-            generation: 0,
-        }
-    }
-}
-
-impl Clone for XProfile {
-    fn clone(&self) -> Self {
-        XProfile {
-            owner: self.owner.clone(),
-            credentials: self.credentials.clone(),
-            sensitivity: self.sensitivity.clone(),
-            // A fresh id: clones that later diverge must never alias in
-            // caches keyed on `(cache_id, generation)`.
-            cache_id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
-            generation: self.generation,
-        }
-    }
 }
 
 impl XProfile {
@@ -66,7 +33,6 @@ impl XProfile {
     pub fn add_with_sensitivity(&mut self, cred: Credential, label: Sensitivity) {
         self.sensitivity.insert(cred.id().clone(), label);
         self.credentials.push(cred);
-        self.generation += 1;
     }
 
     /// Add a credential with the default (low) sensitivity.
@@ -78,20 +44,7 @@ impl XProfile {
     pub fn remove(&mut self, id: &CredentialId) -> Option<Credential> {
         let idx = self.credentials.iter().position(|c| c.id() == id)?;
         self.sensitivity.remove(id);
-        self.generation += 1;
         Some(self.credentials.remove(idx))
-    }
-
-    /// The process-unique identity of this instance (fresh per clone),
-    /// used with [`XProfile::generation`] to key caches on the profile's
-    /// exact content state.
-    pub fn cache_id(&self) -> u64 {
-        self.cache_id
-    }
-
-    /// The mutation counter: bumped whenever the credential set changes.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// All credentials.

@@ -3,7 +3,7 @@
 //! Facts are deliberately domain-light — collections and documents are
 //! named by strings and a document travels as the opaque bytes of its
 //! canonical binary encoding (`xmldoc::binary`), the same bytes the
-//! store keeps — so the journal crate sits below `store`, `ontology`,
+//! store keeps — so the journal crate sits below `store`, `admission`
 //! and `soa` without depending on any of them.
 
 use std::sync::Arc;
@@ -39,15 +39,6 @@ pub enum Fact {
         /// The document id within the collection.
         id: String,
     },
-    /// A resolved concept pair from the mapping memo: `alias` (the
-    /// counterpart's name) resolved to the local `canonical` concept —
-    /// replayable as the paper's §4.3 dictionary.
-    Mapping {
-        /// The requested (foreign) concept name.
-        alias: String,
-        /// The local concept it resolved to.
-        canonical: String,
-    },
     /// A party's reputation score after one recorded outcome (spilled by
     /// the admission scoring engine). The *resulting* state is journaled,
     /// not the outcome, so replay restores the exact score even if the
@@ -80,11 +71,11 @@ pub enum Fact {
     },
 }
 
-// Tag 1 was a `Put` carrying XML text. It is retired, never reused: a
-// log written before the binary `Put` replays up to its first `Put`
-// and stops there, as at any undecodable record.
+// Tag 1 was a `Put` carrying XML text, and tag 3 a concept-mapping
+// pair spilled by the retired mapping memo. Both are retired, never
+// reused: a log holding either replays up to that record and stops
+// there, as at any undecodable record.
 const TAG_DELETE: u8 = 2;
-const TAG_MAPPING: u8 = 3;
 const TAG_REPUTATION: u8 = 4;
 const TAG_MANA: u8 = 5;
 const TAG_PUT: u8 = 6;
@@ -143,14 +134,15 @@ impl Fact {
         )
     }
 
-    /// For a fact that records a party's resulting state (`Reputation`,
-    /// `Mana`), the state it sets: a later fact with the same key makes
-    /// this one redundant.
+    /// For a fact that is not the document store's, the party state it
+    /// sets: each (`Reputation`, `Mana`) records resulting state, so a
+    /// later fact with the same key makes this one redundant. `None` for
+    /// the store's facts.
     pub(crate) fn state_key(&self) -> Option<(u8, &str)> {
         match self {
             Fact::Reputation { party, .. } => Some((TAG_REPUTATION, party)),
             Fact::Mana { party, .. } => Some((TAG_MANA, party)),
-            _ => None,
+            Fact::Put { .. } | Fact::Delete { .. } | Fact::Purge { .. } => None,
         }
     }
 
@@ -176,11 +168,6 @@ impl Fact {
                 out.push(TAG_PURGE);
                 put_str(out, collection);
                 put_str(out, id);
-            }
-            Fact::Mapping { alias, canonical } => {
-                out.push(TAG_MAPPING);
-                put_str(out, alias);
-                put_str(out, canonical);
             }
             Fact::Reputation {
                 party,
@@ -234,10 +221,6 @@ impl Fact {
                 collection: get_str(bytes, pos)?,
                 id: get_str(bytes, pos)?,
             }),
-            TAG_MAPPING => Some(Fact::Mapping {
-                alias: get_str(bytes, pos)?,
-                canonical: get_str(bytes, pos)?,
-            }),
             TAG_REPUTATION => Some(Fact::Reputation {
                 party: get_str(bytes, pos)?,
                 score_bits: get_u64(bytes, pos)?,
@@ -281,10 +264,6 @@ mod tests {
         roundtrip(&Fact::Purge {
             collection: "checkpoints".into(),
             id: "7".into(),
-        });
-        roundtrip(&Fact::Mapping {
-            alias: "Bilancio".into(),
-            canonical: "BalanceSheet".into(),
         });
         roundtrip(&Fact::Put {
             collection: String::new(),
@@ -360,6 +339,17 @@ mod tests {
         assert!(Fact::decode(&old, &mut 0).is_none());
     }
 
+    #[test]
+    fn retired_mapping_tag_is_unknown() {
+        // Tag 3 carried an alias → canonical concept pair; its records no
+        // longer decode.
+        let mut old = vec![3];
+        for s in ["Bilancio", "BalanceSheet"] {
+            put_str(&mut old, s);
+        }
+        assert!(Fact::decode(&old, &mut 0).is_none());
+    }
+
     proptest! {
         #[test]
         fn roundtrip_arbitrary_strings(
@@ -367,8 +357,7 @@ mod tests {
         ) {
             roundtrip(&Fact::Put { collection: c.clone(), id: i.clone(), doc: d.into() });
             roundtrip(&Fact::Delete { collection: c.clone(), id: i.clone() });
-            roundtrip(&Fact::Purge { collection: c.clone(), id: i.clone() });
-            roundtrip(&Fact::Mapping { alias: c, canonical: i });
+            roundtrip(&Fact::Purge { collection: c, id: i });
         }
 
         /// `store_fact_len` is the encoded length of a store fact.

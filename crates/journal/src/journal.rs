@@ -211,8 +211,8 @@ impl Journal {
     /// store's facts are replaced by `store_snapshot` (the store facts
     /// that rebuild its current state), and every other producer's facts
     /// in the log's clean prefix are carried forward after it, in log
-    /// order — every `Mapping`, and the last `Reputation` and `Mana` fact
-    /// per party, since those record resulting state. The old log is read
+    /// order: the last `Reputation` and the last `Mana` fact per party,
+    /// since each records resulting state. The old log is read
     /// and the new one written under the append lock, so a fact another
     /// producer appends concurrently is either carried or appended after
     /// the snapshot, never lost. A log with no [`Journal::foreign_bytes`]
@@ -387,8 +387,7 @@ fn decode_payload(payload: &[u8]) -> Option<Vec<Fact>> {
 /// supersedes. The prefix is the one [`Journal::replay_bytes`] restores,
 /// so a compaction carries nothing that replay would not.
 fn carried_facts(log: &[u8]) -> Vec<Fact> {
-    let mut facts = Journal::replay_bytes(log).facts;
-    facts.retain(|fact| !fact.is_store());
+    let facts = Journal::replay_bytes(log).facts;
     let mut last = HashMap::new();
     for (i, fact) in facts.iter().enumerate() {
         if let Some(key) = fact.state_key() {
@@ -398,7 +397,7 @@ fn carried_facts(log: &[u8]) -> Vec<Fact> {
     let keep: Vec<bool> = facts
         .iter()
         .enumerate()
-        .map(|(i, fact)| fact.state_key().is_none_or(|key| last[&key] == i))
+        .map(|(i, fact)| fact.state_key().is_some_and(|key| last[&key] == i))
         .collect();
     facts
         .into_iter()
@@ -444,9 +443,11 @@ mod tests {
                 collection: "c".into(),
                 id: "d1".into(),
             },
-            Fact::Mapping {
-                alias: "Bilancio".into(),
-                canonical: "BalanceSheet".into(),
+            Fact::Reputation {
+                party: "P".into(),
+                score_bits: 0.5_f64.to_bits(),
+                events: 1,
+                at_us: 1,
             },
         ];
         for f in &facts {
@@ -546,10 +547,6 @@ mod tests {
 
     #[test]
     fn compaction_carries_other_producers_facts() {
-        let mapping = Fact::Mapping {
-            alias: "Bilancio".into(),
-            canonical: "BalanceSheet".into(),
-        };
         let reputation = |party: &str, events: u64| Fact::Reputation {
             party: party.into(),
             score_bits: 0.5_f64.to_bits(),
@@ -565,7 +562,7 @@ mod tests {
         let log = [
             put(1),
             reputation("P", 1),
-            mapping.clone(),
+            reputation("R", 1),
             mana(1),
             reputation("P", 2),
             put(2),
@@ -585,9 +582,14 @@ mod tests {
         assert_eq!(salvaged.foreign_bytes(), j.len_bytes());
 
         j.compact(&[put(9)]);
-        // The store's facts are replaced; the mapping and the last
-        // reputation / mana fact per party follow, in log order.
-        let carried = [mapping, reputation("P", 2), mana(2), reputation("Q", 1)];
+        // The store's facts are replaced; the last reputation / mana fact
+        // per party follows, in log order.
+        let carried = [
+            reputation("R", 1),
+            reputation("P", 2),
+            mana(2),
+            reputation("Q", 1),
+        ];
         let mut want = vec![put(9)];
         want.extend(carried.iter().cloned());
         assert_eq!(j.replay().facts, want);
@@ -603,9 +605,10 @@ mod tests {
 
     #[test]
     fn compaction_carries_only_the_replayable_prefix() {
-        let mapping = |alias: &str| Fact::Mapping {
-            alias: alias.into(),
-            canonical: "C".into(),
+        let mana = |party: &str| Fact::Mana {
+            party: party.into(),
+            tokens_bits: 1.0_f64.to_bits(),
+            at_us: 0,
         };
         // A checksum-valid record that does not decode: a `Delete` whose
         // id is not UTF-8. Replay ends before it, and so must the carry.
@@ -616,17 +619,17 @@ mod tests {
         .encoded();
         *bad.last_mut().unwrap() = 0xff;
         let j = Journal::in_memory();
-        j.append(&mapping("before"));
+        j.append(&mana("before"));
         let mut log = j.bytes();
         frame::push_record(&mut log, &[&[KIND_FACT][..], &bad].concat());
         let after = Journal::from_bytes(log);
-        after.append(&mapping("after"));
+        after.append(&mana("after"));
         let replay = Journal::replay_bytes(&after.bytes());
         assert!(replay.truncated);
-        assert_eq!(replay.facts, vec![mapping("before")]);
+        assert_eq!(replay.facts, vec![mana("before")]);
 
         after.compact(&[put(9)]);
-        assert_eq!(after.replay().facts, vec![put(9), mapping("before")]);
+        assert_eq!(after.replay().facts, vec![put(9), mana("before")]);
     }
 
     #[test]
@@ -635,17 +638,18 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("compact.journal");
         let _ = std::fs::remove_file(&path);
-        let mapping = Fact::Mapping {
-            alias: "a".into(),
-            canonical: "A".into(),
+        let mana = Fact::Mana {
+            party: "a".into(),
+            tokens_bits: 1.0_f64.to_bits(),
+            at_us: 0,
         };
         let j = Journal::open(&path).unwrap();
         j.append(&put(1));
-        j.append(&mapping);
+        j.append(&mana);
         j.append(&put(2));
         j.compact(&[put(1), put(2)]);
         j.append(&put(3));
-        let want = vec![put(1), put(2), mapping.clone(), put(3)];
+        let want = vec![put(1), put(2), mana.clone(), put(3)];
         assert_eq!(j.replay().facts, want);
         assert_eq!(j.len_bytes(), std::fs::metadata(&path).unwrap().len());
         drop(j);
@@ -660,7 +664,7 @@ mod tests {
         assert!(!staging_path(&path).exists(), "the rename consumed it");
         assert_eq!(
             Journal::open(&path).unwrap().replay().facts,
-            vec![put(1), put(2), put(3), put(4), mapping]
+            vec![put(1), put(2), put(3), put(4), mana]
         );
         std::fs::remove_file(&path).unwrap();
     }

@@ -1,5 +1,5 @@
 //! The append-only **fact journal**: the durable substrate behind the
-//! store, the mapping memo, and negotiation checkpoints.
+//! store, negotiation checkpoints and the admission layer.
 //!
 //! The paper's toolkit "adopts MySQL as storage support" (§6.3) so that
 //! VOs, members, and membership certificates survive restarts. This crate
@@ -8,25 +8,24 @@
 //! CRC-checksummed record, and recovery is a deterministic replay of the
 //! longest clean record prefix.
 //!
-//! Three producers spill into one journal:
+//! Two producers spill into one journal:
 //!
 //! * the multi-versioned document [`Database`](../trust_vo_store) — every
 //!   `put`/`delete`/`purge` becomes a [`Fact::Put`]/[`Fact::Delete`]/
 //!   [`Fact::Purge`]. A `Put` carries the document's canonical binary
 //!   encoding, the very bytes the store keeps for that revision, so
 //!   neither journaling nor replay writes or parses XML; replay
-//!   reconstructs revision histories exactly,
-//! * the `MapMemo` — resolved concept pairs become [`Fact::Mapping`]
-//!   entries, recoverable as the paper's §4.3 *dictionary*,
-//! * phase-2 negotiation checkpoints — the TN service persists them
-//!   through the journaled database, so a restarted process resumes live
-//!   negotiations through the signed resume-token path.
+//!   reconstructs revision histories exactly. Phase-2 negotiation
+//!   checkpoints ride this path: the TN service persists them through the
+//!   journaled database, so a restarted process resumes live
+//!   negotiations through the signed resume-token path,
+//! * the admission layer — its mana ledger and scoring engine spill
+//!   [`Fact::Mana`] and [`Fact::Reputation`], each a party's resulting
+//!   state.
 //!
-//! The admission layer's mana ledger and scoring engine can spill
-//! [`Fact::Mana`] and [`Fact::Reputation`] into the same journal.
-//! [`Journal::compact`] replaces only the store's facts and carries every
-//! other producer's forward, so compacting a shared journal loses no
-//! consumer's state.
+//! [`Journal::compact`] replaces only the store's facts and carries the
+//! last `Reputation` and `Mana` fact per party forward, so compacting a
+//! shared journal loses no consumer's state.
 //!
 //! # Torn-tail semantics
 //!

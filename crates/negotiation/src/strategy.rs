@@ -9,12 +9,16 @@
 //! The strategies differ in *what is revealed while negotiating*, not in
 //! whether a satisfiable negotiation succeeds (all four are complete):
 //!
-//! | strategy          | reveals "I lack X" | batches alternatives | ownership proofs | policies for unheld creds |
-//! |-------------------|--------------------|----------------------|------------------|---------------------------|
-//! | Trusting          | yes                | yes (all at once)    | no               | disclosed                 |
-//! | Standard          | yes                | no (one at a time)   | no               | disclosed                 |
-//! | Suspicious        | no                 | no                   | yes              | withheld                  |
-//! | StrongSuspicious  | no                 | no                   | yes              | withheld + minimal terms  |
+//! | strategy          | reveals "I lack X" | batches alternatives | ownership proofs | terms per message |
+//! |-------------------|--------------------|----------------------|------------------|-------------------|
+//! | Trusting          | yes                | yes (all at once)    | no               | whole policy      |
+//! | Standard          | yes                | no (one at a time)   | no               | whole policy      |
+//! | Suspicious        | no                 | no                   | yes              | whole policy      |
+//! | StrongSuspicious  | no                 | no                   | yes              | one               |
+//!
+//! No strategy requests or discloses a policy for a credential its holder
+//! lacks: phase 1 recurses only into credentials the counterpart holds
+//! (the engine takes each term's candidates from `Party::satisfying`).
 //!
 //! §6.3 adds a format constraint: "A drawback of using X509 v2 credentials
 //! is that only the standard and trusting negotiation strategies can be
@@ -73,13 +77,6 @@ impl Strategy {
     /// Does the strategy demand an ownership proof with every disclosed
     /// credential?
     pub fn requires_ownership_proof(self) -> bool {
-        matches!(self, Strategy::Suspicious | Strategy::StrongSuspicious)
-    }
-
-    /// Does the strategy withhold disclosure policies that protect
-    /// credentials the party does not actually hold (avoiding the leak
-    /// "party P has a policy about X ⇒ P probably has X")?
-    pub fn withholds_unheld_policies(self) -> bool {
         matches!(self, Strategy::Suspicious | Strategy::StrongSuspicious)
     }
 

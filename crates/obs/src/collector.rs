@@ -397,12 +397,6 @@ impl ObsContext {
         Self::default()
     }
 
-    /// Returns this context re-parented under `parent`.
-    pub fn with_parent(mut self, parent: Option<u64>) -> Self {
-        self.parent = parent;
-        self
-    }
-
     /// Returns this context tagged with a trace id: spans it opens
     /// belong to that trace (0 leaves them untraced).
     pub fn with_trace(mut self, trace_id: u64) -> Self {

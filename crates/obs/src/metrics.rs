@@ -159,11 +159,6 @@ impl Histogram {
         }
     }
 
-    /// Creates a histogram with [`DEFAULT_LATENCY_BOUNDS_US`].
-    pub fn with_default_bounds() -> Self {
-        Self::new(DEFAULT_LATENCY_BOUNDS_US)
-    }
-
     /// Records one sample.
     pub fn record(&self, v: u64) {
         let idx = self.inner.bounds.partition_point(|&b| b < v);

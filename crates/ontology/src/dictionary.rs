@@ -11,6 +11,10 @@
 //! similarity fallback: an exact alias hit is cheaper and more precise
 //! than fuzzy matching, and lets parties "employ local naming schemas,
 //! without worrying about mapping issues".
+//!
+//! A dictionary holds only the aliases its owner registers. Nothing fills
+//! it from mapping results, so it is not journaled: whoever builds it
+//! rebuilds it after a restart.
 
 use crate::graph::Ontology;
 use crate::mapping::{map_concept, MappingOutcome};
@@ -58,23 +62,6 @@ fn normalize(name: &str) -> String {
         .filter(|c| c.is_alphanumeric())
         .flat_map(char::to_lowercase)
         .collect()
-}
-
-/// Rebuild a dictionary from a journal's replayed [`Mapping`] facts: every
-/// similarity resolution the memo spilled (see `MapMemo::attach_journal`)
-/// becomes an alias, so a restarted party answers the same foreign names
-/// by exact lookup instead of re-running the similarity scan. Non-mapping
-/// facts (store puts/deletes) are skipped.
-///
-/// [`Mapping`]: trust_vo_journal::Fact::Mapping
-pub fn dictionary_from_journal(journal: &trust_vo_journal::Journal) -> Dictionary {
-    let mut dictionary = Dictionary::new();
-    for fact in journal.replay().facts {
-        if let trust_vo_journal::Fact::Mapping { alias, canonical } = fact {
-            dictionary.alias(&alias, canonical);
-        }
-    }
-    dictionary
 }
 
 /// Algorithm 1 with a dictionary front-end: try the dictionary first; on a
@@ -183,63 +170,6 @@ mod tests {
     fn fallback_to_plain_mapping_when_no_alias() {
         let (o, d, p) = setup();
         let out = map_concept_with_dictionary(&o, &d, &p, "BalanceSheet", 0.25);
-        assert!(out.is_mapped());
-    }
-
-    /// A similarity resolution journaled through a private memo is
-    /// recoverable as a dictionary entry: the restarted party resolves the
-    /// foreign name by exact lookup, matching the original mapping.
-    #[test]
-    fn journaled_resolutions_rebuild_the_dictionary() {
-        use crate::concept::Concept;
-        use crate::mapping::MappingEngine;
-        use crate::memo::MapMemo;
-        use std::sync::Arc;
-        use trust_vo_journal::Journal;
-
-        let mut o = Ontology::new();
-        o.add(
-            Concept::new("QualityCertification")
-                .keyword("ISO 9000")
-                .implemented_by("ISO9000Certified"),
-        );
-        let mut ca = CredentialAuthority::new("INFN");
-        let keys = KeyPair::from_seed(b"holder");
-        let mut p = XProfile::new("holder");
-        p.add(
-            ca.issue(
-                "ISO9000Certified",
-                "holder",
-                keys.public,
-                vec![Attribute::new("QualityRegulation", "UNI EN ISO 9000")],
-                TimeRange::one_year_from(Timestamp::from_ymd_hms(2009, 1, 1, 0, 0, 0)),
-            )
-            .unwrap(),
-        );
-
-        let journal = Arc::new(Journal::in_memory());
-        let memo = MapMemo::new(4, 64);
-        memo.attach_journal(journal.clone());
-        let engine = MappingEngine::new(&o, &p, 0.3).with_memo(&memo);
-
-        // Foreign naming schema resolves via similarity — and spills.
-        let out = engine.map("Quality_Certification_ISO9000");
-        assert!(out.is_mapped());
-        // A direct hit spills nothing (its alias is its canonical name),
-        // and a repeat request hits the memo without re-journaling.
-        assert!(engine.map("QualityCertification").is_mapped());
-        engine.map("Quality_Certification_ISO9000");
-        assert_eq!(journal.stats().appends, 1);
-
-        // "Restart": the dictionary recovered from the journal answers the
-        // foreign name by exact lookup.
-        let recovered = dictionary_from_journal(&journal);
-        assert_eq!(
-            recovered.resolve("Quality_Certification_ISO9000"),
-            Some("QualityCertification")
-        );
-        let out =
-            map_concept_with_dictionary(&o, &recovered, &p, "Quality_Certification_ISO9000", 0.3);
         assert!(out.is_mapped());
     }
 

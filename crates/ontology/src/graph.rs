@@ -9,57 +9,24 @@
 use crate::concept::Concept;
 use crate::index::ConceptIndex;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
-
-/// Process-unique cache identities (see [`Ontology::cache_id`]).
-static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(1);
+use std::sync::{Arc, OnceLock};
 
 /// A party's local ontology: a set of named concepts and `is_a` edges.
 ///
 /// Queries that scan or traverse — similarity matching, `is_subconcept`,
 /// `credential_types_for` — run against a lazily-built
 /// `ConceptIndex` (token interner, inverted token index, subsumption
-/// closure bitsets). The index carries the generation it was built at and
-/// is rebuilt on first use after any mutation, so `&self` queries always
-/// see current data.
+/// closure bitsets). Only `add` and `add_is_a` change the ontology, and
+/// both take `&mut self` and drop the index, so an index that is present
+/// is current and `&self` queries always see current data. A clone shares
+/// the built index, which depends on content only.
+#[derive(Clone, Default)]
 pub struct Ontology {
     concepts: BTreeMap<String, Concept>,
     /// `is_a` edges: child concept name → parent concept names.
     parents: BTreeMap<String, BTreeSet<String>>,
-    /// Process-unique identity for memo keying; fresh per clone.
-    cache_id: u64,
-    /// Mutation counter; bumped by `add` / `add_is_a`.
-    generation: u64,
-    /// The index snapshot, if built; stale when its generation lags.
-    index: RwLock<Option<Arc<ConceptIndex>>>,
-}
-
-impl Default for Ontology {
-    fn default() -> Self {
-        Ontology {
-            concepts: BTreeMap::new(),
-            parents: BTreeMap::new(),
-            cache_id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
-            generation: 0,
-            index: RwLock::new(None),
-        }
-    }
-}
-
-impl Clone for Ontology {
-    fn clone(&self) -> Self {
-        Ontology {
-            concepts: self.concepts.clone(),
-            parents: self.parents.clone(),
-            // A fresh id: clones that later diverge must never alias in
-            // the mapping memo. The built index (if current) is shared —
-            // it only depends on content.
-            cache_id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
-            generation: self.generation,
-            index: RwLock::new(self.index.read().expect("ontology index lock").clone()),
-        }
-    }
+    /// The index of the current content, once a query has built it.
+    index: OnceLock<Arc<ConceptIndex>>,
 }
 
 impl std::fmt::Debug for Ontology {
@@ -67,7 +34,6 @@ impl std::fmt::Debug for Ontology {
         f.debug_struct("Ontology")
             .field("concepts", &self.concepts)
             .field("parents", &self.parents)
-            .field("generation", &self.generation)
             .finish_non_exhaustive()
     }
 }
@@ -82,7 +48,7 @@ impl Ontology {
     /// and adds more concepts to it as needed."
     pub fn add(&mut self, concept: Concept) {
         self.concepts.insert(concept.name.clone(), concept);
-        self.invalidate();
+        self.index.take();
     }
 
     /// Declare `child is_a parent`. Returns `false` (and does nothing) if
@@ -101,49 +67,14 @@ impl Ontology {
             .entry(child.to_owned())
             .or_default()
             .insert(parent.to_owned());
-        self.invalidate();
+        self.index.take();
         true
     }
 
-    /// Bump the generation and drop the stale index snapshot. Memo
-    /// entries keyed on the old `(cache_id, generation)` pair become
-    /// unreachable at the same instant.
-    fn invalidate(&mut self) {
-        self.generation += 1;
-        *self.index.get_mut().expect("ontology index lock") = None;
-    }
-
-    /// The process-unique identity of this instance (fresh per clone),
-    /// used with [`Ontology::generation`] to key the mapping memo.
-    pub fn cache_id(&self) -> u64 {
-        self.cache_id
-    }
-
-    /// The mutation counter: bumped by every `add` / `add_is_a`.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The current index snapshot, building it if absent or stale.
-    pub(crate) fn index(&self) -> Arc<ConceptIndex> {
-        if let Some(index) = self.index.read().expect("ontology index lock").as_ref() {
-            if index.built_generation() == self.generation {
-                return index.clone();
-            }
-        }
-        let mut guard = self.index.write().expect("ontology index lock");
-        if let Some(index) = guard.as_ref() {
-            if index.built_generation() == self.generation {
-                return index.clone();
-            }
-        }
-        let index = Arc::new(ConceptIndex::build(
-            &self.concepts,
-            &self.parents,
-            self.generation,
-        ));
-        *guard = Some(index.clone());
-        index
+    /// The index of the current content, building it on first use.
+    pub(crate) fn index(&self) -> &ConceptIndex {
+        self.index
+            .get_or_init(|| Arc::new(ConceptIndex::build(&self.concepts, &self.parents)))
     }
 
     /// Look up a concept by name.

@@ -22,20 +22,19 @@
 //!   `credential_types_for` with O(1) bit tests instead of a BFS per
 //!   query.
 //!
-//! The index is immutable once built. [`crate::graph::Ontology`] holds it
-//! behind a generation counter and rebuilds lazily after any `add` /
-//! `add_is_a` mutation, so handing out `Arc<ConceptIndex>` snapshots is
-//! always safe.
+//! The index is immutable once built. [`crate::graph::Ontology`] builds it
+//! on the first query and drops it on every `add` / `add_is_a`, which take
+//! `&mut self`, so an index that exists always describes the current
+//! content.
 
 use crate::concept::Concept;
 use crate::similarity::jaccard_counts;
 use crate::stats;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
-/// The immutable index over one generation of an ontology's concepts.
+/// The immutable index over an ontology's concepts and `is_a` edges.
 #[derive(Debug)]
 pub(crate) struct ConceptIndex {
-    built_generation: u64,
     /// Concept names in `BTreeMap` (lexicographic) order; the position is
     /// the concept id, so ascending id order is ascending name order.
     names: Vec<String>,
@@ -57,11 +56,10 @@ pub(crate) struct ConceptIndex {
 }
 
 impl ConceptIndex {
-    /// Build the full index for one generation of the ontology maps.
+    /// Build the full index over the ontology maps.
     pub(crate) fn build(
         concepts: &BTreeMap<String, Concept>,
         parents: &BTreeMap<String, BTreeSet<String>>,
-        generation: u64,
     ) -> Self {
         stats::INDEX_BUILDS.inc();
         let n = concepts.len();
@@ -150,7 +148,6 @@ impl ConceptIndex {
         }
 
         ConceptIndex {
-            built_generation: generation,
             names,
             token_ids,
             concept_tokens,
@@ -160,11 +157,6 @@ impl ConceptIndex {
             ancestors,
             descendants,
         }
-    }
-
-    /// The ontology generation this index was built for.
-    pub(crate) fn built_generation(&self) -> u64 {
-        self.built_generation
     }
 
     /// Concept id for `name`, if present.

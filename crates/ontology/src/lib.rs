@@ -21,6 +21,11 @@
 //!    concrete local credentials, preferring the least-sensitive
 //!    satisfying credential (the `CredCluster` probe order).
 //!
+//! A [`Dictionary`] (§4.3) can resolve registered aliases before the
+//! similarity fallback. Every mapping runs Algorithm 1 in full: the crate
+//! keeps no outcome between calls, and its only process-wide state is the
+//! [`stats`] counters.
+//!
 //! The paper's prototype used Jena + OWL + Falcon-AO; this crate
 //! implements the same observable behaviour natively (see DESIGN.md §4).
 
@@ -33,19 +38,16 @@ pub mod graph;
 mod index;
 pub mod mapping;
 pub mod matcher;
-pub mod memo;
 pub mod owl;
 pub mod similarity;
 pub mod stats;
 
 pub use concept::{Binding, Concept};
-pub use dictionary::dictionary_from_journal;
 pub use dictionary::{map_concept_with_dictionary, Dictionary};
 pub use graph::Ontology;
-pub use mapping::{map_concept, map_policy_concepts, MappingEngine, MappingOutcome};
+pub use mapping::{map_concept, map_policy_concepts, MappingOutcome};
 pub use matcher::{
     best_local_match, match_concept, match_concept_reference, match_ontologies,
     match_ontologies_reference, ConceptMatch,
 };
-pub use memo::{MapMemo, MapMemoStats};
 pub use owl::{ontology_from_xml, ontology_to_xml};

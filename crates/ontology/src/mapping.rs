@@ -12,10 +12,13 @@
 //! The sensitivity selection is the paper's `CredCluster` cascade: probe
 //! the **low** cluster, then **medium**, then **high**, returning the first
 //! held credential found.
+//!
+//! Every call runs the algorithm; no outcome is kept between calls. A
+//! fallback costs one indexed scan, and no workload asks the same
+//! question twice of an unchanged ontology and profile (DESIGN.md §4b).
 
 use crate::graph::Ontology;
 use crate::matcher::{best_local_match, ConceptMatch};
-use crate::memo::{MapMemo, MemoKey};
 use crate::stats;
 use trust_vo_credential::{CredentialId, Sensitivity, XProfile};
 
@@ -66,127 +69,60 @@ impl MappingOutcome {
     }
 }
 
-/// The indexed Algorithm 1 engine: one ontology + one profile + one
-/// confidence floor, mapping requested concepts onto credentials.
-///
-/// Every [`MappingEngine::map`] call first consults the process-wide
-/// [`MapMemo`] (keyed on the ontology's and profile's
-/// `(cache_id, generation)` identities plus the threshold and the
-/// requested name), then runs Algorithm 1 against the ontology's
-/// `ConceptIndex`: direct lookup, single-scan indexed
-/// similarity fallback, closure-backed `is_a` inference, and the
+/// Map one concept (Algorithm 1's inner loop body) against the
+/// ontology's `ConceptIndex`: direct lookup, one indexed similarity scan
+/// as the fallback, closure-backed `is_a` inference, and the
 /// `CredCluster` low→high sensitivity probe.
-#[derive(Debug, Clone, Copy)]
-pub struct MappingEngine<'a> {
-    ontology: &'a Ontology,
-    profile: &'a XProfile,
-    threshold: f64,
-    memo: Option<&'a MapMemo>,
-}
-
-impl<'a> MappingEngine<'a> {
-    /// An engine over one ontology/profile pair with a similarity floor.
-    pub fn new(ontology: &'a Ontology, profile: &'a XProfile, threshold: f64) -> Self {
-        MappingEngine {
-            ontology,
-            profile,
-            threshold,
-            memo: None,
-        }
-    }
-
-    /// Memoize through `memo` instead of the process-wide
-    /// [`MapMemo::global`]. A private memo isolates journal attachment
-    /// (the global's first-wins hook is process lifetime) — recovery
-    /// tooling and tests use this to keep their fact streams separate.
-    pub fn with_memo(mut self, memo: &'a MapMemo) -> Self {
-        self.memo = Some(memo);
-        self
-    }
-
-    /// Map one concept (Algorithm 1's inner loop body), memoized.
-    pub fn map(&self, concept: &str) -> MappingOutcome {
-        let memo = match self.memo {
-            Some(memo) => memo,
-            None => MapMemo::global(),
-        };
-        let key = MemoKey::new(
-            (self.ontology.cache_id(), self.ontology.generation()),
-            (self.profile.cache_id(), self.profile.generation()),
-            self.threshold,
-            concept,
-        );
-        if let Some(hit) = memo.get(&key) {
-            return hit;
-        }
-        let outcome = self.map_uncached(concept);
-        memo.insert(key, &outcome);
-        outcome
-    }
-
-    /// Algorithm 1 proper: map every concept of a policy.
-    pub fn map_all(&self, concepts: &[String]) -> Vec<MappingOutcome> {
-        concepts.iter().map(|c| self.map(c)).collect()
-    }
-
-    fn map_uncached(&self, concept: &str) -> MappingOutcome {
-        // Line 3: `if Cᵢ ∈ CSet` — direct lookup first.
-        let (resolved, via) = if self.ontology.contains(concept) {
-            stats::DIRECT_HITS.inc();
-            (concept.to_owned(), None)
-        } else {
-            // Lines 20–29: similarity fallback, one indexed scan. The
-            // best sub-threshold confidence for the `UnknownConcept`
-            // diagnostics comes from the same pass — the seed ran the
-            // whole O(concepts) scan a second time to recover it.
-            match best_local_match(concept, self.ontology) {
-                Some(m) if m.confidence >= self.threshold && m.confidence > 0.0 => {
-                    (m.target.clone(), Some(m))
-                }
-                best => {
-                    return MappingOutcome::UnknownConcept {
-                        concept: concept.to_owned(),
-                        best_confidence: best.map(|m| m.confidence).unwrap_or(0.0),
-                    }
-                }
-            }
-        };
-        // Lines 4–18: collect the credentials associated with the concept
-        // (is_a inference included) and probe sensitivity clusters
-        // low→high.
-        let types = self.ontology.credential_types_for(&resolved);
-        let candidates: Vec<CredentialId> = self
-            .profile
-            .credentials()
-            .iter()
-            .filter(|c| types.contains(c.cred_type()))
-            .map(|c| c.id().clone())
-            .collect();
-        for level in Sensitivity::ALL {
-            if let Some(cred) = self.profile.cred_cluster(&candidates, level).next() {
-                return MappingOutcome::Mapped {
-                    concept: concept.to_owned(),
-                    via,
-                    credential: cred.id().clone(),
-                    sensitivity: level,
-                };
-            }
-        }
-        MappingOutcome::NoCredential {
-            concept: concept.to_owned(),
-            resolved,
-        }
-    }
-}
-
-/// Map one concept (Algorithm 1's inner loop body).
 pub fn map_concept(
     ontology: &Ontology,
     profile: &XProfile,
     concept: &str,
     threshold: f64,
 ) -> MappingOutcome {
-    MappingEngine::new(ontology, profile, threshold).map(concept)
+    // Line 3: `if Cᵢ ∈ CSet` — direct lookup first.
+    let (resolved, via) = if ontology.contains(concept) {
+        stats::DIRECT_HITS.inc();
+        (concept.to_owned(), None)
+    } else {
+        // Lines 20–29: similarity fallback, one indexed scan. The best
+        // sub-threshold confidence for the `UnknownConcept` diagnostics
+        // comes from the same pass — the seed ran the whole O(concepts)
+        // scan a second time to recover it.
+        match best_local_match(concept, ontology) {
+            Some(m) if m.confidence >= threshold && m.confidence > 0.0 => {
+                (m.target.clone(), Some(m))
+            }
+            best => {
+                return MappingOutcome::UnknownConcept {
+                    concept: concept.to_owned(),
+                    best_confidence: best.map(|m| m.confidence).unwrap_or(0.0),
+                }
+            }
+        }
+    };
+    // Lines 4–18: collect the credentials associated with the concept
+    // (is_a inference included) and probe sensitivity clusters low→high.
+    let types = ontology.credential_types_for(&resolved);
+    let candidates: Vec<CredentialId> = profile
+        .credentials()
+        .iter()
+        .filter(|c| types.contains(c.cred_type()))
+        .map(|c| c.id().clone())
+        .collect();
+    for level in Sensitivity::ALL {
+        if let Some(cred) = profile.cred_cluster(&candidates, level).next() {
+            return MappingOutcome::Mapped {
+                concept: concept.to_owned(),
+                via,
+                credential: cred.id().clone(),
+                sensitivity: level,
+            };
+        }
+    }
+    MappingOutcome::NoCredential {
+        concept: concept.to_owned(),
+        resolved,
+    }
 }
 
 /// Algorithm 1 proper: map every concept of a policy.
@@ -196,7 +132,10 @@ pub fn map_policy_concepts(
     concepts: &[String],
     threshold: f64,
 ) -> Vec<MappingOutcome> {
-    MappingEngine::new(ontology, profile, threshold).map_all(concepts)
+    concepts
+        .iter()
+        .map(|c| map_concept(ontology, profile, c, threshold))
+        .collect()
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ pub fn match_concept(name: &str, local: &Ontology, threshold: f64) -> Option<Con
 /// scan, no threshold. Returns `None` only when `local` is empty.
 ///
 /// This is the single-scan primitive behind [`match_concept`] and the
-/// mapping engine's `UnknownConcept` diagnostics: the best sub-threshold
+/// `UnknownConcept` diagnostics of [`crate::map_concept`]: the best sub-threshold
 /// confidence comes from the same pass that computed the argmax, where
 /// the seed ran the full scan a second time just to report it.
 pub fn best_local_match(name: &str, local: &Ontology) -> Option<ConceptMatch> {

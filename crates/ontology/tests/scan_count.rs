@@ -8,11 +8,10 @@
 //! binary would race the delta.
 
 use trust_vo_credential::XProfile;
-use trust_vo_ontology::{map_concept, stats, Concept, MapMemo, MappingOutcome, Ontology};
+use trust_vo_ontology::{map_concept, stats, Concept, MappingOutcome, Ontology};
 
 #[test]
 fn unknown_concept_runs_exactly_one_scan() {
-    MapMemo::global().set_enabled(false); // a memo hit would mean zero scans
     let mut o = Ontology::new();
     o.add(Concept::new("QualityCertification").keyword("ISO 9000"));
     o.add(Concept::new("BalanceSheet"));

@@ -38,9 +38,8 @@ pub fn satisfying_credentials<'a>(
             };
             // Resolve the concept as Algorithm 1 does (direct lookup, then
             // one indexed similarity scan — the ontology's inverted token
-            // index makes this O(candidates), not O(concepts)). The
-            // mapping memo is not consulted here: the result depends on
-            // the term's conditions, which are not part of the memo key …
+            // index makes this O(candidates), not O(concepts)). Unlike
+            // `map_concept`, the result depends on the term's conditions …
             let resolved = if ontology.contains(name) {
                 name.clone()
             } else {

@@ -353,9 +353,11 @@ impl Transport for QueuedBus {
                     overload_hint(self.inner.clock(), self.state.capacity),
                 ));
             }
+            let frame = wire::frame_envelope(request);
+            let tx_bytes = frame.len() as u64;
             queue.push_back(QueuedCall {
                 service: service.to_owned(),
-                frame: wire::frame_envelope(request),
+                frame,
                 reply: reply_tx,
             });
             if obs.is_enabled() {
@@ -365,6 +367,7 @@ impl Transport for QueuedBus {
                         .set_max(queue.len() as i64);
                 }
                 obs.counter_add("bus.wire.frames", 1);
+                obs.counter_add("bus.wire.tx_bytes", tx_bytes);
             }
             self.state.ready.notify_one();
         }
@@ -373,6 +376,7 @@ impl Transport for QueuedBus {
             .map_err(|_| Fault::transport("Dispatcher", "dispatcher thread gone"))?;
         if obs.is_enabled() {
             obs.counter_add("bus.wire.frames", 1);
+            obs.counter_add("bus.wire.rx_bytes", reply_frame.len() as u64);
         }
         wire::unframe_reply(&reply_frame).unwrap_or_else(|| {
             Err(Fault::transport(
@@ -533,6 +537,29 @@ mod tests {
         );
     }
 
+    #[test]
+    fn queued_bus_counts_the_same_wire_traffic_as_the_bare_bus() {
+        let request = Envelope::request("echo", Element::new("hi").attr("k", "v"));
+        let traffic = |queued: bool| {
+            let bus = ServiceBus::new(clock());
+            let collector = trust_vo_obs::Collector::new();
+            bus.clock().attach_obs(&collector);
+            bus.register("svc", Arc::new(Echo));
+            if queued {
+                QueuedBus::new(bus, 4).call("svc", &request).unwrap();
+            } else {
+                bus.call("svc", &request).unwrap();
+            }
+            let metrics = collector.metrics();
+            ["bus.wire.frames", "bus.wire.tx_bytes", "bus.wire.rx_bytes"]
+                .map(|name| metrics.counter(name))
+        };
+        let bare = traffic(false);
+        assert_eq!(bare[0], 2, "one request frame and one reply frame");
+        assert!(bare[1] > 0 && bare[2] > 0);
+        assert_eq!(traffic(true), bare);
+    }
+
     /// Endpoint that flags entry and then spins until released —
     /// deterministically parks the dispatcher thread mid-call.
     struct Holding {
@@ -558,6 +585,7 @@ mod tests {
         let collector = trust_vo_obs::Collector::new();
         bus.clock().attach_obs(&collector);
         let frames = || collector.metrics().counter("bus.wire.frames");
+        let tx_bytes = || collector.metrics().counter("bus.wire.tx_bytes");
         let entered = Arc::new(AtomicBool::new(false));
         let release = Arc::new(AtomicBool::new(false));
         bus.register(
@@ -590,7 +618,9 @@ mod tests {
         // here and the shed.
         let spent = bus.clock().elapsed();
         let framed = frames();
+        let sent = tx_bytes();
         assert_eq!(framed, 2, "both parked calls crossed the codec");
+        assert!(sent > 0, "both parked calls count their request bytes");
         let request = Envelope::request("hold", Element::new("c"));
         let err = queued.call("svc", &request).unwrap_err();
         assert!(err.is_overloaded());
@@ -602,6 +632,7 @@ mod tests {
         // Shed before charging and before a single byte was encoded.
         assert_eq!(bus.clock().elapsed(), spent);
         assert_eq!(frames(), framed);
+        assert_eq!(tx_bytes(), sent);
 
         release.store(true, Ordering::Release);
         assert!(t1.join().unwrap().is_ok());

@@ -135,9 +135,9 @@ impl Database {
     /// through the replay path, which neither re-journals nor counts ops —
     /// so a restored database digests identically to the original. A
     /// `Put` installs the document bytes it carries, after checking that
-    /// they decode; no XML is parsed. [`Fact::Mapping`] facts belong to
-    /// the ontology layer and [`Fact::Reputation`]/[`Fact::Mana`] to the
-    /// admission layer; all three are skipped here.
+    /// they decode; no XML is parsed. [`Fact::Reputation`] and
+    /// [`Fact::Mana`] facts belong to the admission layer and are skipped
+    /// here.
     ///
     /// Returns how many facts were applied (skipped ones included). That
     /// is all of them unless a `Put` whose document does not decode came
@@ -171,7 +171,7 @@ impl Database {
                         c.apply_purge(&id.as_str().into());
                     }
                 }
-                Fact::Mapping { .. } | Fact::Reputation { .. } | Fact::Mana { .. } => {}
+                Fact::Reputation { .. } | Fact::Mana { .. } => {}
             }
             applied += 1;
         }

@@ -17,14 +17,6 @@ impl Node {
             Node::Text(_) => None,
         }
     }
-
-    /// The text inside this node, if it is a text run.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Node::Element(_) => None,
-            Node::Text(t) => Some(t),
-        }
-    }
 }
 
 impl From<Element> for Node {

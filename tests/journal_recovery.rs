@@ -258,66 +258,6 @@ fn interrupted_negotiation_recovers_to_the_uninterrupted_outcome() {
 }
 
 #[test]
-fn one_journal_recovers_both_store_and_dictionary() {
-    use trust_vo::crypto::KeyPair;
-    use trust_vo::ontology::{dictionary_from_journal, Concept, MapMemo, MappingEngine, Ontology};
-
-    let journal = Arc::new(Journal::in_memory());
-    // Producer 1: the document store.
-    let db = Database::new();
-    db.attach_journal(journal.clone());
-    db.with_collection("vos", |c| {
-        c.put("v1", Element::new("vo").attr("name", "Aircraft"));
-    });
-    // Producer 2: the mapping memo, spilling a similarity resolution.
-    let mut o = Ontology::new();
-    o.add(
-        Concept::new("QualityCertification")
-            .keyword("ISO 9000")
-            .implemented_by("ISO9000Certified"),
-    );
-    let mut ca = CredentialAuthority::new("INFN");
-    let keys = KeyPair::from_seed(b"holder");
-    let mut profile = trust_vo::credential::XProfile::new("holder");
-    profile.add(
-        ca.issue(
-            "ISO9000Certified",
-            "holder",
-            keys.public,
-            vec![trust_vo::credential::Attribute::new(
-                "QualityRegulation",
-                "UNI EN ISO 9000",
-            )],
-            TimeRange::one_year_from(Timestamp::from_ymd_hms(2009, 1, 1, 0, 0, 0)),
-        )
-        .unwrap(),
-    );
-    let memo = MapMemo::new(4, 64);
-    memo.attach_journal(journal.clone());
-    let engine = MappingEngine::new(&o, &profile, 0.3).with_memo(&memo);
-    assert!(engine.map("Quality_Certification_ISO9000").is_mapped());
-
-    // Both fact kinds interleave in one log; each consumer recovers its
-    // own and skips the other's.
-    let kinds: Vec<bool> = journal
-        .replay()
-        .facts
-        .iter()
-        .map(|f| matches!(f, Fact::Mapping { .. }))
-        .collect();
-    assert_eq!(kinds, vec![false, true]);
-
-    let restored = Database::new();
-    restored.restore_from_journal(&journal);
-    assert_eq!(restored.state_digest(), db.state_digest());
-    let dictionary = dictionary_from_journal(&journal);
-    assert_eq!(
-        dictionary.resolve("Quality_Certification_ISO9000"),
-        Some("QualityCertification")
-    );
-}
-
-#[test]
 fn journal_obs_counters_track_activity() {
     let collector = Collector::new();
     assert!(collector.is_enabled(), "root tests build with obs enabled");

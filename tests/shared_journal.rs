@@ -1,54 +1,22 @@
 //! One journal, several producers: compaction keeps every consumer's
 //! recovery intact.
 //!
-//! The document store, the mapping memo and the admission layer's mana
-//! ledger and scoring engine can all spill into one `Journal`. Compacting
-//! it through the store (`Database::compact_into`, or the store's own
-//! automatic compaction) replaces the store's facts with a snapshot and
-//! must carry the other producers' facts forward, including facts they
-//! append while the compaction runs.
+//! The document store and the admission layer's mana ledger and scoring
+//! engine can all spill into one `Journal`. Compacting it through the
+//! store (`Database::compact_into`, or the store's own automatic
+//! compaction) replaces the store's facts with a snapshot and must carry
+//! the other producers' facts forward, including facts they append while
+//! the compaction runs.
 
 use std::sync::Arc;
 use trust_vo::admission::{ManaConfig, ManaLedger, Outcome, ScoringConfig, ScoringEngine};
-use trust_vo::credential::{Attribute, CredentialAuthority, TimeRange, Timestamp, XProfile};
-use trust_vo::crypto::KeyPair;
 use trust_vo::journal::{Fact, Journal};
-use trust_vo::ontology::{dictionary_from_journal, Concept, MapMemo, MappingEngine, Ontology};
 use trust_vo::soa::simclock::SimDuration;
 use trust_vo::store::Database;
 use trust_vo::xmldoc::Element;
 
-/// Spill one similarity-resolved mapping from a memo attached to
-/// `journal` (the §4.3 dictionary entry `Quality_Certification_ISO9000`
-/// → `QualityCertification`).
-fn spill_mapping(journal: &Arc<Journal>) {
-    let mut ontology = Ontology::new();
-    ontology.add(
-        Concept::new("QualityCertification")
-            .keyword("ISO 9000")
-            .implemented_by("ISO9000Certified"),
-    );
-    let keys = KeyPair::from_seed(b"holder");
-    let mut profile = XProfile::new("holder");
-    profile.add(
-        CredentialAuthority::new("INFN")
-            .issue(
-                "ISO9000Certified",
-                "holder",
-                keys.public,
-                vec![Attribute::new("QualityRegulation", "UNI EN ISO 9000")],
-                TimeRange::one_year_from(Timestamp::from_ymd_hms(2009, 1, 1, 0, 0, 0)),
-            )
-            .unwrap(),
-    );
-    let memo = MapMemo::new(4, 64);
-    memo.attach_journal(journal.clone());
-    let engine = MappingEngine::new(&ontology, &profile, 0.3).with_memo(&memo);
-    assert!(engine.map("Quality_Certification_ISO9000").is_mapped());
-}
-
 #[test]
-fn compaction_keeps_store_memo_mana_and_scores_recoverable() {
+fn compaction_keeps_store_mana_and_scores_recoverable() {
     let journal = Arc::new(Journal::in_memory());
     let db = Database::new();
     db.attach_journal(journal.clone());
@@ -64,7 +32,6 @@ fn compaction_keeps_store_memo_mana_and_scores_recoverable() {
             Element::new("vo").attr("name", "Aircraft").attr("v", "2"),
         );
     });
-    spill_mapping(&journal);
     for ms in 0..5 {
         let now = SimDuration::from_millis(ms * 10);
         mana.try_charge("Aerospace", now).unwrap();
@@ -84,15 +51,10 @@ fn compaction_keeps_store_memo_mana_and_scores_recoverable() {
     let count = |pred: fn(&Fact) -> bool| replay.facts.iter().filter(|f| pred(f)).count();
     assert_eq!(count(|f| matches!(f, Fact::Mana { .. })), 2);
     assert_eq!(count(|f| matches!(f, Fact::Reputation { .. })), 2);
-    assert_eq!(count(|f| matches!(f, Fact::Mapping { .. })), 1);
 
     let restored = Database::new();
     assert!(!restored.restore_from_journal(&journal).truncated);
     assert_eq!(restored.state_digest(), db.state_digest());
-    assert_eq!(
-        dictionary_from_journal(&journal).resolve("Quality_Certification_ISO9000"),
-        Some("QualityCertification")
-    );
     let restored_mana = ManaLedger::new(ManaConfig::standard());
     restored_mana.restore_from_facts(&replay.facts);
     assert_eq!(restored_mana.snapshot(), mana.snapshot());
@@ -117,9 +79,10 @@ fn appends_racing_repeated_compactions_all_survive() {
         let appender = s.spawn(|| {
             let mut appended = 0;
             while !stop.load(Ordering::Acquire) && appended < MAX_APPENDS {
-                journal.append(&Fact::Mapping {
-                    alias: format!("alias-{appended}"),
-                    canonical: "Canonical".into(),
+                journal.append(&Fact::Mana {
+                    party: format!("party-{appended}"),
+                    tokens_bits: 1.0_f64.to_bits(),
+                    at_us: appended as u64,
                 });
                 appended += 1;
                 progress.store(appended, Ordering::Release);
@@ -145,16 +108,16 @@ fn appends_racing_repeated_compactions_all_survive() {
     assert_eq!(journal.stats().compactions, COMPACTIONS as u64);
     assert!(appended >= COMPACTIONS);
     let replay = journal.replay();
-    let aliases: Vec<String> = replay
+    let parties: Vec<String> = replay
         .facts
         .iter()
         .filter_map(|f| match f {
-            Fact::Mapping { alias, .. } => Some(alias.clone()),
+            Fact::Mana { party, .. } => Some(party.clone()),
             _ => None,
         })
         .collect();
-    let want: Vec<String> = (0..appended).map(|i| format!("alias-{i}")).collect();
-    assert_eq!(aliases, want, "every append survives, in order");
+    let want: Vec<String> = (0..appended).map(|i| format!("party-{i}")).collect();
+    assert_eq!(parties, want, "every append survives, in order");
     assert!(
         replay.facts.iter().all(|f| !f.is_store()),
         "all slots purged"
