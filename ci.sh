@@ -49,6 +49,21 @@ if grep -rnE '^\s*(pub(\([a-z]+\))? )?static |thread_local!\s*[({]\s*(pub(\([a-z
   echo "product code declares a static or thread_local! not on the list (see above)" >&2
   exit 1
 fi
+# Product code comes first: after a file's first `#[cfg(test)]`, every
+# column-0 item carries its own `#[cfg(test)]`, so the product line count
+# (the lines above each file's first test module) sees all of it.
+if awk '
+  FNR == 1 { tests = 0; pending = 0 }
+  /^#\[cfg\(test\)\]/ { tests = 1; pending = 1; next }
+  tests && /^(pub(\([a-z]+\))? )?((const|async|unsafe) )*(fn|struct|enum|union|impl|mod|const|static|type|trait|use|extern|macro_rules!)[ <({!]/ {
+    if (!pending) { print FILENAME ":" FNR ": " $0; found = 1 }
+    pending = 0
+  }
+  END { exit !found }
+' $(find src $(ls -d crates/*/src | grep -v '^crates/bench/') -name '*.rs' | sort); then
+  echo "product code follows a test module (see above); move it above the file's first #[cfg(test)]" >&2
+  exit 1
+fi
 # One build: no manifest declares a Cargo feature or an optional
 # dependency, so every binary, test and benchmark compiles the same
 # program. Instrumentation and journaling are runtime values (an attached

@@ -11,7 +11,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use trust_vo_bench::workloads::{self, ParallelJoinWorld};
-use trust_vo_negotiation::ConcurrentSequenceCache;
 use trust_vo_vo::mailbox::MailboxSystem;
 use trust_vo_vo::{Formation, FormedVo, NegotiationSource, ReputationLedger};
 
@@ -26,15 +25,10 @@ fn workers() -> usize {
         .unwrap_or(4)
 }
 
-/// Form `w` on a zero-latency clock with `workers` workers; a parallel
-/// formation speculates through a fresh shared sequence cache.
+/// Form `w` on a zero-latency clock with `workers` workers.
 fn form(w: &ParallelJoinWorld, workers: usize) -> FormedVo {
     let clock = workloads::free_clock();
-    let cache = (workers > 1).then(ConcurrentSequenceCache::new);
-    let source: NegotiationSource = NegotiationSource::InProcess {
-        clock: &clock,
-        cache: cache.as_ref(),
-    };
+    let source = NegotiationSource::in_process(&clock);
     Formation::new(&w.initiator, &w.providers, &w.registry, source)
         .with_workers(workers)
         .run(

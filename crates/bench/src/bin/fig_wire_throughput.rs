@@ -184,11 +184,11 @@ fn negotiate(transport: &dyn Transport, seed: u64) -> JobOutcome {
         &ResumePolicy::standard(),
         seed,
         trust_vo_obs::SpanLink::default(),
-    )
-    .expect("reliable negotiation completes");
+    );
+    let completed = run.outcome.expect("reliable negotiation completes");
     (
-        run.run.credential_calls,
-        run.run.sequence_len,
+        completed.credential_calls,
+        completed.sequence_len,
         run.retries + run.resumes + run.restarts,
     )
 }

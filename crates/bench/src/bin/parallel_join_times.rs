@@ -11,7 +11,6 @@ use std::time::Instant;
 use trust_vo_bench::obsutil::ObsArgs;
 use trust_vo_bench::report::Report;
 use trust_vo_bench::workloads;
-use trust_vo_negotiation::ConcurrentSequenceCache;
 use trust_vo_vo::mailbox::MailboxSystem;
 use trust_vo_vo::{Formation, FormedVo, NegotiationSource, ReputationLedger};
 
@@ -40,13 +39,7 @@ fn main() {
     let mut report = Report::new(
         "E10",
         "Parallel batch admission: serial vs. parallel formation (chain depth 20, 10 alternatives)",
-        &[
-            "applicants",
-            "serial (ms)",
-            "parallel (ms)",
-            "speedup",
-            "cache misses",
-        ],
+        &["applicants", "serial (ms)", "parallel (ms)", "speedup"],
     );
 
     let mut speedup_at_16 = 0.0_f64;
@@ -71,18 +64,20 @@ fn main() {
 
         let parallel_clock = workloads::free_clock();
         let collector = args.collector_for(&parallel_clock);
-        let cache = ConcurrentSequenceCache::new();
         let start = Instant::now();
-        let source = NegotiationSource::cached(&parallel_clock, &cache);
-        let (parallel, _) =
-            Formation::new(&world.initiator, &world.providers, &world.registry, source)
-                .with_workers(workers)
-                .run(
-                    world.contract.clone(),
-                    &mut MailboxSystem::new(),
-                    &mut ReputationLedger::new(),
-                )
-                .expect("parallel formation succeeds");
+        let (parallel, _) = Formation::new(
+            &world.initiator,
+            &world.providers,
+            &world.registry,
+            NegotiationSource::in_process(&parallel_clock),
+        )
+        .with_workers(workers)
+        .run(
+            world.contract.clone(),
+            &mut MailboxSystem::new(),
+            &mut ReputationLedger::new(),
+        )
+        .expect("parallel formation succeeds");
         let parallel_cpu = start.elapsed();
 
         assert_eq!(
@@ -117,7 +112,6 @@ fn main() {
                 format!("{:.2}", serial_cpu.as_secs_f64() * 1e3),
                 format!("{:.2}", parallel_cpu.as_secs_f64() * 1e3),
                 format!("{speedup:.2}x"),
-                cache.stats().misses.to_string(),
             ],
         );
     }

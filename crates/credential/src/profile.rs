@@ -110,6 +110,18 @@ impl XProfile {
     }
 }
 
+impl XProfile {
+    /// Add a credential with an automatically determined sensitivity label
+    /// (the §4.3.1 "automated fashion").
+    pub fn add_auto(&mut self, cred: crate::credential::Credential) {
+        let label = crate::sensitivity::auto_label(
+            cred.cred_type(),
+            cred.content().iter().map(|a| a.name.as_str()),
+        );
+        self.add_with_sensitivity(cred, label);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,18 +210,6 @@ mod tests {
             .collect();
         assert_eq!(labels.len(), 4);
         assert!(labels.contains(&"high".to_owned()));
-    }
-}
-
-impl XProfile {
-    /// Add a credential with an automatically determined sensitivity label
-    /// (the §4.3.1 "automated fashion").
-    pub fn add_auto(&mut self, cred: crate::credential::Credential) {
-        let label = crate::sensitivity::auto_label(
-            cred.cred_type(),
-            cred.content().iter().map(|a| a.name.as_str()),
-        );
-        self.add_with_sensitivity(cred, label);
     }
 }
 

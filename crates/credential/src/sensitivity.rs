@@ -48,37 +48,6 @@ impl std::fmt::Display for Sensitivity {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ordering_is_low_to_high() {
-        assert!(Sensitivity::Low < Sensitivity::Medium);
-        assert!(Sensitivity::Medium < Sensitivity::High);
-        assert_eq!(Sensitivity::ALL.to_vec(), {
-            let mut v = Sensitivity::ALL.to_vec();
-            v.sort();
-            v
-        });
-    }
-
-    #[test]
-    fn parse_and_label_roundtrip() {
-        for s in Sensitivity::ALL {
-            assert_eq!(Sensitivity::parse(s.label()), Some(s));
-        }
-        assert_eq!(Sensitivity::parse("med"), Some(Sensitivity::Medium));
-        assert_eq!(Sensitivity::parse("HIGH"), None);
-        assert_eq!(Sensitivity::parse(""), None);
-    }
-
-    #[test]
-    fn default_is_low() {
-        assert_eq!(Sensitivity::default(), Sensitivity::Low);
-    }
-}
-
 /// Automatic sensitivity labeling.
 ///
 /// The paper assumes the label "can be determined efficiently in an
@@ -111,6 +80,37 @@ pub fn auto_label(
         Sensitivity::Medium
     } else {
         Sensitivity::Low
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ordering_is_low_to_high() {
+        assert!(Sensitivity::Low < Sensitivity::Medium);
+        assert!(Sensitivity::Medium < Sensitivity::High);
+        assert_eq!(Sensitivity::ALL.to_vec(), {
+            let mut v = Sensitivity::ALL.to_vec();
+            v.sort();
+            v
+        });
+    }
+
+    #[test]
+    fn parse_and_label_roundtrip() {
+        for s in Sensitivity::ALL {
+            assert_eq!(Sensitivity::parse(s.label()), Some(s));
+        }
+        assert_eq!(Sensitivity::parse("med"), Some(Sensitivity::Medium));
+        assert_eq!(Sensitivity::parse("HIGH"), None);
+        assert_eq!(Sensitivity::parse(""), None);
+    }
+
+    #[test]
+    fn default_is_low() {
+        assert_eq!(Sensitivity::default(), Sensitivity::Low);
     }
 }
 

@@ -101,12 +101,10 @@ pub struct CacheStats {
 
 /// Atomic counters backing [`CacheStats`].
 ///
-/// Cloning shares the underlying counters, which is how all shards of a
-/// [`ConcurrentSequenceCache`] report into one set of totals. Counters
-/// work whether or not an observability [`Registry`] is attached;
-/// [`CacheMetrics::in_registry`] additionally publishes them under
-/// `cache.*` metric names.
-#[derive(Debug, Clone, Default)]
+/// Counters work whether or not an observability [`Registry`] is
+/// attached; [`CacheMetrics::in_registry`] additionally publishes them
+/// under `cache.*` metric names.
+#[derive(Debug, Default)]
 struct CacheMetrics {
     hits: Counter,
     misses: Counter,
@@ -138,14 +136,13 @@ impl CacheMetrics {
     }
 }
 
-/// Default number of cached sequences per shard of a
-/// [`ConcurrentSequenceCache`].
-pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
+/// Default number of cached sequences in a [`ConcurrentSequenceCache`].
+pub const DEFAULT_CACHE_CAPACITY: usize = 16_384;
 
-/// One shard of a [`ConcurrentSequenceCache`]: a memo of agreed trust
+/// The memo behind a [`ConcurrentSequenceCache`]: agreed trust
 /// sequences, bounded by a least-recently-used eviction policy.
 #[derive(Debug)]
-struct Shard {
+struct Memo {
     entries: HashMap<Key, Entry>,
     /// LRU side index: `last_used` tick → key. Ticks are unique, so this
     /// is a total order; the first entry is the eviction victim.
@@ -155,12 +152,12 @@ struct Shard {
     metrics: CacheMetrics,
 }
 
-impl Shard {
-    /// An empty shard holding at most `capacity` sequences (`>= 1`),
-    /// reporting into the given (shared) metrics.
+impl Memo {
+    /// An empty memo holding at most `capacity` sequences (`>= 1`),
+    /// reporting into `metrics`.
     fn new(capacity: usize, metrics: CacheMetrics) -> Self {
         assert!(capacity >= 1, "cache capacity must be at least 1");
-        Shard {
+        Memo {
             entries: HashMap::new(),
             lru: BTreeMap::new(),
             capacity,
@@ -239,23 +236,15 @@ impl Shard {
     }
 }
 
-/// Default shard count for [`ConcurrentSequenceCache`].
-pub const DEFAULT_CACHE_SHARDS: usize = 16;
-
-/// A sharded, thread-safe sequence cache, for serial and parallel
-/// negotiations alike.
+/// A thread-safe sequence cache: one least-recently-used memo behind one
+/// lock.
 ///
-/// Keys are distributed over N independently locked LRU shards by hash,
-/// so concurrent negotiations over different pairs rarely contend. The
-/// expensive work — phase-1 policy evaluation and phase-2 credential
-/// exchange — always runs *outside* the shard lock; a shard is only held
-/// for the memo lookup or insert itself.
+/// The expensive work — phase-1 policy evaluation and phase-2 credential
+/// exchange — always runs *outside* the lock; it is only held for the
+/// memo lookup or insert itself.
 #[derive(Debug)]
 pub struct ConcurrentSequenceCache {
-    shards: Vec<parking_lot::Mutex<Shard>>,
-    /// Shared by every shard, so totals are exact under concurrency
-    /// without ever folding per-shard snapshots.
-    metrics: CacheMetrics,
+    memo: parking_lot::Mutex<Memo>,
 }
 
 impl Default for ConcurrentSequenceCache {
@@ -265,41 +254,21 @@ impl Default for ConcurrentSequenceCache {
 }
 
 impl ConcurrentSequenceCache {
-    /// [`DEFAULT_CACHE_SHARDS`] shards of [`DEFAULT_CACHE_CAPACITY`] each.
+    /// An empty cache of [`DEFAULT_CACHE_CAPACITY`] sequences.
     pub fn new() -> Self {
-        Self::with_shards(
-            DEFAULT_CACHE_SHARDS,
-            DEFAULT_CACHE_CAPACITY,
-            CacheMetrics::default(),
-        )
+        Self::with_capacity(DEFAULT_CACHE_CAPACITY, CacheMetrics::default())
     }
 
     /// Default-sized cache publishing `cache.*` metrics in `registry`.
     pub fn observed(registry: &Registry) -> Self {
-        Self::with_shards(
-            DEFAULT_CACHE_SHARDS,
-            DEFAULT_CACHE_CAPACITY,
-            CacheMetrics::in_registry(registry),
-        )
+        Self::with_capacity(DEFAULT_CACHE_CAPACITY, CacheMetrics::in_registry(registry))
     }
 
-    /// `shards` independently locked shards of `capacity_per_shard` each,
-    /// all reporting into `metrics`.
-    fn with_shards(shards: usize, capacity_per_shard: usize, metrics: CacheMetrics) -> Self {
-        assert!(shards >= 1, "need at least one shard");
+    /// An empty cache of `capacity` sequences reporting into `metrics`.
+    fn with_capacity(capacity: usize, metrics: CacheMetrics) -> Self {
         ConcurrentSequenceCache {
-            shards: (0..shards)
-                .map(|_| parking_lot::Mutex::new(Shard::new(capacity_per_shard, metrics.clone())))
-                .collect(),
-            metrics,
+            memo: parking_lot::Mutex::new(Memo::new(capacity, metrics)),
         }
-    }
-
-    fn shard_for(&self, key: &Key) -> &parking_lot::Mutex<Shard> {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() % self.shards.len() as u64) as usize]
     }
 
     /// Negotiate with sequence reuse, safe to call from many threads: on
@@ -324,13 +293,12 @@ impl ConcurrentSequenceCache {
         };
         let requester_fp = party_fingerprint(requester);
         let controller_fp = party_fingerprint(controller);
-        let shard = self.shard_for(&key);
-        let cached = shard.lock().lookup(&key, &requester_fp, &controller_fp);
+        let cached = self.memo.lock().lookup(&key, &requester_fp, &controller_fp);
         let phase = match cached {
             Some(sequence) => PolicyPhase::agreed(resource, sequence),
             None => {
                 let phase = evaluate_policies(requester, controller, resource, cfg)?;
-                shard
+                self.memo
                     .lock()
                     .store(key, requester_fp, controller_fp, phase.sequence.clone());
                 phase
@@ -339,16 +307,14 @@ impl ConcurrentSequenceCache {
         exchange_credentials(requester, controller, phase, cfg)
     }
 
-    /// Aggregate statistics over all shards. Exact even under concurrent
-    /// access: shards share one set of atomic counters, so nothing is
-    /// lost to a racy per-shard fold.
+    /// Hit, miss, invalidation and eviction totals.
     pub fn stats(&self) -> CacheStats {
-        self.metrics.snapshot()
+        self.memo.lock().metrics.snapshot()
     }
 
-    /// Total cached sequences across shards.
+    /// Cached sequences.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().entries.len()).sum()
+        self.memo.lock().entries.len()
     }
 
     /// True when nothing is cached.
@@ -455,7 +421,7 @@ mod tests {
     #[test]
     fn capacity_bound_evicts_least_recently_used() {
         let (requester, controller) = parties();
-        let cache = ConcurrentSequenceCache::with_shards(1, 2, CacheMetrics::default());
+        let cache = ConcurrentSequenceCache::with_capacity(2, CacheMetrics::default());
         let cfg_of = |s| NegotiationConfig::new(s, at());
         let [a, b, c, _] = Strategy::ALL;
 
@@ -523,14 +489,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_conserved_across_16_shards_under_concurrent_access() {
-        // Satellite regression: the old `stats()` folded per-shard
-        // `CacheStats`, which was only exact by luck of timing. The shared
-        // CacheMetrics must conserve every event: each negotiate() call is
-        // exactly one hit or one miss, and evictions are forced by giving
-        // each shard a capacity of 1.
+    fn stats_conserved_under_concurrent_access() {
+        // The counters must conserve every event: each negotiate() call is
+        // exactly one hit or one miss, and evictions are forced by a
+        // capacity of 16 for 40 keys.
         let (requester, controller) = parties();
-        let cache = ConcurrentSequenceCache::with_shards(16, 1, CacheMetrics::default());
+        let cache = ConcurrentSequenceCache::with_capacity(16, CacheMetrics::default());
         const THREADS: usize = 8;
         const CALLS_PER_THREAD: usize = 24;
         crossbeam::thread::scope(|s| {
@@ -555,10 +519,7 @@ mod tests {
         let total = (THREADS * CALLS_PER_THREAD) as u64;
         assert_eq!(stats.hits + stats.misses, total, "{stats:?}");
         assert_eq!(stats.invalidations, 0, "{stats:?}");
-        assert!(
-            stats.evictions > 0,
-            "capacity 1/shard must evict: {stats:?}"
-        );
+        assert!(stats.evictions > 0, "capacity 16 must evict: {stats:?}");
         // Evicted entries were inserted by misses and no longer resident.
         assert_eq!(
             cache.len() as u64,
@@ -658,7 +619,7 @@ mod tests {
         let (mut requester, controller) = parties();
         let id = requester.profile.credentials()[0].id().clone();
         requester.profile.remove(&id);
-        let cache = ConcurrentSequenceCache::with_shards(16, 1, CacheMetrics::default());
+        let cache = ConcurrentSequenceCache::with_capacity(16, CacheMetrics::default());
         let cfg = NegotiationConfig::new(Strategy::Standard, at());
         for _ in 0..5 {
             let err = cache
@@ -725,11 +686,7 @@ mod tests {
 
         const RESOURCES: usize = 10;
         const REPEATS: usize = 4;
-        let cache = ConcurrentSequenceCache::with_shards(
-            16,
-            DEFAULT_CACHE_CAPACITY,
-            CacheMetrics::default(),
-        );
+        let cache = ConcurrentSequenceCache::new();
         crossbeam::thread::scope(|s| {
             for r in 0..RESOURCES {
                 for _ in 0..REPEATS {

@@ -156,6 +156,54 @@ pub fn choose_minimal(sequences: &[TrustSequence], minimize_side: Side) -> Optio
         .min_by_key(|s| (s.len(), s.by_side(minimize_side).count(), s.to_string()))
 }
 
+/// How to pick among multiple satisfiable views before the exchange phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SelectionPolicy {
+    /// Take the engine's first view (policy order) — what plain
+    /// [`crate::engine::negotiate`] does.
+    #[default]
+    First,
+    /// Fewest total disclosures.
+    MinimalDisclosures,
+    /// Fewest disclosures by the requester (privacy-favouring).
+    MinimizeRequester,
+    /// Fewest disclosures by the controller.
+    MinimizeController,
+}
+
+/// Negotiate with explicit view selection: enumerate the satisfiable
+/// views (bounded by `cap`), pick one per `policy`, then run the
+/// credential exchange phase over it. Falls back to the plain engine for
+/// [`SelectionPolicy::First`].
+pub fn negotiate_with_selection(
+    requester: &Party,
+    controller: &Party,
+    resource: &str,
+    cfg: &NegotiationConfig,
+    policy: SelectionPolicy,
+    cap: usize,
+) -> Result<crate::engine::NegotiationOutcome, crate::error::NegotiationError> {
+    if policy == SelectionPolicy::First {
+        return crate::engine::negotiate(requester, controller, resource, cfg);
+    }
+    let sequences = enumerate_sequences(requester, controller, resource, cfg, cap);
+    let chosen = match policy {
+        SelectionPolicy::First => unreachable!("handled above"),
+        SelectionPolicy::MinimalDisclosures => {
+            sequences.iter().min_by_key(|s| (s.len(), s.to_string()))
+        }
+        SelectionPolicy::MinimizeRequester => choose_minimal(&sequences, Side::Requester),
+        SelectionPolicy::MinimizeController => choose_minimal(&sequences, Side::Controller),
+    };
+    let Some(chosen) = chosen else {
+        return Err(crate::error::NegotiationError::NoTrustSequence {
+            resource: resource.to_owned(),
+        });
+    };
+    let phase = crate::engine::PolicyPhase::agreed(resource, chosen.clone());
+    crate::engine::exchange_credentials(requester, controller, phase, cfg)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,68 +321,11 @@ mod tests {
     }
 
     #[test]
-    fn counts_agree_with_count_views() {
-        let (requester, controller) = world();
-        let cfg = NegotiationConfig::new(Strategy::Standard, at());
-        let enumerated = enumerate_sequences(&requester, &controller, "Svc", &cfg, 1000).len();
-        let counted = crate::engine::count_views(&requester, &controller, "Svc", &cfg, 1000);
-        assert_eq!(enumerated, counted);
-    }
-
-    #[test]
     fn expired_candidates_skipped() {
         let (requester, controller) = world();
         let cfg = NegotiationConfig::new(Strategy::Standard, window().not_after.plus_days(10));
         assert!(enumerate_sequences(&requester, &controller, "Svc", &cfg, 100).is_empty());
     }
-}
-
-/// How to pick among multiple satisfiable views before the exchange phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectionPolicy {
-    /// Take the engine's first view (policy order) — what plain
-    /// [`crate::engine::negotiate`] does.
-    #[default]
-    First,
-    /// Fewest total disclosures.
-    MinimalDisclosures,
-    /// Fewest disclosures by the requester (privacy-favouring).
-    MinimizeRequester,
-    /// Fewest disclosures by the controller.
-    MinimizeController,
-}
-
-/// Negotiate with explicit view selection: enumerate the satisfiable
-/// views (bounded by `cap`), pick one per `policy`, then run the
-/// credential exchange phase over it. Falls back to the plain engine for
-/// [`SelectionPolicy::First`].
-pub fn negotiate_with_selection(
-    requester: &Party,
-    controller: &Party,
-    resource: &str,
-    cfg: &NegotiationConfig,
-    policy: SelectionPolicy,
-    cap: usize,
-) -> Result<crate::engine::NegotiationOutcome, crate::error::NegotiationError> {
-    if policy == SelectionPolicy::First {
-        return crate::engine::negotiate(requester, controller, resource, cfg);
-    }
-    let sequences = enumerate_sequences(requester, controller, resource, cfg, cap);
-    let chosen = match policy {
-        SelectionPolicy::First => unreachable!("handled above"),
-        SelectionPolicy::MinimalDisclosures => {
-            sequences.iter().min_by_key(|s| (s.len(), s.to_string()))
-        }
-        SelectionPolicy::MinimizeRequester => choose_minimal(&sequences, Side::Requester),
-        SelectionPolicy::MinimizeController => choose_minimal(&sequences, Side::Controller),
-    };
-    let Some(chosen) = chosen else {
-        return Err(crate::error::NegotiationError::NoTrustSequence {
-            resource: resource.to_owned(),
-        });
-    };
-    let phase = crate::engine::PolicyPhase::agreed(resource, chosen.clone());
-    crate::engine::exchange_credentials(requester, controller, phase, cfg)
 }
 
 #[cfg(test)]

@@ -76,47 +76,6 @@ impl Transcript {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::strategy::Strategy;
-
-    #[test]
-    fn logging_and_counting() {
-        let mut t = Transcript::new();
-        t.log(
-            Side::Requester,
-            Message::Start {
-                resource: "r".into(),
-                strategy: Strategy::Standard,
-            },
-        );
-        t.log(
-            Side::Controller,
-            Message::PolicyDisclosure { policies: vec![] },
-        );
-        t.log(Side::Requester, Message::Ack);
-        assert_eq!(t.message_count(), 3);
-        assert_eq!(t.count_tag("start"), 1);
-        assert_eq!(t.count_tag("ack"), 1);
-        assert_eq!(t.count_tag("failure"), 0);
-        assert_eq!(t.entries()[1].from, Side::Controller);
-    }
-
-    #[test]
-    fn summary_mentions_counters() {
-        let mut t = Transcript::new();
-        t.policy_rounds = 3;
-        t.policies_disclosed = 4;
-        t.credentials_disclosed = 5;
-        t.verifications = 5;
-        let s = t.summary();
-        assert!(s.contains("3 policy rounds"));
-        assert!(s.contains("4 policies"));
-        assert!(s.contains("5 credentials"));
-    }
-}
-
 impl Transcript {
     /// Export as an XML document — the data the prototype's GUI renders to
     /// let users "monitor the negotiation process" (§6.2).
@@ -162,6 +121,47 @@ impl Transcript {
             root.children.push(Node::Element(el));
         }
         root
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::strategy::Strategy;
+
+    #[test]
+    fn logging_and_counting() {
+        let mut t = Transcript::new();
+        t.log(
+            Side::Requester,
+            Message::Start {
+                resource: "r".into(),
+                strategy: Strategy::Standard,
+            },
+        );
+        t.log(
+            Side::Controller,
+            Message::PolicyDisclosure { policies: vec![] },
+        );
+        t.log(Side::Requester, Message::Ack);
+        assert_eq!(t.message_count(), 3);
+        assert_eq!(t.count_tag("start"), 1);
+        assert_eq!(t.count_tag("ack"), 1);
+        assert_eq!(t.count_tag("failure"), 0);
+        assert_eq!(t.entries()[1].from, Side::Controller);
+    }
+
+    #[test]
+    fn summary_mentions_counters() {
+        let mut t = Transcript::new();
+        t.policy_rounds = 3;
+        t.policies_disclosed = 4;
+        t.credentials_disclosed = 5;
+        t.verifications = 5;
+        let s = t.summary();
+        assert!(s.contains("3 policy rounds"));
+        assert!(s.contains("4 policies"));
+        assert!(s.contains("5 credentials"));
     }
 }
 

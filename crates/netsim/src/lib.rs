@@ -83,7 +83,7 @@ mod tests {
     }
 
     fn drive(net: &NetSim, seed: u64) -> trust_vo_soa::ResilientRun {
-        run_negotiation_resilient(
+        let run = run_negotiation_resilient(
             net,
             "tn",
             "Aerospace",
@@ -94,8 +94,13 @@ mod tests {
             &ResumePolicy::standard(),
             seed,
             trust_vo_obs::SpanLink::default(),
-        )
-        .expect("negotiation completes under faults")
+        );
+        assert!(run.outcome.is_ok(), "negotiation completes under faults");
+        run
+    }
+
+    fn completed(run: &trust_vo_soa::ResilientRun) -> &trust_vo_soa::ClientRun {
+        run.outcome.as_ref().expect("negotiation completed")
     }
 
     #[test]
@@ -116,15 +121,16 @@ mod tests {
             7,
             trust_vo_obs::SpanLink::default(),
         )
+        .outcome
         .unwrap();
         let baseline_counts = bare.clock().counts();
 
         let net = NetSim::new(bus(), FaultPlan::reliable(42));
         let run = drive(&net, 7);
         assert_eq!(run.retries + run.resumes + run.restarts, 0);
-        assert_eq!(run.run.credential_calls, baseline.run.credential_calls);
-        assert_eq!(run.run.sequence_len, baseline.run.sequence_len);
-        assert_eq!(run.run.sim_elapsed, baseline.run.sim_elapsed);
+        assert_eq!(completed(&run).credential_calls, baseline.credential_calls);
+        assert_eq!(completed(&run).sequence_len, baseline.sequence_len);
+        assert_eq!(completed(&run).sim_elapsed, baseline.sim_elapsed);
         assert_eq!(net.metrics().drops.get(), 0);
         assert_eq!(net.metrics().dups.get(), 0);
         // Same charge profile as the bare bus: the wrapper added nothing.
@@ -145,10 +151,10 @@ mod tests {
             7,
             trust_vo_obs::SpanLink::default(),
         )
-        .unwrap()
-        .run;
-        assert_eq!(plain_run.sequence_len, run.run.sequence_len);
-        assert_eq!(plain_run.credential_calls, run.run.credential_calls);
+        .outcome
+        .unwrap();
+        assert_eq!(plain_run.sequence_len, completed(&run).sequence_len);
+        assert_eq!(plain_run.credential_calls, completed(&run).credential_calls);
     }
 
     #[test]
@@ -161,8 +167,8 @@ mod tests {
                 run.retries,
                 run.resumes,
                 run.restarts,
-                run.run.credential_calls,
-                run.run.sim_elapsed,
+                completed(&run).credential_calls,
+                completed(&run).sim_elapsed,
                 net.metrics().drops.get(),
                 net.metrics().dups.get(),
                 net.bus().clock().counts(),
@@ -176,7 +182,11 @@ mod tests {
         let schedule = |seed| {
             let net = NetSim::new(bus(), FaultPlan::lossy(seed, 0.2));
             let run = drive(&net, 7);
-            (run.retries, net.metrics().drops.get(), run.run.sim_elapsed)
+            (
+                run.retries,
+                net.metrics().drops.get(),
+                completed(&run).sim_elapsed,
+            )
         };
         // Not a hard guarantee for any single pair, so try a few.
         assert!(
@@ -194,7 +204,7 @@ mod tests {
             "0.2 loss plan dropped nothing"
         );
         assert!(run.retries > 0);
-        assert_eq!(run.run.sequence_len, 1);
+        assert_eq!(completed(&run).sequence_len, 1);
     }
 
     #[test]
@@ -358,6 +368,6 @@ mod tests {
             net.metrics().dedup_replays.get() > 0,
             "expected at least one cache replay under 35% loss (seed 4242)"
         );
-        assert_eq!(run.run.sequence_len, 1);
+        assert_eq!(completed(&run).sequence_len, 1);
     }
 }

@@ -85,12 +85,13 @@ impl ResumePolicy {
     }
 }
 
-/// Accounting for a resilient run: the underlying [`ClientRun`] plus the
-/// recovery work it took to get there.
+/// Accounting for a resilient run: how the negotiation ended plus the
+/// recovery work it took, counted whether it completed or not.
 #[derive(Debug, Clone)]
 pub struct ResilientRun {
-    /// The completed negotiation, as a plain run.
-    pub run: ClientRun,
+    /// The completed negotiation as a plain run, or the fault that ended
+    /// it.
+    pub outcome: Result<ClientRun, Fault>,
     /// Transport-level call retries across all operations.
     pub retries: u64,
     /// Sessions re-established via `ResumeNegotiation` with a token.
@@ -180,7 +181,8 @@ fn call_attempt(
 /// mints its own trace id and becomes a root. A [`FlightRecorder`] notes
 /// every call/retry/resume/restart and is dumped into the collector on a
 /// terminal fault, abandonment (reconnect budget exhausted), or failed
-/// resume.
+/// resume. The returned [`ResilientRun`] counts the retries, resumes and
+/// restarts on either outcome.
 #[allow(clippy::too_many_arguments)]
 pub fn run_negotiation_resilient(
     transport: &dyn Transport,
@@ -193,7 +195,7 @@ pub fn run_negotiation_resilient(
     resume: &ResumePolicy,
     key_seed: u64,
     link: SpanLink,
-) -> Result<ResilientRun, Fault> {
+) -> ResilientRun {
     let clock = transport.clock();
     let started_at = clock.elapsed();
     let mut key_counter = 0u64;
@@ -254,202 +256,207 @@ pub fn run_negotiation_resilient(
         fault
     };
 
-    'session: loop {
-        // Establish a session: resume from the freshest token if one is
-        // held, otherwise start over from phase 1.
-        let remaining_bound;
-        if let Some(tok) = token.clone() {
-            key_counter += 1;
-            let env = Envelope::request(
-                "ResumeNegotiation",
-                Element::new("ResumeNegotiationRequest").child(tok),
-            )
-            .with_idempotency(mix_key(key_seed, key_counter));
-            match call_attempt(
-                transport,
-                &obs,
-                neg_link,
-                service,
-                env,
-                retry,
-                &mut retries,
-                &mut flight,
-            ) {
-                Ok(resp) => {
-                    resumes += 1;
-                    if obs.is_enabled() {
-                        obs.counter_add("client.resumes", 1);
-                    }
-                    negotiation_id = match resp.negotiation_id {
-                        Some(id) => id,
-                        None => {
-                            let fault = Fault::new("BadResponse", "resume lacks negotiation id");
-                            return Err(fatal(&mut flight, fault, "failed-resume"));
-                        }
-                    };
-                    flight.note(
-                        clock.elapsed().0,
-                        "resume",
-                        format!("negotiation {negotiation_id} resumed from checkpoint"),
-                    );
-                    remaining_bound = resp
-                        .body
-                        .get_attr("remaining")
-                        .and_then(|t| t.parse().ok())
-                        .unwrap_or(sequence_len);
-                }
-                Err(f) if session_lost(&f) && reconnect(&mut cycles) => {
-                    continue 'session;
-                }
-                // The slot is gone: the service finished the negotiation
-                // (its reply was lost) or failed it. Either way phase 1
-                // runs again, and a trust failure fails again.
-                Err(f) if f.code == "NoSuchCheckpoint" && reconnect(&mut cycles) => {
-                    token = None;
-                    restart(&mut restarts, &mut flight, "checkpoint gone");
-                    continue 'session;
-                }
-                Err(f) => return Err(fatal(&mut flight, f, "failed-resume")),
-            }
-        } else {
-            key_counter += 1;
-            let mut request = Element::new("StartNegotiationRequest");
-            if resume.max_cycles > 0 {
-                request = request.attr("resumable", "true");
-            }
-            let env = Envelope::request(
-                "StartNegotiation",
-                request
-                    .child(Element::new("strategy").text(strategy.wire_name()))
-                    .child(Element::new("requester").text(requester))
-                    .child(Element::new("counterpartUrl").text(controller))
-                    .child(Element::new("resource").text(resource)),
-            )
-            .with_idempotency(mix_key(key_seed, key_counter));
-            let start = match call_attempt(
-                transport,
-                &obs,
-                neg_link,
-                service,
-                env,
-                retry,
-                &mut retries,
-                &mut flight,
-            ) {
-                Ok(resp) => resp,
-                Err(f) if f.is_transport() && reconnect(&mut cycles) => {
-                    restart(&mut restarts, &mut flight, "no token held");
-                    continue 'session;
-                }
-                Err(f) => return Err(fatal(&mut flight, f, "terminal-fault")),
-            };
-            let id: u64 = match start
-                .body
-                .child_text("negotiationId")
-                .and_then(|t| t.parse().ok())
-            {
-                Some(id) => id,
-                None => {
-                    let fault = Fault::new("BadResponse", "missing negotiation id");
-                    return Err(fatal(&mut flight, fault, "terminal-fault"));
-                }
-            };
-
-            key_counter += 1;
-            let env = Envelope::request("PolicyExchange", Element::new("PolicyExchangeRequest"))
-                .with_negotiation(id)
+    let outcome = 'run: {
+        'session: loop {
+            // Establish a session: resume from the freshest token if one is
+            // held, otherwise start over from phase 1.
+            let remaining_bound;
+            if let Some(tok) = token.clone() {
+                key_counter += 1;
+                let env = Envelope::request(
+                    "ResumeNegotiation",
+                    Element::new("ResumeNegotiationRequest").child(tok),
+                )
                 .with_idempotency(mix_key(key_seed, key_counter));
-            match call_attempt(
-                transport,
-                &obs,
-                neg_link,
-                service,
-                env,
-                retry,
-                &mut retries,
-                &mut flight,
-            ) {
-                Ok(policy) => {
-                    sequence_len = policy
-                        .body
-                        .first("trustSequence")
-                        .map(|seq| seq.all("disclosure").count())
-                        .unwrap_or(0);
-                    token = policy.body.first("ResumeToken").cloned();
-                    negotiation_id = id;
-                    remaining_bound = sequence_len;
-                }
-                Err(f) if session_lost(&f) && reconnect(&mut cycles) => {
-                    if token.is_none() {
-                        restart(&mut restarts, &mut flight, "no token held");
+                match call_attempt(
+                    transport,
+                    &obs,
+                    neg_link,
+                    service,
+                    env,
+                    retry,
+                    &mut retries,
+                    &mut flight,
+                ) {
+                    Ok(resp) => {
+                        resumes += 1;
+                        if obs.is_enabled() {
+                            obs.counter_add("client.resumes", 1);
+                        }
+                        negotiation_id = match resp.negotiation_id {
+                            Some(id) => id,
+                            None => {
+                                let fault =
+                                    Fault::new("BadResponse", "resume lacks negotiation id");
+                                break 'run Err(fatal(&mut flight, fault, "failed-resume"));
+                            }
+                        };
+                        flight.note(
+                            clock.elapsed().0,
+                            "resume",
+                            format!("negotiation {negotiation_id} resumed from checkpoint"),
+                        );
+                        remaining_bound = resp
+                            .body
+                            .get_attr("remaining")
+                            .and_then(|t| t.parse().ok())
+                            .unwrap_or(sequence_len);
                     }
-                    continue 'session;
+                    Err(f) if session_lost(&f) && reconnect(&mut cycles) => {
+                        continue 'session;
+                    }
+                    // The slot is gone: the service finished the negotiation
+                    // (its reply was lost) or failed it. Either way phase 1
+                    // runs again, and a trust failure fails again.
+                    Err(f) if f.code == "NoSuchCheckpoint" && reconnect(&mut cycles) => {
+                        token = None;
+                        restart(&mut restarts, &mut flight, "checkpoint gone");
+                        continue 'session;
+                    }
+                    Err(f) => break 'run Err(fatal(&mut flight, f, "failed-resume")),
                 }
-                Err(f) => return Err(fatal(&mut flight, f, "terminal-fault")),
+            } else {
+                key_counter += 1;
+                let mut request = Element::new("StartNegotiationRequest");
+                if resume.max_cycles > 0 {
+                    request = request.attr("resumable", "true");
+                }
+                let env = Envelope::request(
+                    "StartNegotiation",
+                    request
+                        .child(Element::new("strategy").text(strategy.wire_name()))
+                        .child(Element::new("requester").text(requester))
+                        .child(Element::new("counterpartUrl").text(controller))
+                        .child(Element::new("resource").text(resource)),
+                )
+                .with_idempotency(mix_key(key_seed, key_counter));
+                let start = match call_attempt(
+                    transport,
+                    &obs,
+                    neg_link,
+                    service,
+                    env,
+                    retry,
+                    &mut retries,
+                    &mut flight,
+                ) {
+                    Ok(resp) => resp,
+                    Err(f) if f.is_transport() && reconnect(&mut cycles) => {
+                        restart(&mut restarts, &mut flight, "no token held");
+                        continue 'session;
+                    }
+                    Err(f) => break 'run Err(fatal(&mut flight, f, "terminal-fault")),
+                };
+                let id: u64 = match start
+                    .body
+                    .child_text("negotiationId")
+                    .and_then(|t| t.parse().ok())
+                {
+                    Some(id) => id,
+                    None => {
+                        let fault = Fault::new("BadResponse", "missing negotiation id");
+                        break 'run Err(fatal(&mut flight, fault, "terminal-fault"));
+                    }
+                };
+
+                key_counter += 1;
+                let env =
+                    Envelope::request("PolicyExchange", Element::new("PolicyExchangeRequest"))
+                        .with_negotiation(id)
+                        .with_idempotency(mix_key(key_seed, key_counter));
+                match call_attempt(
+                    transport,
+                    &obs,
+                    neg_link,
+                    service,
+                    env,
+                    retry,
+                    &mut retries,
+                    &mut flight,
+                ) {
+                    Ok(policy) => {
+                        sequence_len = policy
+                            .body
+                            .first("trustSequence")
+                            .map(|seq| seq.all("disclosure").count())
+                            .unwrap_or(0);
+                        token = policy.body.first("ResumeToken").cloned();
+                        negotiation_id = id;
+                        remaining_bound = sequence_len;
+                    }
+                    Err(f) if session_lost(&f) && reconnect(&mut cycles) => {
+                        if token.is_none() {
+                            restart(&mut restarts, &mut flight, "no token held");
+                        }
+                        continue 'session;
+                    }
+                    Err(f) => break 'run Err(fatal(&mut flight, f, "terminal-fault")),
+                }
+            }
+
+            // Phase 2 on this session: exchange credentials until completion,
+            // refreshing the held token after every verified disclosure.
+            let mut calls_this_session = 0usize;
+            loop {
+                key_counter += 1;
+                let env = Envelope::request(
+                    "CredentialExchange",
+                    Element::new("CredentialExchangeRequest"),
+                )
+                .with_negotiation(negotiation_id)
+                .with_idempotency(mix_key(key_seed, key_counter));
+                match call_attempt(
+                    transport,
+                    &obs,
+                    neg_link,
+                    service,
+                    env,
+                    retry,
+                    &mut retries,
+                    &mut flight,
+                ) {
+                    Ok(resp) => {
+                        credential_calls += 1;
+                        calls_this_session += 1;
+                        if let Some(t) = resp.body.first("ResumeToken") {
+                            token = Some(t.clone());
+                        }
+                        if resp.body.get_attr("status") == Some("completed") {
+                            break 'session;
+                        }
+                        if calls_this_session > remaining_bound + 1 {
+                            let fault =
+                                Fault::new("ProtocolError", "service never reported completion");
+                            break 'run Err(fatal(&mut flight, fault, "terminal-fault"));
+                        }
+                    }
+                    Err(f) if session_lost(&f) && reconnect(&mut cycles) => {
+                        if token.is_none() {
+                            restart(&mut restarts, &mut flight, "no token held");
+                        }
+                        continue 'session;
+                    }
+                    Err(f) => break 'run Err(fatal(&mut flight, f, "terminal-fault")),
+                }
             }
         }
 
-        // Phase 2 on this session: exchange credentials until completion,
-        // refreshing the held token after every verified disclosure.
-        let mut calls_this_session = 0usize;
-        loop {
-            key_counter += 1;
-            let env = Envelope::request(
-                "CredentialExchange",
-                Element::new("CredentialExchangeRequest"),
-            )
-            .with_negotiation(negotiation_id)
-            .with_idempotency(mix_key(key_seed, key_counter));
-            match call_attempt(
-                transport,
-                &obs,
-                neg_link,
-                service,
-                env,
-                retry,
-                &mut retries,
-                &mut flight,
-            ) {
-                Ok(resp) => {
-                    credential_calls += 1;
-                    calls_this_session += 1;
-                    if let Some(t) = resp.body.first("ResumeToken") {
-                        token = Some(t.clone());
-                    }
-                    if resp.body.get_attr("status") == Some("completed") {
-                        break 'session;
-                    }
-                    if calls_this_session > remaining_bound + 1 {
-                        let fault =
-                            Fault::new("ProtocolError", "service never reported completion");
-                        return Err(fatal(&mut flight, fault, "terminal-fault"));
-                    }
-                }
-                Err(f) if session_lost(&f) && reconnect(&mut cycles) => {
-                    if token.is_none() {
-                        restart(&mut restarts, &mut flight, "no token held");
-                    }
-                    continue 'session;
-                }
-                Err(f) => return Err(fatal(&mut flight, f, "terminal-fault")),
-            }
-        }
-    }
-
-    neg_span.field("resumes", resumes as i64);
-    neg_span.field("restarts", restarts as i64);
-    let sim_elapsed = SimDuration(clock.elapsed().0 - started_at.0);
-    Ok(ResilientRun {
-        run: ClientRun {
+        neg_span.field("resumes", resumes as i64);
+        neg_span.field("restarts", restarts as i64);
+        let sim_elapsed = SimDuration(clock.elapsed().0 - started_at.0);
+        Ok(ClientRun {
             negotiation_id,
             credential_calls,
             sequence_len,
             sim_elapsed,
-        },
+        })
+    };
+    ResilientRun {
+        outcome,
         retries,
         resumes,
         restarts,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -547,7 +554,7 @@ mod tests {
             0xD00D,
             SpanLink::default(),
         )
-        .map(|resilient| resilient.run)
+        .outcome
     }
 
     #[test]
@@ -616,11 +623,7 @@ mod tests {
         }
     }
 
-    fn resilient(
-        chaos: &Chaos,
-        retry: &RetryPolicy,
-        resume: &ResumePolicy,
-    ) -> Result<ResilientRun, Fault> {
+    fn resilient(chaos: &Chaos, retry: &RetryPolicy, resume: &ResumePolicy) -> ResilientRun {
         run_negotiation_resilient(
             chaos,
             "tn",
@@ -641,12 +644,13 @@ mod tests {
         let plain = plain(&bus, "tn", "Aerospace", Strategy::Standard).unwrap();
         let bus2 = setup();
         let chaos = Chaos::new(bus2);
-        let run = resilient(&chaos, &RetryPolicy::standard(), &ResumePolicy::standard()).unwrap();
+        let run = resilient(&chaos, &RetryPolicy::standard(), &ResumePolicy::standard());
+        let completed = run.outcome.as_ref().unwrap();
         assert_eq!(run.retries, 0);
         assert_eq!(run.resumes, 0);
         assert_eq!(run.restarts, 0);
-        assert_eq!(run.run.sequence_len, plain.sequence_len);
-        assert_eq!(run.run.credential_calls, plain.credential_calls);
+        assert_eq!(completed.sequence_len, plain.sequence_len);
+        assert_eq!(completed.credential_calls, plain.credential_calls);
     }
 
     #[test]
@@ -655,11 +659,12 @@ mod tests {
         let mut chaos = Chaos::new(bus);
         // Calls: 0 = Start, 1 = Policy, 2 = first CredentialExchange.
         chaos.fail_calls.insert(2);
-        let run = resilient(&chaos, &RetryPolicy::standard(), &ResumePolicy::none()).unwrap();
+        let run = resilient(&chaos, &RetryPolicy::standard(), &ResumePolicy::none());
+        let completed = run.outcome.as_ref().unwrap();
         assert_eq!(run.retries, 1);
         assert_eq!(run.resumes, 0);
         assert_eq!(run.restarts, 0);
-        assert_eq!(run.run.credential_calls, 1);
+        assert_eq!(completed.credential_calls, 1);
     }
 
     #[test]
@@ -669,11 +674,12 @@ mod tests {
         // Crash the service right before the first CredentialExchange:
         // volatile sessions are wiped, the durable checkpoint survives.
         chaos.crash_before = Some(2);
-        let run = resilient(&chaos, &RetryPolicy::none(), &ResumePolicy::standard()).unwrap();
+        let run = resilient(&chaos, &RetryPolicy::none(), &ResumePolicy::standard());
+        let completed = run.outcome.as_ref().unwrap();
         assert_eq!(run.resumes, 1);
         assert_eq!(run.restarts, 0);
-        assert_eq!(run.run.credential_calls, 1);
-        assert_eq!(run.run.sequence_len, 1);
+        assert_eq!(completed.credential_calls, 1);
+        assert_eq!(completed.sequence_len, 1);
     }
 
     #[test]
@@ -683,7 +689,8 @@ mod tests {
         // Fail the very first StartNegotiation; no token exists yet, so
         // the driver must start over from phase 1.
         chaos.fail_calls.insert(0);
-        let run = resilient(&chaos, &RetryPolicy::none(), &ResumePolicy::standard()).unwrap();
+        let run = resilient(&chaos, &RetryPolicy::none(), &ResumePolicy::standard());
+        assert!(run.outcome.is_ok());
         assert_eq!(run.restarts, 1);
         assert_eq!(run.resumes, 0);
     }
@@ -699,10 +706,11 @@ mod tests {
         let mut chaos = Chaos::new(bus);
         // Calls: 0 = Start, 1 = Policy, 2 = the completing exchange.
         chaos.lose_replies.insert(2);
-        let run = resilient(&chaos, &RetryPolicy::none(), &ResumePolicy::standard()).unwrap();
+        let run = resilient(&chaos, &RetryPolicy::none(), &ResumePolicy::standard());
+        let completed = run.outcome.as_ref().unwrap();
         assert_eq!(run.restarts, 1);
         assert_eq!(run.resumes, 0);
-        assert_eq!(run.run.credential_calls, 1);
+        assert_eq!(completed.credential_calls, 1);
         // 3 = the refused resume; 4, 5, 6 = the restarted negotiation.
         assert_eq!(chaos.calls.load(std::sync::atomic::Ordering::SeqCst), 7);
     }
@@ -718,8 +726,9 @@ mod tests {
         // 0 = Start, 1 = Policy, 2 = first exchange (reply lost), 3 = a
         // resume (reply lost), 4 = a resume, 5 = the completing exchange.
         chaos.lose_replies.extend([2, 3]);
-        let run = resilient(&chaos, &RetryPolicy::none(), &ResumePolicy::standard()).unwrap();
-        assert_eq!(run.run.sequence_len, 2);
+        let run = resilient(&chaos, &RetryPolicy::none(), &ResumePolicy::standard());
+        let completed = run.outcome.as_ref().unwrap();
+        assert_eq!(completed.sequence_len, 2);
         assert_eq!(run.resumes, 1);
         assert_eq!(run.restarts, 0);
         assert_eq!(chaos.calls.load(std::sync::atomic::Ordering::SeqCst), 6);
@@ -732,18 +741,21 @@ mod tests {
         let bus = setup();
         let mut chaos = Chaos::new(bus);
         chaos.fail_all = true;
-        let err = resilient(
+        let run = resilient(
             &chaos,
             &RetryPolicy::none(),
             &ResumePolicy {
                 max_cycles: 2,
                 reconnect_delay: SimDuration::from_millis(1),
             },
-        )
-        .unwrap_err();
-        assert!(err.is_transport());
+        );
+        assert!(run.outcome.unwrap_err().is_transport());
         // 1 original + 2 reconnect cycles = 3 StartNegotiation attempts.
         assert_eq!(chaos.calls.load(std::sync::atomic::Ordering::SeqCst), 3);
+        // The failed run still reports its recovery work: each reconnect
+        // restarted phase 1, as no token was ever held.
+        assert_eq!(run.restarts, 2);
+        assert_eq!(run.resumes, 0);
     }
 
     #[test]

@@ -29,12 +29,17 @@
 //!    of them run concurrently on the sharded executor
 //!    ([`run_sharded`]), each under a `formation.speculate` span below the
 //!    formation root. In-process negotiations run at the formation-start
-//!    timestamp through the source's sequence cache and charge nothing;
-//!    service negotiations charge the transport's clock as they go.
+//!    timestamp and charge nothing yet; service negotiations charge the
+//!    transport's clock as they go.
 //! 2. **Replay** — the exact serial decision procedure (ranking, attempt
 //!    order, reputation updates, sim-clock charges, serial allocation)
 //!    runs with negotiation results looked up from the speculation table
 //!    instead of recomputed.
+//!
+//! Either way every negotiation starts in [`NegotiationSource`]'s one
+//! method, and its spans hang under the formation root (under its
+//! `formation.speculate` span when speculated), beside the
+//! `formation.join_attempt` span that decides on it.
 //!
 //! Replay consults only the attempts the serial algorithm would make, so
 //! the resulting [`FormedVo`] — members, roles, certificate serials — is
@@ -49,20 +54,19 @@ use crate::mailbox::{Invitation, MailboxSystem};
 use crate::member::{MemberRecord, ServiceProvider};
 use crate::registry::{ResourceDescription, ServiceRegistry};
 use crate::reputation::ReputationLedger;
-use crate::resilient::{service_verdict, FormationResilience, ServiceSource};
+use crate::resilient::{FormationResilience, ServiceSource};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use trust_vo_admission::Outcome;
 use trust_vo_credential::x509::AttributeCertificate;
 use trust_vo_credential::{CredentialError, TimeRange, Timestamp};
 use trust_vo_crypto::{hex, KeyPair};
 use trust_vo_negotiation::{
-    negotiate, ConcurrentSequenceCache, NegotiationConfig, NegotiationError, NegotiationOutcome,
-    Party, Strategy, Transcript,
+    negotiate, NegotiationConfig, NegotiationError, Party, Strategy, Transcript,
 };
 use trust_vo_obs::{ObsContext, SpanLink};
 use trust_vo_soa::shard::{run_sharded, ShardConfig};
 use trust_vo_soa::simclock::{CostKind, SimClock};
-use trust_vo_soa::{Fault, ResilientRun};
+use trust_vo_soa::ResilientRun;
 
 /// A formed VO: the output of the Formation phase.
 #[derive(Debug, Clone)]
@@ -204,36 +208,10 @@ fn issue_membership(
     )
 }
 
-/// How a join attempt resolves its trust negotiation.
-pub(crate) enum TnAction<'a> {
-    /// No TN (the paper's plain join bar).
-    Skip,
-    /// Negotiate now, under the attempt's span, at a fixed virtual instant,
-    /// optionally through a shared sequence cache.
-    Negotiate {
-        strategy: Strategy,
-        at: Timestamp,
-        cache: Option<&'a ConcurrentSequenceCache>,
-    },
-    /// A verdict reached before the attempt: a speculated in-process
-    /// outcome, still to be charged to the sim clock, or `Ok(None)` when
-    /// the TN web service already reached (and charged) it.
-    Decided(Result<Option<NegotiationOutcome>, NegotiationError>),
-}
-
-/// The membership negotiation between a candidate and the initiator's
-/// per-role identity, through `cache` when one is shared.
-fn negotiate_membership(
-    candidate: &Party,
-    initiator: &Party,
-    cache: Option<&ConcurrentSequenceCache>,
-    cfg: &NegotiationConfig,
-) -> Result<NegotiationOutcome, NegotiationError> {
-    match cache {
-        Some(shared) => shared.negotiate(candidate, initiator, "VoMembership", cfg),
-        None => negotiate(candidate, initiator, "VoMembership", cfg),
-    }
-}
+/// The trust negotiation's verdict a join attempt acts on. A success
+/// carries the in-process transcript, still to be charged to the sim
+/// clock, or `None` when the TN web service reached (and charged) it.
+pub(crate) type Verdict = Result<Option<Transcript>, NegotiationError>;
 
 /// The §6.3.1 join process for one member, with or without TN.
 ///
@@ -257,14 +235,28 @@ pub fn join_member(
         .role(role)
         .cloned()
         .ok_or_else(|| VoError::UnknownRole(role.to_owned()))?;
-    let action = match with_tn {
-        Some(strategy) => TnAction::Negotiate {
-            strategy,
-            at: clock.timestamp(),
-            cache: None,
-        },
-        None => TnAction::Skip,
-    };
+    // A decliner turns back before the TN step, so it is never negotiated.
+    let verdict = with_tn
+        .filter(|_| candidate.accepts_invitations)
+        .map(|strategy| {
+            NegotiationSource::in_process(clock)
+                .negotiate(
+                    initiator,
+                    &vo.contract,
+                    &role.name,
+                    candidate,
+                    strategy,
+                    clock.timestamp(),
+                    SpanLink::default(),
+                )
+                .decide(
+                    candidate.name(),
+                    clock,
+                    None,
+                    &mut FormationResilience::default(),
+                )
+        })
+        .transpose()?;
     join_attempt(
         vo,
         initiator,
@@ -273,19 +265,19 @@ pub fn join_member(
         mailboxes,
         reputation,
         clock,
-        action,
+        verdict,
         SpanLink::default(),
         None,
     )
 }
 
-/// One join attempt for `role`: invitation flow, optional TN (live or
-/// already decided), role assignment, membership certificate. `link` is the
-/// enclosing formation span's trace position, if any — the attempt's own
-/// span (and the negotiation spans under it) hang off it and inherit its
-/// trace id. When `admission` hooks are present, the attempt's outcome
-/// (success, failed TN, declined invitation) is also recorded into the
-/// admission scoring engine alongside the paper's reputation ledger.
+/// One join attempt for `role`: invitation flow, the trust negotiation's
+/// `verdict` (`None`: no TN), role assignment, membership certificate.
+/// `link` is the enclosing formation span's trace position, if any — the
+/// attempt's own span hangs off it and inherits its trace id. When
+/// `admission` hooks are present, the attempt's outcome (success, failed
+/// TN, declined invitation) is also recorded into the admission scoring
+/// engine alongside the paper's reputation ledger.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn join_attempt(
     vo: &mut FormedVo,
@@ -295,7 +287,7 @@ pub(crate) fn join_attempt(
     mailboxes: &mut MailboxSystem,
     reputation: &mut ReputationLedger,
     clock: &SimClock,
-    tn: TnAction<'_>,
+    verdict: Option<Verdict>,
     link: SpanLink,
     admission: Option<&AdmissionHooks<'_>>,
 ) -> Result<MemberRecord, VoError> {
@@ -337,28 +329,13 @@ pub(crate) fn join_attempt(
     clock.charge(CostKind::GuiStep); // accept click + reply
     clock.charge(CostKind::SoapRoundTrip);
 
-    // The interleaved trust negotiation (Fig. 3, arrow 0 / Fig. 4). The
-    // inner `Option<NegotiationOutcome>` is `None` when the verdict was
-    // reached (and charged) by the TN web service.
-    let verdict = match tn {
-        TnAction::Skip => None,
-        TnAction::Negotiate {
-            strategy,
-            at,
-            cache,
-        } => {
-            let initiator_party = initiator_party_for_role(initiator, &vo.contract, &role.name);
-            let cfg = NegotiationConfig::new(strategy, at)
-                .with_obs(ObsContext::new(obs.clone()).at_link(span.link()));
-            Some(negotiate_membership(&candidate.party, &initiator_party, cache, &cfg).map(Some))
-        }
-        TnAction::Decided(verdict) => Some(verdict),
-    };
+    // The interleaved trust negotiation (Fig. 3, arrow 0 / Fig. 4): an
+    // in-process transcript is charged here, after acceptance.
     if let Some(result) = verdict {
         match result {
-            Ok(outcome) => {
-                if let Some(outcome) = outcome {
-                    charge_negotiation(clock, &outcome.transcript);
+            Ok(transcript) => {
+                if let Some(transcript) = transcript {
+                    charge_negotiation(clock, &transcript);
                 }
                 reputation.record_success(candidate.name());
                 if let Some(hooks) = admission {
@@ -433,9 +410,6 @@ pub enum NegotiationSource<'a> {
     InProcess {
         /// The clock every formation step charges.
         clock: &'a SimClock,
-        /// A shared phase-1 sequence cache: repeated negotiations against
-        /// the same party reuse their trust sequence.
-        cache: Option<&'a ConcurrentSequenceCache>,
     },
     /// Through the TN web service behind a transport; the transport's
     /// clock is the formation's clock.
@@ -443,16 +417,106 @@ pub enum NegotiationSource<'a> {
 }
 
 impl<'a> NegotiationSource<'a> {
-    /// In-process negotiation on `clock`, without a sequence cache.
+    /// In-process negotiation on `clock`.
     pub fn in_process(clock: &'a SimClock) -> Self {
-        NegotiationSource::InProcess { clock, cache: None }
+        NegotiationSource::InProcess { clock }
     }
 
-    /// In-process negotiation on `clock` through the shared `cache`.
-    pub fn cached(clock: &'a SimClock, cache: &'a ConcurrentSequenceCache) -> Self {
-        NegotiationSource::InProcess {
-            clock,
-            cache: Some(cache),
+    /// The clock the formation charges.
+    fn clock(&self) -> &'a SimClock {
+        match self {
+            NegotiationSource::InProcess { clock } => clock,
+            NegotiationSource::Service(service) => service.transport.clock(),
+        }
+    }
+
+    /// The one place a formation negotiation starts: `candidate` asks the
+    /// initiator for membership in `role` under `strategy`, its spans
+    /// under `link`. In process it negotiates against the initiator's
+    /// identity for the role ([`initiator_party_for_role`]) at the instant
+    /// `at` and charges nothing yet; through the service it negotiates
+    /// against the role's controller identity and charges the transport's
+    /// clock as it goes.
+    #[allow(clippy::too_many_arguments)]
+    fn negotiate(
+        &self,
+        initiator: &ServiceProvider,
+        contract: &Contract,
+        role: &str,
+        candidate: &ServiceProvider,
+        strategy: Strategy,
+        at: Timestamp,
+        link: SpanLink,
+    ) -> Negotiated {
+        match self {
+            NegotiationSource::InProcess { clock } => {
+                let identity = initiator_party_for_role(initiator, contract, role);
+                let cfg = NegotiationConfig::new(strategy, at)
+                    .with_obs(ObsContext::new(clock.collector()).at_link(link));
+                Negotiated::InProcess(
+                    negotiate(&candidate.party, &identity, "VoMembership", &cfg)
+                        .map(|outcome| outcome.transcript),
+                )
+            }
+            NegotiationSource::Service(service) => Negotiated::Service(service.negotiate(
+                initiator.name(),
+                role,
+                candidate.name(),
+                strategy,
+                link,
+            )),
+        }
+    }
+}
+
+/// One formation negotiation as [`NegotiationSource::negotiate`] ran it;
+/// a speculating formation keeps these, keyed by (role name, provider
+/// name), until the replay decides on them.
+#[derive(Clone)]
+enum Negotiated {
+    /// The engine's transcript, not yet charged, or its error.
+    InProcess(Result<Transcript, NegotiationError>),
+    /// The resilient client's run, already charged to the transport's
+    /// clock.
+    Service(ResilientRun),
+}
+
+impl Negotiated {
+    fn succeeded(&self) -> bool {
+        match self {
+            Negotiated::InProcess(result) => result.is_ok(),
+            Negotiated::Service(run) => run.outcome.is_ok(),
+        }
+    }
+
+    /// The join's verdict on this negotiation. A service run's recovery
+    /// work is tallied into `stats` whatever its outcome. Transport
+    /// exhaustion aborts the formation — the negotiation died to the
+    /// network, not to a verdict, which admission scoring records as a
+    /// fault-timeout; any other fault is the candidate's negative verdict.
+    fn decide(
+        self,
+        candidate: &str,
+        clock: &SimClock,
+        admission: Option<&AdmissionHooks<'_>>,
+        stats: &mut FormationResilience,
+    ) -> Result<Verdict, VoError> {
+        let run = match self {
+            Negotiated::InProcess(result) => return Ok(result.map(Some)),
+            Negotiated::Service(run) => run,
+        };
+        stats.absorb(&run);
+        match run.outcome {
+            Ok(_) => Ok(Ok(None)),
+            Err(fault) if fault.is_transport() => {
+                if let Some(hooks) = admission {
+                    hooks.record(candidate, Outcome::FaultTimeout, clock);
+                }
+                Err(VoError::Transport(fault))
+            }
+            Err(fault) => Ok(Err(NegotiationError::Interrupted {
+                reason: format!("[{}] {}", fault.code, fault.reason),
+            })),
         }
     }
 }
@@ -482,13 +546,7 @@ pub struct Formation<'a> {
     pub source: NegotiationSource<'a>,
 }
 
-/// A speculated negotiation result, keyed by (role name, provider name).
-enum Speculated {
-    InProcess(Result<NegotiationOutcome, NegotiationError>),
-    Service(Result<ResilientRun, Fault>),
-}
-
-type SpeculationTable = HashMap<(String, String), Speculated>;
+type SpeculationTable = HashMap<(String, String), Negotiated>;
 
 /// Per-shard queue bound for the speculation fan-out: deep enough that
 /// the submitter rarely stalls, small enough that `bus.queue_depth` stays
@@ -533,11 +591,10 @@ impl<'a> Formation<'a> {
         self
     }
 
-    fn clock(&self) -> &'a SimClock {
-        match self.source {
-            NegotiationSource::InProcess { clock, .. } => clock,
-            NegotiationSource::Service(ServiceSource { transport, .. }) => transport.clock(),
-        }
+    /// The strategy `candidate` is negotiated with: its trust band's under
+    /// admission control, otherwise the formation's.
+    fn strategy_for(&self, hooks: Option<&AdmissionHooks<'_>>, candidate: &str) -> Strategy {
+        hooks.map_or(self.strategy, |h| h.strategy_for(candidate))
     }
 
     /// Run the whole Formation phase: for every contract role, query the
@@ -555,7 +612,7 @@ impl<'a> Formation<'a> {
         mailboxes: &mut MailboxSystem,
         reputation: &mut ReputationLedger,
     ) -> Result<(FormedVo, FormationResilience), VoError> {
-        let clock = self.clock();
+        let clock = self.source.clock();
         let obs = clock.collector();
         // The score snapshot precedes any negotiation: speculation picks
         // each candidate's strategy before the replay records an outcome.
@@ -629,52 +686,36 @@ impl<'a> Formation<'a> {
                     continue;
                 };
                 tried.push(candidate.name().to_owned());
-                let tn = if !candidate.accepts_invitations {
-                    // A decliner turns back before the TN step: no verdict.
-                    TnAction::Skip
-                } else if let Some(table) = speculated.as_mut() {
-                    obs.counter_add("formation.replayed", 1);
-                    let key = (role.name.clone(), candidate.name().to_owned());
-                    // Successes are moved out (an in-process outcome
-                    // carries the whole explored tree); they are consumed
-                    // at most once because a success ends the role's
-                    // loop. Failures are copied, so a provider listed
-                    // under several matching entries sees the same verdict.
-                    let entry = match table.get(&key) {
-                        Some(Speculated::InProcess(Err(e))) => {
-                            Speculated::InProcess(Err(e.clone()))
+                // A decliner turns back before the TN step: no verdict.
+                let verdict = if candidate.accepts_invitations {
+                    let negotiated = match speculated.as_mut() {
+                        Some(table) => {
+                            obs.counter_add("formation.replayed", 1);
+                            let key = (role.name.clone(), candidate.name().to_owned());
+                            // A success is moved out: it ends the role's
+                            // loop, so it is consumed at most once. A
+                            // failure is copied, so a provider listed under
+                            // several matching entries sees the same verdict.
+                            match table.get(&key) {
+                                Some(failed) if !failed.succeeded() => failed.clone(),
+                                _ => table
+                                    .remove(&key)
+                                    .expect("speculation covered every accepting candidate"),
+                            }
                         }
-                        Some(Speculated::Service(Err(f))) => Speculated::Service(Err(f.clone())),
-                        _ => table
-                            .remove(&key)
-                            .expect("speculation covered every accepting candidate"),
+                        None => self.source.negotiate(
+                            self.initiator,
+                            &vo.contract,
+                            &role.name,
+                            candidate,
+                            self.strategy_for(hooks, candidate.name()),
+                            formation_at,
+                            root_link,
+                        ),
                     };
-                    match entry {
-                        Speculated::InProcess(result) => TnAction::Decided(result.map(Some)),
-                        Speculated::Service(run) => {
-                            service_verdict(run, candidate.name(), clock, hooks, &mut stats)?
-                        }
-                    }
+                    Some(negotiated.decide(candidate.name(), clock, hooks, &mut stats)?)
                 } else {
-                    let strategy =
-                        hooks.map_or(self.strategy, |h| h.strategy_for(candidate.name()));
-                    match &self.source {
-                        NegotiationSource::InProcess { cache, .. } => TnAction::Negotiate {
-                            strategy,
-                            at: formation_at,
-                            cache: *cache,
-                        },
-                        NegotiationSource::Service(service) => {
-                            let run = service.negotiate(
-                                self.initiator.name(),
-                                &role.name,
-                                candidate.name(),
-                                strategy,
-                                root_link,
-                            );
-                            service_verdict(run, candidate.name(), clock, hooks, &mut stats)?
-                        }
-                    }
+                    None
                 };
                 if join_attempt(
                     &mut vo,
@@ -684,7 +725,7 @@ impl<'a> Formation<'a> {
                     mailboxes,
                     reputation,
                     clock,
-                    tn,
+                    verdict,
                     root_link,
                     hooks,
                 )
@@ -741,7 +782,7 @@ impl<'a> Formation<'a> {
                 }
             }
         }
-        let clock = self.clock();
+        let clock = self.source.clock();
         let obs = clock.collector();
         let jobs: Vec<_> = pairs
             .iter()
@@ -754,39 +795,19 @@ impl<'a> Formation<'a> {
                         span.field("provider", candidate.name());
                         obs.counter_add("formation.speculated", 1);
                     }
-                    let strategy =
-                        hooks.map_or(self.strategy, |h| h.strategy_for(candidate.name()));
-                    let result = match &self.source {
-                        NegotiationSource::InProcess { cache, .. } => {
-                            let initiator =
-                                initiator_party_for_role(self.initiator, contract, role);
-                            let cfg = NegotiationConfig::new(strategy, at)
-                                .with_obs(ObsContext::new(obs.clone()).at_link(span.link()));
-                            Speculated::InProcess(negotiate_membership(
-                                &candidate.party,
-                                &initiator,
-                                *cache,
-                                &cfg,
-                            ))
-                        }
-                        NegotiationSource::Service(service) => {
-                            Speculated::Service(service.negotiate(
-                                self.initiator.name(),
-                                role,
-                                candidate.name(),
-                                strategy,
-                                span.link(),
-                            ))
-                        }
-                    };
+                    let negotiated = self.source.negotiate(
+                        self.initiator,
+                        contract,
+                        role,
+                        candidate,
+                        self.strategy_for(hooks, candidate.name()),
+                        at,
+                        span.link(),
+                    );
                     if span.id().is_some() {
-                        let ok = matches!(
-                            result,
-                            Speculated::InProcess(Ok(_)) | Speculated::Service(Ok(_))
-                        );
-                        span.field("ok", ok);
+                        span.field("ok", negotiated.succeeded());
                     }
-                    ((role.to_owned(), candidate.name().to_owned()), result)
+                    ((role.to_owned(), candidate.name().to_owned()), negotiated)
                 }
             })
             .collect();
@@ -832,7 +853,7 @@ pub(crate) mod testworld {
     use trust_vo_credential::CredentialAuthority;
     use trust_vo_policy::{DisclosurePolicy, PolicySet, Resource, Term};
     use trust_vo_soa::simclock::CostModel;
-    use trust_vo_soa::{Envelope, ServiceBus, TnService, Transport};
+    use trust_vo_soa::{Envelope, Fault, ServiceBus, TnService, Transport};
     use trust_vo_store::Database;
 
     pub(crate) fn clock() -> SimClock {
@@ -1096,7 +1117,7 @@ mod tests {
     }
 
     #[test]
-    fn serial_cached_and_parallel_formations_agree() {
+    fn serial_and_parallel_formations_agree() {
         let w = world();
         let run = |formation: Formation<'_>, clock: &SimClock| {
             let mut reputation = ReputationLedger::new();
@@ -1113,35 +1134,17 @@ mod tests {
         let serial_clock = clock();
         let serial = run(w.in_process(&serial_clock), &serial_clock);
 
-        // Differs from serial in the cache alone.
-        let cached_clock = clock();
-        let cache = ConcurrentSequenceCache::new();
-        let cached = run(
-            w.formation(NegotiationSource::cached(&cached_clock, &cache)),
-            &cached_clock,
-        );
-
-        // Differs from cached in the worker count alone.
+        // Differs from serial in the worker count alone.
         let parallel_clock = clock();
-        let parallel_cache = ConcurrentSequenceCache::new();
         let parallel = run(
-            w.formation(NegotiationSource::cached(&parallel_clock, &parallel_cache))
-                .with_workers(4),
+            w.in_process(&parallel_clock).with_workers(4),
             &parallel_clock,
         );
 
-        assert_eq!(serial.0, cached.0);
-        assert_eq!(serial.1, cached.1);
         assert_eq!(serial.0, parallel.0);
         assert_eq!(serial.1, parallel.1);
         assert_eq!(serial.2.get("Aerospace"), parallel.2.get("Aerospace"));
         assert_eq!(serial.2.get("Shady Co"), parallel.2.get("Shady Co"));
-        // Speculation ran both candidates through the shared cache.
-        let stats = parallel_cache.stats();
-        assert!(
-            stats.misses >= 1,
-            "speculation populates the cache: {stats:?}"
-        );
     }
 
     #[test]

@@ -19,30 +19,26 @@
 
 use std::collections::BTreeMap;
 
-use trust_vo_admission::Outcome;
-use trust_vo_negotiation::{NegotiationError, Strategy};
+use trust_vo_negotiation::Strategy;
 use trust_vo_obs::SpanLink;
-use trust_vo_soa::simclock::SimClock;
 use trust_vo_soa::{
-    run_negotiation_resilient, Fault, ResilientRun, ResumePolicy, RetryPolicy, TnService, Transport,
+    run_negotiation_resilient, ResilientRun, ResumePolicy, RetryPolicy, TnService, Transport,
 };
 
-use crate::admitted::{AdmissionControl, AdmissionHooks};
+use crate::admitted::AdmissionControl;
 use crate::contract::Contract;
 use crate::error::VoError;
-use crate::formation::{
-    initiator_party_for_role, Formation, FormedVo, NegotiationSource, TnAction,
-};
+use crate::formation::{initiator_party_for_role, Formation, FormedVo, NegotiationSource};
 use crate::mailbox::MailboxSystem;
 use crate::member::ServiceProvider;
 use crate::registry::ServiceRegistry;
 use crate::reputation::ReputationLedger;
 
 /// Recovery work the transport-driven formation performed, summed over
-/// every trust negotiation it ran.
+/// every trust negotiation it ran, whether it completed or failed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FormationResilience {
-    /// Negotiations completed through the service.
+    /// Negotiations run through the service.
     pub negotiations: u64,
     /// Transport-level call retries.
     pub retries: u64,
@@ -53,7 +49,7 @@ pub struct FormationResilience {
 }
 
 impl FormationResilience {
-    fn absorb(&mut self, run: &ResilientRun) {
+    pub(crate) fn absorb(&mut self, run: &ResilientRun) {
         self.negotiations += 1;
         self.retries += run.retries;
         self.resumes += run.resumes;
@@ -146,7 +142,7 @@ impl<'a> ServiceSource<'a> {
         candidate: &str,
         strategy: Strategy,
         link: SpanLink,
-    ) -> Result<ResilientRun, Fault> {
+    ) -> ResilientRun {
         run_negotiation_resilient(
             self.transport,
             self.service,
@@ -159,38 +155,6 @@ impl<'a> ServiceSource<'a> {
             pair_seed(self.seed, role, candidate),
             link,
         )
-    }
-}
-
-/// Turn one service negotiation into a join verdict, tallying its
-/// recovery work. Transport exhaustion aborts the formation — the
-/// negotiation died to the network, not to a verdict, which admission
-/// scoring records as a fault-timeout; any other fault is the
-/// candidate's negative verdict, and still a completed negotiation.
-pub(crate) fn service_verdict(
-    run: Result<ResilientRun, Fault>,
-    candidate: &str,
-    clock: &SimClock,
-    admission: Option<&AdmissionHooks<'_>>,
-    stats: &mut FormationResilience,
-) -> Result<TnAction<'static>, VoError> {
-    match run {
-        Ok(run) => {
-            stats.absorb(&run);
-            Ok(TnAction::Decided(Ok(None)))
-        }
-        Err(fault) if fault.is_transport() => {
-            if let Some(hooks) = admission {
-                hooks.record(candidate, Outcome::FaultTimeout, clock);
-            }
-            Err(VoError::Transport(fault))
-        }
-        Err(fault) => {
-            stats.negotiations += 1;
-            Ok(TnAction::Decided(Err(NegotiationError::Interrupted {
-                reason: format!("[{}] {}", fault.code, fault.reason),
-            })))
-        }
     }
 }
 
@@ -236,7 +200,9 @@ pub fn form_vo_resilient_admitted<T: Transport + ?Sized>(
 mod tests {
     use super::*;
     use crate::formation::testworld::{clock, member_summary, world, DeadNet};
-    use trust_vo_soa::ServiceBus;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use trust_vo_soa::simclock::SimClock;
+    use trust_vo_soa::{Envelope, Fault, ServiceBus};
 
     fn run(
         formation: Formation<'_>,
@@ -337,6 +303,56 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, VoError::RoleUnfilled { .. }), "got {err:?}");
+    }
+
+    /// A bus that loses the first request it is handed.
+    struct LoseFirst {
+        bus: ServiceBus,
+        lost: AtomicBool,
+    }
+
+    impl Transport for LoseFirst {
+        fn call(&self, service: &str, request: &Envelope) -> Result<Envelope, Fault> {
+            if self.lost.swap(true, Ordering::SeqCst) {
+                self.bus.call(service, request)
+            } else {
+                Err(Fault::transport("Timeout", "request lost"))
+            }
+        }
+        fn clock(&self) -> &SimClock {
+            self.bus.clock()
+        }
+    }
+
+    /// The lost request is Shady Co's `StartNegotiation`: retried once,
+    /// its negotiation is then refused at `PolicyExchange`. The failed
+    /// negotiation's retry still counts.
+    #[test]
+    fn a_failed_negotiation_keeps_its_recovery_work() {
+        let w = world();
+        let net = LoseFirst {
+            bus: w.service_bus(),
+            lost: AtomicBool::new(false),
+        };
+        let (vo, stats) = run(
+            w.formation(NegotiationSource::Service(ServiceSource::standard(
+                &net, "tn", 42,
+            ))),
+            &w.contract,
+            &mut ReputationLedger::new(),
+        )
+        .unwrap();
+        assert!(vo.is_member("Aerospace"));
+        assert!(!vo.is_member("Shady Co"));
+        assert_eq!(
+            stats,
+            FormationResilience {
+                negotiations: 2,
+                retries: 1,
+                resumes: 0,
+                restarts: 0,
+            }
+        );
     }
 
     #[test]

@@ -142,6 +142,55 @@ impl VoToolkit {
     }
 }
 
+/// A Host Edition monitoring snapshot of one VO ("The Host Edition
+/// provides services such as member registration and VO monitoring",
+/// §6.1).
+#[derive(Debug, Clone, PartialEq)]
+pub struct MonitoringReport {
+    /// The monitored VO.
+    pub vo_name: String,
+    /// Current lifecycle phase.
+    pub phase: crate::lifecycle::Phase,
+    /// Member count.
+    pub members: usize,
+    /// Members whose membership certificate is expired or revoked at the
+    /// report instant.
+    pub invalid_memberships: Vec<String>,
+    /// Members below the replacement reputation threshold.
+    pub below_threshold: Vec<String>,
+}
+
+impl VoToolkit {
+    /// Host Edition: produce a monitoring snapshot of a VO.
+    pub fn host_monitor(
+        &self,
+        vo: &crate::formation::FormedVo,
+        crl: &trust_vo_credential::RevocationList,
+        threshold: f64,
+    ) -> MonitoringReport {
+        let now = self.clock.timestamp();
+        let invalid_memberships = vo
+            .members()
+            .iter()
+            .filter(|m| m.certificate.verify(now, Some(crl)).is_err())
+            .map(|m| m.provider.clone())
+            .collect();
+        let below_threshold = vo
+            .members()
+            .iter()
+            .filter(|m| self.reputation.needs_replacement(&m.provider, threshold))
+            .map(|m| m.provider.clone())
+            .collect();
+        MonitoringReport {
+            vo_name: vo.name.clone(),
+            phase: vo.lifecycle.phase(),
+            members: vo.members().len(),
+            invalid_memberships,
+            below_threshold,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,55 +310,6 @@ mod tests {
             .unwrap();
         // Invitation was consumed during the join.
         assert_eq!(tk.member_inbox("StoreCo"), 0);
-    }
-}
-
-/// A Host Edition monitoring snapshot of one VO ("The Host Edition
-/// provides services such as member registration and VO monitoring",
-/// §6.1).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonitoringReport {
-    /// The monitored VO.
-    pub vo_name: String,
-    /// Current lifecycle phase.
-    pub phase: crate::lifecycle::Phase,
-    /// Member count.
-    pub members: usize,
-    /// Members whose membership certificate is expired or revoked at the
-    /// report instant.
-    pub invalid_memberships: Vec<String>,
-    /// Members below the replacement reputation threshold.
-    pub below_threshold: Vec<String>,
-}
-
-impl VoToolkit {
-    /// Host Edition: produce a monitoring snapshot of a VO.
-    pub fn host_monitor(
-        &self,
-        vo: &crate::formation::FormedVo,
-        crl: &trust_vo_credential::RevocationList,
-        threshold: f64,
-    ) -> MonitoringReport {
-        let now = self.clock.timestamp();
-        let invalid_memberships = vo
-            .members()
-            .iter()
-            .filter(|m| m.certificate.verify(now, Some(crl)).is_err())
-            .map(|m| m.provider.clone())
-            .collect();
-        let below_threshold = vo
-            .members()
-            .iter()
-            .filter(|m| self.reputation.needs_replacement(&m.provider, threshold))
-            .map(|m| m.provider.clone())
-            .collect();
-        MonitoringReport {
-            vo_name: vo.name.clone(),
-            phase: vo.lifecycle.phase(),
-            members: vo.members().len(),
-            invalid_memberships,
-            below_threshold,
-        }
     }
 }
 

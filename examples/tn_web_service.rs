@@ -52,8 +52,8 @@ fn main() {
         1,
         SpanLink::default(),
     )
-    .expect("the Fig. 2 negotiation succeeds over the service")
-    .run;
+    .outcome
+    .expect("the Fig. 2 negotiation succeeds over the service");
 
     println!("negotiation #{} completed", run.negotiation_id);
     println!("  trust sequence length:     {}", run.sequence_len);

@@ -1,7 +1,7 @@
 //! End-to-end observability: a formation run on an instrumented clock
 //! must emit a span for every negotiation phase, parent-link them under
 //! the formation spans, and report counters that exactly match the
-//! engine's own transcript/cache accounting — serial and parallel alike.
+//! engine's own transcript accounting — serial and parallel alike.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -9,13 +9,14 @@ use trust_vo::negotiation::{
     negotiate, ConcurrentSequenceCache, NegotiationConfig, Strategy, Transcript,
 };
 use trust_vo::netsim::{FaultPlan, LinkProfile, NetSim};
-use trust_vo::obs::{Collector, MetricsSnapshot, Record, SpanLink, TraceContext};
+use trust_vo::obs::{Collector, MetricsSnapshot, Record, SpanLink, SpanRecord, TraceContext};
 use trust_vo::soa::simclock::SimClock;
 use trust_vo::soa::{Envelope, ServiceBus, TnService, Transport};
 use trust_vo::store::Database;
 use trust_vo::vo::mailbox::MailboxSystem;
 use trust_vo::vo::{
-    register_formation_parties, Formation, NegotiationSource, ReputationLedger, ServiceSource,
+    initiator_party_for_role, register_formation_parties, Formation, NegotiationSource,
+    ReputationLedger, ServiceSource,
 };
 use trust_vo::xmldoc::Element;
 use trust_vo_bench::workloads::{self, ParallelJoinWorld};
@@ -73,7 +74,7 @@ fn in_process(
         )
 }
 
-fn span_records(collector: &Collector) -> Vec<trust_vo::obs::SpanRecord> {
+fn span_records(collector: &Collector) -> Vec<SpanRecord> {
     collector
         .records()
         .into_iter()
@@ -92,8 +93,9 @@ fn serial_formation_emits_phase_spans_and_transcript_exact_counters() {
         in_process(&world, NegotiationSource::in_process(&clock), 1).expect("formation succeeds");
     assert_eq!(vo.members().len(), 3);
 
-    // Span structure: one root, one join attempt per member, and under
-    // each attempt exactly one span per negotiation phase.
+    // Span structure: one root, one join attempt per member, and beside
+    // the attempts, under the root, one span per negotiation phase of
+    // each member's negotiation.
     let spans = span_records(&collector);
     let roots: Vec<_> = spans
         .iter()
@@ -108,13 +110,13 @@ fn serial_formation_emits_phase_spans_and_transcript_exact_counters() {
     assert_eq!(attempts.len(), 3);
     for attempt in &attempts {
         assert_eq!(attempt.parent, Some(roots[0].id), "attempt under root");
-        for phase in ["negotiation.policy_phase", "negotiation.exchange_phase"] {
-            let children: Vec<_> = spans
-                .iter()
-                .filter(|s| s.name == phase && s.parent == Some(attempt.id))
-                .collect();
-            assert_eq!(children.len(), 1, "one {phase} span per join attempt");
-        }
+    }
+    for phase in ["negotiation.policy_phase", "negotiation.exchange_phase"] {
+        let children: Vec<_> = spans
+            .iter()
+            .filter(|s| s.name == phase && s.parent == Some(roots[0].id))
+            .collect();
+        assert_eq!(children.len(), 3, "one {phase} span per join attempt");
     }
 
     // Counters must equal the engine's own accounting, recomputed by
@@ -164,13 +166,24 @@ fn serial_formation_emits_phase_spans_and_transcript_exact_counters() {
 
 #[test]
 fn observed_cache_counters_equal_cache_stats() {
+    // Every membership negotiation of the world, run twice through one
+    // observed cache.
     let world = workloads::parallel_join_world(3, 4, 2);
     let (clock, collector) = observed_clock();
     let cache = ConcurrentSequenceCache::observed(collector.registry().expect("collector enabled"));
+    let cfg = NegotiationConfig::new(Strategy::Standard, clock.timestamp());
     for round in 0..2 {
-        let (vo, _) = in_process(&world, NegotiationSource::cached(&clock, &cache), 1)
-            .expect("cached formation succeeds");
-        assert_eq!(vo.members().len(), 3, "round {round}");
+        for role in &world.contract.roles {
+            let identity = initiator_party_for_role(&world.initiator, &world.contract, &role.name);
+            for description in world.registry.find_by_capability(&role.capability) {
+                let candidate = &world.providers[&description.provider];
+                if candidate.accepts_invitations {
+                    cache
+                        .negotiate(&candidate.party, &identity, "VoMembership", &cfg)
+                        .unwrap_or_else(|e| panic!("round {round}: {e}"));
+                }
+            }
+        }
     }
     let stats = cache.stats();
     assert_eq!(stats.misses, 3, "first round misses");
@@ -183,11 +196,11 @@ fn observed_cache_counters_equal_cache_stats() {
 }
 
 /// The counters the serial/parallel equivalence covers: everything the
-/// negotiation engine and the sequence cache record.
+/// negotiation engine records.
 fn engine_counters(snap: &MetricsSnapshot) -> BTreeMap<String, u64> {
     snap.counters
         .iter()
-        .filter(|(name, _)| name.starts_with("negotiation.") || name.starts_with("cache."))
+        .filter(|(name, _)| name.starts_with("negotiation."))
         .map(|(name, value)| (name.clone(), *value))
         .collect()
 }
@@ -198,27 +211,13 @@ fn parallel_formation_matches_serial_counter_totals() {
         let world = workloads::parallel_join_world(applicants, 4, 2);
 
         let (serial_clock, serial_collector) = observed_clock();
-        let serial_cache = ConcurrentSequenceCache::observed(
-            serial_collector.registry().expect("collector enabled"),
-        );
-        let (serial, _) = in_process(
-            &world,
-            NegotiationSource::cached(&serial_clock, &serial_cache),
-            1,
-        )
-        .expect("serial formation succeeds");
+        let (serial, _) = in_process(&world, NegotiationSource::in_process(&serial_clock), 1)
+            .expect("serial formation succeeds");
 
         let (parallel_clock, parallel_collector) = observed_clock();
-        let parallel_cache = ConcurrentSequenceCache::observed(
-            parallel_collector.registry().expect("collector enabled"),
-        );
         // Differs from the serial formation in the worker count alone.
-        let (parallel, _) = in_process(
-            &world,
-            NegotiationSource::cached(&parallel_clock, &parallel_cache),
-            4,
-        )
-        .expect("parallel formation succeeds");
+        let (parallel, _) = in_process(&world, NegotiationSource::in_process(&parallel_clock), 4)
+            .expect("parallel formation succeeds");
 
         assert_eq!(serial.members().len(), applicants);
         assert_eq!(parallel.members().len(), applicants);
@@ -234,6 +233,86 @@ fn parallel_formation_matches_serial_counter_totals() {
             "one speculation per (role, accepting candidate)"
         );
     }
+}
+
+/// Check that every negotiation span in `spans` — the engine's phase
+/// spans, the client's `client.negotiation` — hangs directly under the
+/// formation root named `root_name` or under one of its
+/// `formation.speculate` spans, never under a `formation.join_attempt`.
+/// Returns how many negotiation spans there were.
+fn negotiation_spans_beside_attempts(spans: &[SpanRecord], root_name: &str) -> usize {
+    let root = spans
+        .iter()
+        .find(|s| s.name == root_name)
+        .expect("formation root span");
+    let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
+    let negotiations: Vec<_> = spans
+        .iter()
+        .filter(|s| {
+            matches!(
+                s.name.as_str(),
+                "negotiation.policy_phase" | "negotiation.exchange_phase" | "client.negotiation"
+            )
+        })
+        .collect();
+    for span in &negotiations {
+        let parent = span
+            .parent
+            .and_then(|id| by_id.get(&id))
+            .unwrap_or_else(|| panic!("'{}' ({}) has no parent", span.name, span.id));
+        let under_root = parent.id == root.id;
+        let under_speculation =
+            parent.name == "formation.speculate" && parent.parent == Some(root.id);
+        assert!(
+            under_root || under_speculation,
+            "'{}' ({}) hangs under '{}'",
+            span.name,
+            span.id,
+            parent.name
+        );
+    }
+    negotiations.len()
+}
+
+#[test]
+fn every_formation_negotiation_hangs_beside_its_join_attempt() {
+    let world = workloads::parallel_join_world(3, 4, 2);
+    // In process, serial and speculated: a policy and an exchange phase
+    // span per member.
+    for workers in [1, 4] {
+        let (clock, collector) = observed_clock();
+        in_process(&world, NegotiationSource::in_process(&clock), workers)
+            .expect("formation succeeds");
+        let spans = span_records(&collector);
+        assert_eq!(
+            negotiation_spans_beside_attempts(&spans, "formation.form_vo"),
+            6,
+            "{workers} workers"
+        );
+    }
+    // Through the TN service: one client negotiation per member.
+    let (clock, collector) = observed_clock();
+    let bus = ServiceBus::new(clock.clone());
+    let svc = Arc::new(TnService::new(clock, Database::new()));
+    register_formation_parties(&svc, &world.contract, &world.initiator, &world.providers);
+    bus.register("tn", svc);
+    Formation::new(
+        &world.initiator,
+        &world.providers,
+        &world.registry,
+        NegotiationSource::Service(ServiceSource::standard(&bus, "tn", 7)),
+    )
+    .run(
+        world.contract.clone(),
+        &mut MailboxSystem::new(),
+        &mut ReputationLedger::new(),
+    )
+    .expect("service formation succeeds");
+    let spans = span_records(&collector);
+    assert_eq!(
+        negotiation_spans_beside_attempts(&spans, "formation.form_vo_resilient"),
+        3
+    );
 }
 
 #[test]

@@ -4,13 +4,13 @@
 //! candidate) negotiation on the sharded executor and then replays the
 //! serial decision procedure, so it must be *observationally identical*
 //! to serial formation: same member set, same role assignment, same
-//! membership certificate serials, same sim-clock charges — and, against
-//! the shared [`ConcurrentSequenceCache`], the same aggregate
-//! [`CacheStats`] totals.
+//! membership certificate serials, same sim-clock charges, same
+//! reputation — and the same `negotiation.*` counter totals, since
+//! speculation runs exactly the negotiations the serial loop runs.
 
 use std::collections::BTreeMap;
 use trust_vo_credential::{CredentialAuthority, TimeRange, Timestamp};
-use trust_vo_negotiation::{CacheStats, ConcurrentSequenceCache, Party};
+use trust_vo_negotiation::{Collector, Party};
 use trust_vo_policy::{DisclosurePolicy, PolicySet, Resource, Term};
 use trust_vo_soa::simclock::{CostModel, SimClock};
 use trust_vo_vo::mailbox::MailboxSystem;
@@ -36,8 +36,8 @@ fn clock() -> SimClock {
 ///
 /// Serial formation therefore tries all three per role in that order; the
 /// speculation pass negotiates with exactly the two accepting candidates
-/// per role, so serial-through-cache and parallel perform the same
-/// negotiations and the aggregate cache stats must match.
+/// per role, so serial and parallel perform the same negotiations and
+/// their `negotiation.*` counters must match.
 fn world() -> World {
     let mut ca = CredentialAuthority::new("EquivCA");
     let window = TimeRange::one_year_from(Timestamp::from_ymd_hms(2009, 1, 1, 0, 0, 0));
@@ -106,7 +106,10 @@ fn membership(vo: &FormedVo) -> Vec<(String, String, u64)> {
 
 struct Formed {
     vo: FormedVo,
-    stats: CacheStats,
+    /// Every `negotiation.*` counter the formation recorded.
+    negotiation_counters: BTreeMap<String, u64>,
+    /// Negotiations the speculation pass ran.
+    speculated: u64,
     elapsed: trust_vo_soa::simclock::SimDuration,
     reputation: ReputationLedger,
 }
@@ -118,25 +121,33 @@ type World = (
     ServiceRegistry,
 );
 
-/// Form `world` through a fresh shared sequence cache on `workers`
-/// workers (1 = serial).
-fn run_cached(world: &World, workers: usize) -> Formed {
+/// Form `world` in process on an observed clock with `workers` workers
+/// (1 = serial).
+fn run_observed(world: &World, workers: usize) -> Formed {
     let (contract, initiator, providers, registry) = world;
     let clock = clock();
-    let cache = ConcurrentSequenceCache::new();
+    let collector = Collector::new();
+    clock.attach_obs(&collector);
     let mut reputation = ReputationLedger::new();
     let (vo, _) = Formation::new(
         initiator,
         providers,
         registry,
-        NegotiationSource::cached(&clock, &cache),
+        NegotiationSource::in_process(&clock),
     )
     .with_workers(workers)
     .run(contract.clone(), &mut MailboxSystem::new(), &mut reputation)
-    .expect("cached formation succeeds");
+    .expect("formation succeeds");
+    let metrics = collector.metrics();
     Formed {
         vo,
-        stats: cache.stats(),
+        negotiation_counters: metrics
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("negotiation."))
+            .map(|(name, value)| (name.clone(), *value))
+            .collect(),
+        speculated: metrics.counter("formation.speculated"),
         elapsed: clock.elapsed(),
         reputation,
     }
@@ -145,10 +156,10 @@ fn run_cached(world: &World, workers: usize) -> Formed {
 #[test]
 fn parallel_formation_is_observationally_identical_to_serial() {
     let world = world();
-    let serial = run_cached(&world, 1);
+    let serial = run_observed(&world, 1);
 
     for workers in [1, 2, 8] {
-        let parallel = run_cached(&world, workers);
+        let parallel = run_observed(&world, workers);
 
         // Identical member sets, role assignment, and certificate serials.
         assert_eq!(
@@ -161,11 +172,11 @@ fn parallel_formation_is_observationally_identical_to_serial() {
             serial.elapsed, parallel.elapsed,
             "sim-clock diverged at {workers} workers"
         );
-        // Identical aggregate cache totals: speculation performs the same
+        // Identical negotiation counters: speculation performs the same
         // negotiations serial formation does, just concurrently.
         assert_eq!(
-            serial.stats, parallel.stats,
-            "cache stats diverged at {workers} workers"
+            serial.negotiation_counters, parallel.negotiation_counters,
+            "negotiation counters diverged at {workers} workers"
         );
         // Reputation evolves identically.
         for provider in world.2.keys() {
@@ -196,7 +207,7 @@ fn parallel_formation_matches_plain_serial_membership() {
     )
     .expect("plain serial formation succeeds");
 
-    let parallel = run_cached(&world, 4);
+    let parallel = run_observed(&world, 4);
     assert_eq!(membership(&serial), membership(&parallel.vo));
     assert_eq!(serial_clock.elapsed(), parallel.elapsed);
 }
@@ -204,7 +215,7 @@ fn parallel_formation_matches_plain_serial_membership() {
 #[test]
 fn parallel_formation_fills_expected_roles() {
     let world = world();
-    let formed = run_cached(&world, 8);
+    let formed = run_observed(&world, 8);
     assert_eq!(formed.vo.members().len(), 3);
     for i in 0..3 {
         let record = formed
@@ -213,9 +224,10 @@ fn parallel_formation_fills_expected_roles() {
             .expect("role filled");
         assert_eq!(record.provider, format!("Good{i}"));
     }
-    // Two negotiations per role (bad + good), all cold: six misses, no hits.
-    assert_eq!(formed.stats.misses, 6);
-    assert_eq!(formed.stats.hits, 0);
+    // Two negotiations per role (bad + good), each run once: six
+    // speculated, the three bad ones failed.
+    assert_eq!(formed.speculated, 6);
+    assert_eq!(formed.negotiation_counters["negotiation.failures"], 3);
     // Failed negotiations lower reputation, successes raise it.
     for i in 0..3 {
         assert!(formed.reputation.get(&format!("Bad{i}")) < 0.5);

@@ -45,7 +45,7 @@ fn negotiate(bus: &ServiceBus, strategy: Strategy, key_seed: u64) -> Result<Clie
         key_seed,
         SpanLink::default(),
     )
-    .map(|resilient| resilient.run)
+    .outcome
 }
 
 #[test]

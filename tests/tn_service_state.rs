@@ -148,8 +148,9 @@ fn thousands_of_negotiations_leave_only_open_state() {
             n,
             SpanLink::default(),
         )
+        .outcome
         .expect("negotiation completes");
-        ids.push(run.run.negotiation_id);
+        ids.push(run.negotiation_id);
         let (open, retired) = svc.session_counts();
         assert_eq!(open, 0, "no finished session stays open");
         assert!(retired <= RETIRED_SESSIONS);
