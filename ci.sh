@@ -64,6 +64,18 @@ if awk '
   echo "product code follows a test module (see above); move it above the file's first #[cfg(test)]" >&2
   exit 1
 fi
+# One TN wire protocol: TN messages are typed `soa::Body` values, and
+# their XML element shapes are spelled in one module, soa's `body.rs`, the
+# rendering that E15 and the differential proptests compare against. A
+# product line (comments aside) naming a TN body element in a string
+# anywhere else would be a tree-built TN message beside the typed one.
+tn_elements='"((StartNegotiation|PolicyExchange|CredentialExchange|ResumeNegotiation)(Request|Response)|trustSequence|counterpartUrl)"'
+if grep -rnE "$tn_elements" src crates/*/src --include='*.rs' \
+  | grep -v '^crates/soa/src/body\.rs:' \
+  | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+  echo "product code names a TN body element outside crates/soa/src/body.rs (see above)" >&2
+  exit 1
+fi
 # One build: no manifest declares a Cargo feature or an optional
 # dependency, so every binary, test and benchmark compiles the same
 # program. Instrumentation and journaling are runtime values (an attached

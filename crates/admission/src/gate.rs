@@ -2,7 +2,9 @@
 //!
 //! Installed on the `ServiceBus` via
 //! [`set_gate`](trust_vo_soa::ServiceBus::set_gate), the gate charges each
-//! *negotiation-starting* call to the requesting party's mana bucket and
+//! *negotiation-starting* call — a typed
+//! [`StartNegotiation`](trust_vo_soa::Body::StartNegotiation) body, which
+//! always names its requester — to the requesting party's mana bucket and
 //! refuses exhausted parties with a typed
 //! [`budget_exhausted`](Fault::budget_exhausted) fault *before* any
 //! simulated latency is charged and before a single byte is encoded —
@@ -21,17 +23,7 @@ use crate::mana::ManaLedger;
 use std::sync::Arc;
 use trust_vo_soa::envelope::{Envelope, Fault};
 use trust_vo_soa::simclock::SimClock;
-use trust_vo_soa::CallGate;
-
-/// Operations that open a new negotiation session and are therefore
-/// charged to the requester's flow budget. Per-session follow-ups
-/// (`PolicyExchange`, `CredentialExchange`…) ride free: the budget prices
-/// *session admission*, not chattiness within an admitted session.
-pub const GATED_OPERATIONS: [&str; 1] = ["StartNegotiation"];
-
-/// The body child element naming the requesting party on gated
-/// operations (see `soa::client`'s `StartNegotiation` shape).
-pub const REQUESTER_ELEMENT: &str = "requester";
+use trust_vo_soa::{Body, CallGate};
 
 /// The per-party flow-budget gate.
 pub struct AdmissionGate {
@@ -54,28 +46,27 @@ impl AdmissionGate {
 
 impl CallGate for AdmissionGate {
     fn admit(&self, service: &str, request: &Envelope) -> Result<(), Fault> {
-        if !GATED_OPERATIONS.contains(&request.operation.as_str()) {
-            return Ok(());
-        }
-        // No requester identity ⇒ nothing to charge. Anonymous starts are
-        // admitted: the TN service itself rejects malformed requests.
-        let Some(party) = request.body.child_text(REQUESTER_ELEMENT) else {
+        // Only a start opens a session. Per-session follow-ups
+        // (`PolicyExchange`, `CredentialExchange`…) ride free: the budget
+        // prices *session admission*, not chattiness within a session.
+        let Body::StartNegotiation(start) = &*request.body else {
             return Ok(());
         };
+        let party = start.requester.as_str();
         let now = self.clock.elapsed();
         let obs = self.clock.collector();
         let span = match &request.trace {
             Some(trace) if obs.is_enabled() => {
                 let mut span = obs.span_linked("admission.gate", trace.link());
                 span.field("service", service);
-                span.field("party", party.as_str());
+                span.field("party", party);
                 Some(span)
             }
             _ => None,
         };
-        let result = match self.mana.try_charge(&party, now) {
+        let result = match self.mana.try_charge(party, now) {
             Ok(_remaining) => Ok(()),
-            Err(retry_after) => Err(Fault::budget_exhausted(&party, retry_after.0)),
+            Err(retry_after) => Err(Fault::budget_exhausted(party, retry_after.0)),
         };
         if let Some(mut span) = span {
             span.field("admitted", result.is_ok());
@@ -98,17 +89,14 @@ impl CallGate for AdmissionGate {
 mod tests {
     use super::*;
     use crate::mana::ManaConfig;
+    use trust_vo_negotiation::Strategy;
     use trust_vo_soa::simclock::{CostKind, CostModel};
-    use trust_vo_soa::{ServiceBus, ServiceEndpoint};
-    use trust_vo_xmldoc::Element;
+    use trust_vo_soa::{ServiceBus, ServiceEndpoint, StartNegotiation};
 
     struct Ok200;
     impl ServiceEndpoint for Ok200 {
-        fn handle(&self, request: &Envelope) -> Result<Envelope, Fault> {
-            Ok(Envelope::request(
-                format!("{}Response", request.operation),
-                Element::new("ok"),
-            ))
+        fn handle(&self, _request: &Envelope) -> Result<Envelope, Fault> {
+            Ok(Envelope::new(Body::StartNegotiationResponse))
         }
         fn operations(&self) -> Vec<String> {
             vec!["StartNegotiation".into()]
@@ -116,11 +104,13 @@ mod tests {
     }
 
     fn start_request(party: &str) -> Envelope {
-        Envelope::request(
-            "StartNegotiation",
-            Element::new("StartNegotiationRequest")
-                .child(Element::new(REQUESTER_ELEMENT).text(party)),
-        )
+        Envelope::new(Body::StartNegotiation(StartNegotiation {
+            strategy: Strategy::Standard,
+            requester: party.into(),
+            controller: "Aircraft".into(),
+            resource: "VoMembership".into(),
+            resumable: false,
+        }))
     }
 
     fn gated_bus(config: ManaConfig) -> (ServiceBus, Arc<ManaLedger>) {
@@ -157,20 +147,22 @@ mod tests {
     }
 
     #[test]
-    fn non_start_operations_and_anonymous_starts_ride_free() {
+    fn non_start_operations_ride_free() {
         let (bus, mana) = gated_bus(ManaConfig {
             capacity: 1.0,
             refill_per_sec: 0.0,
             cost_per_call: 1.0,
         });
         bus.call("tn", &start_request("A")).unwrap();
-        // Budget is gone, but follow-up operations are not gated…
-        let follow_up = Envelope::request("PolicyExchange", Element::new("x"));
-        assert!(bus.call("tn", &follow_up).is_ok());
-        // …and a start without a requester element is admitted unharmed.
-        let anon = Envelope::request("StartNegotiation", Element::new("x"));
-        assert!(bus.call("tn", &anon).is_ok());
+        // Budget is gone, but follow-up operations are not gated.
+        for body in [Body::PolicyExchange, Body::CredentialExchange] {
+            assert!(bus.call("tn", &Envelope::new(body)).is_ok());
+        }
         assert_eq!(mana.tokens("A", bus.clock().elapsed()), 0.0);
+        assert!(bus
+            .call("tn", &start_request("A"))
+            .unwrap_err()
+            .is_budget_exhausted());
     }
 
     #[test]

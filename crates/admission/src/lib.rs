@@ -36,6 +36,6 @@ pub mod mana;
 pub mod score;
 
 pub use band::{BandConfig, QueueKey, TrustBand, REPLACEMENT_THRESHOLD};
-pub use gate::{AdmissionGate, GATED_OPERATIONS, REQUESTER_ELEMENT};
+pub use gate::AdmissionGate;
 pub use mana::{ManaConfig, ManaLedger};
 pub use score::{Outcome, ScoringConfig, ScoringEngine};

@@ -43,14 +43,13 @@ use trust_vo_bench::workloads::{self, ParallelJoinWorld};
 use trust_vo_negotiation::Strategy;
 use trust_vo_netsim::{FaultPlan, NetSim};
 use trust_vo_soa::simclock::{CostModel, SimClock, SimDuration};
-use trust_vo_soa::{Envelope, Fault, ServiceBus, TnService, Transport};
+use trust_vo_soa::{Body, Envelope, Fault, ServiceBus, StartNegotiation, TnService, Transport};
 use trust_vo_store::Database;
 use trust_vo_vo::mailbox::MailboxSystem;
 use trust_vo_vo::{
     register_formation_parties, AdmissionControl, Formation, FormedVo, NegotiationSource,
     ReputationLedger, ServiceSource,
 };
-use trust_vo_xmldoc::Element;
 
 const DEFAULT_SEED: u64 = 14;
 const WORKERS: usize = 4;
@@ -158,14 +157,13 @@ impl<'a> FloodingNet<'a> {
     fn burst(&self) {
         for _ in 0..self.per_call {
             let i = self.counter.fetch_add(1, Ordering::SeqCst);
-            let env = Envelope::request(
-                "StartNegotiation",
-                Element::new("StartNegotiationRequest")
-                    .child(Element::new("strategy").text(Strategy::Standard.wire_name()))
-                    .child(Element::new("requester").text(FLOODER))
-                    .child(Element::new("counterpartUrl").text("tn"))
-                    .child(Element::new("resource").text("VoMembership")),
-            )
+            let env = Envelope::new(Body::StartNegotiation(StartNegotiation {
+                strategy: Strategy::Standard,
+                requester: FLOODER.into(),
+                controller: "tn".into(),
+                resource: "VoMembership".into(),
+                resumable: false,
+            }))
             .with_idempotency(FLOOD_KEY_BASE | i);
             match self.net.call("tn", &env) {
                 Err(f) if f.is_budget_exhausted() => {

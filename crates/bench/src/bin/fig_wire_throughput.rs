@@ -3,11 +3,14 @@
 //!
 //! Three measurements over the wire path (every `ServiceBus::call`
 //! crosses a length-framed `[len][crc32][payload]` binary envelope
-//! boundary; XML stays on as the differential oracle):
+//! boundary; the typed messages' XML rendering stays on as the
+//! differential oracle):
 //!
-//! 1. **Codec sweep** — frame + round-trip a corpus of representative
-//!    envelopes (start / policy / credential-bearing bodies) through the
-//!    binary codec and through the XML writer/parser, 10k → 1M messages,
+//! 1. **Codec sweep** — frame + round-trip the messages an Aircraft-VO
+//!    negotiation sends (the start request, the policy reply with its
+//!    trust sequence and resume token, a credential reply with the
+//!    disclosed credential and a token) through the typed binary codec
+//!    and through their XML rendering and the parser, 10k → 1M messages,
 //!    timed in alternating chunks of the two. Floor: binary ≥ 3× the XML
 //!    round-trip rate on every row (asserted non-smoke).
 //! 2. **Dispatch** — 64+ concurrent negotiations driven (a) through the
@@ -30,23 +33,23 @@
 //! runs are byte-identical.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use trust_vo_bench::obsutil::ObsArgs;
 use trust_vo_bench::report::Report;
 use trust_vo_bench::wire_formation::{crash_round, run_formation};
 use trust_vo_bench::workloads;
-use trust_vo_credential::{CredentialAuthority, TimeRange, Timestamp};
-use trust_vo_negotiation::{Party, Strategy};
+use trust_vo_negotiation::Strategy;
 use trust_vo_netsim::FaultPlan;
 use trust_vo_soa::shard::{run_sharded, QueuedBus, ShardConfig};
 use trust_vo_soa::simclock::{CostModel, SimClock};
 use trust_vo_soa::{
-    run_negotiation_resilient, wire, Envelope, Fault, ResumePolicy, RetryPolicy, ServiceBus,
-    ServiceEndpoint, TnService, Transport,
+    run_negotiation_resilient, wire, Body, CredentialExchangeResponse, Envelope, Fault,
+    ResumePolicy, RetryPolicy, ServiceBus, ServiceEndpoint, TnService, Transport,
 };
 use trust_vo_store::Database;
-use trust_vo_xmldoc::Element;
+use trust_vo_vo::initiator_party_for_role;
+use trust_vo_vo::scenario::{names, roles, AircraftScenario};
 
 const DEFAULT_SEED: u64 = 15;
 /// Shard workers / caller threads for the dispatch comparison.
@@ -57,56 +60,90 @@ const CODEC_SPEEDUP_FLOOR: f64 = 3.0;
 /// 64+ concurrent negotiations.
 const DISPATCH_SPEEDUP_FLOOR: f64 = 4.0;
 
-/// Representative envelope corpus: the three TN operations with small,
-/// medium, and credential-bearing bodies (the shapes that actually cross
-/// the bus in a formation).
-fn corpus() -> Vec<Envelope> {
-    let start = Envelope::request(
-        "StartNegotiation",
-        Element::new("StartNegotiationRequest")
-            .child(Element::new("strategy").text("standard"))
-            .child(Element::new("requester").text("Aerospace"))
-            .child(Element::new("counterpartUrl").text("Aircraft"))
-            .child(Element::new("resource").text("VoMembership")),
-    )
-    .with_idempotency(0x5EED_0001);
+/// Records every call that crosses it, request and reply.
+struct Recording<'a> {
+    bus: &'a ServiceBus,
+    calls: Mutex<Vec<(Envelope, Result<Envelope, Fault>)>>,
+}
 
-    let mut policies = Element::new("PolicyExchangeRequest");
-    for i in 0..8 {
-        policies.children.push(trust_vo_xmldoc::Node::Element(
-            Element::new("policy")
-                .attr("id", format!("p{i}"))
-                .child(Element::new("target").text(format!("Cred{i}")))
-                .child(Element::new("term").text(format!("Needs{i}"))),
-        ));
+impl Transport for Recording<'_> {
+    fn call(&self, service: &str, request: &Envelope) -> Result<Envelope, Fault> {
+        let reply = self.bus.call(service, request);
+        self.calls
+            .lock()
+            .expect("the recorder never panics holding its lock")
+            .push((request.clone(), reply.clone()));
+        reply
     }
-    let policy = Envelope::request("PolicyExchange", policies)
-        .with_negotiation(7)
-        .with_idempotency(0x5EED_0002);
 
-    let mut ca = CredentialAuthority::new("WireBench CA");
-    let holder = Party::new("WireBench Holder");
-    let cred = ca
-        .issue(
-            "WebDesignerQuality",
-            &holder.name,
-            holder.keys.public,
-            vec![],
-            TimeRange::one_year_from(Timestamp::from_ymd_hms(2009, 1, 1, 0, 0, 0)),
-        )
-        .expect("open schema");
-    let credential = Envelope::request(
-        "CredentialExchange",
-        Element::new("CredentialExchangeRequest").child(cred.to_xml()),
+    fn clock(&self) -> &SimClock {
+        self.bus.clock()
+    }
+}
+
+/// The codec corpus: the messages an Aircraft-VO negotiation sends,
+/// recorded from one resumable negotiation of Aerospace for the Design
+/// Portal role through the TN service — the start request, the policy
+/// reply with its trust sequence and resume token, and the first
+/// credential reply with the disclosed credential and a fresh token.
+fn corpus() -> Vec<Envelope> {
+    let scenario = AircraftScenario::build();
+    let clock = scenario.toolkit.clock.clone();
+    let service = TnService::new(clock.clone(), Database::new());
+    service.register_party(initiator_party_for_role(
+        scenario.provider(names::AIRCRAFT),
+        &scenario.contract,
+        roles::DESIGN_PORTAL,
+    ));
+    service.register_party(scenario.provider(names::AEROSPACE).party.clone());
+    let bus = ServiceBus::new(clock);
+    bus.register("tn", Arc::new(service));
+    let recording = Recording {
+        bus: &bus,
+        calls: Mutex::new(Vec::new()),
+    };
+    run_negotiation_resilient(
+        &recording,
+        "tn",
+        names::AEROSPACE,
+        names::AIRCRAFT,
+        "VoMembership",
+        Strategy::Standard,
+        &RetryPolicy::standard(),
+        &ResumePolicy::standard(),
+        0x5EED,
+        trust_vo_obs::SpanLink::default(),
     )
-    .with_negotiation(7)
-    .with_idempotency(0x5EED_0003)
+    .outcome
+    .expect("the Aircraft-VO negotiation completes over the service");
+    let calls = recording.calls.into_inner().expect("recorder lock");
+    let find = |want: &dyn Fn(&Envelope) -> bool| {
+        calls
+            .iter()
+            .flat_map(|(request, reply)| [Some(request), reply.as_ref().ok()])
+            .flatten()
+            .find(|env| want(env))
+            .expect("the negotiation sends this message")
+            .clone()
+    };
+    let start = find(&|env| matches!(*env.body, Body::StartNegotiation(_)));
+    let policy =
+        find(&|env| matches!(&*env.body, Body::PolicyExchangeResponse(p) if p.token.is_some()));
+    let credential = find(&|env| {
+        matches!(
+            &*env.body,
+            Body::CredentialExchangeResponse(CredentialExchangeResponse {
+                credential: Some(_),
+                token: Some(_),
+                ..
+            })
+        )
+    })
     .with_trace(trust_vo_obs::TraceContext {
         trace_id: 11,
         span_id: 42,
         parent_span_id: Some(40),
     });
-
     vec![start, policy, credential]
 }
 
@@ -130,7 +167,7 @@ fn codec_round(envelopes: &[Envelope], count: usize) -> (f64, f64, f64) {
             let text = trust_vo_xmldoc::to_string(&env.to_xml());
             let back = Envelope::from_xml(&trust_vo_xmldoc::parse(&text).expect("canonical"))
                 .expect("envelope");
-            xml_checksum += back.operation.len();
+            xml_checksum += back.operation().len();
         }
         xml_secs += t.elapsed().as_secs_f64();
 
@@ -142,7 +179,7 @@ fn codec_round(envelopes: &[Envelope], count: usize) -> (f64, f64, f64) {
             let env = &envelopes[i % envelopes.len()];
             let frame = wire::frame_envelope(env);
             let back = wire::unframe_envelope(&frame).expect("clean frame");
-            bin_checksum += back.operation.len();
+            bin_checksum += back.operation().len();
         }
         bin_secs += t.elapsed().as_secs_f64();
     }
@@ -254,14 +291,12 @@ fn drive_sharded(jobs: usize) -> (Vec<JobOutcome>, f64) {
 }
 
 /// A trivial endpoint for the dispatch-throughput and backpressure
-/// cases: the interesting cost is the bus boundary, not the handler.
+/// cases: the interesting cost is the bus boundary, not the handler. It
+/// answers with the request's own body.
 struct Echo;
 impl ServiceEndpoint for Echo {
     fn handle(&self, request: &Envelope) -> Result<Envelope, Fault> {
-        Ok(Envelope::request(
-            format!("{}Response", request.operation),
-            request.body.clone(),
-        ))
+        Ok(Envelope::new(request.body.clone()))
     }
     fn operations(&self) -> Vec<String> {
         vec!["echo".into()]
@@ -297,7 +332,7 @@ fn queued_messages(shapes: &[Envelope], jobs: usize, msgs: usize) -> f64 {
                         .clone()
                         .with_idempotency((job * msgs + i) as u64);
                     let resp = queued.call("svc", &req).expect("echo dispatch");
-                    assert!(resp.operation.ends_with("Response"));
+                    assert_eq!(resp.operation(), req.operation());
                 }
             });
         }
@@ -320,7 +355,7 @@ fn sharded_messages(shapes: &[Envelope], jobs: usize, msgs: usize) -> f64 {
                         .clone()
                         .with_idempotency((job * msgs + i) as u64);
                     let resp = bus.call("svc", &req).expect("echo dispatch");
-                    assert!(resp.operation.ends_with("Response"));
+                    assert_eq!(resp.operation(), req.operation());
                 }
             }
         })
@@ -347,7 +382,7 @@ fn backpressure_case() -> (usize, u64) {
             let completed = &completed;
             s.spawn(move || {
                 for i in 0..per_caller {
-                    let req = Envelope::request("echo", Element::new("x"))
+                    let req = Envelope::new(Body::PolicyExchange)
                         .with_idempotency((c * per_caller + i) as u64);
                     // Shed-aware retry: sim-time backoff is instant in
                     // real time, so yield the (possibly single) CPU to
@@ -366,7 +401,7 @@ fn backpressure_case() -> (usize, u64) {
                             }
                         }
                     };
-                    assert_eq!(resp.operation, "echoResponse");
+                    assert_eq!(resp.operation(), "PolicyExchange");
                     completed.fetch_add(1, Ordering::Relaxed);
                 }
             });
@@ -432,10 +467,7 @@ fn main() {
     const MSGS_PER_JOB: usize = 16;
     const DISPATCH_ROUNDS: usize = 3;
     // Minimal control message: dispatch cost, not payload cost.
-    let control = vec![Envelope::request(
-        "StartNegotiation",
-        Element::new("StartNegotiationRequest"),
-    )];
+    let control = vec![Envelope::new(Body::PolicyExchange).with_negotiation(7)];
     let (mut queued_secs, mut sharded_secs) = (0.0, 0.0);
     for _ in 0..DISPATCH_ROUNDS {
         queued_secs += queued_messages(&control, jobs, MSGS_PER_JOB);
@@ -527,7 +559,8 @@ fn main() {
     assert_eq!(observed, serial, "observation must not perturb the run");
 
     report.note(&format!(
-        "seed = {seed}; corpus of {} envelope shapes; {WORKERS} shard \
+        "seed = {seed}; corpus of the {} messages an Aircraft-VO negotiation \
+         sends; {WORKERS} shard \
          workers / caller threads; floors: codec {CODEC_SPEEDUP_FLOOR}x, \
          dispatch {DISPATCH_SPEEDUP_FLOOR}x (asserted non-smoke)",
         envelopes.len(),

@@ -6,7 +6,10 @@
 use std::sync::{Arc, Mutex};
 use trust_vo_netsim::{FaultPlan, NetSim};
 use trust_vo_soa::simclock::{CostModel, SimClock, SimDuration};
-use trust_vo_soa::{Envelope, Fault, ServiceBus, ServiceEndpoint, TnService, Transport};
+use trust_vo_soa::{
+    Body, CredentialExchangeResponse, Envelope, Fault, ServiceBus, ServiceEndpoint, TnService,
+    Transport,
+};
 use trust_vo_store::Database;
 use trust_vo_vo::mailbox::MailboxSystem;
 use trust_vo_vo::{
@@ -80,10 +83,12 @@ impl CheckpointProbe {
 impl ServiceEndpoint for CheckpointProbe {
     fn handle(&self, request: &Envelope) -> Result<Envelope, Fault> {
         let reply = self.service.handle(request);
-        let checkpointed = request.operation == "CredentialExchange"
-            && reply
-                .as_ref()
-                .is_ok_and(|r| r.body.first("ResumeToken").is_some());
+        let checkpointed = matches!(
+            reply.as_ref().map(|r| &*r.body),
+            Ok(Body::CredentialExchangeResponse(
+                CredentialExchangeResponse { token: Some(_), .. }
+            ))
+        );
         if checkpointed {
             self.instants
                 .lock()

@@ -57,7 +57,8 @@ pub struct Header {
 /// A signed X-TNL credential.
 ///
 /// Immutable: the only constructors are [`Credential::issue_signed`],
-/// which keeps the bytes it just signed, and [`Credential::from_xml`],
+/// which keeps the bytes it just signed, [`Credential::from_signed`],
+/// which keeps the bytes it received, and [`Credential::from_xml`],
 /// which encodes the parsed fields once. That one canonical encoding is
 /// what the signature check verifies, what the [`VerifiedCache`] key
 /// digests (lazily, at most once), and what the transcript and wire text
@@ -321,86 +322,7 @@ impl Credential {
     /// Parse a credential from its XML encoding. Verifies structure only —
     /// call [`Credential::verify`] for the cryptographic checks.
     pub fn from_xml(root: &Element) -> Result<Self, CredentialError> {
-        if root.name != "credential" {
-            return Err(CredentialError::Malformed(format!(
-                "expected <credential>, found <{}>",
-                root.name
-            )));
-        }
-        let cred_id = root
-            .get_attr("credID")
-            .ok_or_else(|| CredentialError::Malformed("missing credID attribute".into()))?;
-        let header_el = root
-            .first("header")
-            .ok_or_else(|| CredentialError::Malformed("missing <header>".into()))?;
-        let cred_type = header_el
-            .child_text("credType")
-            .ok_or_else(|| CredentialError::Malformed("missing <credType>".into()))?;
-        let issuer_el = header_el
-            .first("issuer")
-            .ok_or_else(|| CredentialError::Malformed("missing <issuer>".into()))?;
-        let subject_el = header_el
-            .first("subject")
-            .ok_or_else(|| CredentialError::Malformed("missing <subject>".into()))?;
-        let validity_el = header_el
-            .first("validity")
-            .ok_or_else(|| CredentialError::Malformed("missing <validity>".into()))?;
-        let parse_key = |e: &Element, what: &str| -> Result<PublicKey, CredentialError> {
-            let hex_key = e
-                .get_attr("key")
-                .ok_or_else(|| CredentialError::Malformed(format!("{what} missing key attr")))?;
-            let bytes = hex::decode(hex_key)
-                .filter(|b| b.len() == 8)
-                .ok_or_else(|| {
-                    CredentialError::Malformed(format!("{what} key is not 8 hex bytes"))
-                })?;
-            let mut raw = [0u8; 8];
-            raw.copy_from_slice(&bytes);
-            Ok(PublicKey(u64::from_be_bytes(raw)))
-        };
-        let parse_ts = |attr: &str| -> Result<Timestamp, CredentialError> {
-            let text = validity_el
-                .get_attr(attr)
-                .ok_or_else(|| CredentialError::Malformed(format!("validity missing '{attr}'")))?;
-            Timestamp::parse_iso(text)
-                .ok_or_else(|| CredentialError::Malformed(format!("bad timestamp '{text}'")))
-        };
-        let not_before = parse_ts("from")?;
-        let not_after = parse_ts("to")?;
-        if not_before > not_after {
-            return Err(CredentialError::Malformed(
-                "inverted validity window".into(),
-            ));
-        }
-        let header = Header {
-            cred_id: CredentialId(cred_id.to_owned()),
-            cred_type,
-            issuer: issuer_el.text_content(),
-            issuer_key: parse_key(issuer_el, "issuer")?,
-            subject: subject_el.text_content(),
-            subject_key: parse_key(subject_el, "subject")?,
-            validity: TimeRange {
-                not_before,
-                not_after,
-            },
-        };
-        let content_el = root
-            .first("content")
-            .ok_or_else(|| CredentialError::Malformed("missing <content>".into()))?;
-        let mut content = Vec::new();
-        for attr_el in content_el.elements() {
-            let tag = attr_el.get_attr("type").unwrap_or("string");
-            let value = AttrValue::from_tagged(tag, &attr_el.text_content()).ok_or_else(|| {
-                CredentialError::Malformed(format!(
-                    "attribute '{}' has invalid {tag} value",
-                    attr_el.name
-                ))
-            })?;
-            content.push(Attribute {
-                name: attr_el.name.clone(),
-                value,
-            });
-        }
+        let (header, content) = fields_from_xml(root)?;
         let sig_text = root
             .child_text("signature")
             .ok_or_else(|| CredentialError::Malformed("missing <signature>".into()))?;
@@ -411,6 +333,113 @@ impl Credential {
         let encoding = canonical_text(&header, &content);
         Ok(Self::from_parts(header, content, signature, encoding))
     }
+
+    /// Rebuild a credential from the bytes its issuer signed
+    /// ([`Credential::signed_bytes`]) and the signature, as they cross
+    /// the wire. Verifies structure only, like [`Credential::from_xml`];
+    /// unlike it, nothing is re-encoded: the received bytes become the
+    /// encoding the signature check covers. Bytes that are not the
+    /// canonical encoding of the fields they hold are malformed: an
+    /// issuer signs nothing else.
+    pub fn from_signed(signed: &[u8], signature: Signature) -> Result<Self, CredentialError> {
+        let malformed =
+            || CredentialError::Malformed("signed bytes are not a canonical credential".into());
+        let text = std::str::from_utf8(signed).map_err(|_| malformed())?;
+        let root = trust_vo_xmldoc::parse(text).map_err(|_| malformed())?;
+        let (header, content) = fields_from_xml(&root)?;
+        if canonical_text(&header, &content) != text {
+            return Err(malformed());
+        }
+        Ok(Self::from_parts(
+            header,
+            content,
+            signature,
+            text.to_owned(),
+        ))
+    }
+}
+
+/// The header and content of a `<credential>` element.
+fn fields_from_xml(root: &Element) -> Result<(Header, Vec<Attribute>), CredentialError> {
+    if root.name != "credential" {
+        return Err(CredentialError::Malformed(format!(
+            "expected <credential>, found <{}>",
+            root.name
+        )));
+    }
+    let cred_id = root
+        .get_attr("credID")
+        .ok_or_else(|| CredentialError::Malformed("missing credID attribute".into()))?;
+    let header_el = root
+        .first("header")
+        .ok_or_else(|| CredentialError::Malformed("missing <header>".into()))?;
+    let cred_type = header_el
+        .child_text("credType")
+        .ok_or_else(|| CredentialError::Malformed("missing <credType>".into()))?;
+    let issuer_el = header_el
+        .first("issuer")
+        .ok_or_else(|| CredentialError::Malformed("missing <issuer>".into()))?;
+    let subject_el = header_el
+        .first("subject")
+        .ok_or_else(|| CredentialError::Malformed("missing <subject>".into()))?;
+    let validity_el = header_el
+        .first("validity")
+        .ok_or_else(|| CredentialError::Malformed("missing <validity>".into()))?;
+    let parse_key = |e: &Element, what: &str| -> Result<PublicKey, CredentialError> {
+        let hex_key = e
+            .get_attr("key")
+            .ok_or_else(|| CredentialError::Malformed(format!("{what} missing key attr")))?;
+        let bytes = hex::decode(hex_key)
+            .filter(|b| b.len() == 8)
+            .ok_or_else(|| CredentialError::Malformed(format!("{what} key is not 8 hex bytes")))?;
+        let mut raw = [0u8; 8];
+        raw.copy_from_slice(&bytes);
+        Ok(PublicKey(u64::from_be_bytes(raw)))
+    };
+    let parse_ts = |attr: &str| -> Result<Timestamp, CredentialError> {
+        let text = validity_el
+            .get_attr(attr)
+            .ok_or_else(|| CredentialError::Malformed(format!("validity missing '{attr}'")))?;
+        Timestamp::parse_iso(text)
+            .ok_or_else(|| CredentialError::Malformed(format!("bad timestamp '{text}'")))
+    };
+    let not_before = parse_ts("from")?;
+    let not_after = parse_ts("to")?;
+    if not_before > not_after {
+        return Err(CredentialError::Malformed(
+            "inverted validity window".into(),
+        ));
+    }
+    let header = Header {
+        cred_id: CredentialId(cred_id.to_owned()),
+        cred_type,
+        issuer: issuer_el.text_content(),
+        issuer_key: parse_key(issuer_el, "issuer")?,
+        subject: subject_el.text_content(),
+        subject_key: parse_key(subject_el, "subject")?,
+        validity: TimeRange {
+            not_before,
+            not_after,
+        },
+    };
+    let content_el = root
+        .first("content")
+        .ok_or_else(|| CredentialError::Malformed("missing <content>".into()))?;
+    let mut content = Vec::new();
+    for attr_el in content_el.elements() {
+        let tag = attr_el.get_attr("type").unwrap_or("string");
+        let value = AttrValue::from_tagged(tag, &attr_el.text_content()).ok_or_else(|| {
+            CredentialError::Malformed(format!(
+                "attribute '{}' has invalid {tag} value",
+                attr_el.name
+            ))
+        })?;
+        content.push(Attribute {
+            name: attr_el.name.clone(),
+            value,
+        });
+    }
+    Ok((header, content))
 }
 
 /// The canonical unsigned encoding (signature element omitted).
@@ -741,6 +770,72 @@ mod tests {
             assert_eq!(back.signed_bytes(), cred.signed_bytes());
             assert!(back.verify_signature().is_ok());
         }
+    }
+
+    /// The wire path: the signed bytes and the signature rebuild the same
+    /// credential, keeping the received bytes, and a flipped byte fails
+    /// the signature check or the parse.
+    #[test]
+    fn from_signed_keeps_the_received_bytes() {
+        let cred = sample(&issuer_keys(), &subject_keys());
+        let back = Credential::from_signed(cred.signed_bytes(), cred.signature()).unwrap();
+        assert_eq!(back, cred);
+        assert_eq!(back.signed_bytes(), cred.signed_bytes());
+        assert_eq!(back.fingerprint(), cred.fingerprint());
+        assert!(back.verify_signature().is_ok());
+        let mut flipped = cred.signed_bytes().to_vec();
+        let at = flipped.len() / 2;
+        flipped[at] ^= 0x01;
+        if let Ok(forged) = Credential::from_signed(&flipped, cred.signature()) {
+            assert!(forged.verify_signature().is_err());
+        }
+        assert!(Credential::from_signed(&[0xFF, 0xFE], cred.signature()).is_err());
+        assert!(Credential::from_signed(b"<credential/>", cred.signature()).is_err());
+        // Text that parses to the same fields but is not the canonical
+        // encoding is malformed.
+        let canonical = std::str::from_utf8(cred.signed_bytes()).unwrap();
+        let pretty = trust_vo_xmldoc::to_string_pretty(&trust_vo_xmldoc::parse(canonical).unwrap());
+        for text in [
+            format!("{canonical} "),
+            canonical.replace("credID=\"cred-0001\"", "credID='cred-0001'"),
+            pretty,
+        ] {
+            assert!(Credential::from_signed(text.as_bytes(), cred.signature()).is_err());
+        }
+        // Typed values, an empty content element, and every character the
+        // writer escapes, in text and in attributes.
+        let issuer = issuer_keys();
+        let header = Header {
+            cred_id: CredentialId("a\"b<c>&d\n\te".into()),
+            cred_type: "x<y>&z\"q".into(),
+            ..cred.header().clone()
+        };
+        for content in [
+            vec![],
+            vec![
+                Attribute::new("Count", AttrValue::Int(-42)),
+                Attribute::new("Ok", AttrValue::Bool(true)),
+                Attribute::new("Since", AttrValue::Date(Timestamp(86_400))),
+                Attribute::new("Note", "a&b <c> \"d\"\n"),
+                Attribute::new("Empty", ""),
+            ],
+        ] {
+            let typed = Credential::issue_signed(header.clone(), content, &issuer);
+            let back = Credential::from_signed(typed.signed_bytes(), typed.signature()).unwrap();
+            assert_eq!(back, typed);
+            let reparsed = trust_vo_xmldoc::parse(&typed.xml_text()).unwrap();
+            assert_eq!(Credential::from_xml(&reparsed).unwrap(), typed);
+        }
+        // A non-canonical value: `+5` reads as 5, which writes as `5`.
+        let five = Credential::issue_signed(
+            cred.header().clone(),
+            vec![Attribute::new("N", AttrValue::Int(5))],
+            &issuer,
+        );
+        let plus = std::str::from_utf8(five.signed_bytes())
+            .unwrap()
+            .replace(">5<", ">+5<");
+        assert!(Credential::from_signed(plus.as_bytes(), five.signature()).is_err());
     }
 
     #[test]

@@ -14,8 +14,11 @@
 //! decodes the checkpoint, and the exchange continues from the cursor
 //! instead of re-running phase 1.
 //!
-//! Wire format: the token serializes to XML so it rides inside the
-//! SOAP-style envelopes of the `trust-vo-soa` crate.
+//! Wire format: a token crosses the `trust-vo-soa` wire as its
+//! [`ResumeToken::signed_bytes`] plus its signature, and the controller
+//! decodes it with [`ResumeToken::from_signed`], so the signature check
+//! covers exactly the bytes received. [`ResumeToken::to_xml`] is the
+//! token's XML rendering, kept for the SOAP-shaped envelope form.
 
 use crate::ticket::session_window_contains;
 use trust_vo_credential::{TimeRange, Timestamp};
@@ -102,7 +105,14 @@ impl ResumeToken {
     }
 
     /// The bytes the issuer signs: every field but the signature.
-    fn signed_bytes(&self) -> Vec<u8> {
+    ///
+    /// ```text
+    /// token_id:u64 (holder:str holder_key:u64) (issuer:str issuer_key:u64)
+    /// resource:str checkpoint:[u8; 32] not_before:i64 not_after:i64
+    /// ```
+    ///
+    /// Integers are big-endian; `str` is a `u32` length and UTF-8.
+    pub fn signed_bytes(&self) -> Vec<u8> {
         let (holder, issuer, resource) = (&self.holder, &self.issuer, &self.resource);
         let mut out = Vec::with_capacity(96 + holder.len() + issuer.len() + resource.len());
         out.extend_from_slice(&self.token_id.to_be_bytes());
@@ -118,6 +128,37 @@ impl ResumeToken {
         out.extend_from_slice(&self.validity.not_before.0.to_be_bytes());
         out.extend_from_slice(&self.validity.not_after.0.to_be_bytes());
         out
+    }
+
+    /// Rebuild a token from its [`ResumeToken::signed_bytes`] and
+    /// signature. `None` on any malformation (truncation, trailing bytes,
+    /// invalid UTF-8, an inverted validity window); the signature is
+    /// checked separately, by [`ResumeToken::verify`].
+    pub fn from_signed(bytes: &[u8], signature: Signature) -> Option<Self> {
+        let mut rest = bytes;
+        let token_id = take_u64(&mut rest)?;
+        let holder = take_str(&mut rest)?;
+        let holder_key = PublicKey(take_u64(&mut rest)?);
+        let issuer = take_str(&mut rest)?;
+        let issuer_key = PublicKey(take_u64(&mut rest)?);
+        let resource = take_str(&mut rest)?;
+        let checkpoint: Digest = take(&mut rest, 32)?.try_into().ok()?;
+        let not_before = Timestamp(take_u64(&mut rest)? as i64);
+        let not_after = Timestamp(take_u64(&mut rest)? as i64);
+        if !rest.is_empty() || not_before > not_after {
+            return None;
+        }
+        Some(ResumeToken {
+            token_id,
+            holder,
+            holder_key,
+            issuer,
+            issuer_key,
+            resource,
+            checkpoint,
+            validity: TimeRange::new(not_before, not_after),
+            signature,
+        })
     }
 
     /// Verify signature and validity at instant `at`. The end boundary is
@@ -182,6 +223,24 @@ impl ResumeToken {
     }
 }
 
+/// The first `n` bytes of `rest`, which then starts after them.
+fn take<'a>(rest: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    let (head, tail) = rest.split_at_checked(n)?;
+    *rest = tail;
+    Some(head)
+}
+
+fn take_u64(rest: &mut &[u8]) -> Option<u64> {
+    Some(u64::from_be_bytes(take(rest, 8)?.try_into().ok()?))
+}
+
+fn take_str(rest: &mut &[u8]) -> Option<String> {
+    let len = u32::from_be_bytes(take(rest, 4)?.try_into().ok()?) as usize;
+    std::str::from_utf8(take(rest, len)?)
+        .ok()
+        .map(str::to_owned)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,6 +300,25 @@ mod tests {
         let back = ResumeToken::from_xml(&parsed).unwrap();
         assert_eq!(back, token);
         assert!(back.verify(Timestamp(1_500)).is_ok());
+    }
+
+    #[test]
+    fn token_roundtrips_through_its_signed_bytes() {
+        let (token, _) = issue_token(window());
+        let bytes = token.signed_bytes();
+        let back = ResumeToken::from_signed(&bytes, token.signature).unwrap();
+        assert_eq!(back, token);
+        assert!(back.verify(Timestamp(1_500)).is_ok());
+        // Every truncation and any trailing byte is malformed.
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                ResumeToken::from_signed(&bytes[..cut], token.signature),
+                None
+            );
+        }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert_eq!(ResumeToken::from_signed(&longer, token.signature), None);
     }
 
     #[test]

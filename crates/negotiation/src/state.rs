@@ -13,6 +13,7 @@ use crate::strategy::Strategy;
 use crate::view::{Disclosure, TrustSequence};
 use trust_vo_credential::{Credential, CredentialError, CredentialId, Timestamp};
 use trust_vo_crypto::{sha256, Digest, Signature};
+use trust_vo_xmldoc::binary::Encoded;
 use trust_vo_xmldoc::Element;
 
 /// One in-flight negotiation: the parties, the resource, the strategy
@@ -161,11 +162,12 @@ impl Negotiation {
     }
 
     /// Encode once for durable storage: the `ResumeCheckpoint` document
-    /// and the digest of its XML text, which a [`crate::ResumeToken`]
-    /// binds so the token cannot be replayed against another checkpoint.
-    pub fn checkpoint(&self) -> (Element, Digest) {
-        let doc = self.to_xml();
-        let digest = sha256(trust_vo_xmldoc::to_string(&doc).as_bytes());
+    /// in the binary form a store keeps and journals, and the digest of
+    /// those bytes, which a [`crate::ResumeToken`] binds so the token
+    /// cannot be replayed against another checkpoint.
+    pub fn checkpoint(&self) -> (Encoded, Digest) {
+        let doc = Encoded::of(&self.to_xml());
+        let digest = sha256(doc.as_bytes());
         (doc, digest)
     }
 
@@ -315,12 +317,14 @@ mod tests {
         assert_eq!(Negotiation::from_xml(&unagreed.to_xml()), Some(unagreed));
     }
 
-    /// The stored encoding is the one checkpoints have always had: the
-    /// document text, and so the digest a resume token binds, is fixed.
+    /// The stored document is the one checkpoints have always had, and
+    /// the digest a resume token binds is the hash of the bytes stored.
     #[test]
     fn checkpoint_encoding_is_stable() {
         let (doc, digest) = checkpoint().checkpoint();
-        let text = trust_vo_xmldoc::to_string(&doc);
+        let text = trust_vo_xmldoc::to_string(
+            &trust_vo_xmldoc::decode_element(doc.as_bytes()).expect("a canonical encoding"),
+        );
         assert_eq!(
             text,
             "<ResumeCheckpoint requester=\"R\" controller=\"C\" resource=\"Svc\" \
@@ -330,7 +334,7 @@ mod tests {
              <disclosure by=\"requester\" id=\"c2\" type=\"T2\"/>\
              </sequence></ResumeCheckpoint>"
         );
-        assert_eq!(digest, sha256(text.as_bytes()));
+        assert_eq!(digest, sha256(doc.as_bytes()));
     }
 
     #[test]

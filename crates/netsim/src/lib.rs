@@ -39,13 +39,22 @@ mod tests {
     use trust_vo_policy::{DisclosurePolicy, Resource, Term};
     use trust_vo_soa::simclock::CostModel;
     use trust_vo_soa::{
-        run_negotiation_resilient, Envelope, ResumePolicy, RetryPolicy, ServiceBus, SimClock,
-        SimDuration, TnService, Transport,
+        run_negotiation_resilient, Body, Envelope, ResumePolicy, RetryPolicy, ServiceBus, SimClock,
+        SimDuration, StartNegotiation, TnService, Transport,
     };
     use trust_vo_store::Database;
-    use trust_vo_xmldoc::Element;
 
     use super::*;
+
+    fn start_request(resumable: bool) -> Envelope {
+        Envelope::new(Body::StartNegotiation(StartNegotiation {
+            strategy: Strategy::Standard,
+            requester: "Aerospace".into(),
+            controller: "Aircraft".into(),
+            resource: "VoMembership".into(),
+            resumable,
+        }))
+    }
 
     fn bus() -> ServiceBus {
         let clock = SimClock::new(
@@ -214,44 +223,24 @@ mod tests {
         // inside it, crashes the endpoint, and the volatile session dies
         // with it — only the checkpointed-resume path can finish the job.
         let bus = bus();
-        let start = bus
-            .call(
-                "tn",
-                &Envelope::request(
-                    "StartNegotiation",
-                    Element::new("StartNegotiationRequest")
-                        .attr("resumable", "true")
-                        .child(Element::new("strategy").text("standard"))
-                        .child(Element::new("requester").text("Aerospace"))
-                        .child(Element::new("counterpartUrl").text("Aircraft"))
-                        .child(Element::new("resource").text("VoMembership")),
-                ),
-            )
-            .unwrap();
-        let id: u64 = start
-            .body
-            .child_text("negotiationId")
-            .unwrap()
-            .parse()
-            .unwrap();
+        let start = bus.call("tn", &start_request(true)).unwrap();
+        let id = start.negotiation_id.unwrap();
         let policy = bus
             .call(
                 "tn",
-                &Envelope::request("PolicyExchange", Element::new("PolicyExchangeRequest"))
-                    .with_negotiation(id),
+                &Envelope::new(Body::PolicyExchange).with_negotiation(id),
             )
             .unwrap();
-        assert!(policy.body.first("ResumeToken").is_some());
+        let Body::PolicyExchangeResponse(policy) = &*policy.body else {
+            panic!("a policy reply")
+        };
+        assert!(policy.token.is_some());
 
         let now = bus.clock().elapsed();
         let clock = bus.clock().clone();
         let plan = FaultPlan::reliable(5).outage("tn", now, SimDuration(now.0 + 1_000), true);
         let net = NetSim::new(bus, plan);
-        let cred_req = Envelope::request(
-            "CredentialExchange",
-            Element::new("CredentialExchangeRequest"),
-        )
-        .with_negotiation(id);
+        let cred_req = Envelope::new(Body::CredentialExchange).with_negotiation(id);
         let err = net.call("tn", &cred_req).unwrap_err();
         assert!(err.is_transport());
         assert_eq!(net.metrics().crashes.get(), 1);
@@ -261,17 +250,11 @@ mod tests {
         let err = net.call("tn", &cred_req).unwrap_err();
         assert_eq!(err.code, "NoSuchNegotiation");
         // The durable checkpoint survived: presenting the token resumes.
-        let token = policy.body.first("ResumeToken").unwrap().clone();
+        let token = policy.token.clone().unwrap();
         let resumed = net
-            .call(
-                "tn",
-                &Envelope::request(
-                    "ResumeNegotiation",
-                    Element::new("ResumeNegotiationRequest").child(token),
-                ),
-            )
+            .call("tn", &Envelope::new(Body::ResumeNegotiation(token)))
             .unwrap();
-        assert_eq!(resumed.body.get_attr("status"), Some("resumed"));
+        assert!(matches!(*resumed.body, Body::ResumeNegotiationResponse(_)));
     }
 
     #[test]
@@ -287,14 +270,7 @@ mod tests {
             SimDuration(now.0 + SimDuration::from_millis(100).0),
         );
         let net = NetSim::new(bus, plan);
-        let req = Envelope::request(
-            "StartNegotiation",
-            Element::new("StartNegotiationRequest")
-                .child(Element::new("strategy").text("standard"))
-                .child(Element::new("requester").text("Aerospace"))
-                .child(Element::new("counterpartUrl").text("Aircraft"))
-                .child(Element::new("resource").text("VoMembership")),
-        );
+        let req = start_request(false);
         let err = net.call("tn", &req).unwrap_err();
         assert!(err.is_transport());
         assert!(err.reason.contains("wan-split"));

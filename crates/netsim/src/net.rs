@@ -199,7 +199,7 @@ impl Transport for NetSim {
             Some(trace) if obs.is_enabled() => {
                 let mut s = obs.span_linked("net.transit", trace.link());
                 s.field("service", service);
-                s.field("operation", request.operation.as_str());
+                s.field("operation", request.operation());
                 Some(s)
             }
             _ => None,
@@ -259,7 +259,7 @@ impl Transport for NetSim {
         let mut rng = SplitMix64::new(mix(&[
             self.plan.seed,
             hash_str(service),
-            hash_str(&request.operation),
+            hash_str(request.operation()),
             key_word,
             attempt,
         ]));

@@ -184,7 +184,7 @@ impl ServiceBus {
             Some(trace) if obs.is_enabled() => {
                 let mut span = obs.span_linked("bus.dispatch", trace.link());
                 span.field("service", service);
-                span.field("operation", request.operation.as_str());
+                span.field("operation", request.operation());
                 Some(span)
             }
             _ => None,
@@ -209,7 +209,7 @@ impl ServiceBus {
                 "bus.call",
                 vec![
                     ("service".to_string(), service.into()),
-                    ("operation".to_string(), request.operation.as_str().into()),
+                    ("operation".to_string(), request.operation().into()),
                     ("ok".to_string(), result.is_ok().into()),
                 ],
             );
@@ -236,6 +236,7 @@ impl Transport for ServiceBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::body::Body;
     use crate::simclock::CostModel;
     use trust_vo_credential::Timestamp;
     use trust_vo_xmldoc::Element;
@@ -244,18 +245,24 @@ mod tests {
 
     impl ServiceEndpoint for Echo {
         fn handle(&self, request: &Envelope) -> Result<Envelope, Fault> {
-            if request.operation == "fail" {
+            if request.operation() == "fail" {
                 return Err(Fault::new("Boom", "requested failure"));
             }
-            Ok(Envelope::request(
-                format!("{}Response", request.operation),
-                request.body.clone(),
+            let Body::Document(doc) = &*request.body else {
+                return Err(Fault::new("BadRequest", "a document body"));
+            };
+            Ok(Envelope::new(
+                Body::document(format!("{}Response", doc.operation()), doc.root().clone()).unwrap(),
             ))
         }
 
         fn operations(&self) -> Vec<String> {
             vec!["echo".into(), "fail".into()]
         }
+    }
+
+    fn request(operation: &str, root: &str) -> Envelope {
+        Envelope::new(Body::document(operation, Element::new(root)).unwrap())
     }
 
     fn bus() -> ServiceBus {
@@ -266,21 +273,14 @@ mod tests {
     fn dispatch_reaches_endpoint() {
         let bus = bus();
         bus.register("echo-svc", Arc::new(Echo));
-        let resp = bus
-            .call(
-                "echo-svc",
-                &Envelope::request("echo", Element::new("hello")),
-            )
-            .unwrap();
-        assert_eq!(resp.operation, "echoResponse");
-        assert_eq!(resp.body.name, "hello");
+        let resp = bus.call("echo-svc", &request("echo", "hello")).unwrap();
+        assert_eq!(resp.operation(), "echoResponse");
+        assert_eq!(resp.body.to_xml().name, "hello");
     }
 
     #[test]
     fn unknown_service_faults() {
-        let err = bus()
-            .call("ghost", &Envelope::request("x", Element::new("b")))
-            .unwrap_err();
+        let err = bus().call("ghost", &request("x", "b")).unwrap_err();
         // Pinned: an unregistered service is a *typed* fault, not a generic
         // application string — callers branch on the kind, not the text.
         assert_eq!(err.kind, crate::envelope::FaultKind::NoSuchService);
@@ -292,7 +292,7 @@ mod tests {
     #[test]
     fn bus_implements_transport() {
         fn dispatch<T: Transport>(t: &T) -> Result<Envelope, Fault> {
-            t.call("echo-svc", &Envelope::request("echo", Element::new("b")))
+            t.call("echo-svc", &request("echo", "b"))
         }
         let bus = bus();
         bus.register("echo-svc", Arc::new(Echo));
@@ -307,9 +307,7 @@ mod tests {
     fn endpoint_faults_propagate() {
         let bus = bus();
         bus.register("echo-svc", Arc::new(Echo));
-        let err = bus
-            .call("echo-svc", &Envelope::request("fail", Element::new("b")))
-            .unwrap_err();
+        let err = bus.call("echo-svc", &request("fail", "b")).unwrap_err();
         assert_eq!(err.code, "Boom");
     }
 
@@ -318,8 +316,8 @@ mod tests {
         let bus = bus();
         bus.register("echo-svc", Arc::new(Echo));
         let before = bus.clock().elapsed();
-        let _ = bus.call("echo-svc", &Envelope::request("echo", Element::new("b")));
-        let _ = bus.call("ghost", &Envelope::request("echo", Element::new("b")));
+        let _ = bus.call("echo-svc", &request("echo", "b"));
+        let _ = bus.call("ghost", &request("echo", "b"));
         assert_eq!(
             bus.clock().elapsed().0 - before.0,
             (bus.clock().model().cost_of(CostKind::SoapRoundTrip) * 2).0
@@ -331,7 +329,7 @@ mod tests {
         struct DenyOp(String);
         impl CallGate for DenyOp {
             fn admit(&self, _service: &str, request: &Envelope) -> Result<(), Fault> {
-                if request.operation == self.0 {
+                if request.operation() == self.0 {
                     Err(Fault::budget_exhausted("tester", 1_000))
                 } else {
                     Ok(())
@@ -345,16 +343,12 @@ mod tests {
         let before = bus.clock().elapsed();
         // Refused via the clone too (gate state is shared), and the
         // refusal charges nothing: the message never reached the wire.
-        let err = clone
-            .call("echo-svc", &Envelope::request("echo", Element::new("b")))
-            .unwrap_err();
+        let err = clone.call("echo-svc", &request("echo", "b")).unwrap_err();
         assert_eq!(err.kind, crate::envelope::FaultKind::BudgetExhausted);
         assert_eq!(err.retry_after_us, Some(1_000));
         assert_eq!(bus.clock().elapsed(), before);
         // Other operations pass and pay the usual round trip.
-        assert!(bus
-            .call("echo-svc", &Envelope::request("other", Element::new("b")))
-            .is_ok());
+        assert!(bus.call("echo-svc", &request("other", "b")).is_ok());
         assert!(bus.clock().elapsed() > before);
     }
 

@@ -18,13 +18,13 @@
 //! fatal, and since the driver never reconnects it asks for no
 //! checkpoints.
 
+use crate::body::{Body, SignedToken, StartNegotiation};
 use crate::bus::Transport;
 use crate::envelope::{Envelope, Fault};
 use crate::retry::{call_with_retry, RetryPolicy};
 use crate::simclock::SimDuration;
 use trust_vo_negotiation::Strategy;
 use trust_vo_obs::{Collector, FlightRecorder, SpanGuard, SpanLink, TraceContext};
-use trust_vo_xmldoc::Element;
 
 /// Stamp `env` with the context of the `client.call` span just opened
 /// under `parent`, so every downstream hop (retry attempt, fault
@@ -131,10 +131,10 @@ fn call_attempt(
     flight: &mut FlightRecorder,
 ) -> Result<Envelope, Fault> {
     let mut span = obs.span_linked("client.call", parent);
-    span.field("operation", request.operation.as_str());
+    span.field("operation", request.operation());
     let request = stamp(request, &span, parent);
     let sim_now = |t: &dyn Transport| t.clock().elapsed().0;
-    flight.note(sim_now(transport), "call", request.operation.clone());
+    flight.note(sim_now(transport), "call", request.operation().to_owned());
     let attempted = call_with_retry(transport, service, &request, retry);
     *retries += attempted.retries();
     if attempted.retries() > 0 {
@@ -143,7 +143,8 @@ fn call_attempt(
             "retry",
             format!(
                 "{} needed {} attempts",
-                request.operation, attempted.attempts
+                request.operation(),
+                attempted.attempts
             ),
         );
     }
@@ -151,7 +152,7 @@ fn call_attempt(
         flight.note(
             sim_now(transport),
             "fault",
-            format!("{} {f}", request.operation),
+            format!("{} {f}", request.operation()),
         );
     }
     span.field("ok", attempted.outcome.is_ok());
@@ -203,7 +204,7 @@ pub fn run_negotiation_resilient(
     let mut resumes = 0u64;
     let mut restarts = 0u64;
     let mut cycles = 0u32;
-    let mut token: Option<Element> = None;
+    let mut token: Option<SignedToken> = None;
     let mut credential_calls = 0usize;
     let mut sequence_len = 0usize;
     let mut negotiation_id;
@@ -263,11 +264,8 @@ pub fn run_negotiation_resilient(
             let remaining_bound;
             if let Some(tok) = token.clone() {
                 key_counter += 1;
-                let env = Envelope::request(
-                    "ResumeNegotiation",
-                    Element::new("ResumeNegotiationRequest").child(tok),
-                )
-                .with_idempotency(mix_key(key_seed, key_counter));
+                let env = Envelope::new(Body::ResumeNegotiation(tok))
+                    .with_idempotency(mix_key(key_seed, key_counter));
                 match call_attempt(
                     transport,
                     &obs,
@@ -296,11 +294,10 @@ pub fn run_negotiation_resilient(
                             "resume",
                             format!("negotiation {negotiation_id} resumed from checkpoint"),
                         );
-                        remaining_bound = resp
-                            .body
-                            .get_attr("remaining")
-                            .and_then(|t| t.parse().ok())
-                            .unwrap_or(sequence_len);
+                        remaining_bound = match &*resp.body {
+                            Body::ResumeNegotiationResponse(reply) => reply.remaining as usize,
+                            _ => sequence_len,
+                        };
                     }
                     Err(f) if session_lost(&f) && reconnect(&mut cycles) => {
                         continue 'session;
@@ -317,18 +314,13 @@ pub fn run_negotiation_resilient(
                 }
             } else {
                 key_counter += 1;
-                let mut request = Element::new("StartNegotiationRequest");
-                if resume.max_cycles > 0 {
-                    request = request.attr("resumable", "true");
-                }
-                let env = Envelope::request(
-                    "StartNegotiation",
-                    request
-                        .child(Element::new("strategy").text(strategy.wire_name()))
-                        .child(Element::new("requester").text(requester))
-                        .child(Element::new("counterpartUrl").text(controller))
-                        .child(Element::new("resource").text(resource)),
-                )
+                let env = Envelope::new(Body::StartNegotiation(StartNegotiation {
+                    strategy,
+                    requester: requester.to_owned(),
+                    controller: controller.to_owned(),
+                    resource: resource.to_owned(),
+                    resumable: resume.max_cycles > 0,
+                }))
                 .with_idempotency(mix_key(key_seed, key_counter));
                 let start = match call_attempt(
                     transport,
@@ -347,11 +339,7 @@ pub fn run_negotiation_resilient(
                     }
                     Err(f) => break 'run Err(fatal(&mut flight, f, "terminal-fault")),
                 };
-                let id: u64 = match start
-                    .body
-                    .child_text("negotiationId")
-                    .and_then(|t| t.parse().ok())
-                {
+                let id = match start.negotiation_id {
                     Some(id) => id,
                     None => {
                         let fault = Fault::new("BadResponse", "missing negotiation id");
@@ -360,10 +348,9 @@ pub fn run_negotiation_resilient(
                 };
 
                 key_counter += 1;
-                let env =
-                    Envelope::request("PolicyExchange", Element::new("PolicyExchangeRequest"))
-                        .with_negotiation(id)
-                        .with_idempotency(mix_key(key_seed, key_counter));
+                let env = Envelope::new(Body::PolicyExchange)
+                    .with_negotiation(id)
+                    .with_idempotency(mix_key(key_seed, key_counter));
                 match call_attempt(
                     transport,
                     &obs,
@@ -375,12 +362,12 @@ pub fn run_negotiation_resilient(
                     &mut flight,
                 ) {
                     Ok(policy) => {
-                        sequence_len = policy
-                            .body
-                            .first("trustSequence")
-                            .map(|seq| seq.all("disclosure").count())
-                            .unwrap_or(0);
-                        token = policy.body.first("ResumeToken").cloned();
+                        (sequence_len, token) = match &*policy.body {
+                            Body::PolicyExchangeResponse(reply) => {
+                                (reply.sequence.len(), reply.token.clone())
+                            }
+                            _ => (0, None),
+                        };
                         negotiation_id = id;
                         remaining_bound = sequence_len;
                     }
@@ -399,12 +386,9 @@ pub fn run_negotiation_resilient(
             let mut calls_this_session = 0usize;
             loop {
                 key_counter += 1;
-                let env = Envelope::request(
-                    "CredentialExchange",
-                    Element::new("CredentialExchangeRequest"),
-                )
-                .with_negotiation(negotiation_id)
-                .with_idempotency(mix_key(key_seed, key_counter));
+                let env = Envelope::new(Body::CredentialExchange)
+                    .with_negotiation(negotiation_id)
+                    .with_idempotency(mix_key(key_seed, key_counter));
                 match call_attempt(
                     transport,
                     &obs,
@@ -418,11 +402,13 @@ pub fn run_negotiation_resilient(
                     Ok(resp) => {
                         credential_calls += 1;
                         calls_this_session += 1;
-                        if let Some(t) = resp.body.first("ResumeToken") {
-                            token = Some(t.clone());
-                        }
-                        if resp.body.get_attr("status") == Some("completed") {
-                            break 'session;
+                        if let Body::CredentialExchangeResponse(reply) = &*resp.body {
+                            if let Some(t) = &reply.token {
+                                token = Some(t.clone());
+                            }
+                            if reply.is_completed() {
+                                break 'session;
+                            }
                         }
                         if calls_this_session > remaining_bound + 1 {
                             let fault =

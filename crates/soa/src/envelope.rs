@@ -2,8 +2,10 @@
 //!
 //! Every TN web service operation is invoked with a request envelope and
 //! answered with a response envelope (or a fault), mirroring the Axis SOAP
-//! transport of the prototype.
+//! transport of the prototype. The header carries the routing fields; the
+//! body is one typed [`Body`], whose variant names the operation.
 
+use crate::body::Body;
 use std::sync::Arc;
 use trust_vo_obs::TraceContext;
 use trust_vo_xmldoc::{Element, Node};
@@ -12,15 +14,12 @@ use trust_vo_xmldoc::{Element, Node};
 ///
 /// The body is held behind an [`Arc`]: hops that only rewrite trace
 /// headers ([`Envelope::restamped`], per-attempt re-stamps in the retry
-/// and netsim layers) share the payload instead of deep-cloning the XML
-/// tree. Each send encodes the envelope afresh (see [`crate::wire`]);
-/// a fault-injecting transport answers retries and duplicate deliveries
-/// from its reply cache, so a second encoding of the same request is
-/// rare.
+/// and netsim layers) share the payload instead of copying it. Each send
+/// encodes the envelope afresh (see [`crate::wire`]); a fault-injecting
+/// transport answers retries and duplicate deliveries from its reply
+/// cache, so a second encoding of the same request is rare.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
-    /// The operation name, e.g. `StartNegotiation`.
-    pub operation: String,
     /// The negotiation id, once assigned.
     pub negotiation_id: Option<u64>,
     /// Idempotency key: identifies one *logical* call across transport
@@ -33,21 +32,26 @@ pub struct Envelope {
     /// so server-side spans parent under the sending layer's span.
     /// `None` on untraced runs — the pre-tracing wire shape.
     pub trace: Option<TraceContext>,
-    /// The XML body, shared between header-only copies of this envelope.
-    pub body: Arc<Element>,
+    /// The typed body, shared between header-only copies of this
+    /// envelope.
+    pub body: Arc<Body>,
 }
 
 impl Envelope {
-    /// Build a request envelope. Accepts an owned [`Element`] or an
-    /// already-shared `Arc<Element>` body.
-    pub fn request(operation: impl Into<String>, body: impl Into<Arc<Element>>) -> Self {
+    /// An envelope carrying `body`, with an empty header. Accepts an
+    /// owned [`Body`] or an already-shared `Arc<Body>`.
+    pub fn new(body: impl Into<Arc<Body>>) -> Self {
         Envelope {
-            operation: operation.into(),
             negotiation_id: None,
             idempotency_key: None,
             trace: None,
             body: body.into(),
         }
+    }
+
+    /// The operation name, taken from the body (e.g. `StartNegotiation`).
+    pub fn operation(&self) -> &str {
+        self.body.operation()
     }
 
     /// Attach a negotiation id.
@@ -74,7 +78,7 @@ impl Envelope {
     /// A copy of this envelope re-stamped so the next hop parents under
     /// span `span_id` of the same trace. Returns an unmodified clone when
     /// the envelope is untraced or `span_id` is 0 (inert span guard).
-    /// The body is shared, not deep-cloned: only trace headers change.
+    /// The body is shared, not copied: only trace headers change.
     #[must_use]
     pub fn restamped(&self, span_id: u64) -> Self {
         let mut out = self.clone();
@@ -86,10 +90,11 @@ impl Envelope {
         out
     }
 
-    /// Serialize as a SOAP-shaped XML document.
+    /// Serialize as a SOAP-shaped XML document, the body in its
+    /// [`Body::to_xml`] rendering.
     pub fn to_xml(&self) -> Element {
         let mut header =
-            Element::new("Header").child(Element::new("operation").text(&self.operation));
+            Element::new("Header").child(Element::new("operation").text(self.operation()));
         if let Some(id) = self.negotiation_id {
             header.children.push(Node::Element(
                 Element::new("negotiationId").text(id.to_string()),
@@ -115,10 +120,12 @@ impl Envelope {
         }
         Element::new("Envelope")
             .child(header)
-            .child(Element::new("Body").child(self.body.as_ref().clone()))
+            .child(Element::new("Body").child(self.body.to_xml()))
     }
 
-    /// Parse an envelope from its XML document.
+    /// Parse an envelope from its XML document. `None` when the header
+    /// lacks an operation or the body is not that operation's
+    /// ([`Body::from_xml`]).
     pub fn from_xml(root: &Element) -> Option<Self> {
         if root.name != "Envelope" {
             return None;
@@ -147,9 +154,8 @@ impl Envelope {
             }),
             _ => None,
         };
-        let body = root.first("Body")?.elements().next()?.clone();
+        let body = Body::from_xml(&operation, root.first("Body")?.elements().next()?)?;
         Some(Envelope {
-            operation,
             negotiation_id,
             idempotency_key,
             trace,
@@ -298,15 +304,24 @@ impl std::error::Error for Fault {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::body::StartNegotiation;
+    use trust_vo_negotiation::Strategy;
+
+    fn doc(operation: &str, root: &str) -> Envelope {
+        Envelope::new(Body::document(operation, Element::new(root)).unwrap())
+    }
 
     #[test]
     fn envelope_roundtrip() {
-        let env = Envelope::request(
-            "StartNegotiation",
-            Element::new("StartNegotiationRequest")
-                .child(Element::new("strategy").text("standard")),
-        )
+        let env = Envelope::new(Body::StartNegotiation(StartNegotiation {
+            strategy: Strategy::Standard,
+            requester: "Aerospace".into(),
+            controller: "Aircraft".into(),
+            resource: "VoMembership".into(),
+            resumable: false,
+        }))
         .with_negotiation(7);
+        assert_eq!(env.operation(), "StartNegotiation");
         let xml = env.to_xml();
         let text = trust_vo_xmldoc::to_string(&xml);
         let parsed = trust_vo_xmldoc::parse(&text).unwrap();
@@ -315,10 +330,10 @@ mod tests {
 
     #[test]
     fn envelope_without_id() {
-        let env = Envelope::request("PolicyExchange", Element::new("x"));
+        let env = Envelope::new(Body::PolicyExchange);
         let back = Envelope::from_xml(&env.to_xml()).unwrap();
         assert_eq!(back.negotiation_id, None);
-        assert_eq!(back.operation, "PolicyExchange");
+        assert_eq!(back.operation(), "PolicyExchange");
     }
 
     #[test]
@@ -328,6 +343,11 @@ mod tests {
         let no_body = Element::new("Envelope")
             .child(Element::new("Header").child(Element::new("operation").text("X")));
         assert!(Envelope::from_xml(&no_body).is_none());
+        // A TN operation whose body is not that message is malformed.
+        let wrong_body = Element::new("Envelope")
+            .child(Element::new("Header").child(Element::new("operation").text("PolicyExchange")))
+            .child(Element::new("Body").child(Element::new("x")));
+        assert!(Envelope::from_xml(&wrong_body).is_none());
     }
 
     #[test]
@@ -382,7 +402,7 @@ mod tests {
 
     #[test]
     fn restamped_shares_the_body_allocation() {
-        let env = Envelope::request("PolicyExchange", Element::new("big"))
+        let env = doc("Echo", "big")
             .with_negotiation(7)
             .with_trace(TraceContext {
                 trace_id: 9,
@@ -391,13 +411,13 @@ mod tests {
             });
         let hop = env.restamped(6);
         // Per-hop restamping is allocation-light: the (possibly large)
-        // XML body is shared, never deep-cloned.
+        // body is shared, never copied.
         assert!(Arc::ptr_eq(&env.body, &hop.body));
     }
 
     #[test]
     fn trace_context_roundtrips_through_xml() {
-        let env = Envelope::request("PolicyExchange", Element::new("x"))
+        let env = Envelope::new(Body::PolicyExchange)
             .with_negotiation(3)
             .with_trace(TraceContext {
                 trace_id: 11,
@@ -409,28 +429,26 @@ mod tests {
         assert_eq!(back, env);
 
         // Root-hop context: no parent span.
-        let root =
-            Envelope::request("StartNegotiation", Element::new("x")).with_trace(TraceContext {
-                trace_id: 1,
-                span_id: 2,
-                parent_span_id: None,
-            });
+        let root = doc("Echo", "x").with_trace(TraceContext {
+            trace_id: 1,
+            span_id: 2,
+            parent_span_id: None,
+        });
         let back = Envelope::from_xml(&root.to_xml()).unwrap();
         assert_eq!(back, root);
 
         // Untraced envelopes stay untraced through the round trip.
-        let plain = Envelope::request("PolicyExchange", Element::new("x"));
+        let plain = Envelope::new(Body::PolicyExchange);
         assert_eq!(Envelope::from_xml(&plain.to_xml()).unwrap().trace, None);
     }
 
     #[test]
     fn restamped_advances_the_hop_chain() {
-        let env =
-            Envelope::request("CredentialExchange", Element::new("x")).with_trace(TraceContext {
-                trace_id: 9,
-                span_id: 4,
-                parent_span_id: Some(2),
-            });
+        let env = Envelope::new(Body::CredentialExchange).with_trace(TraceContext {
+            trace_id: 9,
+            span_id: 4,
+            parent_span_id: Some(2),
+        });
         let hop = env.restamped(6);
         assert_eq!(
             hop.trace,
@@ -442,13 +460,13 @@ mod tests {
         );
         // Inert span guards (id 0) and untraced envelopes pass through.
         assert_eq!(env.restamped(0).trace, env.trace);
-        let plain = Envelope::request("CredentialExchange", Element::new("x"));
+        let plain = Envelope::new(Body::CredentialExchange);
         assert_eq!(plain.restamped(6), plain);
     }
 
     #[test]
     fn idempotency_key_roundtrips() {
-        let env = Envelope::request("CredentialExchange", Element::new("x"))
+        let env = Envelope::new(Body::CredentialExchange)
             .with_negotiation(3)
             .with_idempotency(0xDEAD_BEEF);
         let back = Envelope::from_xml(&env.to_xml()).unwrap();

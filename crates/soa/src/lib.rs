@@ -9,8 +9,10 @@
 //!
 //! This crate reproduces that architecture in-process:
 //!
-//! * [`envelope`] — SOAP-style request/response envelopes carrying XML
+//! * [`envelope`] — SOAP-style request/response envelopes carrying typed
 //!   bodies,
+//! * [`body`] — the typed bodies: one per TN request and reply, plus XML
+//!   documents for the VO Management service, with their XML rendering,
 //! * [`bus`] — a service registry + dispatcher with per-call latency
 //!   accounting; every call crosses [`wire`],
 //! * [`simclock`] — the simulated wall-clock. Every SOAP round-trip, DB
@@ -26,9 +28,9 @@
 //!   used by the resilient client driver and `vo::formation` when the bus
 //!   is wrapped in the fault-injecting `trust-vo-netsim` transport,
 //! * [`wire`] — the real byte boundary every bus call crosses: a
-//!   length-framed (`[len][crc32][payload]`) canonical binary codec for
-//!   envelopes and replies, with the XML path kept as a differential
-//!   oracle,
+//!   length-framed (`[len][crc32][payload]`) canonical binary codec that
+//!   encodes each typed body field by field, with the XML rendering kept
+//!   as a differential oracle,
 //! * [`shard`] — the sharded work-stealing executor (per-shard bounded
 //!   queues with flow control, counted on `bus.queue_depth`/`bus.shed`)
 //!   and the single-queue dispatcher bus it is benchmarked against,
@@ -37,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod body;
 pub mod bus;
 pub mod client;
 pub mod envelope;
@@ -46,6 +49,10 @@ pub mod simclock;
 pub mod tn_service;
 pub mod wire;
 
+pub use body::{
+    Body, CredentialExchangeResponse, Document, PolicyExchangeResponse, ResumeNegotiationResponse,
+    SignedCredential, SignedToken, StartNegotiation,
+};
 pub use bus::{CallGate, ServiceBus, ServiceEndpoint, Transport};
 pub use client::{run_negotiation_resilient, ClientRun, ResilientRun, ResumePolicy};
 pub use envelope::{Envelope, Fault, FaultKind};

@@ -124,7 +124,7 @@ pub fn call_with_retry(
             let link = request.trace.as_ref().expect("traced").link();
             let mut span = obs.span_linked("soa.attempt", link);
             span.field("service", service);
-            span.field("operation", request.operation.as_str());
+            span.field("operation", request.operation());
             span.field("attempt", i64::from(attempts));
             let result = transport.call(service, &request.restamped(span.id().unwrap_or(0)));
             span.field("ok", result.is_ok());
@@ -188,6 +188,7 @@ pub fn call_with_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::body::Body;
     use crate::bus::ServiceBus;
     use crate::simclock::{CostModel, SimClock};
     use std::sync::atomic::{AtomicU32, Ordering};
@@ -220,9 +221,12 @@ mod tests {
             if n < self.fail_first {
                 Err(self.fault.clone())
             } else {
-                Ok(Envelope::request(
-                    format!("{}Response", request.operation),
-                    Element::new("ok"),
+                Ok(Envelope::new(
+                    Body::document(
+                        format!("{}Response", request.operation()),
+                        Element::new("ok"),
+                    )
+                    .unwrap(),
                 ))
             }
         }
@@ -233,7 +237,7 @@ mod tests {
     }
 
     fn req() -> Envelope {
-        Envelope::request("Echo", Element::new("x"))
+        Envelope::new(Body::document("Echo", Element::new("x")).unwrap())
     }
 
     #[test]

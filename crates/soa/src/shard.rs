@@ -404,6 +404,7 @@ impl Drop for QueuedBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::body::Body;
     use crate::simclock::CostModel;
     use crate::ServiceEndpoint;
     use trust_vo_credential::Timestamp;
@@ -508,13 +509,19 @@ mod tests {
         }
     }
 
+    fn document(operation: &str, root: Element) -> Envelope {
+        Envelope::new(Body::document(operation, root).unwrap())
+    }
+
+    /// A reply under `operation` carrying the request's document.
+    fn echo(request: &Envelope, operation: &str) -> Envelope {
+        document(operation, request.body.to_xml())
+    }
+
     struct Echo;
     impl ServiceEndpoint for Echo {
         fn handle(&self, request: &Envelope) -> Result<Envelope, Fault> {
-            Ok(Envelope::request(
-                format!("{}Response", request.operation),
-                request.body.clone(),
-            ))
+            Ok(echo(request, &format!("{}Response", request.operation())))
         }
         fn operations(&self) -> Vec<String> {
             vec!["echo".into()]
@@ -527,10 +534,10 @@ mod tests {
         bus.register("svc", Arc::new(Echo));
         let queued = QueuedBus::new(bus.clone(), 16);
         let resp = queued
-            .call("svc", &Envelope::request("echo", Element::new("hi")))
+            .call("svc", &document("echo", Element::new("hi")))
             .unwrap();
-        assert_eq!(resp.operation, "echoResponse");
-        assert_eq!(resp.body.name, "hi");
+        assert_eq!(resp.operation(), "echoResponse");
+        assert_eq!(resp.body.to_xml().name, "hi");
         assert_eq!(
             queued.clock().elapsed(),
             bus.clock().model().cost_of(CostKind::SoapRoundTrip)
@@ -539,7 +546,7 @@ mod tests {
 
     #[test]
     fn queued_bus_counts_the_same_wire_traffic_as_the_bare_bus() {
-        let request = Envelope::request("echo", Element::new("hi").attr("k", "v"));
+        let request = document("echo", Element::new("hi").attr("k", "v"));
         let traffic = |queued: bool| {
             let bus = ServiceBus::new(clock());
             let collector = trust_vo_obs::Collector::new();
@@ -572,7 +579,7 @@ mod tests {
             while !self.release.load(Ordering::Acquire) {
                 std::thread::yield_now();
             }
-            Ok(Envelope::request("heldResponse", request.body.clone()))
+            Ok(echo(request, "heldResponse"))
         }
         fn operations(&self) -> Vec<String> {
             vec!["hold".into()]
@@ -599,17 +606,13 @@ mod tests {
 
         // First call occupies the dispatcher thread inside the endpoint…
         let q1 = Arc::clone(&queued);
-        let t1 = std::thread::spawn(move || {
-            q1.call("svc", &Envelope::request("hold", Element::new("a")))
-        });
+        let t1 = std::thread::spawn(move || q1.call("svc", &document("hold", Element::new("a"))));
         while !entered.load(Ordering::Acquire) {
             std::thread::yield_now();
         }
         // …and a second call parks in the queue, filling capacity 1.
         let q2 = Arc::clone(&queued);
-        let t2 = std::thread::spawn(move || {
-            q2.call("svc", &Envelope::request("hold", Element::new("b")))
-        });
+        let t2 = std::thread::spawn(move || q2.call("svc", &document("hold", Element::new("b"))));
         while queued.depth() == 0 {
             std::thread::yield_now();
         }
@@ -621,7 +624,7 @@ mod tests {
         let sent = tx_bytes();
         assert_eq!(framed, 2, "both parked calls crossed the codec");
         assert!(sent > 0, "both parked calls count their request bytes");
-        let request = Envelope::request("hold", Element::new("c"));
+        let request = document("hold", Element::new("c"));
         let err = queued.call("svc", &request).unwrap_err();
         assert!(err.is_overloaded());
         assert_eq!(

@@ -25,6 +25,10 @@
 //! verified disclosure; `ResumeNegotiation` decodes the checkpoint back
 //! into a session, which supersedes any session still open on that slot.
 
+use crate::body::{
+    Body, CredentialExchangeResponse, PolicyExchangeResponse, ResumeNegotiationResponse,
+    SignedCredential, SignedToken, StartNegotiation,
+};
 use crate::bus::ServiceEndpoint;
 use crate::envelope::{Envelope, Fault};
 use crate::simclock::{CostKind, SimClock};
@@ -39,7 +43,7 @@ use trust_vo_negotiation::{
 };
 use trust_vo_obs::SpanLink;
 use trust_vo_store::{Database, DocId};
-use trust_vo_xmldoc::{Element, Node};
+use trust_vo_xmldoc::Element;
 
 /// Lifetime of a resume token, in simulated seconds.
 pub const DEFAULT_RESUME_TTL_SECS: u64 = 3_600;
@@ -133,6 +137,12 @@ impl TokenKeys {
             issuer: controller.keys.clone(),
         }
     }
+}
+
+/// A count as a reply field: counts here are sequence lengths and policy
+/// tallies, far below `u32::MAX`, which stands in for anything larger.
+fn count(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
 }
 
 /// A session's two parties, or the typed fault that ends a session which
@@ -267,9 +277,9 @@ impl TnService {
 
     /// Persist `negotiation` into the durable `checkpoints` collection
     /// (row `slot`, overwritten on every progress step) and return the
-    /// signed [`ResumeToken`] as XML to embed in the response. The
-    /// checkpoint is encoded once: the stored document and the digest the
-    /// token binds come from the same encoding. Charges one DB write plus
+    /// signed [`ResumeToken`] in its wire form to embed in the response.
+    /// The checkpoint is encoded once: the token binds the digest of the
+    /// very bytes the store keeps and journals. Charges one DB write plus
     /// one signature, both under a `tn.checkpoint` span linked at `link`
     /// so checkpoint I/O is separable from the rest of the operation in
     /// attribution.
@@ -279,20 +289,20 @@ impl TnService {
         slot: u64,
         negotiation: &Negotiation,
         keys: &TokenKeys,
-    ) -> Element {
+    ) -> SignedToken {
         let obs = self.clock.collector();
         let mut span = obs.span_linked("tn.checkpoint", link);
         span.field("slot", slot as i64);
         span.field("next", negotiation.next);
         let (doc, digest) = negotiation.checkpoint();
         self.db.with_collection("checkpoints", |c| {
-            c.put(slot.to_string().as_str(), doc);
+            c.put_encoded(slot.to_string().as_str(), doc);
         });
         self.clock.charge(CostKind::DbQuery);
         let now = self.clock.timestamp();
         let validity = TimeRange::new(now, now.plus_seconds(DEFAULT_RESUME_TTL_SECS as i64));
         self.clock.charge(CostKind::SignatureSign);
-        ResumeToken::issue(
+        SignedToken::of(&ResumeToken::issue(
             slot,
             &negotiation.requester,
             keys.holder,
@@ -301,8 +311,7 @@ impl TnService {
             &negotiation.resource,
             digest,
             validity,
-        )
-        .to_xml()
+        ))
     }
 
     /// End open session `id` with `outcome`: purge its checkpoint `slot`,
@@ -318,22 +327,10 @@ impl TnService {
         sessions.retire(id, outcome);
     }
 
-    fn start_negotiation(&self, request: &Envelope) -> Result<Envelope, Fault> {
-        let body = &request.body;
-        let get = |name: &str| -> Result<String, Fault> {
-            body.child_text(name)
-                .ok_or_else(|| Fault::new("BadRequest", format!("missing <{name}>")))
-        };
-        let strategy_name = get("strategy")?;
-        let strategy = Strategy::from_wire_name(&strategy_name).ok_or_else(|| {
-            Fault::new("BadRequest", format!("unknown strategy '{strategy_name}'"))
-        })?;
-        let requester = get("requester")?;
-        let controller = get("counterpartUrl")?;
-        let resource = get("resource")?;
+    fn start_negotiation(&self, start: &StartNegotiation) -> Result<Envelope, Fault> {
         {
             let parties = self.parties.read();
-            for name in [&requester, &controller] {
+            for name in [&start.requester, &start.controller] {
                 if !parties.contains_key(name) {
                     return Err(Fault::new(
                         "UnknownParty",
@@ -345,20 +342,20 @@ impl TnService {
         // "opens the connection with \[the\] database".
         self.clock.charge(CostKind::DbQuery);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let slot = (body.get_attr("resumable") == Some("true")).then_some(id);
+        let negotiation = Negotiation::new(
+            start.requester.as_str(),
+            start.controller.as_str(),
+            start.resource.as_str(),
+            start.strategy,
+        );
         self.sessions.lock().open.insert(
             id,
             Session {
-                negotiation: Negotiation::new(requester, controller, resource, strategy),
-                slot,
+                negotiation,
+                slot: start.resumable.then_some(id),
             },
         );
-        Ok(Envelope::request(
-            "StartNegotiationResponse",
-            Element::new("StartNegotiationResponse")
-                .child(Element::new("negotiationId").text(id.to_string())),
-        )
-        .with_negotiation(id))
+        Ok(Envelope::new(Body::StartNegotiationResponse).with_negotiation(id))
     }
 
     fn policy_exchange(&self, request: &Envelope) -> Result<Envelope, Fault> {
@@ -411,37 +408,26 @@ impl TnService {
                     self.concept_term_count(&negotiation.requester, &negotiation.controller);
                 self.clock
                     .charge_n(CostKind::OntologyMapping, concept_terms);
-                let mut seq_el = Element::new("trustSequence");
-                for d in phase.sequence.disclosures() {
-                    seq_el.children.push(Node::Element(
-                        Element::new("disclosure")
-                            .attr("by", d.by.to_string())
-                            .attr("credType", &d.cred_type)
-                            .attr("credId", &d.cred_id.0),
-                    ));
-                }
-                let mut response = Element::new("PolicyExchangeResponse")
-                    .attr(
-                        "policiesDisclosed",
-                        phase.transcript.policies_disclosed.to_string(),
-                    )
-                    .attr("rounds", phase.transcript.policy_rounds.to_string())
-                    .child(seq_el);
+                let mut reply = PolicyExchangeResponse {
+                    policies_disclosed: count(phase.transcript.policies_disclosed),
+                    rounds: count(phase.transcript.policy_rounds),
+                    sequence: phase.sequence.clone(),
+                    token: None,
+                };
                 // Phase 2 needs only the sequence: the tree and the
                 // transcript end here.
                 session.negotiation.agree(phase.sequence);
                 if let Some((slot, keys)) = &keys {
                     // Phase 1 is the expensive part: checkpoint it now so a
                     // mid-phase-2 interruption never repeats it.
-                    let token = self.checkpoint(
+                    reply.token = Some(self.checkpoint(
                         request.trace.as_ref().map(|t| t.link()).unwrap_or_default(),
                         *slot,
                         &session.negotiation,
                         keys,
-                    );
-                    response.children.push(Node::Element(token));
+                    ));
                 }
-                Ok(Envelope::request("PolicyExchangeResponse", response).with_negotiation(id))
+                Ok(Envelope::new(Body::PolicyExchangeResponse(reply)).with_negotiation(id))
             }
             Err(e) => {
                 let reason = e.to_string();
@@ -508,18 +494,21 @@ impl TnService {
                 let keys = slot
                     .filter(|_| negotiation.remaining() > 0)
                     .map(|slot| (slot, TokenKeys::of(requester, controller)));
-                Ok(Some((disclosed.credential.clone(), keys)))
+                Ok(Some((SignedCredential::of(disclosed.credential), keys)))
             });
         drop(parties);
         let (credential, keys) = match stepped {
             Ok(Some(disclosed)) => disclosed,
             Ok(None) => {
                 self.finish(&mut sessions, id, slot, Outcome::Completed);
-                return Ok(Envelope::request(
-                    "CredentialExchangeResponse",
-                    Element::new("CredentialExchangeResponse").attr("status", "completed"),
-                )
-                .with_negotiation(id));
+                let reply = CredentialExchangeResponse {
+                    remaining: 0,
+                    credential: None,
+                    token: None,
+                };
+                return Ok(
+                    Envelope::new(Body::CredentialExchangeResponse(reply)).with_negotiation(id)
+                );
             }
             Err(fault) => {
                 let reason = fault.reason.clone();
@@ -528,30 +517,25 @@ impl TnService {
             }
         };
         let remaining = negotiation.remaining();
-        let status = if remaining == 0 {
-            "completed"
-        } else {
-            "in-progress"
-        };
-        let mut response = Element::new("CredentialExchangeResponse")
-            .attr("status", status)
-            .attr("remaining", remaining.to_string())
-            .child(credential.to_xml());
-        if let Some((slot, keys)) = keys {
-            // Re-checkpoint after every verified disclosure: a resumed
-            // session replays from here, not from the start of phase 2.
-            let token = self.checkpoint(
+        // Re-checkpoint after every verified disclosure: a resumed session
+        // replays from here, not from the start of phase 2.
+        let token = keys.map(|(slot, keys)| {
+            self.checkpoint(
                 request.trace.as_ref().map(|t| t.link()).unwrap_or_default(),
                 slot,
                 negotiation,
                 &keys,
-            );
-            response.children.push(Node::Element(token));
-        }
+            )
+        });
         if remaining == 0 {
             self.finish(&mut sessions, id, slot, Outcome::Completed);
         }
-        Ok(Envelope::request("CredentialExchangeResponse", response).with_negotiation(id))
+        let reply = CredentialExchangeResponse {
+            remaining: count(remaining),
+            credential: Some(credential),
+            token,
+        };
+        Ok(Envelope::new(Body::CredentialExchangeResponse(reply)).with_negotiation(id))
     }
 
     /// `ResumeNegotiation`: verify a presented [`ResumeToken`], decode the
@@ -567,13 +551,10 @@ impl TnService {
     /// slot (a client that lost a reply without a crash resumes while its
     /// old session is still open): that one retires into a tombstone, and
     /// the slot, which the new session now uses, stays.
-    fn resume_negotiation(&self, request: &Envelope) -> Result<Envelope, Fault> {
-        let token_el = request
-            .body
-            .first("ResumeToken")
-            .ok_or_else(|| Fault::new("BadRequest", "missing <ResumeToken>"))?;
-        let token = ResumeToken::from_xml(token_el)
-            .ok_or_else(|| Fault::new("BadRequest", "malformed <ResumeToken>"))?;
+    fn resume_negotiation(&self, token: &SignedToken) -> Result<Envelope, Fault> {
+        let token = token
+            .decode()
+            .ok_or_else(|| Fault::new("BadRequest", "malformed resume token"))?;
         {
             let parties = self.parties.read();
             let (holder, issuer) = parties_of(&parties, &token.holder, &token.issuer)?;
@@ -626,14 +607,11 @@ impl TnService {
         if obs.is_enabled() {
             obs.counter_add("negotiation.resumed", 1);
         }
-        Ok(Envelope::request(
-            "ResumeNegotiationResponse",
-            Element::new("ResumeNegotiationResponse")
-                .attr("status", "resumed")
-                .attr("next", next.to_string())
-                .attr("remaining", remaining.to_string()),
-        )
-        .with_negotiation(id))
+        let reply = ResumeNegotiationResponse {
+            next: count(next),
+            remaining: count(remaining),
+        };
+        Ok(Envelope::new(Body::ResumeNegotiationResponse(reply)).with_negotiation(id))
     }
 
     /// Is the negotiation completed successfully? Answered from the
@@ -663,12 +641,12 @@ impl ServiceEndpoint for TnService {
             None => obs.span("tn.operation"),
         };
         if span.id().is_some() {
-            span.field("operation", request.operation.as_str());
-            let counter = match request.operation.as_str() {
-                "StartNegotiation" => Some("tn.start_negotiation"),
-                "PolicyExchange" => Some("tn.policy_exchange"),
-                "CredentialExchange" => Some("tn.credential_exchange"),
-                "ResumeNegotiation" => Some("tn.resume_negotiation"),
+            span.field("operation", request.operation());
+            let counter = match &*request.body {
+                Body::StartNegotiation(_) => Some("tn.start_negotiation"),
+                Body::PolicyExchange => Some("tn.policy_exchange"),
+                Body::CredentialExchange => Some("tn.credential_exchange"),
+                Body::ResumeNegotiation(_) => Some("tn.resume_negotiation"),
                 _ => None,
             };
             if let Some(name) = counter {
@@ -684,14 +662,14 @@ impl ServiceEndpoint for TnService {
         } else {
             request
         };
-        let result = match request.operation.as_str() {
-            "StartNegotiation" => self.start_negotiation(request),
-            "PolicyExchange" => self.policy_exchange(request),
-            "CredentialExchange" => self.credential_exchange(request),
-            "ResumeNegotiation" => self.resume_negotiation(request),
+        let result = match &*request.body {
+            Body::StartNegotiation(start) => self.start_negotiation(start),
+            Body::PolicyExchange => self.policy_exchange(request),
+            Body::CredentialExchange => self.credential_exchange(request),
+            Body::ResumeNegotiation(token) => self.resume_negotiation(token),
             other => Err(Fault::new(
-                "NoSuchOperation",
-                format!("operation '{other}' not supported"),
+                "BadRequest",
+                format!("'{}' is not a TN service request", other.operation()),
             )),
         };
         if span.id().is_some() {
@@ -729,6 +707,7 @@ mod tests {
     use crate::simclock::CostModel;
     use trust_vo_credential::{CredentialAuthority, TimeRange, Timestamp};
     use trust_vo_policy::{DisclosurePolicy, Resource, Term};
+    use trust_vo_xmldoc::Element;
 
     fn clock() -> SimClock {
         SimClock::new(
@@ -790,48 +769,66 @@ mod tests {
         (svc, ca)
     }
 
-    fn start(svc: &TnService, strategy: &str) -> u64 {
+    fn start_request(strategy: Strategy, requester: &str, resumable: bool) -> Envelope {
+        Envelope::new(Body::StartNegotiation(StartNegotiation {
+            strategy,
+            requester: requester.into(),
+            controller: "Aircraft".into(),
+            resource: "VoMembership".into(),
+            resumable,
+        }))
+    }
+
+    fn start(svc: &TnService, strategy: Strategy) -> u64 {
         let resp = svc
-            .handle(&Envelope::request(
-                "StartNegotiation",
-                Element::new("StartNegotiationRequest")
-                    .child(Element::new("strategy").text(strategy))
-                    .child(Element::new("requester").text("Aerospace"))
-                    .child(Element::new("counterpartUrl").text("Aircraft"))
-                    .child(Element::new("resource").text("VoMembership")),
-            ))
+            .handle(&start_request(strategy, "Aerospace", false))
             .unwrap();
-        resp.body
-            .child_text("negotiationId")
-            .unwrap()
-            .parse()
-            .unwrap()
+        assert_eq!(*resp.body, Body::StartNegotiationResponse);
+        resp.negotiation_id.unwrap()
+    }
+
+    fn policy_reply(env: &Envelope) -> &PolicyExchangeResponse {
+        match &*env.body {
+            Body::PolicyExchangeResponse(reply) => reply,
+            other => panic!("not a policy reply: {other:?}"),
+        }
+    }
+
+    fn credential_reply(env: &Envelope) -> &CredentialExchangeResponse {
+        match &*env.body {
+            Body::CredentialExchangeResponse(reply) => reply,
+            other => panic!("not a credential reply: {other:?}"),
+        }
+    }
+
+    fn resume_reply(env: &Envelope) -> ResumeNegotiationResponse {
+        match &*env.body {
+            Body::ResumeNegotiationResponse(reply) => *reply,
+            other => panic!("not a resume reply: {other:?}"),
+        }
+    }
+
+    fn resume(svc: &TnService, token: SignedToken) -> Result<Envelope, Fault> {
+        svc.handle(&Envelope::new(Body::ResumeNegotiation(token)))
     }
 
     #[test]
     fn full_protocol_run() {
         let svc = service_with_fig2();
-        let id = start(&svc, "standard");
+        let id = start(&svc, Strategy::Standard);
         let policy_resp = svc
-            .handle(
-                &Envelope::request("PolicyExchange", Element::new("PolicyExchangeRequest"))
-                    .with_negotiation(id),
-            )
+            .handle(&Envelope::new(Body::PolicyExchange).with_negotiation(id))
             .unwrap();
-        let seq = policy_resp.body.first("trustSequence").unwrap();
-        assert_eq!(seq.all("disclosure").count(), 2);
+        assert_eq!(policy_reply(&policy_resp).sequence.len(), 2);
         // Two credential exchange calls then completed.
         for expected in ["in-progress", "completed"] {
             let resp = svc
-                .handle(
-                    &Envelope::request(
-                        "CredentialExchange",
-                        Element::new("CredentialExchangeRequest"),
-                    )
-                    .with_negotiation(id),
-                )
+                .handle(&Envelope::new(Body::CredentialExchange).with_negotiation(id))
                 .unwrap();
-            assert_eq!(resp.body.get_attr("status"), Some(expected));
+            assert_eq!(
+                credential_reply(&resp).is_completed(),
+                expected == "completed"
+            );
         }
         assert!(svc.is_completed(id));
     }
@@ -840,9 +837,8 @@ mod tests {
     fn clock_advances_through_protocol() {
         let svc = service_with_fig2();
         let before = svc.clock.elapsed();
-        let id = start(&svc, "standard");
-        let _ = svc
-            .handle(&Envelope::request("PolicyExchange", Element::new("r")).with_negotiation(id));
+        let id = start(&svc, Strategy::Standard);
+        let _ = svc.handle(&Envelope::new(Body::PolicyExchange).with_negotiation(id));
         assert!(svc.clock.elapsed() > before);
         let counts = svc.clock.counts();
         assert!(counts[&CostKind::DbQuery] >= 2);
@@ -852,46 +848,28 @@ mod tests {
     #[test]
     fn bad_requests_fault() {
         let svc = service_with_fig2();
-        // Unknown operation.
-        let err = svc
-            .handle(&Envelope::request("Frobnicate", Element::new("x")))
-            .unwrap_err();
-        assert_eq!(err.code, "NoSuchOperation");
-        // Unknown strategy.
-        let err = svc
-            .handle(&Envelope::request(
-                "StartNegotiation",
-                Element::new("r")
-                    .child(Element::new("strategy").text("yolo"))
-                    .child(Element::new("requester").text("Aerospace"))
-                    .child(Element::new("counterpartUrl").text("Aircraft"))
-                    .child(Element::new("resource").text("VoMembership")),
-            ))
-            .unwrap_err();
-        assert_eq!(err.code, "BadRequest");
+        // Any body that is not a TN request: a document, or a reply.
+        for body in [
+            Body::document("Frobnicate", Element::new("x")).unwrap(),
+            Body::StartNegotiationResponse,
+        ] {
+            let err = svc.handle(&Envelope::new(body)).unwrap_err();
+            assert_eq!(err.code, "BadRequest");
+        }
         // Unknown party.
         let err = svc
-            .handle(&Envelope::request(
-                "StartNegotiation",
-                Element::new("r")
-                    .child(Element::new("strategy").text("standard"))
-                    .child(Element::new("requester").text("Ghost"))
-                    .child(Element::new("counterpartUrl").text("Aircraft"))
-                    .child(Element::new("resource").text("VoMembership")),
-            ))
+            .handle(&start_request(Strategy::Standard, "Ghost", false))
             .unwrap_err();
         assert_eq!(err.code, "UnknownParty");
         // Credential exchange before policy exchange.
-        let id = start(&svc, "standard");
+        let id = start(&svc, Strategy::Standard);
         let err = svc
-            .handle(
-                &Envelope::request("CredentialExchange", Element::new("x")).with_negotiation(id),
-            )
+            .handle(&Envelope::new(Body::CredentialExchange).with_negotiation(id))
             .unwrap_err();
         assert_eq!(err.code, "BadState");
         // Unknown negotiation id.
         let err = svc
-            .handle(&Envelope::request("PolicyExchange", Element::new("x")).with_negotiation(999))
+            .handle(&Envelope::new(Body::PolicyExchange).with_negotiation(999))
             .unwrap_err();
         assert_eq!(err.code, "NoSuchNegotiation");
     }
@@ -904,9 +882,9 @@ mod tests {
         let id0 = aerospace.profile.credentials()[0].id().clone();
         aerospace.profile.remove(&id0);
         svc.update_party(aerospace);
-        let id = start(&svc, "standard");
+        let id = start(&svc, Strategy::Standard);
         let err = svc
-            .handle(&Envelope::request("PolicyExchange", Element::new("x")).with_negotiation(id))
+            .handle(&Envelope::new(Body::PolicyExchange).with_negotiation(id))
             .unwrap_err();
         assert_eq!(err.code, "NoTrustSequence");
         assert!(svc.failure_reason(id).is_some());
@@ -916,8 +894,8 @@ mod tests {
     #[test]
     fn suspicious_strategy_charges_ownership_proofs() {
         let svc = service_with_fig2();
-        let id = start(&svc, "suspicious");
-        svc.handle(&Envelope::request("PolicyExchange", Element::new("x")).with_negotiation(id))
+        let id = start(&svc, Strategy::Suspicious);
+        svc.handle(&Envelope::new(Body::PolicyExchange).with_negotiation(id))
             .unwrap();
         let signs_before = svc
             .clock
@@ -925,10 +903,8 @@ mod tests {
             .get(&CostKind::SignatureSign)
             .copied()
             .unwrap_or(0);
-        svc.handle(
-            &Envelope::request("CredentialExchange", Element::new("x")).with_negotiation(id),
-        )
-        .unwrap();
+        svc.handle(&Envelope::new(Body::CredentialExchange).with_negotiation(id))
+            .unwrap();
         assert_eq!(
             svc.clock.counts()[&CostKind::SignatureSign],
             signs_before + 1
@@ -945,39 +921,25 @@ mod tests {
 
     fn start_resumable(svc: &TnService) -> u64 {
         let resp = svc
-            .handle(&Envelope::request(
-                "StartNegotiation",
-                Element::new("StartNegotiationRequest")
-                    .attr("resumable", "true")
-                    .child(Element::new("strategy").text("standard"))
-                    .child(Element::new("requester").text("Aerospace"))
-                    .child(Element::new("counterpartUrl").text("Aircraft"))
-                    .child(Element::new("resource").text("VoMembership")),
-            ))
+            .handle(&start_request(Strategy::Standard, "Aerospace", true))
             .unwrap();
         resp.negotiation_id.unwrap()
     }
 
     fn exchange(svc: &TnService, id: u64) -> Result<Envelope, Fault> {
-        svc.handle(
-            &Envelope::request(
-                "CredentialExchange",
-                Element::new("CredentialExchangeRequest"),
-            )
-            .with_negotiation(id),
-        )
+        svc.handle(&Envelope::new(Body::CredentialExchange).with_negotiation(id))
     }
 
     #[test]
     fn non_resumable_sessions_issue_no_tokens() {
         let svc = service_with_fig2();
-        let id = start(&svc, "standard");
+        let id = start(&svc, Strategy::Standard);
         let policy = svc
-            .handle(&Envelope::request("PolicyExchange", Element::new("x")).with_negotiation(id))
+            .handle(&Envelope::new(Body::PolicyExchange).with_negotiation(id))
             .unwrap();
-        assert!(policy.body.first("ResumeToken").is_none());
+        assert!(policy_reply(&policy).token.is_none());
         let resp = exchange(&svc, id).unwrap();
-        assert!(resp.body.first("ResumeToken").is_none());
+        assert!(credential_reply(&resp).token.is_none());
     }
 
     #[test]
@@ -985,14 +947,15 @@ mod tests {
         let svc = service_with_fig2();
         let id = start_resumable(&svc);
         let policy = svc
-            .handle(&Envelope::request("PolicyExchange", Element::new("x")).with_negotiation(id))
+            .handle(&Envelope::new(Body::PolicyExchange).with_negotiation(id))
             .unwrap();
         // Phase 1 checkpointed immediately: the response carries a token.
-        assert!(policy.body.first("ResumeToken").is_some());
+        assert!(policy_reply(&policy).token.is_some());
         // One verified disclosure; its response carries a fresher token.
         let resp = exchange(&svc, id).unwrap();
-        assert_eq!(resp.body.get_attr("status"), Some("in-progress"));
-        let token = resp.body.first("ResumeToken").unwrap().clone();
+        let reply = credential_reply(&resp);
+        assert!(!reply.is_completed());
+        let token = reply.token.clone().unwrap();
 
         // The endpoint crashes: volatile sessions are gone...
         svc.on_crash();
@@ -1001,20 +964,19 @@ mod tests {
 
         // ...but the durable checkpoint resumes under a fresh id, with the
         // cursor where the crash left it (1 of 2 disclosures done).
-        let resume = svc
-            .handle(&Envelope::request(
-                "ResumeNegotiation",
-                Element::new("ResumeNegotiationRequest").child(token),
-            ))
-            .unwrap();
-        assert_eq!(resume.body.get_attr("status"), Some("resumed"));
-        assert_eq!(resume.body.get_attr("next"), Some("1"));
-        assert_eq!(resume.body.get_attr("remaining"), Some("1"));
+        let resume = resume(&svc, token).unwrap();
+        assert_eq!(
+            resume_reply(&resume),
+            ResumeNegotiationResponse {
+                next: 1,
+                remaining: 1
+            }
+        );
         let new_id = resume.negotiation_id.unwrap();
         assert_ne!(new_id, id);
 
         let resp = exchange(&svc, new_id).unwrap();
-        assert_eq!(resp.body.get_attr("status"), Some("completed"));
+        assert!(credential_reply(&resp).is_completed());
         assert!(svc.is_completed(new_id));
         assert_eq!(svc.resumed_count(), 1);
     }
@@ -1027,7 +989,7 @@ mod tests {
     fn stale_sequence_faults_and_retires_the_checkpoint() {
         let (svc, mut ca) = service_with_fig2_and_ca();
         let id = start_resumable(&svc);
-        svc.handle(&Envelope::request("PolicyExchange", Element::new("x")).with_negotiation(id))
+        svc.handle(&Envelope::new(Body::PolicyExchange).with_negotiation(id))
             .unwrap();
         assert_eq!(
             svc.database().with_collection("checkpoints", |c| c.len()),
@@ -1071,27 +1033,22 @@ mod tests {
         let svc = service_with_fig2();
         let id = start_resumable(&svc);
         let policy = svc
-            .handle(&Envelope::request("PolicyExchange", Element::new("x")).with_negotiation(id))
+            .handle(&Envelope::new(Body::PolicyExchange).with_negotiation(id))
             .unwrap();
-        let token = policy.body.first("ResumeToken").unwrap().clone();
-        while exchange(&svc, id).unwrap().body.get_attr("status") != Some("completed") {}
+        let token = policy_reply(&policy).token.clone().unwrap();
+        while !credential_reply(&exchange(&svc, id).unwrap()).is_completed() {}
         assert_eq!(
             svc.database().with_collection("checkpoints", |c| c.len()),
             0,
             "checkpoint slot must be retired on completion"
         );
         // A stale token for the retired slot cannot resurrect the session.
-        let err = svc
-            .handle(&Envelope::request(
-                "ResumeNegotiation",
-                Element::new("ResumeNegotiationRequest").child(token),
-            ))
-            .unwrap_err();
+        let err = resume(&svc, token).unwrap_err();
         assert_eq!(err.code, "NoSuchCheckpoint");
     }
 
     fn policy(svc: &TnService, id: u64) -> Result<Envelope, Fault> {
-        svc.handle(&Envelope::request("PolicyExchange", Element::new("x")).with_negotiation(id))
+        svc.handle(&Envelope::new(Body::PolicyExchange).with_negotiation(id))
     }
 
     /// A session that outlives a party's registration ends with a typed
@@ -1117,7 +1074,7 @@ mod tests {
     #[test]
     fn credential_exchange_on_an_unregistered_party_ends_the_session() {
         let svc = service_with_fig2();
-        let id = start(&svc, "standard");
+        let id = start(&svc, Strategy::Standard);
         policy(&svc, id).unwrap();
         unregister(&svc, "Aerospace");
         let err = exchange(&svc, id).unwrap_err();
@@ -1134,12 +1091,10 @@ mod tests {
     fn checkpointed_exchange_on_an_unregistered_party_purges_its_slot() {
         let svc = service_with_fig2();
         let id = start_resumable(&svc);
-        let token = policy(&svc, id)
-            .unwrap()
-            .body
-            .first("ResumeToken")
-            .unwrap()
-            .clone();
+        let token = policy_reply(&policy(&svc, id).unwrap())
+            .token
+            .clone()
+            .unwrap();
         assert_eq!(
             svc.database().with_collection("checkpoints", |c| c.len()),
             1
@@ -1151,12 +1106,7 @@ mod tests {
             .database()
             .with_collection("checkpoints", |c| c.get_revision(&slot, 1))
             .is_none());
-        let err = svc
-            .handle(&Envelope::request(
-                "ResumeNegotiation",
-                Element::new("ResumeNegotiationRequest").child(token),
-            ))
-            .unwrap_err();
+        let err = resume(&svc, token).unwrap_err();
         assert_eq!(err.code, "UnknownParty");
     }
 
@@ -1164,9 +1114,9 @@ mod tests {
     fn finished_sessions_retire_into_a_bounded_ring_of_tombstones() {
         let svc = service_with_fig2();
         let run = |svc: &TnService| {
-            let id = start(svc, "standard");
+            let id = start(svc, Strategy::Standard);
             policy(svc, id).unwrap();
-            while exchange(svc, id).unwrap().body.get_attr("status") != Some("completed") {}
+            while !credential_reply(&exchange(svc, id).unwrap()).is_completed() {}
             id
         };
         let first = run(&svc);
@@ -1197,21 +1147,16 @@ mod tests {
         let svc = service_with_fig2();
         let id = start_resumable(&svc);
         let policy = svc
-            .handle(&Envelope::request("PolicyExchange", Element::new("x")).with_negotiation(id))
+            .handle(&Envelope::new(Body::PolicyExchange).with_negotiation(id))
             .unwrap();
-        let token = policy.body.first("ResumeToken").unwrap().clone();
+        let token = policy_reply(&policy).token.clone().unwrap();
         svc.on_crash();
         // One virtual second after its lifetime the token is past its
         // (exclusive) end instant.
         svc.clock.advance(crate::simclock::SimDuration::from_millis(
             (DEFAULT_RESUME_TTL_SECS + 1) * 1_000,
         ));
-        let err = svc
-            .handle(&Envelope::request(
-                "ResumeNegotiation",
-                Element::new("ResumeNegotiationRequest").child(token),
-            ))
-            .unwrap_err();
+        let err = resume(&svc, token).unwrap_err();
         assert_eq!(err.code, "InvalidToken");
         assert_eq!(svc.resumed_count(), 0);
     }
@@ -1221,17 +1166,19 @@ mod tests {
         let svc = service_with_fig2();
         let id = start_resumable(&svc);
         let policy = svc
-            .handle(&Envelope::request("PolicyExchange", Element::new("x")).with_negotiation(id))
+            .handle(&Envelope::new(Body::PolicyExchange).with_negotiation(id))
             .unwrap();
-        let mut token = policy.body.first("ResumeToken").unwrap().clone();
-        token.attrs.retain(|(n, _)| n != "resource");
-        let token = token.attr("resource", "SomethingElse");
-        let err = svc
-            .handle(&Envelope::request(
-                "ResumeNegotiation",
-                Element::new("ResumeNegotiationRequest").child(token),
-            ))
-            .unwrap_err();
+        // The token's fields under its genuine signature, the resource
+        // changed.
+        let mut token = policy_reply(&policy)
+            .token
+            .as_ref()
+            .unwrap()
+            .decode()
+            .unwrap();
+        token.resource = "SomethingElse".into();
+        let token = SignedToken::of(&token);
+        let err = resume(&svc, token).unwrap_err();
         assert_eq!(err.code, "InvalidToken");
     }
 }

@@ -6,50 +6,117 @@
 //! with the journal's `[len: u32 LE][crc32: u32 LE][payload]` discipline
 //! ([`trust_vo_journal::frame`]), and decoded on the far side before the
 //! endpoint sees it; the reply — response envelope or fault — crosses
-//! back the same way. The XML serialization
-//! ([`Envelope::to_xml`]/[`Envelope::from_xml`]) is retained as the
-//! differential oracle: both codecs decode any envelope to the same
-//! value (pinned by proptests in `tests/wire_differential.rs`).
+//! back the same way.
 //!
-//! Payload layout (integers little-endian; `str` is `u32` length +
-//! UTF-8; the body is the [`trust_vo_xmldoc::binary`] element codec):
+//! The payload is typed: each [`Body`] variant is encoded field by field,
+//! with no element tree and no per-node tags, except a
+//! [`Document`](crate::body::Document), whose element goes through the
+//! [`trust_vo_xmldoc::binary`] element codec. A disclosed credential or
+//! resume token is one length-prefixed run of its signed bytes plus its
+//! 16-byte signature, copied once and never decoded here (see
+//! [`crate::body`]). The XML rendering ([`Envelope::to_xml`] /
+//! [`Envelope::from_xml`]) is the differential oracle: both codecs read
+//! any envelope back to the same value (pinned by proptests in
+//! `tests/wire_differential.rs`).
+//!
+//! Payload layout, version 2 (integers little-endian; `str` and `bytes`
+//! are a `u32` length then the bytes, `str` UTF-8; `signed` is `bytes`
+//! holding the signed bytes then the signature's `r` and `s` as
+//! big-endian `u64`s):
 //!
 //! ```text
-//! envelope := VERSION  kind:0x00  flags:u8  operation:str
+//! envelope := VERSION  kind:0x00  flags:u8
 //!             [negotiation_id:u64] [idempotency_key:u64]
 //!             [trace_id:u64 span_id:u64 [parent_span_id:u64]]
-//!             body:element
-//! reply    := envelope                            (successful response)
+//!             body
+//! body     := 0x01 resumable:u8 strategy:u8 requester:str
+//!                  controller:str resource:str          StartNegotiation
+//!           | 0x02                                       StartNegotiationResponse
+//!           | 0x03                                       PolicyExchange
+//!           | 0x04 policies_disclosed:u32 rounds:u32 count:u32
+//!                  (by:u8 cred_type:str cred_id:str)*
+//!                  has_token:u8 [token:signed]          PolicyExchangeResponse
+//!           | 0x05                                       CredentialExchange
+//!           | 0x06 remaining:u32 parts:u8
+//!                  [credential:signed] [token:signed]   CredentialExchangeResponse
+//!           | 0x07 token:signed                          ResumeNegotiation
+//!           | 0x08 next:u32 remaining:u32                ResumeNegotiationResponse
+//!           | 0x09 operation:str element                 Document
+//! reply    := envelope                                   (successful response)
 //!           | VERSION kind:0x01 fault_kind:u8 flags:u8
 //!             code:str reason:str [retry_after_us:u64]
 //! ```
+//!
+//! `flags` marks the optional header fields (bit 0 negotiation id, 1
+//! idempotency key, 2 trace, 3 parent span); `parts` marks the optional
+//! reply parts (bit 0 credential, 1 token). Strategies are tagged 0
+//! trusting, 1 standard, 2 suspicious, 3 strong-suspicious; sides 0
+//! requester, 1 controller. A document cannot carry a TN operation name
+//! ([`Body::document`] refuses one, and so does the decoder), so every
+//! envelope has one encoding.
 //!
 //! Trace contexts ride the binary header (the PR 7 causal-tracing
 //! contract): `trace_id` 0 is the untraced sentinel, mirroring the XML
 //! path's lenient parse — a decoded trace with id 0 is dropped, so both
 //! codecs agree on it. Decoding is total: torn frames, checksum
-//! failures, and malformed payloads yield `None`, never a panic.
+//! failures, and malformed payloads yield `None`, never a panic, and no
+//! decoder allocates from a claimed count (sequences grow per decoded
+//! item, strings and byte runs only once their bytes are in hand).
 //!
 //! The boundary is transparent: an endpoint receives exactly the envelope
 //! that was sent, and the caller exactly the endpoint's reply or fault
 //! (pinned by `tests/wire_transparency.rs`).
 
+use crate::body::{
+    Body, CredentialExchangeResponse, PolicyExchangeResponse, ResumeNegotiationResponse,
+    SignedCredential, SignedToken, StartNegotiation,
+};
 use crate::envelope::{Envelope, Fault, FaultKind};
+use trust_vo_credential::CredentialId;
 use trust_vo_journal::frame;
+use trust_vo_negotiation::message::Side;
+use trust_vo_negotiation::view::{Disclosure, TrustSequence};
+use trust_vo_negotiation::Strategy;
 use trust_vo_obs::TraceContext;
 use trust_vo_xmldoc::binary as xbin;
 
 /// Wire format version byte; bump on incompatible layout changes.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 
 /// Payload kind byte: a request/response envelope.
 const KIND_ENVELOPE: u8 = 0x00;
 /// Payload kind byte: a fault reply.
 const KIND_FAULT: u8 = 0x01;
 
+/// Body tag bytes, one per [`Body`] variant.
+const TAG_START: u8 = 0x01;
+const TAG_START_RESPONSE: u8 = 0x02;
+const TAG_POLICY: u8 = 0x03;
+const TAG_POLICY_RESPONSE: u8 = 0x04;
+const TAG_CREDENTIAL: u8 = 0x05;
+const TAG_CREDENTIAL_RESPONSE: u8 = 0x06;
+const TAG_RESUME: u8 = 0x07;
+const TAG_RESUME_RESPONSE: u8 = 0x08;
+const TAG_DOCUMENT: u8 = 0x09;
+
+/// A generous first guess at an envelope's payload length, so framing
+/// rarely grows its buffer: a fixed header allowance plus the byte runs
+/// the body carries.
+fn payload_hint(env: &Envelope) -> usize {
+    let signed = |c: Option<&SignedCredential>, t: Option<&SignedToken>| {
+        c.map_or(0, |c| c.wire_bytes().len()) + t.map_or(0, |t| t.wire_bytes().len())
+    };
+    64 + match &*env.body {
+        Body::PolicyExchangeResponse(p) => 48 * p.sequence.len() + signed(None, p.token.as_ref()),
+        Body::CredentialExchangeResponse(c) => signed(c.credential.as_ref(), c.token.as_ref()),
+        Body::ResumeNegotiation(t) => t.wire_bytes().len(),
+        _ => 0,
+    }
+}
+
 /// Encode `env` to its canonical binary payload (unframed).
 pub fn encode_envelope(env: &Envelope) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + env.operation.len());
+    let mut out = Vec::with_capacity(payload_hint(env));
     encode_envelope_into(&mut out, env);
     out
 }
@@ -72,7 +139,6 @@ pub fn encode_envelope_into(out: &mut Vec<u8>, env: &Envelope) {
         }
     }
     out.push(flags);
-    put_str(out, &env.operation);
     if let Some(id) = env.negotiation_id {
         out.extend_from_slice(&id.to_le_bytes());
     }
@@ -86,7 +152,67 @@ pub fn encode_envelope_into(out: &mut Vec<u8>, env: &Envelope) {
             out.extend_from_slice(&parent.to_le_bytes());
         }
     }
-    xbin::encode_element_into(out, &env.body);
+    encode_body(out, &env.body);
+}
+
+fn encode_body(out: &mut Vec<u8>, body: &Body) {
+    match body {
+        Body::StartNegotiation(start) => {
+            out.push(TAG_START);
+            out.push(u8::from(start.resumable));
+            out.push(strategy_tag(start.strategy));
+            put_str(out, &start.requester);
+            put_str(out, &start.controller);
+            put_str(out, &start.resource);
+        }
+        Body::StartNegotiationResponse => out.push(TAG_START_RESPONSE),
+        Body::PolicyExchange => out.push(TAG_POLICY),
+        Body::PolicyExchangeResponse(reply) => {
+            out.push(TAG_POLICY_RESPONSE);
+            put_u32(out, reply.policies_disclosed);
+            put_u32(out, reply.rounds);
+            let disclosures = reply.sequence.disclosures();
+            put_u32(out, disclosures.len() as u32);
+            for d in disclosures {
+                out.push(match d.by {
+                    Side::Requester => 0,
+                    Side::Controller => 1,
+                });
+                put_str(out, &d.cred_type);
+                put_str(out, &d.cred_id.0);
+            }
+            out.push(u8::from(reply.token.is_some()));
+            if let Some(token) = &reply.token {
+                put_bytes(out, token.wire_bytes());
+            }
+        }
+        Body::CredentialExchange => out.push(TAG_CREDENTIAL),
+        Body::CredentialExchangeResponse(reply) => {
+            out.push(TAG_CREDENTIAL_RESPONSE);
+            put_u32(out, reply.remaining);
+            out.push(u8::from(reply.credential.is_some()) | u8::from(reply.token.is_some()) << 1);
+            if let Some(credential) = &reply.credential {
+                put_bytes(out, credential.wire_bytes());
+            }
+            if let Some(token) = &reply.token {
+                put_bytes(out, token.wire_bytes());
+            }
+        }
+        Body::ResumeNegotiation(token) => {
+            out.push(TAG_RESUME);
+            put_bytes(out, token.wire_bytes());
+        }
+        Body::ResumeNegotiationResponse(reply) => {
+            out.push(TAG_RESUME_RESPONSE);
+            put_u32(out, reply.next);
+            put_u32(out, reply.remaining);
+        }
+        Body::Document(doc) => {
+            out.push(TAG_DOCUMENT);
+            put_str(out, doc.operation());
+            xbin::encode_element_into(out, doc.root());
+        }
+    }
 }
 
 /// Decode a canonical binary payload back to an envelope. `None` on any
@@ -111,7 +237,6 @@ fn decode_envelope_at(bytes: &[u8], pos: &mut usize) -> Option<Envelope> {
     if flags & !0x0F != 0 {
         return None;
     }
-    let operation = get_str(bytes, pos)?;
     let negotiation_id = if flags & 1 != 0 {
         Some(get_u64(bytes, pos)?)
     } else {
@@ -139,17 +264,97 @@ fn decode_envelope_at(bytes: &[u8], pos: &mut usize) -> Option<Envelope> {
     } else {
         None
     };
-    let body = xbin::decode_element_at(bytes, pos)?;
-    let mut env = Envelope::request(operation, body);
+    let mut env = Envelope::new(decode_body(bytes, pos)?);
     env.negotiation_id = negotiation_id;
     env.idempotency_key = idempotency_key;
     env.trace = trace;
     Some(env)
 }
 
+fn decode_body(bytes: &[u8], pos: &mut usize) -> Option<Body> {
+    Some(match get_u8(bytes, pos)? {
+        TAG_START => {
+            let resumable = get_bool(bytes, pos)?;
+            let strategy = strategy_from_tag(get_u8(bytes, pos)?)?;
+            Body::StartNegotiation(StartNegotiation {
+                strategy,
+                requester: get_str(bytes, pos)?,
+                controller: get_str(bytes, pos)?,
+                resource: get_str(bytes, pos)?,
+                resumable,
+            })
+        }
+        TAG_START_RESPONSE => Body::StartNegotiationResponse,
+        TAG_POLICY => Body::PolicyExchange,
+        TAG_POLICY_RESPONSE => {
+            let policies_disclosed = get_u32(bytes, pos)?;
+            let rounds = get_u32(bytes, pos)?;
+            let count = get_u32(bytes, pos)?;
+            let mut sequence = TrustSequence::new();
+            for _ in 0..count {
+                let by = match get_u8(bytes, pos)? {
+                    0 => Side::Requester,
+                    1 => Side::Controller,
+                    _ => return None,
+                };
+                let cred_type = get_str(bytes, pos)?;
+                sequence.push(Disclosure {
+                    by,
+                    cred_id: CredentialId(get_str(bytes, pos)?),
+                    cred_type,
+                });
+            }
+            let token = if get_bool(bytes, pos)? {
+                Some(SignedToken::from_wire(get_bytes(bytes, pos)?)?)
+            } else {
+                None
+            };
+            Body::PolicyExchangeResponse(PolicyExchangeResponse {
+                policies_disclosed,
+                rounds,
+                sequence,
+                token,
+            })
+        }
+        TAG_CREDENTIAL => Body::CredentialExchange,
+        TAG_CREDENTIAL_RESPONSE => {
+            let remaining = get_u32(bytes, pos)?;
+            let parts = get_u8(bytes, pos)?;
+            if parts & !0x03 != 0 {
+                return None;
+            }
+            let credential = if parts & 1 != 0 {
+                Some(SignedCredential::from_wire(get_bytes(bytes, pos)?)?)
+            } else {
+                None
+            };
+            let token = if parts & 2 != 0 {
+                Some(SignedToken::from_wire(get_bytes(bytes, pos)?)?)
+            } else {
+                None
+            };
+            Body::CredentialExchangeResponse(CredentialExchangeResponse {
+                remaining,
+                credential,
+                token,
+            })
+        }
+        TAG_RESUME => Body::ResumeNegotiation(SignedToken::from_wire(get_bytes(bytes, pos)?)?),
+        TAG_RESUME_RESPONSE => Body::ResumeNegotiationResponse(ResumeNegotiationResponse {
+            next: get_u32(bytes, pos)?,
+            remaining: get_u32(bytes, pos)?,
+        }),
+        TAG_DOCUMENT => {
+            let operation = get_str(bytes, pos)?;
+            Body::document(operation, xbin::decode_element_at(bytes, pos)?)?
+        }
+        _ => return None,
+    })
+}
+
 /// Encode a reply — response envelope or fault — to its binary payload.
 pub fn encode_reply(reply: &Result<Envelope, Fault>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
+    let mut out = Vec::with_capacity(reply.as_ref().map_or(64, payload_hint));
     encode_reply_into(&mut out, reply);
     out
 }
@@ -184,11 +389,7 @@ pub fn decode_reply(bytes: &[u8]) -> Option<Result<Envelope, Fault>> {
                 return None;
             }
             let kind = fault_kind_from_tag(get_u8(bytes, &mut pos)?)?;
-            let has_hint = match get_u8(bytes, &mut pos)? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
+            let has_hint = get_bool(bytes, &mut pos)?;
             let code = get_str(bytes, &mut pos)?;
             let reason = get_str(bytes, &mut pos)?;
             let retry_after_us = if has_hint {
@@ -214,7 +415,7 @@ pub fn decode_reply(bytes: &[u8]) -> Option<Result<Envelope, Fault>> {
 /// holding its canonical payload, encoded straight into the frame buffer
 /// like [`frame_reply`].
 pub fn frame_envelope(env: &Envelope) -> Vec<u8> {
-    let mut out = Vec::with_capacity(frame::HEADER_LEN + 64 + env.operation.len());
+    let mut out = Vec::with_capacity(frame::HEADER_LEN + payload_hint(env));
     let start = frame::begin_record(&mut out);
     encode_envelope_into(&mut out, env);
     frame::end_record(&mut out, start);
@@ -224,7 +425,8 @@ pub fn frame_envelope(env: &Envelope) -> Vec<u8> {
 /// Frame a reply for transmission back to the caller, encoding straight
 /// into the frame buffer (no intermediate payload allocation).
 pub fn frame_reply(reply: &Result<Envelope, Fault>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(frame::HEADER_LEN + 64);
+    let hint = reply.as_ref().map_or(64, payload_hint);
+    let mut out = Vec::with_capacity(frame::HEADER_LEN + hint);
     let start = frame::begin_record(&mut out);
     encode_reply_into(&mut out, reply);
     frame::end_record(&mut out, start);
@@ -240,6 +442,25 @@ pub fn unframe_envelope(bytes: &[u8]) -> Option<Envelope> {
 /// Unframe and decode one reply. `None` on torn or malformed frames.
 pub fn unframe_reply(bytes: &[u8]) -> Option<Result<Envelope, Fault>> {
     decode_reply(frame::single_record(bytes)?)
+}
+
+fn strategy_tag(strategy: Strategy) -> u8 {
+    match strategy {
+        Strategy::Trusting => 0,
+        Strategy::Standard => 1,
+        Strategy::Suspicious => 2,
+        Strategy::StrongSuspicious => 3,
+    }
+}
+
+fn strategy_from_tag(tag: u8) -> Option<Strategy> {
+    Some(match tag {
+        0 => Strategy::Trusting,
+        1 => Strategy::Standard,
+        2 => Strategy::Suspicious,
+        3 => Strategy::StrongSuspicious,
+        _ => return None,
+    })
 }
 
 fn fault_kind_tag(kind: FaultKind) -> u8 {
@@ -263,15 +484,38 @@ fn fault_kind_from_tag(tag: u8) -> Option<FaultKind> {
     })
 }
 
+fn put_u32(out: &mut Vec<u8>, n: u32) {
+    out.extend_from_slice(&n.to_le_bytes());
+}
+
+fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_u32(out, bytes.len() as u32);
+    out.extend_from_slice(bytes);
+}
+
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+    put_bytes(out, s.as_bytes());
 }
 
 fn get_u8(bytes: &[u8], pos: &mut usize) -> Option<u8> {
     let b = bytes.get(*pos).copied()?;
     *pos += 1;
     Some(b)
+}
+
+fn get_bool(bytes: &[u8], pos: &mut usize) -> Option<bool> {
+    match get_u8(bytes, pos)? {
+        0 => Some(false),
+        1 => Some(true),
+        _ => None,
+    }
+}
+
+fn get_u32(bytes: &[u8], pos: &mut usize) -> Option<u32> {
+    let end = pos.checked_add(4)?;
+    let slice = bytes.get(*pos..end)?;
+    *pos = end;
+    Some(u32::from_le_bytes(slice.try_into().ok()?))
 }
 
 fn get_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
@@ -281,13 +525,18 @@ fn get_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     Some(u64::from_le_bytes(slice.try_into().ok()?))
 }
 
-fn get_str(bytes: &[u8], pos: &mut usize) -> Option<String> {
-    let len = u32::from_le_bytes(bytes.get(*pos..*pos + 4)?.try_into().ok()?) as usize;
-    *pos += 4;
+fn get_bytes<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
+    let len = get_u32(bytes, pos)? as usize;
     let end = pos.checked_add(len)?;
     let slice = bytes.get(*pos..end)?;
     *pos = end;
-    Some(std::str::from_utf8(slice).ok()?.to_owned())
+    Some(slice)
+}
+
+fn get_str(bytes: &[u8], pos: &mut usize) -> Option<String> {
+    std::str::from_utf8(get_bytes(bytes, pos)?)
+        .ok()
+        .map(str::to_owned)
 }
 
 #[cfg(test)]
@@ -296,10 +545,13 @@ mod tests {
     use trust_vo_xmldoc::Element;
 
     fn traced() -> Envelope {
-        Envelope::request(
-            "CredentialExchange",
-            Element::new("CredentialExchangeRequest").child(Element::new("requester").text("INFN")),
-        )
+        Envelope::new(Body::StartNegotiation(StartNegotiation {
+            strategy: Strategy::Suspicious,
+            requester: "INFN".into(),
+            controller: "Aircraft".into(),
+            resource: "VoMembership".into(),
+            resumable: true,
+        }))
         .with_negotiation(42)
         .with_idempotency(0xDEAD_BEEF_u64)
         .with_trace(TraceContext {
@@ -313,8 +565,9 @@ mod tests {
     fn envelope_roundtrips_exactly() {
         for env in [
             traced(),
-            Envelope::request("StartNegotiation", Element::new("x")),
-            Envelope::request("PolicyExchange", Element::new("p")).with_negotiation(1),
+            Envelope::new(Body::StartNegotiationResponse),
+            Envelope::new(Body::PolicyExchange).with_negotiation(1),
+            Envelope::new(Body::document("Echo", Element::new("x").attr("k", "v")).unwrap()),
         ] {
             assert_eq!(decode_envelope(&encode_envelope(&env)), Some(env));
         }
@@ -375,18 +628,19 @@ mod tests {
     fn a_field_written_after_encoding_is_encoded() {
         let fresh = |env: &Envelope| unframe_envelope(&frame_envelope(env)).unwrap();
         let mut env = traced();
-        env.operation = "Second".into();
-        assert_eq!(fresh(&env), env);
         env.negotiation_id = None;
         env.idempotency_key = Some(1);
         env.trace = None;
         assert_eq!(fresh(&env), env);
         // The body too: replaced, or changed in place.
         let mut env = traced();
-        std::sync::Arc::make_mut(&mut env.body).name = "Other".into();
+        if let Body::StartNegotiation(start) = std::sync::Arc::make_mut(&mut env.body) {
+            start.resource = "Other".into();
+        }
         assert_eq!(fresh(&env), env);
-        env.body = std::sync::Arc::new(Element::new("Third"));
+        env.body = std::sync::Arc::new(Body::CredentialExchange);
         assert_eq!(fresh(&env), env);
+        assert_eq!(fresh(&env).operation(), "CredentialExchange");
     }
 
     #[test]
@@ -405,5 +659,39 @@ mod tests {
         let mut bytes = encode_envelope(&traced());
         bytes.push(0);
         assert_eq!(decode_envelope(&bytes), None);
+    }
+
+    /// A start names a strategy by its tag, so an unknown strategy is a
+    /// payload no decoder accepts: it never reaches the service.
+    #[test]
+    fn an_unknown_strategy_tag_does_not_decode() {
+        let bytes = encode_envelope(&Envelope::new(traced().body));
+        // version, kind, flags, body tag, resumable, then the strategy.
+        assert_eq!(bytes[3], TAG_START);
+        for tag in [4u8, 0x7F, 0xFF] {
+            let mut bad = bytes.clone();
+            bad[5] = tag;
+            assert_eq!(decode_envelope(&bad), None);
+        }
+    }
+
+    /// A document cannot carry a TN operation name: the XML rendering
+    /// would read it back as the typed message. No constructor makes
+    /// one, and no payload decodes to one.
+    #[test]
+    fn no_document_carries_a_tn_operation() {
+        let root = Element::new("x");
+        for operation in ["StartNegotiation", "ResumeNegotiation"] {
+            assert_eq!(Body::document(operation, root.clone()), None);
+        }
+        let payload = |operation: &str| {
+            let mut bytes = vec![VERSION, KIND_ENVELOPE, 0, TAG_DOCUMENT];
+            put_str(&mut bytes, operation);
+            xbin::encode_element_into(&mut bytes, &root);
+            bytes
+        };
+        let echo = Envelope::new(Body::document("Echo", root.clone()).unwrap());
+        assert_eq!(payload("Echo"), encode_envelope(&echo));
+        assert_eq!(decode_envelope(&payload("PolicyExchange")), None);
     }
 }

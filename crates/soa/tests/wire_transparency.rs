@@ -1,21 +1,23 @@
 //! The wire boundary is transparent. Every `ServiceBus::call` frames the
 //! request and the reply, and neither side can tell: an endpoint receives
-//! exactly the envelope that was sent — operation, body, negotiation id,
-//! idempotency key and trace — and the caller receives exactly the
-//! endpoint's reply or fault. The one documented rewrite is the untraced
-//! sentinel: a trace whose `trace_id` is 0 arrives as no trace at all.
+//! exactly the envelope that was sent — every TN message type and a
+//! document, negotiation id, idempotency key and trace — and the caller
+//! receives exactly the endpoint's reply or fault. The one documented
+//! rewrite is the untraced sentinel: a trace whose `trace_id` is 0
+//! arrives as no trace at all.
 //!
 //! The same checks run through the single-queue `QueuedBus`, which frames
 //! the same way on its dispatcher thread.
 
+mod common;
+
 use parking_lot::Mutex;
 use std::sync::Arc;
-use trust_vo_credential::{CredentialAuthority, TimeRange, Timestamp};
-use trust_vo_crypto::KeyPair;
+use trust_vo_credential::Timestamp;
 use trust_vo_obs::TraceContext;
 use trust_vo_soa::simclock::{CostModel, SimClock};
-use trust_vo_soa::{Envelope, Fault, QueuedBus, ServiceBus, ServiceEndpoint, Transport};
-use trust_vo_xmldoc::{Element, Node};
+use trust_vo_soa::{Body, Envelope, Fault, QueuedBus, ServiceBus, ServiceEndpoint, Transport};
+use trust_vo_xmldoc::Element;
 
 /// Records every request it receives and answers with the reply the test
 /// scripted for the next call.
@@ -36,64 +38,17 @@ impl ServiceEndpoint for Recorder {
     }
 }
 
-/// The envelope shapes that cross the bus in a formation, as in E15's
-/// corpus: a bare control message, a start request, a policy exchange and
-/// a credential-bearing exchange.
-fn corpus() -> Vec<(String, Element)> {
-    let start = Element::new("StartNegotiationRequest")
-        .child(Element::new("strategy").text("standard"))
-        .child(Element::new("requester").text("Aerospace"))
-        .child(Element::new("counterpartUrl").text("Aircraft"))
-        .child(Element::new("resource").text("VoMembership"));
-    let mut policies = Element::new("PolicyExchangeRequest");
-    for i in 0..8 {
-        policies.children.push(Node::Element(
-            Element::new("policy")
-                .attr("id", format!("p{i}"))
-                .child(Element::new("target").text(format!("Cred{i}")))
-                .child(Element::new("term").text(format!("Needs{i}"))),
-        ));
-    }
-    let holder = KeyPair::from_seed(b"wire-transparency-holder");
-    let cred = CredentialAuthority::new("Transparency CA")
-        .issue(
-            "WebDesignerQuality",
-            "Holder",
-            holder.public,
-            vec![],
-            TimeRange::one_year_from(Timestamp::from_ymd_hms(2009, 1, 1, 0, 0, 0)),
-        )
-        .expect("open schema");
-    let credential = Element::new("CredentialExchangeRequest").child(cred.to_xml());
-    vec![
-        (
-            "StartNegotiation".into(),
-            Element::new("StartNegotiationRequest"),
-        ),
-        ("StartNegotiation".into(), start),
-        ("PolicyExchange".into(), policies),
-        ("CredentialExchange".into(), credential),
-    ]
-}
-
-/// `operation` and `body` with the given optional headers.
+/// `body` with the given optional headers.
 fn envelope(
-    operation: String,
-    body: Arc<Element>,
+    body: Arc<Body>,
     negotiation: Option<u64>,
     key: Option<u64>,
     trace: Option<TraceContext>,
 ) -> Envelope {
-    let mut env = Envelope::request(operation, body);
-    if let Some(id) = negotiation {
-        env = env.with_negotiation(id);
-    }
-    if let Some(key) = key {
-        env = env.with_idempotency(key);
-    }
-    if let Some(trace) = trace {
-        env = env.with_trace(trace);
-    }
+    let mut env = Envelope::new(body);
+    env.negotiation_id = negotiation;
+    env.idempotency_key = key;
+    env.trace = trace;
     env
 }
 
@@ -119,18 +74,12 @@ fn envelopes() -> Vec<Envelope> {
         }),
     ];
     let mut out = Vec::new();
-    for (operation, body) in corpus() {
+    for body in common::every_body() {
         let body = Arc::new(body);
         for negotiation in [None, Some(0), Some(7)] {
             for key in [None, Some(0x5EED_0001), Some(u64::MAX)] {
                 for trace in traces {
-                    out.push(envelope(
-                        operation.clone(),
-                        body.clone(),
-                        negotiation,
-                        key,
-                        trace,
-                    ));
+                    out.push(envelope(body.clone(), negotiation, key, trace));
                 }
             }
         }
@@ -170,14 +119,14 @@ fn as_delivered(sent: &Envelope) -> Envelope {
 
 fn check(transport: &dyn Transport, recorder: &Recorder) {
     let envelopes = envelopes();
-    // Responses carry the request's headers, so the reply direction
-    // covers every header combination too.
+    // Replies carry another body under the request's headers, so the
+    // reply direction covers every body and header combination too.
     let mut replies: Vec<Result<Envelope, Fault>> = envelopes
         .iter()
-        .map(|env| {
+        .zip(envelopes.iter().cycle().skip(36))
+        .map(|(env, other)| {
             Ok(envelope(
-                format!("{}Response", env.operation),
-                env.body.clone(),
+                other.body.clone(),
                 env.negotiation_id,
                 env.idempotency_key,
                 env.trace,
@@ -226,13 +175,14 @@ fn the_queued_bus_delivers_exactly_what_was_sent_and_replied() {
 #[test]
 fn a_field_written_after_encoding_crosses_the_bus() {
     let (bus, recorder) = bus();
-    let mut sent = Envelope::request("First", Element::new("FirstRequest")).with_negotiation(1);
-    sent.operation = "Second".into();
+    let mut sent = Envelope::new(Body::PolicyExchange).with_negotiation(1);
     sent.negotiation_id = Some(2);
-    sent.body = Arc::new(Element::new("SecondRequest"));
-    *recorder.reply.lock() = Some(Ok(Envelope::request("Ack", Element::new("Ack"))));
+    sent.body = Arc::new(Body::CredentialExchange);
+    *recorder.reply.lock() = Some(Ok(Envelope::new(
+        Body::document("Ack", Element::new("Ack")).unwrap(),
+    )));
     bus.call("svc", &sent).expect("scripted reply");
     let received = recorder.received.lock().pop().expect("delivered");
-    assert_eq!(received.operation, "Second");
+    assert_eq!(received.operation(), "CredentialExchange");
     assert_eq!(received, sent);
 }

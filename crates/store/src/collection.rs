@@ -187,9 +187,8 @@ impl Collection {
 
     /// Insert or update a document; returns the new revision number.
     ///
-    /// The document is encoded once, with `binary::encode_element`. That
-    /// one encoding is the stored revision, the journaled `Fact::Put`
-    /// and the state-digest input.
+    /// The document is encoded once, with [`binary::Encoded::of`]; see
+    /// [`Collection::put_encoded`].
     ///
     /// # Panics
     ///
@@ -197,13 +196,17 @@ impl Collection {
     /// accepts such a document, so it could be neither read back nor
     /// recovered, and its journal record would end every later restore.
     pub fn put(&mut self, id: impl Into<DocId>, doc: Element) -> u64 {
-        assert!(
-            doc.depth() <= binary::MAX_DEPTH,
-            "a stored document nests at most binary::MAX_DEPTH elements deep"
-        );
+        self.put_encoded(id, binary::Encoded::of(&doc))
+    }
+
+    /// Insert or update a document already encoded; returns the new
+    /// revision number. The one encoding is the stored revision, the
+    /// journaled `Fact::Put` and the state-digest input, so a caller that
+    /// hashes `doc` hashes exactly what is kept and journaled.
+    pub fn put_encoded(&mut self, id: impl Into<DocId>, doc: binary::Encoded) -> u64 {
         self.count_op();
         let id = id.into();
-        let bytes: Arc<[u8]> = binary::encode_element(&doc).into();
+        let bytes = doc.into_shared();
         self.journal(|| Fact::Put {
             collection: self.name.clone(),
             id: id.0.clone(),

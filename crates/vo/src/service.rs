@@ -35,6 +35,7 @@ use trust_vo_policy::xml::policy_from_xml;
 use trust_vo_policy::PolicySet;
 use trust_vo_soa::bus::ServiceEndpoint;
 use trust_vo_soa::envelope::{Envelope, Fault};
+use trust_vo_soa::Body;
 use trust_vo_xmldoc::{Element, Node};
 
 /// The VO Management service endpoint: a thread-safe facade over a
@@ -75,7 +76,7 @@ impl VoManagementService {
     }
 
     fn register_member(&self, request: &Envelope) -> Result<Envelope, Fault> {
-        let body = &request.body;
+        let body = document(request)?;
         let name = body
             .get_attr("name")
             .ok_or_else(|| Fault::new("BadRequest", "RegisterMember missing name attribute"))?
@@ -111,7 +112,7 @@ impl VoManagementService {
                 state.toolkit.registry.publish(d);
             }
         }
-        Ok(Envelope::request(
+        Ok(message(
             "RegisterMemberResponse",
             Element::new("RegisterMemberResponse").attr("member", &name),
         ))
@@ -128,7 +129,7 @@ impl VoManagementService {
                     .attr("quality", format!("{:.2}", d.quality)),
             ));
         }
-        Envelope::request("ListServicesResponse", body)
+        message("ListServicesResponse", body)
     }
 
     fn list_active_vos(&self) -> Envelope {
@@ -138,7 +139,7 @@ impl VoManagementService {
             body.children
                 .push(Node::Element(Element::new("vo").attr("name", name)));
         }
-        Envelope::request("ListActiveVosResponse", body)
+        message("ListActiveVosResponse", body)
     }
 
     fn parse_contract(body: &Element) -> Result<Contract, Fault> {
@@ -176,7 +177,7 @@ impl VoManagementService {
     }
 
     fn create_vo(&self, request: &Envelope) -> Result<Envelope, Fault> {
-        let body = &request.body;
+        let body = document(request)?;
         let initiator = body
             .get_attr("initiator")
             .ok_or_else(|| Fault::new("BadRequest", "CreateVo missing initiator"))?
@@ -204,7 +205,7 @@ impl VoManagementService {
                     ));
                 }
                 state.vos.push(vo);
-                Ok(Envelope::request("CreateVoResponse", resp))
+                Ok(message("CreateVoResponse", resp))
             }
             Err(VoError::Negotiation(e)) => Err(Fault::new("NegotiationFailed", e.to_string())),
             Err(e) => Err(Fault::new("FormationFailed", e.to_string())),
@@ -212,8 +213,7 @@ impl VoManagementService {
     }
 
     fn monitor_vo(&self, request: &Envelope) -> Result<Envelope, Fault> {
-        let name = request
-            .body
+        let name = document(request)?
             .get_attr("vo")
             .ok_or_else(|| Fault::new("BadRequest", "MonitorVo missing vo attribute"))?;
         let state = self.state.lock();
@@ -239,12 +239,11 @@ impl VoManagementService {
             body.children
                 .push(Node::Element(Element::new("belowThreshold").text(m)));
         }
-        Ok(Envelope::request("MonitorVoResponse", body))
+        Ok(message("MonitorVoResponse", body))
     }
 
     fn read_mailbox(&self, request: &Envelope) -> Result<Envelope, Fault> {
-        let member = request
-            .body
+        let member = document(request)?
             .get_attr("member")
             .ok_or_else(|| Fault::new("BadRequest", "ReadMailbox missing member attribute"))?;
         let state = self.state.lock();
@@ -258,13 +257,29 @@ impl VoManagementService {
                     .text(&invitation.text),
             ));
         }
-        Ok(Envelope::request("ReadMailboxResponse", body))
+        Ok(message("ReadMailboxResponse", body))
     }
+}
+
+/// The request's document: every operation of this service takes one.
+fn document(request: &Envelope) -> Result<&Element, Fault> {
+    match &*request.body {
+        Body::Document(doc) => Ok(doc.root()),
+        other => Err(Fault::new(
+            "BadRequest",
+            format!("'{}' carries no document", other.operation()),
+        )),
+    }
+}
+
+/// An envelope under `operation` carrying `root`.
+fn message(operation: &str, root: Element) -> Envelope {
+    Envelope::new(Body::document(operation, root).expect("a VO operation is not a TN message"))
 }
 
 impl ServiceEndpoint for VoManagementService {
     fn handle(&self, request: &Envelope) -> Result<Envelope, Fault> {
-        match request.operation.as_str() {
+        match request.operation() {
             "RegisterMember" => self.register_member(request),
             "ListServices" => Ok(self.list_services()),
             "ListActiveVos" => Ok(self.list_active_vos()),
@@ -357,16 +372,17 @@ mod tests {
                             .child(Element::new("policies").child(policy_to_xml(&policy))),
                     ),
             );
-        Envelope::request("CreateVo", body)
+        message("CreateVo", body)
     }
 
     #[test]
     fn full_service_driven_formation() {
         let (bus, svc) = service();
         let resp = bus.call("vo-mgmt", &create_vo_request()).unwrap();
-        assert_eq!(resp.body.get_attr("vo"), Some("SvcVO"));
-        assert_eq!(resp.body.get_attr("members"), Some("1"));
-        let member = resp.body.first("member").unwrap();
+        let resp = resp.body.to_xml();
+        assert_eq!(resp.get_attr("vo"), Some("SvcVO"));
+        assert_eq!(resp.get_attr("members"), Some("1"));
+        let member = resp.first("member").unwrap();
         assert_eq!(member.get_attr("provider"), Some("StoreCo"));
         // The VO is queryable afterwards.
         let vo = svc.vo("SvcVO").unwrap();
@@ -377,28 +393,22 @@ mod tests {
     fn list_and_monitor_operations() {
         let (bus, _svc) = service();
         let services = bus
-            .call(
-                "vo-mgmt",
-                &Envelope::request("ListServices", Element::new("x")),
-            )
+            .call("vo-mgmt", &message("ListServices", Element::new("x")))
             .unwrap();
-        assert_eq!(services.body.all("service").count(), 1);
+        assert_eq!(services.body.to_xml().all("service").count(), 1);
         bus.call("vo-mgmt", &create_vo_request()).unwrap();
         let vos = bus
-            .call(
-                "vo-mgmt",
-                &Envelope::request("ListActiveVos", Element::new("x")),
-            )
+            .call("vo-mgmt", &message("ListActiveVos", Element::new("x")))
             .unwrap();
-        assert_eq!(vos.body.all("vo").count(), 1);
+        assert_eq!(vos.body.to_xml().all("vo").count(), 1);
         let monitor = bus
             .call(
                 "vo-mgmt",
-                &Envelope::request("MonitorVo", Element::new("m").attr("vo", "SvcVO")),
+                &message("MonitorVo", Element::new("m").attr("vo", "SvcVO")),
             )
             .unwrap();
-        assert_eq!(monitor.body.get_attr("phase"), Some("operation"));
-        assert_eq!(monitor.body.all("invalidMembership").count(), 0);
+        assert_eq!(monitor.body.to_xml().get_attr("phase"), Some("operation"));
+        assert_eq!(monitor.body.to_xml().all("invalidMembership").count(), 0);
     }
 
     #[test]
@@ -407,7 +417,7 @@ mod tests {
         let resp = bus
             .call(
                 "vo-mgmt",
-                &Envelope::request(
+                &message(
                     "RegisterMember",
                     Element::new("r").attr("name", "NewCo").child(
                         Element::new("resource")
@@ -418,7 +428,7 @@ mod tests {
                 ),
             )
             .unwrap();
-        assert_eq!(resp.body.get_attr("member"), Some("NewCo"));
+        assert_eq!(resp.body.to_xml().get_attr("member"), Some("NewCo"));
         svc.with_toolkit(|tk| {
             assert!(tk.providers.contains_key("NewCo"));
             assert_eq!(tk.registry.find_by_capability("hpc-compute").len(), 1);
@@ -429,21 +439,18 @@ mod tests {
     fn faults_for_bad_requests() {
         let (bus, _svc) = service();
         let err = bus
-            .call("vo-mgmt", &Envelope::request("CreateVo", Element::new("x")))
+            .call("vo-mgmt", &message("CreateVo", Element::new("x")))
             .unwrap_err();
         assert_eq!(err.code, "BadRequest");
         let err = bus
             .call(
                 "vo-mgmt",
-                &Envelope::request("MonitorVo", Element::new("m").attr("vo", "Ghost")),
+                &message("MonitorVo", Element::new("m").attr("vo", "Ghost")),
             )
             .unwrap_err();
         assert_eq!(err.code, "NoSuchVo");
         let err = bus
-            .call(
-                "vo-mgmt",
-                &Envelope::request("Frobnicate", Element::new("x")),
-            )
+            .call("vo-mgmt", &message("Frobnicate", Element::new("x")))
             .unwrap_err();
         assert_eq!(err.code, "NoSuchOperation");
         // Unfillable role → FormationFailed fault, not a panic.
@@ -456,9 +463,7 @@ mod tests {
                         .attr("capability", "quantum"),
                 ),
             );
-        let err = bus
-            .call("vo-mgmt", &Envelope::request("CreateVo", body))
-            .unwrap_err();
+        let err = bus.call("vo-mgmt", &message("CreateVo", body)).unwrap_err();
         assert_eq!(err.code, "FormationFailed");
     }
 
@@ -479,9 +484,9 @@ mod tests {
         let resp = bus
             .call(
                 "vo-mgmt",
-                &Envelope::request("ReadMailbox", Element::new("m").attr("member", "StoreCo")),
+                &message("ReadMailbox", Element::new("m").attr("member", "StoreCo")),
             )
             .unwrap();
-        assert_eq!(resp.body.all("invitation").count(), 1);
+        assert_eq!(resp.body.to_xml().all("invitation").count(), 1);
     }
 }

@@ -63,6 +63,40 @@ pub fn encode_element(e: &Element) -> Vec<u8> {
     out
 }
 
+/// The canonical binary encoding of a document that [`decode_element`]
+/// accepts, in a shared buffer. Only [`Encoded::of`] makes one, so a
+/// holder knows the bytes decode without decoding them: a store keeps
+/// them as a revision, and a caller that hashes them hashes exactly what
+/// is kept.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Encoded(std::sync::Arc<[u8]>);
+
+impl Encoded {
+    /// Encode `doc` once.
+    ///
+    /// # Panics
+    ///
+    /// If `doc` nests deeper than [`MAX_DEPTH`] elements: no decoder
+    /// accepts such a document, so its encoding could never be read back.
+    pub fn of(doc: &Element) -> Self {
+        assert!(
+            doc.depth() <= MAX_DEPTH,
+            "an encoded document nests at most binary::MAX_DEPTH elements deep"
+        );
+        Encoded(encode_element(doc).into())
+    }
+
+    /// The encoded bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// The shared buffer itself.
+    pub fn into_shared(self) -> std::sync::Arc<[u8]> {
+        self.0
+    }
+}
+
 /// Decode one element from the front of `bytes`, requiring the whole
 /// slice to be consumed. `None` on any malformation.
 pub fn decode_element(bytes: &[u8]) -> Option<Element> {

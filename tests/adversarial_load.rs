@@ -18,14 +18,13 @@ use trust_vo::negotiation::Strategy;
 use trust_vo::netsim::{FaultPlan, NetSim};
 use trust_vo::obs::{Collector, Record};
 use trust_vo::soa::simclock::{CostModel, SimClock, SimDuration};
-use trust_vo::soa::{Envelope, Fault, ServiceBus, TnService, Transport};
+use trust_vo::soa::{Body, Envelope, Fault, ServiceBus, StartNegotiation, TnService, Transport};
 use trust_vo::store::Database;
 use trust_vo::vo::mailbox::MailboxSystem;
 use trust_vo::vo::{
     register_formation_parties, AdmissionControl, Formation, FormationResilience,
     NegotiationSource, ReputationLedger, ServiceSource,
 };
-use trust_vo::xmldoc::Element;
 
 const SEED: u64 = 7;
 const FLOODER: &str = "FloodCo";
@@ -44,14 +43,13 @@ impl Transport for FloodingNet<'_> {
     fn call(&self, service: &str, request: &Envelope) -> Result<Envelope, Fault> {
         for _ in 0..self.per_call {
             let i = self.counter.fetch_add(1, Ordering::SeqCst);
-            let env = Envelope::request(
-                "StartNegotiation",
-                Element::new("StartNegotiationRequest")
-                    .child(Element::new("strategy").text(Strategy::Standard.wire_name()))
-                    .child(Element::new("requester").text(FLOODER))
-                    .child(Element::new("counterpartUrl").text("tn"))
-                    .child(Element::new("resource").text("VoMembership")),
-            )
+            let env = Envelope::new(Body::StartNegotiation(StartNegotiation {
+                strategy: Strategy::Standard,
+                requester: FLOODER.into(),
+                controller: "tn".into(),
+                resource: "VoMembership".into(),
+                resumable: false,
+            }))
             .with_idempotency(0xF100_D000_0000_0000 | i);
             match self.net.call("tn", &env) {
                 Err(f) if f.is_budget_exhausted() => {

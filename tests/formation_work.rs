@@ -1,6 +1,6 @@
 //! Deterministic work gate for the formation paths: the exact number of
-//! signatures, verifications, bus calls, journal appends and bytes, store
-//! operations, join attempts and phase-1 negotiation work (messages,
+//! signatures, verifications, bus calls, wire bytes, journal appends and
+//! bytes, store operations, join attempts and phase-1 negotiation work (messages,
 //! policy evaluations, failed alternatives) a fixed set of serial
 //! formations costs.
 //!
@@ -36,6 +36,9 @@ struct Work {
     sign: u64,
     verify: u64,
     bus_calls: u64,
+    /// Framed bytes that crossed the bus, both directions: pins the wire
+    /// encoding of every message.
+    wire_bytes: u64,
     journal_appends: u64,
     /// Journal bytes written, frames included: pins the record layout
     /// and the document encoding a `Fact::Put` carries.
@@ -71,6 +74,7 @@ impl Work {
             sign: after.sign - before.sign,
             verify: after.verify - before.verify,
             bus_calls: snap.counter("bus.calls"),
+            wire_bytes: snap.counter("bus.wire.tx_bytes") + snap.counter("bus.wire.rx_bytes"),
             journal_appends,
             journal_bytes,
             store_ops,
@@ -190,6 +194,7 @@ fn formation_work_is_pinned() {
             sign: 4,
             verify: 14,
             bus_calls: 0,
+            wire_bytes: 0,
             journal_appends: 0,
             journal_bytes: 0,
             store_ops: 0,
@@ -207,6 +212,7 @@ fn formation_work_is_pinned() {
             sign: 9,
             verify: 9,
             bus_calls: 13,
+            wire_bytes: 4269,
             journal_appends: 9,
             journal_bytes: 2027,
             store_ops: 29,
@@ -224,6 +230,7 @@ fn formation_work_is_pinned() {
             sign: 20,
             verify: 11,
             bus_calls: 12,
+            wire_bytes: 4119,
             journal_appends: 36,
             journal_bytes: 11235,
             store_ops: 27,
@@ -243,6 +250,7 @@ fn formation_work_is_pinned() {
             sign: 8,
             verify: 42,
             bus_calls: 0,
+            wire_bytes: 0,
             journal_appends: 0,
             journal_bytes: 0,
             store_ops: 0,

@@ -8,11 +8,14 @@
 use std::sync::Arc;
 use trust_vo::credential::{CredentialAuthority, TimeRange, Timestamp};
 use trust_vo::journal::{Fact, Journal};
-use trust_vo::negotiation::Party;
+use trust_vo::negotiation::{Party, Strategy};
 use trust_vo::obs::Collector;
 use trust_vo::policy::{DisclosurePolicy, Resource, Term};
 use trust_vo::soa::simclock::{CostModel, SimClock};
-use trust_vo::soa::{Envelope, ServiceEndpoint, TnService};
+use trust_vo::soa::{
+    Body, CredentialExchangeResponse, Envelope, PolicyExchangeResponse, ServiceEndpoint,
+    StartNegotiation, TnService,
+};
 use trust_vo::store::Database;
 use trust_vo::xmldoc::Element;
 
@@ -160,34 +163,36 @@ fn tn_service(clock: SimClock, db: Database) -> TnService {
 }
 
 fn start_resumable(svc: &TnService) -> u64 {
-    svc.handle(&Envelope::request(
-        "StartNegotiation",
-        Element::new("StartNegotiationRequest")
-            .attr("resumable", "true")
-            .child(Element::new("strategy").text("standard"))
-            .child(Element::new("requester").text("Aerospace"))
-            .child(Element::new("counterpartUrl").text("Aircraft"))
-            .child(Element::new("resource").text("VoMembership")),
-    ))
+    svc.handle(&Envelope::new(Body::StartNegotiation(StartNegotiation {
+        strategy: Strategy::Standard,
+        requester: "Aerospace".into(),
+        controller: "Aircraft".into(),
+        resource: "VoMembership".into(),
+        resumable: true,
+    })))
     .unwrap()
     .negotiation_id
     .unwrap()
 }
 
-fn policy_exchange(svc: &TnService, id: u64) -> Envelope {
-    svc.handle(&Envelope::request("PolicyExchange", Element::new("x")).with_negotiation(id))
-        .unwrap()
+fn policy_exchange(svc: &TnService, id: u64) -> PolicyExchangeResponse {
+    let reply = svc
+        .handle(&Envelope::new(Body::PolicyExchange).with_negotiation(id))
+        .unwrap();
+    match &*reply.body {
+        Body::PolicyExchangeResponse(reply) => reply.clone(),
+        other => panic!("not a policy reply: {other:?}"),
+    }
 }
 
-fn exchange(svc: &TnService, id: u64) -> Envelope {
-    svc.handle(
-        &Envelope::request(
-            "CredentialExchange",
-            Element::new("CredentialExchangeRequest"),
-        )
-        .with_negotiation(id),
-    )
-    .unwrap()
+fn exchange(svc: &TnService, id: u64) -> CredentialExchangeResponse {
+    let reply = svc
+        .handle(&Envelope::new(Body::CredentialExchange).with_negotiation(id))
+        .unwrap();
+    match &*reply.body {
+        Body::CredentialExchangeResponse(reply) => reply.clone(),
+        other => panic!("not a credential reply: {other:?}"),
+    }
 }
 
 /// Drive a started negotiation to completion; returns the number of
@@ -196,7 +201,7 @@ fn drive_to_completion(svc: &TnService, id: u64) -> u32 {
     let mut rounds = 0;
     loop {
         rounds += 1;
-        if exchange(svc, id).body.get_attr("status") == Some("completed") {
+        if exchange(svc, id).is_completed() {
             return rounds;
         }
         assert!(rounds < 64, "negotiation did not converge");
@@ -221,11 +226,11 @@ fn interrupted_negotiation_recovers_to_the_uninterrupted_outcome() {
     let svc = tn_service(clock(), db);
     let id = start_resumable(&svc);
     let resp = policy_exchange(&svc, id);
-    assert!(resp.body.first("ResumeToken").is_some());
+    assert!(resp.token.is_some());
     let resp = exchange(&svc, id);
-    assert_eq!(resp.body.get_attr("status"), Some("in-progress"));
+    assert!(!resp.is_completed());
     let done_before_crash = 1;
-    let token = resp.body.first("ResumeToken").unwrap().clone();
+    let token = resp.token.unwrap();
     // The process dies here. All that survives: the signed resume token
     // held by the client, and the journal bytes on disk (with whatever
     // torn tail the crash left — replay discards it).
@@ -242,12 +247,9 @@ fn interrupted_negotiation_recovers_to_the_uninterrupted_outcome() {
     db.attach_journal(Arc::new(recovered_journal));
     let svc = tn_service(clock(), db);
     let resume = svc
-        .handle(&Envelope::request(
-            "ResumeNegotiation",
-            Element::new("ResumeNegotiationRequest").child(token),
-        ))
+        .handle(&Envelope::new(Body::ResumeNegotiation(token)))
         .unwrap();
-    assert_eq!(resume.body.get_attr("status"), Some("resumed"));
+    assert!(matches!(*resume.body, Body::ResumeNegotiationResponse(_)));
     let new_id = resume.negotiation_id.unwrap();
     let resumed_rounds = drive_to_completion(&svc, new_id);
     assert!(svc.is_completed(new_id));

@@ -6,7 +6,7 @@
 //! for, and on where a revoked credential stops the exchange.
 
 use std::collections::BTreeMap;
-use trust_vo::credential::{Credential, Timestamp};
+use trust_vo::credential::Timestamp;
 use trust_vo::negotiation::message::{Message, Side};
 use trust_vo::negotiation::view::TrustSequence;
 use trust_vo::negotiation::{
@@ -14,11 +14,12 @@ use trust_vo::negotiation::{
     Party, Strategy,
 };
 use trust_vo::soa::simclock::{CostKind, CostModel, SimClock};
-use trust_vo::soa::{Envelope, Fault, ServiceEndpoint, TnService};
+use trust_vo::soa::{
+    Body, Envelope, Fault, ServiceEndpoint, SignedToken, StartNegotiation, TnService,
+};
 use trust_vo::store::Database;
 use trust_vo::vo::initiator_party_for_role;
 use trust_vo::vo::scenario::{names, roles, scenario_time, AircraftScenario};
-use trust_vo::xmldoc::Element;
 use trust_vo_bench::workloads::{self, parallel_join_world};
 
 const RESOURCE: &str = "VoMembership";
@@ -129,57 +130,34 @@ fn service(case: &Case) -> (TnService, SimClock) {
     (svc, clock)
 }
 
-fn call(
-    svc: &TnService,
-    operation: &str,
-    body: Element,
-    id: Option<u64>,
-) -> Result<Envelope, Fault> {
-    let mut request = Envelope::request(operation, body);
-    if let Some(id) = id {
-        request = request.with_negotiation(id);
-    }
+fn call(svc: &TnService, body: Body, id: Option<u64>) -> Result<Envelope, Fault> {
+    let mut request = Envelope::new(body);
+    request.negotiation_id = id;
     svc.handle(&request)
 }
 
 /// A resumable session through PolicyExchange: its id, the sequence it
 /// agreed and the phase-1 resume token.
-fn open(svc: &TnService, case: &Case, strategy: Strategy) -> (u64, Sequence, Element) {
-    let start = call(
-        svc,
-        "StartNegotiation",
-        Element::new("StartNegotiationRequest")
-            .attr("resumable", "true")
-            .child(Element::new("strategy").text(strategy.wire_name()))
-            .child(Element::new("requester").text(&case.requester.name))
-            .child(Element::new("counterpartUrl").text(&case.controller.name))
-            .child(Element::new("resource").text(RESOURCE)),
-        None,
-    )
-    .unwrap();
-    let id = start.negotiation_id.unwrap();
-    let policy = call(
-        svc,
-        "PolicyExchange",
-        Element::new("PolicyExchangeRequest"),
-        Some(id),
-    )
-    .unwrap();
+fn open(svc: &TnService, case: &Case, strategy: Strategy) -> (u64, Sequence, SignedToken) {
+    let start = Body::StartNegotiation(StartNegotiation {
+        strategy,
+        requester: case.requester.name.clone(),
+        controller: case.controller.name.clone(),
+        resource: RESOURCE.into(),
+        resumable: true,
+    });
+    let id = call(svc, start, None).unwrap().negotiation_id.unwrap();
+    let policy = call(svc, Body::PolicyExchange, Some(id)).unwrap();
+    let Body::PolicyExchangeResponse(policy) = &*policy.body else {
+        panic!("a policy reply")
+    };
     let sequence = policy
-        .body
-        .first("trustSequence")
-        .unwrap()
-        .all("disclosure")
-        .map(|d| {
-            let by = match d.get_attr("by").unwrap() {
-                "requester" => Side::Requester,
-                _ => Side::Controller,
-            };
-            (by, d.get_attr("credId").unwrap().to_owned())
-        })
+        .sequence
+        .disclosures()
+        .iter()
+        .map(|d| (d.by, d.cred_id.0.clone()))
         .collect();
-    let token = policy.body.first("ResumeToken").unwrap().clone();
-    (id, sequence, token)
+    (id, sequence, policy.token.clone().unwrap())
 }
 
 /// The work one call charged, by kind.
@@ -197,7 +175,7 @@ fn charged(clock: &SimClock, before: &BTreeMap<CostKind, u64>) -> BTreeMap<CostK
 struct Exchange {
     run: Run,
     charges: Vec<BTreeMap<CostKind, u64>>,
-    token: Option<Element>,
+    token: Option<SignedToken>,
 }
 
 impl Exchange {
@@ -207,23 +185,23 @@ impl Exchange {
         let mut made = 0;
         while calls.is_none_or(|calls| made < calls) {
             let before = clock.counts();
-            let reply = call(
-                svc,
-                "CredentialExchange",
-                Element::new("CredentialExchangeRequest"),
-                Some(id),
-            );
+            let reply = call(svc, Body::CredentialExchange, Some(id));
             self.charges.push(charged(clock, &before));
             made += 1;
             match reply {
                 Ok(reply) => {
-                    let cred =
-                        Credential::from_xml(reply.body.first("credential").unwrap()).unwrap();
+                    let Body::CredentialExchangeResponse(reply) = &*reply.body else {
+                        panic!("a credential reply")
+                    };
+                    // The disclosed credential, decoded from the bytes its
+                    // issuer signed, verifies.
+                    let cred = reply.credential.as_ref().unwrap().decode().unwrap();
+                    assert!(cred.verify_signature().is_ok());
                     self.run.verified.push(cred.id().0.clone());
-                    if let Some(token) = reply.body.first("ResumeToken") {
+                    if let Some(token) = &reply.token {
                         self.token = Some(token.clone());
                     }
-                    if reply.body.get_attr("status") == Some("completed") {
+                    if reply.is_completed() {
                         return;
                     }
                 }
@@ -261,14 +239,11 @@ fn service_run(case: &Case, strategy: Strategy, crash_after: Option<usize>) -> E
         .token
         .take()
         .expect("a checkpoint with disclosures left");
-    let resumed = call(
-        &svc,
-        "ResumeNegotiation",
-        Element::new("ResumeNegotiationRequest").child(token),
-        None,
-    )
-    .unwrap();
-    assert_eq!(resumed.body.get_attr("next"), Some(k.to_string().as_str()));
+    let resumed = call(&svc, Body::ResumeNegotiation(token), None).unwrap();
+    let Body::ResumeNegotiationResponse(reply) = &*resumed.body else {
+        panic!("a resume reply")
+    };
+    assert_eq!(reply.next as usize, k);
     exchange.drive(&svc, &clock, resumed.negotiation_id.unwrap(), None);
     assert_eq!(svc.session_counts().0, 0, "{}/{strategy}", case.name);
     exchange

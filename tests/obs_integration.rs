@@ -11,14 +11,13 @@ use trust_vo::negotiation::{
 use trust_vo::netsim::{FaultPlan, LinkProfile, NetSim};
 use trust_vo::obs::{Collector, MetricsSnapshot, Record, SpanLink, SpanRecord, TraceContext};
 use trust_vo::soa::simclock::SimClock;
-use trust_vo::soa::{Envelope, ServiceBus, TnService, Transport};
+use trust_vo::soa::{Body, Envelope, ServiceBus, StartNegotiation, TnService, Transport};
 use trust_vo::store::Database;
 use trust_vo::vo::mailbox::MailboxSystem;
 use trust_vo::vo::{
     initiator_party_for_role, register_formation_parties, Formation, NegotiationSource,
     ReputationLedger, ServiceSource,
 };
-use trust_vo::xmldoc::Element;
 use trust_vo_bench::workloads::{self, ParallelJoinWorld};
 
 fn observed_clock() -> (SimClock, Collector) {
@@ -497,14 +496,13 @@ fn duplicate_deliveries_share_the_trace_with_distinct_spans() {
             parent: None,
         },
     );
-    let request = Envelope::request(
-        "StartNegotiation",
-        Element::new("StartNegotiationRequest")
-            .child(Element::new("strategy").text("standard"))
-            .child(Element::new("requester").text("Nobody"))
-            .child(Element::new("counterpartUrl").text("NobodyElse"))
-            .child(Element::new("resource").text("VoMembership")),
-    )
+    let request = Envelope::new(Body::StartNegotiation(StartNegotiation {
+        strategy: Strategy::Standard,
+        requester: "Nobody".into(),
+        controller: "NobodyElse".into(),
+        resource: "VoMembership".into(),
+        resumable: false,
+    }))
     .with_trace(TraceContext {
         trace_id,
         span_id: root.id().expect("enabled collector"),

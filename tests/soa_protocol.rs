@@ -6,10 +6,9 @@ use trust_vo::negotiation::Strategy;
 use trust_vo::obs::SpanLink;
 use trust_vo::soa::client::{run_negotiation_resilient, ClientRun, ResumePolicy};
 use trust_vo::soa::simclock::{CostKind, SimDuration};
-use trust_vo::soa::{Envelope, Fault, RetryPolicy, ServiceBus, TnService};
+use trust_vo::soa::{Body, Envelope, Fault, RetryPolicy, ServiceBus, TnService};
 use trust_vo::store::Database;
 use trust_vo::vo::scenario::{names, roles, AircraftScenario};
-use trust_vo::xmldoc::Element;
 
 fn service_setup() -> (ServiceBus, Arc<TnService>) {
     let scenario = AircraftScenario::build();
@@ -115,10 +114,7 @@ fn malformed_envelopes_fault_without_state_damage() {
     let (bus, service) = service_setup();
     // Missing negotiation id.
     let err = bus
-        .call(
-            "tn",
-            &Envelope::request("PolicyExchange", Element::new("x")),
-        )
+        .call("tn", &Envelope::new(Body::PolicyExchange))
         .unwrap_err();
     assert_eq!(err.code, "BadRequest");
     // A good run still works afterwards.

@@ -16,11 +16,10 @@ use trust_vo::policy::{DisclosurePolicy, Resource, Term};
 use trust_vo::soa::simclock::{CostModel, SimClock};
 use trust_vo::soa::tn_service::RETIRED_SESSIONS;
 use trust_vo::soa::{
-    run_negotiation_resilient, Envelope, Fault, ResumePolicy, RetryPolicy, ServiceBus,
-    ServiceEndpoint, TnService, Transport,
+    run_negotiation_resilient, Body, Envelope, Fault, ResumePolicy, RetryPolicy, ServiceBus,
+    ServiceEndpoint, StartNegotiation, TnService, Transport,
 };
 use trust_vo::store::{Database, COMPACT_MIN_BYTES};
-use trust_vo::xmldoc::Element;
 
 /// The Fig. 2 pair: Aerospace requests VoMembership from Aircraft, two
 /// disclosures deep.
@@ -85,27 +84,32 @@ fn service() -> (Arc<TnService>, Arc<Journal>) {
 }
 
 fn call(transport: &dyn Transport, operation: &str, id: u64) -> Result<Envelope, Fault> {
-    transport.call(
-        "tn",
-        &Envelope::request(operation, Element::new(format!("{operation}Request")))
-            .with_negotiation(id),
-    )
+    let body = match operation {
+        "PolicyExchange" => Body::PolicyExchange,
+        "CredentialExchange" => Body::CredentialExchange,
+        other => panic!("no session request named {other}"),
+    };
+    transport.call("tn", &Envelope::new(body).with_negotiation(id))
+}
+
+fn start_request() -> Envelope {
+    Envelope::new(Body::StartNegotiation(StartNegotiation {
+        strategy: Strategy::Standard,
+        requester: "Aerospace".into(),
+        controller: "Aircraft".into(),
+        resource: "VoMembership".into(),
+        resumable: true,
+    }))
+}
+
+/// Whether a `CredentialExchange` reply reports completion.
+fn completed(reply: &Envelope) -> bool {
+    matches!(&*reply.body, Body::CredentialExchangeResponse(r) if r.is_completed())
 }
 
 fn start_resumable(transport: &dyn Transport) -> u64 {
     transport
-        .call(
-            "tn",
-            &Envelope::request(
-                "StartNegotiation",
-                Element::new("StartNegotiationRequest")
-                    .attr("resumable", "true")
-                    .child(Element::new("strategy").text("standard"))
-                    .child(Element::new("requester").text("Aerospace"))
-                    .child(Element::new("counterpartUrl").text("Aircraft"))
-                    .child(Element::new("resource").text("VoMembership")),
-            ),
-        )
+        .call("tn", &start_request())
         .unwrap()
         .negotiation_id
         .unwrap()
@@ -191,26 +195,14 @@ fn thousands_of_negotiations_leave_only_open_state() {
 
     // A token for a finished negotiation's purged slot resumes nothing.
     let id = start_resumable(&bus);
-    let token = call(&bus, "PolicyExchange", id)
-        .unwrap()
-        .body
-        .first("ResumeToken")
-        .unwrap()
-        .clone();
-    while call(&bus, "CredentialExchange", id)
-        .unwrap()
-        .body
-        .get_attr("status")
-        != Some("completed")
-    {}
+    let Body::PolicyExchangeResponse(policy) = &*call(&bus, "PolicyExchange", id).unwrap().body
+    else {
+        panic!("a policy reply")
+    };
+    let token = policy.token.clone().unwrap();
+    while !completed(&call(&bus, "CredentialExchange", id).unwrap()) {}
     let fault = bus
-        .call(
-            "tn",
-            &Envelope::request(
-                "ResumeNegotiation",
-                Element::new("ResumeNegotiationRequest").child(token),
-            ),
-        )
+        .call("tn", &Envelope::new(Body::ResumeNegotiation(token)))
         .unwrap_err();
     assert_eq!(fault.code, "NoSuchCheckpoint");
 
@@ -225,22 +217,14 @@ fn kill_at_every_byte_of_a_self_compacted_journal_restores_a_clean_prefix() {
     let (svc, journal) = service();
     let digest = || svc.database().state_digest();
     let exchange = |id| {
-        svc.handle(&Envelope::request("CredentialExchange", Element::new("x")).with_negotiation(id))
+        svc.handle(&Envelope::new(Body::CredentialExchange).with_negotiation(id))
             .unwrap()
     };
     let start = || {
-        svc.handle(&Envelope::request(
-            "StartNegotiation",
-            Element::new("StartNegotiationRequest")
-                .attr("resumable", "true")
-                .child(Element::new("strategy").text("standard"))
-                .child(Element::new("requester").text("Aerospace"))
-                .child(Element::new("counterpartUrl").text("Aircraft"))
-                .child(Element::new("resource").text("VoMembership")),
-        ))
-        .unwrap()
-        .negotiation_id
-        .unwrap()
+        svc.handle(&start_request())
+            .unwrap()
+            .negotiation_id
+            .unwrap()
     };
     // (log length, state digest) after every operation since the last
     // compaction: the record boundaries of the final log.
@@ -264,10 +248,10 @@ fn kill_at_every_byte_of_a_self_compacted_journal_restores_a_clean_prefix() {
             "no automatic compaction in 500 negotiations"
         );
         let id = start();
-        svc.handle(&Envelope::request("PolicyExchange", Element::new("x")).with_negotiation(id))
+        svc.handle(&Envelope::new(Body::PolicyExchange).with_negotiation(id))
             .unwrap();
         record(&mut compactions);
-        while exchange(id).body.get_attr("status") != Some("completed") {
+        while !completed(&exchange(id)) {
             record(&mut compactions);
         }
         record(&mut compactions);
@@ -277,7 +261,7 @@ fn kill_at_every_byte_of_a_self_compacted_journal_restores_a_clean_prefix() {
     }
     // End mid-negotiation: a live checkpoint slot in the tail.
     let id = start();
-    svc.handle(&Envelope::request("PolicyExchange", Element::new("x")).with_negotiation(id))
+    svc.handle(&Envelope::new(Body::PolicyExchange).with_negotiation(id))
         .unwrap();
     record(&mut compactions);
     exchange(id);
