@@ -76,6 +76,24 @@ if grep -rnE "$tn_elements" src crates/*/src --include='*.rs' \
   echo "product code names a TN body element outside crates/soa/src/body.rs (see above)" >&2
   exit 1
 fi
+# One spelling per stored document: a credential, X-Profile, policy or
+# checkpoint is written once against xmldoc's streaming `Sink`, and the
+# bytes a store keeps come from its binary sink. A product line outside
+# xmldoc (comments aside) that hands a tree built by a `to_xml` function
+# on that same line to `Encoded::of`, `encode_element` or
+# `Collection::put` builds a tree only to encode it, unless its file is
+# on this list, one `file: reason` entry per line.
+allowed_tree_encoders=$(sed 's/ .*//' <<'LIST'
+crates/vo/src/persist.rs: the paper's VO document, saved by vo::persist on request; no E17 path writes it
+LIST
+)
+if grep -rnE '(Encoded::of|encode_element(_into)?|\.put)\(.*to_xml\(' src crates/*/src --include='*.rs' \
+  | grep -v '^crates/xmldoc/src/' \
+  | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
+  | grep -vF "$allowed_tree_encoders"; then
+  echo "product code encodes a tree a to_xml function built (see above); write the document's bytes from its Sink shape" >&2
+  exit 1
+fi
 # One build: no manifest declares a Cargo feature or an optional
 # dependency, so every binary, test and benchmark compiles the same
 # program. Instrumentation and journaling are runtime values (an attached

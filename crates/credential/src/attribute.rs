@@ -21,14 +21,10 @@ pub enum AttrValue {
 }
 
 impl AttrValue {
-    /// The canonical string form (used in XML content and XPath comparisons).
+    /// The canonical string form (used in XML content and XPath
+    /// comparisons): the [`Display`](std::fmt::Display) form.
     pub fn canonical(&self) -> String {
-        match self {
-            AttrValue::Str(s) => s.clone(),
-            AttrValue::Int(i) => i.to_string(),
-            AttrValue::Bool(b) => b.to_string(),
-            AttrValue::Date(t) => t.to_iso(),
-        }
+        self.to_string()
     }
 
     /// The X-TNL type tag for the XML `type` attribute.
@@ -54,8 +50,14 @@ impl AttrValue {
 }
 
 impl std::fmt::Display for AttrValue {
+    /// The canonical string form.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.canonical())
+        match self {
+            AttrValue::Str(s) => f.write_str(s),
+            AttrValue::Int(i) => write!(f, "{i}"),
+            AttrValue::Bool(b) => write!(f, "{b}"),
+            AttrValue::Date(t) => write!(f, "{t}"),
+        }
     }
 }
 

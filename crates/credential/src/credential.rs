@@ -8,16 +8,22 @@
 //! any mutation of header or content invalidates the credential. A
 //! credential is immutable and encoded once: it keeps those bytes for
 //! every later signature check, cache key and transcript entry.
+//!
+//! The document is written once, as [`CredentialDocument`]: the signing
+//! text, the signed element inside an X-Profile and the element tree are
+//! that one shape through the three `trust_vo_xmldoc::stream` sinks.
 
 use crate::attribute::{AttrValue, Attribute};
 use crate::error::CredentialError;
 use crate::revocation::RevocationList;
+use crate::sensitivity::Sensitivity;
 use crate::time::{TimeRange, Timestamp};
 use crate::verified::{VerifiedCache, VerifiedKey};
 use std::sync::{Arc, OnceLock};
+use trust_vo_crypto::base64::{self, Base64};
 use trust_vo_crypto::sha256::Sha256;
-use trust_vo_crypto::{base64, hex, Digest, KeyPair, PublicKey, Signature};
-use trust_vo_xmldoc::{Element, Node};
+use trust_vo_crypto::{hex, Digest, KeyPair, PublicKey, Signature};
+use trust_vo_xmldoc::{Document, Element, Sink};
 
 /// A unique credential identifier assigned by the issuing authority.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -61,8 +67,8 @@ pub struct Header {
 /// which keeps the bytes it received, and [`Credential::from_xml`],
 /// which encodes the parsed fields once. That one canonical encoding is
 /// what the signature check verifies, what the [`VerifiedCache`] key
-/// digests (lazily, at most once), and what the transcript and wire text
-/// are spliced from. Clones share it, and the fields, through an `Arc`.
+/// digests (lazily, at most once), and what a disclosed credential
+/// crosses the wire as. Clones share it, and the fields, through an `Arc`.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Credential(Arc<Signed>);
 
@@ -288,35 +294,26 @@ impl Credential {
         }
     }
 
-    /// Canonical XML encoding (includes the signature).
-    pub fn to_xml(&self) -> Element {
-        let mut root = unsigned_xml(&self.0.header, &self.0.content);
-        let sig_text = encode_signature(&self.0.signature);
-        root.children
-            .push(Node::Element(Element::new("signature").text(sig_text)));
-        root
+    /// This credential as a document: its signed `<credential>` element,
+    /// labelled with `sensitivity` when an X-Profile holds it.
+    pub fn document(&self, sensitivity: Option<Sensitivity>) -> CredentialDocument<'_> {
+        CredentialDocument {
+            header: &self.0.header,
+            content: &self.0.content,
+            sensitivity,
+            signature: Some(self.0.signature),
+        }
     }
 
-    /// The canonical compact XML text (includes the signature), spliced
-    /// from the stored encoding instead of rebuilding an element tree:
-    /// equal to `trust_vo_xmldoc::to_string(&self.to_xml())`.
+    /// Canonical XML encoding (includes the signature).
+    pub fn to_xml(&self) -> Element {
+        self.document(None).to_tree()
+    }
+
+    /// The canonical compact XML text (includes the signature): equal to
+    /// `trust_vo_xmldoc::to_string(&self.to_xml())`.
     pub fn xml_text(&self) -> String {
-        const CLOSE: &str = "</credential>";
-        // The root always has <header> and <content> children, so the
-        // compact form never self-closes and ends with the close tag.
-        let body = self
-            .0
-            .encoding
-            .strip_suffix(CLOSE)
-            .expect("canonical encoding ends with </credential>");
-        let sig = encode_signature(&self.0.signature);
-        let mut out = String::with_capacity(body.len() + sig.len() + 36);
-        out.push_str(body);
-        out.push_str("<signature>");
-        out.push_str(&sig);
-        out.push_str("</signature>");
-        out.push_str(CLOSE);
-        out
+        self.document(None).to_text()
     }
 
     /// Parse a credential from its XML encoding. Verifies structure only —
@@ -442,42 +439,78 @@ fn fields_from_xml(root: &Element) -> Result<(Header, Vec<Attribute>), Credentia
     Ok((header, content))
 }
 
-/// The canonical unsigned encoding (signature element omitted).
-fn unsigned_xml(header: &Header, content: &[Attribute]) -> Element {
-    let header_el = Element::new("header")
-        .child(Element::new("credType").text(&header.cred_type))
-        .child(
-            Element::new("issuer")
-                .attr("key", hex::encode(&header.issuer_key.0.to_be_bytes()))
-                .text(&header.issuer),
-        )
-        .child(
-            Element::new("subject")
-                .attr("key", hex::encode(&header.subject_key.0.to_be_bytes()))
-                .text(&header.subject),
-        )
-        .child(
-            Element::new("validity")
-                .attr("from", header.validity.not_before.to_iso())
-                .attr("to", header.validity.not_after.to_iso()),
-        );
-    let mut content_el = Element::new("content");
-    for attr in content {
-        content_el.children.push(Node::Element(
-            Element::new(&attr.name)
-                .attr("type", attr.value.type_tag())
-                .text(attr.value.canonical()),
-        ));
+/// The X-TNL credential document, the one spelling of its shape. The
+/// unsigned form — no `sensitivity`, no `<signature>` — is what an issuer
+/// signs ([`signing_bytes`]); a signed credential ends with its
+/// base64 `<signature>`, and an X-Profile labels each credential it holds
+/// with its `sensitivity`.
+#[derive(Debug, Clone, Copy)]
+pub struct CredentialDocument<'a> {
+    header: &'a Header,
+    content: &'a [Attribute],
+    sensitivity: Option<Sensitivity>,
+    signature: Option<Signature>,
+}
+
+impl<'a> CredentialDocument<'a> {
+    /// The unsigned document of `header` and `content`.
+    pub fn unsigned(header: &'a Header, content: &'a [Attribute]) -> Self {
+        CredentialDocument {
+            header,
+            content,
+            sensitivity: None,
+            signature: None,
+        }
     }
-    Element::new("credential")
-        .attr("credID", &header.cred_id.0)
-        .child(header_el)
-        .child(content_el)
+}
+
+impl Document for CredentialDocument<'_> {
+    fn write_to<S: Sink>(&self, s: &mut S) {
+        let header = self.header;
+        s.open("credential");
+        s.attr("credID", &header.cred_id.0);
+        if let Some(label) = self.sensitivity {
+            s.attr("sensitivity", label.label());
+        }
+        s.open("header");
+        s.open("credType");
+        s.text(&header.cred_type);
+        s.close();
+        for (element, key, name) in [
+            ("issuer", header.issuer_key, &header.issuer),
+            ("subject", header.subject_key, &header.subject),
+        ] {
+            s.open(element);
+            // The key's big-endian bytes in lowercase hex.
+            s.attr_fmt("key", format_args!("{:016x}", key.0));
+            s.text(name);
+            s.close();
+        }
+        s.open("validity");
+        s.attr_fmt("from", format_args!("{}", header.validity.not_before));
+        s.attr_fmt("to", format_args!("{}", header.validity.not_after));
+        s.close();
+        s.close();
+        s.open("content");
+        for attr in self.content {
+            s.open(&attr.name);
+            s.attr("type", attr.value.type_tag());
+            s.text_fmt(format_args!("{}", attr.value));
+            s.close();
+        }
+        s.close();
+        if let Some(sig) = self.signature {
+            s.open("signature");
+            s.text_fmt(format_args!("{}", Base64(&signature_bytes(&sig))));
+            s.close();
+        }
+        s.close();
+    }
 }
 
 /// The canonical compact text of the unsigned encoding.
 fn canonical_text(header: &Header, content: &[Attribute]) -> String {
-    trust_vo_xmldoc::to_string(&unsigned_xml(header, content))
+    CredentialDocument::unsigned(header, content).to_text()
 }
 
 /// The byte string issuers sign. A credential keeps these bytes as
@@ -486,11 +519,13 @@ pub fn signing_bytes(header: &Header, content: &[Attribute]) -> Vec<u8> {
     canonical_text(header, content).into_bytes()
 }
 
-fn encode_signature(sig: &Signature) -> String {
-    let mut bytes = Vec::with_capacity(16);
-    bytes.extend_from_slice(&sig.r.to_be_bytes());
-    bytes.extend_from_slice(&sig.s.to_be_bytes());
-    base64::encode(&bytes)
+/// A signature's `r` then `s`, big-endian: the bytes `<signature>`
+/// carries in base64.
+fn signature_bytes(sig: &Signature) -> [u8; 16] {
+    let mut bytes = [0u8; 16];
+    bytes[..8].copy_from_slice(&sig.r.to_be_bytes());
+    bytes[8..].copy_from_slice(&sig.s.to_be_bytes());
+    bytes
 }
 
 fn decode_signature(text: &str) -> Option<Signature> {
@@ -512,6 +547,7 @@ fn decode_signature(text: &str) -> Option<Signature> {
 mod tests {
     use super::*;
     use crate::time::TimeRange;
+    use trust_vo_xmldoc::Node;
 
     fn issuer_keys() -> KeyPair {
         KeyPair::from_seed(b"INFN")

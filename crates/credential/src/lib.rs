@@ -48,7 +48,7 @@ pub mod x509;
 
 pub use attribute::{AttrValue, Attribute};
 pub use authority::CredentialAuthority;
-pub use credential::{Credential, CredentialId, Header};
+pub use credential::{Credential, CredentialDocument, CredentialId, Header};
 pub use error::CredentialError;
 pub use profile::XProfile;
 pub use revocation::RevocationList;

@@ -8,7 +8,7 @@
 use crate::credential::{Credential, CredentialId};
 use crate::sensitivity::Sensitivity;
 use std::collections::HashMap;
-use trust_vo_xmldoc::{Element, Node};
+use trust_vo_xmldoc::{Document, Element, Sink};
 
 /// A party's X-Profile: its credentials plus sensitivity labels. Plain
 /// data: a clone is an independent copy with no identity of its own.
@@ -98,15 +98,23 @@ impl XProfile {
     }
 
     /// Serialize the whole profile as the single XML document the paper
-    /// describes.
+    /// describes (the tree of its [`Document`] shape).
     pub fn to_xml(&self) -> Element {
-        let mut root = Element::new("X-Profile").attr("owner", &self.owner);
+        self.to_tree()
+    }
+}
+
+/// The X-Profile document: an `owner` attribute and every credential,
+/// signed and labelled with its sensitivity.
+impl Document for XProfile {
+    fn write_to<S: Sink>(&self, s: &mut S) {
+        s.open("X-Profile");
+        s.attr("owner", &self.owner);
         for cred in &self.credentials {
-            let mut el = cred.to_xml();
-            el.set_attr("sensitivity", self.sensitivity_of(cred.id()).label());
-            root.children.push(Node::Element(el));
+            cred.document(Some(self.sensitivity_of(cred.id())))
+                .write_to(s);
         }
-        root
+        s.close();
     }
 }
 

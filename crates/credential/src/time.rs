@@ -82,10 +82,11 @@ impl Timestamp {
         Some(Self::from_ymd_hms(year, month, day, hour, min, sec))
     }
 
-    /// Format as ISO-8601 `YYYY-MM-DDTHH:MM:SS`.
+    /// Format as ISO-8601 `YYYY-MM-DDTHH:MM:SS` (the [`Display`] form).
+    ///
+    /// [`Display`]: std::fmt::Display
     pub fn to_iso(self) -> String {
-        let (y, mo, d, h, mi, s) = self.to_ymd_hms();
-        format!("{y:04}-{mo:02}-{d:02}T{h:02}:{mi:02}:{s:02}")
+        self.to_string()
     }
 
     /// Shift by whole seconds.
@@ -119,8 +120,10 @@ fn days_in_month(year: i64, month: u8) -> u8 {
 }
 
 impl std::fmt::Display for Timestamp {
+    /// ISO-8601 `YYYY-MM-DDTHH:MM:SS`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_iso())
+        let (y, mo, d, h, mi, s) = self.to_ymd_hms();
+        write!(f, "{y:04}-{mo:02}-{d:02}T{h:02}:{mi:02}:{s:02}")
     }
 }
 

@@ -1,7 +1,7 @@
 //! The encode-once invariant over generated credentials: a credential's
-//! stored encoding is exactly what the issuer signs, the XML text spliced
-//! from it (the transcript and wire text) is the canonical serialization,
-//! and parsing that text back yields an equal credential with an equal
+//! stored encoding is exactly what the issuer signs, its XML text
+//! (`xml_text`, with the signature) is the canonical serialization, and
+//! parsing that text back yields an equal credential with an equal
 //! verified-cache key.
 //!
 //! Attribute values and header text mix XML-special characters, control
@@ -73,7 +73,7 @@ proptest! {
         let signed = signing_bytes(cred.header(), cred.content());
         prop_assert_eq!(cred.signed_bytes(), signed.as_slice());
         prop_assert!(cred.verify_signature().is_ok());
-        // ...the text spliced from them is the canonical serialization...
+        // ...its XML text is the canonical serialization...
         let text = cred.xml_text();
         prop_assert_eq!(&text, &trust_vo_xmldoc::to_string(&cred.to_xml()));
         // ...and it parses back to the same credential and cache key.

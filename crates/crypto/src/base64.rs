@@ -39,32 +39,40 @@ impl std::error::Error for DecodeError {}
 /// Encode `data` as base64 with padding.
 pub fn encode(data: &[u8]) -> String {
     let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
-    let mut chunks = data.chunks_exact(3);
-    for c in &mut chunks {
-        let n = (u32::from(c[0]) << 16) | (u32::from(c[1]) << 8) | u32::from(c[2]);
-        out.push(ALPHABET[(n >> 18) as usize & 0x3f] as char);
-        out.push(ALPHABET[(n >> 12) as usize & 0x3f] as char);
-        out.push(ALPHABET[(n >> 6) as usize & 0x3f] as char);
-        out.push(ALPHABET[n as usize & 0x3f] as char);
-    }
-    match chunks.remainder() {
-        [] => {}
-        [a] => {
-            let n = u32::from(*a) << 16;
-            out.push(ALPHABET[(n >> 18) as usize & 0x3f] as char);
-            out.push(ALPHABET[(n >> 12) as usize & 0x3f] as char);
-            out.push_str("==");
-        }
-        [a, b] => {
-            let n = (u32::from(*a) << 16) | (u32::from(*b) << 8);
-            out.push(ALPHABET[(n >> 18) as usize & 0x3f] as char);
-            out.push(ALPHABET[(n >> 12) as usize & 0x3f] as char);
-            out.push(ALPHABET[(n >> 6) as usize & 0x3f] as char);
-            out.push('=');
-        }
-        _ => unreachable!("chunks_exact(3) remainder is < 3"),
-    }
+    std::fmt::Write::write_fmt(&mut out, format_args!("{}", Base64(data)))
+        .expect("formatting into a String");
     out
+}
+
+/// `data` as padded base64, formatted in place (an X-TNL document writes
+/// a signature this way without an intermediate string):
+/// `Base64(data).to_string() == encode(data)`.
+pub struct Base64<'a>(pub &'a [u8]);
+
+impl std::fmt::Display for Base64<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Up to four characters from the top `len` sextets of `n`.
+        let mut put = |n: u32, len: usize| {
+            let mut quad = *b"====";
+            for (i, c) in quad.iter_mut().take(len).enumerate() {
+                *c = ALPHABET[(n >> (18 - 6 * i)) as usize & 0x3f];
+            }
+            f.write_str(std::str::from_utf8(&quad).expect("the alphabet is ASCII"))
+        };
+        let mut chunks = self.0.chunks_exact(3);
+        for c in &mut chunks {
+            put(
+                (u32::from(c[0]) << 16) | (u32::from(c[1]) << 8) | u32::from(c[2]),
+                4,
+            )?;
+        }
+        match chunks.remainder() {
+            [] => Ok(()),
+            [a] => put(u32::from(*a) << 16, 2),
+            [a, b] => put((u32::from(*a) << 16) | (u32::from(*b) << 8), 3),
+            _ => unreachable!("chunks_exact(3) remainder is < 3"),
+        }
+    }
 }
 
 fn value_of(byte: u8) -> Option<u8> {

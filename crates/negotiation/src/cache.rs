@@ -150,6 +150,9 @@ struct Memo {
     capacity: usize,
     tick: u64,
     metrics: CacheMetrics,
+    /// Stores that found their key present and replaced it in place: a
+    /// miss that added no entry.
+    replaced: u64,
 }
 
 impl Memo {
@@ -163,6 +166,7 @@ impl Memo {
             capacity,
             tick: 0,
             metrics,
+            replaced: 0,
         }
     }
 
@@ -211,7 +215,10 @@ impl Memo {
         None
     }
 
-    /// Insert a freshly computed sequence, evicting if at capacity.
+    /// Insert a freshly computed sequence, evicting if at capacity. A key
+    /// already present (two threads missed it together) is replaced in
+    /// place as the most recently used: its old tick goes, and nothing is
+    /// evicted.
     fn store(
         &mut self,
         key: Key,
@@ -219,20 +226,25 @@ impl Memo {
         controller_fp: Digest,
         sequence: TrustSequence,
     ) {
+        self.tick += 1;
+        let entry = Entry {
+            requester_fp,
+            controller_fp,
+            sequence,
+            last_used: self.tick,
+        };
+        if let Some(old) = self.entries.get_mut(&key) {
+            self.lru.remove(&old.last_used);
+            *old = entry;
+            self.lru.insert(self.tick, key);
+            self.replaced += 1;
+            return;
+        }
         if self.entries.len() >= self.capacity {
             self.evict_one();
         }
-        self.tick += 1;
         self.lru.insert(self.tick, key.clone());
-        self.entries.insert(
-            key,
-            Entry {
-                requester_fp,
-                controller_fp,
-                sequence,
-                last_used: self.tick,
-            },
-        );
+        self.entries.insert(key, entry);
     }
 }
 
@@ -353,6 +365,39 @@ mod tests {
         requester.trust_root(ca.public_key());
         controller.trust_root(ca.public_key());
         (requester, controller)
+    }
+
+    fn key(name: &str) -> Key {
+        Key {
+            requester: name.to_owned(),
+            controller: "C".to_owned(),
+            resource: "Svc".to_owned(),
+            strategy: Strategy::Standard,
+        }
+    }
+
+    /// A key stored twice into a full memo (two threads that missed it
+    /// together) replaces its entry in place: nothing is evicted, and the
+    /// next eviction takes the least recently used *other* key.
+    #[test]
+    fn storing_a_present_key_replaces_it_in_place() {
+        let mut memo = Memo::new(2, CacheMetrics::default());
+        let store = |memo: &mut Memo, name: &str| {
+            memo.store(key(name), [0; 32], [0; 32], TrustSequence::new());
+        };
+        store(&mut memo, "A");
+        store(&mut memo, "B");
+        store(&mut memo, "B");
+        assert_eq!(memo.entries.len(), 2);
+        assert_eq!(memo.lru.len(), 2, "one tick per entry");
+        assert_eq!(memo.metrics.snapshot().evictions, 0);
+        assert_eq!(memo.replaced, 1);
+        store(&mut memo, "C");
+        assert_eq!(memo.metrics.snapshot().evictions, 1);
+        assert!(!memo.entries.contains_key(&key("A")), "A was the LRU entry");
+        assert!(memo.entries.contains_key(&key("B")));
+        assert!(memo.entries.contains_key(&key("C")));
+        assert_eq!(memo.entries.len(), 2);
     }
 
     #[test]
@@ -520,11 +565,14 @@ mod tests {
         assert_eq!(stats.hits + stats.misses, total, "{stats:?}");
         assert_eq!(stats.invalidations, 0, "{stats:?}");
         assert!(stats.evictions > 0, "capacity 16 must evict: {stats:?}");
-        // Evicted entries were inserted by misses and no longer resident.
+        // Every miss inserted an entry, unless another thread's miss on
+        // the same key had (then it replaced that entry); evicted entries
+        // are no longer resident.
+        let replaced = cache.memo.lock().replaced;
         assert_eq!(
             cache.len() as u64,
-            stats.misses - stats.evictions,
-            "{stats:?}"
+            stats.misses - stats.evictions - replaced,
+            "{stats:?}, {replaced} replaced"
         );
     }
 

@@ -14,7 +14,7 @@ use crate::view::{Disclosure, TrustSequence};
 use trust_vo_credential::{Credential, CredentialError, CredentialId, Timestamp};
 use trust_vo_crypto::{sha256, Digest, Signature};
 use trust_vo_xmldoc::binary::Encoded;
-use trust_vo_xmldoc::Element;
+use trust_vo_xmldoc::{Document, Element, Sink};
 
 /// One in-flight negotiation: the parties, the resource, the strategy
 /// and, once the policy phase agreed it, the trust sequence with a cursor.
@@ -162,36 +162,14 @@ impl Negotiation {
     }
 
     /// Encode once for durable storage: the `ResumeCheckpoint` document
-    /// in the binary form a store keeps and journals, and the digest of
-    /// those bytes, which a [`crate::ResumeToken`] binds so the token
-    /// cannot be replayed against another checkpoint.
+    /// in the binary form a store keeps and journals, written straight
+    /// from the fields, and the digest of those bytes, which a
+    /// [`crate::ResumeToken`] binds so the token cannot be replayed
+    /// against another checkpoint.
     pub fn checkpoint(&self) -> (Encoded, Digest) {
-        let doc = Encoded::of(&self.to_xml());
+        let doc = self.encode();
         let digest = sha256(doc.as_bytes());
         (doc, digest)
-    }
-
-    /// The checkpoint document, with a `sequence` child once agreed.
-    fn to_xml(&self) -> Element {
-        let root = Element::new("ResumeCheckpoint")
-            .attr("requester", &self.requester)
-            .attr("controller", &self.controller)
-            .attr("resource", &self.resource)
-            .attr("strategy", self.strategy.wire_name())
-            .attr("next", self.next.to_string());
-        let Some(sequence) = &self.sequence else {
-            return root;
-        };
-        let mut seq = Element::new("sequence");
-        for d in sequence.disclosures() {
-            seq = seq.child(
-                Element::new("disclosure")
-                    .attr("by", d.by.to_string())
-                    .attr("id", &d.cred_id.0)
-                    .attr("type", &d.cred_type),
-            );
-        }
-        root.child(seq)
     }
 
     /// Decode a stored checkpoint. Returns `None` on any malformation,
@@ -235,6 +213,31 @@ impl Negotiation {
             sequence,
             next,
         })
+    }
+}
+
+/// The `ResumeCheckpoint` document: the parties, resource, strategy and
+/// cursor as attributes, with a `sequence` child once agreed.
+impl Document for Negotiation {
+    fn write_to<S: Sink>(&self, s: &mut S) {
+        s.open("ResumeCheckpoint");
+        s.attr("requester", &self.requester);
+        s.attr("controller", &self.controller);
+        s.attr("resource", &self.resource);
+        s.attr("strategy", self.strategy.wire_name());
+        s.attr_fmt("next", format_args!("{}", self.next));
+        if let Some(sequence) = &self.sequence {
+            s.open("sequence");
+            for d in sequence.disclosures() {
+                s.open("disclosure");
+                s.attr_fmt("by", format_args!("{}", d.by));
+                s.attr("id", &d.cred_id.0);
+                s.attr("type", &d.cred_type);
+                s.close();
+            }
+            s.close();
+        }
+        s.close();
     }
 }
 
@@ -307,14 +310,14 @@ mod tests {
     #[test]
     fn checkpoint_roundtrips_through_xml() {
         let ck = checkpoint();
-        let text = trust_vo_xmldoc::to_string(&ck.to_xml());
+        let text = trust_vo_xmldoc::to_string(&ck.to_tree());
         let parsed = trust_vo_xmldoc::parse(&text).unwrap();
         assert_eq!(Negotiation::from_xml(&parsed), Some(ck.clone()));
         assert_eq!(ck.remaining(), 2);
         // Before the policy phase there is no sequence to encode.
         let unagreed = Negotiation::new("R", "C", "Svc", Strategy::Suspicious);
-        assert!(unagreed.to_xml().first("sequence").is_none());
-        assert_eq!(Negotiation::from_xml(&unagreed.to_xml()), Some(unagreed));
+        assert!(unagreed.to_tree().first("sequence").is_none());
+        assert_eq!(Negotiation::from_xml(&unagreed.to_tree()), Some(unagreed));
     }
 
     /// The stored document is the one checkpoints have always had, and
@@ -353,10 +356,10 @@ mod tests {
             xml.attr("next", next)
         };
         assert_eq!(
-            Negotiation::from_xml(&with_next(checkpoint().to_xml(), "9")),
+            Negotiation::from_xml(&with_next(checkpoint().to_tree(), "9")),
             None
         );
-        let unagreed = Negotiation::new("R", "C", "Svc", Strategy::Standard).to_xml();
+        let unagreed = Negotiation::new("R", "C", "Svc", Strategy::Standard).to_tree();
         assert_eq!(Negotiation::from_xml(&with_next(unagreed, "1")), None);
     }
 

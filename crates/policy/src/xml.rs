@@ -13,7 +13,7 @@ use crate::condition::Condition;
 use crate::policy::{DisclosurePolicy, PolicyBody, PolicyId};
 use crate::rterm::{Resource, ResourceKind};
 use crate::term::{CredentialSpec, Term};
-use trust_vo_xmldoc::{Element, Node};
+use trust_vo_xmldoc::{Document, Element, Sink};
 
 /// Error produced when an XML document is not a valid policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,39 +27,50 @@ impl std::fmt::Display for PolicyParseError {
 
 impl std::error::Error for PolicyParseError {}
 
-/// Serialize a policy to its XML form.
+/// Serialize a policy to its XML form (the tree of its [`Document`]
+/// shape).
 pub fn policy_to_xml(policy: &DisclosurePolicy) -> Element {
-    let mut resource = Element::new("resource")
-        .attr("target", &policy.target.name)
-        .attr("kind", policy.target.kind.label());
-    for (name, value) in &policy.target.attrs {
-        resource.children.push(Node::Element(
-            Element::new("attr").attr("name", name).attr("value", value),
-        ));
-    }
-    let form = if policy.is_deliv() { "deliv" } else { "rule" };
-    let mut root = Element::new("policy")
-        .attr("id", &policy.id.0)
-        .attr("form", form)
-        .child(resource);
-    if let PolicyBody::Terms(terms) = &policy.body {
-        let mut properties = Element::new("properties");
-        for term in terms {
-            let mut cert = Element::new("certificate");
-            match &term.spec {
-                CredentialSpec::Type(name) => cert.set_attr("targetCertType", name),
-                CredentialSpec::Variable => cert.set_attr("targetCertType", "*"),
-                CredentialSpec::Concept(name) => cert.set_attr("targetConcept", name),
-            }
-            for cond in &term.conditions {
-                cert.children
-                    .push(Node::Element(Element::new("certCond").text(cond.source())));
-            }
-            properties.children.push(Node::Element(cert));
+    policy.to_tree()
+}
+
+/// The policy document (Fig. 7): `id` and `form`, the `<resource>` with
+/// its attribute constraints, then — for a rule — one `<certificate>`
+/// per term with its `<certCond>` conditions.
+impl Document for DisclosurePolicy {
+    fn write_to<S: Sink>(&self, s: &mut S) {
+        s.open("policy");
+        s.attr("id", &self.id.0);
+        s.attr("form", if self.is_deliv() { "deliv" } else { "rule" });
+        s.open("resource");
+        s.attr("target", &self.target.name);
+        s.attr("kind", self.target.kind.label());
+        for (name, value) in &self.target.attrs {
+            s.open("attr");
+            s.attr("name", name);
+            s.attr("value", value);
+            s.close();
         }
-        root.children.push(Node::Element(properties));
+        s.close();
+        if let PolicyBody::Terms(terms) = &self.body {
+            s.open("properties");
+            for term in terms {
+                s.open("certificate");
+                match &term.spec {
+                    CredentialSpec::Type(name) => s.attr("targetCertType", name),
+                    CredentialSpec::Variable => s.attr("targetCertType", "*"),
+                    CredentialSpec::Concept(name) => s.attr("targetConcept", name),
+                }
+                for cond in &term.conditions {
+                    s.open("certCond");
+                    s.text(cond.source());
+                    s.close();
+                }
+                s.close();
+            }
+            s.close();
+        }
+        s.close();
     }
-    root
 }
 
 /// Parse a policy from its XML form.

@@ -43,7 +43,8 @@ use trust_vo_negotiation::{
 };
 use trust_vo_obs::SpanLink;
 use trust_vo_store::{Database, DocId};
-use trust_vo_xmldoc::Element;
+use trust_vo_xmldoc::binary::Encoded;
+use trust_vo_xmldoc::Document;
 
 /// Lifetime of a resume token, in simulated seconds.
 pub const DEFAULT_RESUME_TTL_SECS: u64 = 3_600;
@@ -216,33 +217,33 @@ impl TnService {
 
     /// Register a party: its profile and policies are persisted into the
     /// service database (one insert per document, charged as DB queries).
+    /// Each document is encoded straight from the party's values.
     pub fn register_party(&self, party: Party) {
-        let profile_doc = party.profile.to_xml();
+        let profile_doc = party.profile.encode();
         self.db.with_collection("profiles", |c| {
-            c.put(party.name.as_str(), profile_doc);
+            c.put_encoded(party.name.as_str(), profile_doc);
         });
         self.clock.charge(CostKind::DbQuery);
-        let policy_docs: Vec<Element> = party
-            .policies
-            .iter()
-            .map(trust_vo_policy::xml::policy_to_xml)
-            .collect();
+        let policy_docs: Vec<Encoded> = party.policies.iter().map(|p| p.encode()).collect();
         self.clock
             .charge_n(CostKind::DbQuery, policy_docs.len() as u64);
         let fresh_count = policy_docs.len();
         let prefix = format!("{}#", party.name);
         self.db.with_collection("policies", |c| {
             for (i, doc) in policy_docs.into_iter().enumerate() {
-                c.put(format!("{prefix}{i}").as_str(), doc);
+                c.put_encoded(format!("{prefix}{i}").as_str(), doc);
             }
-            // Retire rows beyond the new policy count so a re-registration
-            // with fewer policies leaves no stale documents live.
+            // Retire this party's rows beyond the new policy count so a
+            // re-registration with fewer policies leaves no stale
+            // documents live. Its rows are `{name}#{index}`; ids of the
+            // range that do not end in an index belong to other parties
+            // (`{name}#x#{index}`).
             let stale: Vec<_> = c
-                .ids()
+                .ids_with_prefix(&prefix)
                 .filter(|id| {
-                    id.0.strip_prefix(&prefix)
-                        .and_then(|suffix| suffix.parse::<usize>().ok())
-                        .is_some_and(|i| i >= fresh_count)
+                    id.0[prefix.len()..]
+                        .parse::<usize>()
+                        .is_ok_and(|i| i >= fresh_count)
                 })
                 .cloned()
                 .collect();
@@ -1212,5 +1213,41 @@ mod update_party_tests {
             .add(DisclosurePolicy::deliv("only", Resource::credential("C0")));
         svc.update_party(smaller);
         assert_eq!(svc.database().with_collection("policies", |c| c.len()), 1);
+    }
+
+    /// The stale-row sweep reads only the re-registered party's rows: a
+    /// party named like an extension of its name (`A#1`, whose rows are
+    /// `A#1#i` inside `A#`'s range, and `AB`) keeps every row.
+    #[test]
+    fn re_registration_retires_only_its_own_surplus_rows() {
+        let svc = TnService::new(
+            SimClock::new(CostModel::free(), Timestamp(0)),
+            Database::new(),
+        );
+        let party = |name: &str, policies: usize| {
+            let mut party = Party::new(name);
+            for i in 0..policies {
+                party.policies.add(DisclosurePolicy::deliv(
+                    format!("{name}-d{i}"),
+                    Resource::credential(format!("C{i}")),
+                ));
+            }
+            party
+        };
+        svc.register_party(party("A", 3));
+        svc.register_party(party("A#1", 2));
+        svc.register_party(party("AB", 2));
+        svc.register_party(party("A", 1));
+        svc.database().with_collection("policies", |c| {
+            let live: Vec<&str> = c.ids().map(|id| id.0.as_str()).collect();
+            assert_eq!(live, ["A#0", "A#1#0", "A#1#1", "AB#0", "AB#1"]);
+            for id in ["A#1", "A#2"] {
+                let id = DocId::from(id);
+                assert!(
+                    c.get_revision(&id, 1).is_some(),
+                    "{id} is deleted, not purged"
+                );
+            }
+        });
     }
 }

@@ -15,6 +15,14 @@ impl From<&str> for DocId {
     }
 }
 
+/// Ids order as their strings do, so a collection can be ranged by a
+/// `&str` bound.
+impl std::borrow::Borrow<str> for DocId {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 impl std::fmt::Display for DocId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.0)
@@ -332,6 +340,17 @@ impl Collection {
     pub fn ids(&self) -> impl Iterator<Item = &DocId> {
         self.entries
             .iter()
+            .filter(|(_, e)| !e.deleted)
+            .map(|(id, _)| id)
+    }
+
+    /// Ids of the live documents whose id starts with `prefix`, in order:
+    /// one ordered range of the collection, not a scan of every id.
+    pub fn ids_with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a DocId> + 'a {
+        use std::ops::Bound;
+        self.entries
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(move |(id, _)| id.0.starts_with(prefix))
             .filter(|(_, e)| !e.deleted)
             .map(|(id, _)| id)
     }

@@ -13,6 +13,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use trust_vo_journal::{Fact, Fnv64, Journal, Replay};
 use trust_vo_obs::Collector;
+use trust_vo_xmldoc::binary;
 
 /// Aggregate statistics over the whole database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -134,10 +135,10 @@ impl Database {
     /// Rebuild state from replayed facts (e.g. after a crash). Facts apply
     /// through the replay path, which neither re-journals nor counts ops —
     /// so a restored database digests identically to the original. A
-    /// `Put` installs the document bytes it carries, after checking that
-    /// they decode; no XML is parsed. [`Fact::Reputation`] and
-    /// [`Fact::Mana`] facts belong to the admission layer and are skipped
-    /// here.
+    /// `Put` installs the document bytes it carries, after checking in
+    /// place that they decode ([`binary::validate`]); no tree is built
+    /// and no XML is parsed. [`Fact::Reputation`] and [`Fact::Mana`]
+    /// facts belong to the admission layer and are skipped here.
     ///
     /// Returns how many facts were applied (skipped ones included). That
     /// is all of them unless a `Put` whose document does not decode came
@@ -153,12 +154,15 @@ impl Database {
                     id,
                     doc,
                 } => {
-                    if trust_vo_xmldoc::decode_element(doc).is_none() {
+                    if !binary::validate(doc) {
                         break;
                     }
+                    if !guard.contains_key(collection) {
+                        guard.insert(collection.clone(), Collection::named(collection));
+                    }
                     guard
-                        .entry(collection.clone())
-                        .or_insert_with(|| Collection::named(collection))
+                        .get_mut(collection)
+                        .expect("inserted above")
                         .apply_put(id.as_str().into(), Arc::clone(doc));
                 }
                 Fact::Delete { collection, id } => {

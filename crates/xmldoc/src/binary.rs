@@ -20,14 +20,19 @@
 //! `None` — malformed tags, truncated strings, invalid UTF-8, counts
 //! running past the buffer, and pathological nesting all return `None`
 //! rather than panicking or over-allocating (child/attribute vectors
-//! grow per decoded item, never from the claimed count).
+//! grow per decoded item, never from the claimed count). [`validate`]
+//! answers whether [`decode_element`] would accept a slice, with the
+//! same checks and without building or allocating anything.
+//!
+//! [`crate::stream::Document::encode`] writes the same bytes straight
+//! from a document's values; [`encode_element`] encodes an existing tree.
 
 use crate::node::{Element, Node};
 
 /// Tag byte opening an element node.
-const TAG_ELEMENT: u8 = 0x01;
+pub(crate) const TAG_ELEMENT: u8 = 0x01;
 /// Tag byte opening a text node.
-const TAG_TEXT: u8 = 0x02;
+pub(crate) const TAG_TEXT: u8 = 0x02;
 
 /// Nesting deeper than this fails to decode (and fails to parse as XML,
 /// see [`crate::parser`]) instead of risking the stack. The writers never
@@ -64,10 +69,10 @@ pub fn encode_element(e: &Element) -> Vec<u8> {
 }
 
 /// The canonical binary encoding of a document that [`decode_element`]
-/// accepts, in a shared buffer. Only [`Encoded::of`] makes one, so a
-/// holder knows the bytes decode without decoding them: a store keeps
-/// them as a revision, and a caller that hashes them hashes exactly what
-/// is kept.
+/// accepts, in a shared buffer. Only [`Encoded::of`] and
+/// [`crate::stream::Document::encode`] make one, so a holder knows the
+/// bytes decode without decoding them: a store keeps them as a revision,
+/// and a caller that hashes them hashes exactly what is kept.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Encoded(std::sync::Arc<[u8]>);
 
@@ -83,7 +88,13 @@ impl Encoded {
             doc.depth() <= MAX_DEPTH,
             "an encoded document nests at most binary::MAX_DEPTH elements deep"
         );
-        Encoded(encode_element(doc).into())
+        Encoded::from_vec(encode_element(doc))
+    }
+
+    /// Wrap bytes an encoder of this crate wrote for a document of at
+    /// most [`MAX_DEPTH`] levels.
+    pub(crate) fn from_vec(bytes: Vec<u8>) -> Self {
+        Encoded(bytes.into())
     }
 
     /// The encoded bytes.
@@ -148,6 +159,41 @@ fn decode_at_depth(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Elemen
     })
 }
 
+/// Would [`decode_element`] accept `bytes`? The same grammar, UTF-8,
+/// length, depth and whole-slice checks, with nothing decoded or
+/// allocated: a store replaying its journal checks a document this way.
+pub fn validate(bytes: &[u8]) -> bool {
+    let mut pos = 0usize;
+    validate_at_depth(bytes, &mut pos, 0).is_some() && pos == bytes.len()
+}
+
+fn validate_at_depth(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<()> {
+    if depth >= MAX_DEPTH {
+        return None;
+    }
+    if get_u8(bytes, pos)? != TAG_ELEMENT {
+        return None;
+    }
+    skip_str(bytes, pos)?;
+    let nattrs = get_u32(bytes, pos)?;
+    for _ in 0..nattrs {
+        skip_str(bytes, pos)?;
+        skip_str(bytes, pos)?;
+    }
+    let nkids = get_u32(bytes, pos)?;
+    for _ in 0..nkids {
+        match bytes.get(*pos).copied()? {
+            TAG_ELEMENT => validate_at_depth(bytes, pos, depth + 1)?,
+            TAG_TEXT => {
+                *pos += 1;
+                skip_str(bytes, pos)?;
+            }
+            _ => return None,
+        }
+    }
+    Some(())
+}
+
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -176,6 +222,15 @@ fn get_str(bytes: &[u8], pos: &mut usize) -> Option<String> {
     let slice = bytes.get(*pos..end)?;
     *pos = end;
     Some(std::str::from_utf8(slice).ok()?.to_owned())
+}
+
+/// [`get_str`] without the copy: checks and skips one string.
+fn skip_str(bytes: &[u8], pos: &mut usize) -> Option<()> {
+    let len = get_u32(bytes, pos)? as usize;
+    let end = pos.checked_add(len)?;
+    std::str::from_utf8(bytes.get(*pos..end)?).ok()?;
+    *pos = end;
+    Some(())
 }
 
 #[cfg(test)]
@@ -318,6 +373,108 @@ mod tests {
         #[test]
         fn garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
             let _ = decode_element(&bytes);
+        }
+    }
+
+    /// Trees whose strings mix ASCII with multi-byte UTF-8, so a flipped
+    /// string byte often breaks a sequence.
+    fn arb_mixed_element() -> impl Strategy<Value = Element> {
+        let text = || "[a-z<&é中😀]{0,6}";
+        let leaf = (
+            "[a-zé]{1,4}",
+            proptest::collection::vec((text(), text()), 0..3),
+        )
+            .prop_map(|(name, attrs)| Element {
+                name,
+                attrs,
+                children: Vec::new(),
+            });
+        leaf.prop_recursive(3, 16, 3, move |inner| {
+            (
+                "[a-zé]{1,4}",
+                proptest::collection::vec(
+                    prop_oneof![inner.prop_map(Node::Element), text().prop_map(Node::Text)],
+                    0..3,
+                ),
+            )
+                .prop_map(|(name, children)| Element {
+                    name,
+                    attrs: Vec::new(),
+                    children,
+                })
+        })
+    }
+
+    fn agrees(bytes: &[u8]) -> bool {
+        validate(bytes) == decode_element(bytes).is_some()
+    }
+
+    /// `n` nested elements, the innermost empty.
+    fn nested(n: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for i in 0..n {
+            buf.push(TAG_ELEMENT);
+            put_str(&mut buf, "d");
+            put_u32(&mut buf, 0);
+            put_u32(&mut buf, u32::from(i + 1 < n));
+        }
+        buf
+    }
+
+    #[test]
+    fn validate_keeps_the_depth_bound() {
+        for n in [MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1] {
+            assert!(agrees(&nested(n)), "{n} levels");
+        }
+        assert!(validate(&nested(MAX_DEPTH)));
+        assert!(!validate(&nested(MAX_DEPTH + 1)));
+    }
+
+    #[test]
+    fn validate_refuses_what_decode_refuses() {
+        let good = encode_element(&sample());
+        assert!(validate(&good));
+        let mut trailing = good.clone();
+        trailing.push(0);
+        let mut bad_utf8 = encode_element(&Element::new("a").text("xy"));
+        let last = bad_utf8.len() - 1;
+        bad_utf8[last] = 0xff;
+        let mut bad_tag = good.clone();
+        bad_tag[0] = TAG_TEXT;
+        for bytes in [&trailing, &bad_utf8, &bad_tag, &Vec::new()] {
+            assert!(!validate(bytes));
+            assert!(agrees(bytes));
+        }
+    }
+
+    proptest! {
+        /// `validate` accepts exactly what `decode_element` decodes: over
+        /// byte soup, every truncation of a valid encoding, a byte
+        /// appended, and every single-byte flip.
+        #[test]
+        fn validate_agrees_with_decode_on_soup(
+            bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        ) {
+            prop_assert!(agrees(&bytes));
+        }
+
+        #[test]
+        fn validate_agrees_with_decode_on_damaged_encodings(
+            e in arb_mixed_element(),
+            at in any::<usize>(),
+            mask in 1u8..=255,
+        ) {
+            let good = encode_element(&e);
+            prop_assert!(validate(&good));
+            for cut in 0..good.len() {
+                prop_assert!(agrees(&good[..cut]));
+            }
+            let mut longer = good.clone();
+            longer.push(mask);
+            prop_assert!(agrees(&longer));
+            let mut flipped = good.clone();
+            flipped[at % good.len()] ^= mask;
+            prop_assert!(agrees(&flipped));
         }
     }
 }

@@ -17,7 +17,10 @@
 //! * [`xpath`] — an XPath-subset evaluator covering the location paths and
 //!   comparisons used by `<certCond>` conditions,
 //! * [`binary`] — the wire-speed length-prefixed binary codec for the same
-//!   tree, with the XML pair kept as its differential oracle.
+//!   tree, with the XML pair kept as its differential oracle,
+//! * [`stream`] — one streaming element writer with three sinks (that
+//!   text, that binary, or a tree), against which each document shape is
+//!   written once.
 //!
 //! The canonical writer/parser pair round-trips (`parse(write(d)) == d`),
 //! which is the invariant the credential-signing path depends on: a
@@ -30,6 +33,7 @@ pub mod binary;
 pub mod error;
 pub mod node;
 pub mod parser;
+pub mod stream;
 pub mod writer;
 pub mod xpath;
 
@@ -37,5 +41,6 @@ pub use binary::{decode_element, decode_element_at, encode_element, encode_eleme
 pub use error::XmlError;
 pub use node::{Element, Node};
 pub use parser::parse;
+pub use stream::{Document, Sink};
 pub use writer::{to_string, to_string_pretty};
 pub use xpath::{CmpOp, Selector, XPathExpr};

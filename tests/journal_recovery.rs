@@ -259,6 +259,89 @@ fn interrupted_negotiation_recovers_to_the_uninterrupted_outcome() {
     assert_eq!(done_before_crash + resumed_rounds, baseline_rounds);
 }
 
+/// Restore stops at a corrupted document. One byte of a `Put`'s
+/// document is flipped and its frame rebuilt with a correct CRC, so only
+/// the document check can catch it: the restore must apply the facts
+/// before the first `Put` that `decode_element` refuses — the applied
+/// count, `truncated` flag and state digest a decode-based restore gives
+/// — for every byte of the document and two flip masks.
+#[test]
+fn restore_stops_at_a_corrupted_document() {
+    let db = Database::new();
+    let journal = Arc::new(Journal::in_memory());
+    db.attach_journal(journal.clone());
+    let svc = tn_service(clock(), db);
+    let id = start_resumable(&svc);
+    policy_exchange(&svc, id);
+    exchange(&svc, id);
+    let facts = journal.replay().facts;
+    let is_checkpoint =
+        |f: &Fact| matches!(f, Fact::Put { collection, .. } if collection == "checkpoints");
+    let victim = facts
+        .iter()
+        .position(is_checkpoint)
+        .expect("a checkpoint was written");
+    assert!(
+        victim > 0 && victim + 1 < facts.len(),
+        "facts before and after it"
+    );
+    let Fact::Put {
+        collection,
+        id,
+        doc,
+    } = &facts[victim]
+    else {
+        unreachable!("a checkpoint fact is a Put")
+    };
+
+    let mut stopped = 0;
+    for at in 0..doc.len() {
+        for mask in [0x01u8, 0x80] {
+            let mut damaged = doc.to_vec();
+            damaged[at] ^= mask;
+            let log = Journal::in_memory();
+            for (i, fact) in facts.iter().enumerate() {
+                if i == victim {
+                    log.append(&Fact::Put {
+                        collection: collection.clone(),
+                        id: id.clone(),
+                        doc: damaged.clone().into(),
+                    });
+                } else {
+                    log.append(fact);
+                }
+            }
+            let scanned = log.replay();
+            assert!(!scanned.truncated, "every frame is checksum-valid");
+            assert_eq!(scanned.facts.len(), facts.len());
+            // The decode-based restore: stop at the first Put whose
+            // document does not decode.
+            let applied = scanned
+                .facts
+                .iter()
+                .position(|f| {
+                    matches!(f, Fact::Put { doc, .. }
+                        if trust_vo::xmldoc::decode_element(doc).is_none())
+                })
+                .unwrap_or(facts.len());
+            let oracle = Database::new();
+            assert_eq!(
+                oracle.restore_from_facts(&scanned.facts[..applied]),
+                applied
+            );
+
+            let restored = Database::new();
+            let replay = restored.restore_from_journal(&log);
+            let case = format!("byte {at} ^ {mask:#04x}");
+            assert_eq!(replay.facts.len(), applied, "{case}");
+            assert_eq!(replay.truncated, applied < facts.len(), "{case}");
+            assert_eq!(restored.state_digest(), oracle.state_digest(), "{case}");
+            stopped += usize::from(applied == victim);
+        }
+    }
+    assert!(stopped > doc.len() / 2, "most flips break the document");
+}
+
 #[test]
 fn journal_obs_counters_track_activity() {
     let collector = Collector::new();
