@@ -102,6 +102,29 @@ if grep -nE '^\[features\]|optional *= *true' Cargo.toml crates/*/Cargo.toml; th
   echo "a manifest declares a Cargo feature or an optional dependency (see above)" >&2
   exit 1
 fi
+# Used dependencies: every `[dependencies]` entry of a product manifest
+# (the facade's and each crate's but bench's) is named, as its snake_case
+# crate name, somewhere under that crate's `src/`, unless this list gives
+# the edge a reason, one `manifest: dependency reason` entry per line.
+allowed_unused_deps=$(sed -E 's/^([^ ]+) ([^ ]+).*/\1 \2/' <<'LIST'
+crates/admission/Cargo.toml: trust-vo-xmldoc e2ebench/Cargo.lock lists the edge; it goes in the next change to e2ebench/ (ROADMAP item 7)
+crates/negotiation/Cargo.toml: parking_lot e2ebench/Cargo.lock lists the edge; it goes in the next change to e2ebench/ (ROADMAP item 7)
+crates/ontology/Cargo.toml: trust-vo-journal e2ebench/Cargo.lock lists the edge; it goes in the next change to e2ebench/ (ROADMAP item 7)
+crates/soa/Cargo.toml: trust-vo-ontology e2ebench/Cargo.lock lists the edge; it goes in the next change to e2ebench/ (ROADMAP item 7)
+crates/vo/Cargo.toml: crossbeam e2ebench/Cargo.lock lists the edge; it goes in the next change to e2ebench/ (ROADMAP item 7)
+LIST
+)
+unused_deps=$(for manifest in Cargo.toml $(ls crates/*/Cargo.toml | grep -v '^crates/bench/'); do
+  awk '/^\[/ { deps = ($0 == "[dependencies]"); next }
+    deps && /^[A-Za-z0-9_-]+(\.workspace)? *=/ { sub(/[ .=].*/, ""); print }' "$manifest" |
+    while read -r dep; do
+      grep -rqw -- "$(echo "$dep" | tr - _)" "$(dirname "$manifest")/src" || echo "$manifest: $dep"
+    done
+done)
+if [ -n "$unused_deps" ] && echo "$unused_deps" | grep -vxF "$allowed_unused_deps"; then
+  echo "a product crate depends on a crate its sources never name (see above); drop the edge or list its reason" >&2
+  exit 1
+fi
 # The end-to-end benchmark (E17) is a Cargo workspace of its own, so the
 # steps above skip it; an API change in the crates it drives must not
 # break it unnoticed.

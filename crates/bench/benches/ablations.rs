@@ -1,12 +1,12 @@
 //! E9 — extension ablations: repeat-negotiation cost with the full
-//! protocol, with the trust-sequence cache, and with trust tickets.
+//! protocol and with trust tickets.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use trust_vo_bench::workloads;
 use trust_vo_credential::{TimeRange, Timestamp};
 use trust_vo_negotiation::ticket::negotiate_with_ticket;
-use trust_vo_negotiation::{negotiate, ConcurrentSequenceCache, NegotiationConfig, Strategy};
+use trust_vo_negotiation::{negotiate, NegotiationConfig, Strategy};
 
 fn ticket_window() -> TimeRange {
     TimeRange::one_year_from(Timestamp::parse_iso("2009-10-26T21:32:52").unwrap())
@@ -19,21 +19,6 @@ fn bench_repeat_negotiations(c: &mut Criterion) {
 
     group.bench_function("full_protocol", |b| {
         b.iter(|| black_box(negotiate(&requester, &controller, "Target", &cfg).unwrap()))
-    });
-
-    group.bench_function("sequence_cache_hit", |b| {
-        let cache = ConcurrentSequenceCache::new();
-        // Warm the cache once.
-        cache
-            .negotiate(&requester, &controller, "Target", &cfg)
-            .unwrap();
-        b.iter(|| {
-            black_box(
-                cache
-                    .negotiate(&requester, &controller, "Target", &cfg)
-                    .unwrap(),
-            )
-        })
     });
 
     group.bench_function("ticket_redemption", |b| {

@@ -1,13 +1,12 @@
 //! E9 — extension ablation table: repeat negotiations with the full
-//! protocol, the sequence cache, and trust tickets, plus what each path
-//! still verifies.
+//! protocol and with trust tickets, plus what each path still verifies.
 
 use std::time::Instant;
 use trust_vo_bench::report::Report;
 use trust_vo_bench::workloads;
 use trust_vo_credential::{TimeRange, Timestamp};
 use trust_vo_negotiation::ticket::negotiate_with_ticket;
-use trust_vo_negotiation::{negotiate, ConcurrentSequenceCache, NegotiationConfig, Strategy};
+use trust_vo_negotiation::{negotiate, NegotiationConfig, Strategy};
 
 fn main() {
     let (requester, controller) = workloads::chain_parties(6, 2);
@@ -25,16 +24,6 @@ fn main() {
 
     let full_us = timed(&|| {
         negotiate(&requester, &controller, "Target", &cfg).unwrap();
-    });
-
-    let cache = ConcurrentSequenceCache::new();
-    cache
-        .negotiate(&requester, &controller, "Target", &cfg)
-        .unwrap();
-    let cache_us = timed(&|| {
-        cache
-            .negotiate(&requester, &controller, "Target", &cfg)
-            .unwrap();
     });
 
     let (ticket, _) =
@@ -61,14 +50,6 @@ fn main() {
         &[format!("{full_us:.1}"), "1.0x".into(), "everything".into()],
     );
     report.row(
-        "sequence cache (phase 1 skipped)",
-        &[
-            format!("{cache_us:.1}"),
-            format!("{:.1}x", full_us / cache_us),
-            "signatures, revocation, validity".into(),
-        ],
-    );
-    report.row(
         "trust ticket redemption",
         &[
             format!("{ticket_us:.1}"),
@@ -76,13 +57,8 @@ fn main() {
             "ticket signature + holder proof".into(),
         ],
     );
-    report.note("cache hits skip the AND-OR policy search but rerun the whole credential exchange; tickets reduce a repeat negotiation to two signature operations");
+    report.note("tickets reduce a repeat negotiation to two signature operations");
     report.print();
 
-    let stats = cache.stats();
-    assert_eq!(stats.misses, 1, "only the warm-up missed");
-    assert!(
-        ticket_us < full_us && cache_us < full_us,
-        "ablations must be faster"
-    );
+    assert!(ticket_us < full_us, "ticket redemption must be faster");
 }

@@ -28,7 +28,7 @@
 //! ≥ 95% of each formation root's simulated time.
 
 use std::sync::Arc;
-use trust_vo_bench::obsutil::ObsArgs;
+use trust_vo_bench::obsutil::{verify_attribution, ObsArgs};
 use trust_vo_bench::report::Report;
 use trust_vo_bench::wire_formation::{outage_start, CheckpointProbe};
 use trust_vo_bench::workloads::{self, ParallelJoinWorld};
@@ -118,7 +118,7 @@ fn run_case(
         args.dump_deterministic(collector);
         args.dump_trace_deterministic(collector);
         if collector.is_enabled() {
-            verify_attribution(collector);
+            verify_attribution(collector, "E11");
         }
     }
 
@@ -137,35 +137,6 @@ fn run_case(
         service_resumed: svc.resumed_count(),
     };
     (outcome, probe.instants())
-}
-
-/// E11 acceptance: the critical-path analyzer must account for at least
-/// 95% of each formation root span's simulated time, with the residual
-/// reported explicitly. The per-formation table goes to stderr so stdout
-/// stays the report.
-fn verify_attribution(collector: &trust_vo_obs::Collector) {
-    use trust_vo_obs::critical;
-    let records = collector.export_records(true);
-    let root_ids: Vec<u64> = critical::roots(&records, "formation.form_vo_resilient")
-        .iter()
-        .map(|s| s.id)
-        .collect();
-    assert!(
-        !root_ids.is_empty(),
-        "an observed E11 run must record a formation root span"
-    );
-    for root_id in root_ids {
-        let a = critical::attribute(&records, root_id).expect("root is in its own export");
-        eprintln!("{}", critical::render_attribution(&a));
-        assert!(
-            a.attributed_fraction() >= 0.95,
-            "attribution covers only {:.1}% of formation root {root_id} \
-             (unattributed {} of {} µs)",
-            100.0 * a.attributed_fraction(),
-            a.unattributed_us,
-            a.total_sim_us,
-        );
-    }
 }
 
 /// The 0 %-loss reference: the same formation on the bare bus.

@@ -23,7 +23,7 @@
 //! process asserts the repro is tiny (≤ 3 parties, ≤ 2 fault clauses)
 //! before printing it and exiting 0.
 
-use trust_vo_bench::obsutil::ObsArgs;
+use trust_vo_bench::obsutil::{verify_attribution, ObsArgs};
 use trust_vo_bench::report::Report;
 use trust_vo_obs::Collector;
 use trust_vo_scenario::run::{run_scenario, Mode};
@@ -57,30 +57,6 @@ fn showcase() -> Scenario {
             len_ms: 900,
         }],
         ..Scenario::minimal(SHOWCASE_SEED)
-    }
-}
-
-/// E16 acceptance on observed runs, same bar as E11: the critical-path
-/// analyzer must attribute ≥ 95 % of the formation root's sim time.
-fn verify_attribution(collector: &Collector) {
-    use trust_vo_obs::critical;
-    let records = collector.export_records(true);
-    let root_ids: Vec<u64> = critical::roots(&records, "formation.form_vo_resilient")
-        .iter()
-        .map(|s| s.id)
-        .collect();
-    assert!(
-        !root_ids.is_empty(),
-        "an observed E16 run must record a formation root span"
-    );
-    for root_id in root_ids {
-        let a = critical::attribute(&records, root_id).expect("root is in its own export");
-        eprintln!("{}", critical::render_attribution(&a));
-        assert!(
-            a.attributed_fraction() >= 0.95,
-            "attribution covers only {:.1}% of formation root {root_id}",
-            100.0 * a.attributed_fraction(),
-        );
     }
 }
 
@@ -166,7 +142,7 @@ fn main() {
     args.dump_deterministic(&collector);
     args.dump_trace_deterministic(&collector);
     if collector.is_enabled() {
-        verify_attribution(&collector);
+        verify_attribution(&collector, "E16");
     }
 
     let formed = observed

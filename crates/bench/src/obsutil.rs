@@ -148,6 +148,36 @@ impl ObsArgs {
     }
 }
 
+/// The attribution gate of an observed formation run (E11, E14, E16): the
+/// critical-path analyzer must account for at least 95 % of each
+/// `formation.form_vo_resilient` root span's simulated time, with the
+/// residual reported. Each root's attribution table goes to stderr so
+/// stdout stays the report; `experiment` labels the panic messages.
+pub fn verify_attribution(collector: &Collector, experiment: &str) {
+    use trust_vo_obs::critical;
+    let records = collector.export_records(true);
+    let root_ids: Vec<u64> = critical::roots(&records, "formation.form_vo_resilient")
+        .iter()
+        .map(|s| s.id)
+        .collect();
+    assert!(
+        !root_ids.is_empty(),
+        "an observed {experiment} run must record a formation root span"
+    );
+    for root_id in root_ids {
+        let a = critical::attribute(&records, root_id).expect("root is in its own export");
+        eprintln!("{}", critical::render_attribution(&a));
+        assert!(
+            a.attributed_fraction() >= 0.95,
+            "{experiment}: attribution covers only {:.1}% of formation root {root_id} \
+             (unattributed {} of {} µs)",
+            100.0 * a.attributed_fraction(),
+            a.unattributed_us,
+            a.total_sim_us,
+        );
+    }
+}
+
 /// Publish the process-wide crypto-substrate totals — `crypto.*`
 /// operation counters and `credcache.*` verified-cache counters — into
 /// `collector`'s metrics registry so they land in the JSONL dump. No-op

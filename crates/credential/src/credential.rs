@@ -173,8 +173,7 @@ impl Credential {
     /// A collision-resistant fingerprint of the whole credential: a
     /// domain-tagged SHA-256 of [`Credential::signed_bytes`] followed by
     /// the signature. Computed at most once per credential (clones share
-    /// it). Keys the [`VerifiedCache`] and feeds the negotiation sequence
-    /// cache's party fingerprint.
+    /// it). Keys the [`VerifiedCache`].
     ///
     /// The digest input is exactly the input of the signature check (the
     /// issuer key is inside the signed bytes and in the cache key), so two

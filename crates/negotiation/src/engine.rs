@@ -273,8 +273,8 @@ pub struct PolicyPhase {
 }
 
 impl PolicyPhase {
-    /// The record of a policy phase that ran earlier (a cached or selected
-    /// trust sequence): no phase-1 messages, and a bare tree.
+    /// The record of a policy phase that ran earlier (a selected trust
+    /// sequence): no phase-1 messages, and a bare tree.
     pub(crate) fn agreed(resource: &str, sequence: TrustSequence) -> Self {
         PolicyPhase {
             resource: resource.to_owned(),

@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod cache;
 pub mod engine;
 pub mod enumerate;
 pub mod error;
@@ -49,7 +48,6 @@ pub mod transcript;
 pub mod tree;
 pub mod view;
 
-pub use cache::{CacheStats, ConcurrentSequenceCache};
 pub use engine::{
     count_views, evaluate_policies, exchange_credentials, negotiate, NegotiationConfig,
     NegotiationOutcome, PolicyPhase,

@@ -6,9 +6,9 @@
 //! callers clone the handle once and increment lock-free thereafter.
 //!
 //! Metric primitives always count, whether or not any collector records
-//! spans: subsystem stats facades (e.g. the negotiation cache's
-//! `CacheStats`) are built on top of them and must stay correct with no
-//! collector attached.
+//! spans: subsystem stats facades (e.g. the verified-credential cache's
+//! `VerifiedCacheStats`) are built on top of them and must stay correct
+//! with no collector attached.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;

@@ -141,10 +141,10 @@ impl CostKind {
     }
 }
 
-/// Per-operation latencies.
+/// Per-operation latencies: one per [`CostKind`], at its fixed slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CostModel {
-    costs: BTreeMap<CostKind, SimDuration>,
+    costs: [SimDuration; 8],
 }
 
 impl CostModel {
@@ -153,33 +153,33 @@ impl CostModel {
     /// regenerated Fig. 9 match the paper's *shape*; absolute values are
     /// documented estimates, not measurements.
     pub fn paper_testbed() -> Self {
-        let mut costs = BTreeMap::new();
-        costs.insert(CostKind::SoapRoundTrip, SimDuration::from_millis(110));
-        costs.insert(CostKind::DbQuery, SimDuration::from_millis(45));
-        costs.insert(CostKind::SignatureVerify, SimDuration::from_millis(18));
-        costs.insert(CostKind::SignatureSign, SimDuration::from_millis(25));
-        costs.insert(CostKind::PolicyEvaluation, SimDuration::from_millis(6));
-        costs.insert(CostKind::OntologyMapping, SimDuration::from_millis(12));
-        costs.insert(CostKind::GuiStep, SimDuration::from_millis(430));
-        costs.insert(CostKind::CertificateIssue, SimDuration::from_millis(40));
-        CostModel { costs }
+        let mut model = Self::free();
+        model.set(CostKind::SoapRoundTrip, SimDuration::from_millis(110));
+        model.set(CostKind::DbQuery, SimDuration::from_millis(45));
+        model.set(CostKind::SignatureVerify, SimDuration::from_millis(18));
+        model.set(CostKind::SignatureSign, SimDuration::from_millis(25));
+        model.set(CostKind::PolicyEvaluation, SimDuration::from_millis(6));
+        model.set(CostKind::OntologyMapping, SimDuration::from_millis(12));
+        model.set(CostKind::GuiStep, SimDuration::from_millis(430));
+        model.set(CostKind::CertificateIssue, SimDuration::from_millis(40));
+        model
     }
 
     /// A zero-cost model (pure CPU measurement).
     pub fn free() -> Self {
         CostModel {
-            costs: BTreeMap::new(),
+            costs: [SimDuration::ZERO; 8],
         }
     }
 
     /// Override one latency.
     pub fn set(&mut self, kind: CostKind, cost: SimDuration) {
-        self.costs.insert(kind, cost);
+        self.costs[kind.slot()] = cost;
     }
 
     /// The latency of one operation.
     pub fn cost_of(&self, kind: CostKind) -> SimDuration {
-        self.costs.get(&kind).copied().unwrap_or(SimDuration::ZERO)
+        self.costs[kind.slot()]
     }
 }
 

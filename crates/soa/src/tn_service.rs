@@ -36,7 +36,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use trust_vo_credential::TimeRange;
-use trust_vo_crypto::{KeyPair, PublicKey};
+use trust_vo_crypto::{sha256, KeyPair, PublicKey};
 use trust_vo_negotiation::{
     evaluate_policies, strategy::CredentialFormat, Negotiation, NegotiationConfig, Party,
     ResumeToken, Step, Strategy,
@@ -188,7 +188,17 @@ impl TnService {
     /// An empty service on the given clock and database. If the clock has
     /// an attached collector, the database inherits it so per-collection
     /// op latencies land in the same registry.
+    ///
+    /// Negotiation ids start above every checkpoint slot `db` holds (a
+    /// service rebuilt over a restored journal), so no new resumable
+    /// negotiation writes into a slot that an earlier resume token names.
     pub fn new(clock: SimClock, db: Database) -> Self {
+        let last_slot = db
+            .read_collection("checkpoints", |c| {
+                c.ids().filter_map(|id| id.0.parse::<u64>().ok()).max()
+            })
+            .flatten()
+            .unwrap_or(0);
         let collector = clock.collector();
         if collector.is_enabled() {
             db.attach_obs(&collector);
@@ -198,7 +208,7 @@ impl TnService {
             db,
             parties: RwLock::new(BTreeMap::new()),
             sessions: Mutex::new(Sessions::default()),
-            next_id: AtomicU64::new(1),
+            next_id: AtomicU64::new(last_slot + 1),
             resumed: AtomicU64::new(0),
         }
     }
@@ -543,8 +553,11 @@ impl TnService {
     /// durable checkpoint it names straight into a session under a fresh
     /// negotiation id, cursor included. The token is checked for issuer
     /// signature, half-open validity at the current sim instant, and
-    /// binding to the *registered* keys of both parties; the checkpoint
-    /// row is cross-checked against the token's party and resource names.
+    /// binding to the *registered* keys of both parties; its checkpoint
+    /// digest must be the SHA-256 of one of the revisions its slot
+    /// retains (`NoSuchCheckpoint` otherwise: the slot was purged, or
+    /// reused by a later negotiation), and the checkpoint row is
+    /// cross-checked against the token's party and resource names.
     /// The controller's durable checkpoint is authoritative: if it is
     /// ahead of the checkpoint the client last saw (its response was lost
     /// in flight), resuming skips the disclosures the service already
@@ -571,9 +584,11 @@ impl TnService {
             .verify(self.clock.timestamp())
             .map_err(|e| Fault::new("InvalidToken", e.to_string()))?;
         self.clock.charge(CostKind::DbQuery);
-        let stored = self
-            .db
-            .with_collection("checkpoints", |c| c.get(&DocId(token.token_id.to_string())));
+        let stored = self.db.with_collection("checkpoints", |c| {
+            c.get_if_retained(&DocId(token.token_id.to_string()), |doc| {
+                sha256(doc) == token.checkpoint
+            })
+        });
         let stored = stored.ok_or_else(|| {
             Fault::new(
                 "NoSuchCheckpoint",
@@ -980,6 +995,51 @@ mod tests {
         assert!(credential_reply(&resp).is_completed());
         assert!(svc.is_completed(new_id));
         assert_eq!(svc.resumed_count(), 1);
+    }
+
+    /// A client whose last reply was lost holds a token older than the
+    /// slot's latest checkpoint: its digest is a retained revision, so it
+    /// resumes from the latest checkpoint, past the disclosure it missed.
+    #[test]
+    fn an_older_token_resumes_from_the_latest_checkpoint() {
+        let svc = service_with_fig2();
+        let id = start_resumable(&svc);
+        let policy = svc
+            .handle(&Envelope::new(Body::PolicyExchange).with_negotiation(id))
+            .unwrap();
+        let token = policy_reply(&policy).token.clone().unwrap();
+        exchange(&svc, id).unwrap();
+        svc.on_crash();
+        let resume = resume(&svc, token).unwrap();
+        assert_eq!(
+            resume_reply(&resume),
+            ResumeNegotiationResponse {
+                next: 1,
+                remaining: 1
+            }
+        );
+    }
+
+    /// A service built over a database that holds checkpoint slots starts
+    /// its negotiation ids above the largest one.
+    #[test]
+    fn ids_start_above_the_checkpoint_slots_of_the_database() {
+        let db = Database::new();
+        db.with_collection("checkpoints", |c| {
+            for slot in ["3", "12"] {
+                c.put(slot, Element::new("checkpoint"));
+            }
+        });
+        let svc = TnService::new(clock(), db);
+        for name in ["Aerospace", "Aircraft"] {
+            svc.register_party(Party::new(name));
+        }
+        assert_eq!(
+            svc.handle(&start_request(Strategy::Standard, "Aerospace", true))
+                .unwrap()
+                .negotiation_id,
+            Some(13)
+        );
     }
 
     /// A renewal between PolicyExchange and CredentialExchange re-issues

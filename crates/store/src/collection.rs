@@ -291,6 +291,26 @@ impl Collection {
         self.entries.get(id).and_then(Entry::live).map(decode)
     }
 
+    /// The latest revision of a live document, provided one of the
+    /// revisions it retains (superseded ones included) satisfies
+    /// `accept`, which sees each revision's stored bytes. One operation,
+    /// like [`Collection::get`].
+    pub fn get_if_retained(
+        &self,
+        id: &DocId,
+        accept: impl FnMut(&[u8]) -> bool,
+    ) -> Option<Element> {
+        self.count_op();
+        let entry = self.entries.get(id)?;
+        let live = entry.live()?;
+        entry
+            .revisions
+            .iter()
+            .map(|rev| &rev[..])
+            .any(accept)
+            .then(|| decode(live))
+    }
+
     /// A specific revision (even of a deleted document).
     pub fn get_revision(&self, id: &DocId, number: u64) -> Option<Element> {
         self.count_op();

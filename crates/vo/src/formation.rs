@@ -179,6 +179,22 @@ pub fn initiator_party_for_role(
     party
 }
 
+/// The formation's candidate order, best first: advertised quality
+/// weighted by reputation, ties broken by provider name. A replacement
+/// searches the registry in the same order (§5.1).
+pub(crate) fn rank_candidates(
+    candidates: &mut [&ResourceDescription],
+    reputation: &ReputationLedger,
+) {
+    candidates.sort_by(|a, b| {
+        let score = |d: &ResourceDescription| d.quality * reputation.get(&d.provider);
+        score(b)
+            .partial_cmp(&score(a))
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.provider.cmp(&b.provider))
+    });
+}
+
 /// Issue the VO membership certificate for a successful candidate.
 fn issue_membership(
     vo: &mut FormedVo,
@@ -665,14 +681,7 @@ impl<'a> Formation<'a> {
                 });
             }
             match hooks {
-                // Order by advertised quality weighted by reputation.
-                None => candidates.sort_by(|a, b| {
-                    let score = |d: &ResourceDescription| d.quality * reputation.get(&d.provider);
-                    score(b)
-                        .partial_cmp(&score(a))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| a.provider.cmp(&b.provider))
-                }),
+                None => rank_candidates(&mut candidates, reputation),
                 // Admission queue: trust band first, then score-weighted
                 // quality, from the formation-start snapshot.
                 Some(hooks) => {

@@ -9,7 +9,7 @@
 //! protocols of the formation phase."
 
 use crate::error::VoError;
-use crate::formation::{charge_negotiation, join_member, FormedVo};
+use crate::formation::{charge_negotiation, join_member, rank_candidates, FormedVo};
 use crate::lifecycle::Phase;
 use crate::mailbox::MailboxSystem;
 use crate::member::{MemberRecord, ServiceProvider};
@@ -209,14 +209,7 @@ pub fn replace_member(
 
     let mut candidates = registry.find_by_capability(&role_def.capability);
     candidates.retain(|d| d.provider != removed.provider);
-    candidates.sort_by(|a, b| {
-        let score =
-            |d: &crate::registry::ResourceDescription| d.quality * reputation.get(&d.provider);
-        score(b)
-            .partial_cmp(&score(a))
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.provider.cmp(&b.provider))
-    });
+    rank_candidates(&mut candidates, reputation);
     if candidates.is_empty() {
         return Err(VoError::NoCandidates {
             role: role.to_owned(),
@@ -317,13 +310,19 @@ mod tests {
 
     /// Two HPC candidates so replacement has somewhere to go.
     fn world() -> World {
+        world_of(&[("HPC-A", 0.95), ("HPC-B", 0.90)])
+    }
+
+    /// One HPC candidate per `(name, advertised quality)`, formed into a
+    /// VO whose HPC member is the best of them.
+    fn world_of(candidates: &[(&str, f64)]) -> World {
         let mut ca = CredentialAuthority::new("SLACert");
         let window = TimeRange::one_year_from(Timestamp::from_ymd_hms(2009, 1, 1, 0, 0, 0));
         let mut initiator_party = Party::new("Aircraft");
         initiator_party.trust_root(ca.public_key());
 
         let mut providers = BTreeMap::new();
-        for name in ["HPC-A", "HPC-B"] {
+        for &(name, _) in candidates {
             let mut party = Party::new(name);
             let sla = ca
                 .issue("HpcSla", name, party.keys.public, vec![], window)
@@ -350,8 +349,9 @@ mod tests {
         contract.set_role_policies("HPC", policies);
 
         let mut registry = ServiceRegistry::new();
-        registry.publish(ResourceDescription::new("HPC-A", "hpc-compute", "x", 0.95));
-        registry.publish(ResourceDescription::new("HPC-B", "hpc-compute", "x", 0.90));
+        for &(name, quality) in candidates {
+            registry.publish(ResourceDescription::new(name, "hpc-compute", "x", quality));
+        }
 
         let initiator = ServiceProvider::new(initiator_party);
         // The toolkit's provider map includes the initiator itself.
@@ -512,6 +512,42 @@ mod tests {
         assert!(w.vo.is_member("HPC-B"));
         assert!(!w.vo.is_member("HPC-A"));
         assert_eq!(crl.len(), 1);
+    }
+
+    /// Replacement searches the registry in the formation's order: the
+    /// remaining candidate with the better quality × reputation goes
+    /// first, even when its advertised quality alone ranks it second.
+    #[test]
+    fn replacement_follows_the_formation_candidate_order() {
+        let mut w = world_of(&[("HPC-A", 0.95), ("HPC-B", 0.90), ("HPC-C", 0.85)]);
+        assert!(w.vo.is_member("HPC-A"));
+        w.reputation.record_violation("HPC-B");
+        let mut remaining = w.registry.find_by_capability("hpc-compute");
+        remaining.retain(|d| d.provider != "HPC-A");
+        assert_eq!(
+            remaining[0].provider, "HPC-B",
+            "quality alone ranks HPC-B first"
+        );
+        rank_candidates(&mut remaining, &w.reputation);
+        assert_eq!(
+            remaining[0].provider, "HPC-C",
+            "reputation reverses the order"
+        );
+        let record = replace_member(
+            &mut w.vo,
+            &w.initiator,
+            &w.providers,
+            &w.registry,
+            "HPC",
+            &mut RevocationList::new(),
+            &mut w.mailboxes,
+            &mut w.reputation,
+            &w.clock,
+            Strategy::Standard,
+        )
+        .unwrap();
+        assert_eq!(record.provider, "HPC-C");
+        assert!(w.vo.is_member("HPC-C"));
     }
 
     #[test]

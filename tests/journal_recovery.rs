@@ -13,8 +13,8 @@ use trust_vo::obs::Collector;
 use trust_vo::policy::{DisclosurePolicy, Resource, Term};
 use trust_vo::soa::simclock::{CostModel, SimClock};
 use trust_vo::soa::{
-    Body, CredentialExchangeResponse, Envelope, PolicyExchangeResponse, ServiceEndpoint,
-    StartNegotiation, TnService,
+    Body, CredentialExchangeResponse, Envelope, Fault, PolicyExchangeResponse, ServiceEndpoint,
+    SignedToken, StartNegotiation, TnService,
 };
 use trust_vo::store::Database;
 use trust_vo::xmldoc::Element;
@@ -257,6 +257,69 @@ fn interrupted_negotiation_recovers_to_the_uninterrupted_outcome() {
     // Same outcome, same total work: the rounds done before the crash
     // plus the rounds after resume equal the uninterrupted count.
     assert_eq!(done_before_crash + resumed_rounds, baseline_rounds);
+}
+
+/// A journaled service runs a resumable negotiation through one of its
+/// two disclosures, and on to completion when `finish` is set, then the
+/// process dies. The restarted process rebuilds the service over the
+/// restored journal; the client holds the token of that one disclosure
+/// (with `finish`, the final reply was lost in the crash).
+fn restart_after_a_crash(finish: bool) -> (TnService, SignedToken) {
+    let db = Database::new();
+    let journal = Arc::new(Journal::in_memory());
+    db.attach_journal(journal.clone());
+    let svc = tn_service(clock(), db);
+    let id = start_resumable(&svc);
+    policy_exchange(&svc, id);
+    let token = exchange(&svc, id).token.expect("a resumable session");
+    if finish {
+        assert!(exchange(&svc, id).is_completed());
+    }
+    let salvaged = journal.bytes();
+    drop(svc);
+    let recovered_journal = Journal::from_bytes(salvaged);
+    let db = Database::new();
+    assert!(!db.restore_from_journal(&recovered_journal).truncated);
+    db.attach_journal(Arc::new(recovered_journal));
+    (tn_service(clock(), db), token)
+}
+
+fn resume(svc: &TnService, token: SignedToken) -> Result<Envelope, Fault> {
+    svc.handle(&Envelope::new(Body::ResumeNegotiation(token)))
+}
+
+/// After a restart, a new resumable negotiation between the same parties
+/// must not take the interrupted one's checkpoint slot: the old token
+/// resumes its own negotiation at its own cursor, and both complete.
+#[test]
+fn an_old_token_resumes_its_own_negotiation_beside_a_new_one() {
+    let (svc, token) = restart_after_a_crash(false);
+    let new_id = start_resumable(&svc);
+    assert!(policy_exchange(&svc, new_id).token.is_some());
+    let resumed = resume(&svc, token).unwrap();
+    let Body::ResumeNegotiationResponse(reply) = &*resumed.body else {
+        panic!("not a resume reply: {:?}", resumed.body)
+    };
+    assert_eq!(reply.next, 1, "the interrupted negotiation's cursor");
+    let resumed_id = resumed.negotiation_id.unwrap();
+    drive_to_completion(&svc, resumed_id);
+    drive_to_completion(&svc, new_id);
+    assert!(svc.is_completed(resumed_id));
+    assert!(svc.is_completed(new_id));
+}
+
+/// After a restart, the last token of a negotiation that completed (its
+/// final reply lost) names no checkpoint, even once a new negotiation
+/// checkpoints into the purged slot: it cannot take that one over.
+#[test]
+fn a_finished_negotiations_token_cannot_take_over_a_new_one() {
+    let (svc, token) = restart_after_a_crash(true);
+    let new_id = start_resumable(&svc);
+    assert!(policy_exchange(&svc, new_id).token.is_some());
+    assert_eq!(resume(&svc, token).unwrap_err().code, "NoSuchCheckpoint");
+    drive_to_completion(&svc, new_id);
+    assert!(svc.is_completed(new_id));
+    assert_eq!(svc.resumed_count(), 0);
 }
 
 /// Restore stops at a corrupted document. One byte of a `Put`'s

@@ -5,9 +5,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use trust_vo::negotiation::{
-    negotiate, ConcurrentSequenceCache, NegotiationConfig, Strategy, Transcript,
-};
+use trust_vo::negotiation::{negotiate, NegotiationConfig, Strategy, Transcript};
 use trust_vo::netsim::{FaultPlan, LinkProfile, NetSim};
 use trust_vo::obs::{Collector, MetricsSnapshot, Record, SpanLink, SpanRecord, TraceContext};
 use trust_vo::soa::simclock::SimClock;
@@ -15,8 +13,7 @@ use trust_vo::soa::{Body, Envelope, ServiceBus, StartNegotiation, TnService, Tra
 use trust_vo::store::Database;
 use trust_vo::vo::mailbox::MailboxSystem;
 use trust_vo::vo::{
-    initiator_party_for_role, register_formation_parties, Formation, NegotiationSource,
-    ReputationLedger, ServiceSource,
+    register_formation_parties, Formation, NegotiationSource, ReputationLedger, ServiceSource,
 };
 use trust_vo_bench::workloads::{self, ParallelJoinWorld};
 
@@ -161,37 +158,6 @@ fn serial_formation_emits_phase_spans_and_transcript_exact_counters() {
     assert_eq!(snap.counter("formation.attempts"), 3);
     assert_eq!(snap.counter("formation.admissions"), 3);
     assert_eq!(snap.counter("formation.audits"), 1);
-}
-
-#[test]
-fn observed_cache_counters_equal_cache_stats() {
-    // Every membership negotiation of the world, run twice through one
-    // observed cache.
-    let world = workloads::parallel_join_world(3, 4, 2);
-    let (clock, collector) = observed_clock();
-    let cache = ConcurrentSequenceCache::observed(collector.registry().expect("collector enabled"));
-    let cfg = NegotiationConfig::new(Strategy::Standard, clock.timestamp());
-    for round in 0..2 {
-        for role in &world.contract.roles {
-            let identity = initiator_party_for_role(&world.initiator, &world.contract, &role.name);
-            for description in world.registry.find_by_capability(&role.capability) {
-                let candidate = &world.providers[&description.provider];
-                if candidate.accepts_invitations {
-                    cache
-                        .negotiate(&candidate.party, &identity, "VoMembership", &cfg)
-                        .unwrap_or_else(|e| panic!("round {round}: {e}"));
-                }
-            }
-        }
-    }
-    let stats = cache.stats();
-    assert_eq!(stats.misses, 3, "first round misses");
-    assert_eq!(stats.hits, 3, "second round hits");
-    let snap = collector.metrics();
-    assert_eq!(snap.counter("cache.hits"), stats.hits);
-    assert_eq!(snap.counter("cache.misses"), stats.misses);
-    assert_eq!(snap.counter("cache.invalidations"), stats.invalidations);
-    assert_eq!(snap.counter("cache.evictions"), stats.evictions);
 }
 
 /// The counters the serial/parallel equivalence covers: everything the
